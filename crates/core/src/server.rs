@@ -371,18 +371,18 @@ impl BmHiveServer {
             .map_err(ServerError::Io)?;
         match self.vswitch.forward(&egress.packet, egress.at) {
             Forwarded::Local(port, at) => {
-                // Find the destination guest by port.
-                let dst_id = self
+                // `power_on` attaches guest `n` at port `n`.
+                let receiver = self
                     .guests
-                    .iter()
-                    .find(|(_, g)| g.port == port)
-                    .map(|(id, _)| *id);
-                if let Some(dst_id) = dst_id {
-                    let receiver = self.guests.get_mut(&dst_id).expect("present");
+                    .get_mut(&GuestId(port.0))
+                    .filter(|g| g.port == port);
+                if let Some(receiver) = receiver {
                     let (_, rx_timing) = receiver
                         .session
                         .net_receive(&egress.payload, at)
                         .map_err(ServerError::Io)?;
+                    // The receiver reaped the frame: its port queue drains.
+                    self.vswitch.complete(port);
                     return Ok(IoTiming {
                         submitted: timing.submitted,
                         completed: rx_timing.completed,
@@ -531,6 +531,25 @@ mod tests {
         assert_eq!(rx, 1);
         // Three PCIe traversals: latency well above a single hop.
         assert!(timing.latency() > SimDuration::from_micros(3));
+    }
+
+    #[test]
+    fn delivered_local_frames_leave_no_port_backlog() {
+        let mut server = BmHiveServer::new(ServerConstraints::production(), 5);
+        let image = MachineImage::centos_evaluation(1);
+        let b1 = server.install_board(e5()).unwrap();
+        let b2 = server.install_board(e5()).unwrap();
+        let g1 = server.power_on(b1, &image, SimTime::ZERO).unwrap();
+        let g2 = server.power_on(b2, &image, SimTime::ZERO).unwrap();
+        let dst = server.guest_mac(g2).unwrap();
+        let mut t = SimTime::from_secs(1);
+        for _ in 0..10 {
+            t = server.guest_send(g1, dst, b"ping", t).unwrap().completed;
+        }
+        // Each frame was reaped by the receiver before the next arrived.
+        assert_eq!(server.vswitch.queue_depth(PortId(g2.0)), 0);
+        assert_eq!(server.vswitch.peak_port_depth(), 1);
+        assert_eq!(server.guest_mut(g2).unwrap().counters().1, 10);
     }
 
     #[test]

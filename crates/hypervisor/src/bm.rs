@@ -179,6 +179,42 @@ pub struct BmGuestSession {
 /// Size of one posted rx buffer (hdr + MTU frame).
 const RX_BUF: u32 = 2048;
 
+/// The synthetic volume's contents repeat every 251 bytes.
+const VOLUME_PERIOD: usize = 251;
+
+/// One period of the synthetic volume: byte `i` is `i`.
+const VOLUME_BYTES: [u8; VOLUME_PERIOD] = {
+    let mut bytes = [0u8; VOLUME_PERIOD];
+    let mut i = 0;
+    while i < VOLUME_PERIOD {
+        bytes[i] = i as u8;
+        i += 1;
+    }
+    bytes
+};
+
+/// Appends `len` bytes of the synthetic volume read at `sector`: byte
+/// `i` is `(sector + i) mod 251`, the addition wrapping at `u64::MAX`
+/// (the sector is guest-controlled). Copies whole periods instead of
+/// computing each byte. Both the bm and the vm backends serve this
+/// volume.
+pub(crate) fn push_volume_bytes(sector: u64, len: u64, out: &mut Vec<u8>) {
+    out.reserve(len as usize);
+    let mut push_from = |mut phase: usize, mut left: u64| {
+        while left > 0 {
+            let take = left.min((VOLUME_PERIOD - phase) as u64) as usize;
+            out.extend_from_slice(&VOLUME_BYTES[phase..phase + take]);
+            left -= take as u64;
+            phase = 0;
+        }
+    };
+    // Bytes before `sector + i` wraps past u64::MAX; the rest restart
+    // the pattern at 0.
+    let before_wrap = (u64::MAX - sector).saturating_add(1).min(len);
+    push_from((sector % VOLUME_PERIOD as u64) as usize, before_wrap);
+    push_from(0, len - before_wrap);
+}
+
 /// Surfaces a latched escalation from a device's last service pass as a
 /// per-op error.
 fn check_escalation(dev: &mut IoBondDevice, op: &'static str) -> Result<(), SessionError> {
@@ -552,7 +588,9 @@ impl BmGuestSession {
             .first()
             .map(|c| c.at)
             .unwrap_or(admitted);
-        // Guest reaps and frees the buffer.
+        // Guest interrupt handler: acknowledge the MSI, reap, and free
+        // the buffer.
+        self.net_dev.msi_mut().drain().for_each(drop);
         while let Some((head, _)) = self.net_tx_driver.poll_used(&self.board)? {
             if let Some(buf) = self.tx_posted[usize::from(head)].take() {
                 self.tx_pool.free(&buf);
@@ -653,7 +691,8 @@ impl BmGuestSession {
             .map(|c| c.at)
             .unwrap_or(now);
 
-        // Guest interrupt handler reaps.
+        // Guest interrupt handler acknowledges the MSI and reaps.
+        self.net_dev.msi_mut().drain().for_each(drop);
         let mut delivered = None;
         while let Some((head, len)) = self.net_rx_driver.poll_used(&self.board)? {
             let buf = self
@@ -820,7 +859,9 @@ impl BmGuestSession {
             .map(|c| c.at)
             .unwrap_or(io_done);
 
-        // Guest reaps: read status byte and data.
+        // Guest interrupt handler acknowledges the MSI and reaps: read
+        // status byte and data.
+        self.blk_dev.msi_mut().drain().for_each(drop);
         let mut result = (BlkStatus::IoErr, Vec::new());
         while let Some((h, _len)) = self.blk_driver.poll_used(&self.board)? {
             let mut slots = std::mem::take(&mut self.blk_slots);
@@ -902,15 +943,14 @@ impl BmGuestSession {
         chain: &DescChain,
         now: SimTime,
     ) -> Result<(BlkStatus, u32, SimTime), SessionError> {
-        let mut readable = std::mem::take(&mut self.frame_scratch);
-        chain.readable.gather_into(&self.base, &mut readable)?;
-        if readable.len() < 16 {
-            self.frame_scratch = readable;
+        // Only the header is parsed: the store models a write's timing,
+        // not its contents, so the payload is never gathered.
+        let mut hdr_bytes = [0u8; 16];
+        if chain.readable.gather_prefix(&self.base, &mut hdr_bytes)? < 16 {
             return Err(SessionError::BadRequest("blk header too short"));
         }
-        let hdr = BlkRequestHeader::from_bytes(&readable);
-        let data_in_len = readable.len() as u64 - 16;
-        self.frame_scratch = readable;
+        let hdr = BlkRequestHeader::from_bytes(&hdr_bytes);
+        let data_in_len = chain.readable.total_len() - 16;
         let writable_len = chain.writable.total_len();
         if writable_len == 0 {
             return Err(SessionError::BadRequest("blk chain lacks status byte"));
@@ -926,9 +966,7 @@ impl BmGuestSession {
                 // frame buffer).
                 let mut bytes = std::mem::take(&mut self.frame_scratch);
                 bytes.clear();
-                for i in 0..data_out_len {
-                    bytes.push((hdr.sector.wrapping_add(i) % 251) as u8);
-                }
+                push_volume_bytes(hdr.sector, data_out_len, &mut bytes);
                 bytes.push(BlkStatus::Ok.to_wire());
                 let written = chain.writable.scatter(&mut self.base, &bytes)?;
                 self.frame_scratch = bytes;
@@ -1042,6 +1080,80 @@ mod tests {
         assert_eq!(out[0], 100u8);
         assert!(t2.latency() > SimDuration::from_micros(50));
         assert_eq!(s.counters().2, 2);
+    }
+
+    /// The synthetic volume, one byte at a time.
+    fn volume_byte(sector: u64, i: u64) -> u8 {
+        (sector.wrapping_add(i) % 251) as u8
+    }
+
+    #[test]
+    fn period_copy_matches_the_per_byte_formula() {
+        for sector in [
+            0,
+            1,
+            250,
+            251,
+            252,
+            1 << 40,
+            u64::MAX - 300,
+            u64::MAX - 7,
+            u64::MAX,
+        ] {
+            for len in [0, 1, 250, 251, 252, 503, 4096] {
+                let mut out = vec![0xaa];
+                push_volume_bytes(sector, len, &mut out);
+                let expect: Vec<u8> = std::iter::once(0xaa)
+                    .chain((0..len).map(|i| volume_byte(sector, i)))
+                    .collect();
+                assert_eq!(out, expect, "sector {sector}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_kib_reads_match_the_volume_at_edge_sectors() {
+        let mut s = session();
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 3);
+        let mut t = SimTime::ZERO;
+        for sector in [0, 250, 251, u64::MAX - 7] {
+            let (status, out, timing) = s
+                .blk_request(&mut store, BlkRequestType::In, sector, &[], 16 << 10, t)
+                .unwrap();
+            assert_eq!(status, BlkStatus::Ok);
+            let expect: Vec<u8> = (0..16 << 10).map(|i| volume_byte(sector, i)).collect();
+            assert_eq!(out, expect, "sector {sector}");
+            t = timing.completed;
+        }
+    }
+
+    #[test]
+    fn reaping_acknowledges_every_msi() {
+        let mut s = session();
+        let mut store = BlockStore::new(StorageClass::LocalSsd, 2);
+        let mut t = SimTime::ZERO;
+        for i in 0..20u64 {
+            let (_, timing) = s
+                .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"ping", t)
+                .unwrap();
+            let (_, timing) = s.net_receive(b"pong", timing.completed).unwrap();
+            let (_, _, timing) = s
+                .blk_request(
+                    &mut store,
+                    BlkRequestType::Out,
+                    i,
+                    &[9; 512],
+                    0,
+                    timing.completed,
+                )
+                .unwrap();
+            t = timing.completed;
+        }
+        // Each completion raised an MSI, and the guest took every one.
+        assert!(!s.net_dev.msi().has_pending());
+        assert!(!s.blk_dev.msi().has_pending());
+        assert_eq!(s.net_dev.msi().delivered_count(), 40);
+        assert_eq!(s.blk_dev.msi().delivered_count(), 20);
     }
 
     #[test]

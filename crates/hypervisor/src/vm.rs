@@ -420,10 +420,8 @@ impl VmGuestSession {
                 let io = store.submit(IoKind::Read, data_out_len, admitted);
                 // The vm path pays an extra CPU copy host buffer → guest.
                 let done = io.complete_at + self.copy_cost(data_out_len);
-                let mut bytes: Vec<u8> = Vec::with_capacity(data_out_len as usize);
-                for i in 0..data_out_len {
-                    bytes.push((hdr.sector.wrapping_add(i) % 251) as u8);
-                }
+                let mut bytes: Vec<u8> = Vec::with_capacity(data_out_len as usize + 1);
+                crate::bm::push_volume_bytes(hdr.sector, data_out_len, &mut bytes);
                 bytes.push(BlkStatus::Ok.to_wire());
                 let written = chain.writable.scatter(&mut self.ram, &bytes)?;
                 (BlkStatus::Ok, written as u32, done)

@@ -322,25 +322,9 @@ impl IoBondDevice {
 
     /// One full service pass, as IO-Bond's logic runs it continuously:
     /// drain doorbells, sync every queue board → base, then base → board,
-    /// raising an MSI per completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates ring-format errors from a misbehaving guest.
-    pub fn service(
-        &mut self,
-        board: &mut GuestRam,
-        base: &mut GuestRam,
-        now: SimTime,
-    ) -> Result<ServiceReport, VirtioError> {
-        let mut report = ServiceReport::default();
-        self.service_into(board, base, now, &mut report)?;
-        Ok(report)
-    }
-
-    /// Poll-style [`IoBondDevice::service`]: the caller owns `report`
-    /// (cleared first) and reuses it across passes, so a steady-state
-    /// service loop never allocates.
+    /// raising an MSI per completion. The caller owns `report` (cleared
+    /// first) and reuses it across passes, so a steady-state service
+    /// loop never allocates.
     ///
     /// # Errors
     ///
@@ -417,6 +401,17 @@ mod tests {
         dev: IoBondDevice,
         rx_driver: VirtqueueDriver,
         tx_driver: VirtqueueDriver,
+        report: ServiceReport,
+    }
+
+    impl Rig {
+        /// One service pass into the rig's reused report.
+        fn service(&mut self, now: SimTime) -> &ServiceReport {
+            self.dev
+                .service_into(&mut self.board, &mut self.base, now, &mut self.report)
+                .unwrap();
+            &self.report
+        }
     }
 
     fn rig() -> Rig {
@@ -444,6 +439,7 @@ mod tests {
             dev,
             rx_driver,
             tx_driver,
+            report: ServiceReport::default(),
         }
     }
 
@@ -479,21 +475,14 @@ mod tests {
             )
             .unwrap();
         // IO-Bond services: chain lands in the tx shadow ring.
-        let report = r
-            .dev
-            .service(&mut r.board, &mut r.base, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(report.tx[1].chains, 1);
+        assert_eq!(r.service(SimTime::ZERO).tx[1].chains, 1);
         // Backend (acting on the shadow ring) consumes and completes.
         let mut backend = Virtqueue::new(r.dev.shadow(1).unwrap().shadow_layout());
         let chain = backend.pop_avail(&r.base).unwrap().unwrap();
         assert_eq!(chain.readable.gather(&r.base).unwrap(), b"frame");
         backend.push_used(&mut r.base, chain.head, 0).unwrap();
         // Next service pass returns the completion + MSI.
-        let report = r
-            .dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(5))
-            .unwrap();
+        let report = r.service(SimTime::from_micros(5));
         assert_eq!(report.completions.len(), 1);
         assert_eq!(report.completions[0].guest_head, head);
         assert!(r.dev.msi().has_pending());
@@ -532,9 +521,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        r.dev
-            .service(&mut r.board, &mut r.base, SimTime::ZERO)
-            .unwrap();
+        r.service(SimTime::ZERO);
         assert_eq!(r.dev.shadow(1).unwrap().inflight_guest_heads(), vec![head]);
 
         r.dev.mark_backend_failed();
@@ -550,16 +537,12 @@ mod tests {
 
         // The next service pass re-stages the chain; a fresh backend
         // completes it and the guest sees exactly one completion.
-        r.dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(1))
-            .unwrap();
+        r.service(SimTime::from_micros(1));
         let mut backend = Virtqueue::new(r.dev.shadow(1).unwrap().shadow_layout());
         let chain = backend.pop_avail(&r.base).unwrap().unwrap();
         assert_eq!(chain.readable.gather(&r.base).unwrap(), b"lost?");
         backend.push_used(&mut r.base, chain.head, 0).unwrap();
-        r.dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(2))
-            .unwrap();
+        r.service(SimTime::from_micros(2));
         assert_eq!(r.tx_driver.poll_used(&r.board).unwrap(), Some((head, 0)));
         assert_eq!(r.tx_driver.poll_used(&r.board).unwrap(), None);
     }
@@ -586,19 +569,13 @@ mod tests {
                 &[SgSegment::new(GuestAddr::new(0xa000), 256)],
             )
             .unwrap();
-        r.dev
-            .service(&mut r.board, &mut r.base, SimTime::ZERO)
-            .unwrap();
+        r.service(SimTime::ZERO);
         // Backend receives a packet from the vSwitch and fills the buffer.
         let mut backend = Virtqueue::new(r.dev.shadow(0).unwrap().shadow_layout());
         let chain = backend.pop_avail(&r.base).unwrap().unwrap();
         chain.writable.scatter(&mut r.base, b"incoming").unwrap();
         backend.push_used(&mut r.base, chain.head, 8).unwrap();
-        let report = r
-            .dev
-            .service(&mut r.board, &mut r.base, SimTime::from_micros(2))
-            .unwrap();
-        assert_eq!(report.completions.len(), 1);
+        assert_eq!(r.service(SimTime::from_micros(2)).completions.len(), 1);
         assert_eq!(r.rx_driver.poll_used(&r.board).unwrap(), Some((head, 8)));
         assert_eq!(
             r.board.read_vec(GuestAddr::new(0xa000), 8).unwrap(),

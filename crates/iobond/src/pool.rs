@@ -24,7 +24,11 @@ use bmhive_mem::{GuestAddr, SgList};
 pub struct StagingPool {
     base: GuestAddr,
     slot_size: u32,
+    /// Free slots, popped LIFO by [`StagingPool::alloc`].
     free_slots: Vec<u32>,
+    /// Bit `i` set = slot `i` is on `free_slots`: an O(1) double-free
+    /// check.
+    free_map: Vec<u64>,
     total_slots: u32,
 }
 
@@ -42,6 +46,10 @@ impl StagingPool {
             base,
             slot_size,
             free_slots: (0..slots).rev().collect(),
+            // The low `min(64, slots left)` bits of each word.
+            free_map: (0..slots.div_ceil(64))
+                .map(|w| u64::MAX >> (64 - (slots - 64 * w).min(64)))
+                .collect(),
             total_slots: slots,
         }
     }
@@ -90,6 +98,7 @@ impl StagingPool {
         let mut remaining = bytes;
         for _ in 0..needed {
             let slot = self.free_slots.pop().expect("checked length");
+            self.free_map[slot as usize / 64] &= !(1 << (slot % 64));
             let take = remaining.min(u64::from(self.slot_size)) as u32;
             sg.push(bmhive_mem::SgSegment::new(self.slot_addr(slot), take));
             remaining -= u64::from(take);
@@ -110,10 +119,12 @@ impl StagingPool {
                 "free: segment outside pool"
             );
             let slot = self.slot_of(seg.addr);
+            let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
             assert!(
-                !self.free_slots.contains(&slot),
+                self.free_map[word] & bit == 0,
                 "free: slot {slot} freed twice"
             );
+            self.free_map[word] |= bit;
             self.free_slots.push(slot);
         }
     }
@@ -186,6 +197,33 @@ mod tests {
         let sg = p.alloc(10).unwrap();
         p.free(&sg);
         p.free(&sg);
+    }
+
+    #[test]
+    #[should_panic(expected = "freed twice")]
+    fn double_free_after_churn_panics() {
+        // 130 slots: the free map spans three words, the last partial.
+        let mut p = StagingPool::new(GuestAddr::new(0x10_0000), 130, 64);
+        let all: Vec<SgList> = (0..130).map(|_| p.alloc(64).unwrap()).collect();
+        for sg in all.iter().rev().step_by(3) {
+            p.free(sg);
+        }
+        let again = p.alloc(64).unwrap();
+        p.free(&again);
+        p.free(&all[129]);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_lifo() {
+        let mut p = StagingPool::new(GuestAddr::new(0), 70, 16);
+        let a = p.alloc(16 * 65).unwrap();
+        let b = p.alloc(16).unwrap();
+        p.free(&b);
+        p.free(&a);
+        // The last slot freed is the first handed out again.
+        let c = p.alloc(16).unwrap();
+        assert_eq!(c.segments()[0].addr, a.segments()[64].addr);
+        assert_eq!(p.free_count(), 69);
     }
 
     #[test]

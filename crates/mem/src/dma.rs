@@ -6,6 +6,7 @@
 //! per-transfer setup cost, and the actual byte movement between the two
 //! memory domains is done with [`DmaModel::transfer`].
 
+use crate::addr::GuestAddr;
 use crate::ram::{GuestRam, MemError};
 use crate::sg::SgList;
 use bmhive_sim::SimDuration;
@@ -70,10 +71,16 @@ impl DmaModel {
     /// modelled transfer time. Copies `min(src_sg.total_len(),
     /// dst_sg.total_len())` bytes.
     ///
+    /// Bytes move segment to segment, page to page, with no intermediate
+    /// buffer: the same result as [`SgList::gather`] followed by
+    /// [`SgList::scatter`], copied once.
+    ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfBounds`] if either list references memory
-    /// outside its RAM.
+    /// outside its RAM. Every source segment is checked before any byte
+    /// is written; a bad destination segment fails after the segments
+    /// before it were filled.
     pub fn transfer(
         &self,
         src: &GuestRam,
@@ -81,8 +88,34 @@ impl DmaModel {
         dst: &mut GuestRam,
         dst_sg: &SgList,
     ) -> Result<(u64, SimDuration), MemError> {
-        let data = src_sg.gather(src)?;
-        let moved = dst_sg.scatter(dst, &data)?;
+        for seg in src_sg.segments() {
+            src.check(seg.addr, u64::from(seg.len))?;
+        }
+        let total = src_sg.total_len();
+        let mut sources = src_sg.segments().iter();
+        // Unconsumed tail of the current source segment.
+        let (mut from, mut from_left) = (GuestAddr::new(0), 0u64);
+        let mut moved = 0u64;
+        for seg in dst_sg.segments() {
+            if moved >= total {
+                break;
+            }
+            let take = (total - moved).min(u64::from(seg.len));
+            dst.check(seg.addr, take)?;
+            let (mut to, mut left) = (seg.addr, take);
+            while left > 0 {
+                if from_left == 0 {
+                    let next = sources.next().expect("sources cover `total` bytes");
+                    (from, from_left) = (next.addr, u64::from(next.len));
+                    continue;
+                }
+                let n = left.min(from_left);
+                dst.copy_from(to, src, from, n)?;
+                (to, from) = (to + n, from + n);
+                (left, from_left) = (left - n, from_left - n);
+            }
+            moved += take;
+        }
         Ok((moved, self.transfer_time(moved)))
     }
 
@@ -95,8 +128,8 @@ impl DmaModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::GuestAddr;
     use crate::sg::SgSegment;
+    use bmhive_sim::SimRng;
 
     #[test]
     fn transfer_time_scales_linearly() {
@@ -142,6 +175,89 @@ mod tests {
         let dst = SgList::single(GuestAddr::new(0), 40);
         let (moved, _) = dma.transfer(&src_ram, &src, &mut dst_ram, &dst).unwrap();
         assert_eq!(moved, 40);
+    }
+
+    /// A random list of 1..=5 segments inside `ram_size`, many of them
+    /// straddling 4 KiB page boundaries.
+    fn random_sg(rng: &mut SimRng, ram_size: u64) -> SgList {
+        (0..1 + rng.below(5))
+            .map(|_| {
+                let len = rng.below(6000);
+                let addr = rng.below(ram_size - len);
+                SgSegment::new(GuestAddr::new(addr), len as u32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn transfer_matches_gather_then_scatter_across_pages() {
+        const SIZE: u64 = 1 << 16;
+        let dma = DmaModel::new(50.0, SimDuration::ZERO);
+        let mut rng = SimRng::new(0xd3a);
+        let mut src = GuestRam::new(SIZE);
+        for page in 0..SIZE / 4096 {
+            // Leave some source pages unwritten: they must copy as zeros.
+            if rng.chance(0.7) {
+                let bytes: Vec<u8> = (0..4096).map(|_| rng.next_u32() as u8).collect();
+                src.write(GuestAddr::new(page * 4096), &bytes).unwrap();
+            }
+        }
+        let mut copied = GuestRam::new(SIZE);
+        let mut reference = GuestRam::new(SIZE);
+        for round in 0..200 {
+            let src_sg = random_sg(&mut rng, SIZE);
+            let dst_sg = random_sg(&mut rng, SIZE);
+            let (moved, time) = dma.transfer(&src, &src_sg, &mut copied, &dst_sg).unwrap();
+            let expect = dst_sg
+                .scatter(&mut reference, &src_sg.gather(&src).unwrap())
+                .unwrap();
+            assert_eq!(moved, expect, "round {round}");
+            assert_eq!(moved, src_sg.total_len().min(dst_sg.total_len()));
+            assert_eq!(time, dma.transfer_time(moved));
+            assert_eq!(copied.resident_pages(), reference.resident_pages());
+        }
+        assert_eq!(
+            copied.read_vec(GuestAddr::new(0), SIZE).unwrap(),
+            reference.read_vec(GuestAddr::new(0), SIZE).unwrap()
+        );
+    }
+
+    #[test]
+    fn out_of_bounds_source_writes_nothing() {
+        let dma = DmaModel::new(50.0, SimDuration::ZERO);
+        let mut src = GuestRam::new(1 << 16);
+        src.fill(GuestAddr::new(0), 1 << 16, 0xee).unwrap();
+        let mut dst = GuestRam::new(1 << 16);
+        // The first segment alone would fill the destination; the bad
+        // second one must stop the transfer before any byte lands.
+        let src_sg = SgList::from_segments(vec![
+            SgSegment::new(GuestAddr::new(4000), 200),
+            SgSegment::new(GuestAddr::new((1 << 16) - 8), 16),
+        ]);
+        let dst_sg = SgList::single(GuestAddr::new(4090), 100);
+        let err = dma.transfer(&src, &src_sg, &mut dst, &dst_sg).unwrap_err();
+        assert!(matches!(err, MemError::OutOfBounds { .. }));
+        assert_eq!(dst.resident_pages(), 0);
+    }
+
+    #[test]
+    fn out_of_bounds_destination_fails_after_earlier_segments() {
+        let dma = DmaModel::new(50.0, SimDuration::ZERO);
+        let mut src = GuestRam::new(1 << 16);
+        src.write(GuestAddr::new(0), b"abcdefgh").unwrap();
+        let mut dst = GuestRam::new(1 << 16);
+        let dst_sg = SgList::from_segments(vec![
+            SgSegment::new(GuestAddr::new(100), 4),
+            SgSegment::new(GuestAddr::new((1 << 16) - 2), 4),
+        ]);
+        let src_sg = SgList::single(GuestAddr::new(0), 8);
+        assert!(dma.transfer(&src, &src_sg, &mut dst, &dst_sg).is_err());
+        // As with a scatter: the segment before the bad one was filled.
+        assert_eq!(dst.read_vec(GuestAddr::new(100), 4).unwrap(), b"abcd");
+        assert_eq!(
+            dst.read_vec(GuestAddr::new((1 << 16) - 2), 2).unwrap(),
+            [0, 0]
+        );
     }
 
     #[test]

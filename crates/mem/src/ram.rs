@@ -1,12 +1,22 @@
 //! Sparse guest physical memory.
+//!
+//! [`GuestRam`] is a two-level page table indexed directly by address: a
+//! directory of 2 MiB leaves, each holding 512 slots for 4 KiB pages.
+//! Both levels are allocated on first write, so an access costs two array
+//! indexes and a 64 GiB board costs only what the guest touches.
 
 use crate::addr::GuestAddr;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT; // 4 KiB
+/// Pages per directory leaf: 512 × 4 KiB = 2 MiB.
+const LEAF_SHIFT: u64 = 9;
+const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
+
+type Page = [u8; PAGE_SIZE as usize];
+type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 
 /// Errors returned by [`GuestRam`] accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +66,10 @@ impl Error for MemError {}
 #[derive(Debug, Clone)]
 pub struct GuestRam {
     size: u64,
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    /// Leaf `i` maps pages `[i * 512, (i + 1) * 512)`. The directory
+    /// grows to the highest leaf written; absent entries read as zero.
+    dir: Vec<Option<Box<Leaf>>>,
+    resident: usize,
 }
 
 impl GuestRam {
@@ -69,7 +82,8 @@ impl GuestRam {
         assert!(size > 0, "GuestRam: size must be positive");
         GuestRam {
             size,
-            pages: HashMap::new(),
+            dir: Vec::new(),
+            resident: 0,
         }
     }
 
@@ -80,10 +94,10 @@ impl GuestRam {
 
     /// Number of 4 KiB pages actually allocated so far.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
     }
 
-    fn check(&self, addr: GuestAddr, len: u64) -> Result<(), MemError> {
+    pub(crate) fn check(&self, addr: GuestAddr, len: u64) -> Result<(), MemError> {
         let end = addr.value().checked_add(len);
         match end {
             Some(end) if end <= self.size => Ok(()),
@@ -95,6 +109,54 @@ impl GuestRam {
         }
     }
 
+    /// The page holding page number `page`, if it was ever written.
+    fn page(&self, page: u64) -> Option<&Page> {
+        let leaf = self.dir.get((page >> LEAF_SHIFT) as usize)?.as_deref()?;
+        leaf[page as usize & (LEAF_PAGES - 1)].as_deref()
+    }
+
+    /// The page holding page number `page`, allocating it (and its leaf)
+    /// zero-filled on first touch.
+    fn page_mut(&mut self, page: u64) -> &mut Page {
+        let l = (page >> LEAF_SHIFT) as usize;
+        if l >= self.dir.len() {
+            self.dir.resize_with(l + 1, || None);
+        }
+        let leaf = self.dir[l].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
+        let slot = &mut leaf[page as usize & (LEAF_PAGES - 1)];
+        if slot.is_none() {
+            self.resident += 1;
+        }
+        slot.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
+    }
+
+    /// Applies `f` to each in-page piece of `[offset, offset + len)`, in
+    /// order: `(page number, offset within the page, bytes done before
+    /// this piece, piece length)`.
+    #[inline]
+    fn for_each_piece(offset: u64, len: usize, mut f: impl FnMut(u64, usize, usize, usize)) {
+        let mut at = offset;
+        let mut done = 0usize;
+        while done < len {
+            let in_page = (at & (PAGE_SIZE - 1)) as usize;
+            let take = (len - done).min(PAGE_SIZE as usize - in_page);
+            f(at >> PAGE_SHIFT, in_page, done, take);
+            done += take;
+            at += take as u64;
+        }
+    }
+
+    /// [`GuestRam::read`] after the bounds check.
+    fn read_unchecked(&self, offset: u64, buf: &mut [u8]) {
+        Self::for_each_piece(offset, buf.len(), |page, in_page, done, take| {
+            let out = &mut buf[done..done + take];
+            match self.page(page) {
+                Some(data) => out.copy_from_slice(&data[in_page..in_page + take]),
+                None => out.fill(0),
+            }
+        });
+    }
+
     /// Reads `buf.len()` bytes starting at `addr`.
     ///
     /// # Errors
@@ -103,21 +165,7 @@ impl GuestRam {
     /// size; no bytes are read in that case.
     pub fn read(&self, addr: GuestAddr, buf: &mut [u8]) -> Result<(), MemError> {
         self.check(addr, buf.len() as u64)?;
-        let mut offset = addr.value();
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            let page = offset >> PAGE_SHIFT;
-            let in_page = (offset & (PAGE_SIZE - 1)) as usize;
-            let take = (buf.len() - filled).min(PAGE_SIZE as usize - in_page);
-            match self.pages.get(&page) {
-                Some(data) => {
-                    buf[filled..filled + take].copy_from_slice(&data[in_page..in_page + take])
-                }
-                None => buf[filled..filled + take].fill(0),
-            }
-            filled += take;
-            offset += take as u64;
-        }
+        self.read_unchecked(addr.value(), buf);
         Ok(())
     }
 
@@ -129,20 +177,37 @@ impl GuestRam {
     /// size; no bytes are written in that case.
     pub fn write(&mut self, addr: GuestAddr, data: &[u8]) -> Result<(), MemError> {
         self.check(addr, data.len() as u64)?;
-        let mut offset = addr.value();
-        let mut written = 0usize;
-        while written < data.len() {
-            let page = offset >> PAGE_SHIFT;
-            let in_page = (offset & (PAGE_SIZE - 1)) as usize;
-            let take = (data.len() - written).min(PAGE_SIZE as usize - in_page);
-            let page_data = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            page_data[in_page..in_page + take].copy_from_slice(&data[written..written + take]);
-            written += take;
-            offset += take as u64;
-        }
+        Self::for_each_piece(addr.value(), data.len(), |page, in_page, done, take| {
+            self.page_mut(page)[in_page..in_page + take].copy_from_slice(&data[done..done + take]);
+        });
+        Ok(())
+    }
+
+    /// Copies `len` bytes at `src_addr` in `src` to `addr` in this
+    /// memory, reading straight into the destination pages (no
+    /// intermediate buffer). Destination pages are allocated exactly as
+    /// [`GuestRam::write`] would allocate them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if either range exceeds its
+    /// memory; nothing is written in that case.
+    pub(crate) fn copy_from(
+        &mut self,
+        addr: GuestAddr,
+        src: &GuestRam,
+        src_addr: GuestAddr,
+        len: u64,
+    ) -> Result<(), MemError> {
+        src.check(src_addr, len)?;
+        self.check(addr, len)?;
+        let from = src_addr.value();
+        Self::for_each_piece(addr.value(), len as usize, |page, in_page, done, take| {
+            src.read_unchecked(
+                from + done as u64,
+                &mut self.page_mut(page)[in_page..in_page + take],
+            );
+        });
         Ok(())
     }
 
@@ -166,16 +231,10 @@ impl GuestRam {
     /// size.
     pub fn fill(&mut self, addr: GuestAddr, len: u64, byte: u8) -> Result<(), MemError> {
         self.check(addr, len)?;
-        // Writing through the page map keeps the sparse representation.
-        let chunk = [byte; 256];
-        let mut remaining = len;
-        let mut at = addr;
-        while remaining > 0 {
-            let take = remaining.min(chunk.len() as u64);
-            self.write(at, &chunk[..take as usize])?;
-            at = at + take;
-            remaining -= take;
-        }
+        // Every touched page becomes resident, as a write would make it.
+        Self::for_each_piece(addr.value(), len as usize, |page, in_page, _, take| {
+            self.page_mut(page)[in_page..in_page + take].fill(byte);
+        });
         Ok(())
     }
 }
@@ -288,6 +347,93 @@ mod tests {
         let mut ram = GuestRam::new(64 << 30); // 64 GiB — cheap to create
         ram.write_u8(GuestAddr::new(63 << 30), 1).unwrap();
         assert_eq!(ram.resident_pages(), 1);
+        let top = GuestAddr::new((64 << 30) - 4);
+        ram.write_u32(top, 0xfeed_f00d).unwrap();
+        assert_eq!(ram.read_u32(top).unwrap(), 0xfeed_f00d);
+        // Reads of untouched memory and failed writes allocate nothing.
+        assert_eq!(ram.read_u64(GuestAddr::new(32 << 30)).unwrap(), 0);
+        assert!(ram.write_u8(GuestAddr::new(64 << 30), 1).is_err());
+        assert_eq!(ram.resident_pages(), 2);
+    }
+
+    /// Pages of the flat model holding a nonzero byte or ever written.
+    fn touched_pages(touched: &[bool]) -> usize {
+        touched.iter().filter(|&&t| t).count()
+    }
+
+    #[test]
+    fn page_table_matches_a_flat_byte_model() {
+        use bmhive_sim::SimRng;
+        // Three leaves and a bit: accesses cross page and leaf
+        // boundaries and reach the last byte.
+        const SIZE: u64 = 3 * (2 << 20) + 3 * PAGE_SIZE + 17;
+        let mut rng = SimRng::new(0x9a9e);
+        let mut ram = GuestRam::new(SIZE);
+        let mut flat = vec![0u8; SIZE as usize];
+        let mut touched = vec![false; SIZE.div_ceil(PAGE_SIZE) as usize];
+        // An empty access touches nothing.
+        let touch = |touched: &mut [bool], addr: u64, len: u64| {
+            if len > 0 {
+                for p in addr >> PAGE_SHIFT..(addr + len).div_ceil(PAGE_SIZE) {
+                    touched[p as usize] = true;
+                }
+            }
+        };
+        for step in 0..4000 {
+            let len = match rng.below(4) {
+                0 => rng.below(9),
+                1 => rng.below(PAGE_SIZE + 1),
+                2 => 3 * PAGE_SIZE + rng.below(PAGE_SIZE),
+                _ => 8,
+            };
+            let addr = match rng.below(4) {
+                // Straddle a page boundary.
+                0 => (rng.below(SIZE / PAGE_SIZE) * PAGE_SIZE).saturating_sub(rng.below(len + 1)),
+                // End exactly at (or just past) the last byte.
+                1 => (SIZE - len.min(SIZE)) + rng.below(2),
+                // Anywhere, including out of bounds.
+                _ => rng.below(SIZE + 64),
+            };
+            let in_bounds = addr + len <= SIZE;
+            match rng.below(4) {
+                0 | 1 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                    let result = ram.write(GuestAddr::new(addr), &data);
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    if in_bounds {
+                        flat[addr as usize..(addr + len) as usize].copy_from_slice(&data);
+                        touch(&mut touched, addr, len);
+                    }
+                }
+                2 => {
+                    let byte = rng.next_u32() as u8;
+                    let result = ram.fill(GuestAddr::new(addr), len, byte);
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    if in_bounds {
+                        flat[addr as usize..(addr + len) as usize].fill(byte);
+                        touch(&mut touched, addr, len);
+                    }
+                }
+                _ => {
+                    let mut buf = vec![0x5au8; len as usize];
+                    let result = ram.read(GuestAddr::new(addr), &mut buf);
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    if in_bounds {
+                        assert_eq!(buf, flat[addr as usize..(addr + len) as usize]);
+                    } else {
+                        assert!(buf.iter().all(|&b| b == 0x5a), "failed read wrote");
+                    }
+                }
+            }
+            assert_eq!(ram.resident_pages(), touched_pages(&touched), "step {step}");
+        }
+        assert_eq!(ram.read_vec(GuestAddr::new(0), SIZE).unwrap(), flat);
+        let last = GuestAddr::new(SIZE - 1);
+        assert_eq!(ram.read_u8(last).unwrap(), flat[SIZE as usize - 1]);
+        assert!(ram.read_u16(last).is_err());
+        let clone = ram.clone();
+        assert_eq!(clone.resident_pages(), ram.resident_pages());
+        assert_eq!(clone.read_vec(GuestAddr::new(0), SIZE).unwrap(), flat);
     }
 
     #[test]

@@ -193,6 +193,28 @@ impl SgList {
         Ok(())
     }
 
+    /// Reads the list's first `min(out.len(), total_len())` bytes into
+    /// the front of `out` and returns that count — e.g. a request header
+    /// parsed without gathering the payload behind it. Segments past the
+    /// prefix are not touched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if a read segment exceeds the
+    /// memory size.
+    pub fn gather_prefix(&self, ram: &GuestRam, out: &mut [u8]) -> Result<usize, MemError> {
+        let mut filled = 0usize;
+        for seg in self.segments() {
+            if filled == out.len() {
+                break;
+            }
+            let take = (out.len() - filled).min(seg.len as usize);
+            ram.read(seg.addr, &mut out[filled..filled + take])?;
+            filled += take;
+        }
+        Ok(filled)
+    }
+
     /// Writes `data` across the segments in order, returning the number
     /// of bytes written (`min(data.len(), total_len())`).
     ///
@@ -385,6 +407,26 @@ mod tests {
         let payload: Vec<u8> = (0..12).collect();
         sg.scatter(&mut ram, &payload).unwrap();
         assert_eq!(sg.gather(&ram).unwrap(), payload);
+    }
+
+    #[test]
+    fn gather_prefix_reads_only_the_front() {
+        let ram = ram_with(&[(0x10, b"abc"), (0x40, b"defgh")]);
+        let sg = SgList::from_segments(vec![
+            SgSegment::new(GuestAddr::new(0x10), 3),
+            SgSegment::new(GuestAddr::new(0x40), 5),
+            // Past the prefix: never read, so its bad address is moot.
+            SgSegment::new(GuestAddr::new(u64::MAX - 1), 8),
+        ]);
+        let mut hdr = [0u8; 6];
+        assert_eq!(sg.gather_prefix(&ram, &mut hdr).unwrap(), 6);
+        assert_eq!(&hdr, b"abcdef");
+        let short = SgList::single(GuestAddr::new(0x40), 2);
+        let mut buf = [0u8; 4];
+        assert_eq!(short.gather_prefix(&ram, &mut buf).unwrap(), 2);
+        assert_eq!(&buf[..2], b"de");
+        let bad = SgList::single(GuestAddr::new((1 << 20) - 1), 4);
+        assert!(bad.gather_prefix(&ram, &mut buf).is_err());
     }
 
     #[test]

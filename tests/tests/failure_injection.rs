@@ -4,7 +4,7 @@
 //! days.
 
 use bmhive_core::prelude::*;
-use bmhive_iobond::IoBondDevice;
+use bmhive_iobond::{IoBondDevice, ServiceReport};
 use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
 use bmhive_virtio::{DeviceType, Feature, Virtqueue, VirtqueueDriver};
 
@@ -34,7 +34,9 @@ fn device_reset_clears_and_reactivates() {
             &[],
         )
         .unwrap();
-    dev.service(&mut board, &mut base, SimTime::ZERO).unwrap();
+    let mut pass = ServiceReport::default();
+    dev.service_into(&mut board, &mut base, SimTime::ZERO, &mut pass)
+        .unwrap();
     assert_eq!(dev.shadow(0).unwrap().inflight_count(), 1);
 
     // ...then the guest resets the device (status write 0).
@@ -74,7 +76,9 @@ fn backend_failure_marks_device_needs_reset() {
             &[],
         )
         .unwrap();
-    dev.service(&mut board, &mut base, SimTime::ZERO).unwrap();
+    let mut pass = ServiceReport::default();
+    dev.service_into(&mut board, &mut base, SimTime::ZERO, &mut pass)
+        .unwrap();
     let mut heads = Vec::new();
     dev.shadow(0).unwrap().inflight_guest_heads_into(&mut heads);
     assert_eq!(heads, vec![head]);
@@ -97,14 +101,14 @@ fn backend_failure_marks_device_needs_reset() {
     // The replacement backend drains the fresh shadow ring: it sees
     // the replayed chain exactly once, and the guest reaps exactly one
     // completion.
-    dev.service(&mut board, &mut base, SimTime::from_micros(10))
+    dev.service_into(&mut board, &mut base, SimTime::from_micros(10), &mut pass)
         .unwrap();
     let mut backend = Virtqueue::new(dev.shadow(0).unwrap().shadow_layout());
     let chain = backend.pop_avail(&base).unwrap().expect("replayed chain");
     assert_eq!(chain.readable.gather(&base).unwrap(), b"inflight");
     backend.push_used(&mut base, chain.head, 0).unwrap();
     assert!(backend.pop_avail(&base).unwrap().is_none(), "exactly once");
-    dev.service(&mut board, &mut base, SimTime::from_micros(20))
+    dev.service_into(&mut board, &mut base, SimTime::from_micros(20), &mut pass)
         .unwrap();
     let (reaped, _) = driver.poll_used(&board).unwrap().expect("completion");
     assert_eq!(reaped, head);

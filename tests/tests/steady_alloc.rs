@@ -121,3 +121,47 @@ fn warmed_faults_run_stays_under_the_alloc_gate() {
         "warmed faults run allocated {allocs} times (gate: 1,400, well under half the pre-PR 3,422)"
     );
 }
+
+#[test]
+fn warmed_session_block_writes_allocate_nothing() {
+    use bmhive_cloud::blockstore::{BlockStore, StorageClass};
+    use bmhive_cloud::limits::InstanceLimits;
+    use bmhive_hypervisor::BmGuestSession;
+    use bmhive_iobond::IoBondProfile;
+    use bmhive_net::MacAddr;
+    use bmhive_virtio::{BlkRequestType, BlkStatus};
+
+    // A 16 KiB write crosses board RAM, the shadow ring, the staging
+    // pool, the block store and the MSI queue. Once every touched page
+    // and scratch buffer exists, none of those may allocate per request
+    // (the MSI the completion raises is acknowledged, not queued).
+    let mut session = BmGuestSession::new(
+        IoBondProfile::fpga(),
+        MacAddr::for_guest(1),
+        256,
+        InstanceLimits::production(),
+    );
+    let mut store = BlockStore::new(StorageClass::CloudSsd, 11);
+    let data = vec![0x5a; 16 << 10];
+    let mut now = SimTime::ZERO;
+    let mut write = |session: &mut BmGuestSession, i: u64| {
+        let (status, out, timing) = session
+            .blk_request(&mut store, BlkRequestType::Out, i * 32, &data, 0, now)
+            .expect("write completes");
+        assert_eq!(status, BlkStatus::Ok);
+        assert!(out.is_empty());
+        now = timing.completed;
+    };
+    for i in 0..512 {
+        write(&mut session, i);
+    }
+    let ((), allocs) = alloc::measure_allocs(|| {
+        for i in 0..5_000 {
+            write(&mut session, i);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "a warmed block-write loop must not allocate: {allocs} allocations over 5,000 writes"
+    );
+}

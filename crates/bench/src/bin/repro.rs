@@ -14,14 +14,20 @@
 //! cargo run -p bmhive-bench --release --bin repro -- merge shard-0 shard-1 shard-2
 //! cargo run -p bmhive-bench --release --bin repro -- bench --out BENCH_results.json
 //! ```
+//!
+//! Exit status: 0 on success; 1 on a bad argument, an I/O error, a gate
+//! that failed or was skipped, or a fault an armed plan left
+//! unrecovered.
 
 use bmhive_bench::harness::BenchReport;
 use bmhive_bench::merge;
 use bmhive_bench::sweep::{self, Shard, SweepSpec};
+use bmhive_bench::EXPERIMENTS;
 use bmhive_faults as faults;
 use bmhive_telemetry as telemetry;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 /// The counting allocator backs the `fleet_scale` experiment's
@@ -33,16 +39,61 @@ static ALLOC: telemetry::alloc::CountingAlloc = telemetry::alloc::CountingAlloc:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let result = match args.first().map(String::as_str) {
         Some("sweep") => sweep_main(&args[1..]),
         Some("merge") => merge_main(&args[1..]),
         Some("bench") => bench_main(&args[1..]),
         _ => repro_main(&args),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
+/// The next argument parsed as the value of a flag; `missing` is the
+/// error when it is absent or does not parse.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, missing: &str) -> Result<T, String> {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| missing.to_string())
+}
+
+/// The value of `--jobs`: a worker count of at least 1.
+fn jobs_value(args: &mut impl Iterator<Item = String>) -> Result<usize, String> {
+    match value(args, "--jobs requires a positive integer")? {
+        0 => Err("--jobs must be at least 1 (got 0)".to_string()),
+        n => Ok(n),
+    }
+}
+
+/// Writes `contents` to `path`, naming the file in the error.
+fn write(path: &Path, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Creates the `--out` directory.
+fn create_out_dir(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create --out {}: {e}", dir.display()))
+}
+
+/// The exit decision: `Err` naming every failure a run collected.
+fn verdict(tag: &str, failures: Vec<String>) -> Result<(), String> {
+    if failures.is_empty() {
+        return Ok(());
+    }
+    let lines: Vec<String> = failures
+        .iter()
+        .map(|f| format!("[{tag}] FAILED: {f}"))
+        .collect();
+    Err(lines.join("\n"))
+}
+
 /// The classic single-pass mode: render the requested experiments once.
-fn repro_main(args: &[String]) -> ExitCode {
+fn repro_main(args: &[String]) -> Result<(), String> {
     let mut seed = 1u64;
     let mut jobs = 1usize;
     let mut out_dir: Option<PathBuf> = None;
@@ -53,92 +104,48 @@ fn repro_main(args: &[String]) -> ExitCode {
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(0) => {
-                    eprintln!("--jobs must be at least 1 (got 0)");
-                    return ExitCode::FAILURE;
-                }
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match args.next() {
-                Some(dir) => out_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" => match args.next() {
-                Some(path) => trace_path = Some(path.into()),
-                None => {
-                    eprintln!("--trace requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--seed" => seed = value(&mut args, "--seed requires an integer")?,
+            "--jobs" => jobs = jobs_value(&mut args)?,
+            "--out" => out_dir = Some(value(&mut args, "--out requires a directory")?),
+            "--trace" => trace_path = Some(value(&mut args, "--trace requires a file path")?),
             "--metrics" => metrics = true,
-            "--faults" => match args.next() {
-                Some(arg) => fault_plan = Some(arg),
-                None => {
-                    eprintln!("--faults requires a canned plan name or a JSON file path");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--faults" => {
+                fault_plan = Some(value(
+                    &mut args,
+                    "--faults requires a canned plan name or a JSON file path",
+                )?)
+            }
             "--help" | "-h" => {
                 print_help();
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             other if other.starts_with('-') => {
-                eprintln!("unknown flag '{other}' (see --help)");
-                return ExitCode::FAILURE;
+                return Err(format!("unknown flag '{other}' (see --help)"))
             }
             other => requested.push(other.to_string()),
         }
     }
 
-    let known = bmhive_bench::EXPERIMENT_IDS;
     for r in &requested {
-        if !known.contains(&r.as_str()) {
-            eprintln!("unknown experiment '{r}'; known: {}", known.join(", "));
-            return ExitCode::FAILURE;
-        }
+        bmhive_bench::experiment(r)?;
     }
 
     // Validate output destinations up front, before hours of experiments.
     if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create --out {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        create_out_dir(dir)?;
     }
     if let Some(path) = &trace_path {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create --trace directory {}: {e}", parent.display());
-                return ExitCode::FAILURE;
-            }
+            std::fs::create_dir_all(parent).map_err(|e| {
+                format!("cannot create --trace directory {}: {e}", parent.display())
+            })?;
         }
     }
 
     // Arm the fault plan (if any) before the first experiment, so the
     // whole run is injected and recovered deterministically in `seed`.
     if let Some(arg) = &fault_plan {
-        match sweep::resolve_plan(arg) {
-            Ok(plan) => faults::arm(plan, seed),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        faults::arm(sweep::resolve_plan(arg).map_err(|e| e.to_string())?, seed);
     }
 
     // Host-sharded experiments fan their per-host work across this
@@ -151,40 +158,38 @@ fn repro_main(args: &[String]) -> ExitCode {
         telemetry::reset();
     }
 
+    let mut failures = Vec::new();
     let mut printed = 0;
-    for id in known {
+    for exp in &EXPERIMENTS {
+        let id = exp.id;
         if !requested.is_empty() && !requested.iter().any(|r| r == id) {
             continue;
         }
-        let text = bmhive_bench::run_experiment(id, seed).expect("known id");
+        let report = exp.render(seed);
         println!("======== {id} ========");
-        println!("{text}");
+        println!("{}", report.text);
         if let Some(dir) = &out_dir {
-            let txt = dir.join(format!("{id}.txt"));
-            if let Err(e) = std::fs::write(&txt, &text) {
-                eprintln!("cannot write {}: {e}", txt.display());
-                return ExitCode::FAILURE;
-            }
-            let json = dir.join(format!("{id}.json"));
-            if let Err(e) = std::fs::write(&json, experiment_json(id, seed, &text)) {
-                eprintln!("cannot write {}: {e}", json.display());
-                return ExitCode::FAILURE;
-            }
+            write(&dir.join(format!("{id}.txt")), &report.text)?;
+            write(
+                &dir.join(format!("{id}.json")),
+                experiment_json(id, seed, &report.text),
+            )?;
         }
+        failures.extend(report.failures(id));
         printed += 1;
     }
 
-    if fault_plan.is_some() {
+    if let Some(plan) = &fault_plan {
         let stats = faults::disarm().expect("armed above");
         println!("======== fault stats ========");
         print!("{}", stats.to_text());
         if let Some(dir) = &out_dir {
             let path = dir.join("fault_stats.json");
-            if let Err(e) = std::fs::write(&path, stats.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write(&path, stats.to_json())?;
             eprintln!("[repro] wrote fault stats to {}", path.display());
+        }
+        if !stats.all_recovered() {
+            failures.push(format!("fault plan '{plan}': unrecovered faults"));
         }
     }
 
@@ -192,10 +197,8 @@ fn repro_main(args: &[String]) -> ExitCode {
         let snap = telemetry::snapshot();
         if let Some(path) = &trace_path {
             let doc = telemetry::export::chrome_trace(&snap.events);
-            if let Err(e) = std::fs::write(path, doc) {
-                eprintln!("cannot write trace {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, doc)
+                .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
             eprintln!(
                 "[repro] wrote {} span(s) to {} ({} dropped by the ring buffer)",
                 snap.events.len(),
@@ -222,12 +225,12 @@ fn repro_main(args: &[String]) -> ExitCode {
         );
     }
     eprintln!("[repro] {printed} experiment(s) rendered with seed {seed}");
-    ExitCode::SUCCESS
+    verdict("repro", failures)
 }
 
 /// `repro sweep`: the (experiment × seed × plan) cross product, in
 /// parallel, byte-identical to the serial order.
-fn sweep_main(args: &[String]) -> ExitCode {
+fn sweep_main(args: &[String]) -> Result<(), String> {
     let mut spec = SweepSpec::full_matrix();
     let mut out_dir: Option<PathBuf> = None;
     let mut shard: Option<Shard> = None;
@@ -235,60 +238,39 @@ fn sweep_main(args: &[String]) -> ExitCode {
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--jobs" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(0) => {
-                    eprintln!("--jobs must be at least 1 (got 0)");
-                    return ExitCode::FAILURE;
-                }
-                Some(n) => spec.jobs = n,
-                None => {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shard" => match args.next().map(|s| Shard::parse(&s)) {
-                Some(Ok(s)) => shard = Some(s),
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--shard requires I/N (e.g. 0/3); I counts from 0 and must be < N");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seeds" => match args.next().map(|s| parse_seed_list(&s)) {
-                Some(Ok(seeds)) => spec.seeds = seeds,
-                _ => {
-                    eprintln!("--seeds requires a comma-separated integer list, e.g. 1,2,3,4");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--plans" => match args.next() {
-                Some(list) => spec.plans = parse_plan_list(&list),
-                None => {
-                    eprintln!(
-                        "--plans requires a comma-separated list of plan names/files; \
-                         'clean' is the un-injected run, 'all' is clean + every canned plan"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--jobs" => spec.jobs = jobs_value(&mut args)?,
+            "--shard" => {
+                let s: String = value(
+                    &mut args,
+                    "--shard requires I/N (e.g. 0/3); I counts from 0 and must be < N",
+                )?;
+                shard = Some(Shard::parse(&s).map_err(|e| e.to_string())?);
+            }
+            "--seeds" => {
+                spec.seeds = args
+                    .next()
+                    .as_deref()
+                    .and_then(parse_seed_list)
+                    .ok_or("--seeds requires a comma-separated integer list, e.g. 1,2,3,4")?
+            }
+            "--plans" => {
+                let list: String = value(
+                    &mut args,
+                    "--plans requires a comma-separated list of plan names/files; \
+                     'clean' is the un-injected run, 'all' is clean + every canned plan",
+                )?;
+                spec.plans = parse_plan_list(&list);
+            }
             "--trace" => spec.trace = true,
-            "--out" => match args.next() {
-                Some(dir) => out_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--out" => out_dir = Some(value(&mut args, "--out requires a directory")?),
             "--help" | "-h" => {
                 print_sweep_help();
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             other if other.starts_with('-') => {
-                eprintln!("unknown sweep flag '{other}' (see repro sweep --help)");
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "unknown sweep flag '{other}' (see repro sweep --help)"
+                ))
             }
             other => experiments.push(other.to_string()),
         }
@@ -297,28 +279,18 @@ fn sweep_main(args: &[String]) -> ExitCode {
         spec.experiments = experiments;
     }
     if spec.trace && out_dir.is_none() {
-        eprintln!("sweep --trace needs --out DIR to write the per-cell trace files");
-        return ExitCode::FAILURE;
+        return Err("sweep --trace needs --out DIR to write the per-cell trace files".into());
     }
     if shard.is_some() && out_dir.is_none() {
-        eprintln!("sweep --shard needs --out DIR to hold the shard's cells and manifest");
-        return ExitCode::FAILURE;
+        return Err("sweep --shard needs --out DIR to hold the shard's cells and manifest".into());
     }
     if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create --out {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        create_out_dir(dir)?;
     }
 
     let start = Instant::now();
-    let outputs = match sweep::run_sweep_shard(&spec, shard.unwrap_or(Shard::WHOLE)) {
-        Ok(outputs) => outputs,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outputs =
+        sweep::run_sweep_shard(&spec, shard.unwrap_or(Shard::WHOLE)).map_err(|e| e.to_string())?;
     let wall = start.elapsed();
 
     for (_, out) in &outputs {
@@ -329,25 +301,14 @@ fn sweep_main(args: &[String]) -> ExitCode {
             // Sharded runs write the manifest alongside the cells so
             // `repro merge` can validate and reassemble the split.
             Some(shard) => {
-                if let Err(e) = merge::write_shard_dir(dir, &spec, shard, &outputs) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
+                merge::write_shard_dir(dir, &spec, shard, &outputs).map_err(|e| e.to_string())?
             }
             None => {
                 for (_, out) in &outputs {
                     let stem = out.cell.file_stem();
-                    let txt = dir.join(format!("{stem}.txt"));
-                    if let Err(e) = std::fs::write(&txt, sweep::render_cell(out)) {
-                        eprintln!("cannot write {}: {e}", txt.display());
-                        return ExitCode::FAILURE;
-                    }
+                    write(&dir.join(format!("{stem}.txt")), sweep::render_cell(out))?;
                     if let Some(trace) = &out.trace_json {
-                        let path = dir.join(format!("{stem}.trace.json"));
-                        if let Err(e) = std::fs::write(&path, trace) {
-                            eprintln!("cannot write {}: {e}", path.display());
-                            return ExitCode::FAILURE;
-                        }
+                        write(&dir.join(format!("{stem}.trace.json")), trace)?;
                     }
                 }
             }
@@ -366,60 +327,44 @@ fn sweep_main(args: &[String]) -> ExitCode {
         spec.jobs,
         wall.as_secs_f64(),
     );
-    ExitCode::SUCCESS
+    verdict(
+        "sweep",
+        outputs.iter().flat_map(|(_, out)| out.failures()).collect(),
+    )
 }
 
 /// `repro merge`: validate shard directories and reassemble the serial
 /// sweep output from them.
-fn merge_main(args: &[String]) -> ExitCode {
+fn merge_main(args: &[String]) -> Result<(), String> {
     let mut dirs: Vec<PathBuf> = Vec::new();
     let mut out_dir: Option<PathBuf> = None;
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => match args.next() {
-                Some(dir) => out_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--out" => out_dir = Some(value(&mut args, "--out requires a directory")?),
             "--help" | "-h" => {
                 print_merge_help();
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             other if other.starts_with('-') => {
-                eprintln!("unknown merge flag '{other}' (see repro merge --help)");
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "unknown merge flag '{other}' (see repro merge --help)"
+                ))
             }
             other => dirs.push(other.into()),
         }
     }
     if dirs.is_empty() {
-        eprintln!("repro merge needs at least one shard directory (see repro merge --help)");
-        return ExitCode::FAILURE;
+        return Err(
+            "repro merge needs at least one shard directory (see repro merge --help)".into(),
+        );
     }
 
-    let plan = match merge::plan_merge(&dirs) {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let combined = match plan.concat_reports() {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let plan = merge::plan_merge(&dirs).map_err(|e| e.to_string())?;
+    let combined = plan.concat_reports().map_err(|e| e.to_string())?;
     print!("{combined}");
     if let Some(dir) = &out_dir {
-        if let Err(e) = plan.write_combined(dir) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        plan.write_combined(dir).map_err(|e| e.to_string())?;
         eprintln!(
             "[merge] wrote {} cell(s) under {}",
             plan.cells.len(),
@@ -434,11 +379,11 @@ fn merge_main(args: &[String]) -> ExitCode {
         plan.cells.len(),
         plan.manifests[0].spec_hash,
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `repro bench`: time each experiment and emit/check the trajectory.
-fn bench_main(args: &[String]) -> ExitCode {
+fn bench_main(args: &[String]) -> Result<(), String> {
     let mut seed = 1u64;
     let mut repeats = 3u32;
     let mut jobs = 1usize;
@@ -450,101 +395,51 @@ fn bench_main(args: &[String]) -> ExitCode {
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--repeat" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(r) => repeats = r,
-                None => {
-                    eprintln!("--repeat requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(0) => {
-                    eprintln!("--jobs must be at least 1 (got 0)");
-                    return ExitCode::FAILURE;
-                }
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match args.next() {
-                Some(path) => out_path = Some(path.into()),
-                None => {
-                    eprintln!("--out requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(path) => check_path = Some(path.into()),
-                None => {
-                    eprintln!("--check requires a baseline JSON file");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--compare-out" => match args.next() {
-                Some(path) => compare_out = Some(path.into()),
-                None => {
-                    eprintln!("--compare-out requires a file path (needs --check)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--tolerance" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(t) => tolerance = t,
-                None => {
-                    eprintln!("--tolerance requires a fraction, e.g. 0.25");
-                    return ExitCode::FAILURE;
-                }
-            },
+            "--seed" => seed = value(&mut args, "--seed requires an integer")?,
+            "--repeat" => repeats = value(&mut args, "--repeat requires an integer")?,
+            "--jobs" => jobs = jobs_value(&mut args)?,
+            "--out" => out_path = Some(value(&mut args, "--out requires a file path")?),
+            "--check" => {
+                check_path = Some(value(&mut args, "--check requires a baseline JSON file")?)
+            }
+            "--compare-out" => {
+                compare_out = Some(value(
+                    &mut args,
+                    "--compare-out requires a file path (needs --check)",
+                )?)
+            }
+            "--tolerance" => {
+                tolerance = value(&mut args, "--tolerance requires a fraction, e.g. 0.25")?
+            }
             "--help" | "-h" => {
                 print_bench_help();
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             other if other.starts_with('-') => {
-                eprintln!("unknown bench flag '{other}' (see repro bench --help)");
-                return ExitCode::FAILURE;
+                return Err(format!(
+                    "unknown bench flag '{other}' (see repro bench --help)"
+                ))
             }
             other => experiments.push(other.to_string()),
         }
     }
     if experiments.is_empty() {
-        experiments = bmhive_bench::EXPERIMENT_IDS
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        experiments = EXPERIMENTS.iter().map(|e| e.id.to_string()).collect();
     }
 
     let baseline = match &check_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(doc) => match BenchReport::from_json(&doc) {
-                Ok(report) => Some(report),
-                Err(e) => {
-                    eprintln!("cannot parse --check {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read --check {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => {
+            let doc = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read --check {}: {e}", path.display()))?;
+            Some(
+                BenchReport::from_json(&doc)
+                    .map_err(|e| format!("cannot parse --check {}: {e}", path.display()))?,
+            )
+        }
         None => None,
     };
 
-    let report = match bmhive_bench::harness::run_bench_jobs(&experiments, seed, repeats, jobs) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = bmhive_bench::harness::run_bench(&experiments, seed, repeats, jobs)?;
 
     println!(
         "{:<10} | {:>12} | {:>10} | {:>14} | {:>12} | {:>10} | {:>12} | {:>9} | {:>4} | {:>7}",
@@ -583,48 +478,43 @@ fn bench_main(args: &[String]) -> ExitCode {
     );
 
     if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write --out {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, report.to_json())
+            .map_err(|e| format!("cannot write --out {}: {e}", path.display()))?;
         eprintln!("[bench] wrote {}", path.display());
     }
 
     if compare_out.is_some() && baseline.is_none() {
-        eprintln!("--compare-out needs --check to provide the baseline");
-        return ExitCode::FAILURE;
+        return Err("--compare-out needs --check to provide the baseline".into());
     }
     if let Some(baseline) = &baseline {
         if let Some(path) = &compare_out {
-            if let Err(e) = std::fs::write(path, report.comparison_table(baseline)) {
-                eprintln!("cannot write --compare-out {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, report.comparison_table(baseline))
+                .map_err(|e| format!("cannot write --compare-out {}: {e}", path.display()))?;
             eprintln!("[bench] wrote comparison table to {}", path.display());
         }
         let problems = report.check_against(baseline, tolerance);
-        if problems.is_empty() {
-            eprintln!(
-                "[bench] no regression vs {} at {:.0}% tolerance",
-                check_path.expect("checked above").display(),
-                tolerance * 100.0
-            );
-        } else {
-            for p in &problems {
-                eprintln!("[bench] REGRESSION: {p}");
-            }
-            return ExitCode::FAILURE;
+        if !problems.is_empty() {
+            let lines: Vec<String> = problems
+                .iter()
+                .map(|p| format!("[bench] REGRESSION: {p}"))
+                .collect();
+            return Err(lines.join("\n"));
         }
+        eprintln!(
+            "[bench] no regression vs {} at {:.0}% tolerance",
+            check_path.expect("checked above").display(),
+            tolerance * 100.0
+        );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn parse_seed_list(list: &str) -> Result<Vec<u64>, ()> {
-    let seeds: Result<Vec<u64>, _> = list.split(',').map(|s| s.trim().parse()).collect();
-    match seeds {
-        Ok(seeds) if !seeds.is_empty() => Ok(seeds),
-        _ => Err(()),
-    }
+fn parse_seed_list(list: &str) -> Option<Vec<u64>> {
+    let seeds: Vec<u64> = list
+        .split(',')
+        .map(|s| s.trim().parse().ok())
+        .collect::<Option<_>>()?;
+    (!seeds.is_empty()).then_some(seeds)
 }
 
 fn parse_plan_list(list: &str) -> Vec<Option<String>> {
@@ -664,6 +554,16 @@ fn experiment_json(id: &str, seed: u64, text: &str) -> String {
     out
 }
 
+/// The host-sharded experiment ids, comma-separated.
+fn sharded_ids() -> String {
+    let ids: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|e| e.parallel)
+        .map(|e| e.id)
+        .collect();
+    ids.join(", ")
+}
+
 fn print_help() {
     println!("repro — regenerate the BM-Hive paper's tables and figures");
     println!();
@@ -675,8 +575,12 @@ fn print_help() {
     println!("       repro bench [...]   wall-clock benchmark trajectory (see repro bench --help)");
     println!();
     println!("  --seed N       seed for every stochastic experiment (default 1)");
-    println!("  --jobs N       worker threads for host-sharded experiments (fleet_scale,");
-    println!("                 region_census); output is byte-identical for any N (default 1)");
+    println!("  --jobs N       worker threads for the host-sharded experiments");
+    println!(
+        "                 ({}); output is byte-identical",
+        sharded_ids()
+    );
+    println!("                 for any N (default 1)");
     println!("  --out DIR      write each experiment as DIR/<id>.txt + DIR/<id>.json");
     println!("  --trace FILE   record a virtual-time telemetry trace of the run and");
     println!("                 write it as Chrome trace_event JSON (chrome://tracing)");
@@ -687,10 +591,14 @@ fn print_help() {
     println!("                 (and writes DIR/fault_stats.json with --out).");
     println!("                 Pairs naturally with the 'faults' experiment.");
     println!();
-    println!("experiments: table1 table2 fig1 table3 fig7 fig8 fig9 fig10 fig11");
-    println!("             fig12 fig13 fig14 fig15 fig16 cost nested iobond asic offload sgx");
-    println!("             trading faults traffic_policies traffic_isolation fleet_scale");
-    println!("             region_census");
+    for (i, row) in EXPERIMENTS.chunks(8).enumerate() {
+        let ids: Vec<&str> = row.iter().map(|e| e.id).collect();
+        let head = if i == 0 { "experiments:" } else { "" };
+        println!("{head:<13}{}", ids.join(" "));
+    }
+    println!();
+    println!("Exits non-zero on a bad argument, a gate that fails or is skipped, or a");
+    println!("fault the armed plan left unrecovered.");
 }
 
 fn print_sweep_help() {
@@ -710,6 +618,7 @@ fn print_sweep_help() {
     println!("  --out DIR      write DIR/<exp>-s<seed>-<plan>.txt (+ .trace.json with --trace)");
     println!();
     println!("Cells print in deterministic (experiment, seed, plan) order regardless of --jobs.");
+    println!("Exits non-zero when any cell has a failing or skipped gate or an unrecovered fault.");
 }
 
 fn print_merge_help() {
@@ -736,7 +645,10 @@ fn print_bench_help() {
     println!(
         "  --repeat R      untraced timing runs per experiment; the minimum is kept (default 3)"
     );
-    println!("  --jobs N        also time host-sharded experiments (fleet_scale, region_census)");
+    println!(
+        "  --jobs N        also time the host-sharded experiments ({})",
+        sharded_ids()
+    );
     println!("                  at N workers and record the parallel speedup vs 1 worker;");
     println!("                  wall/events columns always report the 1-worker run (default 1)");
     println!("  --out FILE      write the report as JSON (e.g. BENCH_results.json)");

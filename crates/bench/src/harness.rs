@@ -78,63 +78,53 @@ pub struct BenchReport {
 }
 
 /// Runs the harness over `experiments` (each id must be in
-/// [`crate::EXPERIMENT_IDS`]). Telemetry on the calling thread is
-/// enabled/reset around the traced runs and left disabled. Equivalent
-/// to [`run_bench_jobs`] with a single worker (no parallel pass).
-pub fn run_bench(experiments: &[String], seed: u64, repeats: u32) -> Result<BenchReport, String> {
-    run_bench_jobs(experiments, seed, repeats, 1)
-}
-
-/// Runs the harness over `experiments`, additionally timing the
-/// host-sharded ones ([`crate::PARALLEL_EXPERIMENT_IDS`]) at `jobs`
-/// workers when `jobs > 1`. The serial pass always supplies `wall_ns`
-/// (so baselines stay machine-comparable); the parallel pass only
-/// feeds `parallel_speedup`.
-pub fn run_bench_jobs(
+/// [`crate::EXPERIMENTS`]), additionally timing the host-sharded ones
+/// ([`crate::Experiment::parallel`]) at `jobs` workers when `jobs > 1`.
+/// The serial pass always supplies `wall_ns` (so baselines stay
+/// machine-comparable); the parallel pass only feeds
+/// `parallel_speedup`. Telemetry on the calling thread is
+/// enabled/reset around the traced runs and left disabled.
+pub fn run_bench(
     experiments: &[String],
     seed: u64,
     repeats: u32,
     jobs: usize,
 ) -> Result<BenchReport, String> {
-    for id in experiments {
-        if !crate::EXPERIMENT_IDS.contains(&id.as_str()) {
-            return Err(format!(
-                "unknown experiment '{id}'; known: {}",
-                crate::EXPERIMENT_IDS.join(", ")
-            ));
-        }
-    }
+    let experiments = experiments
+        .iter()
+        .map(|id| crate::experiment(id))
+        .collect::<Result<Vec<_>, _>>()?;
     let repeats = repeats.max(1);
     let mut results = Vec::with_capacity(experiments.len());
-    let mut report_buf = String::new();
-    for id in experiments {
+    // Every run renders into this one report; `render_into` keeps its
+    // buffers, so report growth is paid once, by the first run.
+    let mut report = crate::Report::default();
+    for exp in experiments {
         // Timing runs: untraced, so the telemetry fast path stays a
         // thread-local flag check and the numbers reflect the
         // simulator, not the collector. Always serial — wall_ns is the
         // machine-comparable baseline number.
         telemetry::set_enabled(false);
         crate::par::set_jobs(1);
-        let mut wall_ns = u64::MAX;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            let _ = crate::run_experiment(id, seed).expect("validated above");
-            let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            wall_ns = wall_ns.min(elapsed);
-        }
+        let min_wall_ns = |report: &mut crate::Report| {
+            let mut best = u64::MAX;
+            for _ in 0..repeats {
+                let start = Instant::now();
+                exp.render_into(seed, report);
+                let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                best = best.min(elapsed);
+            }
+            best
+        };
+        let wall_ns = min_wall_ns(&mut report);
         // The parallel pass: same experiment, same seed, `jobs`
         // workers. Output bytes are identical by construction, so the
         // only thing this pass contributes is its wall clock.
-        let parallel = jobs > 1 && crate::PARALLEL_EXPERIMENT_IDS.contains(&id.as_str());
+        let parallel = jobs > 1 && exp.parallel;
         let mut parallel_speedup = 0.0;
         if parallel {
             crate::par::set_jobs(jobs);
-            let mut par_wall_ns = u64::MAX;
-            for _ in 0..repeats {
-                let start = Instant::now();
-                let _ = crate::run_experiment(id, seed).expect("validated above");
-                let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                par_wall_ns = par_wall_ns.min(elapsed);
-            }
+            let par_wall_ns = min_wall_ns(&mut report);
             crate::par::set_jobs(1);
             if par_wall_ns > 0 {
                 parallel_speedup = wall_ns as f64 / par_wall_ns as f64;
@@ -143,21 +133,13 @@ pub fn run_bench_jobs(
         // One more untraced run, now warm, metered for allocation
         // count. Untraced so the collector's own buffers don't pollute
         // the tally; after the timing repeats so lazy one-time costs
-        // (interning tables, thread-locals) are excluded. The render
-        // goes into a reused, pre-sized buffer — the first (unmetered)
-        // render warms its capacity — so report-string growth doesn't
-        // masquerade as steady-state allocation in one-shot
-        // experiments.
-        report_buf.clear();
-        crate::run_experiment_into(id, seed, &mut report_buf);
-        let (_, allocs) = telemetry::alloc::measure_allocs(|| {
-            report_buf.clear();
-            crate::run_experiment_into(id, seed, &mut report_buf)
-        });
+        // (interning tables, thread-locals) and the report's own
+        // growth are excluded.
+        let ((), allocs) = telemetry::alloc::measure_allocs(|| exp.render_into(seed, &mut report));
         // One traced run for the deterministic counters.
         telemetry::set_enabled(true);
         telemetry::reset();
-        let _ = crate::run_experiment(id, seed).expect("validated above");
+        exp.render_into(seed, &mut report);
         let snap = telemetry::snapshot();
         telemetry::set_enabled(false);
         telemetry::reset();
@@ -180,7 +162,7 @@ pub fn run_bench_jobs(
             0.0
         };
         results.push(ExperimentBench {
-            experiment: id.clone(),
+            experiment: exp.id.to_string(),
             wall_ns,
             events,
             events_per_sec,
@@ -555,8 +537,8 @@ mod tests {
     #[test]
     fn bench_runs_and_counts_deterministic_events() {
         let ids = vec!["faults".to_string()];
-        let a = run_bench(&ids, 1, 1).unwrap();
-        let b = run_bench(&ids, 1, 1).unwrap();
+        let a = run_bench(&ids, 1, 1, 1).unwrap();
+        let b = run_bench(&ids, 1, 1, 1).unwrap();
         assert_eq!(a.results[0].events, b.results[0].events);
         assert!(
             a.results[0].events > 0,
@@ -570,13 +552,13 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_rejected() {
-        assert!(run_bench(&["fig99".to_string()], 1, 1).is_err());
+        assert!(run_bench(&["fig99".to_string()], 1, 1, 1).is_err());
     }
 
     #[test]
     fn json_round_trips() {
         let ids = vec!["table1".to_string()];
-        let report = run_bench(&ids, 7, 2).unwrap();
+        let report = run_bench(&ids, 7, 2, 1).unwrap();
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed.seed, 7);
         assert_eq!(parsed.repeats, 2);

@@ -1,7 +1,9 @@
 //! Experiment harness: one function per table/figure of the paper.
 //!
 //! Each function runs the corresponding experiment on the simulated
-//! platforms and renders the rows/series the paper reports, so
+//! platforms and renders the rows/series the paper reports into a
+//! [`Report`], recording every self-check it prints as a typed
+//! [`Gate`]. [`EXPERIMENTS`] lists them all, so
 //! `cargo run -p bmhive-bench --bin repro` regenerates the entire
 //! evaluation. All experiments are deterministic in their seed.
 
@@ -26,16 +28,135 @@ use bmhive_workloads::{
     env::GuestEnv, fio, mariadb, netperf, nginx, redis, sockperf, spec, stream,
 };
 
-/// Renders Table 1: the qualitative three-service comparison.
-pub fn table1() -> String {
-    let mut out = String::new();
-    table1_into(&mut out);
-    out
+/// One experiment of the evaluation.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The id `repro` and the sweep take on the command line.
+    pub id: &'static str,
+    /// Whether the inner work fans out across [`par::run_hosts`], so
+    /// `--jobs N` accelerates it (with byte-identical output) and the
+    /// bench harness gives it a parallel timing pass.
+    pub parallel: bool,
+    /// Runs the experiment at a seed, rendering into the report.
+    pub run: fn(u64, &mut Report),
 }
 
-/// Renders Table 1 into a caller-provided buffer. With a warmed
-/// (pre-sized) buffer the render itself performs no allocations.
-pub fn table1_into(out: &mut String) {
+impl Experiment {
+    const fn serial(id: &'static str, run: fn(u64, &mut Report)) -> Self {
+        Experiment {
+            id,
+            parallel: false,
+            run,
+        }
+    }
+
+    const fn sharded(id: &'static str, run: fn(u64, &mut Report)) -> Self {
+        Experiment {
+            id,
+            parallel: true,
+            run,
+        }
+    }
+
+    /// Runs the experiment at `seed` into a fresh report.
+    pub fn render(&self, seed: u64) -> Report {
+        let mut report = Report::default();
+        (self.run)(seed, &mut report);
+        report
+    }
+
+    /// Re-renders into `report`, reusing its buffers: a warmed report
+    /// (rendered once before) does not allocate for its own growth.
+    pub fn render_into(&self, seed: u64, report: &mut Report) {
+        report.clear();
+        (self.run)(seed, report);
+    }
+}
+
+/// What one experiment run produced: the rendered text and a typed
+/// record of every self-check gate the text reports.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Report {
+    /// The rendered tables and lines, byte-stable per seed.
+    pub text: String,
+    /// The gates in the order the text prints them.
+    pub gates: Vec<Gate>,
+}
+
+/// One self-check an experiment ran, printed as `-> PASS`, `-> FAIL`
+/// or `-> SKIPPED` at the end of its line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate {
+    /// Short stable name, unique within the experiment.
+    pub name: &'static str,
+    /// How the check came out.
+    pub verdict: Verdict,
+}
+
+/// The outcome of a [`Gate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The check held.
+    Pass,
+    /// The check was violated.
+    Fail,
+    /// The check could not run (e.g. allocation metering is off).
+    Skipped,
+}
+
+impl Verdict {
+    /// The word the report prints after `->`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Verdict::Pass => "PASS",
+            Verdict::Fail => "FAIL",
+            Verdict::Skipped => "SKIPPED",
+        }
+    }
+}
+
+impl Report {
+    /// Records gate `name` and returns the word its line prints.
+    pub fn gate(&mut self, name: &'static str, pass: bool) -> &'static str {
+        self.record(name, if pass { Verdict::Pass } else { Verdict::Fail })
+    }
+
+    /// Records gate `name` as skipped and returns the word its line
+    /// prints.
+    pub fn skip(&mut self, name: &'static str) -> &'static str {
+        self.record(name, Verdict::Skipped)
+    }
+
+    fn record(&mut self, name: &'static str, verdict: Verdict) -> &'static str {
+        self.gates.push(Gate { name, verdict });
+        verdict.as_str()
+    }
+
+    /// Empties the report, keeping the capacity of both buffers.
+    pub fn clear(&mut self) {
+        self.text.clear();
+        self.gates.clear();
+    }
+
+    /// `label/gate -> VERDICT` for every gate that did not pass. A run
+    /// with any such line exits non-zero.
+    pub fn failures<'a>(&'a self, label: &'a str) -> impl Iterator<Item = String> + 'a {
+        self.gates
+            .iter()
+            .filter(|g| g.verdict != Verdict::Pass)
+            .map(move |g| format!("{label}/{} -> {}", g.name, g.verdict.as_str()))
+    }
+}
+
+impl std::fmt::Write for Report {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.text.push_str(s);
+        Ok(())
+    }
+}
+
+/// Renders Table 1: the qualitative three-service comparison.
+fn table1(_seed: u64, out: &mut Report) {
     writeln!(out, "Table 1. Comparison of three cloud services").unwrap();
     writeln!(
         out,
@@ -57,9 +178,8 @@ pub fn table1_into(out: &mut String) {
 
 /// Renders Table 2: the VM-exit census over a synthetic 300 000-VM
 /// fleet.
-pub fn table2(seed: u64) -> String {
+fn table2(seed: u64, out: &mut Report) {
     let census = ExitCensus::run(300_000, &[10_000.0, 50_000.0, 100_000.0], seed);
-    let mut out = String::new();
     writeln!(
         out,
         "Table 2. Number of VM exits per second per vCPU ({} VMs, 5-minute census)",
@@ -83,14 +203,12 @@ pub fn table2(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
 /// Renders Fig. 1: preemption percentiles for 20 000 shared + 20 000
 /// exclusive VMs over 24 hours.
-pub fn fig1(seed: u64) -> String {
+fn fig1(seed: u64, out: &mut Report) {
     let study = PreemptionStudy::run(20_000, seed);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 1. VM preemption by the hypervisor/host (percent of CPU time)"
@@ -124,19 +242,10 @@ pub fn fig1(seed: u64) -> String {
         avg(&study.exclusive_p999)
     )
     .unwrap();
-    out
 }
 
 /// Renders Table 3: the instance catalog and per-server board limits.
-pub fn table3() -> String {
-    let mut out = String::new();
-    table3_into(&mut out);
-    out
-}
-
-/// Renders Table 3 into a caller-provided buffer (allocation-free once
-/// the buffer is warmed).
-pub fn table3_into(out: &mut String) {
+fn table3(_seed: u64, out: &mut Report) {
     let constraints = ServerConstraints::production();
     writeln!(
         out,
@@ -171,9 +280,8 @@ pub fn table3_into(out: &mut String) {
 }
 
 /// Renders Fig. 7: SPEC CINT2006 relative performance.
-pub fn fig7() -> String {
+fn fig7(_seed: u64, out: &mut Report) {
     let result = spec::run_spec();
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 7. SPEC CINT2006, normalised to the physical machine (=1.000)"
@@ -194,13 +302,11 @@ pub fn fig7() -> String {
         "geomean", result.bm_geomean, result.vm_geomean
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 8: STREAM bandwidth.
-pub fn fig8() -> String {
+fn fig8(_seed: u64, out: &mut Report) {
     let rows = stream::run_stream();
-    let mut out = String::new();
     writeln!(out, "Fig. 8. STREAM (200M elements, 16 threads), GB/s").unwrap();
     writeln!(
         out,
@@ -221,11 +327,10 @@ pub fn fig8() -> String {
         "(paper: bm == physical at the channel limit; vm ~ 98% of bm under load)"
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 9: UDP packet rates.
-pub fn fig9(seed: u64) -> String {
+fn fig9(seed: u64, out: &mut Report) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = netperf::udp_pps(&mut bm, 20);
@@ -236,7 +341,6 @@ pub fn fig9(seed: u64) -> String {
     let mut vm_tp = GuestEnv::vm(seed + 2);
     let bm_gbps = netperf::tcp_throughput(&mut bm_tp);
     let vm_gbps = netperf::tcp_throughput(&mut vm_tp);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 9. UDP packet receive rate (small packets, 4M PPS cap)"
@@ -276,12 +380,10 @@ pub fn fig9(seed: u64) -> String {
         bm_gbps, vm_gbps
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 10: UDP and ping latency.
-pub fn fig10(seed: u64) -> String {
-    let mut out = String::new();
+fn fig10(seed: u64, out: &mut Report) {
     writeln!(out, "Fig. 10. 64B round-trip latency, microseconds").unwrap();
     writeln!(
         out,
@@ -309,12 +411,10 @@ pub fn fig10(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
 /// Renders Fig. 11: storage latency.
-pub fn fig11(seed: u64) -> String {
-    let mut out = String::new();
+fn fig11(seed: u64, out: &mut Report) {
     writeln!(
         out,
         "Fig. 11. Storage I/O latency (fio, 8 threads, 4KB, 25K IOPS cap), microseconds"
@@ -378,16 +478,14 @@ pub fn fig11(seed: u64) -> String {
         "(paper: bm 60us average; +50% IOPS and +100% bandwidth over vm)"
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 12: NGINX.
-pub fn fig12(seed: u64) -> String {
+fn fig12(seed: u64, out: &mut Report) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = nginx::run_nginx(&mut bm, &nginx::CLIENT_SWEEP);
     let vm_run = nginx::run_nginx(&mut vm, &nginx::CLIENT_SWEEP);
-    let mut out = String::new();
     writeln!(out, "Fig. 12. NGINX requests/second (ab, KeepAlive off)").unwrap();
     writeln!(
         out,
@@ -427,16 +525,14 @@ pub fn fig12(seed: u64) -> String {
         "(paper: bm serves 50-60% more RPS; ~30% shorter response time)"
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 13: MariaDB read-only.
-pub fn fig13(seed: u64) -> String {
+fn fig13(seed: u64, out: &mut Report) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = mariadb::run_mariadb(&mut bm, mariadb::QueryMix::ReadOnly);
     let vm_run = mariadb::run_mariadb(&mut vm, mariadb::QueryMix::ReadOnly);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 13. MariaDB read-only (sysbench, 16 tables x 1M rows, 128 threads)"
@@ -450,12 +546,10 @@ pub fn fig13(seed: u64) -> String {
         (bm_run.qps / vm_run.qps - 1.0) * 100.0
     )
     .unwrap();
-    out
 }
 
 /// Renders Fig. 14: MariaDB write-only and read/write.
-pub fn fig14(seed: u64) -> String {
-    let mut out = String::new();
+fn fig14(seed: u64, out: &mut Report) {
     writeln!(out, "Fig. 14. MariaDB write-only and read/write mixed").unwrap();
     for (mix, paper) in [
         (mariadb::QueryMix::WriteOnly, "+42%"),
@@ -475,16 +569,14 @@ pub fn fig14(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
 /// Renders Fig. 15: Redis versus client count.
-pub fn fig15(seed: u64) -> String {
+fn fig15(seed: u64, out: &mut Report) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_s = redis::run_redis_clients(&mut bm, &redis::CLIENT_SWEEP, 64);
     let vm_s = redis::run_redis_clients(&mut vm, &redis::CLIENT_SWEEP, 64);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 15. Redis requests/second vs clients (64B values)"
@@ -508,16 +600,14 @@ pub fn fig15(seed: u64) -> String {
         .unwrap();
     }
     writeln!(out, "(paper: bm 20-40% better)").unwrap();
-    out
 }
 
 /// Renders Fig. 16: Redis versus value size, with stability.
-pub fn fig16(seed: u64) -> String {
+fn fig16(seed: u64, out: &mut Report) {
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_runs = redis::run_redis_sizes(&mut bm, &redis::SIZE_SWEEP, 20);
     let vm_runs = redis::run_redis_sizes(&mut vm, &redis::SIZE_SWEEP, 20);
-    let mut out = String::new();
     writeln!(
         out,
         "Fig. 16. Redis requests/second vs value size (4000 clients)"
@@ -549,19 +639,10 @@ pub fn fig16(seed: u64) -> String {
         .unwrap();
     }
     writeln!(out, "(paper: bm higher and stable; vm fluctuates)").unwrap();
-    out
 }
 
 /// Renders the §3.5 cost-efficiency analysis.
-pub fn cost() -> String {
-    let mut out = String::new();
-    cost_into(&mut out);
-    out
-}
-
-/// Renders the cost analysis into a caller-provided buffer
-/// (allocation-free once the buffer is warmed).
-pub fn cost_into(out: &mut String) {
+fn cost(_seed: u64, out: &mut Report) {
     let model = CostModel::paper();
     writeln!(out, "§3.5 Cost efficiency").unwrap();
     writeln!(
@@ -596,15 +677,7 @@ pub fn cost_into(out: &mut String) {
 }
 
 /// Renders the §2.3 nested-virtualization comparison.
-pub fn nested() -> String {
-    let mut out = String::new();
-    nested_into(&mut out);
-    out
-}
-
-/// Renders the nested-virtualization comparison into a caller-provided
-/// buffer (allocation-free once the buffer is warmed).
-pub fn nested_into(out: &mut String) {
+fn nested(_seed: u64, out: &mut Report) {
     let model = NestedVirtModel::kvm_on_kvm();
     writeln!(
         out,
@@ -634,14 +707,7 @@ pub fn nested_into(out: &mut String) {
 
 /// Renders the §3.4.3 IO-Bond microbenchmarks and the Fig. 6 step
 /// budget.
-pub fn iobond() -> String {
-    let mut out = String::new();
-    iobond_into(&mut out);
-    out
-}
-
-/// Renders the IO-Bond microbenchmarks into a caller-provided buffer.
-pub fn iobond_into(out: &mut String) {
+fn iobond(_seed: u64, out: &mut Report) {
     let profile = IoBondProfile::fpga();
     writeln!(out, "§3.4.3 IO-Bond microbenchmarks (FPGA profile)").unwrap();
     writeln!(
@@ -699,15 +765,7 @@ pub fn iobond_into(out: &mut String) {
 }
 
 /// Renders the §6 ASIC projection ablation.
-pub fn asic() -> String {
-    let mut out = String::new();
-    asic_into(&mut out);
-    out
-}
-
-/// Renders the ASIC projection into a caller-provided buffer
-/// (allocation-free once the buffer is warmed).
-pub fn asic_into(out: &mut String) {
+fn asic(_seed: u64, out: &mut Report) {
     let fpga = IoBondProfile::fpga();
     let asic = IoBondProfile::asic();
     writeln!(out, "§6 ASIC projection (ablation)").unwrap();
@@ -750,15 +808,7 @@ pub fn asic_into(out: &mut String) {
 
 /// Renders the §6 IO-Bond offload plan and the §3.4.2 slow-path
 /// comparison (ablations).
-pub fn offload() -> String {
-    let mut out = String::new();
-    offload_into(&mut out);
-    out
-}
-
-/// Renders the offload/slow-path ablation into a caller-provided
-/// buffer (allocation-free once the buffer is warmed).
-pub fn offload_into(out: &mut String) {
+fn offload(_seed: u64, out: &mut Report) {
     use bmhive_hypervisor::NetBackendPath;
     use bmhive_iobond::OffloadConfig;
     writeln!(out, "§6 IO-Bond packet-processing offload (ablation)").unwrap();
@@ -815,15 +865,7 @@ pub fn offload_into(out: &mut String) {
 }
 
 /// Renders the §6 SGX comparison.
-pub fn sgx() -> String {
-    let mut out = String::new();
-    sgx_into(&mut out);
-    out
-}
-
-/// Renders the SGX comparison into a caller-provided buffer
-/// (allocation-free once the buffer is warmed).
-pub fn sgx_into(out: &mut String) {
+fn sgx(_seed: u64, out: &mut Report) {
     use bmhive_cpu::catalog::XEON_E5_2682_V4;
     use bmhive_cpu::sgx::{EnclaveWorkload, SgxModel, SgxSupport};
     use bmhive_cpu::Platform;
@@ -837,7 +879,7 @@ pub fn sgx_into(out: &mut String) {
     )
     .unwrap();
     // Writes each row straight into the buffer — no per-row String.
-    fn row(out: &mut String, label: &str, s: Option<f64>) {
+    fn row(out: &mut Report, label: &str, s: Option<f64>) {
         match s {
             Some(f) => {
                 writeln!(out, "{label}{:.1}% of a core in SGX machinery", f * 100.0).unwrap()
@@ -875,13 +917,12 @@ pub fn sgx_into(out: &mut String) {
 
 /// Renders the §1/§2.1 motivation workload: high-frequency trading
 /// order-to-wire tails.
-pub fn trading(seed: u64) -> String {
+fn trading(seed: u64, out: &mut Report) {
     use bmhive_workloads::trading::{run_trading, FILL_BUDGET};
     let mut bm = GuestEnv::bm(seed);
     let mut vm = GuestEnv::vm(seed);
     let bm_run = run_trading(&mut bm, 100_000);
     let vm_run = run_trading(&mut vm, 100_000);
-    let mut out = String::new();
     writeln!(
         out,
         "§1/§2.1 motivation: high-frequency trading (100K ticks, {} fill budget)",
@@ -911,7 +952,6 @@ pub fn trading(seed: u64) -> String {
         "(paper: preemption 'can cause real problems for demanding services, such as high-frequency stock trading')"
     )
     .unwrap();
-    out
 }
 
 /// Renders the fault-injection & recovery experiment: one bm-guest
@@ -921,7 +961,7 @@ pub fn trading(seed: u64) -> String {
 /// paths absorb them. With no plan armed it renders the clean
 /// baseline; the canned plans' windows (200–950 µs) all land inside
 /// the driven horizon.
-pub fn faults(seed: u64) -> String {
+fn faults(seed: u64, out: &mut Report) {
     use bmhive_cloud::blockstore::{BlockStore, StorageClass};
     use bmhive_cloud::limits::InstanceLimits;
     use bmhive_cloud::vswitch::{Forwarded, PortId, VSwitch};
@@ -930,7 +970,6 @@ pub fn faults(seed: u64) -> String {
     use bmhive_sim::{Histogram, SimDuration, SimTime};
     use bmhive_virtio::BlkRequestType;
 
-    let mut out = String::new();
     writeln!(
         out,
         "Fault injection: bm-guest I/O under plan '{}'",
@@ -1007,11 +1046,10 @@ pub fn faults(seed: u64) -> String {
     match bmhive_faults::stats() {
         Some(stats) => {
             writeln!(out, "-- fault engine --").unwrap();
-            out.push_str(&stats.to_text());
+            out.text.push_str(&stats.to_text());
         }
         None => writeln!(out, "fault engine: disarmed (clean run)").unwrap(),
     }
-    out
 }
 
 /// Renders the open-loop traffic policy comparison: one pool of
@@ -1021,7 +1059,7 @@ pub fn faults(seed: u64) -> String {
 /// closed form (`bmhive_workloads::openloop`) at low load, where the
 /// synchronized-pair model is exact, and a bursty MMPP coda shows why
 /// depth-aware placement earns its probes.
-pub fn traffic_policies(seed: u64) -> String {
+fn traffic_policies(seed: u64, out: &mut Report) {
     use bmhive_sim::SimDuration;
     use bmhive_traffic::{ArrivalModel, DispatchMode, Policy, TrafficConfig};
     use bmhive_workloads::openloop::{ps_cloned_mean_response, ServiceTime};
@@ -1045,7 +1083,6 @@ pub fn traffic_policies(seed: u64) -> String {
         },
     ];
 
-    let mut out = String::new();
     writeln!(
         out,
         "Open-loop traffic: {GUESTS} bm-guests, Poisson arrivals, exp({}) service, {REQUESTS} requests/cell",
@@ -1094,11 +1131,11 @@ pub fn traffic_policies(seed: u64) -> String {
     // demand min(X1, X2): E[T] = E[Xmin]/(1 - rho) + network constant.
     let model = (ps_cloned_mean_response(&service, 0.25) + net_const).as_micros_f64();
     let err = (clone_low_load_mean - model).abs() / model;
+    let verdict = out.gate("clone_closed_form", err < 0.10);
     writeln!(
         out,
-        "cloning vs PS closed form @ rho=0.25: measured {clone_low_load_mean:.1} us, model {model:.1} us, err {:.1}% -> {}",
+        "cloning vs PS closed form @ rho=0.25: measured {clone_low_load_mean:.1} us, model {model:.1} us, err {:.1}% -> {verdict}",
         err * 100.0,
-        if err < 0.10 { "PASS" } else { "FAIL" }
     )
     .unwrap();
     // Bursty arrivals (same mean rate as rho = 0.55): oblivious
@@ -1129,7 +1166,6 @@ pub fn traffic_policies(seed: u64) -> String {
         po2.latency.percentile(99.9),
     )
     .unwrap();
-    out
 }
 
 /// Renders the traffic isolation experiment: a board power-loss (the
@@ -1138,7 +1174,7 @@ pub fn traffic_policies(seed: u64) -> String {
 /// keeps arriving. Gates: the neighbours' p99 must not move (the §3
 /// isolation claim — one tenant's board dying is invisible to the
 /// others), and hedging must cut the victim's fault-window tail.
-pub fn traffic_isolation(seed: u64) -> String {
+fn traffic_isolation(seed: u64, out: &mut Report) {
     use bmhive_sim::{SimDuration, SimTime};
     use bmhive_traffic::{ArrivalModel, DispatchMode, Outage, Policy, TrafficConfig};
     use bmhive_workloads::openloop::ServiceTime;
@@ -1178,7 +1214,6 @@ pub fn traffic_isolation(seed: u64) -> String {
     let faulted = bmhive_traffic::run(&base(rr, Some(outage)), seed);
     let hedged = bmhive_traffic::run(&base(hedge, Some(outage)), seed);
 
-    let mut out = String::new();
     writeln!(
         out,
         "Traffic isolation: board power-loss on guest 0 (plan '{}' x{SCALE}: at {} for {})",
@@ -1223,10 +1258,10 @@ pub fn traffic_isolation(seed: u64) -> String {
         }
         ratios.push_str(&format!("g{g} {ratio:.3}"));
     }
+    let verdict = out.gate("neighbour_p99", worst <= 1.25);
     writeln!(
         out,
-        "neighbour p99 ratio (faulted/clean): {ratios} (tol 1.25) -> {}",
-        if worst <= 1.25 { "PASS" } else { "FAIL" }
+        "neighbour p99 ratio (faulted/clean): {ratios} (tol 1.25) -> {verdict}"
     )
     .unwrap();
     // Gate 2: hedging rescues the fault window. Victim-bound requests
@@ -1234,14 +1269,13 @@ pub fn traffic_isolation(seed: u64) -> String {
     // outage.
     let unhedged_tail = faulted.window.percentile(99.9);
     let hedged_tail = hedged.window.percentile(99.9);
+    let verdict = out.gate("hedge_window_tail", hedged_tail < unhedged_tail);
     writeln!(
         out,
-        "hedging cuts fault-window p99.9: {unhedged_tail:.1} -> {hedged_tail:.1} us ({} hedges fired) -> {}",
+        "hedging cuts fault-window p99.9: {unhedged_tail:.1} -> {hedged_tail:.1} us ({} hedges fired) -> {verdict}",
         hedged.hedge_fired,
-        if hedged_tail < unhedged_tail { "PASS" } else { "FAIL" }
     )
     .unwrap();
-    out
 }
 
 /// Renders the fleet-scale study: the §2 exit-rate census run as a
@@ -1260,7 +1294,7 @@ pub fn traffic_isolation(seed: u64) -> String {
 /// `#[global_allocator]` — the `repro` binary installs it. The metered
 /// closures are deliberately telemetry-free so the printed byte counts
 /// are deterministic.
-pub fn fleet_scale(seed: u64) -> String {
+fn fleet_scale(seed: u64, out: &mut Report) {
     const THRESHOLDS: [f64; 3] = [10_000.0, 50_000.0, 100_000.0];
     const GUESTS_PER_HOST: u64 = 10_000;
     const HOST_SCALES: [usize; 3] = [1, 10, 100];
@@ -1335,7 +1369,6 @@ pub fn fleet_scale(seed: u64) -> String {
         runs.push((hosts as u64 * GUESTS_PER_HOST, hosts, census, worst_peak));
     }
 
-    let mut out = String::new();
     writeln!(
         out,
         "Fleet scale: host-sharded streaming exit-rate census, {}..{} guests ({} guests/host, seed {seed})",
@@ -1378,10 +1411,10 @@ pub fn fleet_scale(seed: u64) -> String {
     let fold_exact = by_hand.rows() == base_census.rows()
         && by_hand.total() == base_census.total()
         && by_hand.rate_percentile(99.0).to_bits() == base_census.rate_percentile(99.0).to_bits();
+    let verdict = out.gate("fold_exact", fold_exact);
     writeln!(
         out,
-        "host 0 streaming census == materialized fold at {BASE} guests (bit-exact) -> {}",
-        if fold_exact { "PASS" } else { "FAIL" }
+        "host 0 streaming census == materialized fold at {BASE} guests (bit-exact) -> {verdict}"
     )
     .unwrap();
 
@@ -1393,11 +1426,11 @@ pub fn fleet_scale(seed: u64) -> String {
         let streamed = base_census.rate_percentile(p);
         worst_pct_err = worst_pct_err.max((streamed - exact).abs() / exact);
     }
+    let verdict = out.gate("histogram_percentiles", worst_pct_err < 0.05);
     writeln!(
         out,
-        "histogram percentiles vs quickselect at {BASE} guests: worst rel err {:.4} (tol 0.05) -> {}",
+        "histogram percentiles vs quickselect at {BASE} guests: worst rel err {:.4} (tol 0.05) -> {verdict}",
         worst_pct_err,
-        if worst_pct_err < 0.05 { "PASS" } else { "FAIL" }
     )
     .unwrap();
 
@@ -1410,11 +1443,11 @@ pub fn fleet_scale(seed: u64) -> String {
     for (b, g) in base_rows.iter().zip(&big_rows) {
         worst_drift = worst_drift.max((b.1 - g.1).abs());
     }
+    let verdict = out.gate("census_drift", worst_drift < 0.75);
     writeln!(
         out,
-        "census fractions, 1M vs {BASE} guests: worst drift {:.3} pp (tol 0.75) -> {}",
+        "census fractions, 1M vs {BASE} guests: worst drift {:.3} pp (tol 0.75) -> {verdict}",
         worst_drift,
-        if worst_drift < 0.75 { "PASS" } else { "FAIL" }
     )
     .unwrap();
 
@@ -1424,16 +1457,17 @@ pub fn fleet_scale(seed: u64) -> String {
     if metered {
         let base_peak = runs[0].3;
         let big_peak = runs[runs.len() - 1].3;
+        let verdict = out.gate("o1_memory_per_worker", big_peak <= base_peak + SLACK_BYTES);
         writeln!(
             out,
-            "O(1) memory per worker: 1M-guest worst host peak {big_peak} B <= single-host peak {base_peak} B + {SLACK_BYTES} B -> {}",
-            if big_peak <= base_peak + SLACK_BYTES { "PASS" } else { "FAIL" }
+            "O(1) memory per worker: 1M-guest worst host peak {big_peak} B <= single-host peak {base_peak} B + {SLACK_BYTES} B -> {verdict}"
         )
         .unwrap();
     } else {
+        let verdict = out.skip("o1_memory_per_worker");
         writeln!(
             out,
-            "O(1) memory per worker: counting allocator not installed -> SKIPPED"
+            "O(1) memory per worker: counting allocator not installed -> {verdict}"
         )
         .unwrap();
     }
@@ -1464,18 +1498,13 @@ pub fn fleet_scale(seed: u64) -> String {
             worst_study_err = worst_study_err.max((b - a).abs() / a);
         }
     }
+    let verdict = out.gate("preemption_stream", worst_study_err < 0.10);
     writeln!(
         out,
-        "preemption stream vs exact (4000 VMs, 24h): worst rel err {:.4} (tol 0.10) -> {}",
+        "preemption stream vs exact (4000 VMs, 24h): worst rel err {:.4} (tol 0.10) -> {verdict}",
         worst_study_err,
-        if worst_study_err < 0.10 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
     )
     .unwrap();
-    out
 }
 
 /// Base RNG stream selector for region guest exit-rate draws (distinct
@@ -1494,7 +1523,7 @@ const REGION_OPS_STREAM: u64 = 0x09b5;
 /// the on-ramp to the ROADMAP region-scale scenario: per-host work is
 /// a pure function of the host index, so the report is byte-identical
 /// at every `--jobs` width.
-pub fn region_census(seed: u64) -> String {
+fn region_census(seed: u64, out: &mut Report) {
     const HOSTS: usize = 200;
     const GUESTS_PER_HOST: u64 = 480;
     const THRESHOLDS: [f64; 3] = [10_000.0, 50_000.0, 100_000.0];
@@ -1514,7 +1543,6 @@ pub fn region_census(seed: u64) -> String {
         region.merge(day);
     }
 
-    let mut out = String::new();
     writeln!(
         out,
         "Region census: {HOSTS} hosts x {GUESTS_PER_HOST} guests/host, 24 h diurnal churn (seed {seed})"
@@ -1579,116 +1607,53 @@ pub fn region_census(seed: u64) -> String {
         )
         .unwrap();
     }
-    out
 }
 
-/// Every experiment in paper order: `(id, rendered output)`.
-/// Every experiment id, in the paper's presentation order.
-pub const EXPERIMENT_IDS: [&str; 26] = [
-    "table1",
-    "table2",
-    "fig1",
-    "table3",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "cost",
-    "nested",
-    "iobond",
-    "asic",
-    "offload",
-    "sgx",
-    "trading",
-    "faults",
-    "traffic_policies",
-    "traffic_isolation",
-    "fleet_scale",
-    "region_census",
+/// Every experiment, in the paper's presentation order. This table is
+/// the one list of experiments: `repro`, its `--help`, the sweep, the
+/// bench harness and the tests all look experiments up here.
+pub const EXPERIMENTS: [Experiment; 26] = [
+    Experiment::serial("table1", table1),
+    Experiment::serial("table2", table2),
+    Experiment::serial("fig1", fig1),
+    Experiment::serial("table3", table3),
+    Experiment::serial("fig7", fig7),
+    Experiment::serial("fig8", fig8),
+    Experiment::serial("fig9", fig9),
+    Experiment::serial("fig10", fig10),
+    Experiment::serial("fig11", fig11),
+    Experiment::serial("fig12", fig12),
+    Experiment::serial("fig13", fig13),
+    Experiment::serial("fig14", fig14),
+    Experiment::serial("fig15", fig15),
+    Experiment::serial("fig16", fig16),
+    Experiment::serial("cost", cost),
+    Experiment::serial("nested", nested),
+    Experiment::serial("iobond", iobond),
+    Experiment::serial("asic", asic),
+    Experiment::serial("offload", offload),
+    Experiment::serial("sgx", sgx),
+    Experiment::serial("trading", trading),
+    Experiment::serial("faults", faults),
+    Experiment::serial("traffic_policies", traffic_policies),
+    Experiment::serial("traffic_isolation", traffic_isolation),
+    Experiment::sharded("fleet_scale", fleet_scale),
+    Experiment::sharded("region_census", region_census),
 ];
 
-/// Experiments whose inner work fans out across [`par::run_hosts`] —
-/// the ones `--jobs N` accelerates (with byte-identical output). The
-/// CLI and bench harness consult this list to decide where a parallel
-/// timing pass is meaningful.
-pub const PARALLEL_EXPERIMENT_IDS: [&str; 2] = ["fleet_scale", "region_census"];
-
-/// Runs one experiment by id. Returns `None` for unknown ids.
-///
-/// Experiments run lazily, one at a time — so `repro --trace iobond`
-/// captures a telemetry trace of *that* experiment alone rather than
-/// of the whole suite.
-pub fn run_experiment(id: &str, seed: u64) -> Option<String> {
-    Some(match id {
-        "table1" => table1(),
-        "table2" => table2(seed),
-        "fig1" => fig1(seed),
-        "table3" => table3(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "fig9" => fig9(seed),
-        "fig10" => fig10(seed),
-        "fig11" => fig11(seed),
-        "fig12" => fig12(seed),
-        "fig13" => fig13(seed),
-        "fig14" => fig14(seed),
-        "fig15" => fig15(seed),
-        "fig16" => fig16(seed),
-        "cost" => cost(),
-        "nested" => nested(),
-        "iobond" => iobond(),
-        "asic" => asic(),
-        "offload" => offload(),
-        "sgx" => sgx(),
-        "trading" => trading(seed),
-        "faults" => faults(seed),
-        "traffic_policies" => traffic_policies(seed),
-        "traffic_isolation" => traffic_isolation(seed),
-        "fleet_scale" => fleet_scale(seed),
-        "region_census" => region_census(seed),
-        _ => return None,
-    })
-}
-
-/// Runs one experiment by id, rendering into a caller-provided buffer.
-/// Returns `false` for unknown ids (the buffer is left untouched).
-///
-/// The one-shot, seed-free experiments render straight into `out`
-/// with no intermediate `String`, so a warmed buffer (rendered once,
-/// then cleared — `clear` keeps capacity) makes the re-render
-/// allocation-free. That is what the bench harness meters for
-/// `allocs_per_event`: steady-state allocations, not buffer growth.
-/// Seeded experiments fall back to [`run_experiment`] and append.
-pub fn run_experiment_into(id: &str, seed: u64, out: &mut String) -> bool {
-    match id {
-        "table1" => table1_into(out),
-        "table3" => table3_into(out),
-        "cost" => cost_into(out),
-        "nested" => nested_into(out),
-        "iobond" => iobond_into(out),
-        "asic" => asic_into(out),
-        "offload" => offload_into(out),
-        "sgx" => sgx_into(out),
-        _ => match run_experiment(id, seed) {
-            Some(text) => out.push_str(&text),
-            None => return false,
-        },
-    }
-    true
-}
-
-/// Runs every experiment (in order), rendering each.
-pub fn all_experiments(seed: u64) -> Vec<(&'static str, String)> {
-    EXPERIMENT_IDS
+/// Looks an experiment up by id in [`EXPERIMENTS`]; the error names
+/// every known id.
+pub fn experiment(id: &str) -> Result<&'static Experiment, String> {
+    EXPERIMENTS
         .iter()
-        .map(|id| (*id, run_experiment(id, seed).expect("known id")))
-        .collect()
+        .find(|e| e.id == id)
+        .ok_or_else(|| unknown_experiment(id))
+}
+
+/// The error for an id that is not in [`EXPERIMENTS`].
+pub fn unknown_experiment(id: &str) -> String {
+    let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    format!("unknown experiment '{id}'; known: {}", known.join(", "))
 }
 
 #[cfg(test)]
@@ -1696,23 +1661,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_experiment_renders_nonempty() {
-        for (id, text) in all_experiments(1) {
-            assert!(!text.trim().is_empty(), "{id} rendered nothing");
-            assert!(text.lines().count() >= 2, "{id} rendered too little");
+    fn every_gate_line_is_recorded_by_the_report() {
+        for exp in &EXPERIMENTS {
+            let report = exp.render(1);
+            let id = exp.id;
+            assert!(report.text.lines().count() >= 2, "{id} rendered too little");
+            let gate_lines = report
+                .text
+                .lines()
+                .filter(|l| {
+                    [Verdict::Pass, Verdict::Fail, Verdict::Skipped]
+                        .iter()
+                        .any(|v| l.ends_with(&format!("-> {}", v.as_str())))
+                })
+                .count();
+            assert_eq!(
+                gate_lines,
+                report.gates.len(),
+                "{id}: a gate bypassed the report"
+            );
+            let expected = match id {
+                "traffic_policies" => 1,
+                "traffic_isolation" => 2,
+                "fleet_scale" => 5,
+                _ => 0,
+            };
+            assert_eq!(report.gates.len(), expected, "{id}: gate count");
         }
     }
 
     #[test]
     fn experiments_are_deterministic_in_seed() {
-        assert_eq!(table2(5), table2(5));
-        assert_eq!(fig11(5), fig11(5));
-        assert_ne!(table2(5), table2(6));
+        let render = |id, seed| experiment(id).unwrap().render(seed);
+        assert_eq!(render("table2", 5), render("table2", 5));
+        assert_eq!(render("fig11", 5), render("fig11", 5));
+        assert_ne!(render("table2", 5), render("table2", 6));
     }
 
     #[test]
     fn experiment_ids_are_unique_and_cover_the_paper() {
-        let ids: Vec<&str> = all_experiments(1).into_iter().map(|(id, _)| id).collect();
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         let unique: std::collections::HashSet<&&str> = ids.iter().collect();
         assert_eq!(unique.len(), ids.len());
         for required in [
@@ -1721,5 +1709,33 @@ mod tests {
         ] {
             assert!(ids.contains(&required), "missing {required}");
         }
+        let err = experiment("fig99").unwrap_err();
+        assert!(
+            err.starts_with("unknown experiment 'fig99'; known: table1, "),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn failing_and_skipped_gates_fail_the_run() {
+        let mut failed = Report::default();
+        assert_eq!(failed.gate("holds", true), "PASS");
+        assert_eq!(failed.gate("breaks", false), "FAIL");
+        assert_eq!(
+            failed.failures("exp").collect::<Vec<_>>(),
+            ["exp/breaks -> FAIL"]
+        );
+
+        let mut skipped = Report::default();
+        assert_eq!(skipped.skip("metered"), "SKIPPED");
+        assert_eq!(
+            skipped.failures("exp").collect::<Vec<_>>(),
+            ["exp/metered -> SKIPPED"]
+        );
+
+        let mut passed = Report::default();
+        passed.gate("holds", true);
+        assert_eq!(passed.failures("exp").count(), 0);
+        assert_eq!(Report::default().failures("exp").count(), 0);
     }
 }

@@ -32,7 +32,7 @@ pub const DEFAULT_SEEDS: [u64; 4] = [1, 2, 3, 4];
 /// plans (with `None` meaning a clean, un-injected run).
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
-    /// Experiment ids (each must be in [`crate::EXPERIMENT_IDS`]).
+    /// Experiment ids (each must be in [`crate::EXPERIMENTS`]).
     pub experiments: Vec<String>,
     /// Seeds; each experiment runs once per seed per plan.
     pub seeds: Vec<u64>,
@@ -56,9 +56,9 @@ impl SweepSpec {
                 .map(|n| Some((*n).to_string())),
         );
         SweepSpec {
-            experiments: crate::EXPERIMENT_IDS
+            experiments: crate::EXPERIMENTS
                 .iter()
-                .map(|s| s.to_string())
+                .map(|e| e.id.to_string())
                 .collect(),
             seeds: DEFAULT_SEEDS.to_vec(),
             plans,
@@ -86,7 +86,7 @@ impl SweepSpec {
     /// experiment id up front.
     pub fn cells(&self) -> Result<Vec<SweepCell>, SweepError> {
         for id in &self.experiments {
-            if !crate::EXPERIMENT_IDS.contains(&id.as_str()) {
+            if crate::experiment(id).is_err() {
                 return Err(SweepError::UnknownExperiment(id.clone()));
             }
         }
@@ -211,10 +211,10 @@ impl SweepCell {
 pub struct CellOutput {
     /// The cell that ran.
     pub cell: SweepCell,
-    /// The experiment's rendered report.
-    pub report: String,
-    /// `FaultStats::to_text()` when the cell armed a plan.
-    pub fault_stats: Option<String>,
+    /// The experiment's rendered report and its gates.
+    pub report: crate::Report,
+    /// The fault engine's tally when the cell armed a plan.
+    pub fault_stats: Option<faults::FaultStats>,
     /// Chrome trace_event JSON when the sweep traced.
     pub trace_json: Option<String>,
     /// Host wall time of the experiment body (excluded from the
@@ -225,7 +225,7 @@ pub struct CellOutput {
 /// Why a sweep could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
-    /// An experiment id not in [`crate::EXPERIMENT_IDS`].
+    /// An experiment id not in [`crate::EXPERIMENTS`].
     UnknownExperiment(String),
     /// A plan that is neither canned nor a parseable JSON file.
     UnknownPlan(String),
@@ -243,11 +243,7 @@ pub enum SweepError {
 impl fmt::Display for SweepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SweepError::UnknownExperiment(id) => write!(
-                f,
-                "unknown experiment '{id}'; known: {}",
-                crate::EXPERIMENT_IDS.join(", ")
-            ),
+            SweepError::UnknownExperiment(id) => f.write_str(&crate::unknown_experiment(id)),
             SweepError::UnknownPlan(msg) => write!(f, "{msg}"),
             SweepError::InvalidShard { index, count } => write!(
                 f,
@@ -295,12 +291,13 @@ pub fn run_cell(cell: &SweepCell, plan: Option<&faults::FaultPlan>, trace: bool)
     if let Some(plan) = plan {
         faults::arm(plan.clone(), cell.seed);
     }
-    let start = Instant::now();
-    let report = crate::run_experiment(&cell.experiment, cell.seed)
+    let exp = crate::experiment(&cell.experiment)
         .expect("cell experiment ids are validated by SweepSpec::cells");
+    let start = Instant::now();
+    let report = exp.render(cell.seed);
     let wall = start.elapsed();
     let fault_stats = if plan.is_some() {
-        faults::disarm().map(|stats| stats.to_text())
+        faults::disarm()
     } else {
         None
     };
@@ -389,12 +386,30 @@ pub fn run_sweep_shard(
 /// stats block when the cell injected faults. Byte-stable.
 pub fn render_cell(out: &CellOutput) -> String {
     let mut s = format!("======== {} ========\n", out.cell.label());
-    s.push_str(&out.report);
+    s.push_str(&out.report.text);
     if let Some(stats) = &out.fault_stats {
         s.push_str("-------- fault stats --------\n");
-        s.push_str(stats);
+        s.push_str(&stats.to_text());
     }
     s
+}
+
+impl CellOutput {
+    /// Why this cell fails the sweep: `label/gate -> VERDICT` for every
+    /// gate that did not pass, and one line when the armed plan left a
+    /// fault unrecovered. Empty for a passing cell.
+    pub fn failures(&self) -> Vec<String> {
+        let label = self.cell.label();
+        let mut failures: Vec<String> = self.report.failures(&label).collect();
+        if self
+            .fault_stats
+            .as_ref()
+            .is_some_and(|s| !s.all_recovered())
+        {
+            failures.push(format!("{label}: unrecovered faults"));
+        }
+        failures
+    }
 }
 
 #[cfg(test)]
@@ -538,9 +553,7 @@ mod tests {
         let cells = spec.cells().unwrap();
         assert_eq!(
             cells.len(),
-            crate::EXPERIMENT_IDS.len()
-                * DEFAULT_SEEDS.len()
-                * (1 + faults::CANNED_PLAN_NAMES.len())
+            crate::EXPERIMENTS.len() * DEFAULT_SEEDS.len() * (1 + faults::CANNED_PLAN_NAMES.len())
         );
     }
 }

@@ -15,7 +15,10 @@ fn run_plan(name: &str, seed: u64) -> (String, faults::FaultStats) {
     let plan = faults::canned(name).expect("canned plan");
     assert!(!plan.is_empty());
     faults::arm(plan, seed);
-    let text = bmhive_bench::run_experiment("faults", seed).expect("faults experiment");
+    let text = bmhive_bench::experiment("faults")
+        .expect("faults experiment")
+        .render(seed)
+        .text;
     let stats = faults::disarm().expect("was armed");
     (text, stats)
 }
@@ -82,7 +85,10 @@ fn clean_run_reports_disarmed_engine() {
     // No plan armed: the experiment renders the clean baseline and
     // says so (the injector fast path must stay inert).
     assert!(!faults::is_armed());
-    let text = bmhive_bench::run_experiment("faults", 42).expect("faults experiment");
+    let text = bmhive_bench::experiment("faults")
+        .expect("faults experiment")
+        .render(42)
+        .text;
     assert!(text.contains("none (clean baseline)"));
     assert!(text.contains("fault engine: disarmed"));
 }

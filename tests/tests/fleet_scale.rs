@@ -4,6 +4,7 @@
 //! census costs no more memory than a ten-thousand-guest one, and the
 //! streamed statistics are exactly a fold of the materialized draws.
 
+use bmhive_bench::Verdict;
 use bmhive_cloud::fleet::{ExitCensus, ExitRateStream, PreemptionStudy};
 use bmhive_telemetry::alloc::{self, CountingAlloc};
 
@@ -92,22 +93,24 @@ fn preemption_stream_is_allocation_bounded_too() {
 
 #[test]
 fn fleet_scale_experiment_gates_all_pass() {
-    let report = bmhive_bench::run_experiment("fleet_scale", 1).expect("known id");
+    let exp = bmhive_bench::experiment("fleet_scale").expect("known id");
+    let report = exp.render(1);
     assert!(
-        !report.contains("SKIPPED"),
-        "allocator installed, so the memory gate must run:\n{report}"
+        report.gates.iter().all(|g| g.verdict != Verdict::Skipped),
+        "allocator installed, so the memory gate must run:\n{}",
+        report.text
     );
-    assert!(!report.contains("-> FAIL"), "gate failed:\n{report}");
-    assert_eq!(
-        report.matches("-> PASS").count(),
-        5,
-        "all five gates report PASS:\n{report}"
+    assert_eq!(report.gates.len(), 5, "five gates:\n{}", report.text);
+    assert!(
+        report.gates.iter().all(|g| g.verdict == Verdict::Pass),
+        "all five gates pass:\n{}",
+        report.text
     );
     // Deterministic in the seed: two renders are byte-identical (the
     // sweep relies on this).
     assert_eq!(
         report,
-        bmhive_bench::run_experiment("fleet_scale", 1).expect("known id"),
+        exp.render(1),
         "fleet_scale must render byte-identically per seed"
     );
 }

@@ -156,15 +156,15 @@ fn region_host_days_merge_identically_at_every_width() {
 
 #[test]
 fn parallel_experiments_render_byte_identically_at_every_width() {
-    for id in bmhive_bench::PARALLEL_EXPERIMENT_IDS {
-        let serial = at_width(1, || bmhive_bench::run_experiment(id, 1).expect("known id"));
+    let sharded = bmhive_bench::EXPERIMENTS.iter().filter(|e| e.parallel);
+    for exp in sharded {
+        let serial = at_width(1, || exp.render(1));
         for width in [2usize, 4, 8] {
-            let parallel = at_width(width, || {
-                bmhive_bench::run_experiment(id, 1).expect("known id")
-            });
+            let parallel = at_width(width, || exp.render(1));
             assert_eq!(
                 serial, parallel,
-                "{id} must render byte-identically at --jobs {width}"
+                "{} must render byte-identically at --jobs {width}",
+                exp.id
             );
         }
     }

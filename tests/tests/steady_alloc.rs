@@ -19,6 +19,16 @@ use bmhive_telemetry::alloc::{self, CountingAlloc};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::system();
 
+/// Allocations of one re-render of experiment `id` at seed 1 into a
+/// report the first render warmed, as `repro bench` meters it.
+fn warmed_allocs(id: &str) -> u64 {
+    let exp = bmhive_bench::experiment(id).expect("known id");
+    let mut report = exp.render(1);
+    let ((), allocs) = alloc::measure_allocs(|| exp.render_into(1, &mut report));
+    assert!(!report.text.is_empty());
+    allocs
+}
+
 /// One schedule/drain cycle against the wheel: a burst of randomly
 /// spread timers, drained in whole-tick batches through a reused
 /// scratch buffer.
@@ -76,10 +86,7 @@ fn warmed_fig1_run_stays_under_the_alloc_gate() {
     // collects and percentile clones) over 960k events. The PR's
     // acceptance gate is a >= 50% cut; the slab wheel plus buffer
     // reuse land far below it.
-    let _ = bmhive_bench::run_experiment("fig1", 1).expect("known id");
-    let (report, allocs) =
-        alloc::measure_allocs(|| bmhive_bench::run_experiment("fig1", 1).expect("known id"));
-    assert!(!report.is_empty());
+    let allocs = warmed_allocs("fig1");
     assert!(
         allocs <= 77,
         "warmed fig1 run allocated {allocs} times (gate: 77, half the pre-PR 154)"
@@ -92,11 +99,7 @@ fn warmed_traffic_run_stays_under_the_alloc_gate() {
     // 231,314 events (0.26 per arrival: a depth snapshot per dispatch
     // plus an ever-growing request table). Depth scratch + request
     // slot recycling cut it to well under half.
-    let _ = bmhive_bench::run_experiment("traffic_policies", 1).expect("known id");
-    let (report, allocs) = alloc::measure_allocs(|| {
-        bmhive_bench::run_experiment("traffic_policies", 1).expect("known id")
-    });
-    assert!(!report.is_empty());
+    let allocs = warmed_allocs("traffic_policies");
     // The driver slab + gather scratch work later cut the same run to
     // ~970 allocations; the gate rides down with it (2,000 leaves
     // headroom for allocator noise without readmitting per-op churn).
@@ -112,10 +115,7 @@ fn warmed_faults_run_stays_under_the_alloc_gate() {
     // 2,250 events (1.52 per event: per-op chain Vecs, HashMap churn in
     // the posted maps, and gather copies). The driver slab, posted-slot
     // slabs, and gather_into scratch reuse cut it by well over half.
-    let _ = bmhive_bench::run_experiment("faults", 1).expect("known id");
-    let (report, allocs) =
-        alloc::measure_allocs(|| bmhive_bench::run_experiment("faults", 1).expect("known id"));
-    assert!(!report.is_empty());
+    let allocs = warmed_allocs("faults");
     assert!(
         allocs <= 1_400,
         "warmed faults run allocated {allocs} times (gate: 1,400, well under half the pre-PR 3,422)"

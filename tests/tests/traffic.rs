@@ -3,8 +3,8 @@
 //! Two contracts are pinned here: the `traffic_policies` experiment is
 //! byte-identical under a parallel sweep (the new crate introduces no
 //! hidden global state), and both traffic experiments pass their own
-//! printed gates — the cloning closed-form check and the
-//! neighbour-isolation / hedge-tail checks.
+//! gates — the cloning closed-form check and the neighbour-isolation /
+//! hedge-tail checks.
 
 use bmhive_bench::sweep::{render_cell, run_sweep, SweepSpec};
 use bmhive_traffic::{run, ArrivalModel, DispatchMode, Policy, TrafficConfig};
@@ -38,17 +38,14 @@ fn traffic_policies_sweep_is_byte_identical_across_jobs() {
 
 #[test]
 fn traffic_experiments_pass_their_printed_gates() {
-    for (name, report) in [
-        ("traffic_policies", bmhive_bench::traffic_policies(1)),
-        ("traffic_isolation", bmhive_bench::traffic_isolation(1)),
-    ] {
-        assert!(
-            report.contains("-> PASS"),
-            "{name}: no passing gate rendered:\n{report}"
-        );
-        assert!(
-            !report.contains("-> FAIL"),
-            "{name}: a gate failed:\n{report}"
+    for name in ["traffic_policies", "traffic_isolation"] {
+        let report = bmhive_bench::experiment(name).expect("known id").render(1);
+        assert!(!report.gates.is_empty(), "{name}: no gate recorded");
+        assert_eq!(
+            report.failures(name).collect::<Vec<_>>(),
+            Vec::<String>::new(),
+            "{name}: a gate did not pass:\n{}",
+            report.text
         );
     }
 }

@@ -16,8 +16,8 @@
 //! baseline by the ratio of total wall times, then flags any single
 //! experiment whose share of the run regressed beyond the tolerance.
 
-use bmhive_faults::json::{self, Json};
 use bmhive_telemetry as telemetry;
+use bmhive_telemetry::json::{self, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -27,8 +27,8 @@
 //! CI's shard matrix proves merge == serial with `cmp` on every PR.
 
 use crate::sweep::{CellOutput, Shard, SweepSpec, CLEAN};
-use bmhive_faults::json::{self, Json};
 use bmhive_telemetry::export::json_escape;
+use bmhive_telemetry::json::{self, Json};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};

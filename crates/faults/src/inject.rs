@@ -33,6 +33,7 @@ use std::fmt::Write as _;
 
 use bmhive_sim::{SimDuration, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
+use bmhive_telemetry::export::json_escape;
 
 use crate::plan::{FaultKind, FaultPlan, FaultSite};
 use crate::retry::RetryPolicy;
@@ -311,13 +312,13 @@ impl FaultStats {
             out.push_str(&format!("  \"{key}\": {{"));
             for (i, (k, v)) in map.iter().enumerate() {
                 let sep = if i + 1 < map.len() { ", " } else { "" };
-                out.push_str(&format!("\"{}\": {v}{sep}", crate::json::escape(k)));
+                out.push_str(&format!("\"{}\": {v}{sep}", json_escape(k)));
             }
             out.push_str(if comma { "},\n" } else { "}\n" });
         }
         let mut out = format!(
             "{{\n  \"plan\": \"{}\",\n  \"all_recovered\": {},\n",
-            crate::json::escape(&self.plan),
+            json_escape(&self.plan),
             self.all_recovered()
         );
         map_obj(&mut out, "injected", &self.injected, true);
@@ -335,7 +336,7 @@ impl FaultStats {
             let sep = if i + 1 < sites.len() { ", " } else { "" };
             out.push_str(&format!(
                 "\"{}\": {{\"recovered\": {rec}, \"unrecovered\": {unrec}}}{sep}",
-                crate::json::escape(site)
+                json_escape(site)
             ));
         }
         out.push_str("}\n}\n");
@@ -820,7 +821,7 @@ mod tests {
         assert!(json.contains("\"all_recovered\": true"));
         assert!(json.contains("\"recovery\": {\"dma\": {\"recovered\": 1, \"unrecovered\": 0}}"));
         // The JSON parses with the crate's own reader.
-        crate::json::parse(&json).expect("fault stats JSON is well-formed");
+        bmhive_telemetry::json::parse(&json).expect("fault stats JSON is well-formed");
     }
 
     #[test]

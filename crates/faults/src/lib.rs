@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod inject;
-pub mod json;
 pub mod plan;
 pub mod retry;
 

@@ -7,8 +7,9 @@
 //! (`repro --faults PLAN.json`), which is what makes failure testing
 //! reproducible rather than ad-hoc.
 
-use crate::json::{self, Json};
 use bmhive_sim::{SimDuration, SimTime};
+use bmhive_telemetry::export::json_escape;
+use bmhive_telemetry::json::{self, Json};
 use std::fmt;
 
 /// Where in the stack a fault strikes.
@@ -332,7 +333,7 @@ impl FaultPlan {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\n  \"name\": \"{}\",\n  \"events\": [\n",
-            json::escape(&self.name)
+            json_escape(&self.name)
         );
         for (i, e) in self.events.iter().enumerate() {
             let comma = if i + 1 < self.events.len() { "," } else { "" };

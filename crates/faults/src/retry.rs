@@ -84,45 +84,73 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    /// The policy for case `seed`: the device-path default for seed 0,
+    /// else a random valid one (base 1 ns – 1 ms, cap ≥ base, 1–31
+    /// attempts).
+    fn policy(seed: u64, rng: &mut SimRng) -> RetryPolicy {
+        if seed == 0 {
+            return RetryPolicy::device_path();
+        }
+        let base = rng.range(1, 1_000_000);
+        let cap = base + rng.below(4_000_000);
+        RetryPolicy::new(
+            SimDuration::from_nanos(base),
+            SimDuration::from_nanos(cap),
+            rng.range(1, 32) as u32,
+        )
+    }
+
     #[test]
     fn envelope_is_monotone_and_bounded() {
         let p = RetryPolicy::device_path();
-        let mut last = SimDuration::ZERO;
-        for attempt in 1..=64 {
-            let e = p.envelope(attempt);
-            assert!(e >= last, "attempt {attempt}");
-            assert!(e >= p.base && e <= p.cap);
-            last = e;
-        }
         assert_eq!(p.envelope(1), p.base);
         assert_eq!(p.envelope(64), p.cap);
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xe4e1);
+            let p = policy(seed, &mut rng);
+            let mut last = SimDuration::ZERO;
+            for attempt in 1..=64 {
+                let e = p.envelope(attempt);
+                assert!(e >= last, "seed {seed} attempt {attempt}: {e} < {last}");
+                assert!(e >= p.base && e <= p.cap, "seed {seed} attempt {attempt}");
+                last = e;
+            }
+        }
     }
 
     #[test]
     fn jitter_stays_in_the_equal_jitter_band() {
-        let p = RetryPolicy::device_path();
-        let mut rng = SimRng::new(7);
-        for attempt in 1..=20 {
-            let env = p.envelope(attempt);
-            for _ in 0..50 {
-                let d = p.jittered(attempt, &mut rng);
-                assert!(d.as_nanos() >= env.as_nanos() / 2, "attempt {attempt}");
-                assert!(d <= env, "attempt {attempt}");
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x717e);
+            let p = policy(seed, &mut rng);
+            for attempt in 1..=p.max_attempts.max(20) {
+                let env = p.envelope(attempt);
+                for _ in 0..50 {
+                    let d = p.jittered(attempt, &mut rng);
+                    assert!(d >= env / 2, "seed {seed} attempt {attempt}: {d} < {env}/2");
+                    assert!(d <= env, "seed {seed} attempt {attempt}: {d} > {env}");
+                }
             }
         }
     }
 
     #[test]
     fn jittered_delays_are_deterministic_per_seed() {
-        let p = RetryPolicy::device_path();
-        let draw = |seed| {
+        let draw = |p: RetryPolicy, seed| {
             let mut rng = SimRng::new(seed);
-            (1..=10)
+            (1..=p.max_attempts.max(10))
                 .map(|a| p.jittered(a, &mut rng))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(draw(3), draw(3));
-        assert_ne!(draw(3), draw(4));
+        let p = RetryPolicy::device_path();
+        assert_ne!(draw(p, 3), draw(p, 4));
+        // The schedule is a pure function of (policy, seed).
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xde7e);
+            let p = policy(seed, &mut rng);
+            let seed = rng.next_u64();
+            assert_eq!(draw(p, seed), draw(p, seed), "seed {seed}");
+        }
     }
 
     #[test]
@@ -145,6 +173,13 @@ mod tests {
         // The canned fault windows peak at 150 µs (board loss); the
         // device-path policy must be able to out-wait them.
         assert!(RetryPolicy::device_path().worst_case_total() > SimDuration::from_micros(300));
+        // And the worst case bounds every real schedule.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x70a1);
+            let p = policy(seed, &mut rng);
+            let total: SimDuration = (1..=p.max_attempts).map(|a| p.jittered(a, &mut rng)).sum();
+            assert!(total <= p.worst_case_total(), "seed {seed}: {total}");
+        }
     }
 
     #[test]

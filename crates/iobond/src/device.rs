@@ -522,7 +522,12 @@ mod tests {
             )
             .unwrap();
         r.service(SimTime::ZERO);
-        assert_eq!(r.dev.shadow(1).unwrap().inflight_guest_heads(), vec![head]);
+        let mut heads = Vec::new();
+        r.dev
+            .shadow(1)
+            .unwrap()
+            .inflight_guest_heads_into(&mut heads);
+        assert_eq!(heads, vec![head]);
 
         r.dev.mark_backend_failed();
         assert!(r.dev.needs_reset());

@@ -562,14 +562,6 @@ impl ShadowQueue {
         out.sort_unstable();
     }
 
-    /// Allocating convenience wrapper over
-    /// [`ShadowQueue::inflight_guest_heads_into`].
-    pub fn inflight_guest_heads(&self) -> Vec<u16> {
-        let mut heads = Vec::with_capacity(self.inflight_len);
-        self.inflight_guest_heads_into(&mut heads);
-        heads
-    }
-
     /// Restores the guest-side virtqueue cursors after a device reset.
     ///
     /// Setting both cursors to the pre-failure *used* index makes the
@@ -596,6 +588,7 @@ enum StageError {
 mod tests {
     use super::*;
     use bmhive_mem::{GuestAddr, SgSegment};
+    use bmhive_sim::SimRng;
 
     struct Rig {
         board: GuestRam,
@@ -630,17 +623,44 @@ mod tests {
         }
     }
 
+    impl Rig {
+        /// Posts one readable buffer holding `payload` at `addr`;
+        /// returns the guest head.
+        fn post(&mut self, addr: GuestAddr, payload: &[u8]) -> u16 {
+            self.board.write(addr, payload).unwrap();
+            let seg = SgSegment::new(addr, payload.len() as u32);
+            self.guest_driver
+                .add_buf(&mut self.board, &[seg], &[])
+                .unwrap()
+        }
+
+        /// The backend completes every shadow chain with nothing
+        /// written; returns each chain's payload as it saw it.
+        fn complete_all(&mut self) -> Vec<Vec<u8>> {
+            let mut payloads = Vec::new();
+            while let Some(chain) = self.backend_vq.pop_avail(&self.base).unwrap() {
+                payloads.push(chain.readable.gather(&self.base).unwrap());
+                self.backend_vq
+                    .push_used(&mut self.base, chain.head, 0)
+                    .unwrap();
+            }
+            payloads
+        }
+
+        /// Copies completions back to the guest, which reaps them.
+        fn finish(&mut self, now: SimTime) {
+            let (board, base) = (&mut self.board, &self.base);
+            self.shadow
+                .sync_from_shadow(board, base, now, &mut Vec::new())
+                .unwrap();
+            while self.guest_driver.poll_used(&self.board).unwrap().is_some() {}
+        }
+    }
+
     #[test]
     fn tx_payload_crosses_memory_domains() {
         let mut r = rig(8, 16);
-        r.board.write(GuestAddr::new(0x8000), b"tx-data").unwrap();
-        r.guest_driver
-            .add_buf(
-                &mut r.board,
-                &[SgSegment::new(GuestAddr::new(0x8000), 7)],
-                &[],
-            )
-            .unwrap();
+        r.post(GuestAddr::new(0x8000), b"tx-data");
         let report = r
             .shadow
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
@@ -652,6 +672,33 @@ mod tests {
         // Backend sees the payload in BASE memory.
         let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
         assert_eq!(chain.readable.gather(&r.base).unwrap(), b"tx-data");
+        // Random batch patterns: every payload reaches the backend
+        // bit-exact, in order, exactly once.
+        for seed in 0..64 {
+            let mut rng = SimRng::with_stream(seed, 0x7a10);
+            let mut r = rig(32, 256);
+            let (mut sent, mut received) = (Vec::new(), Vec::new());
+            for batch in 1..=rng.range(1, 12) {
+                for _ in 0..rng.range(1, 5) {
+                    let n = sent.len() as u64;
+                    let payload = format!("payload-{n:06}").into_bytes();
+                    r.post(GuestAddr::new(0x8000 + (n % 64) * 256), &payload);
+                    sent.push(payload);
+                }
+                let now = SimTime::from_micros(10 * batch);
+                r.shadow.sync_to_shadow(&r.board, &mut r.base, now).unwrap();
+                received.extend(r.complete_all());
+                r.finish(now);
+            }
+            assert_eq!(received, sent, "seed {seed}");
+            let n = sent.len() as u64;
+            let regs = (r.shadow.head_reg(), r.shadow.tail_reg());
+            assert_eq!(
+                (r.shadow.inflight_count(), regs),
+                (0, (n, n)),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -699,6 +746,37 @@ mod tests {
             r.board.read_vec(GuestAddr::new(0x9000), 9).unwrap(),
             b"rx-packet"
         );
+        // Random buffer sizes and response lengths: the guest sees
+        // exactly the bytes the backend produced, in its own buffer.
+        for seed in 0..64 {
+            let mut rng = SimRng::with_stream(seed, 0x7e5b);
+            let mut r = rig(32, 256);
+            for i in 0..rng.range(1, 20) {
+                let buf_len = rng.range(1, 2048) as u32;
+                let produce = (rng.below(2048) as u32).min(buf_len);
+                let addr = GuestAddr::new(0x8000 + (i % 16) * 4096);
+                let seg = SgSegment::new(addr, buf_len);
+                let head = r.guest_driver.add_buf(&mut r.board, &[], &[seg]).unwrap();
+                let now = SimTime::from_micros(10 * (i + 1));
+                r.shadow.sync_to_shadow(&r.board, &mut r.base, now).unwrap();
+                let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+                let data: Vec<u8> = (0..produce).map(|_| rng.next_u32() as u8).collect();
+                chain.writable.scatter(&mut r.base, &data).unwrap();
+                r.backend_vq
+                    .push_used(&mut r.base, chain.head, produce)
+                    .unwrap();
+                let mut completions = Vec::new();
+                r.shadow
+                    .sync_from_shadow(&mut r.board, &r.base, now, &mut completions)
+                    .unwrap();
+                assert_eq!(completions.len(), 1, "seed {seed}");
+                assert_eq!(completions[0].written, produce, "seed {seed}");
+                let reaped = r.guest_driver.poll_used(&r.board).unwrap();
+                assert_eq!(reaped, Some((head, produce)), "seed {seed}");
+                let got = r.board.read_vec(addr, u64::from(produce)).unwrap();
+                assert_eq!(got, data, "seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -706,15 +784,7 @@ mod tests {
         let mut r = rig(8, 16);
         let mut completions = Vec::new();
         for round in 0..20 {
-            r.board.write(GuestAddr::new(0x8000), b"abcd").unwrap();
-            let head = r
-                .guest_driver
-                .add_buf(
-                    &mut r.board,
-                    &[SgSegment::new(GuestAddr::new(0x8000), 4)],
-                    &[],
-                )
-                .unwrap();
+            let head = r.post(GuestAddr::new(0x8000), b"abcd");
             r.shadow
                 .sync_to_shadow(&r.board, &mut r.base, SimTime::from_micros(round))
                 .unwrap();
@@ -733,6 +803,30 @@ mod tests {
         assert_eq!(r.shadow.inflight_count(), 0);
         assert_eq!(r.shadow.head_reg(), 20);
         assert_eq!(r.shadow.tail_reg(), 20);
+        // Random post and completion patterns: both registers are
+        // monotone and the tail never passes the head.
+        for seed in 0..64 {
+            let mut rng = SimRng::with_stream(seed, 0x4e7a);
+            let mut r = rig(16, 128);
+            let mut posted = 0;
+            for i in 0..rng.range(1, 60) {
+                let now = SimTime::from_micros(i * 10);
+                let (head, tail) = (r.shadow.head_reg(), r.shadow.tail_reg());
+                if rng.chance(0.5) && r.guest_driver.num_free() > 0 {
+                    r.post(GuestAddr::new(0x8000 + (posted % 32) * 64), &[0xab; 16]);
+                    posted += 1;
+                }
+                r.shadow.sync_to_shadow(&r.board, &mut r.base, now).unwrap();
+                if rng.chance(0.5) {
+                    r.complete_all();
+                }
+                r.finish(now);
+                assert!(r.shadow.head_reg() >= head, "seed {seed}");
+                assert!(r.shadow.tail_reg() >= tail, "seed {seed}");
+                assert!(r.shadow.tail_reg() <= r.shadow.head_reg(), "seed {seed}");
+            }
+            assert_eq!(r.shadow.head_reg(), posted, "seed {seed}");
+        }
     }
 
     #[test]
@@ -740,16 +834,7 @@ mod tests {
         // Pool with room for exactly one chain (2 slots: payload+table).
         let mut r = rig(8, 2);
         for i in 0..3 {
-            r.board
-                .write(GuestAddr::new(0x8000 + i * 0x100), b"xxxx")
-                .unwrap();
-            r.guest_driver
-                .add_buf(
-                    &mut r.board,
-                    &[SgSegment::new(GuestAddr::new(0x8000 + i * 0x100), 4)],
-                    &[],
-                )
-                .unwrap();
+            r.post(GuestAddr::new(0x8000 + i * 0x100), b"xxxx");
         }
         let report = r
             .shadow
@@ -770,6 +855,31 @@ mod tests {
             .unwrap();
         assert_eq!(report.chains, 1);
         assert_eq!(r.shadow.deferred_count(), 1);
+        // Under any starved pool nothing is lost or duplicated: chains
+        // only arrive later.
+        for seed in 0..64 {
+            let mut rng = SimRng::with_stream(seed, 0x57a2);
+            let n = rng.range(1, 20);
+            let mut r = rig(32, rng.range(2, 6) as u32);
+            for i in 0..n {
+                r.post(GuestAddr::new(0x8000 + i * 128), &i.to_le_bytes());
+            }
+            let mut seen = Vec::new();
+            // Cycle sync / complete until everything lands (bounded).
+            for round in 0..200 {
+                if seen.len() as u64 == n {
+                    break;
+                }
+                let now = SimTime::from_micros(round);
+                r.shadow.sync_to_shadow(&r.board, &mut r.base, now).unwrap();
+                let payloads = r.complete_all().into_iter();
+                seen.extend(payloads.map(|b| u64::from_le_bytes(b.try_into().unwrap())));
+                r.finish(now);
+            }
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "seed {seed}");
+            let left = (r.shadow.deferred_count(), r.shadow.inflight_count());
+            assert_eq!(left, (0, 0), "seed {seed}");
+        }
     }
 
     #[test]
@@ -902,14 +1012,7 @@ mod tests {
         // Fresh ring: avail_event is 0, so the very first publish must
         // kick (need_event(0, 1, 0) holds).
         let old = r.guest_driver.avail_idx();
-        r.board.write(GuestAddr::new(0x8000), b"first").unwrap();
-        r.guest_driver
-            .add_buf(
-                &mut r.board,
-                &[SgSegment::new(GuestAddr::new(0x8000), 5)],
-                &[],
-            )
-            .unwrap();
+        r.post(GuestAddr::new(0x8000), b"first");
         assert!(r.guest_driver.kick_needed_event_idx(&r.board, old).unwrap());
         // One full service pass: scan + publish the high-water mark.
         r.shadow
@@ -922,16 +1025,7 @@ mod tests {
         // kick-free: the PMD was going to see the descriptors anyway.
         for i in 0..4u64 {
             let old = r.guest_driver.avail_idx();
-            r.board
-                .write(GuestAddr::new(0x8100 + i * 0x100), b"next")
-                .unwrap();
-            r.guest_driver
-                .add_buf(
-                    &mut r.board,
-                    &[SgSegment::new(GuestAddr::new(0x8100 + i * 0x100), 4)],
-                    &[],
-                )
-                .unwrap();
+            r.post(GuestAddr::new(0x8100 + i * 0x100), b"next");
             assert!(
                 !r.guest_driver.kick_needed_event_idx(&r.board, old).unwrap(),
                 "post {i} inside the poll window still wanted a kick"
@@ -947,14 +1041,7 @@ mod tests {
             .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut Vec::new())
             .unwrap();
         let old = r.guest_driver.avail_idx();
-        r.board.write(GuestAddr::new(0x9000), b"irq").unwrap();
-        r.guest_driver
-            .add_buf(
-                &mut r.board,
-                &[SgSegment::new(GuestAddr::new(0x9000), 3)],
-                &[],
-            )
-            .unwrap();
+        r.post(GuestAddr::new(0x9000), b"irq");
         assert!(r.guest_driver.kick_needed_event_idx(&r.board, old).unwrap());
     }
 

@@ -137,6 +137,18 @@ mod tests {
         assert_eq!(dma.transfer_time(1_000_000), SimDuration::from_millis(1));
         assert_eq!(dma.transfer_time(2_000_000), SimDuration::from_millis(2));
         assert_eq!(dma.transfer_time(0), SimDuration::ZERO);
+        // For any bandwidth and setup cost, time is monotone in size and
+        // linear in it up to the one setup charge (±2 ns of rounding).
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xd1a7);
+            let setup = rng.below(10_000);
+            let dma = DmaModel::new(rng.range_f64(1.0, 200.0), SimDuration::from_nanos(setup));
+            let t = |bytes| i128::from(dma.transfer_time(bytes).as_nanos());
+            let (small, delta) = (rng.below(1_000_000), rng.below(1_000_000));
+            assert!(t(small + delta) >= t(small), "seed {seed}");
+            let err = t(small + delta) - (t(small) + t(delta) - i128::from(setup));
+            assert!(err.abs() <= 2, "seed {seed}: off by {err} ns");
+        }
     }
 
     #[test]
@@ -220,6 +232,22 @@ mod tests {
             copied.read_vec(GuestAddr::new(0), SIZE).unwrap(),
             reference.read_vec(GuestAddr::new(0), SIZE).unwrap()
         );
+        // Any payload crosses domains byte for byte.
+        for seed in 0..64 {
+            let mut rng = SimRng::with_stream(seed, 0xc0de);
+            let data: Vec<u8> = (0..rng.range(1, 8192))
+                .map(|_| rng.next_u32() as u8)
+                .collect();
+            let (from, to) = (GuestAddr::new(0x4000), GuestAddr::new(0x9000));
+            let mut src = GuestRam::new(SIZE);
+            src.write(from, &data).unwrap();
+            let mut dst = GuestRam::new(SIZE);
+            let len = data.len() as u32;
+            let (src_sg, dst_sg) = (SgList::single(from, len), SgList::single(to, len));
+            let (moved, _) = dma.transfer(&src, &src_sg, &mut dst, &dst_sg).unwrap();
+            assert_eq!(moved, u64::from(len), "seed {seed}");
+            assert_eq!(dst.read_vec(to, moved).unwrap(), data, "seed {seed}");
+        }
     }
 
     #[test]

@@ -380,10 +380,11 @@ mod tests {
             }
         };
         for step in 0..4000 {
-            let len = match rng.below(4) {
+            let len = match rng.below(5) {
                 0 => rng.below(9),
                 1 => rng.below(PAGE_SIZE + 1),
                 2 => 3 * PAGE_SIZE + rng.below(PAGE_SIZE),
+                3 => rng.range(1, 4 * PAGE_SIZE),
                 _ => 8,
             };
             let addr = match rng.below(4) {

@@ -345,6 +345,7 @@ impl Extend<SgSegment> for SgList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmhive_sim::SimRng;
 
     fn ram_with(pairs: &[(u64, &[u8])]) -> GuestRam {
         let mut ram = GuestRam::new(1 << 20);
@@ -407,6 +408,26 @@ mod tests {
         let payload: Vec<u8> = (0..12).collect();
         sg.scatter(&mut ram, &payload).unwrap();
         assert_eq!(sg.gather(&ram).unwrap(), payload);
+        // Random disjoint lists: scatter writes min(data, capacity)
+        // bytes and gather reads exactly those back.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x5ca7);
+            let sg: SgList = (0..rng.range(1, 8))
+                .map(|i| SgSegment::new(GuestAddr::new(i * 8192), rng.range(1, 2048) as u32))
+                .collect();
+            let data: Vec<u8> = (0..rng.range(1, 4096))
+                .map(|_| rng.next_u32() as u8)
+                .collect();
+            let mut ram = GuestRam::new(1 << 20);
+            let written = sg.scatter(&mut ram, &data).unwrap();
+            assert_eq!(
+                written,
+                (data.len() as u64).min(sg.total_len()),
+                "seed {seed}"
+            );
+            let n = written as usize;
+            assert_eq!(sg.gather(&ram).unwrap()[..n], data[..n], "seed {seed}");
+        }
     }
 
     #[test]
@@ -450,6 +471,27 @@ mod tests {
         let (h, t) = sg.split_at(8);
         assert_eq!(h.total_len(), 8);
         assert!(t.is_empty());
+        // Any split conserves the length and the bytes, in order.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x5b17);
+            let sg: SgList = (0..rng.range(1, 8))
+                .map(|i| SgSegment::new(GuestAddr::new(i * 4096), rng.range(1, 512) as u32))
+                .collect();
+            let mid = (sg.total_len() as f64 * rng.f64()) as u64;
+            let (head, tail) = sg.split_at(mid);
+            assert_eq!(head.total_len(), mid, "seed {seed}");
+            assert_eq!(
+                head.total_len() + tail.total_len(),
+                sg.total_len(),
+                "seed {seed}"
+            );
+            let mut ram = GuestRam::new(1 << 20);
+            let data: Vec<u8> = (0..sg.total_len()).map(|i| (i % 251) as u8).collect();
+            sg.scatter(&mut ram, &data).unwrap();
+            let mut joined = head.gather(&ram).unwrap();
+            joined.extend(tail.gather(&ram).unwrap());
+            assert_eq!(joined, data, "seed {seed}");
+        }
     }
 
     #[test]

@@ -359,6 +359,7 @@ impl ConfigSpaceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmhive_sim::SimRng;
 
     fn sample() -> ConfigSpace {
         ConfigSpace::builder(0x1af4, 0x1041)
@@ -379,6 +380,13 @@ mod tests {
         assert_eq!(cfg.read(0x00, 1), 0xf4);
         assert_eq!(cfg.vendor_id(), 0x1af4);
         assert_eq!(cfg.device_id(), 0x1041);
+        // Byte, word and dword reads agree at every dword of the header.
+        for offset in (0..64).step_by(4) {
+            let dword = cfg.read(offset, 4);
+            let words = cfg.read(offset, 2) | cfg.read(offset + 2, 2) << 16;
+            let bytes = (0..4).fold(0, |acc, i| acc | cfg.read(offset + i, 1) << (8 * i));
+            assert_eq!((words, bytes), (dword, dword), "offset {offset:#x}");
+        }
     }
 
     #[test]
@@ -386,6 +394,19 @@ mod tests {
         let mut cfg = sample();
         cfg.write(0x00, 4, 0xdead_beef);
         assert_eq!(cfg.read(0x00, 4), 0x1041_1af4);
+        // No storm of aligned writes changes the identity fields.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x1d5);
+            let mut cfg = sample();
+            for _ in 0..rng.range(1, 100) {
+                let width = *rng.choose(&[1u8, 2, 4]);
+                let offset = rng.below(64) as u16;
+                cfg.write(offset - offset % u16::from(width), width, rng.next_u32());
+            }
+            assert_eq!(cfg.read(0x00, 4), 0x1041_1af4, "seed {seed}");
+            assert_eq!(cfg.read(0x08, 4), 0x0200_0001, "seed {seed}"); // class/revision
+            assert_eq!(cfg.read(0x2c, 4), 0x0001_1af4, "seed {seed}"); // subsystem
+        }
     }
 
     #[test]
@@ -436,6 +457,25 @@ mod tests {
         // alignment, as real hardware does.
         cfg.write(offsets::BAR0 + 4, 4, 0x1234_5678);
         assert_eq!(cfg.bar_address(1), 0x1234_5000);
+        // Whatever is programmed, the readback is size-aligned and the
+        // sizing probe reports the same size.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xba5);
+            let size = 1u32 << rng.range(4, 24);
+            let mut cfg = ConfigSpace::builder(1, 2).bar_mem32(0, size).build();
+            for _ in 0..rng.range(1, 20) {
+                cfg.write(offsets::BAR0, 4, rng.next_u32());
+                let readback = cfg.read(offsets::BAR0, 4);
+                assert_eq!(
+                    readback % size,
+                    0,
+                    "seed {seed}: {readback:#x} vs {size:#x}"
+                );
+                cfg.write(offsets::BAR0, 4, 0xffff_ffff);
+                let probe = cfg.read(offsets::BAR0, 4);
+                assert_eq!(probe & !0xf, !(size - 1) & !0xf, "seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -456,6 +496,24 @@ mod tests {
         // First vendor cap body readable at its offset + 2.
         let first = cfg.find_capability(0x09).unwrap();
         assert_eq!(cfg.read(first + 2, 1), 4);
+        // Any set of capability bodies walks as an acyclic chain of the
+        // right length that starts after the header.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xca9);
+            let count = rng.below(6) as usize;
+            let mut builder = ConfigSpace::builder(1, 2);
+            for _ in 0..count {
+                let id = rng.range(1, 0x15) as u8;
+                let body = (0..rng.below(20)).map(|_| rng.next_u32() as u8).collect();
+                builder = builder.capability(Capability::new(id, body));
+            }
+            let mut walked: Vec<u16> = builder.build().capabilities().iter().map(|c| c.0).collect();
+            assert_eq!(walked.len(), count, "seed {seed}");
+            assert!(walked.iter().all(|&o| o >= 0x40), "seed {seed}: {walked:?}");
+            walked.sort_unstable();
+            walked.dedup();
+            assert_eq!(walked.len(), count, "seed {seed}: an offset repeats");
+        }
     }
 
     #[test]

@@ -134,6 +134,7 @@ impl MsiQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmhive_sim::SimRng;
 
     #[test]
     fn post_and_drain_in_order() {
@@ -161,6 +162,28 @@ mod tests {
         let msgs: Vec<_> = q.drain().collect();
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].delivered_at, SimTime::from_nanos(5));
+        // Random post / mask / unmask / drain storms: masked posts
+        // coalesce, and every delivery is drained exactly once.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x3151);
+            let mut q = MsiQueue::new(4);
+            let (mut posts, mut drained) = (0, 0);
+            for i in 0..rng.range(1, 200) {
+                let (vector, now) = (rng.below(4) as u16, SimTime::from_nanos(i));
+                match rng.below(4) {
+                    0 => {
+                        q.post(vector, now);
+                        posts += 1;
+                    }
+                    1 => q.mask(vector),
+                    2 => q.unmask(vector, now),
+                    _ => drained += q.drain().count() as u64,
+                }
+            }
+            drained += q.drain().count() as u64;
+            assert_eq!(drained, q.delivered_count(), "seed {seed}");
+            assert!(drained <= posts, "seed {seed}");
+        }
     }
 
     #[test]

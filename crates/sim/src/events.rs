@@ -34,13 +34,12 @@
 //!
 //! Determinism: every pop selects the strict minimum `(time, seq)`
 //! pair, exactly like the binary-heap implementation this replaced
-//! (kept in the private `heap` module as the model for the randomized
+//! (kept in the test-only `heap` module as the model for the randomized
 //! equivalence test). Chains are scanned for the minimum rather than
 //! trusting link order, because a cascaded batch can link older-`seq`
 //! entries behind newer direct inserts.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
 
 /// log2 of the slot count per level.
 const BITS: u32 = 6;
@@ -646,10 +645,10 @@ impl<E> Default for BatchRunner<E> {
 /// The binary-heap implementation the wheel replaced. Kept as the
 /// reference model for the randomized equivalence test below: the wheel
 /// must reproduce its pop sequence exactly, operation for operation.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 mod heap {
-    use super::Ordering;
     use crate::time::SimTime;
+    use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
     #[derive(Debug)]

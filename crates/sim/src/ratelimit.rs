@@ -143,6 +143,7 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn burst_admits_instantly() {
@@ -163,6 +164,24 @@ mod tests {
         }
         let elapsed = t.as_secs_f64();
         assert!((0.99..=1.01).contains(&elapsed), "elapsed {elapsed}");
+        // For any rate and burst, n one-token acquires never finish
+        // before (n - burst) / rate.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x7b0c);
+            let (rate, burst) = (rng.range_f64(1.0, 1e6), rng.range_f64(1.0, 1e3));
+            let n = rng.range(1, 500);
+            let mut b = TokenBucket::new(rate, burst);
+            let mut t = SimTime::ZERO;
+            for _ in 0..n {
+                t = b.acquire(t, 1.0);
+            }
+            let floor = ((n as f64 - burst) / rate).max(0.0);
+            let done = t.as_secs_f64();
+            assert!(
+                done >= floor - 1e-6,
+                "seed {seed}: done at {done} < {floor}"
+            );
+        }
     }
 
     #[test]
@@ -201,6 +220,22 @@ mod tests {
         let t3 = b.acquire(t2, 1.0);
         assert_eq!(t2.duration_since(t1), SimDuration::from_millis(100));
         assert_eq!(t3.duration_since(t2), SimDuration::from_millis(100));
+        // Admit times never decrease, whatever the arrival pattern.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xad31);
+            let mut b = TokenBucket::new(rng.range_f64(1.0, 1e5), 4.0);
+            let mut arrivals: Vec<u64> = (0..rng.range(1, 100))
+                .map(|_| rng.below(1_000_000))
+                .collect();
+            arrivals.sort_unstable();
+            let mut last = SimTime::ZERO;
+            for a in arrivals {
+                // Requests may not be submitted before the bucket's clock.
+                let admit = b.acquire(SimTime::from_nanos(a).max(last), 1.0);
+                assert!(admit >= last, "seed {seed}");
+                last = admit;
+            }
+        }
     }
 
     #[test]

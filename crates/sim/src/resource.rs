@@ -174,6 +174,7 @@ impl MultiResource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn idle_resource_starts_immediately() {
@@ -199,6 +200,27 @@ mod tests {
         assert_eq!(b.start, a.end);
         assert_eq!(c.start, b.end);
         assert_eq!(c.queue_delay(SimTime::ZERO), SimDuration::from_micros(20));
+        // Random traffic: no job starts before it arrives, completions
+        // are ordered, and service time is conserved.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xfcf5);
+            let mut jobs: Vec<(u64, u64)> = (0..rng.range(1, 200))
+                .map(|_| (rng.below(1_000_000), rng.range(1, 10_000)))
+                .collect();
+            jobs.sort_by_key(|&(arrival, _)| arrival);
+            let mut r = Resource::new();
+            let (mut last_end, mut total) = (SimTime::ZERO, SimDuration::ZERO);
+            for (arrival, service) in jobs {
+                let arrival = SimTime::from_nanos(arrival);
+                let service = SimDuration::from_nanos(service);
+                let s = r.serve(arrival, service);
+                assert!(s.start >= arrival && s.end >= last_end, "seed {seed}");
+                assert_eq!(s.end.duration_since(s.start), service, "seed {seed}");
+                last_end = s.end;
+                total += service;
+            }
+            assert_eq!(r.busy_time(), total, "seed {seed}");
+        }
     }
 
     #[test]
@@ -231,6 +253,24 @@ mod tests {
         let fifth = pool.serve(SimTime::ZERO, d);
         assert_eq!(fifth.start, SimTime::from_micros(10));
         assert_eq!(fifth.end, SimTime::from_micros(20));
+        // A k-server pool is never slower than one server and never
+        // faster than k ideal servers.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x6b5e);
+            let k = rng.range(1, 8);
+            let mut pool = MultiResource::new(k as usize);
+            let mut single = Resource::new();
+            let (mut pool_end, mut single_end, mut total) = (SimTime::ZERO, SimTime::ZERO, 0);
+            for _ in 0..rng.range(1, 100) {
+                let service = rng.range(1, 10_000);
+                let d = SimDuration::from_nanos(service);
+                pool_end = pool_end.max(pool.serve(SimTime::ZERO, d).end);
+                single_end = single_end.max(single.serve(SimTime::ZERO, d).end);
+                total += service;
+            }
+            assert!(pool_end <= single_end, "seed {seed}");
+            assert!(pool_end.as_nanos() >= total / k, "seed {seed}");
+        }
     }
 
     #[test]

@@ -260,6 +260,16 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+        // For any seed, the derived zipf / exp draws agree too.
+        for case in 0..256 {
+            let seed = SimRng::with_stream(case, 0x5eed).next_u64();
+            let (mut a, mut b) = (SimRng::new(seed), SimRng::new(seed));
+            for _ in 0..20 {
+                assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}");
+                assert_eq!(a.zipf(1000, 0.99), b.zipf(1000, 0.99), "seed {seed}");
+                assert_eq!(a.exp(3.0).to_bits(), b.exp(3.0).to_bits(), "seed {seed}");
+            }
+        }
     }
 
     #[test]

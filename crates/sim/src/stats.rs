@@ -405,6 +405,15 @@ pub fn mean_ratio(a: &Series, b: &Series) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+
+    /// A random sample set: a length drawn from `lens`, values uniform
+    /// in `[lo, hi)`.
+    fn random_samples(rng: &mut SimRng, lens: std::ops::Range<u64>, lo: f64, hi: f64) -> Vec<f64> {
+        (0..rng.range(lens.start, lens.end))
+            .map(|_| rng.range_f64(lo, hi))
+            .collect()
+    }
 
     #[test]
     fn histogram_percentiles_are_close_to_exact() {
@@ -431,6 +440,30 @@ mod tests {
         assert!((h.mean() - 2.0).abs() < 1e-12);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 3.0);
+        // Random samples: the mean is the exact arithmetic mean (the
+        // true sum is kept, not bucket midpoints), and percentiles are
+        // monotone in p and bounded by min/max.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x4157);
+            let values = random_samples(&mut rng, 1..500, 0.0, 1e9);
+            let mut h = Histogram::new();
+            values.iter().for_each(|&v| h.record(v));
+            let mean = values.iter().sum::<f64>() / values.len() as f64;
+            assert!(
+                (h.mean() - mean).abs() < 1e-6 * mean.max(1.0),
+                "seed {seed}"
+            );
+            let mut last = 0.0;
+            for p in [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+                let q = h.percentile(p);
+                assert!(q >= last - 1e-9, "seed {seed}: p{p} = {q} < {last}");
+                assert!(
+                    q >= h.min() - 1e-9 && q <= h.max() + 1e-9,
+                    "seed {seed}: p{p}"
+                );
+                last = q;
+            }
+        }
     }
 
     #[test]
@@ -453,6 +486,26 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 10.0);
         assert_eq!(a.max(), 1_000.0);
+        // Merging equals recording the concatenation.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x3e76);
+            let (mut parts, mut both) = ([Histogram::new(), Histogram::new()], Histogram::new());
+            for part in &mut parts {
+                for v in random_samples(&mut rng, 0..200, 0.0, 1e6) {
+                    // Spread over seven decades, sub-unit values included.
+                    let v = v / 10f64.powi(rng.below(7) as i32);
+                    part.record(v);
+                    both.record(v);
+                }
+            }
+            let [mut a, b] = parts;
+            a.merge(&b);
+            assert_eq!(a.count(), both.count(), "seed {seed}");
+            for p in 0..=100 {
+                let p = f64::from(p);
+                assert_eq!(a.percentile(p), both.percentile(p), "seed {seed}: p{p}");
+            }
+        }
     }
 
     #[test]
@@ -502,6 +555,17 @@ mod tests {
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x5e33);
+            let values = random_samples(&mut rng, 1..300, -1e6, 1e6);
+            let mut s = Summary::new();
+            values.iter().for_each(|&v| s.record(v));
+            let mean = values.iter().sum::<f64>() / values.len() as f64;
+            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert!((s.mean() - mean).abs() < 1e-6, "seed {seed}");
+            assert_eq!((s.min(), s.max()), (min, max), "seed {seed}");
+        }
     }
 
     #[test]
@@ -519,6 +583,16 @@ mod tests {
         assert_eq!(exact_percentile(&samples, 99.9), 999.0);
         assert_eq!(exact_percentile(&samples, 100.0), 1000.0);
         assert_eq!(exact_percentile(&samples, 0.0), 1.0);
+        // Any percentile of any sample set is one of the samples.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xe8ac);
+            let values = random_samples(&mut rng, 1..200, 0.0, 1e6);
+            let p = rng.range_f64(0.0, 100.0);
+            assert!(
+                values.contains(&exact_percentile(&values, p)),
+                "seed {seed}: p{p}"
+            );
+        }
     }
 
     #[test]

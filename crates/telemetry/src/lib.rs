@@ -59,6 +59,7 @@
 
 pub mod alloc;
 pub mod export;
+pub mod json;
 pub mod registry;
 pub mod report;
 pub mod span;

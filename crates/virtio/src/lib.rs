@@ -52,7 +52,6 @@ pub mod blk;
 pub mod devtypes;
 pub mod driver;
 pub mod net;
-pub mod packed;
 pub mod pci;
 pub mod queue;
 
@@ -60,6 +59,5 @@ pub use blk::{BlkConfig, BlkRequestHeader, BlkRequestType, BlkStatus, SECTOR_SIZ
 pub use devtypes::{status, DeviceState, DeviceType, Feature};
 pub use driver::VirtqueueDriver;
 pub use net::{deliver_merged, MergedDelivery, NetConfig, VirtioNetHeader, VIRTIO_NET_HDR_LEN};
-pub use packed::{PackedChain, PackedDevice, PackedDriver, PackedLayout};
 pub use pci::{VirtioPciFunction, CAP_COMMON_CFG, CAP_DEVICE_CFG, CAP_ISR_CFG, CAP_NOTIFY_CFG};
 pub use queue::{DescChain, QueueLayout, VirtioError, Virtqueue};

@@ -495,6 +495,7 @@ impl Virtqueue {
 mod tests {
     use super::*;
     use crate::driver::VirtqueueDriver;
+    use bmhive_sim::SimRng;
 
     fn setup(size: u16) -> (GuestRam, VirtqueueDriver, Virtqueue) {
         let mut ram = GuestRam::new(1 << 20);
@@ -540,6 +541,31 @@ mod tests {
         assert!(chain.writable.is_empty());
         device.push_used(&mut ram, chain.head, 0).unwrap();
         assert_eq!(driver.poll_used(&ram).unwrap(), Some((head, 0)));
+        // Any payload, cut into any segments, reaches the device intact.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x9a1d);
+            let (mut ram, mut driver, mut device) = setup(64);
+            let payload: Vec<u8> = (0..rng.range(1, 2048))
+                .map(|_| rng.next_u32() as u8)
+                .collect();
+            let len = payload.len();
+            let mut cuts: Vec<usize> = (0..rng.below(4))
+                .map(|_| rng.below(len as u64) as usize)
+                .collect();
+            cuts.extend([0, len]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut segs = Vec::new();
+            for w in cuts.windows(2) {
+                // Gaps between segments: order matters, not adjacency.
+                let addr = GuestAddr::new(0x40_000 + 2 * w[0] as u64);
+                ram.write(addr, &payload[w[0]..w[1]]).unwrap();
+                segs.push(SgSegment::new(addr, (w[1] - w[0]) as u32));
+            }
+            driver.add_buf(&mut ram, &segs, &[]).unwrap();
+            let chain = device.pop_avail(&ram).unwrap().unwrap();
+            assert_eq!(chain.readable.gather(&ram).unwrap(), payload, "seed {seed}");
+        }
     }
 
     #[test]
@@ -584,6 +610,31 @@ mod tests {
         }
         assert_eq!(device.popped_count(), 12);
         assert_eq!(device.completed_count(), 12);
+        // Random batches: the device sees chains in posting order, and
+        // every completion carries its written length to the right head.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xf1f0);
+            let (mut ram, mut driver, mut device) = setup(32);
+            let mut posted = std::collections::VecDeque::new();
+            for round in 0..rng.range(1, 30) {
+                for _ in 0..rng.range(1, 8) {
+                    let seg = SgSegment::new(GuestAddr::new(0x40_000 + round * 1024), 512);
+                    let head = driver.add_buf(&mut ram, &[], &[seg]).unwrap();
+                    posted.push_back((head, rng.range(1, 512) as u32));
+                }
+                while let Some(chain) = device.pop_avail(&ram).unwrap() {
+                    let (head, len) = posted.pop_front().unwrap();
+                    assert_eq!(chain.head, head, "seed {seed}");
+                    device.push_used(&mut ram, head, len).unwrap();
+                    assert_eq!(
+                        driver.poll_used(&ram).unwrap(),
+                        Some((head, len)),
+                        "seed {seed}"
+                    );
+                }
+                assert!(posted.is_empty(), "seed {seed}");
+            }
+        }
     }
 
     #[test]
@@ -627,6 +678,34 @@ mod tests {
         assert_eq!(chain.writable.total_len(), 8);
         device.push_used(&mut ram, chain.head, 4).unwrap();
         assert_eq!(driver.poll_used(&ram).unwrap(), Some((head, 4)));
+        // Indirect and direct posting of the same segments look the
+        // same to the device.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0x1d1e);
+            let (mut ram, mut driver, mut device) = setup(16);
+            let payload: Vec<u8> = (0..rng.range(1, 512))
+                .map(|_| rng.next_u32() as u8)
+                .collect();
+            let seg_len = payload.len().div_ceil(rng.range(1, 4) as usize);
+            let mut segs = Vec::new();
+            for (i, chunk) in payload.chunks(seg_len).enumerate() {
+                let addr = GuestAddr::new(0x40_000 + i as u64 * 4096);
+                ram.write(addr, chunk).unwrap();
+                segs.push(SgSegment::new(addr, chunk.len() as u32));
+            }
+            driver.add_buf(&mut ram, &segs, &[]).unwrap();
+            driver
+                .add_buf_indirect(&mut ram, GuestAddr::new(0x20_000), &segs, &[])
+                .unwrap();
+            let direct = device.pop_avail(&ram).unwrap().unwrap();
+            let indirect = device.pop_avail(&ram).unwrap().unwrap();
+            assert_eq!(
+                direct.readable.gather(&ram).unwrap(),
+                payload,
+                "seed {seed}"
+            );
+            assert_eq!(indirect.readable, direct.readable, "seed {seed}");
+        }
     }
 
     #[test]
@@ -639,6 +718,19 @@ mod tests {
         assert_eq!(device.pop_avail(&ram), Err(VirtioError::BadHeadIndex(100)));
         // Queue advanced past the bad entry; it is not wedged.
         assert_eq!(device.pop_avail(&ram).unwrap(), None);
+        // Rings full of garbage give None, chains or typed errors:
+        // returning at all is the check.
+        for seed in 0..256 {
+            let mut rng = SimRng::with_stream(seed, 0xf022);
+            let (mut ram, _driver, mut device) = setup(16);
+            let garbage: Vec<u8> = (0..rng.range(256, 2048))
+                .map(|_| rng.next_u32() as u8)
+                .collect();
+            ram.write(GuestAddr::new(0x1000), &garbage).unwrap();
+            for _ in 0..64 {
+                let _ = device.pop_avail(&ram);
+            }
+        }
     }
 
     #[test]
@@ -781,6 +873,26 @@ mod tests {
         assert!(!need_event(0x0005, 0x0001, 0xfffd));
         // Degenerate: no movement means no event.
         assert!(!need_event(10, 20, 20));
+        // In general the event fires iff the index moved past `event`:
+        // `event` lies in the window [old, new), mod 2^16, as in the
+        // virtio spec's `vring_need_event`.
+        for seed in 0..1024 {
+            let mut rng = SimRng::with_stream(seed, 0xe7e7);
+            let old = rng.next_u32() as u16;
+            let steps = rng.below(1000) as u16;
+            // Half the thresholds land near the window, half anywhere.
+            let offset = match rng.chance(0.5) {
+                true => rng.below(1200) as u16,
+                false => rng.next_u32() as u16,
+            };
+            let (new, event) = (old.wrapping_add(steps), old.wrapping_add(offset));
+            let fires = offset < steps;
+            assert_eq!(
+                need_event(event, new, old),
+                fires,
+                "old {old} new {new} event {event}"
+            );
+        }
     }
 
     #[test]

@@ -8,110 +8,22 @@
 //! packet and block request really crosses both memory domains through
 //! the rings — no shortcut paths.
 
+use crate::session::{phase, ChainCodec, GuestDriver};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
-use bmhive_iobond::{IoBondDevice, IoBondProfile, ServiceReport, StagingPool};
-use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
+use bmhive_iobond::{IoBondDevice, IoBondProfile, ServiceReport};
+use bmhive_mem::{GuestAddr, GuestRam};
 use bmhive_net::{MacAddr, Packet, PacketKind};
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{
-    BlkRequestHeader, BlkRequestType, BlkStatus, DescChain, DeviceType, Feature, QueueLayout,
-    VirtioError, VirtioNetHeader, Virtqueue, VirtqueueDriver, VIRTIO_NET_HDR_LEN,
-};
-use std::error::Error;
-use std::fmt;
+use bmhive_virtio::{BlkRequestType, BlkStatus, DeviceType, Feature, Virtqueue};
+
+pub use crate::session::{EgressPacket, IoTiming, SessionError};
 
 /// Queue indices on the net device.
 const RX_Q: usize = 0;
 const TX_Q: usize = 1;
-
-/// Errors from guest I/O operations.
-#[derive(Debug)]
-pub enum SessionError {
-    /// A virtio ring failed.
-    Virtio(VirtioError),
-    /// Guest-side buffers are exhausted.
-    NoBuffers,
-    /// The backend received a malformed request.
-    BadRequest(&'static str),
-    /// A fault at `site` exhausted its retry budget during `op` without
-    /// clearing: the operation never went through and the device path
-    /// needs a reset. Surfaced per-op (the second half of the
-    /// partial-recovery contract) instead of stats-only attribution.
-    Escalated {
-        /// The fault site whose retry budget ran out.
-        site: FaultSite,
-        /// The session operation that observed the exhausted budget.
-        op: &'static str,
-    },
-}
-
-impl fmt::Display for SessionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SessionError::Virtio(e) => write!(f, "virtio failure: {e}"),
-            SessionError::NoBuffers => write!(f, "guest buffer pool exhausted"),
-            SessionError::BadRequest(why) => write!(f, "malformed request: {why}"),
-            SessionError::Escalated { site, op } => {
-                write!(
-                    f,
-                    "unrecovered fault at {} escalated during {op}",
-                    site.name()
-                )
-            }
-        }
-    }
-}
-
-impl Error for SessionError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SessionError::Virtio(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<VirtioError> for SessionError {
-    fn from(e: VirtioError) -> Self {
-        SessionError::Virtio(e)
-    }
-}
-
-impl From<bmhive_mem::MemError> for SessionError {
-    fn from(e: bmhive_mem::MemError) -> Self {
-        SessionError::Virtio(VirtioError::Mem(e))
-    }
-}
-
-/// Timing of one completed guest I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoTiming {
-    /// When the guest issued the request (kick).
-    pub submitted: SimTime,
-    /// When the completion (MSI + reap) reached the guest.
-    pub completed: SimTime,
-}
-
-impl IoTiming {
-    /// The guest-observed latency.
-    pub fn latency(&self) -> SimDuration {
-        self.completed.saturating_duration_since(self.submitted)
-    }
-}
-
-/// A packet handed to the vSwitch by the backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EgressPacket {
-    /// Frame metadata.
-    pub packet: Packet,
-    /// Payload bytes (after the virtio-net header).
-    pub payload: Vec<u8>,
-    /// When the backend handed it to the switch.
-    pub at: SimTime,
-}
 
 /// Outcome of one board power-loss recovery (see
 /// [`BmGuestSession::poll_faults`]).
@@ -132,87 +44,54 @@ pub struct BmGuestSession {
     base: GuestRam,
     net_dev: IoBondDevice,
     blk_dev: IoBondDevice,
-    net_rx_driver: VirtqueueDriver,
-    net_tx_driver: VirtqueueDriver,
-    blk_driver: VirtqueueDriver,
+    /// The guest's virtio driver, in board RAM.
+    guest: GuestDriver,
     net_rx_backend: Virtqueue,
     net_tx_backend: Virtqueue,
     blk_backend: Virtqueue,
-    tx_pool: StagingPool,
-    rx_pool: StagingPool,
-    blk_pool: StagingPool,
+    /// The PMD backend's chain reads and writes, in base RAM.
+    codec: ChainCodec,
     limits: InstanceLimits,
     /// Where the next recovery epoch's shadow rings go in base RAM
     /// (each reset rebuilds at a fresh region, like a fresh mmap in a
     /// restarted backend process).
     next_base_region: GuestAddr,
-    /// rx guest heads → their buffer slot, for reuse after delivery.
-    /// Slab indexed by head (`None` = not posted).
-    rx_posted: Vec<Option<bmhive_mem::SgList>>,
-    /// tx guest heads → their buffer slot. Slab indexed by head.
-    tx_posted: Vec<Option<bmhive_mem::SgList>>,
-    /// blk guest heads → their buffer slots. Slab indexed by head
-    /// (empty = not posted); completed slots keep their capacity.
-    blk_posted: Vec<Vec<bmhive_mem::SgList>>,
-    /// blk shadow-side completions pending backend processing:
-    /// shadow head → store completion time.
-    total_tx: u64,
-    total_rx: u64,
-    total_io: u64,
     /// Guest kicks skipped because the post landed inside the PMD's
     /// published EVENT_IDX poll window (the poller was going to see the
     /// descriptors anyway — §3.4.2's polling discipline).
     doorbells_suppressed: u64,
     /// Reused service-pass report (steady-state passes allocate nothing).
     svc_report: ServiceReport,
-    /// Reused hdr+payload assembly buffer for net frames.
-    frame_scratch: Vec<u8>,
-    /// Reused readable-segment list for blk chain assembly.
-    blk_readable: Vec<SgSegment>,
-    /// Reused writable-segment list for blk chain assembly.
-    blk_writable: Vec<SgSegment>,
-    /// Reused staging-slot list for blk chain assembly; swaps with the
-    /// `blk_posted` slab so capacities circulate instead of reallocating.
-    blk_slots: Vec<bmhive_mem::SgList>,
 }
 
-/// Size of one posted rx buffer (hdr + MTU frame).
-const RX_BUF: u32 = 2048;
+/// Poll-mode consumers over the devices' current shadow rings: net rx,
+/// net tx, blk.
+fn pmd_backends(net_dev: &IoBondDevice, blk_dev: &IoBondDevice) -> [Virtqueue; 3] {
+    let ring =
+        |dev: &IoBondDevice, q| Virtqueue::new(dev.shadow(q).expect("active").shadow_layout());
+    [ring(net_dev, RX_Q), ring(net_dev, TX_Q), ring(blk_dev, 0)]
+}
 
-/// The synthetic volume's contents repeat every 251 bytes.
-const VOLUME_PERIOD: usize = 251;
-
-/// One period of the synthetic volume: byte `i` is `i`.
-const VOLUME_BYTES: [u8; VOLUME_PERIOD] = {
-    let mut bytes = [0u8; VOLUME_PERIOD];
-    let mut i = 0;
-    while i < VOLUME_PERIOD {
-        bytes[i] = i as u8;
-        i += 1;
+/// When the PMD sees queue `q`'s head register move at `at`: one
+/// base-side register read through the mailbox, so a mailbox stall
+/// blocks the poll (and escalates `op` once its retries run out).
+fn pmd_poll(
+    dev: &IoBondDevice,
+    q: usize,
+    at: SimTime,
+    op: &'static str,
+) -> Result<SimTime, SessionError> {
+    let (cost, escalated) = dev
+        .shadow(q)
+        .expect("activated")
+        .register_poll_recovery_at(at);
+    if escalated {
+        return Err(SessionError::Escalated {
+            site: FaultSite::Mailbox,
+            op,
+        });
     }
-    bytes
-};
-
-/// Appends `len` bytes of the synthetic volume read at `sector`: byte
-/// `i` is `(sector + i) mod 251`, the addition wrapping at `u64::MAX`
-/// (the sector is guest-controlled). Copies whole periods instead of
-/// computing each byte. Both the bm and the vm backends serve this
-/// volume.
-pub(crate) fn push_volume_bytes(sector: u64, len: u64, out: &mut Vec<u8>) {
-    out.reserve(len as usize);
-    let mut push_from = |mut phase: usize, mut left: u64| {
-        while left > 0 {
-            let take = left.min((VOLUME_PERIOD - phase) as u64) as usize;
-            out.extend_from_slice(&VOLUME_BYTES[phase..phase + take]);
-            left -= take as u64;
-            phase = 0;
-        }
-    };
-    // Bytes before `sector + i` wraps past u64::MAX; the rest restart
-    // the pattern at 0.
-    let before_wrap = (u64::MAX - sector).saturating_add(1).min(len);
-    push_from((sector % VOLUME_PERIOD as u64) as usize, before_wrap);
-    push_from(0, len - before_wrap);
+    Ok(at + cost)
 }
 
 /// Surfaces a latched escalation from a device's last service pass as a
@@ -240,17 +119,8 @@ impl BmGuestSession {
     ) -> Self {
         let mut board = GuestRam::new(256 << 20);
         let mut base = GuestRam::new(256 << 20);
-
-        // Guest ring layouts in board RAM.
-        let rx_layout = QueueLayout::contiguous(GuestAddr::new(0x10_000), queue_size);
-        let tx_layout = QueueLayout::contiguous(
-            (rx_layout.used + rx_layout.footprint()).align_up(4096),
-            queue_size,
-        );
-        let blk_layout = QueueLayout::contiguous(
-            (tx_layout.used + tx_layout.footprint()).align_up(4096),
-            queue_size,
-        );
+        let guest = GuestDriver::new(&mut board, queue_size);
+        let [rx_layout, tx_layout, blk_layout] = guest.layouts();
 
         // IO-Bond devices with their frontends.
         let mut net_dev = IoBondDevice::new(
@@ -297,60 +167,24 @@ impl BmGuestSession {
         let blk_used = blk_dev.activate(&mut base, blk_base).expect("blk activate");
         let next_base_region = (blk_base + blk_used).align_up(4096);
 
-        let net_rx_backend = Virtqueue::new(net_dev.shadow(RX_Q).expect("active").shadow_layout());
-        let net_tx_backend = Virtqueue::new(net_dev.shadow(TX_Q).expect("active").shadow_layout());
-        let blk_backend = Virtqueue::new(blk_dev.shadow(0).expect("active").shadow_layout());
-
-        let net_rx_driver = VirtqueueDriver::new(&mut board, rx_layout).expect("rx ring");
-        let net_tx_driver = VirtqueueDriver::new(&mut board, tx_layout).expect("tx ring");
-        let blk_driver = VirtqueueDriver::new(&mut board, blk_layout).expect("blk ring");
-
-        // Guest-side buffer arenas in board RAM.
-        let tx_pool = StagingPool::new(GuestAddr::new(0x100_0000), 2 * u32::from(queue_size), 4096);
-        let rx_pool = StagingPool::new(
-            GuestAddr::new(0x200_0000),
-            2 * u32::from(queue_size),
-            RX_BUF,
-        );
-        let blk_pool = StagingPool::new(
-            GuestAddr::new(0x400_0000),
-            4 * u32::from(queue_size),
-            64 * 1024,
-        );
-
-        let mut session = BmGuestSession {
+        let [net_rx_backend, net_tx_backend, blk_backend] = pmd_backends(&net_dev, &blk_dev);
+        BmGuestSession {
             profile,
             mac,
             board,
             base,
             net_dev,
             blk_dev,
-            net_rx_driver,
-            net_tx_driver,
-            blk_driver,
+            guest,
             net_rx_backend,
             net_tx_backend,
             blk_backend,
-            tx_pool,
-            rx_pool,
-            blk_pool,
+            codec: ChainCodec::default(),
             limits,
             next_base_region,
-            rx_posted: (0..queue_size).map(|_| None).collect(),
-            tx_posted: (0..queue_size).map(|_| None).collect(),
-            blk_posted: (0..queue_size).map(|_| Vec::new()).collect(),
-            total_tx: 0,
-            total_rx: 0,
-            total_io: 0,
             doorbells_suppressed: 0,
             svc_report: ServiceReport::default(),
-            frame_scratch: Vec::new(),
-            blk_readable: Vec::new(),
-            blk_writable: Vec::new(),
-            blk_slots: Vec::new(),
-        };
-        session.replenish_rx().expect("initial rx buffers");
-        session
+        }
     }
 
     /// The guest's MAC address.
@@ -365,7 +199,7 @@ impl BmGuestSession {
 
     /// Packets sent / received / block ops completed so far.
     pub fn counters(&self) -> (u64, u64, u64) {
-        (self.total_tx, self.total_rx, self.total_io)
+        self.guest.counters()
     }
 
     /// Guest kicks suppressed by the PMD's EVENT_IDX window so far.
@@ -416,20 +250,8 @@ impl BmGuestSession {
 
         // The old backend process is gone with its ring cursors; build
         // fresh poll-mode consumers over the new shadow rings.
-        self.net_rx_backend = Virtqueue::new(
-            self.net_dev
-                .shadow(RX_Q)
-                .expect("recovered")
-                .shadow_layout(),
-        );
-        self.net_tx_backend = Virtqueue::new(
-            self.net_dev
-                .shadow(TX_Q)
-                .expect("recovered")
-                .shadow_layout(),
-        );
-        self.blk_backend =
-            Virtqueue::new(self.blk_dev.shadow(0).expect("recovered").shadow_layout());
+        [self.net_rx_backend, self.net_tx_backend, self.blk_backend] =
+            pmd_backends(&self.net_dev, &self.blk_dev);
 
         faults::note_reset(FaultSite::Board);
         faults::note_reset(FaultSite::Board);
@@ -444,12 +266,7 @@ impl BmGuestSession {
         let recovered_at = restart + handshake;
         let replayed_chains = net_report.replayed_chains + blk_report.replayed_chains;
         if telemetry::is_enabled() {
-            telemetry::span(
-                "bm",
-                "board_recovery",
-                now,
-                recovered_at.saturating_duration_since(now),
-            );
+            phase("bm", "board_recovery", now, recovered_at);
             telemetry::counter("bm.board_resets", 1);
             telemetry::counter("bm.replayed_chains", replayed_chains);
         }
@@ -459,19 +276,28 @@ impl BmGuestSession {
         }))
     }
 
-    /// Keeps the rx ring stocked with buffers, as a net driver's NAPI
-    /// refill does.
-    fn replenish_rx(&mut self) -> Result<(), SessionError> {
-        while self.net_rx_driver.num_free() > 0 {
-            let Some(buf) = self.rx_pool.alloc(u64::from(RX_BUF)) else {
-                break;
-            };
-            let head = self
-                .net_rx_driver
-                .add_buf(&mut self.board, &[], buf.segments())?;
-            self.rx_posted[usize::from(head)] = Some(buf);
+    /// When a guest post reaches IO-Bond: one PCI write across the guest
+    /// link if the post `needed` a kick (fault-aware: a link flap stalls
+    /// the kick, a spike stretches it). A post inside the PMD's published
+    /// EVENT_IDX window suppresses the doorbell and costs nothing.
+    fn kick(&mut self, needed: bool, now: SimTime) -> SimTime {
+        if needed {
+            return now + self.profile.guest_link().register_access_at(now);
         }
-        Ok(())
+        self.doorbells_suppressed += 1;
+        if telemetry::is_enabled() {
+            telemetry::counter("bm.doorbells_suppressed", 1);
+        }
+        now
+    }
+
+    /// When the last service pass's first completion reached the guest,
+    /// or `fallback` if the pass completed nothing.
+    fn completed_at(&self, fallback: SimTime) -> SimTime {
+        self.svc_report
+            .completions
+            .first()
+            .map_or(fallback, |c| c.at)
     }
 
     /// Sends one packet: writes it into board RAM, posts it on the tx
@@ -491,40 +317,9 @@ impl BmGuestSession {
         payload: &[u8],
         now: SimTime,
     ) -> Result<(EgressPacket, IoTiming), SessionError> {
-        // Guest: build hdr + payload in board RAM.
-        let total = VIRTIO_NET_HDR_LEN + payload.len() as u64;
-        let buf = self.tx_pool.alloc(total).ok_or(SessionError::NoBuffers)?;
-        let hdr = VirtioNetHeader::simple();
-        // The buffer may span slots; scatter hdr+payload across it
-        // (assembled in the reused frame buffer).
-        let mut bytes = std::mem::take(&mut self.frame_scratch);
-        bytes.clear();
-        bytes.extend_from_slice(&hdr.to_bytes());
-        bytes.extend_from_slice(payload);
-        buf.scatter(&mut self.board, &bytes)?;
-        self.frame_scratch = bytes;
-        let old_avail = self.net_tx_driver.avail_idx();
-        let head = self
-            .net_tx_driver
-            .add_buf(&mut self.board, buf.segments(), &[])?;
-        self.tx_posted[usize::from(head)] = Some(buf);
-
-        // Kick: one PCI write across the guest link (fault-aware: a
-        // link flap stalls the kick, a spike stretches it) — unless the
-        // post landed inside the PMD's published EVENT_IDX window, in
-        // which case the doorbell is suppressed and costs nothing.
-        let kicked = if self
-            .net_tx_driver
-            .kick_needed_event_idx(&self.board, old_avail)?
-        {
-            now + self.profile.guest_link().register_access_at(now)
-        } else {
-            self.doorbells_suppressed += 1;
-            if telemetry::is_enabled() {
-                telemetry::counter("bm.doorbells_suppressed", 1);
-            }
-            now
-        };
+        // Guest: build hdr + payload in board RAM, post it, and kick.
+        let needed = self.guest.post_tx(&mut self.board, payload)?;
+        let kicked = self.kick(needed, now);
 
         // IO-Bond syncs the chain into the shadow ring.
         self.net_dev.service_into(
@@ -536,37 +331,23 @@ impl BmGuestSession {
         check_escalation(&mut self.net_dev, "net_send")?;
         let synced_at = self.svc_report.tx[TX_Q].done_at;
 
-        // Backend PMD sees the head register move (one base-side
-        // register read through the mailbox: a mailbox stall blocks the
-        // poll) and consumes the shadow chain.
-        let (poll_cost, poll_escalated) = self
-            .net_dev
-            .shadow(TX_Q)
-            .expect("activated")
-            .register_poll_recovery_at(synced_at);
-        if poll_escalated {
-            return Err(SessionError::Escalated {
-                site: FaultSite::Mailbox,
-                op: "net_send",
-            });
-        }
-        let seen = synced_at + poll_cost;
+        // Backend PMD sees the head register move and consumes the
+        // shadow chain.
+        let seen = pmd_poll(&self.net_dev, TX_Q, synced_at, "net_send")?;
         let chain = self
             .net_tx_backend
             .pop_avail(&self.base)?
             .ok_or(SessionError::BadRequest(
                 "tx chain missing from shadow ring",
             ))?;
-        let mut frame = std::mem::take(&mut self.frame_scratch);
-        chain.readable.gather_into(&self.base, &mut frame)?;
-        if frame.len() < VIRTIO_NET_HDR_LEN as usize {
-            return Err(SessionError::BadRequest(
-                "frame shorter than virtio-net header",
-            ));
-        }
-        let payload_out = frame[VIRTIO_NET_HDR_LEN as usize..].to_vec();
-        self.frame_scratch = frame;
-        let packet = Packet::new(self.mac, dst, kind, payload_out.len() as u32, self.total_tx);
+        let payload_out = self.codec.tx_payload(&self.base, &chain)?;
+        let packet = Packet::new(
+            self.mac,
+            dst,
+            kind,
+            payload_out.len() as u32,
+            self.counters().0,
+        );
 
         // Rate limiting at the backend (identical for vm-guests).
         let admitted = self.limits.admit_packet(packet.wire_bytes(), seen);
@@ -582,51 +363,21 @@ impl BmGuestSession {
             &mut self.svc_report,
         )?;
         check_escalation(&mut self.net_dev, "net_send")?;
-        let done = self
-            .svc_report
-            .completions
-            .first()
-            .map(|c| c.at)
-            .unwrap_or(admitted);
+        let done = self.completed_at(admitted);
         // Guest interrupt handler: acknowledge the MSI, reap, and free
         // the buffer.
         self.net_dev.msi_mut().drain().for_each(drop);
-        while let Some((head, _)) = self.net_tx_driver.poll_used(&self.board)? {
-            if let Some(buf) = self.tx_posted[usize::from(head)].take() {
-                self.tx_pool.free(&buf);
-            }
-        }
-        self.total_tx += 1;
+        self.guest.reap_tx(&self.board)?;
         // The phase spans are recorded after the fact (every boundary
         // is only known once the exchange is priced), so error paths
         // above can never leave a span open.
         if telemetry::is_enabled() {
             let op = telemetry::begin("bm", "net_send", now);
-            telemetry::span("bm", "kick", now, kicked.saturating_duration_since(now));
-            telemetry::span(
-                "bm",
-                "shadow_sync",
-                kicked,
-                synced_at.saturating_duration_since(kicked),
-            );
-            telemetry::span(
-                "bm",
-                "pmd_poll",
-                synced_at,
-                seen.saturating_duration_since(synced_at),
-            );
-            telemetry::span(
-                "bm",
-                "throttle",
-                seen,
-                admitted.saturating_duration_since(seen),
-            );
-            telemetry::span(
-                "bm",
-                "complete",
-                admitted,
-                done.saturating_duration_since(admitted),
-            );
+            phase("bm", "kick", now, kicked);
+            phase("bm", "shadow_sync", kicked, synced_at);
+            phase("bm", "pmd_poll", synced_at, seen);
+            phase("bm", "throttle", seen, admitted);
+            phase("bm", "complete", admitted, done);
             telemetry::end(op, done);
             telemetry::counter("bm.net_tx_packets", 1);
             telemetry::timer("bm.net_send", done.saturating_duration_since(now));
@@ -669,57 +420,22 @@ impl BmGuestSession {
             .net_rx_backend
             .pop_avail(&self.base)?
             .ok_or(SessionError::NoBuffers)?;
-        // Backend writes hdr + payload into the staging buffer
-        // (assembled in the reused frame buffer).
-        let mut bytes = std::mem::take(&mut self.frame_scratch);
-        bytes.clear();
-        bytes.extend_from_slice(&VirtioNetHeader::simple().to_bytes());
-        bytes.extend_from_slice(payload);
-        let written = chain.writable.scatter(&mut self.base, &bytes)?;
-        self.frame_scratch = bytes;
+        // Backend writes hdr + payload into the staging buffer.
+        let written = self.codec.fill_rx(&mut self.base, &chain, payload)?;
         self.net_rx_backend
-            .push_used(&mut self.base, chain.head, written as u32)?;
+            .push_used(&mut self.base, chain.head, written)?;
 
         // IO-Bond copies back and interrupts the guest.
         self.net_dev
             .service_into(&mut self.board, &mut self.base, now, &mut self.svc_report)?;
         check_escalation(&mut self.net_dev, "net_receive")?;
-        let done = self
-            .svc_report
-            .completions
-            .first()
-            .map(|c| c.at)
-            .unwrap_or(now);
+        let done = self.completed_at(now);
 
         // Guest interrupt handler acknowledges the MSI and reaps.
         self.net_dev.msi_mut().drain().for_each(drop);
-        let mut delivered = None;
-        while let Some((head, len)) = self.net_rx_driver.poll_used(&self.board)? {
-            let buf = self
-                .rx_posted
-                .get_mut(usize::from(head))
-                .and_then(Option::take)
-                .ok_or(SessionError::BadRequest("unknown rx head"))?;
-            let mut data = std::mem::take(&mut self.frame_scratch);
-            buf.gather_into(&self.board, &mut data)?;
-            let len = len as usize;
-            if len < VIRTIO_NET_HDR_LEN as usize || len > data.len() {
-                return Err(SessionError::BadRequest("rx frame shorter than header"));
-            }
-            delivered = Some(data[VIRTIO_NET_HDR_LEN as usize..len].to_vec());
-            self.frame_scratch = data;
-            self.rx_pool.free(&buf);
-        }
-        self.replenish_rx()?;
-        self.total_rx += 1;
-        let payload_out = delivered.ok_or(SessionError::BadRequest("no rx completion"))?;
+        let payload_out = self.guest.reap_rx(&mut self.board)?;
         if telemetry::is_enabled() {
-            telemetry::span(
-                "bm",
-                "net_receive",
-                now,
-                done.saturating_duration_since(now),
-            );
+            phase("bm", "net_receive", now, done);
             telemetry::counter("bm.net_rx_packets", 1);
             telemetry::timer("bm.net_receive", done.saturating_duration_since(now));
         }
@@ -751,67 +467,13 @@ impl BmGuestSession {
         read_len: u64,
         now: SimTime,
     ) -> Result<(BlkStatus, Vec<u8>, IoTiming), SessionError> {
-        // Guest: header buffer (16 B) + data + status byte.
-        let hdr_buf = self.blk_pool.alloc(16).ok_or(SessionError::NoBuffers)?;
-        let hdr = BlkRequestHeader::new(req, sector);
-        hdr_buf.scatter(&mut self.board, &hdr.to_bytes())?;
-        // Assemble the chain in the reused scratch lists (steady-state
-        // requests allocate nothing here).
-        let mut readable = std::mem::take(&mut self.blk_readable);
-        readable.clear();
-        readable.extend_from_slice(hdr_buf.segments());
-        let mut writable = std::mem::take(&mut self.blk_writable);
-        writable.clear();
-        let mut slots = std::mem::take(&mut self.blk_slots);
-        slots.clear();
-        slots.push(hdr_buf);
-
-        let is_read = matches!(req, BlkRequestType::In);
-        if is_read && read_len > 0 {
-            let buf = self
-                .blk_pool
-                .alloc(read_len)
-                .ok_or(SessionError::NoBuffers)?;
-            writable.extend_from_slice(buf.segments());
-            slots.push(buf);
-        } else if !data.is_empty() {
-            let buf = self
-                .blk_pool
-                .alloc(data.len() as u64)
-                .ok_or(SessionError::NoBuffers)?;
-            buf.scatter(&mut self.board, data)?;
-            readable.extend_from_slice(buf.segments());
-            slots.push(buf);
-        }
-        let status_buf = self.blk_pool.alloc(1).ok_or(SessionError::NoBuffers)?;
-        writable.extend_from_slice(status_buf.segments());
-        slots.push(status_buf);
-
-        let old_avail = self.blk_driver.avail_idx();
-        let head = self
-            .blk_driver
-            .add_buf(&mut self.board, &readable, &writable)?;
-        std::mem::swap(&mut self.blk_posted[usize::from(head)], &mut slots);
-        debug_assert!(slots.is_empty(), "blk slab slot reused while posted");
-        self.blk_slots = slots;
-        self.blk_readable = readable;
-        self.blk_writable = writable;
-
-        // Kick + sync to shadow (kick and PMD poll both take the
-        // fault-aware register paths). A post inside the PMD's
-        // published EVENT_IDX window suppresses the kick entirely.
-        let kicked = if self
-            .blk_driver
-            .kick_needed_event_idx(&self.board, old_avail)?
-        {
-            now + self.profile.guest_link().register_access_at(now)
-        } else {
-            self.doorbells_suppressed += 1;
-            if telemetry::is_enabled() {
-                telemetry::counter("bm.doorbells_suppressed", 1);
-            }
-            now
-        };
+        // Guest: header buffer (16 B) + data + status byte. Kick + sync
+        // to shadow (kick and PMD poll both take the fault-aware
+        // register paths).
+        let needed = self
+            .guest
+            .post_blk(&mut self.board, req, sector, data, read_len)?;
+        let kicked = self.kick(needed, now);
         self.blk_dev.service_into(
             &mut self.board,
             &mut self.base,
@@ -820,18 +482,7 @@ impl BmGuestSession {
         )?;
         check_escalation(&mut self.blk_dev, "blk_request")?;
         let synced_at = self.svc_report.tx[0].done_at;
-        let (poll_cost, poll_escalated) = self
-            .blk_dev
-            .shadow(0)
-            .expect("activated")
-            .register_poll_recovery_at(synced_at);
-        if poll_escalated {
-            return Err(SessionError::Escalated {
-                site: FaultSite::Mailbox,
-                op: "blk_request",
-            });
-        }
-        let synced = synced_at + poll_cost;
+        let synced = pmd_poll(&self.blk_dev, 0, synced_at, "blk_request")?;
 
         // Backend: parse, rate-limit, execute on the store.
         let chain = self
@@ -840,7 +491,24 @@ impl BmGuestSession {
             .ok_or(SessionError::BadRequest(
                 "blk chain missing from shadow ring",
             ))?;
-        let (_status, written, io_done) = self.execute_blk(store, &chain, synced)?;
+        let blk = ChainCodec::parse_blk(&self.base, &chain)?;
+        let io_done = match blk.header.req_type {
+            BlkRequestType::In => {
+                let admitted = self.limits.admit_io(blk.data_out_len, synced);
+                store
+                    .submit(IoKind::Read, blk.data_out_len, admitted)
+                    .complete_at
+            }
+            BlkRequestType::Out => {
+                let admitted = self.limits.admit_io(blk.data_in_len, synced);
+                store
+                    .submit(IoKind::Write, blk.data_in_len, admitted)
+                    .complete_at
+            }
+            BlkRequestType::Flush => synced + SimDuration::from_micros(50),
+            BlkRequestType::Unsupported(_) => synced,
+        };
+        let written = self.codec.complete_blk(&mut self.base, &chain, &blk)?;
         self.blk_backend
             .push_used(&mut self.base, chain.head, written)?;
 
@@ -852,150 +520,38 @@ impl BmGuestSession {
             &mut self.svc_report,
         )?;
         check_escalation(&mut self.blk_dev, "blk_request")?;
-        let done = self
-            .svc_report
-            .completions
-            .first()
-            .map(|c| c.at)
-            .unwrap_or(io_done);
+        let done = self.completed_at(io_done);
 
         // Guest interrupt handler acknowledges the MSI and reaps: read
         // status byte and data.
         self.blk_dev.msi_mut().drain().for_each(drop);
-        let mut result = (BlkStatus::IoErr, Vec::new());
-        while let Some((h, _len)) = self.blk_driver.poll_used(&self.board)? {
-            let mut slots = std::mem::take(&mut self.blk_slots);
-            let posted = self
-                .blk_posted
-                .get_mut(usize::from(h))
-                .ok_or(SessionError::BadRequest("unknown blk head"))?;
-            std::mem::swap(posted, &mut slots);
-            if slots.is_empty() {
-                return Err(SessionError::BadRequest("unknown blk head"));
-            }
-            // Last slot is the status byte; for reads the middle slot is
-            // the data.
-            let status_slot = slots.last().expect("status slot");
-            let mut status = std::mem::take(&mut self.frame_scratch);
-            status_slot.gather_into(&self.board, &mut status)?;
-            let status_byte = status[0];
-            self.frame_scratch = status;
-            let data_out = if is_read && slots.len() == 3 {
-                slots[1].gather(&self.board)?
-            } else {
-                Vec::new()
-            };
-            result = (BlkStatus::from_wire(status_byte), data_out);
-            for slot in &slots {
-                self.blk_pool.free(slot);
-            }
-            slots.clear();
-            self.blk_slots = slots;
-        }
-        self.total_io += 1;
+        let (status, data_out) = self.guest.reap_blk(&self.board, req)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("bm", "blk_request", now);
-            telemetry::span("bm", "kick", now, kicked.saturating_duration_since(now));
-            telemetry::span(
-                "bm",
-                "shadow_sync",
-                kicked,
-                synced_at.saturating_duration_since(kicked),
-            );
-            telemetry::span(
-                "bm",
-                "pmd_poll",
-                synced_at,
-                synced.saturating_duration_since(synced_at),
-            );
-            telemetry::span(
-                "bm",
-                "backend_execute",
-                synced,
-                io_done.saturating_duration_since(synced),
-            );
-            telemetry::span(
-                "bm",
-                "complete",
-                io_done,
-                done.saturating_duration_since(io_done),
-            );
+            phase("bm", "kick", now, kicked);
+            phase("bm", "shadow_sync", kicked, synced_at);
+            phase("bm", "pmd_poll", synced_at, synced);
+            phase("bm", "backend_execute", synced, io_done);
+            phase("bm", "complete", io_done, done);
             telemetry::end(op, done);
             telemetry::counter("bm.blk_ops", 1);
             telemetry::timer("bm.blk_request", done.saturating_duration_since(now));
         }
         Ok((
-            result.0,
-            result.1,
+            status,
+            data_out,
             IoTiming {
                 submitted: now,
                 completed: done,
             },
         ))
     }
-
-    /// The backend half of a block request: parse the header out of the
-    /// shadow chain, apply the instance caps, run the store, fill the
-    /// response.
-    fn execute_blk(
-        &mut self,
-        store: &mut BlockStore,
-        chain: &DescChain,
-        now: SimTime,
-    ) -> Result<(BlkStatus, u32, SimTime), SessionError> {
-        // Only the header is parsed: the store models a write's timing,
-        // not its contents, so the payload is never gathered.
-        let mut hdr_bytes = [0u8; 16];
-        if chain.readable.gather_prefix(&self.base, &mut hdr_bytes)? < 16 {
-            return Err(SessionError::BadRequest("blk header too short"));
-        }
-        let hdr = BlkRequestHeader::from_bytes(&hdr_bytes);
-        let data_in_len = chain.readable.total_len() - 16;
-        let writable_len = chain.writable.total_len();
-        if writable_len == 0 {
-            return Err(SessionError::BadRequest("blk chain lacks status byte"));
-        }
-        let data_out_len = writable_len - 1;
-
-        match hdr.req_type {
-            BlkRequestType::In => {
-                let admitted = self.limits.admit_io(data_out_len, now);
-                let io = store.submit(IoKind::Read, data_out_len, admitted);
-                // Synthesize deterministic volume contents: sector-seeded
-                // bytes, so reads are verifiable (assembled in the reused
-                // frame buffer).
-                let mut bytes = std::mem::take(&mut self.frame_scratch);
-                bytes.clear();
-                push_volume_bytes(hdr.sector, data_out_len, &mut bytes);
-                bytes.push(BlkStatus::Ok.to_wire());
-                let written = chain.writable.scatter(&mut self.base, &bytes)?;
-                self.frame_scratch = bytes;
-                Ok((BlkStatus::Ok, written as u32, io.complete_at))
-            }
-            BlkRequestType::Out => {
-                let admitted = self.limits.admit_io(data_in_len, now);
-                let io = store.submit(IoKind::Write, data_in_len, admitted);
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.base, &[BlkStatus::Ok.to_wire()])?;
-                Ok((BlkStatus::Ok, 1, io.complete_at))
-            }
-            BlkRequestType::Flush => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.base, &[BlkStatus::Ok.to_wire()])?;
-                Ok((BlkStatus::Ok, 1, now + SimDuration::from_micros(50)))
-            }
-            BlkRequestType::Unsupported(_) => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.base, &[BlkStatus::Unsupported.to_wire()])?;
-                Ok((BlkStatus::Unsupported, 1, now))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::volume_byte;
     use bmhive_cloud::blockstore::StorageClass;
 
     fn session() -> BmGuestSession {
@@ -1080,35 +636,6 @@ mod tests {
         assert_eq!(out[0], 100u8);
         assert!(t2.latency() > SimDuration::from_micros(50));
         assert_eq!(s.counters().2, 2);
-    }
-
-    /// The synthetic volume, one byte at a time.
-    fn volume_byte(sector: u64, i: u64) -> u8 {
-        (sector.wrapping_add(i) % 251) as u8
-    }
-
-    #[test]
-    fn period_copy_matches_the_per_byte_formula() {
-        for sector in [
-            0,
-            1,
-            250,
-            251,
-            252,
-            1 << 40,
-            u64::MAX - 300,
-            u64::MAX - 7,
-            u64::MAX,
-        ] {
-            for len in [0, 1, 250, 251, 252, 503, 4096] {
-                let mut out = vec![0xaa];
-                push_volume_bytes(sector, len, &mut out);
-                let expect: Vec<u8> = std::iter::once(0xaa)
-                    .chain((0..len).map(|i| volume_byte(sector, i)))
-                    .collect();
-                assert_eq!(out, expect, "sector {sector}, len {len}");
-            }
-        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! * [`vm`] — [`VmGuestSession`]: the baseline — the same virtio rings
 //!   in one shared memory, a vhost-style backend, and the KVM cost
 //!   model (kick exits, interrupt injection, halt wakeups).
+//!
+//!   Both sessions run one guest virtio driver and one backend chain
+//!   codec; only the transport and its costs differ per platform.
 //! * [`boot`] — the §3.2 boot flow: EFI firmware loading the bootloader
 //!   and kernel over virtio-blk from cloud storage; the same image boots
 //!   on either platform (cold migration).
@@ -37,6 +40,7 @@ pub mod migrate;
 pub mod path;
 pub mod pmd;
 pub mod precopy;
+mod session;
 pub mod slowpath;
 pub mod upgrade;
 pub mod vm;

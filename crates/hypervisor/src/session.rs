@@ -1,0 +1,722 @@
+//! What the bm- and vm-guest sessions share.
+//!
+//! A tenant's unmodified virtio front-end runs on both platforms
+//! (§3.2, which is what makes cold migration work): only the backend
+//! transport differs — IO-Bond shadow vrings for a bm-guest, vhost
+//! shared memory for a vm-guest. So the guest half and the backend's
+//! reading and writing of chains live here, once:
+//!
+//! * [`GuestDriver`] — the guest's virtio-net/blk driver: ring
+//!   layouts, buffer arenas, posted-buffer slabs, rx replenish, tx
+//!   post/reap, rx reap, and blk chain assembly/reap.
+//! * [`ChainCodec`] — the backend's side of a popped chain: tx frame
+//!   read, rx frame fill, blk header parse, and the blk response.
+//! * The result types both sessions return.
+//!
+//! Each session keeps its transport (how a chain reaches the backend
+//! and the completion reaches the guest) and its cost model.
+
+use bmhive_faults::FaultSite;
+use bmhive_iobond::StagingPool;
+use bmhive_mem::{GuestAddr, GuestRam, SgList, SgSegment};
+use bmhive_net::Packet;
+use bmhive_sim::{SimDuration, SimTime};
+use bmhive_telemetry as telemetry;
+use bmhive_virtio::{
+    BlkRequestHeader, BlkRequestType, BlkStatus, DescChain, QueueLayout, VirtioError,
+    VirtioNetHeader, VirtqueueDriver, VIRTIO_NET_HDR_LEN,
+};
+use std::error::Error;
+use std::fmt;
+
+/// Errors from guest I/O operations.
+#[derive(Debug)]
+pub enum SessionError {
+    /// A virtio ring failed.
+    Virtio(VirtioError),
+    /// Guest-side buffers are exhausted.
+    NoBuffers,
+    /// The backend received a malformed request.
+    BadRequest(&'static str),
+    /// A fault at `site` exhausted its retry budget during `op` without
+    /// clearing: the operation never went through and the device path
+    /// needs a reset. Surfaced per-op (the second half of the
+    /// partial-recovery contract) instead of stats-only attribution.
+    Escalated {
+        /// The fault site whose retry budget ran out.
+        site: FaultSite,
+        /// The session operation that observed the exhausted budget.
+        op: &'static str,
+    },
+}
+
+impl fmt::Display for SessionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SessionError::Virtio(e) => write!(f, "virtio failure: {e}"),
+            SessionError::NoBuffers => write!(f, "guest buffer pool exhausted"),
+            SessionError::BadRequest(why) => write!(f, "malformed request: {why}"),
+            SessionError::Escalated { site, op } => {
+                write!(
+                    f,
+                    "unrecovered fault at {} escalated during {op}",
+                    site.name()
+                )
+            }
+        }
+    }
+}
+
+impl Error for SessionError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            SessionError::Virtio(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<VirtioError> for SessionError {
+    fn from(e: VirtioError) -> Self {
+        SessionError::Virtio(e)
+    }
+}
+
+impl From<bmhive_mem::MemError> for SessionError {
+    fn from(e: bmhive_mem::MemError) -> Self {
+        SessionError::Virtio(VirtioError::Mem(e))
+    }
+}
+
+/// Timing of one completed guest I/O.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IoTiming {
+    /// When the guest issued the request (kick).
+    pub submitted: SimTime,
+    /// When the completion (interrupt + reap) reached the guest.
+    pub completed: SimTime,
+}
+
+impl IoTiming {
+    /// The guest-observed latency.
+    pub fn latency(&self) -> SimDuration {
+        self.completed.saturating_duration_since(self.submitted)
+    }
+}
+
+/// A packet handed to the vSwitch by the backend.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EgressPacket {
+    /// Frame metadata.
+    pub packet: Packet,
+    /// Payload bytes (after the virtio-net header).
+    pub payload: Vec<u8>,
+    /// When the backend handed it to the switch.
+    pub at: SimTime,
+}
+
+/// Records a `cat` telemetry span for the phase from `from` to `to`.
+pub(crate) fn phase(cat: &'static str, name: &'static str, from: SimTime, to: SimTime) {
+    telemetry::span(cat, name, from, to.saturating_duration_since(from));
+}
+
+/// Size of one posted rx buffer (hdr + MTU frame).
+pub(crate) const RX_BUF: u32 = 2048;
+
+/// Bytes in a virtio-blk request header.
+const BLK_HDR_LEN: u64 = 16;
+
+/// The guest's virtio-net (rx + tx) and virtio-blk driver, identical on
+/// both platforms: rings and buffer arenas in the guest's RAM, and the
+/// posted-buffer slabs that map each completed head back to its
+/// buffers. Steady-state posts and reaps allocate nothing; the only
+/// allocations are the payloads handed back to the caller.
+#[derive(Debug)]
+pub(crate) struct GuestDriver {
+    net_rx: VirtqueueDriver,
+    net_tx: VirtqueueDriver,
+    blk: VirtqueueDriver,
+    tx_pool: StagingPool,
+    rx_pool: StagingPool,
+    blk_pool: StagingPool,
+    /// rx heads → their buffer. Slab indexed by head (`None` = not
+    /// posted).
+    rx_posted: Vec<Option<SgList>>,
+    /// tx heads → their buffer. Slab indexed by head.
+    tx_posted: Vec<Option<SgList>>,
+    /// blk heads → their buffers. Slab indexed by head (empty = not
+    /// posted); completed slots keep their capacity.
+    blk_posted: Vec<Vec<SgList>>,
+    total_tx: u64,
+    total_rx: u64,
+    total_io: u64,
+    /// Reused buffer for tx frame assembly and rx/status reads.
+    frame_scratch: Vec<u8>,
+    /// Reused readable-segment list for blk chain assembly.
+    blk_readable: Vec<SgSegment>,
+    /// Reused writable-segment list for blk chain assembly.
+    blk_writable: Vec<SgSegment>,
+    /// Reused buffer list for blk chain assembly; swaps with the
+    /// `blk_posted` slab so capacities circulate instead of reallocating.
+    blk_slots: Vec<SgList>,
+}
+
+impl GuestDriver {
+    /// Lays out the rx, tx and blk rings of `queue_size` entries in
+    /// `ram`, with the buffer arenas behind them, and stocks the rx
+    /// ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queue_size` is not a power of two (virtio requirement).
+    pub(crate) fn new(ram: &mut GuestRam, queue_size: u16) -> Self {
+        let rx_layout = QueueLayout::contiguous(GuestAddr::new(0x10_000), queue_size);
+        let tx_layout = QueueLayout::contiguous(
+            (rx_layout.used + rx_layout.footprint()).align_up(4096),
+            queue_size,
+        );
+        let blk_layout = QueueLayout::contiguous(
+            (tx_layout.used + tx_layout.footprint()).align_up(4096),
+            queue_size,
+        );
+        let slots = u32::from(queue_size);
+        let mut driver = GuestDriver {
+            net_rx: VirtqueueDriver::new(ram, rx_layout).expect("rx ring"),
+            net_tx: VirtqueueDriver::new(ram, tx_layout).expect("tx ring"),
+            blk: VirtqueueDriver::new(ram, blk_layout).expect("blk ring"),
+            tx_pool: StagingPool::new(GuestAddr::new(0x100_0000), 2 * slots, 4096),
+            rx_pool: StagingPool::new(GuestAddr::new(0x200_0000), 2 * slots, RX_BUF),
+            blk_pool: StagingPool::new(GuestAddr::new(0x400_0000), 4 * slots, 64 * 1024),
+            rx_posted: (0..queue_size).map(|_| None).collect(),
+            tx_posted: (0..queue_size).map(|_| None).collect(),
+            blk_posted: (0..queue_size).map(|_| Vec::new()).collect(),
+            total_tx: 0,
+            total_rx: 0,
+            total_io: 0,
+            frame_scratch: Vec::new(),
+            blk_readable: Vec::new(),
+            blk_writable: Vec::new(),
+            blk_slots: Vec::new(),
+        };
+        driver.replenish_rx(ram).expect("initial rx buffers");
+        driver
+    }
+
+    /// The rx, tx and blk ring layouts, in that order.
+    pub(crate) fn layouts(&self) -> [QueueLayout; 3] {
+        [
+            *self.net_rx.layout(),
+            *self.net_tx.layout(),
+            *self.blk.layout(),
+        ]
+    }
+
+    /// Packets sent / received / block ops completed so far.
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
+        (self.total_tx, self.total_rx, self.total_io)
+    }
+
+    /// Keeps the rx ring stocked with buffers, as a net driver's NAPI
+    /// refill does.
+    fn replenish_rx(&mut self, ram: &mut GuestRam) -> Result<(), SessionError> {
+        while self.net_rx.num_free() > 0 {
+            let Some(buf) = self.rx_pool.alloc(u64::from(RX_BUF)) else {
+                break;
+            };
+            let head = self.net_rx.add_buf(ram, &[], buf.segments())?;
+            self.rx_posted[usize::from(head)] = Some(buf);
+        }
+        Ok(())
+    }
+
+    /// Writes virtio-net header + `payload` into a tx buffer and posts
+    /// it. Returns whether the post must kick the device under
+    /// EVENT_IDX (the device's `avail_event` lies in the posted range).
+    pub(crate) fn post_tx(
+        &mut self,
+        ram: &mut GuestRam,
+        payload: &[u8],
+    ) -> Result<bool, SessionError> {
+        let total = VIRTIO_NET_HDR_LEN + payload.len() as u64;
+        let buf = self.tx_pool.alloc(total).ok_or(SessionError::NoBuffers)?;
+        // The buffer may span slots; scatter hdr+payload across it.
+        let bytes = &mut self.frame_scratch;
+        bytes.clear();
+        bytes.extend_from_slice(&VirtioNetHeader::simple().to_bytes());
+        bytes.extend_from_slice(payload);
+        buf.scatter(ram, bytes)?;
+        let old_avail = self.net_tx.avail_idx();
+        let head = self.net_tx.add_buf(ram, buf.segments(), &[])?;
+        self.tx_posted[usize::from(head)] = Some(buf);
+        Ok(self.net_tx.kick_needed_event_idx(ram, old_avail)?)
+    }
+
+    /// Reaps tx completions, freeing their buffers, and counts the send.
+    pub(crate) fn reap_tx(&mut self, ram: &GuestRam) -> Result<(), SessionError> {
+        while let Some((head, _)) = self.net_tx.poll_used(ram)? {
+            if let Some(buf) = self.tx_posted[usize::from(head)].take() {
+                self.tx_pool.free(&buf);
+            }
+        }
+        self.total_tx += 1;
+        Ok(())
+    }
+
+    /// Reaps rx completions, restocks the ring, counts the receive, and
+    /// returns the last delivered payload.
+    pub(crate) fn reap_rx(&mut self, ram: &mut GuestRam) -> Result<Vec<u8>, SessionError> {
+        let mut delivered = None;
+        while let Some((head, len)) = self.net_rx.poll_used(ram)? {
+            let buf = self
+                .rx_posted
+                .get_mut(usize::from(head))
+                .and_then(Option::take)
+                .ok_or(SessionError::BadRequest("unknown rx head"))?;
+            let data = &mut self.frame_scratch;
+            buf.gather_into(ram, data)?;
+            let len = len as usize;
+            if len < VIRTIO_NET_HDR_LEN as usize || len > data.len() {
+                return Err(SessionError::BadRequest("rx frame shorter than header"));
+            }
+            delivered = Some(data[VIRTIO_NET_HDR_LEN as usize..len].to_vec());
+            self.rx_pool.free(&buf);
+        }
+        self.replenish_rx(ram)?;
+        self.total_rx += 1;
+        delivered.ok_or(SessionError::BadRequest("no rx completion"))
+    }
+
+    /// Builds and posts one blk chain: 16-byte header, then `data` (a
+    /// write) or a `read_len`-byte buffer (a read), then the status
+    /// byte. Returns whether the post must kick under EVENT_IDX.
+    pub(crate) fn post_blk(
+        &mut self,
+        ram: &mut GuestRam,
+        req: BlkRequestType,
+        sector: u64,
+        data: &[u8],
+        read_len: u64,
+    ) -> Result<bool, SessionError> {
+        let hdr_buf = self
+            .blk_pool
+            .alloc(BLK_HDR_LEN)
+            .ok_or(SessionError::NoBuffers)?;
+        hdr_buf.scatter(ram, &BlkRequestHeader::new(req, sector).to_bytes())?;
+        // Assemble the chain in the reused scratch lists (steady-state
+        // requests allocate nothing here).
+        let mut readable = std::mem::take(&mut self.blk_readable);
+        readable.clear();
+        readable.extend_from_slice(hdr_buf.segments());
+        let mut writable = std::mem::take(&mut self.blk_writable);
+        writable.clear();
+        let mut slots = std::mem::take(&mut self.blk_slots);
+        slots.clear();
+        slots.push(hdr_buf);
+
+        if matches!(req, BlkRequestType::In) && read_len > 0 {
+            let buf = self
+                .blk_pool
+                .alloc(read_len)
+                .ok_or(SessionError::NoBuffers)?;
+            writable.extend_from_slice(buf.segments());
+            slots.push(buf);
+        } else if !data.is_empty() {
+            let buf = self
+                .blk_pool
+                .alloc(data.len() as u64)
+                .ok_or(SessionError::NoBuffers)?;
+            buf.scatter(ram, data)?;
+            readable.extend_from_slice(buf.segments());
+            slots.push(buf);
+        }
+        let status_buf = self.blk_pool.alloc(1).ok_or(SessionError::NoBuffers)?;
+        writable.extend_from_slice(status_buf.segments());
+        slots.push(status_buf);
+
+        let old_avail = self.blk.avail_idx();
+        let head = self.blk.add_buf(ram, &readable, &writable)?;
+        std::mem::swap(&mut self.blk_posted[usize::from(head)], &mut slots);
+        debug_assert!(slots.is_empty(), "blk slab slot reused while posted");
+        self.blk_slots = slots;
+        self.blk_readable = readable;
+        self.blk_writable = writable;
+        Ok(self.blk.kick_needed_event_idx(ram, old_avail)?)
+    }
+
+    /// Reaps blk completions, counts the op, and returns the last one's
+    /// status and, for a read (`req` is `In`), its data.
+    pub(crate) fn reap_blk(
+        &mut self,
+        ram: &GuestRam,
+        req: BlkRequestType,
+    ) -> Result<(BlkStatus, Vec<u8>), SessionError> {
+        let is_read = matches!(req, BlkRequestType::In);
+        let mut result = (BlkStatus::IoErr, Vec::new());
+        while let Some((head, _len)) = self.blk.poll_used(ram)? {
+            let mut slots = std::mem::take(&mut self.blk_slots);
+            let posted = self
+                .blk_posted
+                .get_mut(usize::from(head))
+                .ok_or(SessionError::BadRequest("unknown blk head"))?;
+            std::mem::swap(posted, &mut slots);
+            if slots.is_empty() {
+                return Err(SessionError::BadRequest("unknown blk head"));
+            }
+            // Last slot is the status byte; for reads the middle slot is
+            // the data.
+            let status_slot = slots.last().expect("status slot");
+            status_slot.gather_into(ram, &mut self.frame_scratch)?;
+            let data_out = if is_read && slots.len() == 3 {
+                slots[1].gather(ram)?
+            } else {
+                Vec::new()
+            };
+            result = (BlkStatus::from_wire(self.frame_scratch[0]), data_out);
+            for slot in &slots {
+                self.blk_pool.free(slot);
+            }
+            slots.clear();
+            self.blk_slots = slots;
+        }
+        self.total_io += 1;
+        Ok(result)
+    }
+}
+
+/// A virtio-blk request as the backend parsed it from a popped chain.
+#[derive(Debug)]
+pub(crate) struct BlkRequest {
+    /// The request header.
+    pub(crate) header: BlkRequestHeader,
+    /// Payload bytes after the header (what a write carries).
+    pub(crate) data_in_len: u64,
+    /// Writable bytes before the status byte (what a read fills).
+    pub(crate) data_out_len: u64,
+}
+
+/// The backend's reading and writing of popped chains, the same over a
+/// shadow ring in base RAM and a vhost ring in shared guest RAM. Holds
+/// one reused buffer, so steady-state calls allocate only the tx
+/// payload they return.
+#[derive(Debug, Default)]
+pub(crate) struct ChainCodec {
+    scratch: Vec<u8>,
+}
+
+impl ChainCodec {
+    /// Reads a tx chain's frame and returns the payload after the
+    /// virtio-net header.
+    pub(crate) fn tx_payload(
+        &mut self,
+        ram: &GuestRam,
+        chain: &DescChain,
+    ) -> Result<Vec<u8>, SessionError> {
+        chain.readable.gather_into(ram, &mut self.scratch)?;
+        self.scratch
+            .get(VIRTIO_NET_HDR_LEN as usize..)
+            .map(<[u8]>::to_vec)
+            .ok_or(SessionError::BadRequest(
+                "frame shorter than virtio-net header",
+            ))
+    }
+
+    /// Writes virtio-net header + `payload` into an rx chain and returns
+    /// the bytes written (the used length).
+    pub(crate) fn fill_rx(
+        &mut self,
+        ram: &mut GuestRam,
+        chain: &DescChain,
+        payload: &[u8],
+    ) -> Result<u32, SessionError> {
+        let bytes = &mut self.scratch;
+        bytes.clear();
+        bytes.extend_from_slice(&VirtioNetHeader::simple().to_bytes());
+        bytes.extend_from_slice(payload);
+        Ok(chain.writable.scatter(ram, bytes)? as u32)
+    }
+
+    /// Parses a blk chain's header. Only the header is read: the store
+    /// models a write's timing, not its contents, so the payload is
+    /// never gathered.
+    pub(crate) fn parse_blk(ram: &GuestRam, chain: &DescChain) -> Result<BlkRequest, SessionError> {
+        let mut hdr_bytes = [0u8; BLK_HDR_LEN as usize];
+        if chain.readable.gather_prefix(ram, &mut hdr_bytes)? < hdr_bytes.len() {
+            return Err(SessionError::BadRequest("blk header too short"));
+        }
+        let writable_len = chain.writable.total_len();
+        if writable_len == 0 {
+            return Err(SessionError::BadRequest("blk chain lacks status byte"));
+        }
+        Ok(BlkRequest {
+            header: BlkRequestHeader::from_bytes(&hdr_bytes),
+            data_in_len: chain.readable.total_len() - BLK_HDR_LEN,
+            data_out_len: writable_len - 1,
+        })
+    }
+
+    /// Writes `req`'s response into its chain and returns the used
+    /// length: a read gets the synthetic volume's bytes plus an OK
+    /// status; a write or flush gets an OK status byte; an unsupported
+    /// type gets an UNSUPP status byte.
+    pub(crate) fn complete_blk(
+        &mut self,
+        ram: &mut GuestRam,
+        chain: &DescChain,
+        req: &BlkRequest,
+    ) -> Result<u32, SessionError> {
+        let status = match req.header.req_type {
+            BlkRequestType::In => {
+                let bytes = &mut self.scratch;
+                bytes.clear();
+                push_volume_bytes(req.header.sector, req.data_out_len, bytes);
+                bytes.push(BlkStatus::Ok.to_wire());
+                return Ok(chain.writable.scatter(ram, bytes)? as u32);
+            }
+            BlkRequestType::Out | BlkRequestType::Flush => BlkStatus::Ok,
+            BlkRequestType::Unsupported(_) => BlkStatus::Unsupported,
+        };
+        let (_, status_sg) = chain.writable.split_at(req.data_out_len);
+        status_sg.scatter(ram, &[status.to_wire()])?;
+        Ok(1)
+    }
+}
+
+/// The synthetic volume's contents repeat every 251 bytes.
+const VOLUME_PERIOD: usize = 251;
+
+/// One period of the synthetic volume: byte `i` is `i`.
+const VOLUME_BYTES: [u8; VOLUME_PERIOD] = {
+    let mut bytes = [0u8; VOLUME_PERIOD];
+    let mut i = 0;
+    while i < VOLUME_PERIOD {
+        bytes[i] = i as u8;
+        i += 1;
+    }
+    bytes
+};
+
+/// Appends `len` bytes of the synthetic volume read at `sector`: byte
+/// `i` is `(sector + i) mod 251`, the addition wrapping at `u64::MAX`
+/// (the sector is guest-controlled). Copies whole periods instead of
+/// computing each byte.
+fn push_volume_bytes(sector: u64, len: u64, out: &mut Vec<u8>) {
+    out.reserve(len as usize);
+    let mut push_from = |mut phase: usize, mut left: u64| {
+        while left > 0 {
+            let take = left.min((VOLUME_PERIOD - phase) as u64) as usize;
+            out.extend_from_slice(&VOLUME_BYTES[phase..phase + take]);
+            left -= take as u64;
+            phase = 0;
+        }
+    };
+    // Bytes before `sector + i` wraps past u64::MAX; the rest restart
+    // the pattern at 0.
+    let before_wrap = (u64::MAX - sector).saturating_add(1).min(len);
+    push_from((sector % VOLUME_PERIOD as u64) as usize, before_wrap);
+    push_from(0, len - before_wrap);
+}
+
+/// The synthetic volume, one byte at a time.
+#[cfg(test)]
+pub(crate) fn volume_byte(sector: u64, i: u64) -> u8 {
+    (sector.wrapping_add(i) % VOLUME_PERIOD as u64) as u8
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bm::BmGuestSession;
+    use crate::vm::VmGuestSession;
+    use bmhive_cloud::blockstore::{BlockStore, StorageClass};
+    use bmhive_cloud::limits::InstanceLimits;
+    use bmhive_iobond::IoBondProfile;
+    use bmhive_net::{MacAddr, PacketKind};
+
+    #[test]
+    fn period_copy_matches_the_per_byte_formula() {
+        for sector in [
+            0,
+            1,
+            250,
+            251,
+            252,
+            1 << 40,
+            u64::MAX - 300,
+            u64::MAX - 7,
+            u64::MAX,
+        ] {
+            for len in [0, 1, 250, 251, 252, 503, 4096] {
+                let mut out = vec![0xaa];
+                push_volume_bytes(sector, len, &mut out);
+                let expect: Vec<u8> = std::iter::once(0xaa)
+                    .chain((0..len).map(|i| volume_byte(sector, i)))
+                    .collect();
+                assert_eq!(out, expect, "sector {sector}, len {len}");
+            }
+        }
+    }
+
+    /// A blk chain over `readable` then `writable` bytes, one segment
+    /// each (empty lists for zero lengths).
+    fn blk_chain(readable: u32, writable: u32) -> DescChain {
+        let list = |addr, len| {
+            if len == 0 {
+                SgList::new()
+            } else {
+                SgList::single(GuestAddr::new(addr), len)
+            }
+        };
+        DescChain {
+            head: 0,
+            readable: list(0x1000, readable),
+            writable: list(0x2000, writable),
+        }
+    }
+
+    #[test]
+    fn malformed_blk_chains_are_rejected_not_parsed() {
+        let ram = GuestRam::new(1 << 20);
+        for (chain, why) in [
+            (blk_chain(15, 1), "blk header too short"),
+            (blk_chain(16, 0), "blk chain lacks status byte"),
+        ] {
+            match ChainCodec::parse_blk(&ram, &chain) {
+                Err(SessionError::BadRequest(got)) => assert_eq!(got, why),
+                other => panic!("expected {why:?}, got {other:?}"),
+            }
+        }
+        let req = ChainCodec::parse_blk(&ram, &blk_chain(16 + 512, 1)).unwrap();
+        assert_eq!((req.data_in_len, req.data_out_len), (512, 0));
+    }
+
+    /// One guest operation, run identically on both platforms.
+    enum Op {
+        Send(Vec<u8>),
+        Receive(Vec<u8>),
+        Blk(BlkRequestType, u64, Vec<u8>, u64),
+    }
+
+    /// What the guest got back from one op, without its timing.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Sent(Packet, Vec<u8>),
+        Received(Vec<u8>),
+        Blk(BlkStatus, Vec<u8>),
+    }
+
+    const MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 7]);
+    const PEER: MacAddr = MacAddr([2, 0, 0, 0, 0, 8]);
+
+    fn ops() -> Vec<Op> {
+        let largest_rx = (RX_BUF as u64 - VIRTIO_NET_HDR_LEN) as usize;
+        let mut ops = vec![
+            Op::Send(Vec::new()),
+            Op::Send(vec![0x3c; largest_rx]),
+            Op::Receive(Vec::new()),
+            Op::Receive(vec![0xc3; largest_rx]),
+        ];
+        for sector in [0, 250, u64::MAX - 3] {
+            ops.push(Op::Blk(BlkRequestType::Out, sector, vec![0x5a; 4096], 0));
+            ops.push(Op::Blk(BlkRequestType::In, sector, Vec::new(), 4096));
+        }
+        ops.push(Op::Blk(BlkRequestType::Flush, 0, Vec::new(), 0));
+        ops.push(Op::Blk(BlkRequestType::Unsupported(9), 0, Vec::new(), 0));
+        ops
+    }
+
+    fn run_bm(ops: &[Op]) -> Vec<Outcome> {
+        let mut s = BmGuestSession::new(
+            IoBondProfile::fpga(),
+            MAC,
+            64,
+            InstanceLimits::unrestricted(),
+        );
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
+        let mut now = SimTime::ZERO;
+        let mut out = Vec::new();
+        for op in ops {
+            let (outcome, timing) = match op {
+                Op::Send(p) => {
+                    let (e, t) = s.net_send(PEER, PacketKind::Udp, p, now).unwrap();
+                    (Outcome::Sent(e.packet, e.payload), t)
+                }
+                Op::Receive(p) => {
+                    let (got, t) = s.net_receive(p, now).unwrap();
+                    (Outcome::Received(got), t)
+                }
+                Op::Blk(req, sector, data, read_len) => {
+                    let (status, got, t) = s
+                        .blk_request(&mut store, *req, *sector, data, *read_len, now)
+                        .unwrap();
+                    (Outcome::Blk(status, got), t)
+                }
+            };
+            out.push(outcome);
+            now = timing.completed;
+        }
+        out
+    }
+
+    fn run_vm(ops: &[Op]) -> Vec<Outcome> {
+        let mut s = VmGuestSession::new(MAC, 64, InstanceLimits::unrestricted(), 5);
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
+        let mut now = SimTime::ZERO;
+        let mut out = Vec::new();
+        for op in ops {
+            let (outcome, timing) = match op {
+                Op::Send(p) => {
+                    let (e, t) = s.net_send(PEER, PacketKind::Udp, p, now).unwrap();
+                    (Outcome::Sent(e.packet, e.payload), t)
+                }
+                Op::Receive(p) => {
+                    let (got, t) = s.net_receive(p, now).unwrap();
+                    (Outcome::Received(got), t)
+                }
+                Op::Blk(req, sector, data, read_len) => {
+                    let (status, got, t) = s
+                        .blk_request(&mut store, *req, *sector, data, *read_len, now)
+                        .unwrap();
+                    (Outcome::Blk(status, got), t)
+                }
+            };
+            out.push(outcome);
+            now = timing.completed;
+        }
+        out
+    }
+
+    #[test]
+    fn bm_and_vm_guests_see_the_same_bytes_and_statuses() {
+        // Cold migration (§3.2) moves one image between platforms: the
+        // guest must get the same answers from either backend.
+        let ops = ops();
+        let bm = run_bm(&ops);
+        assert_eq!(bm, run_vm(&ops));
+        // And the answers are the right ones.
+        for (op, outcome) in ops.iter().zip(&bm) {
+            match (op, outcome) {
+                (Op::Send(p), Outcome::Sent(packet, payload)) => {
+                    assert_eq!(payload, p);
+                    assert_eq!((packet.src, packet.dst), (MAC, PEER));
+                    assert_eq!(packet.payload as usize, p.len());
+                }
+                (Op::Receive(p), Outcome::Received(got)) => assert_eq!(got, p),
+                (Op::Blk(req, sector, _, read_len), Outcome::Blk(status, got)) => {
+                    let expect_status = match req {
+                        BlkRequestType::Unsupported(_) => BlkStatus::Unsupported,
+                        _ => BlkStatus::Ok,
+                    };
+                    assert_eq!(*status, expect_status);
+                    let expect: Vec<u8> = match req {
+                        BlkRequestType::In => {
+                            (0..*read_len).map(|i| volume_byte(*sector, i)).collect()
+                        }
+                        _ => Vec::new(),
+                    };
+                    assert_eq!(got, &expect, "{req:?} at sector {sector}");
+                }
+                _ => unreachable!("outcomes follow their ops"),
+            }
+        }
+    }
+}

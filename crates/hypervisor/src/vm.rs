@@ -12,20 +12,16 @@
 //! * data is copied by host CPUs rather than a DMA engine;
 //! * host tasks occasionally preempt the vCPU (Fig. 1).
 
+use crate::session::{phase, ChainCodec, GuestDriver};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
-use bmhive_iobond::StagingPool;
-use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
+use bmhive_mem::GuestRam;
 use bmhive_net::{MacAddr, Packet, PacketKind};
 use bmhive_sim::{SimDuration, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{
-    BlkRequestHeader, BlkRequestType, BlkStatus, QueueLayout, VirtioNetHeader, Virtqueue,
-    VirtqueueDriver, VIRTIO_NET_HDR_LEN,
-};
-use std::collections::HashMap;
+use bmhive_virtio::{BlkRequestType, BlkStatus, Virtqueue, VIRTIO_NET_HDR_LEN};
 
-pub use crate::bm::{EgressPacket, IoTiming, SessionError};
+pub use crate::session::{EgressPacket, IoTiming, SessionError};
 
 /// KVM path cost parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,25 +66,15 @@ pub struct VmGuestSession {
     ram: GuestRam,
     costs: KvmCosts,
     rng: SimRng,
-    net_rx_driver: VirtqueueDriver,
-    net_tx_driver: VirtqueueDriver,
-    blk_driver: VirtqueueDriver,
+    /// The guest's virtio driver, in the shared RAM.
+    guest: GuestDriver,
     net_rx_backend: Virtqueue,
     net_tx_backend: Virtqueue,
     blk_backend: Virtqueue,
-    tx_pool: StagingPool,
-    rx_pool: StagingPool,
-    blk_pool: StagingPool,
+    /// The vhost backend's chain reads and writes, in the same RAM.
+    codec: ChainCodec,
     limits: InstanceLimits,
-    rx_posted: HashMap<u16, bmhive_mem::SgList>,
-    tx_posted: HashMap<u16, bmhive_mem::SgList>,
-    blk_posted: HashMap<u16, Vec<bmhive_mem::SgList>>,
-    total_tx: u64,
-    total_rx: u64,
-    total_io: u64,
 }
-
-const RX_BUF: u32 = 2048;
 
 impl VmGuestSession {
     /// Builds a running vm-guest with `queue_size`-entry queues.
@@ -98,50 +84,21 @@ impl VmGuestSession {
     /// Panics if `queue_size` is not a power of two.
     pub fn new(mac: MacAddr, queue_size: u16, limits: InstanceLimits, seed: u64) -> Self {
         let mut ram = GuestRam::new(256 << 20);
-        let rx_layout = QueueLayout::contiguous(GuestAddr::new(0x10_000), queue_size);
-        let tx_layout = QueueLayout::contiguous(
-            (rx_layout.used + rx_layout.footprint()).align_up(4096),
-            queue_size,
-        );
-        let blk_layout = QueueLayout::contiguous(
-            (tx_layout.used + tx_layout.footprint()).align_up(4096),
-            queue_size,
-        );
-        let net_rx_driver = VirtqueueDriver::new(&mut ram, rx_layout).expect("rx ring");
-        let net_tx_driver = VirtqueueDriver::new(&mut ram, tx_layout).expect("tx ring");
-        let blk_driver = VirtqueueDriver::new(&mut ram, blk_layout).expect("blk ring");
-        let mut session = VmGuestSession {
+        let guest = GuestDriver::new(&mut ram, queue_size);
+        // vhost reads the guest's rings in place: no shadow copies.
+        let [rx_layout, tx_layout, blk_layout] = guest.layouts();
+        VmGuestSession {
             mac,
             ram,
             costs: KvmCosts::production(),
             rng: SimRng::with_stream(seed, 0x6b76),
-            net_rx_driver,
-            net_tx_driver,
-            blk_driver,
+            guest,
             net_rx_backend: Virtqueue::new(rx_layout),
             net_tx_backend: Virtqueue::new(tx_layout),
             blk_backend: Virtqueue::new(blk_layout),
-            tx_pool: StagingPool::new(GuestAddr::new(0x100_0000), 2 * u32::from(queue_size), 4096),
-            rx_pool: StagingPool::new(
-                GuestAddr::new(0x200_0000),
-                2 * u32::from(queue_size),
-                RX_BUF,
-            ),
-            blk_pool: StagingPool::new(
-                GuestAddr::new(0x400_0000),
-                4 * u32::from(queue_size),
-                64 * 1024,
-            ),
+            codec: ChainCodec::default(),
             limits,
-            rx_posted: HashMap::new(),
-            tx_posted: HashMap::new(),
-            blk_posted: HashMap::new(),
-            total_tx: 0,
-            total_rx: 0,
-            total_io: 0,
-        };
-        session.replenish_rx().expect("initial rx buffers");
-        session
+        }
     }
 
     /// The guest's MAC address.
@@ -151,19 +108,7 @@ impl VmGuestSession {
 
     /// Packets sent / received / block ops completed.
     pub fn counters(&self) -> (u64, u64, u64) {
-        (self.total_tx, self.total_rx, self.total_io)
-    }
-
-    fn replenish_rx(&mut self) -> Result<(), SessionError> {
-        while self.net_rx_driver.num_free() > 0 {
-            let Some(buf) = self.rx_pool.alloc(u64::from(RX_BUF)) else {
-                break;
-            };
-            let segs: Vec<SgSegment> = buf.segments().to_vec();
-            let head = self.net_rx_driver.add_buf(&mut self.ram, &[], &segs)?;
-            self.rx_posted.insert(head, buf);
-        }
-        Ok(())
+        self.guest.counters()
     }
 
     fn copy_cost(&self, bytes: u64) -> SimDuration {
@@ -206,16 +151,10 @@ impl VmGuestSession {
         payload: &[u8],
         now: SimTime,
     ) -> Result<(EgressPacket, IoTiming), SessionError> {
-        let total = VIRTIO_NET_HDR_LEN + payload.len() as u64;
-        let buf = self.tx_pool.alloc(total).ok_or(SessionError::NoBuffers)?;
-        let mut bytes = VirtioNetHeader::simple().to_bytes().to_vec();
-        bytes.extend_from_slice(payload);
-        buf.scatter(&mut self.ram, &bytes)?;
-        let segs: Vec<SgSegment> = buf.segments().to_vec();
-        let head = self.net_tx_driver.add_buf(&mut self.ram, &segs, &[])?;
-        self.tx_posted.insert(head, buf);
+        self.guest.post_tx(&mut self.ram, payload)?;
 
-        // Kick: ioeventfd VM exit.
+        // Kick: ioeventfd VM exit (vhost publishes no EVENT_IDX window,
+        // so every post exits).
         let kicked = now + self.costs.kick;
 
         // vhost: pop directly from the shared ring, one memcpy into the
@@ -224,53 +163,28 @@ impl VmGuestSession {
             .net_tx_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::BadRequest("tx chain missing"))?;
-        let frame = chain.readable.gather(&self.ram)?;
-        if frame.len() < VIRTIO_NET_HDR_LEN as usize {
-            return Err(SessionError::BadRequest(
-                "frame shorter than virtio-net header",
-            ));
-        }
-        let payload_out = frame[VIRTIO_NET_HDR_LEN as usize..].to_vec();
-        let copied = kicked + self.copy_cost(frame.len() as u64);
-        let packet = Packet::new(self.mac, dst, kind, payload_out.len() as u32, self.total_tx);
+        let payload_out = self.codec.tx_payload(&self.ram, &chain)?;
+        let copied = kicked + self.copy_cost(VIRTIO_NET_HDR_LEN + payload_out.len() as u64);
+        let packet = Packet::new(
+            self.mac,
+            dst,
+            kind,
+            payload_out.len() as u32,
+            self.counters().0,
+        );
         let admitted = self.limits.admit_packet(packet.wire_bytes(), copied);
 
         self.net_tx_backend
             .push_used(&mut self.ram, chain.head, 0)?;
         // Tx completion interrupt (the sender is running, not idle).
         let done = self.completion_delivery(admitted, false);
-        while let Some((h, _)) = self.net_tx_driver.poll_used(&self.ram)? {
-            if let Some(buf) = self.tx_posted.remove(&h) {
-                self.tx_pool.free(&buf);
-            }
-        }
-        self.total_tx += 1;
+        self.guest.reap_tx(&self.ram)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("vm", "net_send", now);
-            telemetry::span(
-                "vm",
-                "vm_exit_kick",
-                now,
-                kicked.saturating_duration_since(now),
-            );
-            telemetry::span(
-                "vm",
-                "vhost_copy",
-                kicked,
-                copied.saturating_duration_since(kicked),
-            );
-            telemetry::span(
-                "vm",
-                "throttle",
-                copied,
-                admitted.saturating_duration_since(copied),
-            );
-            telemetry::span(
-                "vm",
-                "complete",
-                admitted,
-                done.saturating_duration_since(admitted),
-            );
+            phase("vm", "vm_exit_kick", now, kicked);
+            phase("vm", "vhost_copy", kicked, copied);
+            phase("vm", "throttle", copied, admitted);
+            phase("vm", "complete", admitted, done);
             telemetry::end(op, done);
             telemetry::counter("vm.exit.ioeventfd_kick", 1);
             telemetry::counter("vm.net_tx_packets", 1);
@@ -303,43 +217,18 @@ impl VmGuestSession {
             .net_rx_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::NoBuffers)?;
-        let mut bytes = VirtioNetHeader::simple().to_bytes().to_vec();
-        bytes.extend_from_slice(payload);
-        let copied = now + self.copy_cost(bytes.len() as u64);
-        let written = chain.writable.scatter(&mut self.ram, &bytes)?;
+        let copied = now + self.copy_cost(VIRTIO_NET_HDR_LEN + payload.len() as u64);
+        let written = self.codec.fill_rx(&mut self.ram, &chain, payload)?;
         self.net_rx_backend
-            .push_used(&mut self.ram, chain.head, written as u32)?;
+            .push_used(&mut self.ram, chain.head, written)?;
         // Rx interrupt; receiver may be idle.
         let done = self.completion_delivery(copied, true);
 
-        let mut delivered = None;
-        while let Some((head, len)) = self.net_rx_driver.poll_used(&self.ram)? {
-            let buf = self
-                .rx_posted
-                .remove(&head)
-                .ok_or(SessionError::BadRequest("unknown rx head"))?;
-            let data = buf.gather(&self.ram)?;
-            let data = data[..len as usize].to_vec();
-            delivered = Some(data[VIRTIO_NET_HDR_LEN as usize..].to_vec());
-            self.rx_pool.free(&buf);
-        }
-        self.replenish_rx()?;
-        self.total_rx += 1;
-        let payload_out = delivered.ok_or(SessionError::BadRequest("no rx completion"))?;
+        let payload_out = self.guest.reap_rx(&mut self.ram)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("vm", "net_receive", now);
-            telemetry::span(
-                "vm",
-                "vhost_copy",
-                now,
-                copied.saturating_duration_since(now),
-            );
-            telemetry::span(
-                "vm",
-                "complete",
-                copied,
-                done.saturating_duration_since(copied),
-            );
+            phase("vm", "vhost_copy", now, copied);
+            phase("vm", "complete", copied, done);
             telemetry::end(op, done);
             telemetry::counter("vm.net_rx_packets", 1);
             telemetry::timer("vm.net_receive", done.saturating_duration_since(now));
@@ -369,135 +258,54 @@ impl VmGuestSession {
         read_len: u64,
         now: SimTime,
     ) -> Result<(BlkStatus, Vec<u8>, IoTiming), SessionError> {
-        let hdr_buf = self.blk_pool.alloc(16).ok_or(SessionError::NoBuffers)?;
-        hdr_buf.scatter(
-            &mut self.ram,
-            &BlkRequestHeader::new(req, sector).to_bytes(),
-        )?;
-        let mut readable: Vec<SgSegment> = hdr_buf.segments().to_vec();
-        let mut writable: Vec<SgSegment> = Vec::new();
-        let mut slots = vec![hdr_buf];
-        let is_read = matches!(req, BlkRequestType::In);
-        if is_read && read_len > 0 {
-            let buf = self
-                .blk_pool
-                .alloc(read_len)
-                .ok_or(SessionError::NoBuffers)?;
-            writable.extend_from_slice(buf.segments());
-            slots.push(buf);
-        } else if !data.is_empty() {
-            let buf = self
-                .blk_pool
-                .alloc(data.len() as u64)
-                .ok_or(SessionError::NoBuffers)?;
-            buf.scatter(&mut self.ram, data)?;
-            readable.extend_from_slice(buf.segments());
-            slots.push(buf);
-        }
-        let status_buf = self.blk_pool.alloc(1).ok_or(SessionError::NoBuffers)?;
-        writable.extend_from_slice(status_buf.segments());
-        slots.push(status_buf);
+        self.guest
+            .post_blk(&mut self.ram, req, sector, data, read_len)?;
 
-        let head = self
-            .blk_driver
-            .add_buf(&mut self.ram, &readable, &writable)?;
-        self.blk_posted.insert(head, slots);
-
+        // Kick: ioeventfd VM exit.
         let kicked = now + self.costs.kick;
         let chain = self
             .blk_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::BadRequest("blk chain missing"))?;
-        let readable_bytes = chain.readable.gather(&self.ram)?;
-        let hdr = BlkRequestHeader::from_bytes(&readable_bytes);
-        let data_in = &readable_bytes[16..];
-        let writable_len = chain.writable.total_len();
-        let data_out_len = writable_len - 1;
-
-        let (_status, written, io_done) = match hdr.req_type {
+        let blk = ChainCodec::parse_blk(&self.ram, &chain)?;
+        let io_done = match blk.header.req_type {
             BlkRequestType::In => {
-                let admitted = self.limits.admit_io(data_out_len, kicked);
-                let io = store.submit(IoKind::Read, data_out_len, admitted);
+                let admitted = self.limits.admit_io(blk.data_out_len, kicked);
+                let io = store.submit(IoKind::Read, blk.data_out_len, admitted);
                 // The vm path pays an extra CPU copy host buffer → guest.
-                let done = io.complete_at + self.copy_cost(data_out_len);
-                let mut bytes: Vec<u8> = Vec::with_capacity(data_out_len as usize + 1);
-                crate::bm::push_volume_bytes(hdr.sector, data_out_len, &mut bytes);
-                bytes.push(BlkStatus::Ok.to_wire());
-                let written = chain.writable.scatter(&mut self.ram, &bytes)?;
-                (BlkStatus::Ok, written as u32, done)
+                io.complete_at + self.copy_cost(blk.data_out_len)
             }
             BlkRequestType::Out => {
                 // Extra copy guest → host buffer before submission.
-                let copied = kicked + self.copy_cost(data_in.len() as u64);
-                let admitted = self.limits.admit_io(data_in.len() as u64, copied);
-                let io = store.submit(IoKind::Write, data_in.len() as u64, admitted);
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.ram, &[BlkStatus::Ok.to_wire()])?;
-                (BlkStatus::Ok, 1, io.complete_at)
+                let copied = kicked + self.copy_cost(blk.data_in_len);
+                let admitted = self.limits.admit_io(blk.data_in_len, copied);
+                store
+                    .submit(IoKind::Write, blk.data_in_len, admitted)
+                    .complete_at
             }
-            BlkRequestType::Flush => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.ram, &[BlkStatus::Ok.to_wire()])?;
-                (BlkStatus::Ok, 1, kicked + SimDuration::from_micros(50))
-            }
-            BlkRequestType::Unsupported(_) => {
-                let (_, status_sg) = chain.writable.split_at(data_out_len);
-                status_sg.scatter(&mut self.ram, &[BlkStatus::Unsupported.to_wire()])?;
-                (BlkStatus::Unsupported, 1, kicked)
-            }
+            BlkRequestType::Flush => kicked + SimDuration::from_micros(50),
+            BlkRequestType::Unsupported(_) => kicked,
         };
+        let written = self.codec.complete_blk(&mut self.ram, &chain, &blk)?;
         self.blk_backend
             .push_used(&mut self.ram, chain.head, written)?;
         // Storage completions usually find the vCPU halted in io_wait.
         let done = self.completion_delivery(io_done, true);
 
-        let mut result = (BlkStatus::IoErr, Vec::new());
-        while let Some((h, _)) = self.blk_driver.poll_used(&self.ram)? {
-            let slots = self
-                .blk_posted
-                .remove(&h)
-                .ok_or(SessionError::BadRequest("unknown blk head"))?;
-            let status_slot = slots.last().expect("status slot");
-            let status_byte = status_slot.gather(&self.ram)?[0];
-            let data_out = if is_read && slots.len() == 3 {
-                slots[1].gather(&self.ram)?
-            } else {
-                Vec::new()
-            };
-            result = (BlkStatus::from_wire(status_byte), data_out);
-            for slot in &slots {
-                self.blk_pool.free(slot);
-            }
-        }
-        self.total_io += 1;
+        let (status, data_out) = self.guest.reap_blk(&self.ram, req)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("vm", "blk_request", now);
-            telemetry::span(
-                "vm",
-                "vm_exit_kick",
-                now,
-                kicked.saturating_duration_since(now),
-            );
-            telemetry::span(
-                "vm",
-                "backend_execute",
-                kicked,
-                io_done.saturating_duration_since(kicked),
-            );
-            telemetry::span(
-                "vm",
-                "complete",
-                io_done,
-                done.saturating_duration_since(io_done),
-            );
+            phase("vm", "vm_exit_kick", now, kicked);
+            phase("vm", "backend_execute", kicked, io_done);
+            phase("vm", "complete", io_done, done);
             telemetry::end(op, done);
             telemetry::counter("vm.exit.ioeventfd_kick", 1);
             telemetry::counter("vm.blk_ops", 1);
             telemetry::timer("vm.blk_request", done.saturating_duration_since(now));
         }
         Ok((
-            result.0,
-            result.1,
+            status,
+            data_out,
             IoTiming {
                 submitted: now,
                 completed: done,

@@ -721,11 +721,12 @@ pub fn run(cfg: &TrafficConfig, seed: u64) -> RunReport {
 
 /// The one-pop-at-a-time twin of [`run`]: identical configuration,
 /// RNG streams, and event order, but driven by `queue.pop()` instead
-/// of the [`BatchRunner`]. Exists as the reference arm of the
-/// batch-vs-single equivalence property test — reports and traces must
-/// come out byte-identical (minus the `sim.batch_*` meters only the
-/// batched driver emits). Experiments never call this.
-pub fn run_single_pop(cfg: &TrafficConfig, seed: u64) -> RunReport {
+/// of the [`BatchRunner`]. The reference arm of the batch-vs-single
+/// equivalence test below — reports and traces must come out
+/// byte-identical (minus the `sim.batch_*` meters only the batched
+/// driver emits).
+#[cfg(test)]
+fn run_single_pop(cfg: &TrafficConfig, seed: u64) -> RunReport {
     run_impl(cfg, seed, false)
 }
 
@@ -856,6 +857,7 @@ fn run_impl(cfg: &TrafficConfig, seed: u64, batched: bool) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bmhive_faults as faults;
     use bmhive_workloads::openloop::{ps_cloned_mean_response, ps_mean_response};
 
     fn base(mode: DispatchMode, guests: usize, rate_rps: f64, requests: u64) -> TrafficConfig {
@@ -1035,5 +1037,133 @@ mod tests {
             .label(),
             "hedge-po2"
         );
+    }
+
+    // Batch-vs-single equivalence, pinned end to end: a traffic cell
+    // driven by the `BatchRunner` (whole-tick drains through a reused
+    // scratch) must produce byte-identical reports and traces to the
+    // same cell driven one `pop()` at a time — across seeds, dispatch
+    // modes, an outage, and every canned fault plan. Batching is a
+    // *driver* optimization, invisible to the simulation. The only
+    // sanctioned trace difference is the pair of `sim.batch_*` meter
+    // counters that describe the batched driver itself, which the
+    // comparison strips.
+
+    /// Everything one traced run produced, rendered to comparable strings:
+    /// the full report (Debug includes every histogram bucket), the span
+    /// trace, and the metrics registry minus the batch-driver meters.
+    struct Observed {
+        report: String,
+        spans: String,
+        registry: String,
+    }
+
+    fn observe(f: impl FnOnce() -> RunReport) -> Observed {
+        telemetry::set_enabled(true);
+        telemetry::reset();
+        let report = f();
+        let snap = telemetry::snapshot();
+        telemetry::set_enabled(false);
+        telemetry::reset();
+        let registry = snap
+            .registry
+            .to_text()
+            .lines()
+            .filter(|line| !line.contains("sim.batch_"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        Observed {
+            report: format!("{report:?}"),
+            spans: telemetry::export::jsonl(&snap.events),
+            registry,
+        }
+    }
+
+    fn configs() -> Vec<TrafficConfig> {
+        vec![
+            TrafficConfig {
+                guests: 4,
+                pmd_cores: 2,
+                service: ServiceTime::web_tier(),
+                arrivals: ArrivalModel::Poisson { rate_rps: 8_000.0 },
+                requests: 2_000,
+                net_hop: SimDuration::from_micros(2),
+                mode: DispatchMode::Single(Policy::RoundRobin),
+                outage: Some(Outage {
+                    guest: 1,
+                    at: SimTime::from_micros(20_000),
+                    lasts: SimDuration::from_micros(30_000),
+                }),
+            },
+            TrafficConfig {
+                guests: 4,
+                pmd_cores: 2,
+                service: ServiceTime::web_tier(),
+                arrivals: ArrivalModel::Poisson { rate_rps: 8_000.0 },
+                requests: 2_000,
+                net_hop: SimDuration::from_micros(2),
+                mode: DispatchMode::Hedge {
+                    policy: Policy::PowerOfTwo,
+                    delay: SimDuration::from_micros(400),
+                },
+                outage: None,
+            },
+        ]
+    }
+
+    #[test]
+    fn batched_and_single_pop_runs_are_byte_identical() {
+        // Clean plus every canned fault plan, four seeds each.
+        let plans: Vec<Option<&str>> = std::iter::once(None)
+            .chain(faults::CANNED_PLAN_NAMES.iter().copied().map(Some))
+            .collect();
+        for cfg in &configs() {
+            for &plan in &plans {
+                for seed in [1u64, 7, 42, 9001] {
+                    let arm = |mode: &str| {
+                        if let Some(name) = plan {
+                            faults::arm(faults::canned(name).expect("canned plan"), seed);
+                            let _ = mode;
+                        }
+                    };
+                    arm("batched");
+                    let batched = observe(|| run(cfg, seed));
+                    if plan.is_some() {
+                        faults::disarm();
+                    }
+                    arm("single");
+                    let single = observe(|| run_single_pop(cfg, seed));
+                    if plan.is_some() {
+                        faults::disarm();
+                    }
+
+                    let label = format!("cfg {:?} plan {plan:?} seed {seed}", cfg.mode);
+                    assert_eq!(batched.report, single.report, "report diverged: {label}");
+                    assert_eq!(batched.spans, single.spans, "spans diverged: {label}");
+                    assert_eq!(
+                        batched.registry, single.registry,
+                        "registry diverged: {label}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_run_emits_the_batch_meters_single_pop_does_not() {
+        let cfg = &configs()[0];
+        telemetry::set_enabled(true);
+        telemetry::reset();
+        let _ = run(cfg, 1);
+        let snap = telemetry::snapshot();
+        assert!(snap.registry.counter("sim.batch_ticks") > 0);
+        assert!(snap.registry.counter("sim.batch_events") > 0);
+        telemetry::reset();
+        let _ = run_single_pop(cfg, 1);
+        let snap = telemetry::snapshot();
+        telemetry::set_enabled(false);
+        telemetry::reset();
+        assert_eq!(snap.registry.counter("sim.batch_ticks"), 0);
+        assert_eq!(snap.registry.counter("sim.batch_events"), 0);
     }
 }

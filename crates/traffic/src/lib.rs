@@ -37,6 +37,5 @@ pub mod engine;
 pub use arrivals::{ArrivalModel, ArrivalProcess, STREAM_ARRIVALS};
 pub use dispatch::{Dispatch, LeastLoaded, PowerOfTwo, RoundRobin, STREAM_DISPATCH};
 pub use engine::{
-    run, run_single_pop, DispatchMode, Outage, Policy, RunReport, TrafficConfig, STREAM_HEDGE,
-    STREAM_SERVICE,
+    run, DispatchMode, Outage, Policy, RunReport, TrafficConfig, STREAM_HEDGE, STREAM_SERVICE,
 };

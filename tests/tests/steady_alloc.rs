@@ -11,8 +11,10 @@
 //! exactly as `repro bench` does (its alloc-metered run happens after
 //! the timing repeats).
 
+use bmhive_hypervisor::bm::{IoTiming, SessionError};
 use bmhive_sim::{EventQueue, SimRng, SimTime};
 use bmhive_telemetry::alloc::{self, CountingAlloc};
+use bmhive_virtio::BlkStatus;
 
 // Each integration test binary links its own allocator; this is the
 // same installation line the `repro` binary uses.
@@ -126,42 +128,62 @@ fn warmed_faults_run_stays_under_the_alloc_gate() {
 fn warmed_session_block_writes_allocate_nothing() {
     use bmhive_cloud::blockstore::{BlockStore, StorageClass};
     use bmhive_cloud::limits::InstanceLimits;
-    use bmhive_hypervisor::BmGuestSession;
+    use bmhive_hypervisor::{BmGuestSession, VmGuestSession};
     use bmhive_iobond::IoBondProfile;
     use bmhive_net::MacAddr;
-    use bmhive_virtio::{BlkRequestType, BlkStatus};
+    use bmhive_virtio::BlkRequestType;
 
-    // A 16 KiB write crosses board RAM, the shadow ring, the staging
-    // pool, the block store and the MSI queue. Once every touched page
-    // and scratch buffer exists, none of those may allocate per request
-    // (the MSI the completion raises is acknowledged, not queued).
-    let mut session = BmGuestSession::new(
+    // A 16 KiB write crosses the guest's rings and buffer arena, the
+    // backend transport (IO-Bond's shadow ring and staging pool on a
+    // bm-guest, vhost's shared ring on a vm-guest), the block store and
+    // the completion interrupt. Once every touched page and scratch
+    // buffer exists, none of those may allocate per request (the MSI a
+    // bm completion raises is acknowledged, not queued).
+    let data = vec![0x5a; 16 << 10];
+    let mut bm = BmGuestSession::new(
         IoBondProfile::fpga(),
         MacAddr::for_guest(1),
         256,
         InstanceLimits::production(),
     );
-    let mut store = BlockStore::new(StorageClass::CloudSsd, 11);
-    let data = vec![0x5a; 16 << 10];
+    let mut vm = VmGuestSession::new(MacAddr::for_guest(1), 256, InstanceLimits::production(), 11);
+    let mut bm_store = BlockStore::new(StorageClass::CloudSsd, 11);
+    let mut vm_store = BlockStore::new(StorageClass::CloudSsd, 11);
+    let bm_allocs = metered_writes(|i, now| {
+        bm.blk_request(&mut bm_store, BlkRequestType::Out, i * 32, &data, 0, now)
+    });
+    let vm_allocs = metered_writes(|i, now| {
+        vm.blk_request(&mut vm_store, BlkRequestType::Out, i * 32, &data, 0, now)
+    });
+    for (platform, allocs) in [("bm", bm_allocs), ("vm", vm_allocs)] {
+        assert_eq!(
+            allocs, 0,
+            "a warmed {platform} block-write loop must not allocate: \
+             {allocs} allocations over 5,000 writes"
+        );
+    }
+}
+
+/// What one session's `blk_request` returns.
+type BlkResult = Result<(BlkStatus, Vec<u8>, IoTiming), SessionError>;
+
+/// Allocations of 5,000 16 KiB writes through `write` (one session's
+/// `blk_request` at sector index `i`), after 512 warm-up writes.
+fn metered_writes(mut write: impl FnMut(u64, SimTime) -> BlkResult) -> u64 {
     let mut now = SimTime::ZERO;
-    let mut write = |session: &mut BmGuestSession, i: u64| {
-        let (status, out, timing) = session
-            .blk_request(&mut store, BlkRequestType::Out, i * 32, &data, 0, now)
-            .expect("write completes");
+    let mut step = |i: u64| {
+        let (status, out, timing) = write(i, now).expect("write completes");
         assert_eq!(status, BlkStatus::Ok);
         assert!(out.is_empty());
         now = timing.completed;
     };
     for i in 0..512 {
-        write(&mut session, i);
+        step(i);
     }
     let ((), allocs) = alloc::measure_allocs(|| {
         for i in 0..5_000 {
-            write(&mut session, i);
+            step(i);
         }
     });
-    assert_eq!(
-        allocs, 0,
-        "a warmed block-write loop must not allocate: {allocs} allocations over 5,000 writes"
-    );
+    allocs
 }

@@ -1,4 +1,7 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! Regenerates every table and figure of the paper's evaluation, runs
+//! and merges sweeps of them, and keeps the `repro bench` ledger of
+//! each experiment's deterministic work counts (host time is measured
+//! by the `hivebench` benchmark, not here).
 //!
 //! Usage:
 //!
@@ -13,16 +16,17 @@
 //! cargo run -p bmhive-bench --release --bin repro -- sweep --jobs 8 --shard 0/3 --out shard-0
 //! cargo run -p bmhive-bench --release --bin repro -- merge shard-0 shard-1 shard-2
 //! cargo run -p bmhive-bench --release --bin repro -- bench --out BENCH_results.json
+//! cargo run -p bmhive-bench --release --bin repro -- bench --check BENCH_results.json
 //! ```
 //!
 //! Exit status: 0 on success; 1 on a bad argument, an I/O error, a gate
-//! that failed or was skipped, or a fault an armed plan left
-//! unrecovered.
+//! that failed or was skipped, a fault an armed plan left unrecovered,
+//! or a `bench --check` count that differs from the baseline.
 
 use bmhive_bench::harness::BenchReport;
 use bmhive_bench::merge;
 use bmhive_bench::sweep::{self, Shard, SweepSpec};
-use bmhive_bench::EXPERIMENTS;
+use bmhive_bench::{Report, EXPERIMENTS};
 use bmhive_faults as faults;
 use bmhive_telemetry as telemetry;
 use std::path::{Path, PathBuf};
@@ -172,7 +176,7 @@ fn repro_main(args: &[String]) -> Result<(), String> {
             write(&dir.join(format!("{id}.txt")), &report.text)?;
             write(
                 &dir.join(format!("{id}.json")),
-                experiment_json(id, seed, &report.text),
+                experiment_json(id, seed, &report),
             )?;
         }
         failures.extend(report.failures(id));
@@ -382,34 +386,19 @@ fn merge_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `repro bench`: time each experiment and emit/check the trajectory.
+/// `repro bench`: count each experiment's work and emit/check the ledger.
 fn bench_main(args: &[String]) -> Result<(), String> {
     let mut seed = 1u64;
-    let mut repeats = 3u32;
-    let mut jobs = 1usize;
     let mut out_path: Option<PathBuf> = None;
     let mut check_path: Option<PathBuf> = None;
-    let mut compare_out: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
     let mut experiments: Vec<String> = Vec::new();
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => seed = value(&mut args, "--seed requires an integer")?,
-            "--repeat" => repeats = value(&mut args, "--repeat requires an integer")?,
-            "--jobs" => jobs = jobs_value(&mut args)?,
             "--out" => out_path = Some(value(&mut args, "--out requires a file path")?),
             "--check" => {
                 check_path = Some(value(&mut args, "--check requires a baseline JSON file")?)
-            }
-            "--compare-out" => {
-                compare_out = Some(value(
-                    &mut args,
-                    "--compare-out requires a file path (needs --check)",
-                )?)
-            }
-            "--tolerance" => {
-                tolerance = value(&mut args, "--tolerance requires a fraction, e.g. 0.25")?
             }
             "--help" | "-h" => {
                 print_bench_help();
@@ -423,88 +412,42 @@ fn bench_main(args: &[String]) -> Result<(), String> {
             other => experiments.push(other.to_string()),
         }
     }
-    if experiments.is_empty() {
-        experiments = EXPERIMENTS.iter().map(|e| e.id.to_string()).collect();
-    }
 
     let baseline = match &check_path {
         Some(path) => {
             let doc = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read --check {}: {e}", path.display()))?;
-            Some(
-                BenchReport::from_json(&doc)
-                    .map_err(|e| format!("cannot parse --check {}: {e}", path.display()))?,
-            )
+            let mut baseline = BenchReport::from_json(&doc)
+                .map_err(|e| format!("cannot parse --check {}: {e}", path.display()))?;
+            // A run that names experiments is checked against those only.
+            if !experiments.is_empty() {
+                baseline
+                    .results
+                    .retain(|r| experiments.contains(&r.experiment));
+            }
+            Some(baseline)
         }
         None => None,
     };
-
-    let report = bmhive_bench::harness::run_bench(&experiments, seed, repeats, jobs)?;
-
-    println!(
-        "{:<10} | {:>12} | {:>10} | {:>14} | {:>12} | {:>10} | {:>12} | {:>9} | {:>4} | {:>7}",
-        "experiment",
-        "wall ms",
-        "events",
-        "events/sec",
-        "allocs/ev",
-        "peak depth",
-        "suppressed",
-        "batch len",
-        "jobs",
-        "speedup"
-    );
-    for r in &report.results {
-        println!(
-            "{:<10} | {:>12.3} | {:>10} | {:>14.0} | {:>12.4} | {:>10.1} | {:>12} | {:>9.2} | {:>4} | {:>7.2}",
-            r.experiment,
-            r.wall_ns as f64 / 1e6,
-            r.events,
-            r.events_per_sec,
-            r.allocs_per_event,
-            r.peak_queue_depth,
-            r.doorbells_suppressed,
-            r.mean_batch_len,
-            r.jobs,
-            r.parallel_speedup
-        );
+    if experiments.is_empty() {
+        experiments = EXPERIMENTS.iter().map(|e| e.id.to_string()).collect();
     }
-    println!(
-        "{:<10} | {:>12.3} | (min of {} run(s), seed {})",
-        "total",
-        report.total_wall_ns() as f64 / 1e6,
-        report.repeats,
-        report.seed
-    );
+
+    let report = bmhive_bench::harness::run_bench(&experiments, seed)?;
+    for r in &report.results {
+        println!("======== {} ========", r.experiment);
+        for (key, count) in &r.counts {
+            println!("{key:<32} {count:>12}");
+        }
+    }
 
     if let Some(path) = &out_path {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| format!("cannot write --out {}: {e}", path.display()))?;
+        write(path, report.to_json())?;
         eprintln!("[bench] wrote {}", path.display());
     }
-
-    if compare_out.is_some() && baseline.is_none() {
-        return Err("--compare-out needs --check to provide the baseline".into());
-    }
-    if let Some(baseline) = &baseline {
-        if let Some(path) = &compare_out {
-            std::fs::write(path, report.comparison_table(baseline))
-                .map_err(|e| format!("cannot write --compare-out {}: {e}", path.display()))?;
-            eprintln!("[bench] wrote comparison table to {}", path.display());
-        }
-        let problems = report.check_against(baseline, tolerance);
-        if !problems.is_empty() {
-            let lines: Vec<String> = problems
-                .iter()
-                .map(|p| format!("[bench] REGRESSION: {p}"))
-                .collect();
-            return Err(lines.join("\n"));
-        }
-        eprintln!(
-            "[bench] no regression vs {} at {:.0}% tolerance",
-            check_path.expect("checked above").display(),
-            tolerance * 100.0
-        );
+    if let (Some(baseline), Some(path)) = (&baseline, &check_path) {
+        verdict("bench", report.check_against(baseline))?;
+        eprintln!("[bench] every count equals {}", path.display());
     }
     Ok(())
 }
@@ -535,23 +478,37 @@ fn parse_plan_list(list: &str) -> Vec<Option<String>> {
 }
 
 /// A machine-readable summary of one rendered experiment: the id, the
-/// seed, and the report body as a JSON array of lines (jq-friendly).
-fn experiment_json(id: &str, seed: u64, text: &str) -> String {
-    use telemetry::export::json_escape;
-    let mut out = format!(
-        "{{\"experiment\":\"{}\",\"seed\":{seed},\"lines\":[",
-        json_escape(id)
-    );
-    for (i, line) in text.lines().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&json_escape(line));
-        out.push('"');
-    }
-    out.push_str("]}\n");
-    out
+/// seed, the report body as a JSON array of lines (jq-friendly), and
+/// every gate with its value, bound and verdict (a skipped gate has no
+/// value and no bound).
+fn experiment_json(id: &str, seed: u64, report: &Report) -> String {
+    use telemetry::export::{json_escape, json_f64};
+    let lines: Vec<String> = report
+        .text
+        .lines()
+        .map(|line| format!("\"{}\"", json_escape(line)))
+        .collect();
+    let gates: Vec<String> = report
+        .gates
+        .iter()
+        .map(|g| {
+            let mut gate = format!("{{\"name\":\"{}\"", json_escape(g.name));
+            if let (Some(value), Some(bound)) = (g.value, g.bound) {
+                gate += &format!(
+                    ",\"value\":{},\"bound\":{}",
+                    json_f64(value),
+                    json_f64(bound)
+                );
+            }
+            gate + &format!(",\"verdict\":\"{}\"}}", g.verdict.as_str())
+        })
+        .collect();
+    format!(
+        "{{\"experiment\":\"{}\",\"seed\":{seed},\"lines\":[{}],\"gates\":[{}]}}\n",
+        json_escape(id),
+        lines.join(","),
+        gates.join(","),
+    )
 }
 
 /// The host-sharded experiment ids, comma-separated.
@@ -572,7 +529,7 @@ fn print_help() {
     );
     println!("       repro sweep [...]   parallel (experiment x seed x plan) sweep (see repro sweep --help)");
     println!("       repro merge [...]   reassemble sharded sweep output (see repro merge --help)");
-    println!("       repro bench [...]   wall-clock benchmark trajectory (see repro bench --help)");
+    println!("       repro bench [...]   exact-count work ledger (see repro bench --help)");
     println!();
     println!("  --seed N       seed for every stochastic experiment (default 1)");
     println!("  --jobs N       worker threads for the host-sharded experiments");
@@ -582,6 +539,7 @@ fn print_help() {
     );
     println!("                 for any N (default 1)");
     println!("  --out DIR      write each experiment as DIR/<id>.txt + DIR/<id>.json");
+    println!("                 (the JSON carries every gate's value, bound and verdict)");
     println!("  --trace FILE   record a virtual-time telemetry trace of the run and");
     println!("                 write it as Chrome trace_event JSON (chrome://tracing)");
     println!("  --metrics      print the latency attribution and metrics registry");
@@ -637,29 +595,16 @@ fn print_merge_help() {
 }
 
 fn print_bench_help() {
-    println!("repro bench — time each experiment and track the benchmark trajectory");
+    println!("repro bench — count each experiment's deterministic work (a ledger, not a timer)");
     println!();
-    println!("USAGE: repro bench [--seed N] [--repeat R] [--jobs N] [--out FILE] [--check FILE] [--compare-out FILE] [--tolerance F] [experiment ...]");
+    println!("USAGE: repro bench [--seed N] [--out FILE] [--check FILE] [experiment ...]");
     println!();
     println!("  --seed N        seed for every experiment (default 1)");
-    println!(
-        "  --repeat R      untraced timing runs per experiment; the minimum is kept (default 3)"
-    );
-    println!(
-        "  --jobs N        also time the host-sharded experiments ({})",
-        sharded_ids()
-    );
-    println!("                  at N workers and record the parallel speedup vs 1 worker;");
-    println!("                  wall/events columns always report the 1-worker run (default 1)");
-    println!("  --out FILE      write the report as JSON (e.g. BENCH_results.json)");
-    println!("  --check FILE    compare against a baseline report; per-experiment wall times are");
-    println!(
-        "                  normalized by the total-time ratio first, so a uniformly faster or"
-    );
-    println!("                  slower machine does not trip the check; events/sec and the");
-    println!("                  deterministic allocs/event count are gated the same way");
-    println!("  --compare-out FILE  write a before/after table vs the --check baseline");
-    println!(
-        "  --tolerance F   allowed per-experiment slowdown after normalization (default 0.25)"
-    );
+    println!("  --out FILE      write the ledger as JSON (e.g. BENCH_results.json)");
+    println!("  --check FILE    require every count to equal the baseline ledger exactly;");
+    println!("                  with experiment ids, only those ids are checked");
+    println!();
+    println!("Counts per experiment: heap.allocs (warmed untraced run), sim.events,");
+    println!("telemetry.spans and every registry counter of one traced run. Host time");
+    println!("is measured by the hivebench benchmark, not here.");
 }

@@ -34,8 +34,7 @@ pub struct Experiment {
     /// The id `repro` and the sweep take on the command line.
     pub id: &'static str,
     /// Whether the inner work fans out across [`par::run_hosts`], so
-    /// `--jobs N` accelerates it (with byte-identical output) and the
-    /// bench harness gives it a parallel timing pass.
+    /// `--jobs N` accelerates it with byte-identical output.
     pub parallel: bool,
     /// Runs the experiment at a seed, rendering into the report.
     pub run: fn(u64, &mut Report),
@@ -84,11 +83,16 @@ pub struct Report {
 }
 
 /// One self-check an experiment ran, printed as `-> PASS`, `-> FAIL`
-/// or `-> SKIPPED` at the end of its line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// or `-> SKIPPED` at the end of its line. The verdict is computed from
+/// `value` and `bound` when recorded, so the two cannot disagree.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gate {
     /// Short stable name, unique within the experiment.
     pub name: &'static str,
+    /// The measured quantity (`None` when skipped).
+    pub value: Option<f64>,
+    /// The bound the value is held to (`None` when skipped).
+    pub bound: Option<f64>,
     /// How the check came out.
     pub verdict: Verdict,
 }
@@ -116,19 +120,38 @@ impl Verdict {
 }
 
 impl Report {
-    /// Records gate `name` and returns the word its line prints.
-    pub fn gate(&mut self, name: &'static str, pass: bool) -> &'static str {
-        self.record(name, if pass { Verdict::Pass } else { Verdict::Fail })
+    /// Records gate `name`, passing when `value < bound`, and returns
+    /// the word its line prints.
+    pub fn below(&mut self, name: &'static str, value: f64, bound: f64) -> &'static str {
+        self.measured(name, value, bound, value < bound)
     }
 
-    /// Records gate `name` as skipped and returns the word its line
-    /// prints.
+    /// Records gate `name`, passing when `value <= bound`, and returns
+    /// the word its line prints.
+    pub fn at_most(&mut self, name: &'static str, value: f64, bound: f64) -> &'static str {
+        self.measured(name, value, bound, value <= bound)
+    }
+
+    /// Records gate `name` as skipped (no value, no bound) and returns
+    /// the word its line prints.
     pub fn skip(&mut self, name: &'static str) -> &'static str {
-        self.record(name, Verdict::Skipped)
+        self.gates.push(Gate {
+            name,
+            value: None,
+            bound: None,
+            verdict: Verdict::Skipped,
+        });
+        Verdict::Skipped.as_str()
     }
 
-    fn record(&mut self, name: &'static str, verdict: Verdict) -> &'static str {
-        self.gates.push(Gate { name, verdict });
+    fn measured(&mut self, name: &'static str, value: f64, bound: f64, pass: bool) -> &'static str {
+        let verdict = if pass { Verdict::Pass } else { Verdict::Fail };
+        self.gates.push(Gate {
+            name,
+            value: Some(value),
+            bound: Some(bound),
+            verdict,
+        });
         verdict.as_str()
     }
 
@@ -1131,7 +1154,7 @@ fn traffic_policies(seed: u64, out: &mut Report) {
     // demand min(X1, X2): E[T] = E[Xmin]/(1 - rho) + network constant.
     let model = (ps_cloned_mean_response(&service, 0.25) + net_const).as_micros_f64();
     let err = (clone_low_load_mean - model).abs() / model;
-    let verdict = out.gate("clone_closed_form", err < 0.10);
+    let verdict = out.below("clone_closed_form", err, 0.10);
     writeln!(
         out,
         "cloning vs PS closed form @ rho=0.25: measured {clone_low_load_mean:.1} us, model {model:.1} us, err {:.1}% -> {verdict}",
@@ -1258,7 +1281,7 @@ fn traffic_isolation(seed: u64, out: &mut Report) {
         }
         ratios.push_str(&format!("g{g} {ratio:.3}"));
     }
-    let verdict = out.gate("neighbour_p99", worst <= 1.25);
+    let verdict = out.at_most("neighbour_p99", worst, 1.25);
     writeln!(
         out,
         "neighbour p99 ratio (faulted/clean): {ratios} (tol 1.25) -> {verdict}"
@@ -1269,7 +1292,7 @@ fn traffic_isolation(seed: u64, out: &mut Report) {
     // outage.
     let unhedged_tail = faulted.window.percentile(99.9);
     let hedged_tail = hedged.window.percentile(99.9);
-    let verdict = out.gate("hedge_window_tail", hedged_tail < unhedged_tail);
+    let verdict = out.below("hedge_window_tail", hedged_tail, unhedged_tail);
     writeln!(
         out,
         "hedging cuts fault-window p99.9: {unhedged_tail:.1} -> {hedged_tail:.1} us ({} hedges fired) -> {verdict}",
@@ -1408,10 +1431,15 @@ fn fleet_scale(seed: u64, out: &mut Report) {
     // Gate 1: a host's streaming census is *exactly* a fold of its
     // stream — same draws, same counts, same histogram, bit for bit.
     let base_census = &runs[0].2;
-    let fold_exact = by_hand.rows() == base_census.rows()
-        && by_hand.total() == base_census.total()
-        && by_hand.rate_percentile(99.0).to_bits() == base_census.rate_percentile(99.0).to_bits();
-    let verdict = out.gate("fold_exact", fold_exact);
+    let mismatched = [
+        by_hand.rows() != base_census.rows(),
+        by_hand.total() != base_census.total(),
+        by_hand.rate_percentile(99.0).to_bits() != base_census.rate_percentile(99.0).to_bits(),
+    ]
+    .into_iter()
+    .filter(|&m| m)
+    .count();
+    let verdict = out.at_most("fold_exact", mismatched as f64, 0.0);
     writeln!(
         out,
         "host 0 streaming census == materialized fold at {BASE} guests (bit-exact) -> {verdict}"
@@ -1426,7 +1454,7 @@ fn fleet_scale(seed: u64, out: &mut Report) {
         let streamed = base_census.rate_percentile(p);
         worst_pct_err = worst_pct_err.max((streamed - exact).abs() / exact);
     }
-    let verdict = out.gate("histogram_percentiles", worst_pct_err < 0.05);
+    let verdict = out.below("histogram_percentiles", worst_pct_err, 0.05);
     writeln!(
         out,
         "histogram percentiles vs quickselect at {BASE} guests: worst rel err {:.4} (tol 0.05) -> {verdict}",
@@ -1443,7 +1471,7 @@ fn fleet_scale(seed: u64, out: &mut Report) {
     for (b, g) in base_rows.iter().zip(&big_rows) {
         worst_drift = worst_drift.max((b.1 - g.1).abs());
     }
-    let verdict = out.gate("census_drift", worst_drift < 0.75);
+    let verdict = out.below("census_drift", worst_drift, 0.75);
     writeln!(
         out,
         "census fractions, 1M vs {BASE} guests: worst drift {:.3} pp (tol 0.75) -> {verdict}",
@@ -1457,7 +1485,11 @@ fn fleet_scale(seed: u64, out: &mut Report) {
     if metered {
         let base_peak = runs[0].3;
         let big_peak = runs[runs.len() - 1].3;
-        let verdict = out.gate("o1_memory_per_worker", big_peak <= base_peak + SLACK_BYTES);
+        let verdict = out.at_most(
+            "o1_memory_per_worker",
+            big_peak as f64,
+            (base_peak + SLACK_BYTES) as f64,
+        );
         writeln!(
             out,
             "O(1) memory per worker: 1M-guest worst host peak {big_peak} B <= single-host peak {base_peak} B + {SLACK_BYTES} B -> {verdict}"
@@ -1498,7 +1530,7 @@ fn fleet_scale(seed: u64, out: &mut Report) {
             worst_study_err = worst_study_err.max((b - a).abs() / a);
         }
     }
-    let verdict = out.gate("preemption_stream", worst_study_err < 0.10);
+    let verdict = out.below("preemption_stream", worst_study_err, 0.10);
     writeln!(
         out,
         "preemption stream vs exact (4000 VMs, 24h): worst rel err {:.4} (tol 0.10) -> {verdict}",
@@ -1687,6 +1719,24 @@ mod tests {
                 _ => 0,
             };
             assert_eq!(report.gates.len(), expected, "{id}: gate count");
+            for g in &report.gates {
+                let at_most = ["neighbour_p99", "o1_memory_per_worker", "fold_exact"];
+                let holds = match (g.value, g.bound) {
+                    (Some(v), Some(b)) if at_most.contains(&g.name) => v <= b,
+                    (Some(v), Some(b)) => v < b,
+                    (None, None) => {
+                        assert_eq!(g.verdict, Verdict::Skipped, "{id}/{}", g.name);
+                        continue;
+                    }
+                    _ => panic!("{id}/{}: value and bound go together", g.name),
+                };
+                let expected = if holds { Verdict::Pass } else { Verdict::Fail };
+                assert_eq!(
+                    g.verdict, expected,
+                    "{id}/{}: verdict vs value/bound",
+                    g.name
+                );
+            }
         }
     }
 
@@ -1719,8 +1769,8 @@ mod tests {
     #[test]
     fn failing_and_skipped_gates_fail_the_run() {
         let mut failed = Report::default();
-        assert_eq!(failed.gate("holds", true), "PASS");
-        assert_eq!(failed.gate("breaks", false), "FAIL");
+        assert_eq!(failed.below("holds", 1.0, 2.0), "PASS");
+        assert_eq!(failed.below("breaks", 2.0, 2.0), "FAIL");
         assert_eq!(
             failed.failures("exp").collect::<Vec<_>>(),
             ["exp/breaks -> FAIL"]
@@ -1734,7 +1784,7 @@ mod tests {
         );
 
         let mut passed = Report::default();
-        passed.gate("holds", true);
+        passed.at_most("holds", 2.0, 2.0);
         assert_eq!(passed.failures("exp").count(), 0);
         assert_eq!(Report::default().failures("exp").count(), 0);
     }

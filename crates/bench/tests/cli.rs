@@ -49,3 +49,55 @@ fn help_lists_every_experiment() {
     let ids: Vec<&str> = bmhive_bench::EXPERIMENTS.iter().map(|e| e.id).collect();
     assert_eq!(listed, ids);
 }
+
+/// The checked-in ledger every `repro bench --check` test starts from.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
+
+#[test]
+fn bench_check_of_named_experiments_passes_against_the_baseline() {
+    let out = repro(&[
+        "bench",
+        "--check",
+        BASELINE,
+        "table1",
+        "faults",
+        "traffic_isolation",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn bench_check_fails_on_a_count_off_by_one() {
+    let doc = std::fs::read_to_string(BASELINE).expect("baseline readable");
+    let line = doc
+        .lines()
+        .find(|l| l.contains("\"experiment\": \"faults\""))
+        .expect("faults in the baseline");
+    let key = "\"iobond.chains_synced\": ";
+    let at = line.find(key).expect("faults syncs shadow chains") + key.len();
+    let digits = line[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .unwrap();
+    let count: u64 = digits.parse().unwrap();
+    let bumped_line = format!("{}{}{}", &line[..at], count + 1, &line[at + digits.len()..]);
+    let bumped = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("bench-bumped.json");
+    std::fs::write(&bumped, doc.replace(line, &bumped_line)).unwrap();
+
+    let out = repro(&["bench", "--check", bumped.to_str().unwrap(), "faults"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let expected = format!("faults/iobond.chains_synced {} -> {count}", count + 1);
+    assert!(stderr.contains(&expected), "{stderr}");
+}
+
+#[test]
+fn bench_rejects_the_removed_tolerance_flag() {
+    let out = repro(&["bench", "--tolerance", "0.25"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("unknown bench flag '--tolerance'"),
+        "{stderr}"
+    );
+}

@@ -8,14 +8,14 @@
 //! packet and block request really crosses both memory domains through
 //! the rings — no shortcut paths.
 
-use crate::session::{phase, ChainCodec, GuestDriver};
+use crate::session::{phase, ChainCodec, GuestDriver, FLUSH_SERVICE};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
 use bmhive_iobond::{IoBondDevice, IoBondProfile, ServiceReport};
 use bmhive_mem::{GuestAddr, GuestRam};
 use bmhive_net::{MacAddr, Packet, PacketKind};
-use bmhive_sim::{SimDuration, SimTime};
+use bmhive_sim::SimTime;
 use bmhive_telemetry as telemetry;
 use bmhive_virtio::{BlkRequestType, BlkStatus, DeviceType, Feature, Virtqueue};
 
@@ -505,7 +505,7 @@ impl BmGuestSession {
                     .submit(IoKind::Write, blk.data_in_len, admitted)
                     .complete_at
             }
-            BlkRequestType::Flush => synced + SimDuration::from_micros(50),
+            BlkRequestType::Flush => synced + FLUSH_SERVICE,
             BlkRequestType::Unsupported(_) => synced,
         };
         let written = self.codec.complete_blk(&mut self.base, &chain, &blk)?;
@@ -553,6 +553,7 @@ mod tests {
     use super::*;
     use crate::session::volume_byte;
     use bmhive_cloud::blockstore::StorageClass;
+    use bmhive_sim::SimDuration;
 
     fn session() -> BmGuestSession {
         BmGuestSession::new(

@@ -20,18 +20,18 @@
 //! * [`boot`] — the §3.2 boot flow: EFI firmware loading the bootloader
 //!   and kernel over virtio-blk from cloud storage; the same image boots
 //!   on either platform (cold migration).
-//! * [`path`] — calibrated per-operation latency/throughput models
-//!   derived from the same constants, for the million-packet
-//!   experiments where driving the functional rings per packet would be
-//!   waste.
+//! * [`path`] — calibrated per-operation latency/throughput models for
+//!   the million-packet experiments, where driving the functional rings
+//!   per packet would be waste. The vm path reads [`vm`]'s KVM costs
+//!   and completion sampler; the bm path reads the IO-Bond profile and
+//!   is pinned to [`BmGuestSession`] by an exact differential test.
 //!
 //! Beyond the deployed system, the §6 extensions are implemented too —
 //! `upgrade` (Orthus-style live bm-hypervisor upgrade), `migrate` (the
 //! on-demand-virtualization live-migration prototype, with its two
 //! documented drawbacks as first-class errors), `console` (the VGA
-//! console of §3.4.2), `precopy` (classic vm-guest live migration, for
-//! contrast), and `slowpath` (the undeployed tap-device test path,
-//! priced to show why it stayed undeployed).
+//! console of §3.4.2), and `slowpath` (the undeployed tap-device test
+//! path, priced to show why it stayed undeployed).
 
 pub mod bm;
 pub mod boot;
@@ -39,7 +39,6 @@ pub mod console;
 pub mod migrate;
 pub mod path;
 pub mod pmd;
-pub mod precopy;
 mod session;
 pub mod slowpath;
 pub mod upgrade;
@@ -49,9 +48,8 @@ pub use bm::{BmGuestSession, BoardOutage};
 pub use boot::{boot_guest, BootReport};
 pub use console::{ConsoleServer, VgaConsole};
 pub use migrate::{convert_to_bm, convert_to_vm, GuestOs, MigrationError, MigrationPolicy};
-pub use path::{IoPath, PathPlatform};
+pub use path::IoPath;
 pub use pmd::BackendMode;
-pub use precopy::{PrecopyModel, PrecopyPlan};
 pub use slowpath::NetBackendPath;
 pub use upgrade::{BackendProcess, BackendState, UpgradeReport};
 pub use vm::VmGuestSession;

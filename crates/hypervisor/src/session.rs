@@ -11,7 +11,8 @@
 //!   post/reap, rx reap, and blk chain assembly/reap.
 //! * [`ChainCodec`] — the backend's side of a popped chain: tx frame
 //!   read, rx frame fill, blk header parse, and the blk response.
-//! * The result types both sessions return.
+//! * The result types both sessions return, and the one backend cost
+//!   both transports share ([`FLUSH_SERVICE`]).
 //!
 //! Each session keeps its transport (how a chain reaches the backend
 //! and the completion reaches the guest) and its cost model.
@@ -28,6 +29,11 @@ use bmhive_virtio::{
 };
 use std::error::Error;
 use std::fmt;
+
+/// Backend time to execute a blk flush (the store's write-back
+/// barrier), the same behind IO-Bond and vhost. Not calibrated to a
+/// paper figure: no experiment issues a flush.
+pub(crate) const FLUSH_SERVICE: SimDuration = SimDuration::from_micros(50);
 
 /// Errors from guest I/O operations.
 #[derive(Debug)]

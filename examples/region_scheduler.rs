@@ -7,7 +7,7 @@
 
 use bmhive_cloud::scheduler::PlacementError;
 use bmhive_core::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn main() {
     let mut rng = SimRng::new(2026);
@@ -28,7 +28,7 @@ fn main() {
     )> = Vec::new();
     let mut placed_total = 0u64;
     let mut rejected = 0u64;
-    let mut mix: HashMap<&'static str, u64> = HashMap::new();
+    let mut mix: BTreeMap<&'static str, u64> = BTreeMap::new();
 
     for minute in 0..1440u64 {
         // Departures first.

@@ -991,7 +991,7 @@ fn faults(seed: u64, out: &mut Report) {
     use bmhive_hypervisor::BmGuestSession;
     use bmhive_net::{MacAddr, PacketKind};
     use bmhive_sim::{Histogram, SimDuration, SimTime};
-    use bmhive_virtio::BlkRequestType;
+    use bmhive_virtio::{BlkRequestHeader, BlkRequestType};
 
     writeln!(
         out,
@@ -1013,6 +1013,7 @@ fn faults(seed: u64, out: &mut Report) {
 
     let think = SimDuration::from_micros(10);
     let mut t = SimTime::ZERO;
+    let mut frame = Vec::new();
     let mut lat = Histogram::new();
     let mut board_resets = 0u64;
     let mut replayed = 0u64;
@@ -1027,21 +1028,36 @@ fn faults(seed: u64, out: &mut Report) {
         // where link flaps and hop-latency spikes strike.
         t += session.profile().guest_link().register_access_at(t);
         let (egress, timing) = session
-            .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"fault-probe", t)
+            .net_send(
+                MacAddr::for_guest(2),
+                PacketKind::Udp,
+                b"fault-probe",
+                t,
+                &mut frame,
+            )
             .expect("net send");
         if matches!(sw.forward(&egress.packet, egress.at), Forwarded::Dropped) {
             switch_shed += 1;
         }
         lat.record_duration(timing.latency());
         t = timing.completed;
-        let (_, timing) = session.net_receive(b"pong", t).expect("net receive");
+        let timing = session
+            .net_receive(b"pong", t, &mut frame)
+            .expect("net receive");
         t = timing.completed;
         if i % 5 == 0 {
             // Issued async: the guest never blocks on the ~150 µs
             // store latency, so the poll cadence stays dense enough
             // that every canned fault window gets hit.
             session
-                .blk_request(&mut store, BlkRequestType::In, i * 8, &[], 4096, t)
+                .blk_request(
+                    &mut store,
+                    BlkRequestHeader::new(BlkRequestType::In, i * 8),
+                    &[],
+                    4096,
+                    t,
+                    &mut frame,
+                )
                 .expect("blk read");
         }
         t += think;

@@ -106,12 +106,10 @@ struct HostRun<T> {
 /// [`host_stream`]); the closure derives its own simulation streams
 /// from the host index.
 ///
-/// Work is distributed by an atomic next-host counter — the same
-/// work-sharing shape as the sweep pool — so stragglers never idle a
-/// worker, and results land in preallocated per-host slots so
-/// completion order is irrelevant. Even `jobs = 1` runs the worker
-/// loop on a (single) pool thread: per-host state handling is
-/// byte-for-byte the same code at every width.
+/// Work is shared through `work_share`, the same pool the sweep uses,
+/// so stragglers never idle a worker and completion order is
+/// irrelevant. Even `jobs = 1` runs on a (single) pool thread: per-host
+/// state handling is byte-for-byte the same code at every width.
 pub fn run_hosts<T, F>(hosts: usize, seed: u64, f: F) -> Vec<T>
 where
     T: Send,
@@ -124,54 +122,37 @@ where
     let telemetry_on = telemetry::is_enabled();
     let plan = faults::armed_plan();
 
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<HostRun<T>>>> = (0..hosts).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                telemetry::set_enabled(telemetry_on);
-                loop {
-                    let host = next.fetch_add(1, Ordering::Relaxed);
-                    if host >= hosts {
-                        break;
-                    }
-                    if telemetry_on {
-                        telemetry::reset();
-                    }
-                    if let Some(plan) = &plan {
-                        faults::arm(plan.clone(), host_stream(seed, host));
-                    }
-                    let value = f(host);
-                    let fault_stats = if plan.is_some() {
-                        faults::disarm()
-                    } else {
-                        None
-                    };
-                    let telemetry = if telemetry_on {
-                        let snap = telemetry::snapshot();
-                        telemetry::reset();
-                        Some(snap)
-                    } else {
-                        None
-                    };
-                    *slots[host].lock().expect("host slot poisoned") = Some(HostRun {
-                        value,
-                        telemetry,
-                        fault_stats,
-                    });
-                }
-            });
+    let run_host = |host| {
+        telemetry::set_enabled(telemetry_on);
+        if telemetry_on {
+            telemetry::reset();
         }
-    });
-
+        if let Some(plan) = &plan {
+            faults::arm(plan.clone(), host_stream(seed, host));
+        }
+        let value = f(host);
+        let fault_stats = if plan.is_some() {
+            faults::disarm()
+        } else {
+            None
+        };
+        let telemetry = if telemetry_on {
+            let snap = telemetry::snapshot();
+            telemetry::reset();
+            Some(snap)
+        } else {
+            None
+        };
+        HostRun {
+            value,
+            telemetry,
+            fault_stats,
+        }
+    };
     // Host-index-ordered fold on the orchestrating thread: the one
     // place float accumulation happens, pinned to a canonical order.
     let mut values = Vec::with_capacity(hosts);
-    for slot in slots {
-        let run = slot
-            .into_inner()
-            .expect("host slot poisoned")
-            .expect("worker pool exited with an unfilled host slot");
+    work_share(hosts, workers, run_host, |run| {
         if let Some(snap) = &run.telemetry {
             telemetry::absorb(snap);
         }
@@ -179,8 +160,42 @@ where
             faults::absorb_stats(stats);
         }
         values.push(run.value);
-    }
+    });
     values
+}
+
+/// Runs `work(i)` for every `i in 0..n` on `workers` scoped threads,
+/// then hands each result to `fold` on the calling thread in index
+/// order. Workers pull the next index from an atomic counter and park
+/// each result in that index's slot, so the fold order never depends
+/// on which worker finished first.
+pub(crate) fn work_share<T, W, F>(n: usize, workers: usize, work: W, mut fold: F)
+where
+    T: Send,
+    W: Fn(usize) -> T + Sync,
+    F: FnMut(T),
+{
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let value = work(i);
+                *slots[i].lock().expect("slot poisoned") = Some(value);
+            });
+        }
+    });
+    for slot in slots {
+        fold(
+            slot.into_inner()
+                .expect("slot poisoned")
+                .expect("every index below n was claimed and ran"),
+        );
+    }
 }
 
 #[cfg(test)]

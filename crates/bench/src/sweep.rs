@@ -18,8 +18,6 @@ use bmhive_faults as faults;
 use bmhive_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The plan column for a cell that injects nothing.
@@ -350,36 +348,17 @@ pub fn run_sweep_shard(
     let plan_for = |cell: &SweepCell| cell.plan.as_deref().map(|n| &plans[n]);
 
     let jobs = spec.jobs.clamp(1, cells.len().max(1));
-    if jobs <= 1 {
-        return Ok(cells
-            .iter()
-            .map(|(i, cell)| (*i, run_cell(cell, plan_for(cell), spec.trace)))
-            .collect());
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellOutput>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, cell)) = cells.get(i) else { break };
-                let out = run_cell(cell, plan_for(cell), spec.trace);
-                *slots[i].lock().expect("slot poisoned") = Some(out);
-            });
-        }
-    });
-    Ok(cells
-        .iter()
-        .zip(slots)
-        .map(|((i, _), slot)| {
-            let out = slot
-                .into_inner()
-                .expect("slot poisoned")
-                .expect("every cell index below len was claimed and ran");
-            (*i, out)
-        })
-        .collect())
+    let mut outs = Vec::with_capacity(cells.len());
+    crate::par::work_share(
+        cells.len(),
+        jobs,
+        |i| {
+            let (index, cell) = &cells[i];
+            (*index, run_cell(cell, plan_for(cell), spec.trace))
+        },
+        |out| outs.push(out),
+    );
+    Ok(outs)
 }
 
 /// Renders a cell for stdout — the banner, the report, and the fault

@@ -70,7 +70,8 @@ pub mod prelude {
     pub use bmhive_net::{MacAddr, NetLink, Packet, PacketKind};
     pub use bmhive_sim::{Histogram, Series, SimDuration, SimRng, SimTime, Summary};
     pub use bmhive_virtio::{
-        BlkRequestType, BlkStatus, DeviceType, QueueLayout, Virtqueue, VirtqueueDriver,
+        BlkRequestHeader, BlkRequestType, BlkStatus, DeviceType, QueueLayout, Virtqueue,
+        VirtqueueDriver,
     };
     pub use bmhive_workloads::GuestEnv;
 }

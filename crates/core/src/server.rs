@@ -20,7 +20,7 @@ use bmhive_iobond::IoBondProfile;
 use bmhive_net::{MacAddr, PacketKind};
 use bmhive_sim::SimTime;
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{BlkRequestType, BlkStatus};
+use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -99,6 +99,10 @@ pub struct BmHiveServer {
     store: BlockStore,
     next_board: u32,
     next_guest: u32,
+    /// `guest_send`'s reused frames: the payload the sender's backend
+    /// hands the vSwitch, and the receiver's copy of it.
+    egress_frame: Vec<u8>,
+    ingress_frame: Vec<u8>,
 }
 
 impl BmHiveServer {
@@ -119,6 +123,8 @@ impl BmHiveServer {
             store: BlockStore::new(StorageClass::CloudSsd, seed),
             next_board: 0,
             next_guest: 0,
+            egress_frame: Vec::new(),
+            ingress_frame: Vec::new(),
         }
     }
 
@@ -367,7 +373,7 @@ impl BmHiveServer {
             .ok_or(ServerError::BadHandle("unknown guest"))?;
         let (egress, timing) = sender
             .session
-            .net_send(dst, PacketKind::Udp, payload, now)
+            .net_send(dst, PacketKind::Udp, payload, now, &mut self.egress_frame)
             .map_err(ServerError::Io)?;
         match self.vswitch.forward(&egress.packet, egress.at) {
             Forwarded::Local(port, at) => {
@@ -377,9 +383,9 @@ impl BmHiveServer {
                     .get_mut(&GuestId(port.0))
                     .filter(|g| g.port == port);
                 if let Some(receiver) = receiver {
-                    let (_, rx_timing) = receiver
+                    let rx_timing = receiver
                         .session
-                        .net_receive(&egress.payload, at)
+                        .net_receive(&self.egress_frame, at, &mut self.ingress_frame)
                         .map_err(ServerError::Io)?;
                     // The receiver reaped the frame: its port queue drains.
                     self.vswitch.complete(port);
@@ -395,6 +401,7 @@ impl BmHiveServer {
     }
 
     /// Issues a storage request from a guest against the cloud store.
+    /// A read's bytes come back in a fresh `Vec`.
     ///
     /// # Errors
     ///
@@ -414,10 +421,13 @@ impl BmHiveServer {
                 .guests
                 .get_mut(&guest_id)
                 .ok_or(ServerError::BadHandle("unknown guest"))?;
-            guest
+            let mut read = Vec::new();
+            let header = BlkRequestHeader::new(req, sector);
+            let (status, timing) = guest
                 .session
-                .blk_request(&mut self.store, req, sector, data, read_len, now)
-                .map_err(ServerError::Io)
+                .blk_request(&mut self.store, header, data, read_len, now, &mut read)
+                .map_err(ServerError::Io)?;
+            Ok((status, read, timing))
         })();
         telemetry::end(
             op,

@@ -17,7 +17,7 @@ use bmhive_mem::{GuestAddr, GuestRam};
 use bmhive_net::{MacAddr, Packet, PacketKind};
 use bmhive_sim::SimTime;
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{BlkRequestType, BlkStatus, DeviceType, Feature, Virtqueue};
+use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus, DeviceType, Feature, Virtqueue};
 
 pub use crate::session::{EgressPacket, IoTiming, SessionError};
 
@@ -305,7 +305,8 @@ impl BmGuestSession {
     /// and produce the egress frame, then completes the guest ring.
     ///
     /// Returns the egress packet (for the caller to hand to the vSwitch)
-    /// and the guest-observed timing.
+    /// and the guest-observed timing; the frame's payload, as the
+    /// backend read it, goes into `out` (cleared first).
     ///
     /// # Errors
     ///
@@ -316,6 +317,7 @@ impl BmGuestSession {
         kind: PacketKind,
         payload: &[u8],
         now: SimTime,
+        out: &mut Vec<u8>,
     ) -> Result<(EgressPacket, IoTiming), SessionError> {
         // Guest: build hdr + payload in board RAM, post it, and kick.
         let needed = self.guest.post_tx(&mut self.board, payload)?;
@@ -340,14 +342,8 @@ impl BmGuestSession {
             .ok_or(SessionError::BadRequest(
                 "tx chain missing from shadow ring",
             ))?;
-        let payload_out = self.codec.tx_payload(&self.base, &chain)?;
-        let packet = Packet::new(
-            self.mac,
-            dst,
-            kind,
-            payload_out.len() as u32,
-            self.counters().0,
-        );
+        self.codec.tx_payload(&self.base, &chain, out)?;
+        let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
 
         // Rate limiting at the backend (identical for vm-guests).
         let admitted = self.limits.admit_packet(packet.wire_bytes(), seen);
@@ -385,7 +381,6 @@ impl BmGuestSession {
         Ok((
             EgressPacket {
                 packet,
-                payload: payload_out,
                 at: admitted,
             },
             IoTiming {
@@ -399,8 +394,8 @@ impl BmGuestSession {
     /// posted rx buffer in the shadow ring; IO-Bond DMA-copies it into
     /// the guest's buffer and raises the MSI; the guest reaps it.
     ///
-    /// Returns the payload as the guest read it, and the timing (from
-    /// backend receipt to guest reap).
+    /// Returns the timing (from backend receipt to guest reap); the
+    /// payload as the guest read it goes into `out` (cleared first).
     ///
     /// # Errors
     ///
@@ -410,7 +405,8 @@ impl BmGuestSession {
         &mut self,
         payload: &[u8],
         now: SimTime,
-    ) -> Result<(Vec<u8>, IoTiming), SessionError> {
+        out: &mut Vec<u8>,
+    ) -> Result<IoTiming, SessionError> {
         // Make sure freshly-posted buffers have propagated to the shadow
         // ring.
         self.net_dev
@@ -433,19 +429,16 @@ impl BmGuestSession {
 
         // Guest interrupt handler acknowledges the MSI and reaps.
         self.net_dev.msi_mut().drain().for_each(drop);
-        let payload_out = self.guest.reap_rx(&mut self.board)?;
+        self.guest.reap_rx(&mut self.board, out)?;
         if telemetry::is_enabled() {
             phase("bm", "net_receive", now, done);
             telemetry::counter("bm.net_rx_packets", 1);
             telemetry::timer("bm.net_receive", done.saturating_duration_since(now));
         }
-        Ok((
-            payload_out,
-            IoTiming {
-                submitted: now,
-                completed: done,
-            },
-        ))
+        Ok(IoTiming {
+            submitted: now,
+            completed: done,
+        })
     }
 
     /// Issues one block request against `store` and runs it to
@@ -453,7 +446,8 @@ impl BmGuestSession {
     /// backend executes it on the store (after the IOPS/bandwidth caps),
     /// and the completion flows back with the data.
     ///
-    /// For reads, returns the bytes read.
+    /// A read's bytes go into `out`, which is cleared for every other
+    /// request.
     ///
     /// # Errors
     ///
@@ -461,18 +455,18 @@ impl BmGuestSession {
     pub fn blk_request(
         &mut self,
         store: &mut BlockStore,
-        req: BlkRequestType,
-        sector: u64,
+        header: BlkRequestHeader,
         data: &[u8],
         read_len: u64,
         now: SimTime,
-    ) -> Result<(BlkStatus, Vec<u8>, IoTiming), SessionError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(BlkStatus, IoTiming), SessionError> {
         // Guest: header buffer (16 B) + data + status byte. Kick + sync
         // to shadow (kick and PMD poll both take the fault-aware
         // register paths).
         let needed = self
             .guest
-            .post_blk(&mut self.board, req, sector, data, read_len)?;
+            .post_blk(&mut self.board, header, data, read_len)?;
         let kicked = self.kick(needed, now);
         self.blk_dev.service_into(
             &mut self.board,
@@ -525,7 +519,7 @@ impl BmGuestSession {
         // Guest interrupt handler acknowledges the MSI and reaps: read
         // status byte and data.
         self.blk_dev.msi_mut().drain().for_each(drop);
-        let (status, data_out) = self.guest.reap_blk(&self.board, req)?;
+        let status = self.guest.reap_blk(&self.board, header.req_type, out)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("bm", "blk_request", now);
             phase("bm", "kick", now, kicked);
@@ -539,12 +533,19 @@ impl BmGuestSession {
         }
         Ok((
             status,
-            data_out,
             IoTiming {
                 submitted: now,
                 completed: done,
             },
         ))
+    }
+}
+
+#[cfg(test)]
+impl BmGuestSession {
+    /// The guest driver and the RAM its rings live in.
+    pub(crate) fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam) {
+        (&mut self.guest, &mut self.board)
     }
 }
 
@@ -567,15 +568,17 @@ mod tests {
     #[test]
     fn net_send_crosses_both_domains() {
         let mut s = session();
+        let mut out = Vec::new();
         let (egress, timing) = s
             .net_send(
                 MacAddr::for_guest(2),
                 PacketKind::Udp,
                 b"hello-switch",
                 SimTime::ZERO,
+                &mut out,
             )
             .unwrap();
-        assert_eq!(egress.payload, b"hello-switch");
+        assert_eq!(out, b"hello-switch");
         assert_eq!(egress.packet.src, MacAddr::for_guest(1));
         assert_eq!(egress.packet.payload, 12);
         // The guest paid at least the kick + DMA + MSI costs.
@@ -590,10 +593,11 @@ mod tests {
     #[test]
     fn net_receive_delivers_payload_into_board_ram() {
         let mut s = session();
-        let (payload, timing) = s
-            .net_receive(b"ingress-frame", SimTime::from_micros(5))
+        let mut out = Vec::new();
+        let timing = s
+            .net_receive(b"ingress-frame", SimTime::from_micros(5), &mut out)
             .unwrap();
-        assert_eq!(payload, b"ingress-frame");
+        assert_eq!(out, b"ingress-frame");
         assert!(timing.completed > timing.submitted);
         assert_eq!(s.counters().1, 1);
     }
@@ -601,12 +605,17 @@ mod tests {
     #[test]
     fn echo_round_trip_preserves_bytes() {
         let mut s = session();
+        let (mut sent, mut back) = (Vec::new(), Vec::new());
         let msg = vec![0xa5u8; 700];
-        let (egress, _) = s
-            .net_send(MacAddr::for_guest(2), PacketKind::Udp, &msg, SimTime::ZERO)
-            .unwrap();
-        let (back, _) = s
-            .net_receive(&egress.payload, SimTime::from_micros(50))
+        s.net_send(
+            MacAddr::for_guest(2),
+            PacketKind::Udp,
+            &msg,
+            SimTime::ZERO,
+            &mut sent,
+        )
+        .unwrap();
+        s.net_receive(&sent, SimTime::from_micros(50), &mut back)
             .unwrap();
         assert_eq!(back, msg);
     }
@@ -614,22 +623,30 @@ mod tests {
     #[test]
     fn blk_write_then_read_round_trip() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 42);
         let data = vec![7u8; 4096];
-        let (status, _, t1) = s
+        let (status, t1) = s
             .blk_request(
                 &mut store,
-                BlkRequestType::Out,
-                100,
+                BlkRequestHeader::new(BlkRequestType::Out, 100),
                 &data,
                 0,
                 SimTime::ZERO,
+                &mut out,
             )
             .unwrap();
         assert_eq!(status, BlkStatus::Ok);
         assert!(t1.latency() > SimDuration::from_micros(50));
-        let (status, out, t2) = s
-            .blk_request(&mut store, BlkRequestType::In, 100, &[], 4096, t1.completed)
+        let (status, t2) = s
+            .blk_request(
+                &mut store,
+                BlkRequestHeader::new(BlkRequestType::In, 100),
+                &[],
+                4096,
+                t1.completed,
+                &mut out,
+            )
             .unwrap();
         assert_eq!(status, BlkStatus::Ok);
         assert_eq!(out.len(), 4096);
@@ -642,11 +659,19 @@ mod tests {
     #[test]
     fn sixteen_kib_reads_match_the_volume_at_edge_sectors() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 3);
         let mut t = SimTime::ZERO;
         for sector in [0, 250, 251, u64::MAX - 7] {
-            let (status, out, timing) = s
-                .blk_request(&mut store, BlkRequestType::In, sector, &[], 16 << 10, t)
+            let (status, timing) = s
+                .blk_request(
+                    &mut store,
+                    BlkRequestHeader::new(BlkRequestType::In, sector),
+                    &[],
+                    16 << 10,
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             assert_eq!(status, BlkStatus::Ok);
             let expect: Vec<u8> = (0..16 << 10).map(|i| volume_byte(sector, i)).collect();
@@ -658,21 +683,22 @@ mod tests {
     #[test]
     fn reaping_acknowledges_every_msi() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::LocalSsd, 2);
         let mut t = SimTime::ZERO;
         for i in 0..20u64 {
             let (_, timing) = s
-                .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"ping", t)
+                .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"ping", t, &mut out)
                 .unwrap();
-            let (_, timing) = s.net_receive(b"pong", timing.completed).unwrap();
-            let (_, _, timing) = s
+            let timing = s.net_receive(b"pong", timing.completed, &mut out).unwrap();
+            let (_, timing) = s
                 .blk_request(
                     &mut store,
-                    BlkRequestType::Out,
-                    i,
+                    BlkRequestHeader::new(BlkRequestType::Out, i),
                     &[9; 512],
                     0,
                     timing.completed,
+                    &mut out,
                 )
                 .unwrap();
             t = timing.completed;
@@ -687,15 +713,16 @@ mod tests {
     #[test]
     fn unsupported_blk_request_reports_status() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 1);
-        let (status, _, _) = s
+        let (status, _) = s
             .blk_request(
                 &mut store,
-                BlkRequestType::Unsupported(9),
-                0,
+                BlkRequestHeader::new(BlkRequestType::Unsupported(9), 0),
                 &[],
                 0,
                 SimTime::ZERO,
+                &mut out,
             )
             .unwrap();
         assert_eq!(status, BlkStatus::Unsupported);
@@ -704,9 +731,17 @@ mod tests {
     #[test]
     fn flush_completes_ok() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 1);
-        let (status, _, t) = s
-            .blk_request(&mut store, BlkRequestType::Flush, 0, &[], 0, SimTime::ZERO)
+        let (status, t) = s
+            .blk_request(
+                &mut store,
+                BlkRequestHeader::new(BlkRequestType::Flush, 0),
+                &[],
+                0,
+                SimTime::ZERO,
+                &mut out,
+            )
             .unwrap();
         assert_eq!(status, BlkStatus::Ok);
         assert!(t.latency() >= SimDuration::from_micros(50));
@@ -721,13 +756,21 @@ mod tests {
             InstanceLimits::production(),
         );
         let mut store = BlockStore::new(StorageClass::CloudSsd, 9);
+        let mut out = Vec::new();
         // Fire 2 000 sequential 4 KiB reads as fast as completions allow;
         // the 25 K IOPS cap must bound the rate.
         let mut t = SimTime::ZERO;
         let n = 2_000u64;
         for i in 0..n {
-            let (_, _, timing) = s
-                .blk_request(&mut store, BlkRequestType::In, i * 8, &[], 4096, t)
+            let (_, timing) = s
+                .blk_request(
+                    &mut store,
+                    BlkRequestHeader::new(BlkRequestType::In, i * 8),
+                    &[],
+                    4096,
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             // Issue back-to-back (ignore per-op completion wait, keep the
             // limiter as the only pacing force).
@@ -735,8 +778,15 @@ mod tests {
         }
         // 2 000 ops minus the burst at 25 K IOPS needs ≥ ~70 ms; the
         // queueing inside the limiter pushes completions out.
-        let (_, _, last) = s
-            .blk_request(&mut store, BlkRequestType::In, 0, &[], 4096, t)
+        let (_, last) = s
+            .blk_request(
+                &mut store,
+                BlkRequestHeader::new(BlkRequestType::In, 0),
+                &[],
+                4096,
+                t,
+                &mut out,
+            )
             .unwrap();
         assert!(
             last.completed > SimTime::from_millis(60),
@@ -748,17 +798,31 @@ mod tests {
     #[test]
     fn many_rounds_do_not_leak_buffers() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::LocalSsd, 4);
         let mut t = SimTime::ZERO;
         for i in 0..200u64 {
             let (_, timing) = s
-                .net_send(MacAddr::for_guest(2), PacketKind::Udp, &[1, 2, 3], t)
+                .net_send(
+                    MacAddr::for_guest(2),
+                    PacketKind::Udp,
+                    &[1, 2, 3],
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             t = timing.completed;
-            let (_, timing) = s.net_receive(b"pong", t).unwrap();
+            let timing = s.net_receive(b"pong", t, &mut out).unwrap();
             t = timing.completed;
-            let (_, _, timing) = s
-                .blk_request(&mut store, BlkRequestType::In, i, &[], 512, t)
+            let (_, timing) = s
+                .blk_request(
+                    &mut store,
+                    BlkRequestHeader::new(BlkRequestType::In, i),
+                    &[],
+                    512,
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             t = timing.completed;
         }
@@ -769,6 +833,7 @@ mod tests {
     #[test]
     fn pmd_window_suppresses_every_kick_after_the_first() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::LocalSsd, 7);
         let mut t = SimTime::ZERO;
         // First op on each device kicks (fresh ring, avail_event = 0);
@@ -776,11 +841,24 @@ mod tests {
         // later post is kick-free.
         for i in 0..10u64 {
             let (_, timing) = s
-                .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"payload", t)
+                .net_send(
+                    MacAddr::for_guest(2),
+                    PacketKind::Udp,
+                    b"payload",
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             t = timing.completed;
-            let (_, _, timing) = s
-                .blk_request(&mut store, BlkRequestType::In, i, &[], 512, t)
+            let (_, timing) = s
+                .blk_request(
+                    &mut store,
+                    BlkRequestHeader::new(BlkRequestType::In, i),
+                    &[],
+                    512,
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             t = timing.completed;
         }
@@ -797,6 +875,7 @@ mod tests {
     #[test]
     fn board_power_loss_recovers_both_devices_and_replays_rx() {
         let mut s = session();
+        let mut out = Vec::new();
         // Prime the session: one send syncs the rings, leaving the
         // posted rx buffers inflight in the shadow ring.
         s.net_send(
@@ -804,6 +883,7 @@ mod tests {
             PacketKind::Udp,
             b"pre",
             SimTime::ZERO,
+            &mut out,
         )
         .unwrap();
 
@@ -829,17 +909,18 @@ mod tests {
 
         // The recovered session still does real I/O through the fresh
         // epoch: the replayed rx buffers back this delivery.
-        let (payload, _) = s.net_receive(b"after-reset", outage.recovered_at).unwrap();
-        assert_eq!(payload, b"after-reset");
-        let (egress, _) = s
-            .net_send(
-                MacAddr::for_guest(2),
-                PacketKind::Udp,
-                b"post",
-                outage.recovered_at,
-            )
+        s.net_receive(b"after-reset", outage.recovered_at, &mut out)
             .unwrap();
-        assert_eq!(egress.payload, b"post");
+        assert_eq!(out, b"after-reset");
+        s.net_send(
+            MacAddr::for_guest(2),
+            PacketKind::Udp,
+            b"post",
+            outage.recovered_at,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out, b"post");
 
         let stats = faults::disarm().expect("stats");
         assert_eq!(stats.resets.get("board").copied().unwrap_or(0), 2);
@@ -850,6 +931,7 @@ mod tests {
     #[test]
     fn unrecoverable_mailbox_stall_escalates_net_send() {
         let mut s = session();
+        let mut out = Vec::new();
         // A 5 ms stall outlasts the whole 16-attempt backoff budget
         // (worst case ≈ 1 ms): the PMD poll never goes through.
         let mut plan = faults::FaultPlan::new("mailbox-wedge");
@@ -866,6 +948,7 @@ mod tests {
                 PacketKind::Udp,
                 b"wedged",
                 SimTime::from_micros(200),
+                &mut out,
             )
             .unwrap_err();
         match err {
@@ -883,6 +966,7 @@ mod tests {
     #[test]
     fn unrecoverable_dma_timeout_escalates_blk_request() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
         let mut plan = faults::FaultPlan::new("dma-wedge");
         plan.push(faults::FaultEvent::window(
@@ -895,11 +979,11 @@ mod tests {
         let err = s
             .blk_request(
                 &mut store,
-                BlkRequestType::Out,
-                4,
+                BlkRequestHeader::new(BlkRequestType::Out, 4),
                 &[1, 2, 3, 4],
                 0,
                 SimTime::from_micros(100),
+                &mut out,
             )
             .unwrap_err();
         assert!(matches!(
@@ -916,8 +1000,15 @@ mod tests {
     fn board_recovery_is_deterministic_per_seed() {
         let run = || {
             let mut s = session();
-            s.net_send(MacAddr::for_guest(2), PacketKind::Udp, b"x", SimTime::ZERO)
-                .unwrap();
+            let mut out = Vec::new();
+            s.net_send(
+                MacAddr::for_guest(2),
+                PacketKind::Udp,
+                b"x",
+                SimTime::ZERO,
+                &mut out,
+            )
+            .unwrap();
             faults::arm(faults::canned("board-loss").unwrap(), 23);
             let outage = s
                 .poll_faults(SimTime::from_micros(410))
@@ -941,11 +1032,24 @@ mod tests {
             64,
             InstanceLimits::unrestricted(),
         );
+        let mut out = Vec::new();
         let (_, t_fpga) = fpga
-            .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"x", SimTime::ZERO)
+            .net_send(
+                MacAddr::for_guest(2),
+                PacketKind::Udp,
+                b"x",
+                SimTime::ZERO,
+                &mut out,
+            )
             .unwrap();
         let (_, t_asic) = asic
-            .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"x", SimTime::ZERO)
+            .net_send(
+                MacAddr::for_guest(2),
+                PacketKind::Udp,
+                b"x",
+                SimTime::ZERO,
+                &mut out,
+            )
             .unwrap();
         assert!(t_asic.latency() < t_fpga.latency());
     }

@@ -16,7 +16,7 @@
 use bmhive_cloud::blockstore::BlockStore;
 use bmhive_cloud::image::MachineImage;
 use bmhive_sim::{SimDuration, SimTime};
-use bmhive_virtio::{BlkRequestType, BlkStatus, SECTOR_SIZE};
+use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus, SECTOR_SIZE};
 
 use crate::bm::{BmGuestSession, IoTiming, SessionError};
 use crate::vm::VmGuestSession;
@@ -39,7 +39,8 @@ pub struct BootReport {
 
 /// Either guest platform, for boot purposes.
 pub trait BootTarget {
-    /// Issues one firmware read of `sectors` sectors at `sector`.
+    /// Issues one firmware read of `sectors` sectors at `sector` into
+    /// `buf`.
     ///
     /// # Errors
     ///
@@ -50,6 +51,7 @@ pub trait BootTarget {
         sector: u64,
         sectors: u64,
         now: SimTime,
+        buf: &mut Vec<u8>,
     ) -> Result<(BlkStatus, IoTiming), SessionError>;
 }
 
@@ -60,16 +62,10 @@ impl BootTarget for BmGuestSession {
         sector: u64,
         sectors: u64,
         now: SimTime,
+        buf: &mut Vec<u8>,
     ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        let (status, _, timing) = self.blk_request(
-            store,
-            BlkRequestType::In,
-            sector,
-            &[],
-            sectors * SECTOR_SIZE,
-            now,
-        )?;
-        Ok((status, timing))
+        let header = BlkRequestHeader::new(BlkRequestType::In, sector);
+        self.blk_request(store, header, &[], sectors * SECTOR_SIZE, now, buf)
     }
 }
 
@@ -80,16 +76,10 @@ impl BootTarget for VmGuestSession {
         sector: u64,
         sectors: u64,
         now: SimTime,
+        buf: &mut Vec<u8>,
     ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        let (status, _, timing) = self.blk_request(
-            store,
-            BlkRequestType::In,
-            sector,
-            &[],
-            sectors * SECTOR_SIZE,
-            now,
-        )?;
-        Ok((status, timing))
+        let header = BlkRequestHeader::new(BlkRequestType::In, sector);
+        self.blk_request(store, header, &[], sectors * SECTOR_SIZE, now, buf)
     }
 }
 
@@ -112,6 +102,8 @@ pub fn boot_guest<T: BootTarget>(
     let mut now = power_on;
     let mut sectors_read = 0;
     let mut requests = 0;
+    // Every chunk lands in the same buffer.
+    let mut buf = Vec::new();
     for (start, len) in [
         (image.bootloader_sector, image.bootloader_sectors),
         (image.kernel_sector, image.kernel_sectors),
@@ -120,7 +112,7 @@ pub fn boot_guest<T: BootTarget>(
         let end = start + len;
         while at < end {
             let chunk = (end - at).min(BOOT_CHUNK_SECTORS);
-            let (status, timing) = target.firmware_read(store, at, chunk, now)?;
+            let (status, timing) = target.firmware_read(store, at, chunk, now, &mut buf)?;
             if status != BlkStatus::Ok {
                 return Err(SessionError::BadRequest("boot read failed"));
             }

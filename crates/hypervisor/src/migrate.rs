@@ -140,7 +140,7 @@ pub fn convert_to_bm(
 mod tests {
     use super::*;
     use bmhive_cloud::blockstore::{BlockStore, StorageClass};
-    use bmhive_virtio::{BlkRequestType, BlkStatus};
+    use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus};
 
     fn running_bm_guest() -> BmGuestSession {
         BmGuestSession::new(
@@ -168,15 +168,16 @@ mod tests {
         // The vm-guest is live: it can do I/O against the same volume.
         let mut store = BlockStore::new(StorageClass::CloudSsd, 9);
         let mut converted = converted;
-        let (status, data, _) = converted
+        let mut data = Vec::new();
+        let (status, _) = converted
             .vm
             .blk_request(
                 &mut store,
-                BlkRequestType::In,
-                0,
+                BlkRequestHeader::new(BlkRequestType::In, 0),
                 &[],
                 512,
                 converted.converted_at,
+                &mut data,
             )
             .unwrap();
         assert_eq!(status, BlkStatus::Ok);

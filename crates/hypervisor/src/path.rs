@@ -346,7 +346,7 @@ mod tests {
         use bmhive_cloud::limits::InstanceLimits;
         use bmhive_net::{MacAddr, PacketKind};
         use bmhive_sim::SimTime;
-        use bmhive_virtio::BlkRequestType;
+        use bmhive_virtio::{BlkRequestHeader, BlkRequestType};
 
         let session = |profile| {
             BmGuestSession::new(
@@ -356,6 +356,7 @@ mod tests {
                 InstanceLimits::unrestricted(),
             )
         };
+        let mut out = Vec::new();
         for profile in [IoBondProfile::fpga(), IoBondProfile::asic()] {
             let mut path = IoPath::bm(profile, 0);
             for n in [0u32, 64, 96, 128, 512, 1400, 2000] {
@@ -366,6 +367,7 @@ mod tests {
                         PacketKind::Udp,
                         &payload,
                         SimTime::ZERO,
+                        &mut out,
                     )
                     .unwrap();
                 let model = path.net_oneway(n) + path.completion_busy();
@@ -392,8 +394,15 @@ mod tests {
                         IoKind::Read => (Vec::new(), n, (16, n + 1)),
                         IoKind::Write => (vec![0xa5; n as usize], 0, (16 + n, 1)),
                     };
-                    let (_, _, t) = session(profile)
-                        .blk_request(&mut store, req, 0, &data, read_len, SimTime::ZERO)
+                    let (_, t) = session(profile)
+                        .blk_request(
+                            &mut store,
+                            BlkRequestHeader::new(req, 0),
+                            &data,
+                            read_len,
+                            SimTime::ZERO,
+                            &mut out,
+                        )
                         .unwrap();
                     let split = dma.transfer_time(legs.0) + dma.transfer_time(legs.1)
                         - dma.transfer_time(n);

@@ -110,13 +110,12 @@ impl IoTiming {
     }
 }
 
-/// A packet handed to the vSwitch by the backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A packet handed to the vSwitch by the backend. Its payload bytes
+/// go into the buffer the caller passed to `net_send`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EgressPacket {
     /// Frame metadata.
     pub packet: Packet,
-    /// Payload bytes (after the virtio-net header).
-    pub payload: Vec<u8>,
     /// When the backend handed it to the switch.
     pub at: SimTime,
 }
@@ -135,8 +134,8 @@ const BLK_HDR_LEN: u64 = 16;
 /// The guest's virtio-net (rx + tx) and virtio-blk driver, identical on
 /// both platforms: rings and buffer arenas in the guest's RAM, and the
 /// posted-buffer slabs that map each completed head back to its
-/// buffers. Steady-state posts and reaps allocate nothing; the only
-/// allocations are the payloads handed back to the caller.
+/// buffers. Reaps copy what they hand back into a caller-owned buffer,
+/// so steady-state posts and reaps allocate nothing.
 #[derive(Debug)]
 pub(crate) struct GuestDriver {
     net_rx: VirtqueueDriver,
@@ -156,7 +155,7 @@ pub(crate) struct GuestDriver {
     total_tx: u64,
     total_rx: u64,
     total_io: u64,
-    /// Reused buffer for tx frame assembly and rx/status reads.
+    /// Reused buffer for tx frame assembly and rx reads.
     frame_scratch: Vec<u8>,
     /// Reused readable-segment list for blk chain assembly.
     blk_readable: Vec<SgSegment>,
@@ -269,37 +268,60 @@ impl GuestDriver {
     }
 
     /// Reaps rx completions, restocks the ring, counts the receive, and
-    /// returns the last delivered payload.
-    pub(crate) fn reap_rx(&mut self, ram: &mut GuestRam) -> Result<Vec<u8>, SessionError> {
-        let mut delivered = None;
+    /// copies the last delivered payload into `out` (cleared first).
+    /// The ring is restocked even when a completion is malformed, so a
+    /// misbehaving device cannot drain it.
+    pub(crate) fn reap_rx(
+        &mut self,
+        ram: &mut GuestRam,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SessionError> {
+        out.clear();
+        let reaped = self.take_rx_completions(ram, out);
+        self.replenish_rx(ram)?;
+        if !reaped? {
+            return Err(SessionError::BadRequest("no rx completion"));
+        }
+        self.total_rx += 1;
+        Ok(())
+    }
+
+    /// Drains the rx used ring, returning each buffer to its pool, and
+    /// copies the last frame's payload into `out`. Returns whether any
+    /// completion was reaped.
+    fn take_rx_completions(
+        &mut self,
+        ram: &GuestRam,
+        out: &mut Vec<u8>,
+    ) -> Result<bool, SessionError> {
+        let mut delivered = false;
         while let Some((head, len)) = self.net_rx.poll_used(ram)? {
             let buf = self
                 .rx_posted
                 .get_mut(usize::from(head))
                 .and_then(Option::take)
                 .ok_or(SessionError::BadRequest("unknown rx head"))?;
-            let data = &mut self.frame_scratch;
-            buf.gather_into(ram, data)?;
-            let len = len as usize;
-            if len < VIRTIO_NET_HDR_LEN as usize || len > data.len() {
-                return Err(SessionError::BadRequest("rx frame shorter than header"));
-            }
-            delivered = Some(data[VIRTIO_NET_HDR_LEN as usize..len].to_vec());
+            let gathered = buf.gather_into(ram, &mut self.frame_scratch);
             self.rx_pool.free(&buf);
+            gathered?;
+            let frame = self
+                .frame_scratch
+                .get(VIRTIO_NET_HDR_LEN as usize..len as usize)
+                .ok_or(SessionError::BadRequest("rx frame shorter than header"))?;
+            out.clear();
+            out.extend_from_slice(frame);
+            delivered = true;
         }
-        self.replenish_rx(ram)?;
-        self.total_rx += 1;
-        delivered.ok_or(SessionError::BadRequest("no rx completion"))
+        Ok(delivered)
     }
 
-    /// Builds and posts one blk chain: 16-byte header, then `data` (a
-    /// write) or a `read_len`-byte buffer (a read), then the status
-    /// byte. Returns whether the post must kick under EVENT_IDX.
+    /// Builds and posts one blk chain: the 16-byte `header`, then
+    /// `data` (a write) or a `read_len`-byte buffer (a read), then the
+    /// status byte. Returns whether the post must kick under EVENT_IDX.
     pub(crate) fn post_blk(
         &mut self,
         ram: &mut GuestRam,
-        req: BlkRequestType,
-        sector: u64,
+        header: BlkRequestHeader,
         data: &[u8],
         read_len: u64,
     ) -> Result<bool, SessionError> {
@@ -307,7 +329,7 @@ impl GuestDriver {
             .blk_pool
             .alloc(BLK_HDR_LEN)
             .ok_or(SessionError::NoBuffers)?;
-        hdr_buf.scatter(ram, &BlkRequestHeader::new(req, sector).to_bytes())?;
+        hdr_buf.scatter(ram, &header.to_bytes())?;
         // Assemble the chain in the reused scratch lists (steady-state
         // requests allocate nothing here).
         let mut readable = std::mem::take(&mut self.blk_readable);
@@ -319,7 +341,7 @@ impl GuestDriver {
         slots.clear();
         slots.push(hdr_buf);
 
-        if matches!(req, BlkRequestType::In) && read_len > 0 {
+        if matches!(header.req_type, BlkRequestType::In) && read_len > 0 {
             let buf = self
                 .blk_pool
                 .alloc(read_len)
@@ -349,44 +371,60 @@ impl GuestDriver {
         Ok(self.blk.kick_needed_event_idx(ram, old_avail)?)
     }
 
-    /// Reaps blk completions, counts the op, and returns the last one's
-    /// status and, for a read (`req` is `In`), its data.
+    /// Reaps blk completions, returning each chain's buffers to their
+    /// pool, counts the op, and returns the last one's status. For a
+    /// read (`req` is `In`) its data goes into `out` (cleared first).
     pub(crate) fn reap_blk(
         &mut self,
         ram: &GuestRam,
         req: BlkRequestType,
-    ) -> Result<(BlkStatus, Vec<u8>), SessionError> {
+        out: &mut Vec<u8>,
+    ) -> Result<BlkStatus, SessionError> {
         let is_read = matches!(req, BlkRequestType::In);
-        let mut result = (BlkStatus::IoErr, Vec::new());
+        let mut status = BlkStatus::IoErr;
+        out.clear();
         while let Some((head, _len)) = self.blk.poll_used(ram)? {
-            let mut slots = std::mem::take(&mut self.blk_slots);
             let posted = self
                 .blk_posted
                 .get_mut(usize::from(head))
+                .filter(|slots| !slots.is_empty())
                 .ok_or(SessionError::BadRequest("unknown blk head"))?;
+            let mut slots = std::mem::take(&mut self.blk_slots);
             std::mem::swap(posted, &mut slots);
-            if slots.is_empty() {
-                return Err(SessionError::BadRequest("unknown blk head"));
-            }
             // Last slot is the status byte; for reads the middle slot is
             // the data.
-            let status_slot = slots.last().expect("status slot");
-            status_slot.gather_into(ram, &mut self.frame_scratch)?;
-            let data_out = if is_read && slots.len() == 3 {
-                slots[1].gather(ram)?
-            } else {
-                Vec::new()
-            };
-            result = (BlkStatus::from_wire(self.frame_scratch[0]), data_out);
+            let read = read_blk_completion(ram, &slots, is_read, out);
             for slot in &slots {
                 self.blk_pool.free(slot);
             }
             slots.clear();
             self.blk_slots = slots;
+            status = read?;
         }
         self.total_io += 1;
-        Ok(result)
+        Ok(status)
     }
+}
+
+/// Reads a reaped blk chain's status byte from its last buffer and, for
+/// a read with a data buffer, the data into `out`.
+fn read_blk_completion(
+    ram: &GuestRam,
+    slots: &[SgList],
+    is_read: bool,
+    out: &mut Vec<u8>,
+) -> Result<BlkStatus, SessionError> {
+    let mut status = [0u8; 1];
+    slots
+        .last()
+        .expect("a posted blk chain has a status slot")
+        .gather_prefix(ram, &mut status)?;
+    if is_read && slots.len() == 3 {
+        slots[1].gather_into(ram, out)?;
+    } else {
+        out.clear();
+    }
+    Ok(BlkStatus::from_wire(status[0]))
 }
 
 /// A virtio-blk request as the backend parsed it from a popped chain.
@@ -402,28 +440,31 @@ pub(crate) struct BlkRequest {
 
 /// The backend's reading and writing of popped chains, the same over a
 /// shadow ring in base RAM and a vhost ring in shared guest RAM. Holds
-/// one reused buffer, so steady-state calls allocate only the tx
-/// payload they return.
+/// one reused buffer and writes what it hands back into the caller's,
+/// so steady-state calls allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct ChainCodec {
     scratch: Vec<u8>,
 }
 
 impl ChainCodec {
-    /// Reads a tx chain's frame and returns the payload after the
-    /// virtio-net header.
+    /// Reads a tx chain's frame and copies the payload after the
+    /// virtio-net header into `out` (cleared first).
     pub(crate) fn tx_payload(
         &mut self,
         ram: &GuestRam,
         chain: &DescChain,
-    ) -> Result<Vec<u8>, SessionError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), SessionError> {
+        out.clear();
         chain.readable.gather_into(ram, &mut self.scratch)?;
-        self.scratch
-            .get(VIRTIO_NET_HDR_LEN as usize..)
-            .map(<[u8]>::to_vec)
-            .ok_or(SessionError::BadRequest(
+        let Some(payload) = self.scratch.get(VIRTIO_NET_HDR_LEN as usize..) else {
+            return Err(SessionError::BadRequest(
                 "frame shorter than virtio-net header",
-            ))
+            ));
+        };
+        out.extend_from_slice(payload);
+        Ok(())
     }
 
     /// Writes virtio-net header + `payload` into an rx chain and returns
@@ -595,6 +636,90 @@ mod tests {
         assert_eq!((req.data_in_len, req.data_out_len), (512, 0));
     }
 
+    /// The guest I/O both sessions offer, so one test body drives
+    /// either platform.
+    trait Platform {
+        fn new_session() -> Self;
+        fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam);
+        fn send(
+            &mut self,
+            p: &[u8],
+            now: SimTime,
+            out: &mut Vec<u8>,
+        ) -> Result<(EgressPacket, IoTiming), SessionError>;
+        fn receive(
+            &mut self,
+            p: &[u8],
+            now: SimTime,
+            out: &mut Vec<u8>,
+        ) -> Result<IoTiming, SessionError>;
+        fn blk(
+            &mut self,
+            store: &mut BlockStore,
+            header: BlkRequestHeader,
+            data: &[u8],
+            read_len: u64,
+            now: SimTime,
+            out: &mut Vec<u8>,
+        ) -> Result<(BlkStatus, IoTiming), SessionError>;
+    }
+
+    /// Implements [`Platform`] for a session type by forwarding to its
+    /// own methods; `$new` builds a fresh session.
+    macro_rules! forward_platform {
+        ($session:ty, $new:expr) => {
+            impl Platform for $session {
+                fn new_session() -> Self {
+                    $new
+                }
+                fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam) {
+                    self.guest_mut()
+                }
+                fn send(
+                    &mut self,
+                    p: &[u8],
+                    now: SimTime,
+                    out: &mut Vec<u8>,
+                ) -> Result<(EgressPacket, IoTiming), SessionError> {
+                    self.net_send(PEER, PacketKind::Udp, p, now, out)
+                }
+                fn receive(
+                    &mut self,
+                    p: &[u8],
+                    now: SimTime,
+                    out: &mut Vec<u8>,
+                ) -> Result<IoTiming, SessionError> {
+                    self.net_receive(p, now, out)
+                }
+                fn blk(
+                    &mut self,
+                    store: &mut BlockStore,
+                    header: BlkRequestHeader,
+                    data: &[u8],
+                    read_len: u64,
+                    now: SimTime,
+                    out: &mut Vec<u8>,
+                ) -> Result<(BlkStatus, IoTiming), SessionError> {
+                    self.blk_request(store, header, data, read_len, now, out)
+                }
+            }
+        };
+    }
+
+    forward_platform!(
+        BmGuestSession,
+        BmGuestSession::new(
+            IoBondProfile::fpga(),
+            MAC,
+            64,
+            InstanceLimits::unrestricted()
+        )
+    );
+    forward_platform!(
+        VmGuestSession,
+        VmGuestSession::new(MAC, 64, InstanceLimits::unrestricted(), 5)
+    );
+
     /// One guest operation, run identically on both platforms.
     enum Op {
         Send(Vec<u8>),
@@ -630,65 +755,36 @@ mod tests {
         ops
     }
 
-    fn run_bm(ops: &[Op]) -> Vec<Outcome> {
-        let mut s = BmGuestSession::new(
-            IoBondProfile::fpga(),
-            MAC,
-            64,
-            InstanceLimits::unrestricted(),
-        );
+    /// Runs `ops` back to back on a fresh `P` session, every op reusing
+    /// one caller buffer.
+    fn run<P: Platform>(ops: &[Op]) -> Vec<Outcome> {
+        let mut s = P::new_session();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
         let mut now = SimTime::ZERO;
-        let mut out = Vec::new();
+        let mut buf = Vec::new();
+        let mut outcomes = Vec::new();
         for op in ops {
             let (outcome, timing) = match op {
                 Op::Send(p) => {
-                    let (e, t) = s.net_send(PEER, PacketKind::Udp, p, now).unwrap();
-                    (Outcome::Sent(e.packet, e.payload), t)
+                    let (e, t) = s.send(p, now, &mut buf).unwrap();
+                    (Outcome::Sent(e.packet, buf.clone()), t)
                 }
                 Op::Receive(p) => {
-                    let (got, t) = s.net_receive(p, now).unwrap();
-                    (Outcome::Received(got), t)
+                    let t = s.receive(p, now, &mut buf).unwrap();
+                    (Outcome::Received(buf.clone()), t)
                 }
                 Op::Blk(req, sector, data, read_len) => {
-                    let (status, got, t) = s
-                        .blk_request(&mut store, *req, *sector, data, *read_len, now)
+                    let header = BlkRequestHeader::new(*req, *sector);
+                    let (status, t) = s
+                        .blk(&mut store, header, data, *read_len, now, &mut buf)
                         .unwrap();
-                    (Outcome::Blk(status, got), t)
+                    (Outcome::Blk(status, buf.clone()), t)
                 }
             };
-            out.push(outcome);
+            outcomes.push(outcome);
             now = timing.completed;
         }
-        out
-    }
-
-    fn run_vm(ops: &[Op]) -> Vec<Outcome> {
-        let mut s = VmGuestSession::new(MAC, 64, InstanceLimits::unrestricted(), 5);
-        let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
-        let mut now = SimTime::ZERO;
-        let mut out = Vec::new();
-        for op in ops {
-            let (outcome, timing) = match op {
-                Op::Send(p) => {
-                    let (e, t) = s.net_send(PEER, PacketKind::Udp, p, now).unwrap();
-                    (Outcome::Sent(e.packet, e.payload), t)
-                }
-                Op::Receive(p) => {
-                    let (got, t) = s.net_receive(p, now).unwrap();
-                    (Outcome::Received(got), t)
-                }
-                Op::Blk(req, sector, data, read_len) => {
-                    let (status, got, t) = s
-                        .blk_request(&mut store, *req, *sector, data, *read_len, now)
-                        .unwrap();
-                    (Outcome::Blk(status, got), t)
-                }
-            };
-            out.push(outcome);
-            now = timing.completed;
-        }
-        out
+        outcomes
     }
 
     #[test]
@@ -696,8 +792,8 @@ mod tests {
         // Cold migration (§3.2) moves one image between platforms: the
         // guest must get the same answers from either backend.
         let ops = ops();
-        let bm = run_bm(&ops);
-        assert_eq!(bm, run_vm(&ops));
+        let bm = run::<BmGuestSession>(&ops);
+        assert_eq!(bm, run::<VmGuestSession>(&ops));
         // And the answers are the right ones.
         for (op, outcome) in ops.iter().zip(&bm) {
             match (op, outcome) {
@@ -723,6 +819,82 @@ mod tests {
                 }
                 _ => unreachable!("outcomes follow their ops"),
             }
+        }
+    }
+
+    /// Posts, ahead of the session's own next chain, a chain the driver
+    /// never builds: `readable` bytes and then, unless `writable` is 0,
+    /// a `writable`-byte device-writable buffer, on the blk ring if
+    /// `blk`, else the tx ring. The buffers sit above every pool.
+    fn post_forged<P: Platform>(s: &mut P, blk: bool, readable: &[u8], writable: u32) {
+        let (guest, ram) = s.guest_mut();
+        let at = GuestAddr::new(0xc00_0000);
+        ram.write(at, readable).unwrap();
+        let readable = [SgSegment::new(at, readable.len() as u32)];
+        let writable_seg = [SgSegment::new(at + 0x1000, writable)];
+        let writable = if writable == 0 {
+            &[][..]
+        } else {
+            &writable_seg[..]
+        };
+        let ring = if blk {
+            &mut guest.blk
+        } else {
+            &mut guest.net_tx
+        };
+        ring.add_buf(ram, &readable, writable).unwrap();
+    }
+
+    /// The error the backend returns for each guest-forged chain.
+    fn forged_rejections<P: Platform>() -> Vec<SessionError> {
+        let read_hdr = BlkRequestHeader::new(BlkRequestType::In, 0);
+        let forged: [(bool, &[u8], u32); 3] = [
+            // A tx frame one byte short of the virtio-net header.
+            (false, &[0; VIRTIO_NET_HDR_LEN as usize - 1], 0),
+            // A blk header one byte short.
+            (true, &[0; BLK_HDR_LEN as usize - 1], 1),
+            // A whole blk header, but nowhere to write the status.
+            (true, &read_hdr.to_bytes(), 0),
+        ];
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
+        let mut out = Vec::new();
+        forged
+            .into_iter()
+            .map(|(blk, readable, writable)| {
+                let mut s = P::new_session();
+                post_forged(&mut s, blk, readable, writable);
+                let now = SimTime::ZERO;
+                if blk {
+                    s.blk(&mut store, read_hdr, &[], 512, now, &mut out)
+                        .unwrap_err()
+                } else {
+                    s.send(b"honest", now, &mut out).unwrap_err()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forged_guest_chains_are_typed_rejections_on_both_platforms() {
+        for errors in [
+            forged_rejections::<BmGuestSession>(),
+            forged_rejections::<VmGuestSession>(),
+        ] {
+            let whys: Vec<&str> = errors
+                .iter()
+                .map(|e| match e {
+                    SessionError::BadRequest(why) => *why,
+                    other => panic!("expected a typed BadRequest, got {other:?}"),
+                })
+                .collect();
+            assert_eq!(
+                whys,
+                [
+                    "frame shorter than virtio-net header",
+                    "blk header too short",
+                    "blk chain lacks status byte",
+                ]
+            );
         }
     }
 }

@@ -19,7 +19,7 @@ use bmhive_mem::GuestRam;
 use bmhive_net::{MacAddr, Packet, PacketKind};
 use bmhive_sim::{SimDuration, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{BlkRequestType, BlkStatus, Virtqueue, VIRTIO_NET_HDR_LEN};
+use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus, Virtqueue, VIRTIO_NET_HDR_LEN};
 
 pub use crate::session::{EgressPacket, IoTiming, SessionError};
 
@@ -172,7 +172,9 @@ impl VmGuestSession {
         now + delivery.total()
     }
 
-    /// Sends one packet through the tx ring and the vhost backend.
+    /// Sends one packet through the tx ring and the vhost backend. The
+    /// frame's payload, as vhost read it, goes into `out` (cleared
+    /// first).
     ///
     /// # Errors
     ///
@@ -183,6 +185,7 @@ impl VmGuestSession {
         kind: PacketKind,
         payload: &[u8],
         now: SimTime,
+        out: &mut Vec<u8>,
     ) -> Result<(EgressPacket, IoTiming), SessionError> {
         self.guest.post_tx(&mut self.ram, payload)?;
 
@@ -196,15 +199,9 @@ impl VmGuestSession {
             .net_tx_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::BadRequest("tx chain missing"))?;
-        let payload_out = self.codec.tx_payload(&self.ram, &chain)?;
-        let copied = kicked + copy_cost(VIRTIO_NET_HDR_LEN + payload_out.len() as u64);
-        let packet = Packet::new(
-            self.mac,
-            dst,
-            kind,
-            payload_out.len() as u32,
-            self.counters().0,
-        );
+        self.codec.tx_payload(&self.ram, &chain, out)?;
+        let copied = kicked + copy_cost(VIRTIO_NET_HDR_LEN + out.len() as u64);
+        let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
         let admitted = self.limits.admit_packet(packet.wire_bytes(), copied);
 
         self.net_tx_backend
@@ -226,7 +223,6 @@ impl VmGuestSession {
         Ok((
             EgressPacket {
                 packet,
-                payload: payload_out,
                 at: admitted,
             },
             IoTiming {
@@ -236,7 +232,8 @@ impl VmGuestSession {
         ))
     }
 
-    /// Delivers one ingress packet through the rx ring.
+    /// Delivers one ingress packet through the rx ring. The payload as
+    /// the guest read it goes into `out` (cleared first).
     ///
     /// # Errors
     ///
@@ -245,7 +242,8 @@ impl VmGuestSession {
         &mut self,
         payload: &[u8],
         now: SimTime,
-    ) -> Result<(Vec<u8>, IoTiming), SessionError> {
+        out: &mut Vec<u8>,
+    ) -> Result<IoTiming, SessionError> {
         let chain = self
             .net_rx_backend
             .pop_avail(&self.ram)?
@@ -257,7 +255,7 @@ impl VmGuestSession {
         // Rx interrupt; receiver may be idle.
         let done = self.completion_delivery(copied, true);
 
-        let payload_out = self.guest.reap_rx(&mut self.ram)?;
+        self.guest.reap_rx(&mut self.ram, out)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("vm", "net_receive", now);
             phase("vm", "vhost_copy", now, copied);
@@ -266,18 +264,16 @@ impl VmGuestSession {
             telemetry::counter("vm.net_rx_packets", 1);
             telemetry::timer("vm.net_receive", done.saturating_duration_since(now));
         }
-        Ok((
-            payload_out,
-            IoTiming {
-                submitted: now,
-                completed: done,
-            },
-        ))
+        Ok(IoTiming {
+            submitted: now,
+            completed: done,
+        })
     }
 
     /// Issues one block request via the vhost-user storage backend.
     ///
-    /// For reads, returns the bytes read.
+    /// A read's bytes go into `out`, which is cleared for every other
+    /// request.
     ///
     /// # Errors
     ///
@@ -285,14 +281,13 @@ impl VmGuestSession {
     pub fn blk_request(
         &mut self,
         store: &mut BlockStore,
-        req: BlkRequestType,
-        sector: u64,
+        header: BlkRequestHeader,
         data: &[u8],
         read_len: u64,
         now: SimTime,
-    ) -> Result<(BlkStatus, Vec<u8>, IoTiming), SessionError> {
-        self.guest
-            .post_blk(&mut self.ram, req, sector, data, read_len)?;
+        out: &mut Vec<u8>,
+    ) -> Result<(BlkStatus, IoTiming), SessionError> {
+        self.guest.post_blk(&mut self.ram, header, data, read_len)?;
 
         // Kick: ioeventfd VM exit.
         let kicked = now + EXIT_KICK;
@@ -325,7 +320,7 @@ impl VmGuestSession {
         // Storage completions usually find the vCPU halted in io_wait.
         let done = self.completion_delivery(io_done, true);
 
-        let (status, data_out) = self.guest.reap_blk(&self.ram, req)?;
+        let status = self.guest.reap_blk(&self.ram, header.req_type, out)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("vm", "blk_request", now);
             phase("vm", "vm_exit_kick", now, kicked);
@@ -338,12 +333,19 @@ impl VmGuestSession {
         }
         Ok((
             status,
-            data_out,
             IoTiming {
                 submitted: now,
                 completed: done,
             },
         ))
+    }
+}
+
+#[cfg(test)]
+impl VmGuestSession {
+    /// The guest driver and the RAM its rings live in.
+    pub(crate) fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam) {
+        (&mut self.guest, &mut self.ram)
     }
 }
 
@@ -360,15 +362,17 @@ mod tests {
     #[test]
     fn net_send_round_trip() {
         let mut s = session();
-        let (egress, timing) = s
+        let mut out = Vec::new();
+        let (_, timing) = s
             .net_send(
                 MacAddr::for_guest(2),
                 PacketKind::Udp,
                 b"vm-frame",
                 SimTime::ZERO,
+                &mut out,
             )
             .unwrap();
-        assert_eq!(egress.payload, b"vm-frame");
+        assert_eq!(out, b"vm-frame");
         assert!(timing.latency() >= EXIT_KICK + INJECT_RUNNING);
         assert_eq!(s.counters().0, 1);
     }
@@ -376,28 +380,61 @@ mod tests {
     #[test]
     fn net_receive_round_trip() {
         let mut s = session();
-        let (payload, timing) = s.net_receive(b"to-vm", SimTime::ZERO).unwrap();
-        assert_eq!(payload, b"to-vm");
+        let mut out = Vec::new();
+        let timing = s.net_receive(b"to-vm", SimTime::ZERO, &mut out).unwrap();
+        assert_eq!(out, b"to-vm");
         assert!(timing.completed > timing.submitted);
+    }
+
+    #[test]
+    fn malformed_rx_completions_return_their_buffers() {
+        // A device that completes rx buffers with a length shorter than
+        // the virtio-net header. The rx pool holds 2 × 64 buffers: were
+        // each bad completion to keep its buffer, the ring would run dry
+        // well before the loop ends.
+        let mut s = session();
+        let mut out = Vec::new();
+        for _ in 0..3 * 64 {
+            let chain = s
+                .net_rx_backend
+                .pop_avail(&s.ram)
+                .unwrap()
+                .expect("the rx ring stays stocked");
+            s.net_rx_backend
+                .push_used(&mut s.ram, chain.head, 4)
+                .unwrap();
+            let err = s.guest.reap_rx(&mut s.ram, &mut out).unwrap_err();
+            assert!(matches!(err, SessionError::BadRequest(_)), "{err}");
+        }
+        s.net_receive(b"honest", SimTime::ZERO, &mut out).unwrap();
+        assert_eq!(out, b"honest");
     }
 
     #[test]
     fn blk_write_read_round_trip() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 11);
         let data = vec![3u8; 4096];
-        let (status, _, _) = s
-            .blk_request(&mut store, BlkRequestType::Out, 50, &data, 0, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(status, BlkStatus::Ok);
-        let (status, out, t) = s
+        let (status, _) = s
             .blk_request(
                 &mut store,
-                BlkRequestType::In,
-                50,
+                BlkRequestHeader::new(BlkRequestType::Out, 50),
+                &data,
+                0,
+                SimTime::ZERO,
+                &mut out,
+            )
+            .unwrap();
+        assert_eq!(status, BlkStatus::Ok);
+        let (status, t) = s
+            .blk_request(
+                &mut store,
+                BlkRequestHeader::new(BlkRequestType::In, 50),
                 &[],
                 4096,
                 SimTime::from_millis(1),
+                &mut out,
             )
             .unwrap();
         assert_eq!(status, BlkStatus::Ok);
@@ -419,16 +456,31 @@ mod tests {
         );
         let mut store_vm = BlockStore::new(StorageClass::CloudSsd, 21);
         let mut store_bm = BlockStore::new(StorageClass::CloudSsd, 21);
+        let mut out = Vec::new();
         let mut vm_total = SimDuration::ZERO;
         let mut bm_total = SimDuration::ZERO;
         let n = 300u64;
         for i in 0..n {
             let t = SimTime::from_millis(i);
-            let (_, _, tv) = vm
-                .blk_request(&mut store_vm, BlkRequestType::In, i * 8, &[], 4096, t)
+            let (_, tv) = vm
+                .blk_request(
+                    &mut store_vm,
+                    BlkRequestHeader::new(BlkRequestType::In, i * 8),
+                    &[],
+                    4096,
+                    t,
+                    &mut out,
+                )
                 .unwrap();
-            let (_, _, tb) = bm
-                .blk_request(&mut store_bm, BlkRequestType::In, i * 8, &[], 4096, t)
+            let (_, tb) = bm
+                .blk_request(
+                    &mut store_bm,
+                    BlkRequestHeader::new(BlkRequestType::In, i * 8),
+                    &[],
+                    4096,
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             vm_total += tv.latency();
             bm_total += tb.latency();
@@ -446,10 +498,10 @@ mod tests {
                 InstanceLimits::unrestricted(),
                 seed,
             );
-            let mut out = Vec::new();
+            let (mut frame, mut out) = (Vec::new(), Vec::new());
             for i in 0..50 {
-                let (_, t) = s
-                    .net_receive(b"ping", SimTime::from_micros(i * 100))
+                let t = s
+                    .net_receive(b"ping", SimTime::from_micros(i * 100), &mut frame)
                     .unwrap();
                 out.push(t.completed);
             }
@@ -462,17 +514,31 @@ mod tests {
     #[test]
     fn buffer_conservation_over_many_ops() {
         let mut s = session();
+        let mut out = Vec::new();
         let mut store = BlockStore::new(StorageClass::LocalSsd, 5);
         let mut t = SimTime::ZERO;
         for i in 0..200u64 {
             let (_, timing) = s
-                .net_send(MacAddr::for_guest(2), PacketKind::Udp, &[9; 100], t)
+                .net_send(
+                    MacAddr::for_guest(2),
+                    PacketKind::Udp,
+                    &[9; 100],
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             t = timing.completed;
-            let (_, timing) = s.net_receive(&[7; 100], t).unwrap();
+            let timing = s.net_receive(&[7; 100], t, &mut out).unwrap();
             t = timing.completed;
-            let (_, _, timing) = s
-                .blk_request(&mut store, BlkRequestType::Out, i, &[1; 512], 0, t)
+            let (_, timing) = s
+                .blk_request(
+                    &mut store,
+                    BlkRequestHeader::new(BlkRequestType::Out, i),
+                    &[1; 512],
+                    0,
+                    t,
+                    &mut out,
+                )
                 .unwrap();
             t = timing.completed;
         }

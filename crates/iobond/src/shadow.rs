@@ -34,6 +34,10 @@ use bmhive_telemetry as telemetry;
 use bmhive_virtio::{DescChain, QueueLayout, VirtioError, Virtqueue, VirtqueueDriver};
 use std::collections::VecDeque;
 
+/// How long the DMA engine waits before declaring a transfer timed out
+/// and re-arming it (the per-transfer timeout of the recovery policy).
+const DMA_STEP_TIMEOUT: SimDuration = SimDuration::from_micros(20);
+
 /// What one board→base synchronisation pass accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncReport {
@@ -373,7 +377,7 @@ impl ShadowQueue {
             // A DMA-timeout window stalls the engine: the per-step
             // timeout fires and the transfer retries with backoff.
             if faults::blocking_until(FaultSite::Dma, now).is_some() {
-                let timeout = crate::steps::DMA_STEP_TIMEOUT;
+                let timeout = DMA_STEP_TIMEOUT;
                 let recovery = faults::retry_until_clear(
                     FaultSite::Dma,
                     "stage_chain",
@@ -456,7 +460,7 @@ impl ShadowQueue {
                 // Copy-back rides the same DMA engine: a timeout window
                 // stalls it and the transfer retries with backoff.
                 if faults::blocking_until(FaultSite::Dma, dma_free).is_some() {
-                    let timeout = crate::steps::DMA_STEP_TIMEOUT;
+                    let timeout = DMA_STEP_TIMEOUT;
                     let recovery = faults::retry_until_clear(
                         FaultSite::Dma,
                         "copy_back",

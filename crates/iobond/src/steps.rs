@@ -8,7 +8,6 @@
 //! model can reuse the totals.
 
 use crate::profile::IoBondProfile;
-use bmhive_faults::{self as faults, FaultKind, FaultSite};
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
 
@@ -205,138 +204,6 @@ pub fn trace_exchange(
     total
 }
 
-/// How long the DMA engine waits before declaring a transfer timed out
-/// and re-arming it (the per-step timeout of the recovery policy).
-pub const DMA_STEP_TIMEOUT: SimDuration = SimDuration::from_micros(20);
-
-/// What fault exposure a step has.
-enum StepFaults {
-    /// Steps 1, 14: guest-link register hops (doorbell / MSI).
-    GuestRegister,
-    /// Steps 8, 11: base-link register hops (mailbox polling).
-    BaseRegister,
-    /// Steps 2, 3, 4, 6, 7, 13: descriptor / indirect-table fetches.
-    DescFetch,
-    /// Steps 5, 12: payload DMA movements.
-    Dma,
-    /// Steps 9, 10: backend compute, not exposed to link faults.
-    None,
-}
-
-fn step_faults(number: u8) -> StepFaults {
-    match number {
-        1 | 14 => StepFaults::GuestRegister,
-        8 | 11 => StepFaults::BaseRegister,
-        2 | 3 | 4 | 6 | 7 | 13 => StepFaults::DescFetch,
-        5 | 12 => StepFaults::Dma,
-        _ => StepFaults::None,
-    }
-}
-
-/// The effective cost of one step at virtual time `t` under the armed
-/// fault plan, with the per-kind recovery policy applied:
-///
-/// * register hops retry through link flaps (bounded backoff) and
-///   absorb hop-latency spikes; step 8's mailbox poll additionally
-///   rides out mailbox stalls; step 1's doorbell may be dropped once,
-///   costing the outage plus a re-notify;
-/// * descriptor fetches detect corruption and refetch (one extra
-///   fetch);
-/// * DMA steps pay [`DMA_STEP_TIMEOUT`], then retry with backoff.
-fn faulted_step_cost(step: &Step, t: SimTime) -> SimDuration {
-    let label = format!("step{:02}", step.number);
-    let mut cost = step.cost;
-    match step_faults(step.number) {
-        StepFaults::GuestRegister | StepFaults::BaseRegister => {
-            if step.number == 1 {
-                if let Some(outage) =
-                    faults::take_oneshot(FaultSite::Doorbell, FaultKind::DroppedDoorbell, t)
-                {
-                    // The notify write is lost; the driver's watchdog
-                    // re-rings the doorbell after the outage.
-                    let extra = outage + step.cost;
-                    faults::note_degraded(FaultSite::Doorbell, extra);
-                    cost += extra;
-                }
-            }
-            if step.number == 8 && faults::blocking_until(FaultSite::Mailbox, t).is_some() {
-                cost += faults::retry_until_clear(FaultSite::Mailbox, &label, t, step.cost).waited;
-            }
-            if faults::blocking_until(FaultSite::Pcie, t).is_some() {
-                cost += faults::retry_until_clear(FaultSite::Pcie, &label, t, step.cost).waited;
-            }
-            let factor = faults::latency_factor(FaultSite::Pcie, t);
-            if factor > 1.0 {
-                let extra = step.cost.mul_f64(factor) - step.cost;
-                faults::note_degraded(FaultSite::Pcie, extra);
-                cost += extra;
-            }
-        }
-        StepFaults::DescFetch => {
-            if faults::corrupted(FaultSite::Vring, t) {
-                // CRC mismatch on the fetched descriptors: refetch once.
-                faults::note_degraded(FaultSite::Vring, step.cost);
-                cost += step.cost;
-            }
-        }
-        StepFaults::Dma => {
-            if faults::blocking_until(FaultSite::Dma, t).is_some() {
-                let recovery = faults::retry_until_clear(
-                    FaultSite::Dma,
-                    &label,
-                    t + DMA_STEP_TIMEOUT,
-                    step.cost,
-                );
-                cost += DMA_STEP_TIMEOUT + recovery.waited;
-            }
-        }
-        StepFaults::None => {}
-    }
-    cost
-}
-
-/// Replays one exchange like [`trace_exchange`], but with the armed
-/// fault plan applied step by step: each step's cost is inflated by the
-/// faults covering its start time and the recovery those faults
-/// trigger. With no plan armed this is exactly [`trace_exchange`].
-pub fn faulted_exchange(
-    profile: &IoBondProfile,
-    tx_bytes: u64,
-    rx_bytes: u64,
-    start: SimTime,
-) -> SimDuration {
-    if !faults::is_armed() {
-        return trace_exchange(profile, tx_bytes, rx_bytes, start);
-    }
-    let steps = tx_rx_steps(profile, tx_bytes, rx_bytes);
-    let traced = telemetry::is_enabled();
-    let exchange = traced.then(|| telemetry::begin("iobond", "tx_rx_exchange", start));
-    let mut t = start;
-    for s in &steps {
-        let cost = faulted_step_cost(s, t);
-        if traced {
-            telemetry::span_with(
-                "iobond",
-                format!("step{:02}", s.number),
-                t,
-                cost,
-                vec![
-                    ("actor", actor_name(s.actor).into()),
-                    ("desc", s.description.into()),
-                ],
-            );
-        }
-        t += cost;
-    }
-    let total = t.saturating_duration_since(start);
-    if traced {
-        telemetry::end(exchange.expect("traced"), t);
-        telemetry::counter("iobond.tx_rx_exchanges", 1);
-        telemetry::timer("iobond.tx_rx_exchange", total);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,69 +266,6 @@ mod tests {
             trace_exchange(&profile, 64, 64, SimTime::ZERO),
             total_latency(&tx_rx_steps(&profile, 64, 64))
         );
-    }
-
-    #[test]
-    fn faulted_exchange_is_identity_when_unarmed() {
-        bmhive_faults::disarm();
-        let profile = IoBondProfile::fpga();
-        assert_eq!(
-            faulted_exchange(&profile, 64, 64, SimTime::ZERO),
-            total_latency(&tx_rx_steps(&profile, 64, 64))
-        );
-    }
-
-    #[test]
-    fn device_path_faults_inflate_the_exchange_and_recover() {
-        let profile = IoBondProfile::fpga();
-        let clean = total_latency(&tx_rx_steps(&profile, 64, 64));
-        // The canned device-path plan, shifted so every window covers
-        // t=0 for the kinds we want to hit in one exchange.
-        let mut plan = bmhive_faults::FaultPlan::new("steps-test");
-        plan.push(bmhive_faults::FaultEvent::window(
-            SimTime::ZERO,
-            FaultSite::Dma,
-            FaultKind::DmaTimeout,
-            SimDuration::from_micros(30),
-        ));
-        plan.push(bmhive_faults::FaultEvent::window(
-            SimTime::ZERO,
-            FaultSite::Vring,
-            FaultKind::DescriptorCorrupt,
-            SimDuration::from_micros(400),
-        ));
-        plan.push(bmhive_faults::FaultEvent::window(
-            SimTime::ZERO,
-            FaultSite::Doorbell,
-            FaultKind::DroppedDoorbell,
-            SimDuration::from_micros(10),
-        ));
-        bmhive_faults::arm(plan, 17);
-        let faulted = faulted_exchange(&profile, 64, 64, SimTime::ZERO);
-        // Dropped doorbell alone adds the 10 µs outage; the DMA timeout
-        // adds at least DMA_STEP_TIMEOUT.
-        assert!(
-            faulted > clean + SimDuration::from_micros(25),
-            "faulted {faulted} clean {clean}"
-        );
-        let stats = bmhive_faults::disarm().unwrap();
-        assert!(stats.injected.contains_key("doorbell/dropped-doorbell"));
-        assert!(stats.injected.contains_key("vring/descriptor-corrupt"));
-        assert!(stats.injected.contains_key("dma/dma-timeout"));
-        assert!(stats.all_recovered(), "{}", stats.to_text());
-    }
-
-    #[test]
-    fn faulted_exchange_is_deterministic_per_seed() {
-        let profile = IoBondProfile::fpga();
-        let run = |seed| {
-            bmhive_faults::arm(bmhive_faults::dma_timeout(), seed);
-            // Land inside the 250–310 µs DMA-timeout window.
-            let total = faulted_exchange(&profile, 64, 64, SimTime::from_micros(255));
-            bmhive_faults::disarm();
-            total
-        };
-        assert_eq!(run(7), run(7));
     }
 
     #[test]

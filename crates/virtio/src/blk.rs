@@ -8,8 +8,6 @@
 //! and utilize virtio during boot"), so the format is implemented in
 //! full.
 
-use bmhive_mem::{GuestAddr, GuestRam, MemError};
-
 /// Sector size in bytes; virtio-blk always addresses 512-byte sectors.
 pub const SECTOR_SIZE: u64 = 512;
 
@@ -122,25 +120,6 @@ impl BlkRequestHeader {
             sector: u64::from_le_bytes(bytes[8..16].try_into().expect("sliced")),
         }
     }
-
-    /// Writes the header into guest RAM at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the write exceeds guest RAM.
-    pub fn write_to(&self, ram: &mut GuestRam, addr: GuestAddr) -> Result<(), MemError> {
-        ram.write(addr, &self.to_bytes())
-    }
-
-    /// Reads a header from guest RAM at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the read exceeds guest RAM.
-    pub fn read_from(ram: &GuestRam, addr: GuestAddr) -> Result<Self, MemError> {
-        let bytes = ram.read_vec(addr, 16)?;
-        Ok(Self::from_bytes(&bytes))
-    }
 }
 
 /// virtio-blk device configuration (the region behind the DEVICE_CFG
@@ -214,14 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn header_round_trips_through_ram() {
-        let mut ram = GuestRam::new(1 << 16);
+    fn header_round_trips() {
         let hdr = BlkRequestHeader::new(BlkRequestType::Out, 0x1234_5678_9abc);
-        hdr.write_to(&mut ram, GuestAddr::new(0x80)).unwrap();
-        assert_eq!(
-            BlkRequestHeader::read_from(&ram, GuestAddr::new(0x80)).unwrap(),
-            hdr
-        );
+        assert_eq!(BlkRequestHeader::from_bytes(&hdr.to_bytes()), hdr);
     }
 
     #[test]

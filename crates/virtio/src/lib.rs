@@ -58,6 +58,6 @@ pub mod queue;
 pub use blk::{BlkConfig, BlkRequestHeader, BlkRequestType, BlkStatus, SECTOR_SIZE};
 pub use devtypes::{status, DeviceState, DeviceType, Feature};
 pub use driver::VirtqueueDriver;
-pub use net::{deliver_merged, MergedDelivery, NetConfig, VirtioNetHeader, VIRTIO_NET_HDR_LEN};
+pub use net::{NetConfig, VirtioNetHeader, VIRTIO_NET_HDR_LEN};
 pub use pci::{VirtioPciFunction, CAP_COMMON_CFG, CAP_DEVICE_CFG, CAP_ISR_CFG, CAP_NOTIFY_CFG};
 pub use queue::{DescChain, QueueLayout, VirtioError, Virtqueue};

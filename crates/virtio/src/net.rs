@@ -6,8 +6,6 @@
 //! all zeroes with `num_buffers = 1`, but the format is implemented in
 //! full so the same frames parse on the vm-guest path.
 
-use bmhive_mem::{GuestAddr, GuestRam, MemError};
-
 /// Length of the virtio-net header with the mergeable-buffers field.
 pub const VIRTIO_NET_HDR_LEN: u64 = 12;
 
@@ -110,115 +108,6 @@ impl NetConfig {
     }
 }
 
-/// Writes a header + payload as one contiguous packet buffer into guest
-/// RAM at `addr`, returning the total length.
-///
-/// # Errors
-///
-/// Fails if the buffer exceeds guest RAM.
-pub fn write_packet(
-    ram: &mut GuestRam,
-    addr: GuestAddr,
-    header: &VirtioNetHeader,
-    payload: &[u8],
-) -> Result<u32, MemError> {
-    ram.write(addr, &header.to_bytes())?;
-    ram.write(addr + VIRTIO_NET_HDR_LEN, payload)?;
-    Ok((VIRTIO_NET_HDR_LEN as usize + payload.len()) as u32)
-}
-
-/// Reads a packet buffer (header + payload) of `total_len` bytes from
-/// guest RAM at `addr`.
-///
-/// # Errors
-///
-/// Fails if the buffer exceeds guest RAM.
-///
-/// # Panics
-///
-/// Panics if `total_len` is shorter than the header.
-pub fn read_packet(
-    ram: &GuestRam,
-    addr: GuestAddr,
-    total_len: u32,
-) -> Result<(VirtioNetHeader, Vec<u8>), MemError> {
-    assert!(
-        u64::from(total_len) >= VIRTIO_NET_HDR_LEN,
-        "packet shorter than virtio-net header"
-    );
-    let bytes = ram.read_vec(addr, u64::from(total_len))?;
-    let header = VirtioNetHeader::from_bytes(&bytes);
-    Ok((header, bytes[VIRTIO_NET_HDR_LEN as usize..].to_vec()))
-}
-
-/// A completed mergeable-rx delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergedDelivery {
-    /// Rx buffers consumed (the header's `num_buffers`).
-    pub buffers_used: u16,
-    /// Total bytes written across them (header + payload).
-    pub total_written: u64,
-}
-
-/// Delivers one packet using mergeable rx buffers
-/// (`VIRTIO_NET_F_MRG_RXBUF`, virtio 1.1 §5.1.6.3.1): a payload larger
-/// than one posted buffer spans several, with the first buffer's header
-/// carrying `num_buffers`. This is how a 64 KiB GRO super-frame lands in
-/// 2 KiB rx buffers.
-///
-/// Pops as many rx chains as the payload needs. If the ring runs out of
-/// buffers mid-packet, the packet is dropped: the already-popped buffers
-/// are completed with length 0 (the driver just recycles them) and
-/// `Ok(None)` is returned — exactly what a NIC does on rx-ring
-/// underrun.
-///
-/// # Errors
-///
-/// Propagates ring-format and memory errors.
-pub fn deliver_merged(
-    ram: &mut GuestRam,
-    vq: &mut crate::queue::Virtqueue,
-    payload: &[u8],
-) -> Result<Option<MergedDelivery>, crate::queue::VirtioError> {
-    let total_needed = VIRTIO_NET_HDR_LEN + payload.len() as u64;
-    // Collect buffers until we have capacity.
-    let mut chains = Vec::new();
-    let mut capacity = 0u64;
-    while capacity < total_needed {
-        match vq.pop_avail(ram)? {
-            Some(chain) => {
-                capacity += chain.writable.total_len();
-                chains.push(chain);
-            }
-            None => {
-                // Underrun: recycle what we took, drop the packet.
-                for chain in chains {
-                    vq.push_used(ram, chain.head, 0)?;
-                }
-                return Ok(None);
-            }
-        }
-    }
-    // First buffer: header with num_buffers, then payload bytes.
-    let mut hdr = VirtioNetHeader::simple();
-    hdr.num_buffers = chains.len() as u16;
-    let mut bytes = hdr.to_bytes().to_vec();
-    bytes.extend_from_slice(payload);
-    let mut offset = 0usize;
-    let mut total_written = 0u64;
-    for chain in &chains {
-        let take = (bytes.len() - offset).min(chain.writable.total_len() as usize);
-        let written = chain.writable.scatter(ram, &bytes[offset..offset + take])?;
-        vq.push_used(ram, chain.head, written as u32)?;
-        offset += take;
-        total_written += written;
-    }
-    Ok(Some(MergedDelivery {
-        buffers_used: chains.len() as u16,
-        total_written,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,127 +141,5 @@ mod tests {
         assert_eq!(&bytes[0..6], &[0x52, 0x54, 0, 0, 0, 1]);
         assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), 1); // link up
         assert_eq!(u16::from_le_bytes([bytes[10], bytes[11]]), 1500);
-    }
-
-    #[test]
-    fn packet_round_trip_through_ram() {
-        let mut ram = GuestRam::new(1 << 16);
-        let hdr = VirtioNetHeader::simple();
-        let len = write_packet(&mut ram, GuestAddr::new(0x100), &hdr, b"udp payload").unwrap();
-        assert_eq!(len, 12 + 11);
-        let (parsed, payload) = read_packet(&ram, GuestAddr::new(0x100), len).unwrap();
-        assert_eq!(parsed, hdr);
-        assert_eq!(payload, b"udp payload");
-    }
-
-    #[test]
-    #[should_panic(expected = "shorter than virtio-net header")]
-    fn short_packet_panics() {
-        let ram = GuestRam::new(1 << 16);
-        let _ = read_packet(&ram, GuestAddr::new(0), 4);
-    }
-}
-
-#[cfg(test)]
-mod merge_tests {
-    use super::*;
-    use crate::driver::VirtqueueDriver;
-    use crate::queue::{QueueLayout, Virtqueue};
-    use bmhive_mem::SgSegment;
-
-    fn rx_ring(buffers: u16, buf_size: u32) -> (GuestRam, VirtqueueDriver, Virtqueue, Vec<u16>) {
-        let mut ram = GuestRam::new(1 << 20);
-        let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 16);
-        let mut driver = VirtqueueDriver::new(&mut ram, layout).unwrap();
-        let device = Virtqueue::new(layout);
-        let mut heads = Vec::new();
-        for i in 0..buffers {
-            let addr = GuestAddr::new(0x10_000 + u64::from(i) * 0x1_000);
-            heads.push(
-                driver
-                    .add_buf(&mut ram, &[], &[SgSegment::new(addr, buf_size)])
-                    .unwrap(),
-            );
-        }
-        (ram, driver, device, heads)
-    }
-
-    #[test]
-    fn small_packet_uses_one_buffer() {
-        let (mut ram, mut driver, mut device, _) = rx_ring(4, 2048);
-        let d = deliver_merged(&mut ram, &mut device, b"small")
-            .unwrap()
-            .unwrap();
-        assert_eq!(d.buffers_used, 1);
-        assert_eq!(d.total_written, 12 + 5);
-        let (head, len) = driver.poll_used(&ram).unwrap().unwrap();
-        let addr = GuestAddr::new(0x10_000);
-        let (hdr, payload) = read_packet(&ram, addr, len).unwrap();
-        assert_eq!(hdr.num_buffers, 1);
-        assert_eq!(payload, b"small");
-        let _ = head;
-    }
-
-    #[test]
-    fn large_packet_spans_buffers_with_num_buffers_set() {
-        // 5000-byte payload into 2048-byte buffers: header+payload =
-        // 5012 bytes → 3 buffers.
-        let (mut ram, mut driver, mut device, _) = rx_ring(4, 2048);
-        let payload: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-        let d = deliver_merged(&mut ram, &mut device, &payload)
-            .unwrap()
-            .unwrap();
-        assert_eq!(d.buffers_used, 3);
-        assert_eq!(d.total_written, 12 + 5000);
-        // Reassemble from the three completions, in order.
-        let mut assembled = Vec::new();
-        let mut first = true;
-        let mut num_buffers = 0;
-        while let Some((head, len)) = driver.poll_used(&ram).unwrap() {
-            // Heads were posted in address order starting at 0x10_000.
-            let addr = GuestAddr::new(0x10_000 + u64::from(head) * 0x1_000);
-            let bytes = ram.read_vec(addr, u64::from(len)).unwrap();
-            if first {
-                let hdr = VirtioNetHeader::from_bytes(&bytes);
-                num_buffers = hdr.num_buffers;
-                assembled.extend_from_slice(&bytes[VIRTIO_NET_HDR_LEN as usize..]);
-                first = false;
-            } else {
-                assembled.extend_from_slice(&bytes);
-            }
-        }
-        assert_eq!(num_buffers, 3);
-        assert_eq!(assembled, payload);
-    }
-
-    #[test]
-    fn ring_underrun_drops_and_recycles() {
-        // Only 2 × 2048 B posted; a 6000-byte payload cannot fit.
-        let (mut ram, mut driver, mut device, _) = rx_ring(2, 2048);
-        let payload = vec![7u8; 6000];
-        assert_eq!(
-            deliver_merged(&mut ram, &mut device, &payload).unwrap(),
-            None
-        );
-        // Both buffers came back with zero length — recycled, not lost.
-        let mut recycled = 0;
-        while let Some((_, len)) = driver.poll_used(&ram).unwrap() {
-            assert_eq!(len, 0);
-            recycled += 1;
-        }
-        assert_eq!(recycled, 2);
-        // After reposting, a fitting packet flows.
-        let mut heads = Vec::new();
-        for i in 0..2u64 {
-            let addr = GuestAddr::new(0x20_000 + i * 0x1_000);
-            heads.push(
-                driver
-                    .add_buf(&mut ram, &[], &[SgSegment::new(addr, 2048)])
-                    .unwrap(),
-            );
-        }
-        assert!(deliver_merged(&mut ram, &mut device, &[1u8; 3000])
-            .unwrap()
-            .is_some());
     }
 }

@@ -30,8 +30,16 @@ fn main() {
 
     // The vm-guest reads its application data from the cloud volume.
     let t = vm_boot.finished_at;
-    let (status, vm_data, _) = vm
-        .blk_request(&mut store, BlkRequestType::In, 50_000, &[], 4096, t)
+    let mut vm_data = Vec::new();
+    let (status, _) = vm
+        .blk_request(
+            &mut store,
+            BlkRequestHeader::new(BlkRequestType::In, 50_000),
+            &[],
+            4096,
+            t,
+            &mut vm_data,
+        )
         .expect("vm read");
     assert_eq!(status, BlkStatus::Ok);
 

@@ -47,6 +47,7 @@ fn main() {
     let mut store = BlockStore::new(StorageClass::CloudSsd, 7);
     let mut vm = VmGuestSession::new(MacAddr::for_guest(2), 128, InstanceLimits::production(), 7);
     let mut t = SimTime::ZERO;
+    let mut frame = Vec::new();
     for i in 0..32u64 {
         let (_, timing) = vm
             .net_send(
@@ -54,11 +55,19 @@ fn main() {
                 PacketKind::Udp,
                 b"telemetry tour",
                 t,
+                &mut frame,
             )
             .expect("send");
         t = timing.completed;
-        let (_, _, timing) = vm
-            .blk_request(&mut store, BlkRequestType::In, 2048 + i * 8, &[], 4096, t)
+        let (_, timing) = vm
+            .blk_request(
+                &mut store,
+                BlkRequestHeader::new(BlkRequestType::In, 2048 + i * 8),
+                &[],
+                4096,
+                t,
+                &mut frame,
+            )
             .expect("read");
         t = timing.completed;
     }

@@ -119,24 +119,25 @@ fn guest_memory_is_never_shared_between_tenants() {
         64,
         InstanceLimits::unrestricted(),
     );
-    let (pkt_a, _) = a
-        .net_send(
-            MacAddr::for_guest(2),
-            PacketKind::Udp,
-            b"tenant-a-secret",
-            SimTime::ZERO,
-        )
-        .unwrap();
-    let (pkt_b, _) = b
-        .net_send(
-            MacAddr::for_guest(1),
-            PacketKind::Udp,
-            b"tenant-b-data",
-            SimTime::ZERO,
-        )
-        .unwrap();
-    assert_eq!(pkt_a.payload, b"tenant-a-secret");
-    assert_eq!(pkt_b.payload, b"tenant-b-data");
+    let (mut frame_a, mut frame_b) = (Vec::new(), Vec::new());
+    a.net_send(
+        MacAddr::for_guest(2),
+        PacketKind::Udp,
+        b"tenant-a-secret",
+        SimTime::ZERO,
+        &mut frame_a,
+    )
+    .unwrap();
+    b.net_send(
+        MacAddr::for_guest(1),
+        PacketKind::Udp,
+        b"tenant-b-data",
+        SimTime::ZERO,
+        &mut frame_b,
+    )
+    .unwrap();
+    assert_eq!(frame_a, b"tenant-a-secret");
+    assert_eq!(frame_b, b"tenant-b-data");
 }
 
 #[test]
@@ -166,23 +167,31 @@ fn unsupported_requests_are_contained() {
         InstanceLimits::unrestricted(),
     );
     let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
+    let mut frame = Vec::new();
     for raw in [3u32, 5, 7, 100] {
-        let (status, _, _) = session
+        let (status, _) = session
             .blk_request(
                 &mut store,
-                BlkRequestType::Unsupported(raw),
-                0,
+                BlkRequestHeader::new(BlkRequestType::Unsupported(raw), 0),
                 &[],
                 0,
                 SimTime::ZERO,
+                &mut frame,
             )
             .unwrap();
         assert_eq!(status, BlkStatus::Unsupported);
     }
     // Queue still serves honest requests.
-    let (status, data, _) = session
-        .blk_request(&mut store, BlkRequestType::In, 0, &[], 512, SimTime::ZERO)
+    let (status, _) = session
+        .blk_request(
+            &mut store,
+            BlkRequestHeader::new(BlkRequestType::In, 0),
+            &[],
+            512,
+            SimTime::ZERO,
+            &mut frame,
+        )
         .unwrap();
     assert_eq!(status, BlkStatus::Ok);
-    assert_eq!(data.len(), 512);
+    assert_eq!(frame.len(), 512);
 }

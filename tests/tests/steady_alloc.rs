@@ -13,10 +13,18 @@
 //! exactly as `repro bench` does (one warm-up render, then the metered
 //! one).
 
+use bmhive_cloud::blockstore::{BlockStore, StorageClass};
+use bmhive_cloud::catalog::{ServerConstraints, INSTANCE_CATALOG};
+use bmhive_cloud::image::MachineImage;
+use bmhive_cloud::limits::InstanceLimits;
+use bmhive_core::server::BmHiveServer;
 use bmhive_hypervisor::bm::{IoTiming, SessionError};
+use bmhive_hypervisor::{BmGuestSession, VmGuestSession};
+use bmhive_iobond::IoBondProfile;
+use bmhive_net::{MacAddr, PacketKind};
 use bmhive_sim::{EventQueue, SimRng, SimTime};
 use bmhive_telemetry::alloc::{self, CountingAlloc};
-use bmhive_virtio::BlkStatus;
+use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus};
 
 // Each integration test binary links its own allocator; this is the
 // same installation line the `repro` binary uses.
@@ -126,15 +134,34 @@ fn warmed_faults_run_stays_under_the_alloc_gate() {
     );
 }
 
+/// A bm-guest and a vm-guest with production limits, 256-entry queues,
+/// and a block store each.
+fn sessions() -> (BmGuestSession, VmGuestSession, BlockStore, BlockStore) {
+    (
+        BmGuestSession::new(
+            IoBondProfile::fpga(),
+            MacAddr::for_guest(1),
+            256,
+            InstanceLimits::production(),
+        ),
+        VmGuestSession::new(MacAddr::for_guest(1), 256, InstanceLimits::production(), 11),
+        BlockStore::new(StorageClass::CloudSsd, 11),
+        BlockStore::new(StorageClass::CloudSsd, 11),
+    )
+}
+
+/// A 16 KiB write at sector index `i`.
+fn write_at(i: u64) -> BlkRequestHeader {
+    BlkRequestHeader::new(BlkRequestType::Out, i * 32)
+}
+
+/// A 16 KiB read at sector index `i`.
+fn read_at(i: u64) -> BlkRequestHeader {
+    BlkRequestHeader::new(BlkRequestType::In, i * 32)
+}
+
 #[test]
 fn warmed_session_block_writes_allocate_nothing() {
-    use bmhive_cloud::blockstore::{BlockStore, StorageClass};
-    use bmhive_cloud::limits::InstanceLimits;
-    use bmhive_hypervisor::{BmGuestSession, VmGuestSession};
-    use bmhive_iobond::IoBondProfile;
-    use bmhive_net::MacAddr;
-    use bmhive_virtio::BlkRequestType;
-
     // A 16 KiB write crosses the guest's rings and buffer arena, the
     // backend transport (IO-Bond's shadow ring and staging pool on a
     // bm-guest, vhost's shared ring on a vm-guest), the block store and
@@ -142,20 +169,13 @@ fn warmed_session_block_writes_allocate_nothing() {
     // buffer exists, none of those may allocate per request (the MSI a
     // bm completion raises is acknowledged, not queued).
     let data = vec![0x5a; 16 << 10];
-    let mut bm = BmGuestSession::new(
-        IoBondProfile::fpga(),
-        MacAddr::for_guest(1),
-        256,
-        InstanceLimits::production(),
-    );
-    let mut vm = VmGuestSession::new(MacAddr::for_guest(1), 256, InstanceLimits::production(), 11);
-    let mut bm_store = BlockStore::new(StorageClass::CloudSsd, 11);
-    let mut vm_store = BlockStore::new(StorageClass::CloudSsd, 11);
+    let (mut bm, mut vm, mut bm_store, mut vm_store) = sessions();
+    let mut out = Vec::new();
     let bm_allocs = metered_writes(|i, now| {
-        bm.blk_request(&mut bm_store, BlkRequestType::Out, i * 32, &data, 0, now)
+        bm.blk_request(&mut bm_store, write_at(i), &data, 0, now, &mut out)
     });
     let vm_allocs = metered_writes(|i, now| {
-        vm.blk_request(&mut vm_store, BlkRequestType::Out, i * 32, &data, 0, now)
+        vm.blk_request(&mut vm_store, write_at(i), &data, 0, now, &mut out)
     });
     for (platform, allocs) in [("bm", bm_allocs), ("vm", vm_allocs)] {
         assert_eq!(
@@ -167,18 +187,23 @@ fn warmed_session_block_writes_allocate_nothing() {
 }
 
 /// What one session's `blk_request` returns.
-type BlkResult = Result<(BlkStatus, Vec<u8>, IoTiming), SessionError>;
+type BlkResult = Result<(BlkStatus, IoTiming), SessionError>;
 
 /// Allocations of 5,000 16 KiB writes through `write` (one session's
-/// `blk_request` at sector index `i`), after 512 warm-up writes.
+/// `blk_request` at sector index `i`).
 fn metered_writes(mut write: impl FnMut(u64, SimTime) -> BlkResult) -> u64 {
-    let mut now = SimTime::ZERO;
-    let mut step = |i: u64| {
-        let (status, out, timing) = write(i, now).expect("write completes");
+    metered(|i, now| {
+        let (status, timing) = write(i, now).expect("write completes");
         assert_eq!(status, BlkStatus::Ok);
-        assert!(out.is_empty());
-        now = timing.completed;
-    };
+        timing
+    })
+}
+
+/// Allocations of 5,000 runs of `op` (at index `i`, issued when the
+/// previous one completed), after 512 warm-up runs.
+fn metered(mut op: impl FnMut(u64, SimTime) -> IoTiming) -> u64 {
+    let mut now = SimTime::ZERO;
+    let mut step = |i: u64| now = op(i, now).completed;
     for i in 0..512 {
         step(i);
     }
@@ -188,4 +213,98 @@ fn metered_writes(mut write: impl FnMut(u64, SimTime) -> BlkResult) -> u64 {
         }
     });
     allocs
+}
+
+#[test]
+fn warmed_session_sends_receives_and_reads_allocate_nothing() {
+    // The rest of the guest data path: each op hands its bytes back in
+    // the one buffer the caller reuses, so once that buffer has grown
+    // to a 16 KiB read, nothing allocates.
+    let (mut bm, mut vm, mut bm_store, mut vm_store) = sessions();
+    let frame = [0x3c; 64];
+    let peer = MacAddr::for_guest(2);
+    let mut out = Vec::new();
+    let read = |status: BlkStatus, out: &[u8]| {
+        assert_eq!((status, out.len()), (BlkStatus::Ok, 16 << 10));
+    };
+    let counts = [
+        (
+            "bm send",
+            metered(|_, now| {
+                let (_, timing) = bm
+                    .net_send(peer, PacketKind::Udp, &frame, now, &mut out)
+                    .expect("send");
+                timing
+            }),
+        ),
+        (
+            "bm receive",
+            metered(|_, now| bm.net_receive(&frame, now, &mut out).expect("receive")),
+        ),
+        (
+            "bm read",
+            metered(|i, now| {
+                let (status, timing) = bm
+                    .blk_request(&mut bm_store, read_at(i), &[], 16 << 10, now, &mut out)
+                    .expect("read");
+                read(status, &out);
+                timing
+            }),
+        ),
+        (
+            "vm send",
+            metered(|_, now| {
+                let (_, timing) = vm
+                    .net_send(peer, PacketKind::Udp, &frame, now, &mut out)
+                    .expect("send");
+                timing
+            }),
+        ),
+        (
+            "vm receive",
+            metered(|_, now| vm.net_receive(&frame, now, &mut out).expect("receive")),
+        ),
+        (
+            "vm read",
+            metered(|i, now| {
+                let (status, timing) = vm
+                    .blk_request(&mut vm_store, read_at(i), &[], 16 << 10, now, &mut out)
+                    .expect("read");
+                read(status, &out);
+                timing
+            }),
+        ),
+    ];
+    for (loop_name, allocs) in counts {
+        assert_eq!(
+            allocs, 0,
+            "a warmed {loop_name} loop must not allocate: {allocs} allocations over 5,000 ops"
+        );
+    }
+}
+
+#[test]
+fn warmed_server_guest_sends_allocate_nothing() {
+    // Board → bm-hypervisor → vSwitch → board: the server forwards each
+    // frame through scratch frames of its own.
+    let mut server = BmHiveServer::new(ServerConstraints::production(), 5);
+    let image = MachineImage::centos_evaluation(1);
+    let guests = [0, 1].map(|_| {
+        let board = server.install_board(&INSTANCE_CATALOG[0]).expect("board");
+        server
+            .power_on(board, &image, SimTime::ZERO)
+            .expect("boots")
+    });
+    let dst = server.guest_mac(guests[1]).expect("guest");
+    let allocs = metered(|_, now| {
+        server
+            .guest_send(guests[0], dst, b"ping", now)
+            .expect("send")
+    });
+    let (_, rx, _) = server.guest_mut(guests[1]).expect("guest").counters();
+    assert_eq!(rx, 5_512, "every frame reached the receiver");
+    assert_eq!(
+        allocs, 0,
+        "a warmed guest_send loop must not allocate: {allocs} allocations over 5,000 sends"
+    );
 }

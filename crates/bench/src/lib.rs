@@ -19,7 +19,8 @@ use bmhive_cloud::catalog::{ServerConstraints, INSTANCE_CATALOG};
 use bmhive_cloud::cost::CostModel;
 use bmhive_cloud::fleet::{ExitCensus, ExitRateStream, PreemptionStudy, RegionHostDay};
 use bmhive_cloud::security::{ServiceKind, ServiceProfile};
-use bmhive_cpu::nested::NestedVirtModel;
+use bmhive_cpu::memsys::{STREAM_ELEMENTS, STREAM_THREADS};
+use bmhive_cpu::nested;
 use bmhive_hypervisor::IoPath;
 use bmhive_iobond::{steps, IoBondProfile};
 use bmhive_telemetry as telemetry;
@@ -330,7 +331,13 @@ fn fig7(_seed: u64, out: &mut Report) {
 /// Renders Fig. 8: STREAM bandwidth.
 fn fig8(_seed: u64, out: &mut Report) {
     let rows = stream::run_stream();
-    writeln!(out, "Fig. 8. STREAM (200M elements, 16 threads), GB/s").unwrap();
+    writeln!(
+        out,
+        "Fig. 8. STREAM ({}M elements, {} threads), GB/s",
+        STREAM_ELEMENTS / 1_000_000,
+        STREAM_THREADS
+    )
+    .unwrap();
     writeln!(
         out,
         "{:<7} | {:>9} | {:>9} | {:>9}",
@@ -701,7 +708,6 @@ fn cost(_seed: u64, out: &mut Report) {
 
 /// Renders the §2.3 nested-virtualization comparison.
 fn nested(_seed: u64, out: &mut Report) {
-    let model = NestedVirtModel::kvm_on_kvm();
     writeln!(
         out,
         "§2.3 Nested hypervisor performance (relative to native)"
@@ -710,19 +716,19 @@ fn nested(_seed: u64, out: &mut Report) {
     writeln!(
         out,
         "CPU-bound nested guest:  {:.0}%  (paper: ~80%)",
-        model.cpu_relative() * 100.0
+        nested::cpu_relative() * 100.0
     )
     .unwrap();
     writeln!(
         out,
         "I/O-bound nested guest:  {:.0}%  (paper: ~25%)",
-        model.io_relative() * 100.0
+        nested::io_relative() * 100.0
     )
     .unwrap();
     writeln!(
         out,
         "user hypervisor on BM-Hive: {:.0}% (native hardware virtualization)",
-        model.bm_hive_relative() * 100.0
+        nested::BM_HIVE_RELATIVE * 100.0
     )
     .unwrap();
     telemetry::add_events(3);
@@ -890,10 +896,9 @@ fn offload(_seed: u64, out: &mut Report) {
 /// Renders the §6 SGX comparison.
 fn sgx(_seed: u64, out: &mut Report) {
     use bmhive_cpu::catalog::XEON_E5_2682_V4;
-    use bmhive_cpu::sgx::{EnclaveWorkload, SgxModel, SgxSupport};
+    use bmhive_cpu::sgx::{overhead_fraction, support_on, EnclaveWorkload, SgxSupport};
     use bmhive_cpu::Platform;
-    let model = SgxModel::sgx1();
-    let workload = EnclaveWorkload::trading_engine();
+    let workload = EnclaveWorkload::TRADING_ENGINE;
     let bm = Platform::bm_guest(XEON_E5_2682_V4);
     let vm = Platform::vm_guest(XEON_E5_2682_V4);
     writeln!(
@@ -913,17 +918,17 @@ fn sgx(_seed: u64, out: &mut Report) {
     row(
         out,
         "bm-guest (native SGX):          ",
-        model.overhead_fraction(&workload, model.support_on(&bm)),
+        overhead_fraction(&workload, support_on(&bm)),
     );
     row(
         out,
         "vm-guest (stock KVM/QEMU):      ",
-        model.overhead_fraction(&workload, model.support_on(&vm)),
+        overhead_fraction(&workload, support_on(&vm)),
     );
     row(
         out,
         "vm-guest (special SGX builds):  ",
-        model.overhead_fraction(
+        overhead_fraction(
             &workload,
             SgxSupport::Virtualized {
                 special_builds_installed: true,
@@ -1803,5 +1808,59 @@ mod tests {
         passed.at_most("holds", 2.0, 2.0);
         assert_eq!(passed.failures("exp").count(), 0);
         assert_eq!(Report::default().failures("exp").count(), 0);
+    }
+
+    /// The four experiments driven only by `bmhive-cpu`'s cost consts,
+    /// pinned to their exact text: a recalibration of any CPU cost shows
+    /// up here as a diff, not as a value drifting inside a range.
+    #[test]
+    fn cpu_cost_experiments_render_their_pinned_text() {
+        const FIG7: &str = "\
+Fig. 7. SPEC CINT2006, normalised to the physical machine (=1.000)
+benchmark    |  bm-guest |  vm-guest
+perlbench    |     1.040 |     0.983
+bzip2        |     1.040 |     0.985
+gcc          |     1.040 |     0.965
+mcf          |     1.040 |     0.971
+gobmk        |     1.040 |     0.986
+hmmer        |     1.040 |     0.991
+sjeng        |     1.040 |     0.989
+libquantum   |     1.040 |     0.979
+h264ref      |     1.040 |     0.987
+omnetpp      |     1.040 |     0.967
+astar        |     1.040 |     0.978
+xalancbmk    |     1.040 |     0.966
+geomean      |     1.040 |     0.979   (paper: bm ~ +4%, vm ~ -4%)
+";
+        const FIG8: &str = "\
+Fig. 8. STREAM (200M elements, 16 threads), GB/s
+kernel  |  physical |  bm-guest |  vm-guest
+Copy    |      43.5 |      43.5 |      42.6
+Scale   |      43.5 |      43.5 |      42.6
+Add     |      49.0 |      49.0 |      48.0
+Triad   |      49.0 |      49.0 |      48.0
+(paper: bm == physical at the channel limit; vm ~ 98% of bm under load)
+";
+        const NESTED: &str = "\
+§2.3 Nested hypervisor performance (relative to native)
+CPU-bound nested guest:  80%  (paper: ~80%)
+I/O-bound nested guest:  25%  (paper: ~25%)
+user hypervisor on BM-Hive: 100% (native hardware virtualization)
+";
+        const SGX: &str = "\
+§6 SGX support (trading-engine enclave, 120K transitions/s)
+bm-guest (native SGX):          45.6% of a core in SGX machinery
+vm-guest (stock KVM/QEMU):      cannot launch (no special builds)
+vm-guest (special SGX builds):  58.8% of a core in SGX machinery
+(paper: SGX 'does not work well in virtual machines'; BM-Hive runs it natively)
+";
+        for (id, text) in [
+            ("fig7", FIG7),
+            ("fig8", FIG8),
+            ("nested", NESTED),
+            ("sgx", SGX),
+        ] {
+            assert_eq!(experiment(id).unwrap().render(1).text, text, "{id}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! plan and enables telemetry on the worker thread that picks it up,
 //! runs the experiment, and collects the report, fault stats, and
 //! (optionally) a chrome-trace document. Because fault injection and
-//! telemetry are thread-local ([`bmhive_faults::install`] /
+//! telemetry are thread-local ([`bmhive_faults::arm`] /
 //! per-thread collectors), a cell produces byte-identical output
 //! whether the sweep runs on one thread or sixteen.
 //!

@@ -17,7 +17,7 @@
 //! path as the reference; [`PreemptionStudy::stream`] is its O(1)-memory
 //! twin over the identical RNG draws.
 
-use bmhive_cpu::virt::{diurnal_load, ExitRatePopulation, PreemptionModel, PreemptionSampler};
+use bmhive_cpu::virt::{diurnal_load, fill_exit_rates, sample_exit_rate, PreemptionModel};
 use bmhive_sim::stats::exact_percentile_into;
 use bmhive_sim::{BatchRunner, EventQueue, Histogram, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
@@ -33,7 +33,6 @@ use bmhive_telemetry as telemetry;
 /// into O(1) accumulators.
 #[derive(Debug, Clone)]
 pub struct ExitRateStream {
-    pop: ExitRatePopulation,
     rng: SimRng,
 }
 
@@ -55,7 +54,6 @@ impl ExitRateStream {
     /// produces the same guests whichever worker runs it.
     pub fn production_on(seed: u64, stream: u64) -> Self {
         ExitRateStream {
-            pop: ExitRatePopulation::production(),
             rng: SimRng::with_stream(seed, stream),
         }
     }
@@ -63,7 +61,7 @@ impl ExitRateStream {
     /// Draws `out.len()` rates in bulk — bit-identical to pulling the
     /// same count through the iterator, minus the per-item overhead.
     pub fn fill(&mut self, out: &mut [f64]) {
-        self.pop.fill(&mut self.rng, out);
+        fill_exit_rates(&mut self.rng, out);
     }
 }
 
@@ -76,7 +74,7 @@ impl Iterator for ExitRateStream {
     type Item = f64;
 
     fn next(&mut self) -> Option<f64> {
-        Some(self.pop.sample(&mut self.rng))
+        Some(sample_exit_rate(&mut self.rng))
     }
 }
 
@@ -241,11 +239,10 @@ impl PreemptionStudy {
             e: Vec<f64>,
             scratch: Vec<f64>,
         }
-        // Hoist the per-sample constants: one ln() per model and one
-        // cos() per hour instead of one of each per VM-sample. The
-        // samplers draw bit-identical values to the unhoisted models.
-        let shared = PreemptionModel::shared().sampler();
-        let exclusive = PreemptionModel::exclusive().sampler();
+        // One ln() per model (at construction) and one cos() per hour,
+        // not one of each per VM-sample.
+        let shared = PreemptionModel::shared();
+        let exclusive = PreemptionModel::exclusive();
         let mut out = PreemptionStudy {
             hours: (0..24).collect(),
             shared_p99: Vec::with_capacity(24),
@@ -318,8 +315,8 @@ impl PreemptionStudy {
     /// telemetry registry writes mid-stream), so callers can meter its
     /// peak allocation deterministically.
     pub fn stream(vms: usize, seed: u64) -> Self {
-        let shared = PreemptionModel::shared().sampler();
-        let exclusive = PreemptionModel::exclusive().sampler();
+        let shared = PreemptionModel::shared();
+        let exclusive = PreemptionModel::exclusive();
         let mut rng = SimRng::with_stream(seed, 0xf161);
         let mut out = PreemptionStudy {
             hours: (0..24).collect(),
@@ -328,10 +325,10 @@ impl PreemptionStudy {
             exclusive_p99: Vec::with_capacity(24),
             exclusive_p999: Vec::with_capacity(24),
         };
-        let series = |sampler: &PreemptionSampler, rng: &mut SimRng, load: f64| {
+        let series = |model: &PreemptionModel, rng: &mut SimRng, load: f64| {
             let mut hist = Histogram::new();
             for _ in 0..vms {
-                hist.record(sampler.sample_at_load(rng, load) * 100.0 * STREAM_PCT_SCALE);
+                hist.record(model.sample_at_load(rng, load) * 100.0 * STREAM_PCT_SCALE);
             }
             (
                 hist.percentile(99.0) / STREAM_PCT_SCALE,
@@ -408,8 +405,8 @@ impl RegionHostDay {
     ) -> Self {
         let mut exits = ExitRateStream::production_on(seed, exit_stream);
         let mut ops_rng = SimRng::with_stream(seed, ops_stream);
-        let shared = PreemptionModel::shared().sampler();
-        let exclusive = PreemptionModel::exclusive().sampler();
+        let shared = PreemptionModel::shared();
+        let exclusive = PreemptionModel::exclusive();
         let mut day = RegionHostDay {
             census: ExitCensus::new(thresholds),
             arrivals: 0,

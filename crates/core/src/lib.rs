@@ -64,7 +64,7 @@ pub mod prelude {
     pub use bmhive_cloud::limits::InstanceLimits;
     pub use bmhive_cloud::scheduler::Scheduler;
     pub use bmhive_cloud::security::{ServiceKind, ServiceProfile};
-    pub use bmhive_cpu::{CpuWork, Platform, VirtTax};
+    pub use bmhive_cpu::{CpuWork, Platform};
     pub use bmhive_hypervisor::{boot_guest, BmGuestSession, BootReport, IoPath, VmGuestSession};
     pub use bmhive_iobond::{IoBondDevice, IoBondProfile};
     pub use bmhive_net::{MacAddr, NetLink, Packet, PacketKind};

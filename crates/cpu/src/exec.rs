@@ -8,7 +8,8 @@
 //! the virtualization tax.
 
 use crate::catalog::Processor;
-use bmhive_sim::{SimDuration, SimRng, SimTime};
+use crate::virt::VM_EXIT_COST;
+use bmhive_sim::{SimDuration, SimRng};
 
 /// Reference execution rate: cycles/second of the index-1.0 processor
 /// (Xeon E5-2682 v4 at its base clock).
@@ -58,67 +59,50 @@ impl CpuWork {
     }
 }
 
-/// The virtualization tax a vm-guest pays (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VirtTax {
-    /// VM exits per second per vCPU while running this workload.
-    pub exit_rate_per_sec: f64,
-    /// Cost of one exit ("about 10 μs for the KVM hypervisor to handle
-    /// an event").
-    pub exit_cost: SimDuration,
-    /// TLB misses per cache-missing memory reference.
-    pub tlb_miss_rate: f64,
-    /// Extra nanoseconds per TLB miss under two-level paging (the walk
-    /// can take "up to 24 memory accesses" instead of 4).
-    pub ept_walk_penalty_ns: f64,
-    /// Fraction of wall time stolen by host tasks (Fig. 1's preemption).
-    pub preemption_fraction: f64,
-    /// Achievable fraction of native memory bandwidth under load
-    /// (Fig. 8: "about 98% of the bm-guest").
-    pub mem_bandwidth_factor: f64,
+/// VM exits per second per vCPU of the evaluation vm-guest, a
+/// well-tuned exclusive (pinned) production VM, until a workload sets
+/// its own rate with [`Platform::with_exit_rate`].
+const DEFAULT_EXIT_RATE: f64 = 2_000.0;
+
+/// TLB misses per cache-missing memory reference.
+const TLB_MISS_RATE: f64 = 0.02;
+
+/// Extra nanoseconds per TLB miss under two-level paging (the walk can
+/// take "up to 24 memory accesses" instead of 4).
+const EPT_WALK_PENALTY_NS: f64 = 100.0;
+
+/// Fraction of a vm-guest's wall time stolen by host tasks: the Fig. 1
+/// exclusive (pinned) preemption level.
+pub const PREEMPTION_FRACTION: f64 = 0.002;
+
+/// Achievable fraction of native memory bandwidth on a vm-guest under
+/// load (Fig. 8: "about 98% of the bm-guest").
+const MEM_BANDWIDTH_FACTOR: f64 = 0.98;
+
+/// A compute board's speed relative to the physical server with the
+/// same processor: "about 4% faster than the physical machine ...
+/// because they have different configurations and were designed and
+/// produced by different manufacturers" (§4.2). It scales the
+/// latency-bound terms only: Fig. 8 shows the bm-guest at the same
+/// memory-bandwidth limit as the physical machine.
+const BOARD_FACTOR: f64 = 1.04;
+
+/// The range checks on the tax consts: a stolen fraction must leave
+/// the vCPU some time, a miss rate is a probability, and a VM reaches
+/// at most native bandwidth. Evaluated at compile time below, so an
+/// out-of-range edit fails the build.
+const fn check_tax(preemption_fraction: f64, tlb_miss_rate: f64, mem_bandwidth_factor: f64) {
+    assert!(0.0 <= preemption_fraction && preemption_fraction < 1.0);
+    assert!(0.0 <= tlb_miss_rate && tlb_miss_rate <= 1.0);
+    assert!(0.0 < mem_bandwidth_factor && mem_bandwidth_factor <= 1.0);
 }
 
-impl VirtTax {
-    /// The tax profile of a well-tuned exclusive (pinned) production VM:
-    /// modest exit rate, typical EPT behaviour, the Fig. 1 exclusive
-    /// preemption level.
-    pub fn pinned_default() -> Self {
-        VirtTax {
-            exit_rate_per_sec: 2_000.0,
-            exit_cost: SimDuration::from_micros(10),
-            tlb_miss_rate: 0.02,
-            ept_walk_penalty_ns: 100.0,
-            preemption_fraction: 0.002,
-            mem_bandwidth_factor: 0.98,
-        }
-    }
+const _: () = check_tax(PREEMPTION_FRACTION, TLB_MISS_RATE, MEM_BANDWIDTH_FACTOR);
 
-    /// A shared (unpinned) VM: higher preemption, same machinery.
-    pub fn shared_default() -> Self {
-        VirtTax {
-            preemption_fraction: 0.03,
-            ..Self::pinned_default()
-        }
-    }
-
-    /// Validates invariants (fractions in range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fraction is outside `[0, 1)` or a rate is negative.
-    pub fn validate(&self) {
-        assert!(self.exit_rate_per_sec >= 0.0);
-        assert!((0.0..1.0).contains(&self.preemption_fraction));
-        assert!((0.0..=1.0).contains(&self.tlb_miss_rate));
-        assert!(
-            (0.0..=1.0).contains(&self.mem_bandwidth_factor) && self.mem_bandwidth_factor > 0.0
-        );
-    }
-
-    /// Fraction of CPU time consumed by VM exits alone.
-    pub fn exit_overhead_fraction(&self) -> f64 {
-        (self.exit_rate_per_sec * self.exit_cost.as_secs_f64()).min(0.95)
-    }
+/// Fraction of CPU time a vm-guest spends in VM exits alone at
+/// `exit_rate_per_sec`.
+fn exit_overhead_fraction(exit_rate_per_sec: f64) -> f64 {
+    (exit_rate_per_sec * VM_EXIT_COST.as_secs_f64()).min(0.95)
 }
 
 /// Where work executes.
@@ -129,41 +113,49 @@ pub enum Platform {
         /// The processor.
         proc: Processor,
     },
-    /// A BM-Hive compute board: native execution. `board_factor`
-    /// captures the small board-design difference the paper observed
-    /// ("about 4% faster than the physical machine ... because they have
-    /// different configurations and were designed and produced by
-    /// different manufacturers").
+    /// A BM-Hive compute board: native execution, about 4 % faster than
+    /// the physical server on latency-bound work.
     BareMetalBoard {
         /// The board's processor.
         proc: Processor,
-        /// Relative performance vs. the reference physical server
-        /// (≈1.04 in §4.2).
-        board_factor: f64,
     },
-    /// A KVM-style vm-guest paying the virtualization tax.
+    /// A KVM-style vm-guest paying the virtualization tax (§2.1): VM
+    /// exits, EPT walks on TLB misses, host preemption and a
+    /// memory-bandwidth haircut.
     Vm {
         /// The underlying processor.
         proc: Processor,
-        /// The tax.
-        tax: VirtTax,
+        /// VM exits per second per vCPU while running this workload.
+        exit_rate_per_sec: f64,
     },
 }
 
 impl Platform {
-    /// The evaluation bm-guest: E5-2682 v4 board at the observed +4 %.
+    /// The evaluation bm-guest: a compute board with `proc`.
     pub fn bm_guest(proc: Processor) -> Self {
-        Platform::BareMetalBoard {
-            proc,
-            board_factor: 1.04,
-        }
+        Platform::BareMetalBoard { proc }
     }
 
-    /// The evaluation vm-guest: pinned/exclusive tax profile.
+    /// The evaluation vm-guest: pinned/exclusive, at the default exit
+    /// rate.
     pub fn vm_guest(proc: Processor) -> Self {
         Platform::Vm {
             proc,
-            tax: VirtTax::pinned_default(),
+            exit_rate_per_sec: DEFAULT_EXIT_RATE,
+        }
+    }
+
+    /// This platform running a workload that provokes
+    /// `exit_rate_per_sec` VM exits (I/O-heavy workloads exit far more —
+    /// the Table 2 tail). Unchanged for physical and bare-metal
+    /// platforms, where nothing exits anywhere.
+    pub fn with_exit_rate(self, exit_rate_per_sec: f64) -> Self {
+        match self {
+            Platform::Vm { proc, .. } => Platform::Vm {
+                proc,
+                exit_rate_per_sec,
+            },
+            other => other,
         }
     }
 
@@ -171,37 +163,14 @@ impl Platform {
     pub fn processor(&self) -> &Processor {
         match self {
             Platform::Physical { proc }
-            | Platform::BareMetalBoard { proc, .. }
+            | Platform::BareMetalBoard { proc }
             | Platform::Vm { proc, .. } => proc,
-        }
-    }
-
-    /// Short platform label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Platform::Physical { .. } => "physical",
-            Platform::BareMetalBoard { .. } => "bm-guest",
-            Platform::Vm { .. } => "vm-guest",
-        }
-    }
-
-    fn perf_index(&self) -> f64 {
-        match self {
-            Platform::Physical { proc } => proc.single_thread_index,
-            // The board's faster cores *and* lower memory latency both
-            // come from the board_factor (different board design and
-            // manufacturer, §4.2); bandwidth does not (Fig. 8 shows the
-            // bm-guest at the same channel limit as the physical
-            // machine), so the factor is applied to the latency-bound
-            // terms in execute(), not here.
-            Platform::BareMetalBoard { proc, .. } => proc.single_thread_index,
-            Platform::Vm { proc, .. } => proc.single_thread_index,
         }
     }
 
     fn latency_factor(&self) -> f64 {
         match self {
-            Platform::BareMetalBoard { board_factor, .. } => *board_factor,
+            Platform::BareMetalBoard { .. } => BOARD_FACTOR,
             _ => 1.0,
         }
     }
@@ -214,21 +183,21 @@ impl Platform {
         // are core-limited at ~12 GB/s each.
         let socket = (peak * 0.85).min(f64::from(threads) * 12.0);
         match self {
-            Platform::Vm { tax, .. } => socket * tax.mem_bandwidth_factor,
+            Platform::Vm { .. } => socket * MEM_BANDWIDTH_FACTOR,
             _ => socket,
         }
     }
 
     /// Prices `work` on this platform: wall-clock time for one thread.
     pub fn execute(&self, work: &CpuWork) -> SimDuration {
-        let index = self.perf_index();
+        let index = self.processor().single_thread_index;
         let latency_factor = self.latency_factor();
         let cpu_secs = work.cycles / (REF_CYCLES_PER_SEC * index * latency_factor);
 
         let (ref_latency_ns, bandwidth_factor) = match self {
-            Platform::Vm { tax, .. } => (
-                DRAM_LATENCY_NS + tax.tlb_miss_rate * tax.ept_walk_penalty_ns,
-                tax.mem_bandwidth_factor,
+            Platform::Vm { .. } => (
+                DRAM_LATENCY_NS + TLB_MISS_RATE * EPT_WALK_PENALTY_NS,
+                MEM_BANDWIDTH_FACTOR,
             ),
             _ => (DRAM_LATENCY_NS, 1.0),
         };
@@ -238,8 +207,11 @@ impl Platform {
 
         let busy = cpu_secs + mem_secs;
         let total = match self {
-            Platform::Vm { tax, .. } => {
-                let stolen = (tax.exit_overhead_fraction() + tax.preemption_fraction).min(0.95);
+            Platform::Vm {
+                exit_rate_per_sec, ..
+            } => {
+                let stolen =
+                    (exit_overhead_fraction(*exit_rate_per_sec) + PREEMPTION_FRACTION).min(0.95);
                 busy / (1.0 - stolen)
             }
             _ => busy,
@@ -247,30 +219,14 @@ impl Platform {
         SimDuration::from_secs_f64(total)
     }
 
-    /// Throughput in operations/second for work of `per_op` per
-    /// operation, single-threaded.
-    pub fn ops_per_sec(&self, per_op: &CpuWork) -> f64 {
-        let t = self.execute(per_op).as_secs_f64();
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / t
-        }
-    }
-
     /// Samples the wall time of `work` including preemption *bursts*
     /// (rather than the average fraction): host tasks occasionally steal
     /// whole scheduling quanta, which is what creates Fig. 16's vm-guest
     /// jitter. Deterministic given `rng`.
-    pub fn execute_with_jitter(
-        &self,
-        work: &CpuWork,
-        rng: &mut SimRng,
-        _now: SimTime,
-    ) -> SimDuration {
+    pub fn execute_with_jitter(&self, work: &CpuWork, rng: &mut SimRng) -> SimDuration {
         let base = self.execute(work);
         match self {
-            Platform::Vm { tax, .. } => {
+            Platform::Vm { .. } => {
                 // Preemption arrives in ~0.5 ms quanta. An execution
                 // window of length `base` overlaps a burst if a burst
                 // starts inside it OR it starts inside a burst, so the
@@ -279,7 +235,7 @@ impl Platform {
                 // tick, one Redis op) occasionally stall for a whole
                 // scheduling quantum.
                 let quantum = SimDuration::from_micros(500);
-                let expected_bursts = tax.preemption_fraction
+                let expected_bursts = PREEMPTION_FRACTION
                     * (base.as_secs_f64() + quantum.as_secs_f64())
                     / quantum.as_secs_f64();
                 let mut extra = SimDuration::ZERO;
@@ -354,43 +310,33 @@ mod tests {
 
     #[test]
     fn pure_compute_pays_no_memory_tax() {
+        // With no exits, pure compute on a vm-guest differs from the
+        // physical machine only by the stolen preemption fraction.
         let work = CpuWork::compute(1e9);
         let phys = Platform::Physical {
             proc: XEON_E5_2682_V4,
         }
         .execute(&work);
-        let vm = Platform::Vm {
-            proc: XEON_E5_2682_V4,
-            tax: VirtTax {
-                exit_rate_per_sec: 0.0,
-                preemption_fraction: 0.0,
-                ..VirtTax::pinned_default()
-            },
-        }
-        .execute(&work);
-        assert_eq!(phys, vm);
+        let vm = Platform::vm_guest(XEON_E5_2682_V4)
+            .with_exit_rate(0.0)
+            .execute(&work);
+        let stretch = vm.as_secs_f64() * (1.0 - PREEMPTION_FRACTION) - phys.as_secs_f64();
+        assert!(stretch.abs() < 1e-9, "stretch {stretch}");
     }
 
     #[test]
     fn heavy_exit_rate_halves_throughput() {
         // 50 000 exits/s × 10 µs = 50% of CPU time, matching the Table 2
         // discussion ("about 50% of the CPU time is spent in VM exits").
-        let tax = VirtTax {
-            exit_rate_per_sec: 50_000.0,
-            preemption_fraction: 0.0,
-            ..VirtTax::pinned_default()
-        };
-        assert!((tax.exit_overhead_fraction() - 0.5).abs() < 1e-9);
+        assert!((exit_overhead_fraction(50_000.0) - 0.5).abs() < 1e-9);
         let work = CpuWork::compute(1e9);
         let native = Platform::Physical {
             proc: XEON_E5_2682_V4,
         }
         .execute(&work);
-        let vm = Platform::Vm {
-            proc: XEON_E5_2682_V4,
-            tax,
-        }
-        .execute(&work);
+        let vm = Platform::vm_guest(XEON_E5_2682_V4)
+            .with_exit_rate(50_000.0)
+            .execute(&work);
         let slowdown = vm.as_secs_f64() / native.as_secs_f64();
         assert!((slowdown - 2.0).abs() < 0.01, "slowdown {slowdown}");
     }
@@ -420,35 +366,38 @@ mod tests {
         let mut rng = SimRng::new(1);
         let work = CpuWork::compute(2.5e9); // ~1 s on the reference CPU
         let bm = Platform::bm_guest(XEON_E5_2682_V4);
-        assert_eq!(
-            bm.execute_with_jitter(&work, &mut rng, SimTime::ZERO),
-            bm.execute(&work)
-        );
-        let vm = Platform::Vm {
-            proc: XEON_E5_2682_V4,
-            tax: VirtTax::shared_default(),
-        };
-        let jittered = vm.execute_with_jitter(&work, &mut rng, SimTime::ZERO);
+        assert_eq!(bm.execute_with_jitter(&work, &mut rng), bm.execute(&work));
+        let vm = Platform::vm_guest(XEON_E5_2682_V4);
+        let jittered = vm.execute_with_jitter(&work, &mut rng);
         assert!(jittered >= vm.execute(&work));
     }
 
     #[test]
-    fn ops_per_sec_inverts_execute() {
+    fn reference_cpu_retires_2_5_gcycles_per_second() {
         let per_op = CpuWork::compute(2.5e6); // 1 ms at reference
         let plat = Platform::Physical {
             proc: XEON_E5_2682_V4,
         };
-        let rate = plat.ops_per_sec(&per_op);
-        assert!((rate - 1000.0).abs() < 1.0, "rate {rate}");
+        let secs = plat.execute(&per_op).as_secs_f64();
+        assert!((secs - 1e-3).abs() < 1e-6, "{secs} s");
+    }
+
+    #[test]
+    fn with_exit_rate_sets_vms_and_leaves_boards_alone() {
+        let bm = Platform::bm_guest(XEON_E5_2682_V4);
+        assert_eq!(bm.with_exit_rate(50_000.0), bm);
+        assert_eq!(
+            Platform::vm_guest(XEON_E5_2682_V4).with_exit_rate(123.0),
+            Platform::Vm {
+                proc: XEON_E5_2682_V4,
+                exit_rate_per_sec: 123.0
+            }
+        );
     }
 
     #[test]
     #[should_panic]
     fn tax_validation_rejects_bad_fraction() {
-        VirtTax {
-            preemption_fraction: 1.5,
-            ..VirtTax::pinned_default()
-        }
-        .validate();
+        check_tax(1.5, TLB_MISS_RATE, MEM_BANDWIDTH_FACTOR);
     }
 }

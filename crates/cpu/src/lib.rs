@@ -12,17 +12,23 @@
 //!   (CPU Mark ratios, Intel ARK TDP).
 //! * [`exec`] — the execution model: [`CpuWork`] (cycles + cache-missing
 //!   references + streamed bytes) priced on a [`Platform`]
-//!   (physical / bare-metal board / VM / nested VM). The VM platform
-//!   charges VM exits (≈10 µs each, §2.1), two-level page-walk
-//!   amplification on TLB misses (up to 24 memory references, §5), and
-//!   host preemption.
-//! * [`virt`] — the VM-exit machinery itself: exit classes, the
-//!   exit-rate population model behind Table 2, and the preemption
-//!   process behind Fig. 1.
+//!   (physical / bare-metal board / VM). The VM platform charges VM
+//!   exits (≈10 µs each, §2.1) at a per-workload rate, two-level
+//!   page-walk amplification on TLB misses (up to 24 memory references,
+//!   §5), and host preemption.
+//! * [`virt`] — the VM-exit machinery itself: the one exit cost
+//!   ([`virt::VM_EXIT_COST`]), the exit-rate population behind Table 2,
+//!   and the preemption process behind Fig. 1.
 //! * [`memsys`] / [`spec`] — the STREAM and SPEC CINT2006 workload
 //!   models used by Figs. 7 and 8.
 //! * [`nested`] — the nested-virtualization model of §2.3 (≈80 % native
 //!   CPU, ≈25 % native I/O).
+//! * [`sgx`] — the §6 SGX comparison: native enclaves on a compute
+//!   board, special builds or nothing in a VM.
+//!
+//! Every cost is a named module `const` with the paper's value; the one
+//! setting a caller chooses is a workload's VM exit rate
+//! ([`Platform::with_exit_rate`]).
 
 pub mod catalog;
 pub mod exec;
@@ -33,9 +39,8 @@ pub mod spec;
 pub mod virt;
 
 pub use catalog::{Processor, ProcessorKind};
-pub use exec::{CpuWork, Platform, VirtTax};
-pub use memsys::{MemorySystem, StreamKernel};
-pub use nested::NestedVirtModel;
-pub use sgx::{EnclaveWorkload, SgxModel, SgxSupport};
+pub use exec::{CpuWork, Platform};
+pub use memsys::StreamKernel;
+pub use sgx::{EnclaveWorkload, SgxSupport};
 pub use spec::{SpecBenchmark, SPEC_CINT2006};
-pub use virt::{ExitClass, ExitRatePopulation, PreemptionModel, VmExitModel};
+pub use virt::PreemptionModel;

@@ -56,40 +56,23 @@ impl StreamKernel {
     }
 }
 
-/// A socket's memory system running STREAM.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemorySystem {
-    /// Array length in elements (the paper: 200 M).
-    pub elements: u64,
-    /// Worker threads (the paper: 16).
-    pub threads: u32,
-}
+/// Elements per STREAM array in the paper's configuration.
+pub const STREAM_ELEMENTS: u64 = 200_000_000;
 
-impl MemorySystem {
-    /// The paper's configuration: 200 M elements, 16 threads.
-    pub fn paper_config() -> Self {
-        MemorySystem {
-            elements: 200_000_000,
-            threads: 16,
-        }
-    }
+/// STREAM worker threads in the paper's configuration.
+pub const STREAM_THREADS: u32 = 16;
 
-    /// The *reported* STREAM bandwidth (GB/s) of `kernel` on `platform`.
-    ///
-    /// STREAM reports counted bytes / elapsed time; elapsed time is
-    /// governed by actual bytes moved at the platform's achievable
-    /// bandwidth, so the reported figure is achievable ×
-    /// counted/actual — which is why Copy/Scale report lower numbers
-    /// than Add/Triad on the same machine.
-    pub fn stream_bandwidth(&self, platform: &Platform, kernel: StreamKernel) -> f64 {
-        let achievable = platform.stream_bandwidth_gbs(self.threads);
-        achievable * kernel.counted_bytes_per_iter() as f64 / kernel.actual_bytes_per_iter() as f64
-    }
-
-    /// Total memory footprint in bytes (3 arrays of 8-byte elements).
-    pub fn footprint_bytes(&self) -> u64 {
-        3 * 8 * self.elements
-    }
+/// The *reported* STREAM bandwidth (GB/s) of `kernel` on `platform`
+/// with [`STREAM_THREADS`] threads.
+///
+/// STREAM reports counted bytes / elapsed time; elapsed time is
+/// governed by actual bytes moved at the platform's achievable
+/// bandwidth, so the reported figure is achievable × counted/actual —
+/// which is why Copy/Scale report lower numbers than Add/Triad on the
+/// same machine.
+pub fn stream_bandwidth(platform: &Platform, kernel: StreamKernel) -> f64 {
+    let achievable = platform.stream_bandwidth_gbs(STREAM_THREADS);
+    achievable * kernel.counted_bytes_per_iter() as f64 / kernel.actual_bytes_per_iter() as f64
 }
 
 #[cfg(test)]
@@ -100,23 +83,22 @@ mod tests {
 
     #[test]
     fn paper_footprint_is_4_5_gb() {
-        let m = MemorySystem::paper_config();
-        let gb = m.footprint_bytes() as f64 / 1e9;
+        // Three arrays of 8-byte elements.
+        let gb = (3 * 8 * STREAM_ELEMENTS) as f64 / 1e9;
         assert!((gb - 4.8).abs() < 0.3, "{gb} GB"); // 3 × 1.6 GB
     }
 
     #[test]
     fn bm_equals_physical_and_vm_is_98_percent() {
-        let m = MemorySystem::paper_config();
         let phys = Platform::Physical {
             proc: XEON_E5_2682_V4,
         };
         let bm = Platform::bm_guest(XEON_E5_2682_V4);
         let vm = Platform::vm_guest(XEON_E5_2682_V4);
         for kernel in StreamKernel::ALL {
-            let p = m.stream_bandwidth(&phys, kernel);
-            let b = m.stream_bandwidth(&bm, kernel);
-            let v = m.stream_bandwidth(&vm, kernel);
+            let p = stream_bandwidth(&phys, kernel);
+            let b = stream_bandwidth(&bm, kernel);
+            let v = stream_bandwidth(&vm, kernel);
             assert!(
                 (b / p - 1.0).abs() < 1e-9,
                 "{}: bm {b} vs phys {p}",
@@ -132,10 +114,9 @@ mod tests {
 
     #[test]
     fn add_and_triad_report_higher_than_copy_and_scale() {
-        let m = MemorySystem::paper_config();
         let bm = Platform::bm_guest(XEON_E5_2682_V4);
-        let copy = m.stream_bandwidth(&bm, StreamKernel::Copy);
-        let add = m.stream_bandwidth(&bm, StreamKernel::Add);
+        let copy = stream_bandwidth(&bm, StreamKernel::Copy);
+        let add = stream_bandwidth(&bm, StreamKernel::Add);
         assert!(add > copy);
     }
 
@@ -144,9 +125,8 @@ mod tests {
         // 16 threads on 4 channels: the bm-guest should report within
         // ~25% of the 76.8 GB/s peak (write-allocate and efficiency eat
         // the rest), i.e. "close to the speed limit".
-        let m = MemorySystem::paper_config();
         let bm = Platform::bm_guest(XEON_E5_2682_V4);
-        let triad = m.stream_bandwidth(&bm, StreamKernel::Triad);
+        let triad = stream_bandwidth(&bm, StreamKernel::Triad);
         let peak = XEON_E5_2682_V4.peak_memory_bandwidth_gbs();
         assert!(
             triad > peak * 0.55 && triad < peak,
@@ -156,14 +136,8 @@ mod tests {
 
     #[test]
     fn few_threads_are_core_limited() {
-        let m = MemorySystem {
-            elements: 200_000_000,
-            threads: 2,
-        };
         let bm = Platform::bm_guest(XEON_E5_2682_V4);
-        let two = m.stream_bandwidth(&bm, StreamKernel::Triad);
-        let sixteen = MemorySystem::paper_config().stream_bandwidth(&bm, StreamKernel::Triad);
-        assert!(two < sixteen);
+        assert!(bm.stream_bandwidth_gbs(2) < bm.stream_bandwidth_gbs(STREAM_THREADS));
     }
 
     #[test]

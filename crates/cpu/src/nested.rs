@@ -10,55 +10,38 @@
 //! single-digit multiplication factors). BM-Hive sidesteps all of it —
 //! the user's hypervisor runs directly on the compute board's silicon.
 
-use bmhive_sim::SimDuration;
+use crate::virt::VM_EXIT_COST;
 
-/// The nested-virtualization overhead model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NestedVirtModel {
-    /// How many L1↔L0 transitions one L2 exit expands into.
-    pub exit_multiplication: f64,
-    /// Cost of a single transition.
-    pub transition_cost: SimDuration,
-    /// Background L2 exit rate of a CPU-bound guest (timers, IPIs).
-    pub cpu_workload_exit_rate: f64,
-    /// L2 exit rate of an I/O-intensive guest (every kick and interrupt
-    /// traps twice).
-    pub io_workload_exit_rate: f64,
+/// How many L1↔L0 transitions (each one [`VM_EXIT_COST`]) one L2 exit
+/// expands into.
+const EXIT_MULTIPLICATION: f64 = 5.0;
+
+/// Background L2 exit rate of a CPU-bound guest (timers, IPIs).
+const CPU_WORKLOAD_EXIT_RATE: f64 = 5_000.0;
+
+/// L2 exit rate of an I/O-intensive guest (every kick and interrupt
+/// traps twice).
+const IO_WORKLOAD_EXIT_RATE: f64 = 60_000.0;
+
+/// BM-Hive's answer: the user hypervisor owns the hardware
+/// virtualization extension outright, so it runs at native speed.
+pub const BM_HIVE_RELATIVE: f64 = 1.0;
+
+/// Fraction of native performance a KVM-on-KVM nested guest reaches for
+/// a workload with the given L2 exit rate.
+pub fn relative_performance(l2_exit_rate: f64) -> f64 {
+    let overhead = l2_exit_rate * EXIT_MULTIPLICATION * VM_EXIT_COST.as_secs_f64();
+    1.0 / (1.0 + overhead)
 }
 
-impl NestedVirtModel {
-    /// KVM-on-KVM, calibrated to the §2.3 figures.
-    pub fn kvm_on_kvm() -> Self {
-        NestedVirtModel {
-            exit_multiplication: 5.0,
-            transition_cost: SimDuration::from_micros(10),
-            cpu_workload_exit_rate: 5_000.0,
-            io_workload_exit_rate: 60_000.0,
-        }
-    }
+/// Nested CPU-bound performance relative to native (≈0.80).
+pub fn cpu_relative() -> f64 {
+    relative_performance(CPU_WORKLOAD_EXIT_RATE)
+}
 
-    /// Fraction of native performance a nested guest reaches for a
-    /// workload with the given L2 exit rate.
-    pub fn relative_performance(&self, l2_exit_rate: f64) -> f64 {
-        let overhead = l2_exit_rate * self.exit_multiplication * self.transition_cost.as_secs_f64();
-        1.0 / (1.0 + overhead)
-    }
-
-    /// Nested CPU-bound performance relative to native (≈0.80).
-    pub fn cpu_relative(&self) -> f64 {
-        self.relative_performance(self.cpu_workload_exit_rate)
-    }
-
-    /// Nested I/O-intensive performance relative to native (≈0.25).
-    pub fn io_relative(&self) -> f64 {
-        self.relative_performance(self.io_workload_exit_rate)
-    }
-
-    /// BM-Hive's answer: the user hypervisor owns the hardware
-    /// virtualization extension outright, so relative performance is 1.
-    pub fn bm_hive_relative(&self) -> f64 {
-        1.0
-    }
+/// Nested I/O-intensive performance relative to native (≈0.25).
+pub fn io_relative() -> f64 {
+    relative_performance(IO_WORKLOAD_EXIT_RATE)
 }
 
 #[cfg(test)]
@@ -67,24 +50,21 @@ mod tests {
 
     #[test]
     fn cpu_bound_nested_guest_reaches_about_80_percent() {
-        let m = NestedVirtModel::kvm_on_kvm();
-        let rel = m.cpu_relative();
+        let rel = cpu_relative();
         assert!((0.75..=0.85).contains(&rel), "cpu relative {rel}");
     }
 
     #[test]
     fn io_bound_nested_guest_drops_to_about_25_percent() {
-        let m = NestedVirtModel::kvm_on_kvm();
-        let rel = m.io_relative();
+        let rel = io_relative();
         assert!((0.2..=0.3).contains(&rel), "io relative {rel}");
     }
 
     #[test]
     fn performance_degrades_monotonically_with_exit_rate() {
-        let m = NestedVirtModel::kvm_on_kvm();
         let mut last = 1.1;
         for rate in [0.0, 1_000.0, 10_000.0, 100_000.0] {
-            let rel = m.relative_performance(rate);
+            let rel = relative_performance(rate);
             assert!(rel < last);
             assert!(rel > 0.0 && rel <= 1.0);
             last = rel;
@@ -93,6 +73,7 @@ mod tests {
 
     #[test]
     fn bm_hive_runs_hypervisors_at_native_speed() {
-        assert_eq!(NestedVirtModel::kvm_on_kvm().bm_hive_relative(), 1.0);
+        assert_eq!(BM_HIVE_RELATIVE, 1.0);
+        assert_eq!(relative_performance(0.0), BM_HIVE_RELATIVE);
     }
 }

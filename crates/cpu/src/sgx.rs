@@ -21,23 +21,21 @@ use bmhive_sim::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnclaveWorkload {
     /// Enclave transitions (ECALL/OCALL pairs) per second.
-    pub transitions_per_sec: f64,
+    transitions_per_sec: f64,
     /// EPC working set in MiB.
-    pub epc_working_set_mib: f64,
+    epc_working_set_mib: f64,
     /// Asynchronous enclave exits provoked per second by external
     /// interrupts (each one re-enters through the hypervisor in a VM).
-    pub aex_per_sec: f64,
+    aex_per_sec: f64,
 }
 
 impl EnclaveWorkload {
     /// A trading-engine-like enclave: frequent small calls, modest EPC.
-    pub fn trading_engine() -> Self {
-        EnclaveWorkload {
-            transitions_per_sec: 120_000.0,
-            epc_working_set_mib: 48.0,
-            aex_per_sec: 3_000.0,
-        }
-    }
+    pub const TRADING_ENGINE: EnclaveWorkload = EnclaveWorkload {
+        transitions_per_sec: 120_000.0,
+        epc_working_set_mib: 48.0,
+        aex_per_sec: 3_000.0,
+    };
 }
 
 /// Whether and how a platform supports SGX.
@@ -54,92 +52,74 @@ pub enum SgxSupport {
     },
 }
 
-/// The SGX cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SgxModel {
-    /// Cost of one native enclave transition (EENTER/EEXIT pair).
-    pub native_transition: SimDuration,
-    /// Extra cost per transition when the CPU state save/restore crosses
-    /// virtualised context.
-    pub virt_transition_extra: SimDuration,
-    /// Extra cost per AEX in a VM (the exit reflects through the
-    /// hypervisor before resuming the enclave).
-    pub virt_aex_extra: SimDuration,
-    /// EPC available natively, MiB.
-    pub native_epc_mib: f64,
-    /// EPC a virtualised guest is allotted, MiB (carved and oversubscribed).
-    pub virt_epc_mib: f64,
-    /// Cost of one EPC page eviction/reload when the working set
-    /// overflows the allotment.
-    pub epc_paging_cost: SimDuration,
+// Skylake-SP-era SGX1 figures.
+
+/// Cost of one native enclave transition (EENTER/EEXIT pair).
+const NATIVE_TRANSITION: SimDuration = SimDuration::from_nanos(3_800);
+
+/// Extra cost per transition when the CPU state save/restore crosses
+/// virtualised context.
+const VIRT_TRANSITION_EXTRA: SimDuration = SimDuration::from_nanos(900);
+
+/// Extra cost per AEX in a VM (the exit reflects through the hypervisor
+/// before resuming the enclave).
+const VIRT_AEX_EXTRA: SimDuration = SimDuration::from_micros(8);
+
+/// EPC available natively, MiB.
+const NATIVE_EPC_MIB: f64 = 128.0;
+
+/// EPC a virtualised guest is allotted, MiB (carved and oversubscribed).
+const VIRT_EPC_MIB: f64 = 64.0;
+
+/// Cost of one EPC page eviction/reload when the working set overflows
+/// the allotment.
+const EPC_PAGING_COST: SimDuration = SimDuration::from_micros(40);
+
+/// What SGX support a platform offers.
+pub fn support_on(platform: &Platform) -> SgxSupport {
+    match platform {
+        Platform::Physical { .. } | Platform::BareMetalBoard { .. } => SgxSupport::Native,
+        Platform::Vm { .. } => SgxSupport::Virtualized {
+            special_builds_installed: false,
+        },
+    }
 }
 
-impl SgxModel {
-    /// Skylake-SP-era SGX1 figures.
-    pub fn sgx1() -> Self {
-        SgxModel {
-            native_transition: SimDuration::from_nanos(3_800),
-            virt_transition_extra: SimDuration::from_nanos(900),
-            virt_aex_extra: SimDuration::from_micros(8),
-            native_epc_mib: 128.0,
-            virt_epc_mib: 64.0,
-            epc_paging_cost: SimDuration::from_micros(40),
+/// Fraction of one core the enclave's SGX machinery consumes under
+/// `support` (not counting the useful enclave work itself). `None` when
+/// the enclave cannot run at all (virtualised platform without the
+/// special builds).
+pub fn overhead_fraction(workload: &EnclaveWorkload, support: SgxSupport) -> Option<f64> {
+    match support {
+        SgxSupport::Native => {
+            let transitions = workload.transitions_per_sec * NATIVE_TRANSITION.as_secs_f64();
+            // Native EPC covers the working set (or pages against the
+            // full 128 MiB).
+            let paging = paging_rate(workload, NATIVE_EPC_MIB) * EPC_PAGING_COST.as_secs_f64();
+            Some(transitions + paging)
+        }
+        SgxSupport::Virtualized {
+            special_builds_installed: false,
+        } => None,
+        SgxSupport::Virtualized {
+            special_builds_installed: true,
+        } => {
+            let per_transition = NATIVE_TRANSITION + VIRT_TRANSITION_EXTRA;
+            let transitions = workload.transitions_per_sec * per_transition.as_secs_f64();
+            let aex = workload.aex_per_sec * VIRT_AEX_EXTRA.as_secs_f64();
+            let paging = paging_rate(workload, VIRT_EPC_MIB) * EPC_PAGING_COST.as_secs_f64();
+            Some(transitions + aex + paging)
         }
     }
+}
 
-    /// What SGX support a platform offers.
-    pub fn support_on(&self, platform: &Platform) -> SgxSupport {
-        match platform {
-            Platform::Physical { .. } | Platform::BareMetalBoard { .. } => SgxSupport::Native,
-            Platform::Vm { .. } => SgxSupport::Virtualized {
-                special_builds_installed: false,
-            },
-        }
-    }
-
-    /// Fraction of one core the enclave's SGX machinery consumes on a
-    /// platform (not counting the useful enclave work itself). `None`
-    /// when the enclave cannot run at all (virtualised platform without
-    /// the special builds).
-    pub fn overhead_fraction(
-        &self,
-        workload: &EnclaveWorkload,
-        support: SgxSupport,
-    ) -> Option<f64> {
-        match support {
-            SgxSupport::Native => {
-                let transitions =
-                    workload.transitions_per_sec * self.native_transition.as_secs_f64();
-                // Native EPC covers the working set (or pages against the
-                // full 128 MiB).
-                let paging = self.paging_rate(workload, self.native_epc_mib)
-                    * self.epc_paging_cost.as_secs_f64();
-                Some(transitions + paging)
-            }
-            SgxSupport::Virtualized {
-                special_builds_installed: false,
-            } => None,
-            SgxSupport::Virtualized {
-                special_builds_installed: true,
-            } => {
-                let per_transition = self.native_transition + self.virt_transition_extra;
-                let transitions = workload.transitions_per_sec * per_transition.as_secs_f64();
-                let aex = workload.aex_per_sec * self.virt_aex_extra.as_secs_f64();
-                let paging = self.paging_rate(workload, self.virt_epc_mib)
-                    * self.epc_paging_cost.as_secs_f64();
-                Some(transitions + aex + paging)
-            }
-        }
-    }
-
-    /// EPC page-fault rate for a working set against an allotment:
-    /// zero while it fits, growing linearly with the overflow.
-    fn paging_rate(&self, workload: &EnclaveWorkload, epc_mib: f64) -> f64 {
-        let overflow = (workload.epc_working_set_mib - epc_mib).max(0.0);
-        // Each overflowing MiB of working set re-faults ~50 pages/s under
-        // a uniform re-reference assumption.
-        overflow * 50.0
-    }
+/// EPC page-fault rate for a working set against an allotment: zero
+/// while it fits, growing linearly with the overflow.
+fn paging_rate(workload: &EnclaveWorkload, epc_mib: f64) -> f64 {
+    let overflow = (workload.epc_working_set_mib - epc_mib).max(0.0);
+    // Each overflowing MiB of working set re-faults ~50 pages/s under
+    // a uniform re-reference assumption.
+    overflow * 50.0
 }
 
 #[cfg(test)]
@@ -147,47 +127,31 @@ mod tests {
     use super::*;
     use crate::catalog::XEON_E5_2682_V4;
 
-    fn platforms() -> (Platform, Platform) {
-        (
-            Platform::bm_guest(XEON_E5_2682_V4),
-            Platform::vm_guest(XEON_E5_2682_V4),
-        )
-    }
+    const PREPARED_VM: SgxSupport = SgxSupport::Virtualized {
+        special_builds_installed: true,
+    };
 
     #[test]
     fn bm_guest_runs_enclaves_natively() {
-        let model = SgxModel::sgx1();
-        let (bm, _) = platforms();
-        assert_eq!(model.support_on(&bm), SgxSupport::Native);
+        let bm = Platform::bm_guest(XEON_E5_2682_V4);
+        assert_eq!(support_on(&bm), SgxSupport::Native);
     }
 
     #[test]
     fn stock_vm_cannot_launch_an_enclave_at_all() {
         // The §6 pain: "KVM ... and QEMU require special builds".
-        let model = SgxModel::sgx1();
-        let (_, vm) = platforms();
-        let support = model.support_on(&vm);
+        let vm = Platform::vm_guest(XEON_E5_2682_V4);
         assert_eq!(
-            model.overhead_fraction(&EnclaveWorkload::trading_engine(), support),
+            overhead_fraction(&EnclaveWorkload::TRADING_ENGINE, support_on(&vm)),
             None
         );
     }
 
     #[test]
     fn even_prepared_vms_pay_more_than_native() {
-        let model = SgxModel::sgx1();
-        let workload = EnclaveWorkload::trading_engine();
-        let native = model
-            .overhead_fraction(&workload, SgxSupport::Native)
-            .unwrap();
-        let virt = model
-            .overhead_fraction(
-                &workload,
-                SgxSupport::Virtualized {
-                    special_builds_installed: true,
-                },
-            )
-            .unwrap();
+        let workload = EnclaveWorkload::TRADING_ENGINE;
+        let native = overhead_fraction(&workload, SgxSupport::Native).unwrap();
+        let virt = overhead_fraction(&workload, PREPARED_VM).unwrap();
         assert!(virt > native * 1.1, "virt {virt} vs native {native}");
         // Both are meaningful fractions of a core for a chatty enclave.
         assert!(native > 0.2 && native < 1.0, "native {native}");
@@ -195,7 +159,6 @@ mod tests {
 
     #[test]
     fn epc_overflow_penalises_virtualised_enclaves_first() {
-        let model = SgxModel::sgx1();
         // A 100 MiB working set: fits native EPC (128 MiB), overflows
         // the virtualised allotment (64 MiB).
         let big = EnclaveWorkload {
@@ -203,15 +166,8 @@ mod tests {
             epc_working_set_mib: 100.0,
             aex_per_sec: 0.0,
         };
-        let native = model.overhead_fraction(&big, SgxSupport::Native).unwrap();
-        let virt = model
-            .overhead_fraction(
-                &big,
-                SgxSupport::Virtualized {
-                    special_builds_installed: true,
-                },
-            )
-            .unwrap();
+        let native = overhead_fraction(&big, SgxSupport::Native).unwrap();
+        let virt = overhead_fraction(&big, PREPARED_VM).unwrap();
         assert!(virt > native * 5.0, "paging dominates: {virt} vs {native}");
     }
 }

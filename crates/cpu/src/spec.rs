@@ -139,7 +139,7 @@ pub fn geometric_mean(ratios: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::catalog::XEON_E5_2682_V4;
-    use crate::exec::{Platform, VirtTax};
+    use crate::exec::Platform;
 
     fn platforms() -> (Platform, Platform, Platform) {
         (
@@ -198,20 +198,9 @@ mod tests {
         // default changes the result measurably for exit-heavy gcc.
         let (phys, _, _) = platforms();
         let gcc = SPEC_CINT2006.iter().find(|b| b.name == "gcc").unwrap();
-        let vm_low = Platform::Vm {
-            proc: XEON_E5_2682_V4,
-            tax: VirtTax {
-                exit_rate_per_sec: 100.0,
-                ..VirtTax::pinned_default()
-            },
-        };
-        let vm_high = Platform::Vm {
-            proc: XEON_E5_2682_V4,
-            tax: VirtTax {
-                exit_rate_per_sec: gcc.exit_rate,
-                ..VirtTax::pinned_default()
-            },
-        };
+        let vm = Platform::vm_guest(XEON_E5_2682_V4);
+        let vm_low = vm.with_exit_rate(100.0);
+        let vm_high = vm.with_exit_rate(gcc.exit_rate);
         assert!(gcc.ratio_vs(&vm_high, &phys) < gcc.ratio_vs(&vm_low, &phys));
     }
 

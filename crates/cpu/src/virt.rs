@@ -1,116 +1,43 @@
-//! VM-exit machinery: exit classes, the fleet exit-rate population
-//! (Table 2), and the host-preemption process (Fig. 1).
+//! VM-exit machinery: the cost of one exit, the fleet exit-rate
+//! population (Table 2), and the host-preemption process (Fig. 1).
 
 use bmhive_sim::{SimDuration, SimRng};
 
-/// Why a vCPU exited to the hypervisor (§2.1: "updates to MSRs, IPIs,
-/// and certain page faults").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExitClass {
-    /// Model-specific register access.
-    Msr,
-    /// Inter-processor interrupt delivery.
-    Ipi,
-    /// EPT violation (guest page fault needing hypervisor help).
-    EptViolation,
-    /// Programmable-interval / APIC timer.
-    Timer,
-    /// I/O doorbell (virtio kick).
-    IoKick,
-    /// Privileged-instruction emulation.
-    Emulation,
-}
+/// Cost of one VM exit: "about 10 μs for the KVM hypervisor to handle
+/// an event" (§2.1). The one definition read by the vm-guest tax
+/// ([`Platform::Vm`](crate::Platform::Vm)) and the nested model.
+pub const VM_EXIT_COST: SimDuration = SimDuration::from_micros(10);
 
-impl ExitClass {
-    /// All exit classes.
-    pub const ALL: [ExitClass; 6] = [
-        ExitClass::Msr,
-        ExitClass::Ipi,
-        ExitClass::EptViolation,
-        ExitClass::Timer,
-        ExitClass::IoKick,
-        ExitClass::Emulation,
-    ];
-}
-
-/// The cost model of VM exits for one hypervisor build.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VmExitModel {
-    /// Baseline cost per exit ("about 10 μs ... but could be longer if
-    /// the event handler is preempted by the kernel").
-    pub base_cost: SimDuration,
-    /// Probability an exit handler is itself preempted.
-    pub handler_preempt_prob: f64,
-    /// Extra cost when that happens.
-    pub preempted_extra: SimDuration,
-}
-
-impl VmExitModel {
-    /// The paper's KVM-based hypervisor.
-    pub fn kvm() -> Self {
-        VmExitModel {
-            base_cost: SimDuration::from_micros(10),
-            handler_preempt_prob: 0.01,
-            preempted_extra: SimDuration::from_micros(100),
-        }
-    }
-
-    /// Samples the cost of one exit.
-    pub fn sample_cost(&self, rng: &mut SimRng) -> SimDuration {
-        if rng.chance(self.handler_preempt_prob) {
-            self.base_cost + self.preempted_extra
-        } else {
-            self.base_cost
-        }
-    }
-
-    /// Mean exit cost.
-    pub fn mean_cost(&self) -> SimDuration {
-        self.base_cost + self.preempted_extra.mul_f64(self.handler_preempt_prob)
-    }
-}
-
-/// The fleet-wide distribution of per-vCPU exit rates.
+/// Mean of ln(exits/s/vCPU) over the production fleet.
 ///
-/// Calibrated as a log-normal so that the tail probabilities match the
-/// paper's five-minute census of 300 000 production VMs (Table 2):
-/// 3.82 % of VMs above 10 K exits/s/vCPU, 0.37 % above 50 K, 0.13 %
-/// above 100 K. (Fitted on the first two constraints; the third lands at
-/// ≈0.11 %, within the table's rounding.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExitRatePopulation {
-    /// Mean of ln(rate).
-    pub mu: f64,
-    /// Std-dev of ln(rate).
-    pub sigma: f64,
+/// The fleet-wide per-vCPU exit rate is log-normal, calibrated so the
+/// tail probabilities match the paper's five-minute census of 300 000
+/// production VMs (Table 2): 3.82 % of VMs above 10 K exits/s/vCPU,
+/// 0.37 % above 50 K, 0.13 % above 100 K. (Fitted on the first two
+/// constraints; the third lands at ≈0.11 %, within the table's
+/// rounding.)
+const EXIT_RATE_MU: f64 = 6.06;
+
+/// Std-dev of ln(exits/s/vCPU) over the production fleet.
+const EXIT_RATE_SIGMA: f64 = 1.777;
+
+/// Samples one production VM's exits/s/vCPU.
+pub fn sample_exit_rate(rng: &mut SimRng) -> f64 {
+    rng.lognormal(EXIT_RATE_MU, EXIT_RATE_SIGMA)
 }
 
-impl ExitRatePopulation {
-    /// The calibrated production population.
-    pub fn production() -> Self {
-        ExitRatePopulation {
-            mu: 6.06,
-            sigma: 1.777,
-        }
-    }
+/// Fills `out` with one exit rate per VM — bit-identical to the same
+/// number of [`sample_exit_rate`] calls, minus the per-call overhead
+/// (fleet censuses draw these by the million).
+pub fn fill_exit_rates(rng: &mut SimRng, out: &mut [f64]) {
+    rng.fill_lognormal(EXIT_RATE_MU, EXIT_RATE_SIGMA, out);
+}
 
-    /// Samples one VM's exits/s/vCPU.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.lognormal(self.mu, self.sigma)
-    }
-
-    /// Fills `out` with one rate per VM — bit-identical to the same
-    /// number of [`Self::sample`] calls, minus the per-call overhead
-    /// (fleet censuses draw these by the million).
-    pub fn fill(&self, rng: &mut SimRng, out: &mut [f64]) {
-        rng.fill_lognormal(self.mu, self.sigma, out);
-    }
-
-    /// Analytic tail probability P(rate > threshold).
-    pub fn tail_probability(&self, threshold: f64) -> f64 {
-        let z = (threshold.ln() - self.mu) / self.sigma;
-        0.5 * erfc_approx(z / std::f64::consts::SQRT_2)
-    }
+/// Analytic tail probability P(rate > threshold) of the production
+/// exit-rate population.
+pub fn exit_rate_tail_probability(threshold: f64) -> f64 {
+    let z = (threshold.ln() - EXIT_RATE_MU) / EXIT_RATE_SIGMA;
+    0.5 * erfc_approx(z / std::f64::consts::SQRT_2)
 }
 
 /// Abramowitz–Stegun style complementary error function approximation
@@ -126,7 +53,8 @@ fn erfc_approx(x: f64) -> f64 {
     poly * (-x * x).exp()
 }
 
-/// The host-task preemption process behind Fig. 1.
+/// The host-task preemption process behind Fig. 1, for one scheduling
+/// class.
 ///
 /// "On a busy server, it could take the full load of 8 to 10 CPU cores
 /// for the hypervisor to serve I/Os and other requests from the VMs. The
@@ -134,75 +62,60 @@ fn erfc_approx(x: f64) -> f64 {
 /// the guest VMs."
 ///
 /// Each VM's long-run preemption *rate* (stolen-time fraction) is drawn
-/// from a skewed population whose 99th/99.9th percentiles match the
-/// figure: shared VMs ≈ 2–4 % / 2–10 %, exclusive (pinned) VMs ≈ 0.2 % /
-/// 0.5 %.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// from a skewed log-normal population whose 99th/99.9th percentiles
+/// match the figure: shared VMs ≈ 2–4 % / 2–10 %, exclusive (pinned) VMs
+/// ≈ 0.2 % / 0.5 %. There are two classes, [`Self::shared`] and
+/// [`Self::exclusive`]; each computes `ln(median)` once, so bulk studies
+/// do no per-sample transcendentals.
+#[derive(Debug, Clone, Copy)]
 pub struct PreemptionModel {
-    /// Median stolen fraction.
-    pub median: f64,
+    /// ln of the median stolen fraction.
+    ln_median: f64,
     /// Log-normal sigma controlling the tail.
-    pub sigma: f64,
+    sigma: f64,
     /// Hard cap (a vCPU cannot be stolen more than this).
-    pub cap: f64,
+    cap: f64,
 }
 
 impl PreemptionModel {
-    /// Shared (unpinned) VMs.
+    /// Shared (unpinned) VMs: median 0.4 %, chosen so that p99 ≈ 3 % and
+    /// p99.9 ≈ 6–10 %, capped at 25 %.
     pub fn shared() -> Self {
-        // ln-median chosen so that p99 ≈ 3% and p99.9 ≈ 6–10%.
-        PreemptionModel {
-            median: 0.004,
-            sigma: 0.85,
-            cap: 0.25,
-        }
+        PreemptionModel::with_median(0.004, 0.85, 0.25)
     }
 
     /// Exclusive (pinned, NUMA-affine) VMs: "both better ... and more
-    /// stable".
+    /// stable" — median 0.04 %, capped at 2 %.
     pub fn exclusive() -> Self {
-        PreemptionModel {
-            median: 0.0004,
-            sigma: 0.7,
-            cap: 0.02,
-        }
+        PreemptionModel::with_median(0.0004, 0.7, 0.02)
     }
 
-    /// A bm-guest never shares its CPU: zero preemption by construction.
-    pub fn bare_metal() -> Self {
+    fn with_median(median: f64, sigma: f64, cap: f64) -> Self {
         PreemptionModel {
-            median: 0.0,
-            sigma: 0.0,
-            cap: 0.0,
+            ln_median: median.ln(),
+            sigma,
+            cap,
         }
     }
 
     /// Samples one VM's long-run preemption fraction.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sampler().sample(rng)
+        rng.lognormal(self.ln_median, self.sigma).min(self.cap)
     }
 
-    /// Precomputes the sampling constants (`ln median`, the diurnal
-    /// load curve) so bulk studies don't redo the transcendentals per
-    /// sample. The samples drawn are bit-identical to [`Self::sample`] /
-    /// [`Self::sample_at_hour`].
-    pub fn sampler(&self) -> PreemptionSampler {
-        PreemptionSampler {
-            ln_median: if self.median > 0.0 {
-                self.median.ln()
-            } else {
-                f64::NEG_INFINITY
-            },
-            sigma: self.sigma,
-            cap: self.cap,
-            degenerate: self.median <= 0.0,
+    /// Samples the fraction scaled by a [`diurnal_load`] factor, still
+    /// capped.
+    pub fn sample_at_load(&self, rng: &mut SimRng, load: f64) -> f64 {
+        (self.sample(rng) * load).min(self.cap)
+    }
+
+    /// Fills `out` with one load-scaled fraction per VM — bit-identical
+    /// to the same number of [`Self::sample_at_load`] calls.
+    pub fn fill_at_load(&self, rng: &mut SimRng, load: f64, out: &mut [f64]) {
+        rng.fill_lognormal(self.ln_median, self.sigma, out);
+        for v in out {
+            *v = (v.min(self.cap) * load).min(self.cap);
         }
-    }
-
-    /// Samples the fraction for a given hour of day: preemption tracks
-    /// the host's diurnal I/O load (the x-axis variation in Fig. 1).
-    pub fn sample_at_hour(&self, rng: &mut SimRng, hour: u32) -> f64 {
-        self.sampler().sample_at_hour(rng, hour)
     }
 }
 
@@ -215,52 +128,6 @@ pub fn diurnal_load(hour: u32) -> f64 {
     1.1 + 0.4 * phase.cos()
 }
 
-/// A [`PreemptionModel`] with its per-sample constants hoisted.
-#[derive(Debug, Clone, Copy)]
-pub struct PreemptionSampler {
-    ln_median: f64,
-    sigma: f64,
-    cap: f64,
-    degenerate: bool,
-}
-
-impl PreemptionSampler {
-    /// Samples one VM's long-run preemption fraction.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        if self.degenerate {
-            return 0.0;
-        }
-        (rng.lognormal(self.ln_median, self.sigma)).min(self.cap)
-    }
-
-    /// Samples the fraction scaled by a precomputed [`diurnal_load`]
-    /// factor.
-    pub fn sample_at_load(&self, rng: &mut SimRng, load: f64) -> f64 {
-        (self.sample(rng) * load).min(self.cap.max(1e-12))
-    }
-
-    /// Fills `out` with one load-scaled fraction per VM — bit-identical
-    /// to the same number of [`Self::sample_at_load`] calls (a
-    /// degenerate model writes zeros without consuming the RNG, exactly
-    /// as its single-sample path never draws).
-    pub fn fill_at_load(&self, rng: &mut SimRng, load: f64, out: &mut [f64]) {
-        if self.degenerate {
-            out.fill(0.0);
-            return;
-        }
-        rng.fill_lognormal(self.ln_median, self.sigma, out);
-        let load_cap = self.cap.max(1e-12);
-        for v in out {
-            *v = (v.min(self.cap) * load).min(load_cap);
-        }
-    }
-
-    /// Samples the fraction for a given hour of day.
-    pub fn sample_at_hour(&self, rng: &mut SimRng, hour: u32) -> f64 {
-        self.sample_at_load(rng, diurnal_load(hour))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,51 +135,32 @@ mod tests {
 
     #[test]
     fn bulk_fills_match_single_sample_streams_bit_for_bit() {
-        let pop = ExitRatePopulation::production();
         let mut single = SimRng::with_stream(3, 0xce15);
         let mut bulk = SimRng::with_stream(3, 0xce15);
-        let expect: Vec<f64> = (0..501).map(|_| pop.sample(&mut single)).collect();
+        let expect: Vec<f64> = (0..501).map(|_| sample_exit_rate(&mut single)).collect();
         let mut got = vec![0.0; 501];
-        pop.fill(&mut bulk, &mut got);
+        fill_exit_rates(&mut bulk, &mut got);
         for (e, g) in expect.iter().zip(&got) {
             assert_eq!(e.to_bits(), g.to_bits());
         }
 
-        let sampler = PreemptionModel::shared().sampler();
+        let shared = PreemptionModel::shared();
         let load = diurnal_load(14);
         let expect: Vec<f64> = (0..501)
-            .map(|_| sampler.sample_at_load(&mut single, load))
+            .map(|_| shared.sample_at_load(&mut single, load))
             .collect();
-        sampler.fill_at_load(&mut bulk, load, &mut got);
+        shared.fill_at_load(&mut bulk, load, &mut got);
         for (e, g) in expect.iter().zip(&got) {
             assert_eq!(e.to_bits(), g.to_bits());
         }
-
-        // Degenerate (bare-metal) sampler: zeros, no RNG consumed.
-        let zero = PreemptionModel::bare_metal().sampler();
-        zero.fill_at_load(&mut bulk, load, &mut got);
-        assert!(got.iter().all(|&v| v == 0.0));
         assert_eq!(single.next_u64(), bulk.next_u64());
     }
 
     #[test]
-    fn kvm_exit_cost_is_10us_base() {
-        let m = VmExitModel::kvm();
-        assert_eq!(m.base_cost, SimDuration::from_micros(10));
-        assert!(m.mean_cost() > m.base_cost);
-        let mut rng = SimRng::new(5);
-        for _ in 0..100 {
-            let c = m.sample_cost(&mut rng);
-            assert!(c >= m.base_cost);
-        }
-    }
-
-    #[test]
     fn exit_population_matches_table2_tails() {
-        let pop = ExitRatePopulation::production();
-        let p10k = pop.tail_probability(10_000.0);
-        let p50k = pop.tail_probability(50_000.0);
-        let p100k = pop.tail_probability(100_000.0);
+        let p10k = exit_rate_tail_probability(10_000.0);
+        let p50k = exit_rate_tail_probability(50_000.0);
+        let p100k = exit_rate_tail_probability(100_000.0);
         assert!((p10k - 0.0382).abs() < 0.004, "P(>10k) = {p10k}");
         assert!((p50k - 0.0037).abs() < 0.001, "P(>50k) = {p50k}");
         assert!((p100k - 0.0013).abs() < 0.0006, "P(>100k) = {p100k}");
@@ -320,10 +168,11 @@ mod tests {
 
     #[test]
     fn sampled_population_matches_analytic_tails() {
-        let pop = ExitRatePopulation::production();
         let mut rng = SimRng::new(42);
         let n = 300_000;
-        let over_10k = (0..n).filter(|_| pop.sample(&mut rng) > 10_000.0).count();
+        let over_10k = (0..n)
+            .filter(|_| sample_exit_rate(&mut rng) > 10_000.0)
+            .count();
         let frac = over_10k as f64 / n as f64;
         assert!((frac - 0.0382).abs() < 0.005, "sampled {frac}");
     }
@@ -359,15 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn bare_metal_has_zero_preemption() {
-        let mut rng = SimRng::new(9);
-        let bm = PreemptionModel::bare_metal();
-        for _ in 0..100 {
-            assert_eq!(bm.sample(&mut rng), 0.0);
-        }
-    }
-
-    #[test]
     fn diurnal_load_shapes_preemption() {
         let shared = PreemptionModel::shared();
         // Average over many samples per hour: afternoon (14h) should be
@@ -375,15 +215,10 @@ mod tests {
         let mean_at = |hour: u32| {
             let mut rng = SimRng::new(100);
             (0..20_000)
-                .map(|_| shared.sample_at_hour(&mut rng, hour))
+                .map(|_| shared.sample_at_load(&mut rng, diurnal_load(hour)))
                 .sum::<f64>()
                 / 20_000.0
         };
         assert!(mean_at(14) > mean_at(2) * 1.2);
-    }
-
-    #[test]
-    fn all_exit_classes_enumerated() {
-        assert_eq!(ExitClass::ALL.len(), 6);
     }
 }

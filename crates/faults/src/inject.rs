@@ -1,9 +1,9 @@
 //! The scoped, per-run fault injector.
 //!
-//! Faults are armed into a [`FaultContext`] that lives in thread-local
-//! storage: arming a plan affects exactly the thread (sweep cell,
-//! test, experiment) that armed it, so parallel runs of the simulator
-//! never observe each other's plans. A cheap thread-local armed flag
+//! [`arm`] installs a fault context in thread-local storage and
+//! [`disarm`] removes it: arming a plan affects exactly the thread
+//! (sweep cell, test, experiment) that armed it, so parallel runs of the
+//! simulator never observe each other's plans. A cheap thread-local armed flag
 //! guards the context, so unarmed runs pay one `Cell` load per
 //! injection site and observe *identical* latency to a build without
 //! the faults crate. Arming installs a [`FaultPlan`] plus a dedicated
@@ -60,12 +60,12 @@ fn with_context<R>(default: R, f: impl FnOnce(&mut FaultContext) -> R) -> R {
 /// One run's worth of fault-injection state: the plan, the backoff RNG
 /// stream, one-shot consumption flags, and accumulated [`FaultStats`].
 ///
-/// A context is installed into thread-local storage with [`arm`] /
-/// [`install`] and removed with [`disarm`] / [`take`]. Because the
-/// handle is per-thread, a parallel sweep arms one context per worker
-/// and cells stay byte-identical to their serial runs.
+/// A context is installed into thread-local storage with [`arm`] and
+/// removed with [`disarm`]. Because the handle is per-thread, a
+/// parallel sweep arms one context per worker and cells stay
+/// byte-identical to their serial runs.
 #[derive(Debug, Clone)]
-pub struct FaultContext {
+struct FaultContext {
     plan: FaultPlan,
     rng: SimRng,
     policy: RetryPolicy,
@@ -77,7 +77,7 @@ pub struct FaultContext {
 impl FaultContext {
     /// Builds a fresh context for `plan`, seeding backoff jitter from
     /// `seed`.
-    pub fn new(plan: FaultPlan, seed: u64) -> Self {
+    fn new(plan: FaultPlan, seed: u64) -> Self {
         let consumed = vec![false; plan.events().len()];
         let stats = FaultStats::new(&plan.name);
         FaultContext {
@@ -91,18 +91,8 @@ impl FaultContext {
         }
     }
 
-    /// The armed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The statistics accumulated so far.
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
-    }
-
     /// Consumes the context, yielding its statistics.
-    pub fn into_stats(self) -> FaultStats {
+    fn into_stats(self) -> FaultStats {
         self.stats
     }
 
@@ -353,7 +343,7 @@ pub fn arm(plan: FaultPlan, seed: u64) {
 
 /// Installs a pre-built [`FaultContext`] on this thread, replacing any
 /// armed plan.
-pub fn install(context: FaultContext) {
+fn install(context: FaultContext) {
     CONTEXT.with(|ctx| *ctx.borrow_mut() = Some(context));
     ARMED.with(|armed| armed.set(true));
 }
@@ -366,7 +356,7 @@ pub fn disarm() -> Option<FaultStats> {
 
 /// Removes and returns this thread's context without discarding it, or
 /// `None` if nothing was armed.
-pub fn take() -> Option<FaultContext> {
+fn take() -> Option<FaultContext> {
     ARMED.with(|armed| armed.set(false));
     CONTEXT.with(|ctx| ctx.borrow_mut().take())
 }
@@ -902,7 +892,7 @@ mod tests {
         assert!(blocking_until(FaultSite::Dma, us(5)).is_some());
         let ctx = take().unwrap();
         assert!(!is_armed());
-        assert_eq!(ctx.stats().injected_total(), 1);
+        assert_eq!(ctx.stats.injected_total(), 1);
         install(ctx);
         assert!(is_armed());
         let stats = disarm().unwrap();

@@ -6,8 +6,8 @@
 //! replayable* instead of ad-hoc: a [`FaultPlan`] lists seeded,
 //! virtual-time fault events (`{at, site, kind, duration, factor}`),
 //! and injection sites threaded through `pcie`, `iobond`, `hypervisor`,
-//! and `cloud` consult the thread-local [`inject::FaultContext`] on
-//! every affected operation.
+//! and `cloud` consult the plan [`arm`] installs in thread-local storage
+//! on every affected operation.
 //!
 //! # Sites and kinds
 //!
@@ -36,8 +36,8 @@
 //! When no plan is armed every injection hook is a single thread-local
 //! flag load returning the identity answer, so fault-free runs are
 //! unchanged down to the nanosecond. The whole injector is scoped
-//! per-thread: a parallel sweep arms one [`inject::FaultContext`] per
-//! worker and cells never observe a sibling's plan.
+//! per-thread: a parallel sweep [`arm`]s one plan per worker and cells
+//! never observe a sibling's plan.
 
 #![warn(missing_docs)]
 
@@ -46,9 +46,9 @@ pub mod plan;
 pub mod retry;
 
 pub use inject::{
-    absorb_stats, arm, armed_plan, armed_plan_name, blocking_until, corrupted, disarm, install,
-    is_armed, latency_factor, note_degraded, note_escalated, note_replayed, note_reset, note_shed,
-    retry_until_clear, stats, take, take_oneshot, FaultContext, FaultStats, Recovery, COMPONENT,
+    absorb_stats, arm, armed_plan, armed_plan_name, blocking_until, corrupted, disarm, is_armed,
+    latency_factor, note_degraded, note_escalated, note_replayed, note_reset, note_shed,
+    retry_until_clear, stats, take_oneshot, FaultStats, Recovery, COMPONENT,
 };
 pub use plan::{
     backend_brownout, board_loss, canned, dma_timeout, link_flap, FaultEvent, FaultKind, FaultPlan,

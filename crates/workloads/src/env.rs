@@ -71,22 +71,6 @@ impl GuestEnv {
         }
     }
 
-    /// This guest's platform with a workload-specific VM-exit rate
-    /// (I/O-heavy workloads provoke far more exits — the Table 2 tail).
-    /// A no-op for the bm-guest, whose interrupts never exit anywhere.
-    pub fn cpu_with_exit_rate(&self, exit_rate_per_sec: f64) -> Platform {
-        match self.cpu {
-            Platform::Vm { proc, tax } => Platform::Vm {
-                proc,
-                tax: bmhive_cpu::VirtTax {
-                    exit_rate_per_sec,
-                    ..tax
-                },
-            },
-            other => other,
-        }
-    }
-
     /// CPU time one request costs, given its compute work, packet count,
     /// and storage-op count, with `batched` interrupt amortisation.
     pub fn request_cpu(
@@ -100,8 +84,7 @@ impl GuestEnv {
     }
 
     /// Like [`request_cpu`](Self::request_cpu) but on an explicit
-    /// platform (e.g. one adjusted by
-    /// [`cpu_with_exit_rate`](Self::cpu_with_exit_rate)).
+    /// platform (e.g. one adjusted by [`Platform::with_exit_rate`]).
     pub fn request_cpu_on(
         &self,
         platform: &Platform,

@@ -12,6 +12,7 @@
 //! preemption problem), which the bm-guest cannot suffer.
 
 use crate::env::GuestEnv;
+use bmhive_cpu::exec::PREEMPTION_FRACTION;
 use bmhive_cpu::CpuWork;
 use bmhive_sim::SimDuration;
 use bmhive_telemetry as telemetry;
@@ -77,12 +78,12 @@ pub fn run_mariadb(env: &mut GuestEnv, mix: QueryMix) -> MariaDbRun {
     // response packet per query, coalesced under 128-thread load).
     // 128 concurrent client threads keep timer/IPI exit traffic up even
     // for reads (cross-vCPU wakeups per completed query).
-    let read_platform = env.cpu_with_exit_rate(8_000.0);
+    let read_platform = env.cpu.with_exit_rate(8_000.0);
     let read_cpu = env.request_cpu_on(&read_platform, &read_query_work(), 2, 0.0, true);
     // Each write carries a redo-log write (group commit amortises the
     // fsync, not the submission), and the I/O churn raises the VM-exit
     // rate to the Table 2 "I/O-heavy" band on the vm platform.
-    let write_platform = env.cpu_with_exit_rate(20_000.0);
+    let write_platform = env.cpu.with_exit_rate(20_000.0);
     let write_cpu = env.request_cpu_on(&write_platform, &write_query_work(), 2, 1.0, true);
 
     let per_query = match mix {
@@ -98,11 +99,11 @@ pub fn run_mariadb(env: &mut GuestEnv, mix: QueryMix) -> MariaDbRun {
             // the latch is held. Reads and writes couple on the same
             // index latches only in the mixed workload.
             match env.cpu {
-                bmhive_cpu::Platform::Vm { tax, .. } => {
+                bmhive_cpu::Platform::Vm { .. } => {
                     // Each query passes ~4 latch critical sections; a
                     // preempted holder stalls the queue for a fraction
                     // of the scheduling burst, amortised over waiters.
-                    let lhp_stall = 4.0 * tax.preemption_fraction * 40.0;
+                    let lhp_stall = 4.0 * PREEMPTION_FRACTION * 40.0;
                     blended.mul_f64(1.0 + lhp_stall)
                 }
                 _ => blended,

@@ -14,7 +14,7 @@
 
 use crate::env::GuestEnv;
 use bmhive_cpu::{CpuWork, Platform};
-use bmhive_sim::{Series, SimDuration, SimTime};
+use bmhive_sim::{Series, SimDuration};
 use bmhive_telemetry as telemetry;
 
 /// Command processing: hash lookup in a 10 M-entry table + dict walk.
@@ -65,11 +65,7 @@ pub fn run_redis_sizes(
             let per_op = SimDuration::from_secs_f64(1.0 / base);
             let jittered = env
                 .cpu
-                .execute_with_jitter(
-                    &op_work(size).scaled(1_000.0),
-                    &mut env.rng,
-                    SimTime::from_secs(u64::from(s)),
-                )
+                .execute_with_jitter(&op_work(size).scaled(1_000.0), &mut env.rng)
                 .as_secs_f64()
                 / 1_000.0;
             // Blend: the jittered execution replaces the op's CPU share.

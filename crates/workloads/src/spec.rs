@@ -6,7 +6,7 @@
 
 use bmhive_cpu::catalog::XEON_E5_2682_V4;
 use bmhive_cpu::spec::{geometric_mean, SPEC_CINT2006};
-use bmhive_cpu::{Platform, VirtTax};
+use bmhive_cpu::Platform;
 use bmhive_telemetry as telemetry;
 
 /// One benchmark's bar group: performance relative to the physical
@@ -39,15 +39,10 @@ pub fn run_spec() -> SpecResult {
         proc: XEON_E5_2682_V4,
     };
     let bm = Platform::bm_guest(XEON_E5_2682_V4);
+    let vm_guest = Platform::vm_guest(XEON_E5_2682_V4);
     let mut rows = Vec::with_capacity(SPEC_CINT2006.len());
     for bench in SPEC_CINT2006 {
-        let vm = Platform::Vm {
-            proc: XEON_E5_2682_V4,
-            tax: VirtTax {
-                exit_rate_per_sec: bench.exit_rate,
-                ..VirtTax::pinned_default()
-            },
-        };
+        let vm = vm_guest.with_exit_rate(bench.exit_rate);
         rows.push(SpecRow {
             name: bench.name,
             bm: bench.ratio_vs(&bm, &phys),

@@ -4,7 +4,7 @@
 //! times on the three platforms.
 
 use bmhive_cpu::catalog::XEON_E5_2682_V4;
-use bmhive_cpu::memsys::{MemorySystem, StreamKernel};
+use bmhive_cpu::memsys::{stream_bandwidth, StreamKernel};
 use bmhive_cpu::Platform;
 use bmhive_telemetry as telemetry;
 
@@ -23,7 +23,6 @@ pub struct StreamRow {
 
 /// Runs all four kernels with the paper's configuration.
 pub fn run_stream() -> Vec<StreamRow> {
-    let mem = MemorySystem::paper_config();
     let phys = Platform::Physical {
         proc: XEON_E5_2682_V4,
     };
@@ -34,9 +33,9 @@ pub fn run_stream() -> Vec<StreamRow> {
         .iter()
         .map(|&kernel| StreamRow {
             kernel: kernel.name(),
-            physical: mem.stream_bandwidth(&phys, kernel),
-            bm: mem.stream_bandwidth(&bm, kernel),
-            vm: mem.stream_bandwidth(&vm, kernel),
+            physical: stream_bandwidth(&phys, kernel),
+            bm: stream_bandwidth(&bm, kernel),
+            vm: stream_bandwidth(&vm, kernel),
         })
         .collect()
 }

@@ -16,7 +16,7 @@
 use crate::env::GuestEnv;
 use bmhive_cpu::CpuWork;
 use bmhive_net::{MacAddr, Packet, PacketKind, ProtocolStack};
-use bmhive_sim::{Histogram, SimDuration, SimTime};
+use bmhive_sim::{Histogram, SimDuration};
 use bmhive_telemetry as telemetry;
 
 /// Strategy compute per tick: a few µs of branchy, cache-resident work.
@@ -58,14 +58,11 @@ pub fn run_trading(env: &mut GuestEnv, ticks: u32) -> TradingRun {
     );
     let mut order_latency_us = Histogram::new();
     let mut missed_fills = 0u64;
-    for i in 0..ticks {
-        let now = SimTime::from_micros(u64::from(i) * 50); // 20K ticks/s
-                                                           // Tick in: backend → guest path + poll-mode rx.
+    for _ in 0..ticks {
+        // Tick in: backend → guest path + poll-mode rx.
         let rx = env.path.net_oneway(128) + env.cpu.execute(&stack.rx_work(&tick));
         // Strategy compute, with the platform's scheduling jitter.
-        let compute = env
-            .cpu
-            .execute_with_jitter(&strategy_work(), &mut env.rng, now);
+        let compute = env.cpu.execute_with_jitter(&strategy_work(), &mut env.rng);
         // Order out: tx work + guest → backend path.
         let tx = env.cpu.execute(&stack.tx_work(&tick)) + env.path.net_oneway(96);
         let total = rx + compute + tx;

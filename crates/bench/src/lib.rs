@@ -16,8 +16,9 @@ use std::fmt::Write as _;
 
 use bmhive_cloud::blockstore::IoKind;
 use bmhive_cloud::catalog::{ServerConstraints, INSTANCE_CATALOG};
-use bmhive_cloud::cost::CostModel;
+use bmhive_cloud::cost;
 use bmhive_cloud::fleet::{ExitCensus, ExitRateStream, PreemptionStudy, RegionHostDay};
+use bmhive_cloud::limits::InstanceLimits;
 use bmhive_cloud::security::{ServiceKind, ServiceProfile};
 use bmhive_cpu::memsys::{STREAM_ELEMENTS, STREAM_THREADS};
 use bmhive_cpu::nested;
@@ -295,9 +296,15 @@ fn table3(_seed: u64, out: &mut Report) {
         )
         .unwrap();
     }
+    let limits = InstanceLimits::production();
+    let cap = |limit: Option<f64>| limit.expect("production limits cap every resource");
     writeln!(
         out,
-        "limits per instance: 4M PPS, 10 Gbit/s, 25K IOPS, 300 MB/s"
+        "limits per instance: {}M PPS, {} Gbit/s, {}K IOPS, {} MB/s",
+        cap(limits.pps_limit()) / 1e6,
+        cap(limits.net_gbps_limit()),
+        cap(limits.iops_limit()) / 1e3,
+        cap(limits.storage_mbps_limit())
     )
     .unwrap();
     telemetry::add_events(INSTANCE_CATALOG.len() as u64);
@@ -673,7 +680,6 @@ fn fig16(seed: u64, out: &mut Report) {
 
 /// Renders the §3.5 cost-efficiency analysis.
 fn cost(_seed: u64, out: &mut Report) {
-    let model = CostModel::paper();
     writeln!(out, "§3.5 Cost efficiency").unwrap();
     writeln!(
         out,
@@ -682,9 +688,9 @@ fn cost(_seed: u64, out: &mut Report) {
     )
     .unwrap();
     for report in [
-        model.vm_server(),
-        model.bm_hive_eight_boards(),
-        model.bm_hive_single_board(),
+        cost::vm_server(),
+        cost::bm_hive_eight_boards(),
+        cost::bm_hive_single_board(),
     ] {
         writeln!(
             out,
@@ -700,7 +706,7 @@ fn cost(_seed: u64, out: &mut Report) {
     writeln!(
         out,
         "density advantage {:.2}x  (paper: 256HT vs 88HT; 3.17 vs 3.06 W/vCPU; bm price -10%)",
-        model.density_advantage()
+        cost::density_advantage()
     )
     .unwrap();
     telemetry::add_events(3);
@@ -785,12 +791,6 @@ fn iobond(_seed: u64, out: &mut Report) {
     let total = steps::trace_exchange(&profile, 64, 64, bmhive_sim::SimTime::ZERO);
     debug_assert_eq!(total, steps::total_latency(&steps));
     writeln!(out, "  total: {}", total).unwrap();
-    writeln!(
-        out,
-        "  closed-form model total: {}  (must match)",
-        steps::modelled_exchange_latency(&profile, 64, 64)
-    )
-    .unwrap();
 }
 
 /// Renders the §6 ASIC projection ablation.
@@ -805,11 +805,8 @@ fn asic(_seed: u64, out: &mut Report) {
         asic.guest_register_access()
     )
     .unwrap();
-    // The closed-form model equals the materialized step sum by
-    // construction (the integration suite cross-checks), and it
-    // doesn't allocate the step vector.
-    let fpga_total = steps::modelled_exchange_latency(&fpga, 64, 64);
-    let asic_total = steps::modelled_exchange_latency(&asic, 64, 64);
+    let fpga_total = steps::total_latency(&steps::tx_rx_steps(&fpga, 64, 64));
+    let asic_total = steps::total_latency(&steps::tx_rx_steps(&asic, 64, 64));
     writeln!(
         out,
         "Fig. 6 exchange: fpga {} -> asic {}",
@@ -1114,7 +1111,7 @@ fn traffic_policies(seed: u64, out: &mut Report) {
     let net_hop = SimDuration::from_micros(2);
     // Client↔guest constant outside the PS servers: one switch
     // traversal plus the wire each way.
-    let net_const = bmhive_cloud::vswitch::VSwitch::DEFAULT_PER_PACKET + net_hop + net_hop;
+    let net_const = bmhive_cloud::vswitch::VSwitch::PER_PACKET + net_hop + net_hop;
     let rate_at = |rho: f64| rho * GUESTS as f64 / service.mean().as_secs_f64();
     let modes = [
         DispatchMode::Single(Policy::RoundRobin),
@@ -1859,6 +1856,78 @@ vm-guest (special SGX builds):  58.8% of a core in SGX machinery
             ("fig8", FIG8),
             ("nested", NESTED),
             ("sgx", SGX),
+        ] {
+            assert_eq!(experiment(id).unwrap().render(1).text, text, "{id}");
+        }
+    }
+
+    /// The experiments that read the platform figures (the processor
+    /// catalog, the chassis, the instance limits and the vSwitch
+    /// per-packet cost) or the Fig. 6 step table, pinned to their exact
+    /// text: a figure that drifts from its one definition, or a copy
+    /// that stops reading it, shows up here as a diff.
+    #[test]
+    fn platform_figure_experiments_render_their_pinned_text() {
+        const TABLE1: &str = "\
+Table 1. Comparison of three cloud services
+Service                      | Security                                             | Isolation                              | Performance                                  | Density
+VM-based cloud               | side-channel and DoS exposed (shared hardware)       | weak (software, shared resources)      | virtualization overhead on CPU/memory/I/O    | 88 tenant(s)/server
+Single-tenant bare-metal     | tenant owns platform firmware (provider at risk)     | strong but moot (tenant owns the box)  | native                                       | 1 tenant(s)/server
+BM-Hive                      | hardware-isolated; firmware signed and protected     | strong (hardware)                      | native CPU/memory; para-virtual I/O          | 16 tenant(s)/server
+";
+        const TABLE3: &str = "\
+Table 3. Bare-metal instances (catalog reconstructed from the text)
+instance             | processor              |     HT | mem GiB |   board W |  max boards
+ebm.e5.32xlarge      | Xeon E5-2682 v4        |     32 |      64 |       160 |           8
+ebm.e3.8xlarge       | Xeon E3-1240 v6        |      8 |      32 |        92 |          16
+ebm.i7.12xlarge      | Core i7-8086K          |     12 |      32 |       120 |          12
+ebm.atom.16xlarge    | Atom C3958             |     16 |      32 |        43 |          16
+limits per instance: 4M PPS, 10 Gbit/s, 25K IOPS, 300 MB/s
+";
+        const COST: &str = "\
+§3.5 Cost efficiency
+configuration                          | total HT | sellable HT |    W/vCPU | rel price
+vm-based server (2x24C/48HT E5)        |       96 |          88 |      3.41 |      100%
+BM-Hive (8 boards x 32HT)              |      256 |         256 |      4.18 |       90%
+BM-Hive (single 96HT board)            |       96 |          96 |      3.21 |       90%
+density advantage 2.91x  (paper: 256HT vs 88HT; 3.17 vs 3.06 W/vCPU; bm price -10%)
+";
+        const OFFLOAD: &str = "\
+§6 IO-Bond packet-processing offload (ablation)
+configuration          |   sw ns/packet |    hw added ns |  base cores @16x1M PPS
+deployed (none)        |            300 |              0 |                      5
+full offload           |             30 |            100 |                      1
+(paper: offload packet processing so lower-cost base CPUs can be used)
+
+§3.4.2 backend mode (PMD vs interrupt, batch 4)
+PollMode: detect 900ns, +80ns per request, idle core burn 100%
+InterruptMode: detect 9.000us, +550ns per request, idle core burn 0%
+
+§3.4.2 slow test paths (never deployed)
+DpdkFast: 3.33M PPS/core, +0ns latency, reaches cloud services: true
+LinuxTap: 0.15M PPS/core, +25.000us latency, reaches cloud services: false
+";
+        const ASIC: &str = "\
+§6 ASIC projection (ablation)
+register access: fpga 800ns -> asic 200ns  (paper: 0.8us -> 0.2us, -75%)
+Fig. 6 exchange: fpga 5.245us -> asic 1.645us
+one-way 64B path: fpga 2.162us -> asic 812ns
+kernel-stack PPS ceiling: fpga 3.46M -> asic 3.58M
+";
+        const FIG10: &str = "\
+Fig. 10. 64B round-trip latency, microseconds
+tool               |     bm-guest |     vm-guest | paper
+sockperf (kernel)  |         43.0 |         41.3 | almost the same
+dpdk bypass        |         12.1 |          9.9 | vm slightly better (longer bm I/O path)
+icmp ping          |         37.0 |         35.1 | like the kernel stack
+";
+        for (id, text) in [
+            ("table1", TABLE1),
+            ("table3", TABLE3),
+            ("cost", COST),
+            ("offload", OFFLOAD),
+            ("asic", ASIC),
+            ("fig10", FIG10),
         ] {
             assert_eq!(experiment(id).unwrap().render(1).text, text, "{id}");
         }

@@ -74,14 +74,49 @@ impl ServerConstraints {
         }
     }
 
-    /// Maximum boards of `instance` this chassis hosts: the minimum over
-    /// the slot, power, and I/O constraints (§4.1's "power supply,
-    /// internal space, and I/O performance").
+    /// Admits one more `instance` board into a chassis already holding
+    /// the `installed` boards: the one slot, power and uplink check
+    /// (§4.1's "power supply, internal space, and I/O performance")
+    /// that board installation and placement both run.
+    ///
+    /// # Errors
+    ///
+    /// The constraint the board would violate: `"out of PCIe slots"`,
+    /// `"power budget exceeded"` or `"uplink oversubscribed"`.
+    pub fn admit<'a>(
+        &self,
+        installed: impl IntoIterator<Item = &'a InstanceType>,
+        instance: &InstanceType,
+    ) -> Result<(), &'static str> {
+        let (mut boards, mut slots, mut watts) = (0u32, 0u32, 0.0);
+        for board in installed {
+            boards += 1;
+            slots += board.slot_width;
+            watts += board.board_watts();
+        }
+        if slots + instance.slot_width > self.slots {
+            return Err("out of PCIe slots");
+        }
+        if watts + instance.board_watts() > self.board_power_budget_watts {
+            return Err("power budget exceeded");
+        }
+        if f64::from(boards + 1) * self.min_board_uplink_gbps > self.uplink_gbps {
+            return Err("uplink oversubscribed");
+        }
+        Ok(())
+    }
+
+    /// Maximum boards of `instance` this chassis hosts: how many
+    /// [`admit`](Self::admit) accepts one after another.
     pub fn max_boards(&self, instance: &InstanceType) -> u32 {
-        let by_slots = self.slots / instance.slot_width;
-        let by_power = (self.board_power_budget_watts / instance.board_watts()) as u32;
-        let by_io = (self.uplink_gbps / self.min_board_uplink_gbps) as u32;
-        by_slots.min(by_power).min(by_io)
+        let mut boards = 0;
+        while self
+            .admit(std::iter::repeat_n(instance, boards), instance)
+            .is_ok()
+        {
+            boards += 1;
+        }
+        boards as u32
     }
 }
 
@@ -189,6 +224,6 @@ mod tests {
         let e5 = find("ebm.e5.32xlarge");
         let sellable = c.max_boards(e5) * e5.threads();
         assert_eq!(sellable, 256);
-        assert!(sellable > 88);
+        assert!(sellable > crate::cost::vm_server().sellable_threads);
     }
 }

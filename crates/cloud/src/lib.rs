@@ -38,7 +38,7 @@ pub mod vswitch;
 
 pub use blockstore::{BlockStore, StorageClass};
 pub use catalog::{InstanceType, ServerConstraints, INSTANCE_CATALOG};
-pub use cost::{CostModel, DensityReport};
+pub use cost::DensityReport;
 pub use firmware::{FirmwareError, FirmwareImage, FirmwareStore, SigningKey};
 pub use fleet::{ExitCensus, PreemptionStudy};
 pub use image::{ImageService, MachineImage};

@@ -47,28 +47,9 @@ impl Error for PlacementError {}
 #[derive(Debug)]
 struct ServerState {
     constraints: ServerConstraints,
-    /// Occupied board slots: board index → (slot width, watts).
-    boards: HashMap<u32, (u32, f64)>,
+    /// Installed boards by board index.
+    boards: HashMap<u32, InstanceType>,
     next_board: u32,
-}
-
-impl ServerState {
-    fn used_slots(&self) -> u32 {
-        self.boards.values().map(|(w, _)| w).sum()
-    }
-
-    fn used_watts(&self) -> f64 {
-        self.boards.values().map(|(_, w)| w).sum()
-    }
-
-    fn fits(&self, instance: &InstanceType) -> bool {
-        let slots_ok = self.used_slots() + instance.slot_width <= self.constraints.slots;
-        let power_ok =
-            self.used_watts() + instance.board_watts() <= self.constraints.board_power_budget_watts;
-        let io_ok = (self.boards.len() as u32 + 1) as f64 * self.constraints.min_board_uplink_gbps
-            <= self.constraints.uplink_gbps;
-        slots_ok && power_ok && io_ok
-    }
 }
 
 /// First-fit scheduler over a pool of BM-Hive servers.
@@ -119,12 +100,14 @@ impl Scheduler {
         ids.sort_unstable();
         for id in ids {
             let state = self.servers.get_mut(&id).expect("known id");
-            if state.fits(instance) {
+            if state
+                .constraints
+                .admit(state.boards.values(), instance)
+                .is_ok()
+            {
                 let board = state.next_board;
                 state.next_board += 1;
-                state
-                    .boards
-                    .insert(board, (instance.slot_width, instance.board_watts()));
+                state.boards.insert(board, *instance);
                 return Ok(Placement { server: id, board });
             }
         }

@@ -5,6 +5,12 @@
 //! hardware-enforced, who controls the firmware) and the Table 1
 //! judgments are derived from those properties. This keeps the
 //! comparison honest: change a property and the verdicts change with it.
+//! The density column reads the platform: a vm server hosts one tenant
+//! per sellable thread of [`cost::vm_server`], and a BM-Hive server one
+//! per chassis slot.
+
+use crate::catalog::ServerConstraints;
+use crate::cost;
 
 /// The three cloud service architectures of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,7 +64,7 @@ impl ServiceProfile {
                 hardware_isolated: false,
                 tenant_controls_firmware: false,
                 virtualizes_cpu_memory: true,
-                max_tenants_per_server: 88, // one per sellable HT
+                max_tenants_per_server: cost::vm_server().sellable_threads,
                 provider_controls_io: true,
             },
             ServiceKind::SingleTenantBareMetal => ServiceProfile {
@@ -79,7 +85,7 @@ impl ServiceProfile {
                 // verification" (§1).
                 tenant_controls_firmware: false,
                 virtualizes_cpu_memory: false,
-                max_tenants_per_server: 16,
+                max_tenants_per_server: ServerConstraints::production().slots,
                 provider_controls_io: true,
             },
         }
@@ -91,24 +97,10 @@ impl ServiceProfile {
         self.shares_microarchitecture && self.max_tenants_per_server > 1
     }
 
-    /// Cross-tenant DoS through shared-resource contention.
-    pub fn resource_dos_exposed(&self) -> bool {
-        self.shares_microarchitecture && self.max_tenants_per_server > 1
-    }
-
     /// The provider is exposed to a malicious tenant owning the platform
     /// (firmware implants persisting across tenants).
     pub fn provider_exposed_to_tenant(&self) -> bool {
         self.tenant_controls_firmware
-    }
-
-    /// CPU/memory performance relative to native (1.0 = native).
-    pub fn cpu_memory_performance(&self) -> f64 {
-        if self.virtualizes_cpu_memory {
-            0.96 // the ≈4 % tax of Fig. 7
-        } else {
-            1.0
-        }
     }
 
     /// Whether the guest can be cold-migrated / managed through the
@@ -117,9 +109,9 @@ impl ServiceProfile {
         self.provider_controls_io
     }
 
-    /// One Table 1 row without allocating: (service, security,
-    /// isolation, performance) as static verdict strings plus the
-    /// tenants-per-server count (render as `"{n} tenant(s)/server"`).
+    /// One Table 1 row: (service, security, isolation, performance) as
+    /// static verdict strings plus the tenants-per-server count (render
+    /// as `"{n} tenant(s)/server"`).
     pub fn table_row_parts(&self) -> (&'static str, &'static str, &'static str, &'static str, u32) {
         let service = match self.kind {
             ServiceKind::VmBased => "VM-based cloud",
@@ -155,20 +147,6 @@ impl ServiceProfile {
             self.max_tenants_per_server,
         )
     }
-
-    /// One Table 1 row: (service, security, isolation, performance,
-    /// density) as short verdict strings. Owned-`String` convenience
-    /// wrapper over [`table_row_parts`](Self::table_row_parts).
-    pub fn table_row(&self) -> (String, String, String, String, String) {
-        let (service, security, isolation, perf, tenants) = self.table_row_parts();
-        (
-            service.to_string(),
-            security.to_string(),
-            isolation.to_string(),
-            perf.to_string(),
-            format!("{tenants} tenant(s)/server"),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -201,18 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn native_performance_only_without_cpu_virtualization() {
-        for kind in ServiceKind::ALL {
-            let p = ServiceProfile::of(kind);
-            if p.virtualizes_cpu_memory {
-                assert!(p.cpu_memory_performance() < 1.0);
-            } else {
-                assert_eq!(p.cpu_memory_performance(), 1.0);
-            }
-        }
-    }
-
-    #[test]
     fn density_ordering_matches_table1() {
         let vm = ServiceProfile::of(ServiceKind::VmBased).max_tenants_per_server;
         let bm = ServiceProfile::of(ServiceKind::BmHive).max_tenants_per_server;
@@ -225,13 +191,14 @@ mod tests {
     #[test]
     fn table_rows_render_for_all_services() {
         for kind in ServiceKind::ALL {
-            let (service, security, isolation, perf, density) =
-                ServiceProfile::of(kind).table_row();
-            for s in [&service, &security, &isolation, &perf, &density] {
+            let (service, security, isolation, perf, tenants) =
+                ServiceProfile::of(kind).table_row_parts();
+            for s in [service, security, isolation, perf] {
                 assert!(!s.is_empty());
             }
+            assert!(tenants >= 1);
         }
-        let (_, security, ..) = ServiceProfile::of(ServiceKind::BmHive).table_row();
+        let (_, security, ..) = ServiceProfile::of(ServiceKind::BmHive).table_row_parts();
         assert!(security.contains("firmware signed"));
     }
 }

@@ -24,7 +24,8 @@ pub enum Forwarded {
     Local(PortId, SimTime),
     /// Sent to the server uplink (physical network) at the given time.
     Uplink(SimTime),
-    /// Dropped: no route and flooding disabled.
+    /// Shed at ingress: a brownout backlog exceeded
+    /// [`VSwitch::SHED_THRESHOLD`].
     Dropped,
 }
 
@@ -33,10 +34,8 @@ pub enum Forwarded {
 pub struct VSwitch {
     macs: HashMap<MacAddr, PortId>,
     pmd: MultiResource,
-    per_packet: SimDuration,
     forwarded: u64,
     dropped: u64,
-    flood_unknown: bool,
     /// Frames delivered to each local port and not yet acknowledged by
     /// [`Self::complete`] — the per-port queue depth the dispatch
     /// policies read. Dense, indexed by `PortId.0`: ports are small
@@ -51,7 +50,7 @@ pub struct VSwitch {
 impl VSwitch {
     /// Per-packet PMD forwarding cost (DPDK l2fwd-class switching plus
     /// the customised cloud overlay lookup).
-    pub const DEFAULT_PER_PACKET: SimDuration = SimDuration::from_nanos(300);
+    pub const PER_PACKET: SimDuration = SimDuration::from_nanos(300);
 
     /// During a brownout the switch sheds load instead of queueing
     /// without bound: frames that would wait longer than this for a
@@ -67,20 +66,13 @@ impl VSwitch {
         VSwitch {
             macs: HashMap::new(),
             pmd: MultiResource::new(pmd_cores),
-            per_packet: Self::DEFAULT_PER_PACKET,
             forwarded: 0,
             dropped: 0,
-            flood_unknown: false,
             depths: Vec::new(),
             peak_depth: 0,
             doorbells_rung: 0,
             doorbells_suppressed: 0,
         }
-    }
-
-    /// Overrides the per-packet cost (for ablations).
-    pub fn set_per_packet_cost(&mut self, cost: SimDuration) {
-        self.per_packet = cost;
     }
 
     /// Attaches a guest port with its MAC.
@@ -98,29 +90,22 @@ impl VSwitch {
         self.macs.len()
     }
 
-    /// The brownout-adjusted per-packet cost at `now`, fetched once per
-    /// frame on the single path and once per *burst* on the batch path.
-    #[inline]
-    fn effective_per_packet(&self, now: SimTime) -> SimDuration {
+    /// Forwards one frame arriving at the switch at `now`.
+    ///
+    /// Under an armed [`bmhive_faults`] plan a vSwitch brownout
+    /// multiplies the per-packet cost; if the PMD backlog then exceeds
+    /// [`Self::SHED_THRESHOLD`] the frame is shed (graceful
+    /// degradation) rather than queued behind the slowdown.
+    pub fn forward(&mut self, packet: &Packet, now: SimTime) -> Forwarded {
+        let mut per_packet = Self::PER_PACKET;
         if faults::is_armed() {
             let factor = faults::latency_factor(FaultSite::VSwitch, now);
             if factor > 1.0 {
-                return self.per_packet.mul_f64(factor);
+                per_packet = per_packet.mul_f64(factor);
             }
         }
-        self.per_packet
-    }
-
-    /// Forwards one frame at the (possibly brownout-inflated)
-    /// `per_packet` cost. Shared by the single and batch entry points.
-    fn forward_at_cost(
-        &mut self,
-        packet: &Packet,
-        now: SimTime,
-        per_packet: SimDuration,
-    ) -> Forwarded {
-        if per_packet > self.per_packet {
-            faults::note_degraded(FaultSite::VSwitch, per_packet - self.per_packet);
+        if per_packet > Self::PER_PACKET {
+            faults::note_degraded(FaultSite::VSwitch, per_packet - Self::PER_PACKET);
             let backlog = self.pmd.next_free().saturating_duration_since(now);
             if backlog > Self::SHED_THRESHOLD {
                 self.dropped += 1;
@@ -183,54 +168,13 @@ impl VSwitch {
                 }
                 Forwarded::Local(port, served.end)
             }
-            None if packet.dst == MacAddr::BROADCAST || self.flood_unknown => {
-                self.forwarded += 1;
-                Forwarded::Uplink(served.end)
-            }
             None => {
-                // Unknown unicast goes to the uplink toward the overlay.
+                // Broadcast and unknown unicast go to the uplink toward
+                // the overlay.
                 self.forwarded += 1;
                 Forwarded::Uplink(served.end)
             }
         }
-    }
-
-    /// Forwards one frame arriving at the switch at `now`.
-    ///
-    /// Under an armed [`bmhive_faults`] plan a vSwitch brownout
-    /// multiplies the per-packet cost; if the PMD backlog then exceeds
-    /// [`Self::SHED_THRESHOLD`] the frame is shed (graceful
-    /// degradation) rather than queued behind the slowdown.
-    pub fn forward(&mut self, packet: &Packet, now: SimTime) -> Forwarded {
-        let per_packet = self.effective_per_packet(now);
-        self.forward_at_cost(packet, now, per_packet)
-    }
-
-    /// Forwards a burst of frames all arriving at `now`, appending one
-    /// [`Forwarded`] per frame to `out` (cleared first) and returning
-    /// the burst length.
-    ///
-    /// The burst is the PMD's unit of work: the brownout factor is
-    /// fetched once for the whole burst (every frame shares `now`, so
-    /// the factor is identical to the per-frame fetch), and at most the
-    /// first frame rings a doorbell — the rest land while the poller is
-    /// provably mid-scan. Frame-for-frame, the service order, timings
-    /// and shed decisions are exactly those of [`Self::forward`] called
-    /// in a loop.
-    pub fn forward_batch(
-        &mut self,
-        packets: &[Packet],
-        now: SimTime,
-        out: &mut Vec<Forwarded>,
-    ) -> usize {
-        out.clear();
-        let per_packet = self.effective_per_packet(now);
-        out.extend(
-            packets
-                .iter()
-                .map(|p| self.forward_at_cost(p, now, per_packet)),
-        );
-        out.len()
     }
 
     /// Frames delivered to `port` and not yet completed — the cheap
@@ -280,22 +224,7 @@ impl VSwitch {
 
     /// The aggregate forwarding capacity in packets/second.
     pub fn capacity_pps(&self) -> f64 {
-        self.pmd.servers() as f64 / self.per_packet.as_secs_f64()
-    }
-
-    /// Total PMD-core busy time so far (the poll-loop occupancy
-    /// numerator; divide by elapsed virtual time × cores).
-    pub fn pmd_busy_time(&self) -> SimDuration {
-        self.pmd.busy_time()
-    }
-
-    /// PMD poll-loop occupancy over `horizon` of virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn pmd_occupancy(&self, horizon: SimDuration) -> f64 {
-        self.pmd.utilization(horizon)
+        self.pmd.servers() as f64 / Self::PER_PACKET.as_secs_f64()
     }
 }
 
@@ -322,7 +251,7 @@ mod tests {
         match sw.forward(&pkt(1, 2), SimTime::ZERO) {
             Forwarded::Local(port, at) => {
                 assert_eq!(port, PortId(2));
-                assert_eq!(at, SimTime::ZERO + VSwitch::DEFAULT_PER_PACKET);
+                assert_eq!(at, SimTime::ZERO + VSwitch::PER_PACKET);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -388,7 +317,7 @@ mod tests {
         let at = SimTime::from_micros(210);
         match sw.forward(&pkt(1, 2), at) {
             Forwarded::Local(_, done) => {
-                assert_eq!(done, at + VSwitch::DEFAULT_PER_PACKET.mul_f64(6.0));
+                assert_eq!(done, at + VSwitch::PER_PACKET.mul_f64(6.0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -416,7 +345,7 @@ mod tests {
         // 50 µs is before the 200 µs brownout onset: stock cost.
         match sw.forward(&pkt(1, 2), SimTime::from_micros(50)) {
             Forwarded::Local(_, done) => {
-                assert_eq!(done, SimTime::from_micros(50) + VSwitch::DEFAULT_PER_PACKET);
+                assert_eq!(done, SimTime::from_micros(50) + VSwitch::PER_PACKET);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -443,36 +372,6 @@ mod tests {
         sw.complete(PortId(2));
         assert_eq!(sw.queue_depth(PortId(2)), 0);
         assert_eq!(sw.peak_port_depth(), 3, "peak is a high-water mark");
-    }
-
-    #[test]
-    fn forward_batch_matches_a_forward_loop() {
-        // Same frames, same arrival instant: the batch path must
-        // produce identical Forwarded results, depths and counters as
-        // single forwards — only the doorbell accounting knows bursts.
-        let frames: Vec<Packet> = (0..6).map(|_| pkt(1, 2)).collect();
-        let mut single = VSwitch::new(2);
-        single.attach(MacAddr::for_guest(2), PortId(2));
-        let now = SimTime::from_micros(5);
-        let one_by_one: Vec<Forwarded> = frames.iter().map(|p| single.forward(p, now)).collect();
-
-        let mut batched = VSwitch::new(2);
-        batched.attach(MacAddr::for_guest(2), PortId(2));
-        let mut out = Vec::new();
-        assert_eq!(batched.forward_batch(&frames, now, &mut out), 6);
-        assert_eq!(out, one_by_one);
-        assert_eq!(batched.forwarded_count(), single.forwarded_count());
-        assert_eq!(
-            batched.queue_depth(PortId(2)),
-            single.queue_depth(PortId(2))
-        );
-        assert_eq!(batched.peak_port_depth(), single.peak_port_depth());
-        // The scratch is cleared per call.
-        assert_eq!(
-            batched.forward_batch(&frames[..1], now + SimDuration::from_millis(1), &mut out),
-            1
-        );
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl ControlPlane {
         &mut self.server
     }
 
-    /// The image registry.
-    pub fn images_mut(&mut self) -> &mut ImageService {
-        &mut self.images
-    }
-
     fn find_instance(name: &str) -> Option<&'static InstanceType> {
         INSTANCE_CATALOG.iter().find(|i| i.name == name)
     }

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use crate::server::{BmHiveServer, BoardId, GuestId, ServerError};
     pub use bmhive_cloud::blockstore::{BlockStore, IoKind, StorageClass};
     pub use bmhive_cloud::catalog::{InstanceType, ServerConstraints, INSTANCE_CATALOG};
-    pub use bmhive_cloud::cost::CostModel;
+    pub use bmhive_cloud::cost;
     pub use bmhive_cloud::image::{ImageService, MachineImage};
     pub use bmhive_cloud::limits::InstanceLimits;
     pub use bmhive_cloud::scheduler::Scheduler;

@@ -91,7 +91,6 @@ struct Guest {
 #[derive(Debug)]
 pub struct BmHiveServer {
     constraints: ServerConstraints,
-    profile: IoBondProfile,
     signing_key: SigningKey,
     boards: HashMap<BoardId, Board>,
     guests: HashMap<GuestId, Guest>,
@@ -111,7 +110,6 @@ impl BmHiveServer {
     pub fn new(constraints: ServerConstraints, seed: u64) -> Self {
         BmHiveServer {
             constraints,
-            profile: IoBondProfile::fpga(),
             // The provider's firmware signing key; the public half lives
             // in every board's fuses (§1).
             signing_key: SigningKey::new(seed ^ 0xf1e3_ba5e),
@@ -126,12 +124,6 @@ impl BmHiveServer {
             egress_frame: Vec::new(),
             ingress_frame: Vec::new(),
         }
-    }
-
-    /// Switches every subsequently-installed board to the ASIC IO-Bond
-    /// profile (§6 ablation).
-    pub fn set_profile(&mut self, profile: IoBondProfile) {
-        self.profile = profile;
     }
 
     /// The chassis constraints.
@@ -149,34 +141,18 @@ impl BmHiveServer {
         self.guests.len()
     }
 
-    fn used_slots(&self) -> u32 {
-        self.boards.values().map(|b| b.instance.slot_width).sum()
-    }
-
-    fn used_watts(&self) -> f64 {
-        self.boards.values().map(|b| b.instance.board_watts()).sum()
-    }
-
     /// Installs a compute board, enforcing slot / power / uplink
-    /// constraints (§4.1's Table 3 column).
+    /// constraints (§4.1's Table 3 column) through
+    /// [`ServerConstraints::admit`].
     ///
     /// # Errors
     ///
     /// [`ServerError::ConstraintViolation`] if the chassis cannot take
     /// the board.
     pub fn install_board(&mut self, instance: &InstanceType) -> Result<BoardId, ServerError> {
-        if self.used_slots() + instance.slot_width > self.constraints.slots {
-            return Err(ServerError::ConstraintViolation("out of PCIe slots"));
-        }
-        if self.used_watts() + instance.board_watts() > self.constraints.board_power_budget_watts {
-            return Err(ServerError::ConstraintViolation("power budget exceeded"));
-        }
-        let boards_after = self.boards.len() as u32 + 1;
-        if f64::from(boards_after) * self.constraints.min_board_uplink_gbps
-            > self.constraints.uplink_gbps
-        {
-            return Err(ServerError::ConstraintViolation("uplink oversubscribed"));
-        }
+        self.constraints
+            .admit(self.boards.values().map(|b| &b.instance), instance)
+            .map_err(ServerError::ConstraintViolation)?;
         let id = BoardId(self.next_board);
         self.next_board += 1;
         let factory = FirmwareImage::signed(
@@ -256,7 +232,8 @@ impl BmHiveServer {
         let guest_id = GuestId(self.next_guest);
         self.next_guest += 1;
         let mac = MacAddr::for_guest(guest_id.0 + 1);
-        let mut session = BmGuestSession::new(self.profile, mac, 256, board.instance.limits());
+        let mut session =
+            BmGuestSession::new(IoBondProfile::fpga(), mac, 256, board.instance.limits());
         let boot = boot_guest(&mut session, &mut self.store, image, now)
             .map_err(ServerError::BootFailed)?;
         board.guest = Some(guest_id);
@@ -325,11 +302,6 @@ impl BmHiveServer {
             .get_mut(&guest_id)
             .map(|g| &mut g.session)
             .ok_or(ServerError::BadHandle("unknown guest"))
-    }
-
-    /// The shared cloud block store.
-    pub fn store_mut(&mut self) -> &mut BlockStore {
-        &mut self.store
     }
 
     /// Sends a packet from a guest into the cloud network. If the

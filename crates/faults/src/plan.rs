@@ -205,18 +205,6 @@ impl FaultEvent {
         }
     }
 
-    /// A one-shot fault that fires the first time it is polled at or
-    /// after `at` (dropped doorbell, power loss).
-    pub fn oneshot(at: SimTime, site: FaultSite, kind: FaultKind) -> Self {
-        FaultEvent {
-            at,
-            site,
-            kind,
-            duration: SimDuration::ZERO,
-            factor: 1.0,
-        }
-    }
-
     /// A degradation window that multiplies latency by `factor`
     /// (latency spike, brownout).
     pub fn factor(

@@ -7,8 +7,10 @@
 //! [`OffloadConfig`] models which vSwitch functions move into IO-Bond's
 //! gates: with more offload, each packet consumes less base-CPU time, so
 //! a given guest fleet needs fewer (or cheaper) PMD cores. The
-//! `iobond` ablation bench and [`OffloadConfig::base_cores_needed`] quantify the claim.
+//! `offload` experiment and [`OffloadConfig::base_cores_needed`]
+//! quantify the claim.
 
+use bmhive_cloud::vswitch::VSwitch;
 use bmhive_sim::SimDuration;
 
 /// Which packet-processing stages IO-Bond performs in hardware.
@@ -16,13 +18,13 @@ use bmhive_sim::SimDuration;
 pub struct OffloadConfig {
     /// Parse and validate headers in gates (always on: the FPGA already
     /// touches every descriptor).
-    pub header_parse: bool,
+    header_parse: bool,
     /// MAC/overlay table lookup in CAM.
-    pub forwarding_lookup: bool,
+    forwarding_lookup: bool,
     /// VXLAN-style overlay encap/decap.
-    pub overlay_encap: bool,
+    overlay_encap: bool,
     /// Per-flow rate-limit enforcement (token buckets in hardware).
-    pub rate_limiting: bool,
+    rate_limiting: bool,
 }
 
 impl OffloadConfig {
@@ -48,11 +50,11 @@ impl OffloadConfig {
     }
 
     /// Base-CPU time per packet that remains in software under this
-    /// configuration. The deployed software switch spends ~300 ns per
-    /// packet (see `VSwitch::DEFAULT_PER_PACKET`); each offloaded stage
-    /// removes its share.
+    /// configuration. The deployed software switch spends
+    /// [`VSwitch::PER_PACKET`] per packet; each offloaded stage removes
+    /// its share.
     pub fn sw_per_packet(&self) -> SimDuration {
-        let mut ns: f64 = 300.0;
+        let mut ns = VSwitch::PER_PACKET.as_nanos() as f64;
         if self.header_parse {
             ns -= 60.0;
         }
@@ -93,12 +95,6 @@ impl OffloadConfig {
     }
 }
 
-impl Default for OffloadConfig {
-    fn default() -> Self {
-        Self::deployed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +103,7 @@ mod tests {
     fn deployed_config_matches_the_vswitch_cost() {
         assert_eq!(
             OffloadConfig::deployed().sw_per_packet(),
-            SimDuration::from_nanos(300)
+            VSwitch::PER_PACKET
         );
         assert_eq!(
             OffloadConfig::deployed().hw_added_latency(),

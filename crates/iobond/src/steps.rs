@@ -42,12 +42,12 @@ pub struct Step {
 /// Steps 1–6 are "those standard virtio device operations including how
 /// IO-Bond update vring used-flag, get desc and indirect desc tables";
 /// the remainder forward data to the backend and return the Rx.
-pub fn tx_rx_steps(profile: &IoBondProfile, tx_bytes: u64, rx_bytes: u64) -> Vec<Step> {
+pub fn tx_rx_steps(profile: &IoBondProfile, tx_bytes: u64, rx_bytes: u64) -> [Step; 14] {
     let reg_g = profile.guest_register_access();
     let reg_b = profile.base_register_access();
     let desc_fetch = profile.dma().transfer_time(16);
     let indirect_fetch = profile.dma().transfer_time(64);
-    vec![
+    [
         Step {
             number: 1,
             actor: Actor::Guest,
@@ -140,26 +140,6 @@ pub fn total_latency(steps: &[Step]) -> SimDuration {
     steps.iter().map(|s| s.cost).sum()
 }
 
-/// The closed-form total the latency model charges for one Fig. 6
-/// exchange: two guest-link register hops (steps 1 and 14), two
-/// base-link hops (8 and 11), five 16-byte descriptor fetches (2, 3,
-/// 6, 7, 13), one indirect-table fetch (4), and the two payload DMAs
-/// (5 and 12). By construction this must equal
-/// [`total_latency`]`(&`[`tx_rx_steps`]`(..))` for the same inputs —
-/// the cross-check the integration suite enforces.
-pub fn modelled_exchange_latency(
-    profile: &IoBondProfile,
-    tx_bytes: u64,
-    rx_bytes: u64,
-) -> SimDuration {
-    profile.guest_register_access() * 2
-        + profile.base_register_access() * 2
-        + profile.dma().transfer_time(16) * 5
-        + profile.dma().transfer_time(64)
-        + profile.dma().transfer_time(tx_bytes)
-        + profile.dma().transfer_time(rx_bytes)
-}
-
 fn actor_name(actor: Actor) -> &'static str {
     match actor {
         Actor::Guest => "guest",
@@ -239,19 +219,6 @@ mod tests {
         let small = total_latency(&tx_rx_steps(&IoBondProfile::fpga(), 64, 64));
         let large = total_latency(&tx_rx_steps(&IoBondProfile::fpga(), 64 * 1024, 64 * 1024));
         assert!(large > small);
-    }
-
-    #[test]
-    fn closed_form_total_matches_the_step_sum() {
-        for profile in [IoBondProfile::fpga(), IoBondProfile::asic()] {
-            for (tx, rx) in [(64, 64), (1500, 64), (0, 4096), (64 * 1024, 64 * 1024)] {
-                assert_eq!(
-                    modelled_exchange_latency(&profile, tx, rx),
-                    total_latency(&tx_rx_steps(&profile, tx, rx)),
-                    "profile {profile:?} tx {tx} rx {rx}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -23,9 +23,6 @@ use core::ops::{Add, Sub};
 pub struct GuestAddr(u64);
 
 impl GuestAddr {
-    /// The null guest address.
-    pub const NULL: GuestAddr = GuestAddr(0);
-
     /// Creates an address from a raw value.
     pub const fn new(value: u64) -> Self {
         GuestAddr(value)

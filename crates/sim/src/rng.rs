@@ -139,11 +139,6 @@ impl SimRng {
         r * cos
     }
 
-    /// A normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Fills `out` with standard normal samples — exactly the values
     /// repeated [`normal`](Self::normal) calls would return, in the same
     /// order (any cached spare is handed out first, then fresh

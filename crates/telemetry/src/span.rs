@@ -358,11 +358,6 @@ impl Collector {
         self.events.is_empty()
     }
 
-    /// Number of currently-open spans.
-    pub fn open_spans(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Spans evicted by the ring-buffer bound.
     pub fn dropped(&self) -> u64 {
         self.dropped

@@ -314,10 +314,6 @@ struct Engine<'a> {
     free_reqs: Vec<usize>,
     /// Reused per-dispatch snapshot of port depths.
     depths_scratch: Vec<u64>,
-    /// Reused frame burst handed to [`VSwitch::forward_batch`].
-    burst_pkts: Vec<Packet>,
-    /// Reused per-burst forwarding results.
-    burst_out: Vec<Forwarded>,
 }
 
 impl Engine<'_> {
@@ -406,55 +402,6 @@ impl Engine<'_> {
         }
     }
 
-    /// Sends both copies of a cloned request as one vSwitch burst —
-    /// one brownout probe and at most one doorbell for the pair —
-    /// scheduling a Join per surviving copy. Frame order, service
-    /// timings and Join sequencing are identical to two back-to-back
-    /// [`Self::send_copy`] calls.
-    fn send_pair(
-        &mut self,
-        req: usize,
-        copies: [(usize, Role, f64); 2],
-        now: SimTime,
-    ) -> [bool; 2] {
-        let mut pkts = std::mem::take(&mut self.burst_pkts);
-        let mut out = std::mem::take(&mut self.burst_out);
-        pkts.clear();
-        for (guest, _, _) in copies {
-            pkts.push(Packet::new(
-                client_mac(),
-                guest_mac(guest),
-                PacketKind::Udp,
-                64,
-                req as u64,
-            ));
-        }
-        self.sw.forward_batch(&pkts, now, &mut out);
-        let mut ok = [false; 2];
-        for (i, (&fw, (guest, role, demand))) in out.iter().zip(copies).enumerate() {
-            match fw {
-                Forwarded::Local(_, delivered) => {
-                    self.reqs[req].outstanding += 1;
-                    self.queue.schedule(
-                        delivered + self.cfg.net_hop,
-                        Ev::Join {
-                            req,
-                            guest,
-                            role,
-                            demand,
-                        },
-                    );
-                    ok[i] = true;
-                }
-                Forwarded::Uplink(_) => unreachable!("traffic guests are always attached"),
-                Forwarded::Dropped => {}
-            }
-        }
-        self.burst_pkts = pkts;
-        self.burst_out = out;
-        ok
-    }
-
     fn on_arrival(&mut self, now: SimTime) {
         let req = self.alloc_req(now);
         self.report.offered += 1;
@@ -494,11 +441,8 @@ impl Engine<'_> {
                 // undershoot the M/G/1-PS closed form.
                 let pair = self.dispatch_rng.below(self.cfg.guests as u64 / 2) as usize;
                 let (a, b) = (2 * pair, 2 * pair + 1);
-                let [ok_a, ok_b] = self.send_pair(
-                    req,
-                    [(a, Role::Primary, demand), (b, Role::Clone, clone_demand)],
-                    now,
-                );
+                let ok_a = self.send_copy(req, a, Role::Primary, demand, now);
+                let ok_b = self.send_copy(req, b, Role::Clone, clone_demand, now);
                 self.report.clones_sent += 1;
                 let r = &mut self.reqs[req];
                 r.done = !ok_a && !ok_b;
@@ -792,8 +736,6 @@ fn run_impl(cfg: &TrafficConfig, seed: u64, batched: bool) -> RunReport {
         traced: telemetry::is_enabled(),
         free_reqs: Vec::new(),
         depths_scratch: Vec::new(),
-        burst_pkts: Vec::new(),
-        burst_out: Vec::new(),
     };
 
     if let Some(o) = &cfg.outage {
@@ -876,7 +818,7 @@ mod tests {
     /// Client↔guest constant outside the PS server: one switch
     /// traversal plus the wire both ways.
     fn net_const(cfg: &TrafficConfig) -> SimDuration {
-        VSwitch::DEFAULT_PER_PACKET + cfg.net_hop + cfg.net_hop
+        VSwitch::PER_PACKET + cfg.net_hop + cfg.net_hop
     }
 
     #[test]
@@ -1109,6 +1051,25 @@ mod tests {
                 outage: None,
             },
         ]
+    }
+
+    #[test]
+    fn clone_dispatch_counts_one_brownout_injection_per_degraded_frame() {
+        // Clone mode sends two frames per request through the vSwitch.
+        // Inside the backend-brownout window every frame pays the
+        // inflated per-packet cost, so the injection count must equal
+        // the degraded-frame count, not the request count.
+        let cfg = base(DispatchMode::Clone, 4, 400_000.0, 400);
+        faults::arm(faults::canned("backend-brownout").expect("canned plan"), 1);
+        let report = run(&cfg, 1);
+        let stats = faults::disarm().expect("armed");
+        let injected = stats.injected["vswitch/brownout"];
+        let extra_per_frame = VSwitch::PER_PACKET.mul_f64(6.0) - VSwitch::PER_PACKET;
+        let degraded_frames = stats.degraded_ns["vswitch"] / extra_per_frame.as_nanos();
+        assert_eq!(stats.degraded_ns["vswitch"] % extra_per_frame.as_nanos(), 0);
+        assert!(injected > 2, "the run must cross the brownout window");
+        assert_eq!(injected, degraded_frames);
+        assert_eq!(report.clones_sent, report.offered);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! ping (like the kernel stack).
 
 use crate::env::GuestEnv;
+use bmhive_cloud::vswitch::VSwitch;
 use bmhive_net::{MacAddr, Packet, PacketKind, ProtocolStack};
 use bmhive_sim::{Histogram, SimDuration};
 use bmhive_telemetry as telemetry;
@@ -70,7 +71,6 @@ pub fn round_trip(env: &mut GuestEnv, tool: LatencyTool, samples: u32) -> Latenc
     // Per direction: sender stack tx + guest→backend path + vSwitch +
     // backend→guest path + receiver stack rx (+ wakeup each side).
     // Request and echo reply are symmetric: 4 guest-path traversals.
-    let vswitch = SimDuration::from_nanos(300);
     for _ in 0..samples {
         let mut rtt = SimDuration::ZERO;
         for _leg in 0..2 {
@@ -82,7 +82,7 @@ pub fn round_trip(env: &mut GuestEnv, tool: LatencyTool, samples: u32) -> Latenc
             rtt += tx
                 + stack.wakeup_latency()
                 + env.path.net_oneway(64)
-                + vswitch
+                + VSwitch::PER_PACKET
                 + env.path.net_oneway(64)
                 + env.path.completion_busy()
                 + rx

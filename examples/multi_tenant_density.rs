@@ -54,10 +54,9 @@ fn main() {
     );
 
     // The §3.5 economics: sellable threads and watts per vCPU.
-    let model = CostModel::paper();
-    let vm = model.vm_server();
-    let bm8 = model.bm_hive_eight_boards();
-    let bm1 = model.bm_hive_single_board();
+    let vm = cost::vm_server();
+    let bm8 = cost::bm_hive_eight_boards();
+    let bm1 = cost::bm_hive_single_board();
     println!("\n--- §3.5 cost efficiency ---");
     for report in [&vm, &bm8, &bm1] {
         println!(
@@ -70,6 +69,6 @@ fn main() {
     }
     println!(
         "density advantage (8-board BM-Hive vs vm server): {:.2}x",
-        model.density_advantage()
+        cost::density_advantage()
     );
 }

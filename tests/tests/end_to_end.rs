@@ -122,3 +122,36 @@ fn rate_limits_bind_identically_for_all_tenants() {
     let iops = n as f64 / elapsed.as_secs_f64();
     assert!(iops < 28_500.0, "one tenant cannot exceed its cap: {iops}");
 }
+
+#[test]
+fn server_scheduler_and_max_boards_share_one_admission_check() {
+    let constraints = ServerConstraints::production();
+    for instance in INSTANCE_CATALOG {
+        let max = constraints.max_boards(instance);
+
+        let mut server = BmHiveServer::new(constraints, 3);
+        let mut installed = 0;
+        let refused = loop {
+            match server.install_board(instance) {
+                Ok(_) => installed += 1,
+                Err(ServerError::ConstraintViolation(why)) => break why,
+                Err(e) => panic!("{}: unexpected {e}", instance.name),
+            }
+        };
+        assert_eq!(installed, max, "{} on a BmHiveServer", instance.name);
+        assert_eq!(
+            constraints.admit(std::iter::repeat_n(instance, max as usize), instance),
+            Err(refused),
+            "{}: the server refuses for the chassis's reason",
+            instance.name
+        );
+
+        let mut sched = Scheduler::new();
+        sched.add_server(constraints);
+        let mut placed = 0;
+        while sched.place(instance).is_ok() {
+            placed += 1;
+        }
+        assert_eq!(placed, max, "{} on a one-server pool", instance.name);
+    }
+}

@@ -1372,7 +1372,7 @@ fn fleet_scale(seed: u64, out: &mut Report) {
     // the fixed 8 KiB scratch is part of the metered footprint and
     // identical on every host, so the O(1)-per-worker memory claim the
     // gate checks is untouched. Telemetry happens outside the
-    // measurement window (registry writes allocate).
+    // measurement window (a key's first registry write inserts it).
     let census_host = |host: usize| {
         let stream_sel = par::host_stream(ExitRateStream::CENSUS_STREAM, host);
         let (census, peak) = telemetry::alloc::measure_peak(|| {

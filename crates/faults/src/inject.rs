@@ -500,19 +500,62 @@ pub fn take_oneshot(site: FaultSite, kind: FaultKind, now: SimTime) -> Option<Si
     })
 }
 
+/// An operation that waits out a blocking fault through
+/// [`retry_until_clear`]: the site it runs at and its name in fault
+/// stats and telemetry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetryOp {
+    /// A guest register access across the PCIe link.
+    PcieRegister,
+    /// The PMD thread's mailbox head/tail poll.
+    MailboxHeadTail,
+    /// The DMA that stages a descriptor chain's readable bytes.
+    DmaStageChain,
+    /// The DMA that copies a backend's written bytes back.
+    DmaCopyBack,
+}
+
+impl RetryOp {
+    /// The site whose blocking windows this operation waits out.
+    pub fn site(self) -> FaultSite {
+        match self {
+            RetryOp::PcieRegister => FaultSite::Pcie,
+            RetryOp::MailboxHeadTail => FaultSite::Mailbox,
+            RetryOp::DmaStageChain | RetryOp::DmaCopyBack => FaultSite::Dma,
+        }
+    }
+
+    /// The operation's name, unique within its site.
+    pub fn name(self) -> &'static str {
+        match self {
+            RetryOp::PcieRegister => "register",
+            RetryOp::MailboxHeadTail => "head_tail",
+            RetryOp::DmaStageChain => "stage_chain",
+            RetryOp::DmaCopyBack => "copy_back",
+        }
+    }
+
+    /// The label of the telemetry span covering one wait:
+    /// `"retry:<site>:<name>"`.
+    pub fn span_label(self) -> &'static str {
+        match self {
+            RetryOp::PcieRegister => "retry:pcie:register",
+            RetryOp::MailboxHeadTail => "retry:mailbox:head_tail",
+            RetryOp::DmaStageChain => "retry:dma:stage_chain",
+            RetryOp::DmaCopyBack => "retry:dma:copy_back",
+        }
+    }
+}
+
 /// Runs the bounded-backoff recovery loop for a blocking fault at
-/// `site`, starting at `now`. Each attempt costs `attempt_cost` (the
+/// `op`'s site, starting at `now`. Each attempt costs `attempt_cost` (the
 /// price of re-issuing the operation) plus a jittered backoff delay
 /// drawn from the context RNG; the loop exits as soon as virtual time
 /// advances past every blocking window, or escalates after the policy's
 /// attempt budget. A telemetry span (`component "faults"`, labelled
-/// `"retry:<site>:<label>"`) covers the whole wait.
-pub fn retry_until_clear(
-    site: FaultSite,
-    label: &str,
-    now: SimTime,
-    attempt_cost: SimDuration,
-) -> Recovery {
+/// [`RetryOp::span_label`]) covers the whole wait.
+pub fn retry_until_clear(op: RetryOp, now: SimTime, attempt_cost: SimDuration) -> Recovery {
+    let site = op.site();
     if !is_armed() {
         return Recovery::CLEAR;
     }
@@ -544,7 +587,7 @@ pub fn retry_until_clear(
             FaultStats::bump(&mut ctx.stats.escalated, site_key, 1);
             FaultStats::bump(
                 &mut ctx.stats.escalated_ops,
-                format!("{}/{label}", site.name()),
+                format!("{}/{}", site.name(), op.name()),
                 1,
             );
         }
@@ -557,14 +600,8 @@ pub fn retry_until_clear(
     let Some(recovery) = recovery else {
         return Recovery::CLEAR;
     };
-    // Telemetry happens outside the context borrow: span labels are
-    // only built on this slow path, never on the unarmed fast path.
-    telemetry::span(
-        COMPONENT,
-        format!("retry:{}:{label}", site.name()),
-        now,
-        recovery.waited,
-    );
+    // Telemetry happens outside the context borrow.
+    telemetry::span(COMPONENT, op.span_label(), now, recovery.waited);
     telemetry::counter("faults_retries", u64::from(recovery.attempts));
     telemetry::timer("faults_backoff_wait", recovery.waited);
     recovery
@@ -667,7 +704,7 @@ mod tests {
         assert!(!corrupted(FaultSite::Vring, us(0)));
         assert!(take_oneshot(FaultSite::Board, FaultKind::PowerLoss, us(0)).is_none());
         assert_eq!(
-            retry_until_clear(FaultSite::Dma, "x", us(0), SimDuration::ZERO),
+            retry_until_clear(RetryOp::DmaStageChain, us(0), SimDuration::ZERO),
             Recovery::CLEAR
         );
     }
@@ -750,7 +787,7 @@ mod tests {
             SimDuration::from_micros(60),
         )]);
         arm(plan, 9);
-        let r = retry_until_clear(FaultSite::Dma, "step5", us(0), SimDuration::from_micros(1));
+        let r = retry_until_clear(RetryOp::DmaStageChain, us(0), SimDuration::from_micros(1));
         assert!(r.recovered);
         assert!(r.attempts >= 1);
         assert!(r.waited >= SimDuration::from_micros(60));
@@ -770,17 +807,17 @@ mod tests {
             SimDuration::from_millis(10),
         )]);
         arm(plan, 9);
-        let r = retry_until_clear(FaultSite::Mailbox, "step8", us(0), SimDuration::ZERO);
+        let r = retry_until_clear(RetryOp::MailboxHeadTail, us(0), SimDuration::ZERO);
         assert!(!r.recovered);
         assert_eq!(r.attempts, RetryPolicy::device_path().max_attempts);
         let mut stats = disarm().unwrap();
         assert_eq!(stats.escalated.get("mailbox"), Some(&1));
         // The escalation is attributed to the op that observed it.
-        assert_eq!(stats.escalated_ops.get("mailbox/step8"), Some(&1));
+        assert_eq!(stats.escalated_ops.get("mailbox/head_tail"), Some(&1));
         assert!(!stats.all_recovered());
         assert_eq!(stats.site_recovery().get("mailbox"), Some(&(0, 1)));
         let text = stats.to_text();
-        assert!(text.contains("mailbox: recovered 0, unrecovered 1 (ops: mailbox/step8)"));
+        assert!(text.contains("mailbox: recovered 0, unrecovered 1 (ops: mailbox/head_tail)"));
         assert!(text.contains("recovered: NO"));
         // A reset at a *different* site must not mask the wedge.
         FaultStats::bump(&mut stats.resets, "board".to_string(), 1);
@@ -800,18 +837,45 @@ mod tests {
             SimDuration::from_micros(60),
         )]);
         arm(plan, 9);
-        retry_until_clear(
-            FaultSite::Dma,
-            "stage_chain",
-            us(0),
-            SimDuration::from_micros(1),
-        );
+        retry_until_clear(RetryOp::DmaStageChain, us(0), SimDuration::from_micros(1));
         let stats = disarm().unwrap();
         let json = stats.to_json();
         assert!(json.contains("\"all_recovered\": true"));
         assert!(json.contains("\"recovery\": {\"dma\": {\"recovered\": 1, \"unrecovered\": 0}}"));
         // The JSON parses with the crate's own reader.
         bmhive_telemetry::json::parse(&json).expect("fault stats JSON is well-formed");
+    }
+
+    #[test]
+    fn retry_span_labels_name_site_and_op() {
+        let ops = [
+            RetryOp::PcieRegister,
+            RetryOp::MailboxHeadTail,
+            RetryOp::DmaStageChain,
+            RetryOp::DmaCopyBack,
+        ];
+        for op in ops {
+            let label = format!("retry:{}:{}", op.site().name(), op.name());
+            assert_eq!(op.span_label(), label);
+        }
+        // One armed wait, as the shadow ring's staging DMA records it.
+        let plan = plan_with(vec![FaultEvent::window(
+            us(0),
+            FaultSite::Dma,
+            FaultKind::DmaTimeout,
+            SimDuration::from_micros(60),
+        )]);
+        arm(plan, 0);
+        telemetry::set_enabled(true);
+        telemetry::reset();
+        let r = retry_until_clear(RetryOp::DmaStageChain, us(0), SimDuration::ZERO);
+        let snap = telemetry::snapshot();
+        telemetry::set_enabled(false);
+        disarm();
+        assert_eq!(snap.events.len(), 1);
+        assert_eq!(snap.events[0].component, "faults");
+        assert_eq!(snap.events[0].label, "retry:dma:stage_chain");
+        assert_eq!(snap.events[0].duration, r.waited);
     }
 
     #[test]
@@ -824,7 +888,7 @@ mod tests {
                 SimDuration::from_micros(75),
             )]);
             arm(plan, seed);
-            let r = retry_until_clear(FaultSite::Pcie, "reg", us(0), SimDuration::ZERO);
+            let r = retry_until_clear(RetryOp::PcieRegister, us(0), SimDuration::ZERO);
             disarm();
             r
         };

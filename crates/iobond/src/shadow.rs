@@ -27,7 +27,7 @@
 
 use crate::pool::StagingPool;
 use crate::profile::IoBondProfile;
-use bmhive_faults::{self as faults, FaultSite};
+use bmhive_faults::{self as faults, FaultSite, RetryOp};
 use bmhive_mem::{GuestRam, SgList};
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
@@ -216,7 +216,7 @@ impl ShadowQueue {
         let mut total = SimDuration::ZERO;
         let mut escalated = false;
         if faults::blocking_until(FaultSite::Mailbox, now).is_some() {
-            let recovery = faults::retry_until_clear(FaultSite::Mailbox, "head_tail", now, base);
+            let recovery = faults::retry_until_clear(RetryOp::MailboxHeadTail, now, base);
             total += recovery.waited;
             escalated = !recovery.recovered;
         }
@@ -379,8 +379,7 @@ impl ShadowQueue {
             if faults::blocking_until(FaultSite::Dma, now).is_some() {
                 let timeout = DMA_STEP_TIMEOUT;
                 let recovery = faults::retry_until_clear(
-                    FaultSite::Dma,
-                    "stage_chain",
+                    RetryOp::DmaStageChain,
                     now + timeout,
                     self.profile.dma().transfer_time(r_len),
                 );
@@ -462,8 +461,7 @@ impl ShadowQueue {
                 if faults::blocking_until(FaultSite::Dma, dma_free).is_some() {
                     let timeout = DMA_STEP_TIMEOUT;
                     let recovery = faults::retry_until_clear(
-                        FaultSite::Dma,
-                        "copy_back",
+                        RetryOp::DmaCopyBack,
                         dma_free + timeout,
                         self.profile.dma().transfer_time(u64::from(written)),
                     );

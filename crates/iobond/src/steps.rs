@@ -140,6 +140,12 @@ pub fn total_latency(steps: &[Step]) -> SimDuration {
     steps.iter().map(|s| s.cost).sum()
 }
 
+/// Span label of each step, indexed by `number - 1`.
+const STEP_LABELS: [&str; 14] = [
+    "step01", "step02", "step03", "step04", "step05", "step06", "step07", "step08", "step09",
+    "step10", "step11", "step12", "step13", "step14",
+];
+
 fn actor_name(actor: Actor) -> &'static str {
     match actor {
         Actor::Guest => "guest",
@@ -167,7 +173,7 @@ pub fn trace_exchange(
         for s in &steps {
             telemetry::span_with(
                 "iobond",
-                format!("step{:02}", s.number),
+                STEP_LABELS[usize::from(s.number - 1)],
                 t,
                 s.cost,
                 vec![

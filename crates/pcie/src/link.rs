@@ -12,7 +12,7 @@
 //! * §6 projects an ASIC implementation cutting the register access from
 //!   0.8 µs to 0.2 µs.
 
-use bmhive_faults::{self as faults, FaultSite};
+use bmhive_faults::{self as faults, FaultSite, RetryOp};
 use bmhive_sim::{SimDuration, SimTime};
 
 /// PCIe generation, which fixes the per-lane data rate.
@@ -131,7 +131,7 @@ impl PcieLink {
         let mut total = SimDuration::ZERO;
         if faults::blocking_until(FaultSite::Pcie, now).is_some() {
             let recovery =
-                faults::retry_until_clear(FaultSite::Pcie, "register", now, self.register_latency);
+                faults::retry_until_clear(RetryOp::PcieRegister, now, self.register_latency);
             total += recovery.waited;
         }
         let factor = faults::latency_factor(FaultSite::Pcie, now + total);

@@ -80,7 +80,7 @@ pub fn chrome_trace<'a>(events: impl IntoIterator<Item = &'a SpanEvent>) -> Stri
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1,\"args\":{{{}}}}}",
-            json_escape(&e.label),
+            json_escape(e.label),
             json_escape(e.component),
             micros_field(e.start.as_nanos()),
             micros_field(e.duration.as_nanos()),
@@ -102,7 +102,7 @@ pub fn jsonl<'a>(events: impl IntoIterator<Item = &'a SpanEvent>) -> String {
             "{{\"seq\":{},\"component\":\"{}\",\"label\":\"{}\",\"start_ns\":{},\"duration_ns\":{},\"depth\":{}",
             e.seq,
             json_escape(e.component),
-            json_escape(&e.label),
+            json_escape(e.label),
             e.start.as_nanos(),
             e.duration.as_nanos(),
             e.depth

@@ -182,12 +182,7 @@ pub fn absorb(worker: &Snapshot) {
 
 /// Records a complete span. No-op while disabled.
 #[inline]
-pub fn span(
-    component: &'static str,
-    label: impl AsRef<str> + Into<String>,
-    start: SimTime,
-    d: SimDuration,
-) {
+pub fn span(component: &'static str, label: &'static str, start: SimTime, d: SimDuration) {
     if is_enabled() {
         with_global(|g| g.collector.span(component, label, start, d));
     }
@@ -200,7 +195,7 @@ pub fn span(
 #[inline]
 pub fn span_with(
     component: &'static str,
-    label: impl AsRef<str> + Into<String>,
+    label: &'static str,
     start: SimTime,
     d: SimDuration,
     attrs: Vec<(&'static str, AttrValue)>,
@@ -223,11 +218,7 @@ impl ScopeToken {
 /// Opens a nesting span; spans recorded before the matching [`end`]
 /// become its children. Returns a no-op token while disabled.
 #[inline]
-pub fn begin(
-    component: &'static str,
-    label: impl AsRef<str> + Into<String>,
-    start: SimTime,
-) -> ScopeToken {
+pub fn begin(component: &'static str, label: &'static str, start: SimTime) -> ScopeToken {
     if is_enabled() {
         ScopeToken(Some(with_global(|g| {
             g.collector.begin(component, label, start)
@@ -249,7 +240,7 @@ pub fn end(token: ScopeToken, at: SimTime) {
 
 /// Adds to a counter. No-op while disabled.
 #[inline]
-pub fn counter(name: &str, delta: u64) {
+pub fn counter(name: &'static str, delta: u64) {
     if is_enabled() {
         with_global(|g| g.registry.counter_add(name, delta));
     }
@@ -257,7 +248,7 @@ pub fn counter(name: &str, delta: u64) {
 
 /// Sets a gauge. No-op while disabled.
 #[inline]
-pub fn gauge(name: &str, value: f64) {
+pub fn gauge(name: &'static str, value: f64) {
     if is_enabled() {
         with_global(|g| g.registry.gauge_set(name, value));
     }
@@ -267,7 +258,7 @@ pub fn gauge(name: &str, value: f64) {
 /// (or the gauge is unset). No-op while disabled. Used for
 /// peak-tracking gauges such as queue depths.
 #[inline]
-pub fn gauge_max(name: &str, value: f64) {
+pub fn gauge_max(name: &'static str, value: f64) {
     if is_enabled() {
         with_global(|g| g.registry.gauge_max(name, value));
     }
@@ -275,7 +266,7 @@ pub fn gauge_max(name: &str, value: f64) {
 
 /// Records a duration sample into a timer. No-op while disabled.
 #[inline]
-pub fn timer(name: &str, d: SimDuration) {
+pub fn timer(name: &'static str, d: SimDuration) {
     if is_enabled() {
         with_global(|g| g.registry.timer_record(name, d));
     }
@@ -330,8 +321,9 @@ mod tests {
         let run = || {
             set_enabled(true);
             reset();
+            const OPS: [&str; 5] = ["op0", "op1", "op2", "op3", "op4"];
             for i in 0..50u64 {
-                let t = begin("comp", format!("op{}", i % 5), SimTime::from_nanos(i * 100));
+                let t = begin("comp", OPS[(i % 5) as usize], SimTime::from_nanos(i * 100));
                 span(
                     "comp",
                     "step",

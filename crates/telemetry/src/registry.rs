@@ -25,9 +25,9 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    timers: BTreeMap<String, Histogram>,
+    counters: BTreeMap<&'static str, u64>,
+    gauges: BTreeMap<&'static str, f64>,
+    timers: BTreeMap<&'static str, Histogram>,
 }
 
 impl Registry {
@@ -37,8 +37,8 @@ impl Registry {
     }
 
     /// Adds `delta` to the named counter, creating it at zero first.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
+        *self.counters.entry(name).or_insert(0) += delta;
     }
 
     /// The named counter's value (0 if never touched).
@@ -47,8 +47,8 @@ impl Registry {
     }
 
     /// Sets the named gauge to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
+        self.gauges.insert(name, value);
     }
 
     /// The named gauge's value, if ever set.
@@ -60,9 +60,9 @@ impl Registry {
     /// reading (or the gauge is unset). Peak-tracking gauges (queue
     /// depths, inflight counts) use this so the registry records the
     /// high-water mark rather than the last sample.
-    pub fn gauge_max(&mut self, name: &str, value: f64) {
+    pub fn gauge_max(&mut self, name: &'static str, value: f64) {
         self.gauges
-            .entry(name.to_string())
+            .entry(name)
             .and_modify(|cur| {
                 if value > *cur {
                     *cur = value;
@@ -73,11 +73,8 @@ impl Registry {
 
     /// Records one duration sample (in microseconds) into the named
     /// timer histogram, creating it on first use.
-    pub fn timer_record(&mut self, name: &str, d: SimDuration) {
-        self.timers
-            .entry(name.to_string())
-            .or_default()
-            .record_duration(d);
+    pub fn timer_record(&mut self, name: &'static str, d: SimDuration) {
+        self.timers.entry(name).or_default().record_duration(d);
     }
 
     /// The named timer histogram, if any samples were recorded.
@@ -87,17 +84,17 @@ impl Registry {
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
     /// All gauges, sorted by name.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
+        self.gauges.iter().map(|(&k, &v)| (k, v))
     }
 
     /// All timers, sorted by name.
     pub fn timers(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
-        self.timers.iter().map(|(k, v)| (k.as_str(), v))
+        self.timers.iter().map(|(&k, v)| (k, v))
     }
 
     /// Folds `other` into this registry: counters add, peak-tracking
@@ -110,14 +107,14 @@ impl Registry {
     /// (the host-sharded executor) must fold worker registries in a
     /// canonical order — host index — regardless of completion order.
     pub fn merge_from(&mut self, other: &Registry) {
-        for (name, &v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
+        for (&name, &v) in &other.counters {
+            *self.counters.entry(name).or_insert(0) += v;
         }
-        for (name, &v) in &other.gauges {
+        for (&name, &v) in &other.gauges {
             self.gauge_max(name, v);
         }
-        for (name, h) in &other.timers {
-            self.timers.entry(name.clone()).or_default().merge(h);
+        for (&name, h) in &other.timers {
+            self.timers.entry(name).or_default().merge(h);
         }
     }
 

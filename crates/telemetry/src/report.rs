@@ -18,7 +18,7 @@ pub struct AttributionRow {
     /// The emitting subsystem.
     pub component: &'static str,
     /// The operation or step.
-    pub label: String,
+    pub label: &'static str,
     /// Number of spans in the group.
     pub count: u64,
     /// Sum of span durations.
@@ -69,7 +69,7 @@ impl Attribution {
                 *child_time.entry(parent).or_insert(SimDuration::ZERO) += e.duration;
             }
         }
-        let mut groups: BTreeMap<(&'static str, &str), AttributionRow> = BTreeMap::new();
+        let mut groups: BTreeMap<(&'static str, &'static str), AttributionRow> = BTreeMap::new();
         for e in &events {
             let covered = child_time
                 .get(&e.seq)
@@ -79,10 +79,10 @@ impl Attribution {
                 // (overlapping async work): self time floors at zero.
                 .min(e.duration);
             let row = groups
-                .entry((e.component, e.label.as_str()))
+                .entry((e.component, e.label))
                 .or_insert_with(|| AttributionRow {
                     component: e.component,
-                    label: e.label.clone(),
+                    label: e.label,
                     count: 0,
                     total: SimDuration::ZERO,
                     self_time: SimDuration::ZERO,

@@ -15,17 +15,17 @@
 //! their children have been priced.
 
 use bmhive_sim::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A typed attribute value on a span.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttrValue {
     /// An unsigned integer (counts, byte sizes, step numbers).
     U64(u64),
     /// A float (rates, fractions).
     F64(f64),
     /// A string (actor names, request kinds).
-    Str(String),
+    Str(&'static str),
 }
 
 impl From<u64> for AttrValue {
@@ -40,14 +40,8 @@ impl From<f64> for AttrValue {
     }
 }
 
-impl From<&str> for AttrValue {
-    fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for AttrValue {
-    fn from(v: String) -> Self {
+impl From<&'static str> for AttrValue {
+    fn from(v: &'static str) -> Self {
         AttrValue::Str(v)
     }
 }
@@ -63,7 +57,7 @@ pub struct SpanEvent {
     /// The subsystem that emitted the span.
     pub component: &'static str,
     /// The operation or step.
-    pub label: String,
+    pub label: &'static str,
     /// When the span opened, on the virtual clock.
     pub start: SimTime,
     /// How long it lasted, in virtual time.
@@ -86,61 +80,6 @@ impl SpanEvent {
 /// A handle for an open span, returned by [`Collector::begin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(pub(crate) u64);
-
-/// Interned span labels: hot-path recording stores a `u32` symbol id;
-/// strings are resolved only when a snapshot materialises
-/// [`SpanEvent`]s.
-#[derive(Default)]
-struct Interner {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl Interner {
-    fn intern(&mut self, label: impl AsRef<str> + Into<String>) -> u32 {
-        if let Some(&id) = self.index.get(label.as_ref()) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        let name = label.into();
-        self.names.push(name.clone());
-        self.index.insert(name, id);
-        id
-    }
-
-    fn resolve(&self, id: u32) -> &str {
-        &self.names[id as usize]
-    }
-
-    fn clear(&mut self) {
-        self.names.clear();
-        self.index.clear();
-    }
-}
-
-/// The compact in-ring representation of a closed span: identical to
-/// [`SpanEvent`] except the label is a symbol id.
-#[derive(Clone)]
-struct RawSpan {
-    seq: u64,
-    component: &'static str,
-    label: u32,
-    start: SimTime,
-    duration: SimDuration,
-    parent: Option<u64>,
-    depth: u32,
-    attrs: Vec<(&'static str, AttrValue)>,
-}
-
-struct OpenSpan {
-    seq: u64,
-    component: &'static str,
-    label: u32,
-    start: SimTime,
-    parent: Option<u64>,
-    depth: u32,
-    attrs: Vec<(&'static str, AttrValue)>,
-}
 
 /// The trace collector: a bounded ring buffer of closed spans plus the
 /// stack of currently-open ones.
@@ -166,9 +105,9 @@ struct OpenSpan {
 /// ```
 #[derive(Default)]
 pub struct Collector {
-    events: VecDeque<RawSpan>,
-    stack: Vec<OpenSpan>,
-    interner: Interner,
+    events: VecDeque<SpanEvent>,
+    /// Open spans; `end` fills in the duration and moves one to the ring.
+    stack: Vec<SpanEvent>,
     capacity: usize,
     next_seq: u64,
     dropped: u64,
@@ -201,14 +140,13 @@ impl Collector {
         Collector {
             events: VecDeque::new(),
             stack: Vec::new(),
-            interner: Interner::default(),
             capacity,
             next_seq: 0,
             dropped: 0,
         }
     }
 
-    fn push(&mut self, event: RawSpan) {
+    fn push(&mut self, event: SpanEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -222,7 +160,7 @@ impl Collector {
     pub fn span(
         &mut self,
         component: &'static str,
-        label: impl AsRef<str> + Into<String>,
+        label: &'static str,
         start: SimTime,
         duration: SimDuration,
     ) -> SpanId {
@@ -233,29 +171,15 @@ impl Collector {
     pub fn span_with(
         &mut self,
         component: &'static str,
-        label: impl AsRef<str> + Into<String>,
+        label: &'static str,
         start: SimTime,
         duration: SimDuration,
         attrs: Vec<(&'static str, AttrValue)>,
     ) -> SpanId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let label = self.interner.intern(label);
-        let (parent, depth) = match self.stack.last() {
-            Some(open) => (Some(open.seq), open.depth + 1),
-            None => (None, 0),
-        };
-        self.push(RawSpan {
-            seq,
-            component,
-            label,
-            start,
-            duration,
-            parent,
-            depth,
-            attrs,
-        });
-        SpanId(seq)
+        let event = self.open(component, label, start, duration, attrs);
+        let id = SpanId(event.seq);
+        self.push(event);
+        id
     }
 
     /// Opens a span at `start`. Spans recorded before the matching
@@ -265,37 +189,41 @@ impl Collector {
     pub fn begin(
         &mut self,
         component: &'static str,
-        label: impl AsRef<str> + Into<String>,
+        label: &'static str,
         start: SimTime,
     ) -> SpanId {
-        self.begin_with(component, label, start, Vec::new())
+        let event = self.open(component, label, start, SimDuration::ZERO, Vec::new());
+        let id = SpanId(event.seq);
+        self.stack.push(event);
+        id
     }
 
-    /// Like [`begin`](Self::begin), with attributes.
-    pub fn begin_with(
+    /// A new span under the innermost open one, taking the next
+    /// sequence number.
+    fn open(
         &mut self,
         component: &'static str,
-        label: impl AsRef<str> + Into<String>,
+        label: &'static str,
         start: SimTime,
+        duration: SimDuration,
         attrs: Vec<(&'static str, AttrValue)>,
-    ) -> SpanId {
+    ) -> SpanEvent {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let label = self.interner.intern(label);
         let (parent, depth) = match self.stack.last() {
             Some(open) => (Some(open.seq), open.depth + 1),
             None => (None, 0),
         };
-        self.stack.push(OpenSpan {
+        SpanEvent {
             seq,
             component,
             label,
             start,
+            duration,
             parent,
             depth,
             attrs,
-        });
-        SpanId(seq)
+        }
     }
 
     /// Closes the innermost open span at `at`.
@@ -306,44 +234,20 @@ impl Collector {
     /// begin/end indicate an instrumentation bug), or if `at` precedes
     /// the span's start (the virtual clock never runs backwards).
     pub fn end(&mut self, id: SpanId, at: SimTime) {
-        let open = self.stack.pop().expect("Collector::end with no span open");
+        let mut open = self.stack.pop().expect("Collector::end with no span open");
         assert_eq!(
             open.seq, id.0,
             "Collector::end: span {:?} is not the innermost open span",
             id
         );
-        let duration = at.duration_since(open.start);
-        self.push(RawSpan {
-            seq: open.seq,
-            component: open.component,
-            label: open.label,
-            start: open.start,
-            duration,
-            parent: open.parent,
-            depth: open.depth,
-            attrs: open.attrs,
-        });
+        open.duration = at.duration_since(open.start);
+        self.push(open);
     }
 
     /// The closed spans as an owned vector, sorted by open order
-    /// (`seq`) — the canonical deterministic export order. Label
-    /// strings are materialised here from the symbol table; the ring
-    /// itself never stores them.
+    /// (`seq`) — the canonical deterministic export order.
     pub fn events_by_seq(&self) -> Vec<SpanEvent> {
-        let mut v: Vec<SpanEvent> = self
-            .events
-            .iter()
-            .map(|raw| SpanEvent {
-                seq: raw.seq,
-                component: raw.component,
-                label: self.interner.resolve(raw.label).to_string(),
-                start: raw.start,
-                duration: raw.duration,
-                parent: raw.parent,
-                depth: raw.depth,
-                attrs: raw.attrs.clone(),
-            })
-            .collect();
+        let mut v: Vec<SpanEvent> = self.events.iter().cloned().collect();
         v.sort_by_key(|e| e.seq);
         v
     }
@@ -369,7 +273,6 @@ impl Collector {
     pub fn clear(&mut self) {
         self.events.clear();
         self.stack.clear();
-        self.interner.clear();
         self.next_seq = 0;
         self.dropped = 0;
     }
@@ -422,8 +325,8 @@ mod tests {
     #[test]
     fn ring_buffer_evicts_oldest_and_counts_drops() {
         let mut c = Collector::new(3);
-        for i in 0..5u64 {
-            c.span("a", format!("s{i}"), ns(i), dur(1));
+        for (i, label) in ["s0", "s1", "s2", "s3", "s4"].into_iter().enumerate() {
+            c.span("a", label, ns(i as u64), dur(1));
         }
         assert_eq!(c.len(), 3);
         assert_eq!(c.dropped(), 2);
@@ -452,23 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_intern_and_materialize_correctly() {
-        let mut c = Collector::new(4);
-        c.span("a", "hot", ns(0), dur(1));
-        c.span("a", String::from("hot"), ns(1), dur(1));
-        c.span("a", "cold", ns(2), dur(1));
-        let events = c.events_by_seq();
-        assert_eq!(events[0].label, "hot");
-        assert_eq!(events[1].label, "hot");
-        assert_eq!(events[2].label, "cold");
-        // clear() drops the symbol table with the spans; fresh labels
-        // resolve correctly afterwards.
-        c.clear();
-        c.span("a", "fresh", ns(0), dur(1));
-        assert_eq!(c.events_by_seq()[0].label, "fresh");
-    }
-
-    #[test]
     fn attrs_round_trip() {
         let mut c = Collector::new(8);
         c.span_with(
@@ -480,6 +366,6 @@ mod tests {
         );
         let e = &c.events_by_seq()[0];
         assert_eq!(e.attrs[0], ("bytes", AttrValue::U64(4096)));
-        assert_eq!(e.attrs[1], ("kind", AttrValue::Str("read".into())));
+        assert_eq!(e.attrs[1], ("kind", AttrValue::Str("read")));
     }
 }

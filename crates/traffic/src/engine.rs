@@ -90,11 +90,29 @@ pub enum DispatchMode {
 
 impl DispatchMode {
     /// Stable label used in report rows and telemetry metric names.
-    pub fn label(&self) -> String {
-        match self {
-            DispatchMode::Single(p) => p.name().to_string(),
-            DispatchMode::Clone => "clone".to_string(),
-            DispatchMode::Hedge { policy, .. } => format!("hedge-{}", policy.name()),
+    pub fn label(&self) -> &'static str {
+        self.names().0
+    }
+
+    /// The telemetry timer recording this mode's response times:
+    /// `traffic.<label>.latency`.
+    pub fn latency_timer(&self) -> &'static str {
+        self.names().1
+    }
+
+    fn names(&self) -> (&'static str, &'static str) {
+        match *self {
+            DispatchMode::Single(policy) => match policy {
+                Policy::RoundRobin => ("rr", "traffic.rr.latency"),
+                Policy::LeastLoaded => ("least-loaded", "traffic.least-loaded.latency"),
+                Policy::PowerOfTwo => ("po2", "traffic.po2.latency"),
+            },
+            DispatchMode::Clone => ("clone", "traffic.clone.latency"),
+            DispatchMode::Hedge { policy, .. } => match policy {
+                Policy::RoundRobin => ("hedge-rr", "traffic.hedge-rr.latency"),
+                Policy::LeastLoaded => ("hedge-least-loaded", "traffic.hedge-least-loaded.latency"),
+                Policy::PowerOfTwo => ("hedge-po2", "traffic.hedge-po2.latency"),
+            },
         }
     }
 }
@@ -137,7 +155,7 @@ pub struct TrafficConfig {
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// The mode label (`rr`, `po2`, `clone`, `hedge-po2`, …).
-    pub label: String,
+    pub label: &'static str,
     /// End-to-end response times (µs) of completed requests.
     pub latency: Histogram,
     /// Response times split by the guest that won the request.
@@ -307,7 +325,6 @@ struct Engine<'a> {
     hedge_rng: SimRng,
     arrivals: ArrivalProcess,
     report: RunReport,
-    timer_name: String,
     traced: bool,
     /// Recycled `reqs` slots; keeps the live table at peak-concurrency
     /// size instead of one entry per offered request.
@@ -588,7 +605,7 @@ impl Engine<'_> {
             self.report.hedge_wins += 1;
         }
         if self.traced {
-            telemetry::timer(&self.timer_name, response);
+            telemetry::timer(self.cfg.mode.latency_timer(), response);
         }
         // Cancel the loser: if it is in service, pull it out of its
         // server now; if its Join is still in flight, the Join handler
@@ -693,7 +710,6 @@ fn run_impl(cfg: &TrafficConfig, seed: u64, batched: bool) -> RunReport {
         assert!(o.guest < cfg.guests, "outage guest out of range");
     }
 
-    let label = cfg.mode.label();
     let mut sw = VSwitch::new(cfg.pmd_cores);
     for g in 0..cfg.guests {
         sw.attach(guest_mac(g), guest_port(g));
@@ -717,7 +733,7 @@ fn run_impl(cfg: &TrafficConfig, seed: u64, batched: bool) -> RunReport {
         hedge_rng: SimRng::with_stream(seed, STREAM_HEDGE),
         arrivals: ArrivalProcess::new(cfg.arrivals, seed),
         report: RunReport {
-            label: label.clone(),
+            label: cfg.mode.label(),
             latency: Histogram::new(),
             per_guest: (0..cfg.guests).map(|_| Histogram::new()).collect(),
             window: Histogram::new(),
@@ -732,7 +748,6 @@ fn run_impl(cfg: &TrafficConfig, seed: u64, batched: bool) -> RunReport {
             peak_depth: 0,
             horizon: SimTime::ZERO,
         },
-        timer_name: format!("traffic.{label}.latency"),
         traced: telemetry::is_enabled(),
         free_reqs: Vec::new(),
         depths_scratch: Vec::new(),
@@ -979,6 +994,22 @@ mod tests {
             .label(),
             "hedge-po2"
         );
+        // Each timer name is `traffic.<label>.latency`, policy names
+        // included.
+        for policy in [Policy::RoundRobin, Policy::LeastLoaded, Policy::PowerOfTwo] {
+            let hedge = DispatchMode::Hedge {
+                policy,
+                delay: SimDuration::from_micros(1),
+            };
+            for mode in [DispatchMode::Single(policy), DispatchMode::Clone, hedge] {
+                assert_eq!(
+                    mode.latency_timer(),
+                    format!("traffic.{}.latency", mode.label())
+                );
+            }
+            assert_eq!(DispatchMode::Single(policy).label(), policy.name());
+            assert_eq!(hedge.label(), format!("hedge-{}", policy.name()));
+        }
     }
 
     // Batch-vs-single equivalence, pinned end to end: a traffic cell

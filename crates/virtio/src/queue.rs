@@ -67,6 +67,15 @@ pub enum VirtioError {
     ReadableAfterWritable,
     /// An indirect descriptor had disallowed flags or a malformed table.
     BadIndirect(&'static str),
+    /// The driver moved the avail index more entries past the device's
+    /// cursor than the ring holds (Linux vhost: "Guest moved avail
+    /// index").
+    AvailIdxJump {
+        /// Entries the forged index claims are pending.
+        pending: u16,
+        /// The queue size.
+        size: u16,
+    },
 }
 
 impl fmt::Display for VirtioError {
@@ -80,6 +89,10 @@ impl fmt::Display for VirtioError {
                 write!(f, "readable descriptor after writable descriptor")
             }
             VirtioError::BadIndirect(why) => write!(f, "bad indirect descriptor: {why}"),
+            VirtioError::AvailIdxJump { pending, size } => write!(
+                f,
+                "guest moved avail index {pending} entries ahead of a {size}-entry queue"
+            ),
         }
     }
 }
@@ -260,10 +273,21 @@ impl Virtqueue {
     ///
     /// # Errors
     ///
-    /// Fails if the avail index cannot be read from guest RAM.
+    /// Fails if the avail index cannot be read from guest RAM, or with
+    /// [`VirtioError::AvailIdxJump`] if it runs more than the queue size
+    /// ahead of the device's cursor: the ring cannot hold that many
+    /// entries, so popping them would revisit slots the driver never
+    /// refilled.
     pub fn pending(&self, ram: &GuestRam) -> Result<u16, VirtioError> {
         let avail_idx = ram.read_u16(self.layout.avail_idx_addr())?;
-        Ok(avail_idx.wrapping_sub(self.last_avail_idx))
+        let pending = avail_idx.wrapping_sub(self.last_avail_idx);
+        if pending > self.layout.size {
+            return Err(VirtioError::AvailIdxJump {
+                pending,
+                size: self.layout.size,
+            });
+        }
+        Ok(pending)
     }
 
     /// Pops the next available descriptor chain, if any.
@@ -734,6 +758,31 @@ mod tests {
     }
 
     #[test]
+    fn avail_index_jump_beyond_the_ring_is_rejected() {
+        let (mut ram, mut driver, mut device) = setup(8);
+        let layout = *device.layout();
+        let head = driver
+            .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x5000), 4)], &[])
+            .unwrap();
+        // One buffer posted, avail idx forged to 1000 on an 8-entry ring.
+        ram.write_u16(layout.avail_idx_addr(), 1000).unwrap();
+        let jump = VirtioError::AvailIdxJump {
+            pending: 1000,
+            size: 8,
+        };
+        assert_eq!(device.pending(&ram), Err(jump.clone()));
+        assert_eq!(device.pop_avail(&ram), Err(jump));
+        // The cursor did not move: restoring the honest index pops the
+        // one real buffer exactly once.
+        ram.write_u16(layout.avail_idx_addr(), 1).unwrap();
+        assert_eq!(device.pop_avail(&ram).unwrap().unwrap().head, head);
+        assert_eq!(device.pop_avail(&ram).unwrap(), None);
+        // A full ring is not a jump.
+        ram.write_u16(layout.avail_idx_addr(), 9).unwrap();
+        assert_eq!(device.pending(&ram).unwrap(), 8);
+    }
+
+    #[test]
     fn descriptor_loop_is_detected() {
         let (mut ram, _driver, mut device) = setup(8);
         let layout = *device.layout();
@@ -899,6 +948,11 @@ mod tests {
     fn error_display_messages() {
         assert!(VirtioError::ChainTooLong.to_string().contains("chain"));
         assert!(VirtioError::BadHeadIndex(7).to_string().contains('7'));
+        let jump = VirtioError::AvailIdxJump {
+            pending: 1000,
+            size: 8,
+        };
+        assert!(jump.to_string().contains("avail index 1000"));
         let mem_err: VirtioError = MemError::OutOfBounds {
             addr: GuestAddr::new(0),
             len: 1,

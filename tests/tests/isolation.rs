@@ -62,6 +62,55 @@ fn forged_ring_state_yields_errors_not_panics() {
 }
 
 #[test]
+fn forged_avail_index_jump_stages_no_head_twice() {
+    // A raw shadow pairing whose guest posts one buffer, then forges the
+    // avail index to 1000 on a 16-entry ring.
+    let mut board = GuestRam::new(1 << 20);
+    let mut base = GuestRam::new(4 << 20);
+    let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 16);
+    let shadow_layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 16);
+    let pool = bmhive_iobond::StagingPool::new(GuestAddr::new(0x100_000), 64, 4096);
+    let mut shadow = bmhive_iobond::ShadowQueue::new(
+        IoBondProfile::fpga(),
+        layout,
+        shadow_layout,
+        pool,
+        &mut base,
+    )
+    .unwrap();
+    let avail_idx = layout.avail + 2;
+    board.write_u64(layout.desc, 0x5000).unwrap(); // desc[0]: 64 B, no NEXT
+    board.write_u32(layout.desc + 8, 64).unwrap();
+    board.write_u16(layout.avail + 4, 0).unwrap(); // avail[0] head
+    board.write_u16(avail_idx, 1000).unwrap();
+
+    // Every slot the forged index claims names head 0; the device must
+    // refuse the jump rather than stage that head again and again.
+    let err = shadow
+        .sync_to_shadow(&board, &mut base, SimTime::ZERO)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        VirtioError::AvailIdxJump {
+            pending: 1000,
+            size: 16
+        }
+    );
+    assert_eq!(shadow.inflight_count(), 0);
+    assert_eq!(shadow.deferred_count(), 0);
+
+    // Once the guest restores the honest index, head 0 is staged once.
+    board.write_u16(avail_idx, 1).unwrap();
+    let report = shadow
+        .sync_to_shadow(&board, &mut base, SimTime::ZERO)
+        .unwrap();
+    assert_eq!(report.chains, 1);
+    let mut heads = Vec::new();
+    shadow.inflight_guest_heads_into(&mut heads);
+    assert_eq!(heads, vec![0]);
+}
+
+#[test]
 fn hostile_tenant_cannot_disturb_a_neighbour() {
     let mut server = BmHiveServer::new(ServerConstraints::production(), 10);
     let image = MachineImage::centos_evaluation(1);

@@ -22,8 +22,9 @@ use bmhive_hypervisor::bm::{IoTiming, SessionError};
 use bmhive_hypervisor::{BmGuestSession, VmGuestSession};
 use bmhive_iobond::IoBondProfile;
 use bmhive_net::{MacAddr, PacketKind};
-use bmhive_sim::{EventQueue, SimRng, SimTime};
+use bmhive_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use bmhive_telemetry::alloc::{self, CountingAlloc};
+use bmhive_telemetry::{self as telemetry, DEFAULT_CAPACITY};
 use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus};
 
 // Each integration test binary links its own allocator; this is the
@@ -89,6 +90,46 @@ fn warmed_timer_wheel_churns_with_zero_allocations() {
     assert_eq!(
         allocs, 0,
         "a warmed wheel must not allocate: {allocs} allocations over 320k events"
+    );
+}
+
+/// One round of the traced recording calls: every registry writer but
+/// `timer` (a histogram keeps its samples), a complete span, and a
+/// begin/end pair.
+fn record_round(i: u64) {
+    let t = SimTime::from_nanos(i);
+    telemetry::counter("steady.ops", 1);
+    telemetry::gauge("steady.level", i as f64);
+    telemetry::gauge_max("steady.peak", i as f64);
+    telemetry::span("steady", "leaf", t, SimDuration::from_nanos(1));
+    let op = telemetry::begin("steady", "op", t);
+    telemetry::end(op, t);
+}
+
+#[test]
+fn warmed_traced_recording_allocates_nothing() {
+    assert!(alloc::installed(), "the test binary installs CountingAlloc");
+    telemetry::set_enabled(true);
+    telemetry::reset();
+    // Warm-up: fill the span ring (two spans a round), so each later
+    // span evicts the oldest in place, and touch every registry key.
+    let warm = DEFAULT_CAPACITY as u64;
+    for i in 0..warm {
+        record_round(i);
+    }
+    let ((), allocs) = alloc::measure_allocs(|| {
+        for i in warm..warm + 10_000 {
+            record_round(i);
+        }
+    });
+    let snap = telemetry::snapshot();
+    telemetry::set_enabled(false);
+    assert_eq!(snap.registry.counter("steady.ops"), warm + 10_000);
+    assert_eq!(snap.events.len(), DEFAULT_CAPACITY);
+    assert_eq!(snap.dropped, 2 * (warm + 10_000) - DEFAULT_CAPACITY as u64);
+    assert_eq!(
+        allocs, 0,
+        "warmed traced recording allocated {allocs} times over 10k rounds"
     );
 }
 

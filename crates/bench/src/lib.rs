@@ -1932,4 +1932,55 @@ icmp ping          |         37.0 |         35.1 | like the kernel stack
             assert_eq!(experiment(id).unwrap().render(1).text, text, "{id}");
         }
     }
+
+    /// The one experiment that drives a whole bm-guest session, pinned
+    /// to its exact text with no plan armed and under `dma-timeout`,
+    /// whose retries sit on the copy-back to the guest: a change to the
+    /// session's data path that moves a byte, a completion or a retry
+    /// shows up here as a diff.
+    #[test]
+    fn faults_experiment_renders_its_pinned_text() {
+        const CLEAN: &str = "\
+Fault injection: bm-guest I/O under plan 'none (clean baseline)'
+ops completed  |   net tx |   net rx |      blk
+               |      150 |      150 |       30
+net send latency: mean 1.86 us, p99 1.85 us
+virtual horizon t+2.057ms; vswitch shed 0; board resets 0; chains replayed 0
+fault engine: disarmed (clean run)
+";
+        const DMA_TIMEOUT: &str = "\
+Fault injection: bm-guest I/O under plan 'dma-timeout'
+ops completed  |   net tx |   net rx |      blk
+               |      150 |      150 |       30
+net send latency: mean 2.04 us, p99 2.69 us
+virtual horizon t+2.168ms; vswitch shed 0; board resets 0; chains replayed 0
+-- fault engine --
+fault stats (plan \"dma-timeout\"):
+  injected:
+    dma/dma-timeout: 1
+    doorbell/dropped-doorbell: 1
+    mailbox/mailbox-stall: 1
+    vring/descriptor-corrupt: 4
+  retries:
+    dma: 4
+    mailbox: 3
+  recovered:
+    dma: 1
+    mailbox: 1
+  degraded-ns:
+    doorbell: 10000
+    vring: 1012
+  recovery:
+    dma: recovered 1, unrecovered 0
+    mailbox: recovered 1, unrecovered 0
+  recovered: yes
+";
+        let faults = experiment("faults").unwrap();
+        assert_eq!(faults.render(1).text, CLEAN);
+        // Armed as `repro --faults dma-timeout faults` arms it.
+        bmhive_faults::arm(bmhive_faults::dma_timeout(), 1);
+        let text = faults.render(1).text;
+        bmhive_faults::disarm();
+        assert_eq!(text, DMA_TIMEOUT);
+    }
 }

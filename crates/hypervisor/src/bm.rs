@@ -8,7 +8,9 @@
 //! packet and block request really crosses both memory domains through
 //! the rings — no shortcut paths.
 
-use crate::session::{phase, ChainCodec, GuestDriver, FLUSH_SERVICE};
+use crate::session::{
+    complete_blk, fill_rx, parse_blk, phase, tx_payload, GuestDriver, FLUSH_SERVICE,
+};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
@@ -49,8 +51,6 @@ pub struct BmGuestSession {
     net_rx_backend: Virtqueue,
     net_tx_backend: Virtqueue,
     blk_backend: Virtqueue,
-    /// The PMD backend's chain reads and writes, in base RAM.
-    codec: ChainCodec,
     limits: InstanceLimits,
     /// Where the next recovery epoch's shadow rings go in base RAM
     /// (each reset rebuilds at a fresh region, like a fresh mmap in a
@@ -179,7 +179,6 @@ impl BmGuestSession {
             net_rx_backend,
             net_tx_backend,
             blk_backend,
-            codec: ChainCodec::default(),
             limits,
             next_base_region,
             doorbells_suppressed: 0,
@@ -342,7 +341,7 @@ impl BmGuestSession {
             .ok_or(SessionError::BadRequest(
                 "tx chain missing from shadow ring",
             ))?;
-        self.codec.tx_payload(&self.base, &chain, out)?;
+        tx_payload(&self.base, &chain, out)?;
         let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
 
         // Rate limiting at the backend (identical for vm-guests).
@@ -417,7 +416,7 @@ impl BmGuestSession {
             .pop_avail(&self.base)?
             .ok_or(SessionError::NoBuffers)?;
         // Backend writes hdr + payload into the staging buffer.
-        let written = self.codec.fill_rx(&mut self.base, &chain, payload)?;
+        let written = fill_rx(&mut self.base, &chain, payload)?;
         self.net_rx_backend
             .push_used(&mut self.base, chain.head, written)?;
 
@@ -485,7 +484,7 @@ impl BmGuestSession {
             .ok_or(SessionError::BadRequest(
                 "blk chain missing from shadow ring",
             ))?;
-        let blk = ChainCodec::parse_blk(&self.base, &chain)?;
+        let blk = parse_blk(&self.base, &chain)?;
         let io_done = match blk.header.req_type {
             BlkRequestType::In => {
                 let admitted = self.limits.admit_io(blk.data_out_len, synced);
@@ -502,7 +501,7 @@ impl BmGuestSession {
             BlkRequestType::Flush => synced + FLUSH_SERVICE,
             BlkRequestType::Unsupported(_) => synced,
         };
-        let written = self.codec.complete_blk(&mut self.base, &chain, &blk)?;
+        let written = complete_blk(&mut self.base, &chain, &blk)?;
         self.blk_backend
             .push_used(&mut self.base, chain.head, written)?;
 

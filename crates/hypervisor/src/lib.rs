@@ -15,8 +15,9 @@
 //!   in one shared memory, a vhost-style backend, and the KVM cost
 //!   model (kick exits, interrupt injection, halt wakeups).
 //!
-//!   Both sessions run one guest virtio driver and one backend chain
-//!   codec; only the transport and its costs differ per platform.
+//!   Both sessions run one guest virtio driver and one set of backend
+//!   chain reads and writes; only the transport and its costs differ
+//!   per platform.
 //! * [`boot`] — the §3.2 boot flow: EFI firmware loading the bootloader
 //!   and kernel over virtio-blk from cloud storage; the same image boots
 //!   on either platform (cold migration).

@@ -9,8 +9,10 @@
 //! * [`GuestDriver`] — the guest's virtio-net/blk driver: ring
 //!   layouts, buffer arenas, posted-buffer slabs, rx replenish, tx
 //!   post/reap, rx reap, and blk chain assembly/reap.
-//! * [`ChainCodec`] — the backend's side of a popped chain: tx frame
-//!   read, rx frame fill, blk header parse, and the blk response.
+//! * The backend's side of a popped chain ([`tx_payload`], [`fill_rx`],
+//!   [`parse_blk`], [`complete_blk`]): tx frame read, rx frame fill,
+//!   blk header parse, and the blk response, each copying straight
+//!   between the chain's pages and the caller's bytes.
 //! * The result types both sessions return, and the one backend cost
 //!   both transports share ([`FLUSH_SERVICE`]).
 //!
@@ -155,8 +157,6 @@ pub(crate) struct GuestDriver {
     total_tx: u64,
     total_rx: u64,
     total_io: u64,
-    /// Reused buffer for tx frame assembly and rx reads.
-    frame_scratch: Vec<u8>,
     /// Reused readable-segment list for blk chain assembly.
     blk_readable: Vec<SgSegment>,
     /// Reused writable-segment list for blk chain assembly.
@@ -198,7 +198,6 @@ impl GuestDriver {
             total_tx: 0,
             total_rx: 0,
             total_io: 0,
-            frame_scratch: Vec::new(),
             blk_readable: Vec::new(),
             blk_writable: Vec::new(),
             blk_slots: Vec::new(),
@@ -244,12 +243,8 @@ impl GuestDriver {
     ) -> Result<bool, SessionError> {
         let total = VIRTIO_NET_HDR_LEN + payload.len() as u64;
         let buf = self.tx_pool.alloc(total).ok_or(SessionError::NoBuffers)?;
-        // The buffer may span slots; scatter hdr+payload across it.
-        let bytes = &mut self.frame_scratch;
-        bytes.clear();
-        bytes.extend_from_slice(&VirtioNetHeader::simple().to_bytes());
-        bytes.extend_from_slice(payload);
-        buf.scatter(ram, bytes)?;
+        // The buffer may span slots; scatter hdr and payload across it.
+        scatter_frame(ram, &buf, payload)?;
         let old_avail = self.net_tx.avail_idx();
         let head = self.net_tx.add_buf(ram, buf.segments(), &[])?;
         self.tx_posted[usize::from(head)] = Some(buf);
@@ -287,8 +282,8 @@ impl GuestDriver {
     }
 
     /// Drains the rx used ring, returning each buffer to its pool, and
-    /// copies the last frame's payload into `out`. Returns whether any
-    /// completion was reaped.
+    /// copies the last frame's payload into `out`. Only the used length
+    /// is read. Returns whether any completion was reaped.
     fn take_rx_completions(
         &mut self,
         ram: &GuestRam,
@@ -301,15 +296,18 @@ impl GuestDriver {
                 .get_mut(usize::from(head))
                 .and_then(Option::take)
                 .ok_or(SessionError::BadRequest("unknown rx head"))?;
-            let gathered = buf.gather_into(ram, &mut self.frame_scratch);
+            let used = u64::from(len);
+            let gathered = if used < VIRTIO_NET_HDR_LEN {
+                Err(SessionError::BadRequest("rx frame shorter than header"))
+            } else if used > buf.total_len() {
+                Err(SessionError::BadRequest("rx frame longer than its buffer"))
+            } else {
+                let (frame, _) = buf.split_at(used);
+                let (_, payload) = frame.split_at(VIRTIO_NET_HDR_LEN);
+                payload.gather_into(ram, out).map_err(SessionError::from)
+            };
             self.rx_pool.free(&buf);
             gathered?;
-            let frame = self
-                .frame_scratch
-                .get(VIRTIO_NET_HDR_LEN as usize..len as usize)
-                .ok_or(SessionError::BadRequest("rx frame shorter than header"))?;
-            out.clear();
-            out.extend_from_slice(frame);
             delivered = true;
         }
         Ok(delivered)
@@ -438,129 +436,124 @@ pub(crate) struct BlkRequest {
     pub(crate) data_out_len: u64,
 }
 
-/// The backend's reading and writing of popped chains, the same over a
-/// shadow ring in base RAM and a vhost ring in shared guest RAM. Holds
-/// one reused buffer and writes what it hands back into the caller's,
-/// so steady-state calls allocate nothing.
-#[derive(Debug, Default)]
-pub(crate) struct ChainCodec {
-    scratch: Vec<u8>,
+/// Writes a virtio-net header and then `payload` across `buf`,
+/// returning the bytes written (`min(12 + payload.len(), total_len())`).
+fn scatter_frame(ram: &mut GuestRam, buf: &SgList, payload: &[u8]) -> Result<u64, SessionError> {
+    let (hdr, body) = buf.split_at(VIRTIO_NET_HDR_LEN.min(buf.total_len()));
+    let written = hdr.scatter(ram, &VirtioNetHeader::simple().to_bytes())?;
+    Ok(written + body.scatter(ram, payload)?)
 }
 
-impl ChainCodec {
-    /// Reads a tx chain's frame and copies the payload after the
-    /// virtio-net header into `out` (cleared first).
-    pub(crate) fn tx_payload(
-        &mut self,
-        ram: &GuestRam,
-        chain: &DescChain,
-        out: &mut Vec<u8>,
-    ) -> Result<(), SessionError> {
-        out.clear();
-        chain.readable.gather_into(ram, &mut self.scratch)?;
-        let Some(payload) = self.scratch.get(VIRTIO_NET_HDR_LEN as usize..) else {
-            return Err(SessionError::BadRequest(
-                "frame shorter than virtio-net header",
-            ));
-        };
-        out.extend_from_slice(payload);
-        Ok(())
+/// Reads a tx chain's frame and copies the payload after the
+/// virtio-net header into `out` (cleared first).
+pub(crate) fn tx_payload(
+    ram: &GuestRam,
+    chain: &DescChain,
+    out: &mut Vec<u8>,
+) -> Result<(), SessionError> {
+    chain.readable.gather_into(ram, out)?;
+    if out.len() < VIRTIO_NET_HDR_LEN as usize {
+        return Err(SessionError::BadRequest(
+            "frame shorter than virtio-net header",
+        ));
     }
+    out.drain(..VIRTIO_NET_HDR_LEN as usize);
+    Ok(())
+}
 
-    /// Writes virtio-net header + `payload` into an rx chain and returns
-    /// the bytes written (the used length).
-    pub(crate) fn fill_rx(
-        &mut self,
-        ram: &mut GuestRam,
-        chain: &DescChain,
-        payload: &[u8],
-    ) -> Result<u32, SessionError> {
-        let bytes = &mut self.scratch;
-        bytes.clear();
-        bytes.extend_from_slice(&VirtioNetHeader::simple().to_bytes());
-        bytes.extend_from_slice(payload);
-        Ok(chain.writable.scatter(ram, bytes)? as u32)
+/// Writes virtio-net header + `payload` into an rx chain and returns
+/// the bytes written (the used length).
+pub(crate) fn fill_rx(
+    ram: &mut GuestRam,
+    chain: &DescChain,
+    payload: &[u8],
+) -> Result<u32, SessionError> {
+    Ok(scatter_frame(ram, &chain.writable, payload)? as u32)
+}
+
+/// Parses a blk chain's header. Only the header is read: the store
+/// models a write's timing, not its contents, so the payload is never
+/// gathered.
+pub(crate) fn parse_blk(ram: &GuestRam, chain: &DescChain) -> Result<BlkRequest, SessionError> {
+    let mut hdr_bytes = [0u8; BLK_HDR_LEN as usize];
+    if chain.readable.gather_prefix(ram, &mut hdr_bytes)? < hdr_bytes.len() {
+        return Err(SessionError::BadRequest("blk header too short"));
     }
+    let writable_len = chain.writable.total_len();
+    if writable_len == 0 {
+        return Err(SessionError::BadRequest("blk chain lacks status byte"));
+    }
+    Ok(BlkRequest {
+        header: BlkRequestHeader::from_bytes(&hdr_bytes),
+        data_in_len: chain.readable.total_len() - BLK_HDR_LEN,
+        data_out_len: writable_len - 1,
+    })
+}
 
-    /// Parses a blk chain's header. Only the header is read: the store
-    /// models a write's timing, not its contents, so the payload is
-    /// never gathered.
-    pub(crate) fn parse_blk(ram: &GuestRam, chain: &DescChain) -> Result<BlkRequest, SessionError> {
-        let mut hdr_bytes = [0u8; BLK_HDR_LEN as usize];
-        if chain.readable.gather_prefix(ram, &mut hdr_bytes)? < hdr_bytes.len() {
-            return Err(SessionError::BadRequest("blk header too short"));
+/// Writes `req`'s response into its chain and returns the used length:
+/// a read gets the synthetic volume's bytes, filled in place, plus an
+/// OK status; a write or flush gets an OK status byte; an unsupported
+/// type gets an UNSUPP status byte.
+pub(crate) fn complete_blk(
+    ram: &mut GuestRam,
+    chain: &DescChain,
+    req: &BlkRequest,
+) -> Result<u32, SessionError> {
+    let (status, data_len) = match req.header.req_type {
+        BlkRequestType::In => {
+            let sector = req.header.sector;
+            let filled = chain
+                .writable
+                .scatter_with(ram, req.data_out_len, |done, piece| {
+                    fill_volume(sector, done as u64, piece);
+                })?;
+            (BlkStatus::Ok, filled)
         }
-        let writable_len = chain.writable.total_len();
-        if writable_len == 0 {
-            return Err(SessionError::BadRequest("blk chain lacks status byte"));
-        }
-        Ok(BlkRequest {
-            header: BlkRequestHeader::from_bytes(&hdr_bytes),
-            data_in_len: chain.readable.total_len() - BLK_HDR_LEN,
-            data_out_len: writable_len - 1,
-        })
-    }
-
-    /// Writes `req`'s response into its chain and returns the used
-    /// length: a read gets the synthetic volume's bytes plus an OK
-    /// status; a write or flush gets an OK status byte; an unsupported
-    /// type gets an UNSUPP status byte.
-    pub(crate) fn complete_blk(
-        &mut self,
-        ram: &mut GuestRam,
-        chain: &DescChain,
-        req: &BlkRequest,
-    ) -> Result<u32, SessionError> {
-        let status = match req.header.req_type {
-            BlkRequestType::In => {
-                let bytes = &mut self.scratch;
-                bytes.clear();
-                push_volume_bytes(req.header.sector, req.data_out_len, bytes);
-                bytes.push(BlkStatus::Ok.to_wire());
-                return Ok(chain.writable.scatter(ram, bytes)? as u32);
-            }
-            BlkRequestType::Out | BlkRequestType::Flush => BlkStatus::Ok,
-            BlkRequestType::Unsupported(_) => BlkStatus::Unsupported,
-        };
-        let (_, status_sg) = chain.writable.split_at(req.data_out_len);
-        status_sg.scatter(ram, &[status.to_wire()])?;
-        Ok(1)
-    }
+        BlkRequestType::Out | BlkRequestType::Flush => (BlkStatus::Ok, 0),
+        BlkRequestType::Unsupported(_) => (BlkStatus::Unsupported, 0),
+    };
+    let (_, status_sg) = chain.writable.split_at(req.data_out_len);
+    status_sg.scatter(ram, &[status.to_wire()])?;
+    Ok((data_len + 1) as u32)
 }
 
 /// The synthetic volume's contents repeat every 251 bytes.
 const VOLUME_PERIOD: usize = 251;
 
-/// One period of the synthetic volume: byte `i` is `i`.
-const VOLUME_BYTES: [u8; VOLUME_PERIOD] = {
-    let mut bytes = [0u8; VOLUME_PERIOD];
+/// The longest piece [`fill_volume`] copies at once: a page.
+const VOLUME_CHUNK: usize = 4096;
+
+/// The synthetic volume from phase 0 on, one page plus one period
+/// long: byte `i` is `i mod 251`, so a page piece at any phase is one
+/// copy out of it.
+const VOLUME_RUN: [u8; VOLUME_CHUNK + VOLUME_PERIOD] = {
+    let mut bytes = [0u8; VOLUME_CHUNK + VOLUME_PERIOD];
     let mut i = 0;
-    while i < VOLUME_PERIOD {
-        bytes[i] = i as u8;
+    while i < bytes.len() {
+        bytes[i] = (i % VOLUME_PERIOD) as u8;
         i += 1;
     }
     bytes
 };
 
-/// Appends `len` bytes of the synthetic volume read at `sector`: byte
-/// `i` is `(sector + i) mod 251`, the addition wrapping at `u64::MAX`
-/// (the sector is guest-controlled). Copies whole periods instead of
-/// computing each byte.
-fn push_volume_bytes(sector: u64, len: u64, out: &mut Vec<u8>) {
-    out.reserve(len as usize);
-    let mut push_from = |mut phase: usize, mut left: u64| {
-        while left > 0 {
-            let take = left.min((VOLUME_PERIOD - phase) as u64) as usize;
-            out.extend_from_slice(&VOLUME_BYTES[phase..phase + take]);
-            left -= take as u64;
-            phase = 0;
-        }
-    };
-    // Bytes before `sector + i` wraps past u64::MAX; the rest restart
-    // the pattern at 0.
-    let before_wrap = (u64::MAX - sector).saturating_add(1).min(len);
-    push_from((sector % VOLUME_PERIOD as u64) as usize, before_wrap);
-    push_from(0, len - before_wrap);
+/// Fills `piece` with bytes `offset..` of the synthetic volume read at
+/// `sector`: byte `i` is `(sector + i) mod 251`, the addition wrapping
+/// at `u64::MAX` (the sector is guest-controlled).
+fn fill_volume(sector: u64, offset: u64, piece: &mut [u8]) {
+    let mut at = sector.wrapping_add(offset);
+    let mut filled = 0;
+    while filled < piece.len() {
+        // Up to a page, and no further than the wrap back to 0, where
+        // the pattern restarts.
+        let to_wrap = (u64::MAX - at).saturating_add(1);
+        let take = ((piece.len() - filled) as u64)
+            .min(VOLUME_CHUNK as u64)
+            .min(to_wrap) as usize;
+        let phase = (at % VOLUME_PERIOD as u64) as usize;
+        piece[filled..filled + take].copy_from_slice(&VOLUME_RUN[phase..phase + take]);
+        filled += take;
+        at = at.wrapping_add(take as u64);
+    }
 }
 
 /// The synthetic volume, one byte at a time.
@@ -581,25 +574,43 @@ mod tests {
 
     #[test]
     fn period_copy_matches_the_per_byte_formula() {
-        for sector in [
-            0,
-            1,
-            250,
-            251,
-            252,
-            1 << 40,
-            u64::MAX - 300,
-            u64::MAX - 7,
-            u64::MAX,
-        ] {
-            for len in [0, 1, 250, 251, 252, 503, 4096] {
-                let mut out = vec![0xaa];
-                push_volume_bytes(sector, len, &mut out);
-                let expect: Vec<u8> = std::iter::once(0xaa)
-                    .chain((0..len).map(|i| volume_byte(sector, i)))
-                    .collect();
-                assert_eq!(out, expect, "sector {sector}, len {len}");
+        use bmhive_sim::SimRng;
+        // Reads filled in place through writable lists of 1–4 segments
+        // that straddle pages, at sectors near 0, mid-volume, and within
+        // two periods of `u64::MAX`, where `sector + i` wraps.
+        let period = VOLUME_PERIOD as u64;
+        let mut rng = SimRng::new(0xf111);
+        for case in 0..400 {
+            let sector = match case % 3 {
+                0 => rng.below(2 * period),
+                1 => rng.next_u64(),
+                _ => u64::MAX - rng.below(2 * period + 1),
+            };
+            let mut writable = SgList::new();
+            for i in 0..rng.range(1, 5) {
+                let at = GuestAddr::new(0x10_000 * (i + 1) + rng.below(4096));
+                writable.push(SgSegment::new(at, rng.range(1, 3 * 4096) as u32));
             }
+            let data_out_len = writable.total_len() - 1;
+            let chain = DescChain {
+                head: 0,
+                readable: SgList::new(),
+                writable,
+            };
+            let req = BlkRequest {
+                header: BlkRequestHeader::new(BlkRequestType::In, sector),
+                data_in_len: 0,
+                data_out_len,
+            };
+            let mut ram = GuestRam::new(1 << 20);
+            let used = complete_blk(&mut ram, &chain, &req).unwrap();
+            assert_eq!(u64::from(used), data_out_len + 1, "case {case}");
+            let got = chain.writable.gather(&ram).unwrap();
+            for (i, &byte) in got[..data_out_len as usize].iter().enumerate() {
+                let expect = volume_byte(sector, i as u64);
+                assert_eq!(byte, expect, "case {case}: sector {sector}, byte {i}");
+            }
+            assert_eq!(got[data_out_len as usize], BlkStatus::Ok.to_wire());
         }
     }
 
@@ -627,12 +638,12 @@ mod tests {
             (blk_chain(15, 1), "blk header too short"),
             (blk_chain(16, 0), "blk chain lacks status byte"),
         ] {
-            match ChainCodec::parse_blk(&ram, &chain) {
+            match parse_blk(&ram, &chain) {
                 Err(SessionError::BadRequest(got)) => assert_eq!(got, why),
                 other => panic!("expected {why:?}, got {other:?}"),
             }
         }
-        let req = ChainCodec::parse_blk(&ram, &blk_chain(16 + 512, 1)).unwrap();
+        let req = parse_blk(&ram, &blk_chain(16 + 512, 1)).unwrap();
         assert_eq!((req.data_in_len, req.data_out_len), (512, 0));
     }
 

@@ -12,7 +12,9 @@
 //! * data is copied by host CPUs rather than a DMA engine;
 //! * host tasks occasionally preempt the vCPU (Fig. 1).
 
-use crate::session::{phase, ChainCodec, GuestDriver, FLUSH_SERVICE};
+use crate::session::{
+    complete_blk, fill_rx, parse_blk, phase, tx_payload, GuestDriver, FLUSH_SERVICE,
+};
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_mem::GuestRam;
@@ -113,8 +115,6 @@ pub struct VmGuestSession {
     net_rx_backend: Virtqueue,
     net_tx_backend: Virtqueue,
     blk_backend: Virtqueue,
-    /// The vhost backend's chain reads and writes, in the same RAM.
-    codec: ChainCodec,
     limits: InstanceLimits,
 }
 
@@ -137,7 +137,6 @@ impl VmGuestSession {
             net_rx_backend: Virtqueue::new(rx_layout),
             net_tx_backend: Virtqueue::new(tx_layout),
             blk_backend: Virtqueue::new(blk_layout),
-            codec: ChainCodec::default(),
             limits,
         }
     }
@@ -199,7 +198,7 @@ impl VmGuestSession {
             .net_tx_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::BadRequest("tx chain missing"))?;
-        self.codec.tx_payload(&self.ram, &chain, out)?;
+        tx_payload(&self.ram, &chain, out)?;
         let copied = kicked + copy_cost(VIRTIO_NET_HDR_LEN + out.len() as u64);
         let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
         let admitted = self.limits.admit_packet(packet.wire_bytes(), copied);
@@ -249,7 +248,7 @@ impl VmGuestSession {
             .pop_avail(&self.ram)?
             .ok_or(SessionError::NoBuffers)?;
         let copied = now + copy_cost(VIRTIO_NET_HDR_LEN + payload.len() as u64);
-        let written = self.codec.fill_rx(&mut self.ram, &chain, payload)?;
+        let written = fill_rx(&mut self.ram, &chain, payload)?;
         self.net_rx_backend
             .push_used(&mut self.ram, chain.head, written)?;
         // Rx interrupt; receiver may be idle.
@@ -295,7 +294,7 @@ impl VmGuestSession {
             .blk_backend
             .pop_avail(&self.ram)?
             .ok_or(SessionError::BadRequest("blk chain missing"))?;
-        let blk = ChainCodec::parse_blk(&self.ram, &chain)?;
+        let blk = parse_blk(&self.ram, &chain)?;
         let io_done = match blk.header.req_type {
             BlkRequestType::In => {
                 let admitted = self.limits.admit_io(blk.data_out_len, kicked);
@@ -314,7 +313,7 @@ impl VmGuestSession {
             BlkRequestType::Flush => kicked + FLUSH_SERVICE,
             BlkRequestType::Unsupported(_) => kicked,
         };
-        let written = self.codec.complete_blk(&mut self.ram, &chain, &blk)?;
+        let written = complete_blk(&mut self.ram, &chain, &blk)?;
         self.blk_backend
             .push_used(&mut self.ram, chain.head, written)?;
         // Storage completions usually find the vCPU halted in io_wait.
@@ -352,6 +351,7 @@ impl VmGuestSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::RX_BUF;
     use bmhive_cloud::blockstore::StorageClass;
     use bmhive_iobond::IoBondProfile;
 
@@ -389,19 +389,21 @@ mod tests {
     #[test]
     fn malformed_rx_completions_return_their_buffers() {
         // A device that completes rx buffers with a length shorter than
-        // the virtio-net header. The rx pool holds 2 × 64 buffers: were
-        // each bad completion to keep its buffer, the ring would run dry
-        // well before the loop ends.
+        // the virtio-net header, or one byte longer than the buffer it
+        // was given. The rx pool holds 2 × 64 buffers: were each bad
+        // completion to keep its buffer, the ring would run dry well
+        // before the loop ends.
         let mut s = session();
         let mut out = Vec::new();
-        for _ in 0..3 * 64 {
+        for round in 0..3 * 64 {
             let chain = s
                 .net_rx_backend
                 .pop_avail(&s.ram)
                 .unwrap()
                 .expect("the rx ring stays stocked");
+            let forged_len = [4, RX_BUF + 1][round % 2];
             s.net_rx_backend
-                .push_used(&mut s.ram, chain.head, 4)
+                .push_used(&mut s.ram, chain.head, forged_len)
                 .unwrap();
             let err = s.guest.reap_rx(&mut s.ram, &mut out).unwrap_err();
             assert!(matches!(err, SessionError::BadRequest(_)), "{err}");

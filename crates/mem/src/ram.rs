@@ -176,9 +176,30 @@ impl GuestRam {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
     /// size; no bytes are written in that case.
     pub fn write(&mut self, addr: GuestAddr, data: &[u8]) -> Result<(), MemError> {
-        self.check(addr, data.len() as u64)?;
-        Self::for_each_piece(addr.value(), data.len(), |page, in_page, done, take| {
-            self.page_mut(page)[in_page..in_page + take].copy_from_slice(&data[done..done + take]);
+        self.write_with(addr, data.len() as u64, |done, piece| {
+            piece.copy_from_slice(&data[done..done + piece.len()]);
+        })
+    }
+
+    /// Fills `[addr, addr + len)` in place: calls `f(done, piece)` once
+    /// per in-page piece, in order, with `piece` the destination bytes
+    /// and `done` the bytes of the range before it. Every touched page
+    /// becomes resident, as a write would make it; `piece` holds the
+    /// old contents (zeros on a new page) until `f` overwrites them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
+    /// size; `f` is never called in that case.
+    pub fn write_with(
+        &mut self,
+        addr: GuestAddr,
+        len: u64,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), MemError> {
+        self.check(addr, len)?;
+        Self::for_each_piece(addr.value(), len as usize, |page, in_page, done, take| {
+            f(done, &mut self.page_mut(page)[in_page..in_page + take]);
         });
         Ok(())
     }
@@ -218,9 +239,36 @@ impl GuestRam {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
     /// size.
     pub fn read_vec(&self, addr: GuestAddr, len: u64) -> Result<Vec<u8>, MemError> {
-        let mut buf = vec![0u8; len as usize];
-        self.read(addr, &mut buf)?;
+        let mut buf = Vec::new();
+        self.read_append(addr, len, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Appends the `len` bytes at `addr` to `out`, one copy per in-page
+    /// piece and no zero-fill ahead of it. A never-written page appends
+    /// zeros and stays unallocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
+    /// size; `out` is left as it was in that case.
+    pub fn read_append(
+        &self,
+        addr: GuestAddr,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<(), MemError> {
+        self.check(addr, len)?;
+        out.reserve(len as usize);
+        Self::for_each_piece(
+            addr.value(),
+            len as usize,
+            |page, in_page, _, take| match self.page(page) {
+                Some(data) => out.extend_from_slice(&data[in_page..in_page + take]),
+                None => out.resize(out.len() + take, 0),
+            },
+        );
+        Ok(())
     }
 
     /// Fills `[addr, addr + len)` with `byte`.
@@ -230,12 +278,7 @@ impl GuestRam {
     /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
     /// size.
     pub fn fill(&mut self, addr: GuestAddr, len: u64, byte: u8) -> Result<(), MemError> {
-        self.check(addr, len)?;
-        // Every touched page becomes resident, as a write would make it.
-        Self::for_each_piece(addr.value(), len as usize, |page, in_page, _, take| {
-            self.page_mut(page)[in_page..in_page + take].fill(byte);
-        });
-        Ok(())
+        self.write_with(addr, len, |_, piece| piece.fill(byte))
     }
 }
 
@@ -396,7 +439,7 @@ mod tests {
                 _ => rng.below(SIZE + 64),
             };
             let in_bounds = addr + len <= SIZE;
-            match rng.below(4) {
+            match rng.below(6) {
                 0 | 1 => {
                     let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
                     let result = ram.write(GuestAddr::new(addr), &data);
@@ -413,6 +456,45 @@ mod tests {
                     if in_bounds {
                         flat[addr as usize..(addr + len) as usize].fill(byte);
                         touch(&mut touched, addr, len);
+                    }
+                }
+                3 => {
+                    // In-place fill: the pieces tile the range in order
+                    // and none crosses a page.
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                    let mut next = 0usize;
+                    let result = ram.write_with(GuestAddr::new(addr), len, |done, piece| {
+                        assert_eq!(done, next, "step {step}");
+                        let at = addr + done as u64;
+                        assert!(at % PAGE_SIZE + piece.len() as u64 <= PAGE_SIZE);
+                        piece.copy_from_slice(&data[done..done + piece.len()]);
+                        next += piece.len();
+                    });
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    if in_bounds {
+                        assert_eq!(next as u64, len, "step {step}");
+                        flat[addr as usize..(addr + len) as usize].copy_from_slice(&data);
+                        touch(&mut touched, addr, len);
+                    } else {
+                        assert_eq!(next, 0, "failed write_with called back");
+                    }
+                }
+                4 => {
+                    // Appends after what `out` already holds; never-written
+                    // pages read as zeros without becoming resident (the
+                    // check after the match).
+                    let mut out = vec![0x5au8; rng.below(3) as usize];
+                    let before = out.clone();
+                    let result = ram.read_append(GuestAddr::new(addr), len, &mut out);
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    assert_eq!(out[..before.len()], before, "step {step}");
+                    if in_bounds {
+                        assert_eq!(
+                            out[before.len()..],
+                            flat[addr as usize..(addr + len) as usize]
+                        );
+                    } else {
+                        assert_eq!(out.len(), before.len(), "failed read_append appended");
                     }
                 }
                 _ => {

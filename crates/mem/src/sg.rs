@@ -175,7 +175,8 @@ impl SgList {
 
     /// Reads all segments from `ram` into `out` (cleared first) — the
     /// reusable-buffer variant of [`SgList::gather`]: a warmed caller
-    /// gathers without touching the allocator.
+    /// gathers without touching the allocator, and each byte is copied
+    /// once, with no zero-fill ahead of it.
     ///
     /// # Errors
     ///
@@ -183,12 +184,8 @@ impl SgList {
     /// memory size; `out` may hold a partial gather on error.
     pub fn gather_into(&self, ram: &GuestRam, out: &mut Vec<u8>) -> Result<(), MemError> {
         out.clear();
-        out.resize(self.total_len() as usize, 0);
-        let mut offset = 0usize;
         for seg in self.segments() {
-            let take = seg.len as usize;
-            ram.read(seg.addr, &mut out[offset..offset + take])?;
-            offset += take;
+            ram.read_append(seg.addr, u64::from(seg.len), out)?;
         }
         Ok(())
     }
@@ -223,16 +220,39 @@ impl SgList {
     /// Returns [`MemError::OutOfBounds`] if a touched segment exceeds the
     /// memory size; earlier segments may already have been written.
     pub fn scatter(&self, ram: &mut GuestRam, data: &[u8]) -> Result<u64, MemError> {
-        let mut offset = 0usize;
+        self.scatter_with(ram, data.len() as u64, |done, piece| {
+            piece.copy_from_slice(&data[done..done + piece.len()]);
+        })
+    }
+
+    /// Fills the list's first `min(len, total_len())` bytes in place,
+    /// returning that count: calls `f(done, piece)` once per in-page
+    /// piece of each segment, in order, with `done` the bytes of the
+    /// list before `piece` (see [`GuestRam::write_with`]). A producer
+    /// writes straight into the destination pages, with no staging
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if a touched segment exceeds the
+    /// memory size; earlier segments may already have been written.
+    pub fn scatter_with(
+        &self,
+        ram: &mut GuestRam,
+        len: u64,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<u64, MemError> {
+        let mut offset = 0u64;
         for seg in self.segments() {
-            if offset >= data.len() {
+            if offset >= len {
                 break;
             }
-            let take = (data.len() - offset).min(seg.len as usize);
-            ram.write(seg.addr, &data[offset..offset + take])?;
+            let take = (len - offset).min(u64::from(seg.len));
+            let base = offset as usize;
+            ram.write_with(seg.addr, take, |done, piece| f(base + done, piece))?;
             offset += take;
         }
-        Ok(offset as u64)
+        Ok(offset)
     }
 
     /// Empties the list in place, keeping any heap capacity for reuse.
@@ -408,12 +428,16 @@ mod tests {
         let payload: Vec<u8> = (0..12).collect();
         sg.scatter(&mut ram, &payload).unwrap();
         assert_eq!(sg.gather(&ram).unwrap(), payload);
-        // Random disjoint lists: scatter writes min(data, capacity)
-        // bytes and gather reads exactly those back.
+        // Random disjoint lists, some segments straddling a page:
+        // scatter writes min(data, capacity) bytes and gather reads
+        // exactly those back.
         for seed in 0..256 {
             let mut rng = SimRng::with_stream(seed, 0x5ca7);
             let sg: SgList = (0..rng.range(1, 8))
-                .map(|i| SgSegment::new(GuestAddr::new(i * 8192), rng.range(1, 2048) as u32))
+                .map(|i| {
+                    let at = GuestAddr::new(i * 8192 + rng.below(4096));
+                    SgSegment::new(at, rng.range(1, 2048) as u32)
+                })
                 .collect();
             let data: Vec<u8> = (0..rng.range(1, 4096))
                 .map(|_| rng.next_u32() as u8)
@@ -427,6 +451,25 @@ mod tests {
             );
             let n = written as usize;
             assert_eq!(sg.gather(&ram).unwrap()[..n], data[..n], "seed {seed}");
+            // An in-place fill writes the same bytes to the same places:
+            // its pieces tile the list in order, none crossing a page.
+            let mut filled = GuestRam::new(1 << 20);
+            let mut next = 0usize;
+            let in_place = sg
+                .scatter_with(&mut filled, data.len() as u64, |done, piece| {
+                    assert_eq!(done, next, "seed {seed}");
+                    assert!(piece.len() <= 4096, "seed {seed}");
+                    piece.copy_from_slice(&data[done..done + piece.len()]);
+                    next += piece.len();
+                })
+                .unwrap();
+            assert_eq!((in_place, next), (written, n), "seed {seed}");
+            assert_eq!(filled.resident_pages(), ram.resident_pages(), "seed {seed}");
+            assert_eq!(
+                sg.gather(&filled).unwrap(),
+                sg.gather(&ram).unwrap(),
+                "seed {seed}"
+            );
         }
     }
 

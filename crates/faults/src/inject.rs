@@ -36,7 +36,7 @@ use bmhive_telemetry as telemetry;
 use bmhive_telemetry::export::json_escape;
 
 use crate::plan::{FaultKind, FaultPlan, FaultSite};
-use crate::retry::RetryPolicy;
+use crate::retry;
 
 /// Telemetry component name for all fault/recovery spans.
 pub const COMPONENT: &str = "faults";
@@ -68,7 +68,6 @@ fn with_context<R>(default: R, f: impl FnOnce(&mut FaultContext) -> R) -> R {
 struct FaultContext {
     plan: FaultPlan,
     rng: SimRng,
-    policy: RetryPolicy,
     /// One flag per plan event; one-shot kinds flip it when they fire.
     consumed: Vec<bool>,
     stats: FaultStats,
@@ -85,7 +84,6 @@ impl FaultContext {
             // A dedicated stream: arming must not disturb the streams
             // the workload itself forks from the same seed.
             rng: SimRng::with_stream(seed, 0xFA17),
-            policy: RetryPolicy::device_path(),
             consumed,
             stats,
         }
@@ -551,9 +549,9 @@ impl RetryOp {
 /// `op`'s site, starting at `now`. Each attempt costs `attempt_cost` (the
 /// price of re-issuing the operation) plus a jittered backoff delay
 /// drawn from the context RNG; the loop exits as soon as virtual time
-/// advances past every blocking window, or escalates after the policy's
-/// attempt budget. A telemetry span (`component "faults"`, labelled
-/// [`RetryOp::span_label`]) covers the whole wait.
+/// advances past every blocking window, or escalates after
+/// [`retry::MAX_ATTEMPTS`] attempts. A telemetry span (`component
+/// "faults"`, labelled [`RetryOp::span_label`]) covers the whole wait.
 pub fn retry_until_clear(op: RetryOp, now: SimTime, attempt_cost: SimDuration) -> Recovery {
     let site = op.site();
     if !is_armed() {
@@ -561,13 +559,12 @@ pub fn retry_until_clear(op: RetryOp, now: SimTime, attempt_cost: SimDuration) -
     }
     let recovery = with_context(None, |ctx| {
         ctx.blocking_window_until(site, now)?;
-        let policy = ctx.policy;
         let mut t = now;
         let mut attempts = 0u32;
         let mut recovered = false;
-        while attempts < policy.max_attempts {
+        while attempts < retry::MAX_ATTEMPTS {
             attempts += 1;
-            let delay = policy.jittered(attempts, &mut ctx.rng);
+            let delay = retry::jittered(attempts, &mut ctx.rng);
             t += delay + attempt_cost;
             if ctx.blocking_window_until(site, t).is_none() {
                 recovered = true;
@@ -809,7 +806,7 @@ mod tests {
         arm(plan, 9);
         let r = retry_until_clear(RetryOp::MailboxHeadTail, us(0), SimDuration::ZERO);
         assert!(!r.recovered);
-        assert_eq!(r.attempts, RetryPolicy::device_path().max_attempts);
+        assert_eq!(r.attempts, retry::MAX_ATTEMPTS);
         let mut stats = disarm().unwrap();
         assert_eq!(stats.escalated.get("mailbox"), Some(&1));
         // The escalation is attributed to the op that observed it.

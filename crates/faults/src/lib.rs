@@ -54,4 +54,3 @@ pub use plan::{
     backend_brownout, board_loss, canned, dma_timeout, link_flap, FaultEvent, FaultKind, FaultPlan,
     FaultSite, PlanError, CANNED_PLAN_NAMES,
 };
-pub use retry::RetryPolicy;

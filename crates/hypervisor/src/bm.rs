@@ -8,18 +8,17 @@
 //! packet and block request really crosses both memory domains through
 //! the rings — no shortcut paths.
 
-use crate::session::{
-    complete_blk, fill_rx, parse_blk, phase, tx_payload, GuestDriver, FLUSH_SERVICE,
-};
-use bmhive_cloud::blockstore::{BlockStore, IoKind};
+use crate::session::{phase, Backend, GuestDriver};
+use crate::upgrade::UpgradeReport;
+use bmhive_cloud::blockstore::BlockStore;
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
 use bmhive_iobond::{IoBondDevice, IoBondProfile, ServiceReport};
 use bmhive_mem::{GuestAddr, GuestRam};
 use bmhive_net::{MacAddr, Packet, PacketKind};
-use bmhive_sim::SimTime;
+use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus, DeviceType, Feature, Virtqueue};
+use bmhive_virtio::{BlkRequestHeader, BlkStatus, DeviceType, Feature, QueueLayout};
 
 pub use crate::session::{EgressPacket, IoTiming, SessionError};
 
@@ -48,10 +47,8 @@ pub struct BmGuestSession {
     blk_dev: IoBondDevice,
     /// The guest's virtio driver, in board RAM.
     guest: GuestDriver,
-    net_rx_backend: Virtqueue,
-    net_tx_backend: Virtqueue,
-    blk_backend: Virtqueue,
-    limits: InstanceLimits,
+    /// The poll-mode backend over the shadow rings in base RAM.
+    backend: Backend,
     /// Where the next recovery epoch's shadow rings go in base RAM
     /// (each reset rebuilds at a fresh region, like a fresh mmap in a
     /// restarted backend process).
@@ -64,12 +61,10 @@ pub struct BmGuestSession {
     svc_report: ServiceReport,
 }
 
-/// Poll-mode consumers over the devices' current shadow rings: net rx,
-/// net tx, blk.
-fn pmd_backends(net_dev: &IoBondDevice, blk_dev: &IoBondDevice) -> [Virtqueue; 3] {
-    let ring =
-        |dev: &IoBondDevice, q| Virtqueue::new(dev.shadow(q).expect("active").shadow_layout());
-    [ring(net_dev, RX_Q), ring(net_dev, TX_Q), ring(blk_dev, 0)]
+/// The devices' current shadow ring layouts: net rx, net tx, blk.
+fn shadow_layouts(net_dev: &IoBondDevice, blk_dev: &IoBondDevice) -> [QueueLayout; 3] {
+    [(net_dev, RX_Q), (net_dev, TX_Q), (blk_dev, 0)]
+        .map(|(dev, q)| dev.shadow(q).expect("active").shadow_layout())
 }
 
 /// When the PMD sees queue `q`'s head register move at `at`: one
@@ -167,19 +162,15 @@ impl BmGuestSession {
         let blk_used = blk_dev.activate(&mut base, blk_base).expect("blk activate");
         let next_base_region = (blk_base + blk_used).align_up(4096);
 
-        let [net_rx_backend, net_tx_backend, blk_backend] = pmd_backends(&net_dev, &blk_dev);
         BmGuestSession {
             profile,
             mac,
             board,
             base,
+            backend: Backend::new(shadow_layouts(&net_dev, &blk_dev), limits),
             net_dev,
             blk_dev,
             guest,
-            net_rx_backend,
-            net_tx_backend,
-            blk_backend,
-            limits,
             next_base_region,
             doorbells_suppressed: 0,
             svc_report: ServiceReport::default(),
@@ -247,10 +238,10 @@ impl BmGuestSession {
             .recover_from_backend_failure(&mut self.base, blk_base)?;
         self.next_base_region = (blk_base + blk_report.base_bytes).align_up(4096);
 
-        // The old backend process is gone with its ring cursors; build
-        // fresh poll-mode consumers over the new shadow rings.
-        [self.net_rx_backend, self.net_tx_backend, self.blk_backend] =
-            pmd_backends(&self.net_dev, &self.blk_dev);
+        // The old backend process is gone with its ring cursors; the
+        // new one consumes the new shadow rings from the start.
+        self.backend
+            .rebind(shadow_layouts(&self.net_dev, &self.blk_dev));
 
         faults::note_reset(FaultSite::Board);
         faults::note_reset(FaultSite::Board);
@@ -335,22 +326,11 @@ impl BmGuestSession {
         // Backend PMD sees the head register move and consumes the
         // shadow chain.
         let seen = pmd_poll(&self.net_dev, TX_Q, synced_at, "net_send")?;
-        let chain = self
-            .net_tx_backend
-            .pop_avail(&self.base)?
-            .ok_or(SessionError::BadRequest(
-                "tx chain missing from shadow ring",
-            ))?;
-        tx_payload(&self.base, &chain, out)?;
+        self.backend.serve_tx(&mut self.base, out)?;
         let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
+        let admitted = self.backend.admit_packet(packet.wire_bytes(), seen);
 
-        // Rate limiting at the backend (identical for vm-guests).
-        let admitted = self.limits.admit_packet(packet.wire_bytes(), seen);
-
-        // Backend completes the shadow chain; IO-Bond returns the
-        // completion to the guest with an MSI.
-        self.net_tx_backend
-            .push_used(&mut self.base, chain.head, 0)?;
+        // IO-Bond returns the completion to the guest with an MSI.
         self.net_dev.service_into(
             &mut self.board,
             &mut self.base,
@@ -411,14 +391,8 @@ impl BmGuestSession {
         self.net_dev
             .service_into(&mut self.board, &mut self.base, now, &mut self.svc_report)?;
         check_escalation(&mut self.net_dev, "net_receive")?;
-        let chain = self
-            .net_rx_backend
-            .pop_avail(&self.base)?
-            .ok_or(SessionError::NoBuffers)?;
         // Backend writes hdr + payload into the staging buffer.
-        let written = fill_rx(&mut self.base, &chain, payload)?;
-        self.net_rx_backend
-            .push_used(&mut self.base, chain.head, written)?;
+        self.backend.serve_rx(&mut self.base, payload)?;
 
         // IO-Bond copies back and interrupts the guest.
         self.net_dev
@@ -477,33 +451,11 @@ impl BmGuestSession {
         let synced_at = self.svc_report.tx[0].done_at;
         let synced = pmd_poll(&self.blk_dev, 0, synced_at, "blk_request")?;
 
-        // Backend: parse, rate-limit, execute on the store.
-        let chain = self
-            .blk_backend
-            .pop_avail(&self.base)?
-            .ok_or(SessionError::BadRequest(
-                "blk chain missing from shadow ring",
-            ))?;
-        let blk = parse_blk(&self.base, &chain)?;
-        let io_done = match blk.header.req_type {
-            BlkRequestType::In => {
-                let admitted = self.limits.admit_io(blk.data_out_len, synced);
-                store
-                    .submit(IoKind::Read, blk.data_out_len, admitted)
-                    .complete_at
-            }
-            BlkRequestType::Out => {
-                let admitted = self.limits.admit_io(blk.data_in_len, synced);
-                store
-                    .submit(IoKind::Write, blk.data_in_len, admitted)
-                    .complete_at
-            }
-            BlkRequestType::Flush => synced + FLUSH_SERVICE,
-            BlkRequestType::Unsupported(_) => synced,
-        };
-        let written = complete_blk(&mut self.base, &chain, &blk)?;
-        self.blk_backend
-            .push_used(&mut self.base, chain.head, written)?;
+        // Backend: parse, rate-limit, execute on the store. IO-Bond's
+        // DMA engine moved the data, so the backend CPU copies none.
+        let io_done = self
+            .backend
+            .serve_blk(&mut self.base, store, synced, |_| SimDuration::ZERO)?;
 
         // Completion back to the guest.
         self.blk_dev.service_into(
@@ -538,6 +490,16 @@ impl BmGuestSession {
             },
         ))
     }
+
+    /// Upgrades the backend process in place, Orthus-style (§6):
+    /// snapshots its ring cursors, rebuilds it from the snapshot, and
+    /// reports the pause from `now` and the state handed over. The
+    /// guest's rings and IO-Bond's shadow rings are untouched.
+    pub fn live_upgrade(&mut self, now: SimTime) -> UpgradeReport {
+        let state = self.backend.snapshot();
+        self.backend.resume(state);
+        UpgradeReport::new(now, state)
+    }
 }
 
 #[cfg(test)]
@@ -553,7 +515,7 @@ mod tests {
     use super::*;
     use crate::session::volume_byte;
     use bmhive_cloud::blockstore::StorageClass;
-    use bmhive_sim::SimDuration;
+    use bmhive_virtio::BlkRequestType;
 
     fn session() -> BmGuestSession {
         BmGuestSession::new(
@@ -1020,6 +982,151 @@ mod tests {
         let (b, tb) = run();
         assert_eq!(a, b);
         assert_eq!(ta, tb);
+    }
+
+    /// Runs 40 send/receive/read rounds on 16-entry rings, upgrading the
+    /// backend after each round in `upgrade_after`. Returns every byte
+    /// the guest got back, and the final counters.
+    fn rounds_with_upgrades(upgrade_after: &[u64]) -> (Vec<Vec<u8>>, (u64, u64, u64)) {
+        let mut s = BmGuestSession::new(
+            IoBondProfile::fpga(),
+            MacAddr::for_guest(1),
+            16,
+            InstanceLimits::unrestricted(),
+        );
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 6);
+        let (mut out, mut got) = (Vec::new(), Vec::new());
+        let mut t = SimTime::ZERO;
+        for round in 0..40u64 {
+            let msg = format!("round-{round}");
+            let (_, timing) = s
+                .net_send(
+                    MacAddr::for_guest(2),
+                    PacketKind::Udp,
+                    msg.as_bytes(),
+                    t,
+                    &mut out,
+                )
+                .unwrap();
+            assert_eq!(out, msg.as_bytes(), "round {round}");
+            got.push(out.clone());
+            let timing = s
+                .net_receive(msg.as_bytes(), timing.completed, &mut out)
+                .unwrap();
+            got.push(out.clone());
+            let header = BlkRequestHeader::new(BlkRequestType::In, round * 8);
+            let (status, timing) = s
+                .blk_request(&mut store, header, &[], 512, timing.completed, &mut out)
+                .unwrap();
+            assert_eq!(status, BlkStatus::Ok, "round {round}");
+            got.push(out.clone());
+            t = timing.completed;
+            if upgrade_after.contains(&round) {
+                t = s.live_upgrade(t).resumed_at;
+            }
+        }
+        (got, s.counters())
+    }
+
+    #[test]
+    fn live_upgrades_under_traffic_lose_and_replay_nothing() {
+        // 40 rounds wrap the 16-entry rings twice over, so the
+        // handed-over cursors cross ring wraps.
+        let plain = rounds_with_upgrades(&[]);
+        assert_eq!(plain.1, (40, 40, 40));
+        assert_eq!(rounds_with_upgrades(&[0, 7, 23]), plain);
+    }
+
+    #[test]
+    fn live_upgrade_hands_over_the_rings_cursors() {
+        let mut s = session();
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 8);
+        let mut out = Vec::new();
+        let mut t = SimTime::ZERO;
+        for i in 0..5u64 {
+            let (_, timing) = s
+                .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"x", t, &mut out)
+                .unwrap();
+            let timing = s.net_receive(b"y", timing.completed, &mut out).unwrap();
+            let header = BlkRequestHeader::new(BlkRequestType::In, i);
+            let (_, timing) = s
+                .blk_request(&mut store, header, &[], 512, timing.completed, &mut out)
+                .unwrap();
+            t = timing.completed;
+        }
+        let report = s.live_upgrade(t);
+        assert_eq!(report.pause, SimDuration::from_micros(3_200));
+        assert_eq!(report.resumed_at, t + report.pause);
+        // Each cursor is the shadow ring's own: the used index in base
+        // RAM and, where every posted chain was served (tx, blk), the
+        // avail index; rx served five of its posted buffers.
+        let rings = [(&s.net_dev, RX_Q), (&s.net_dev, TX_Q), (&s.blk_dev, 0)];
+        for (i, (state, (dev, q))) in report.state.iter().zip(rings).enumerate() {
+            let layout = dev.shadow(q).unwrap().shadow_layout();
+            assert_eq!(state.layout, layout, "ring {i}");
+            assert_eq!(state.used_idx, s.base.read_u16(layout.used + 2).unwrap());
+            let avail = s.base.read_u16(layout.avail + 2).unwrap();
+            let served = if i == 0 { 5 } else { avail };
+            assert_eq!(
+                (state.last_avail_idx, state.used_idx),
+                (served, 5),
+                "ring {i}"
+            );
+        }
+        // The new process hands over exactly what it took over.
+        assert_eq!(s.live_upgrade(report.resumed_at).state, report.state);
+    }
+
+    #[test]
+    fn a_chain_posted_before_the_upgrade_is_served_once_after_it() {
+        let mut s = session();
+        let mut out = Vec::new();
+        s.net_send(
+            MacAddr::for_guest(2),
+            PacketKind::Udp,
+            b"before",
+            SimTime::ZERO,
+            &mut out,
+        )
+        .unwrap();
+        // The guest posts a frame and IO-Bond syncs it into the shadow
+        // ring, but the old backend never serves it.
+        let (guest, board) = s.guest_mut();
+        guest.post_tx(board, b"in-window").unwrap();
+        let now = SimTime::from_micros(100);
+        s.net_dev
+            .service_into(&mut s.board, &mut s.base, now, &mut s.svc_report)
+            .unwrap();
+        let report = s.live_upgrade(now);
+
+        // The new backend serves it exactly once, and nothing before it.
+        s.backend.serve_tx(&mut s.base, &mut out).unwrap();
+        assert_eq!(out, b"in-window");
+        match s.backend.serve_tx(&mut s.base, &mut out) {
+            Err(SessionError::BadRequest("tx chain missing")) => {}
+            other => panic!("expected an empty ring, got {other:?}"),
+        }
+        s.net_dev
+            .service_into(
+                &mut s.board,
+                &mut s.base,
+                report.resumed_at,
+                &mut s.svc_report,
+            )
+            .unwrap();
+        s.guest.reap_tx(&s.board).unwrap();
+
+        // And the ring carries on.
+        s.net_send(
+            MacAddr::for_guest(2),
+            PacketKind::Udp,
+            b"after",
+            report.resumed_at,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out, b"after");
+        assert_eq!(s.counters().0, 3);
     }
 
     #[test]

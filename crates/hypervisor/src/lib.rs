@@ -15,9 +15,9 @@
 //!   in one shared memory, a vhost-style backend, and the KVM cost
 //!   model (kick exits, interrupt injection, halt wakeups).
 //!
-//!   Both sessions run one guest virtio driver and one set of backend
-//!   chain reads and writes; only the transport and its costs differ
-//!   per platform.
+//!   Both sessions run one guest virtio driver and one virtio backend
+//!   (`session::Backend`); only the transport and its costs differ per
+//!   platform.
 //! * [`boot`] — the §3.2 boot flow: EFI firmware loading the bootloader
 //!   and kernel over virtio-blk from cloud storage; the same image boots
 //!   on either platform (cold migration).
@@ -28,11 +28,12 @@
 //!   is pinned to [`BmGuestSession`] by an exact differential test.
 //!
 //! Beyond the deployed system, the §6 extensions are implemented too —
-//! `upgrade` (Orthus-style live bm-hypervisor upgrade), `migrate` (the
-//! on-demand-virtualization live-migration prototype, with its two
-//! documented drawbacks as first-class errors), `console` (the VGA
-//! console of §3.4.2), and `slowpath` (the undeployed tap-device test
-//! path, priced to show why it stayed undeployed).
+//! `upgrade` (Orthus-style live upgrade of a [`BmGuestSession`]'s
+//! backend), `migrate` (the on-demand-virtualization live-migration
+//! prototype, with its two documented drawbacks as first-class errors),
+//! `console` (the VGA console of §3.4.2), and `slowpath` (the
+//! undeployed tap-device test path, priced to show why it stayed
+//! undeployed).
 
 pub mod bm;
 pub mod boot;
@@ -52,7 +53,7 @@ pub use migrate::{convert_to_bm, convert_to_vm, GuestOs, MigrationError, Migrati
 pub use path::IoPath;
 pub use pmd::BackendMode;
 pub use slowpath::NetBackendPath;
-pub use upgrade::{BackendProcess, BackendState, UpgradeReport};
+pub use upgrade::{BackendState, UpgradeReport};
 pub use vm::VmGuestSession;
 
 // The fault injector is thread-local and each test runs on its own

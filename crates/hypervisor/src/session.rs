@@ -1,24 +1,27 @@
 //! What the bm- and vm-guest sessions share.
 //!
 //! A tenant's unmodified virtio front-end runs on both platforms
-//! (§3.2, which is what makes cold migration work): only the backend
-//! transport differs — IO-Bond shadow vrings for a bm-guest, vhost
-//! shared memory for a vm-guest. So the guest half and the backend's
-//! reading and writing of chains live here, once:
+//! (§3.2, which is what makes cold migration work), behind the same
+//! virtio backend: only the transport differs — IO-Bond shadow vrings
+//! for a bm-guest, vhost shared memory for a vm-guest. So both halves
+//! live here, once:
 //!
 //! * [`GuestDriver`] — the guest's virtio-net/blk driver: ring
 //!   layouts, buffer arenas, posted-buffer slabs, rx replenish, tx
 //!   post/reap, rx reap, and blk chain assembly/reap.
-//! * The backend's side of a popped chain ([`tx_payload`], [`fill_rx`],
-//!   [`parse_blk`], [`complete_blk`]): tx frame read, rx frame fill,
-//!   blk header parse, and the blk response, each copying straight
-//!   between the chain's pages and the caller's bytes.
+//! * [`Backend`] — the virtio backend: rx, tx and blk ring consumers
+//!   and the instance limits. It pops, reads or fills, admits, executes
+//!   and completes each chain, and hands its ring cursors to a live
+//!   upgrade.
 //! * The result types both sessions return, and the one backend cost
 //!   both transports share ([`FLUSH_SERVICE`]).
 //!
 //! Each session keeps its transport (how a chain reaches the backend
 //! and the completion reaches the guest) and its cost model.
 
+use crate::upgrade::BackendState;
+use bmhive_cloud::blockstore::{BlockStore, IoKind};
+use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::FaultSite;
 use bmhive_iobond::StagingPool;
 use bmhive_mem::{GuestAddr, GuestRam, SgList, SgSegment};
@@ -27,7 +30,7 @@ use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
 use bmhive_virtio::{
     BlkRequestHeader, BlkRequestType, BlkStatus, DescChain, QueueLayout, VirtioError,
-    VirtioNetHeader, VirtqueueDriver, VIRTIO_NET_HDR_LEN,
+    VirtioNetHeader, Virtqueue, VirtqueueDriver, VIRTIO_NET_HDR_LEN,
 };
 use std::error::Error;
 use std::fmt;
@@ -425,15 +428,147 @@ fn read_blk_completion(
     Ok(BlkStatus::from_wire(status[0]))
 }
 
+/// The virtio backend both sessions run: consumers of the rx, tx and
+/// blk rings, and the instance limits. The caller passes the RAM the
+/// rings live in (base RAM's shadow rings for a bm-guest, the guest's
+/// own RAM for a vm-guest) and prices its own transport around each
+/// `serve_*`.
+#[derive(Debug)]
+pub(crate) struct Backend {
+    rx: Virtqueue,
+    tx: Virtqueue,
+    blk: Virtqueue,
+    limits: InstanceLimits,
+}
+
+impl Backend {
+    /// Fresh consumers of the rx, tx and blk rings at `layouts`.
+    pub(crate) fn new(layouts: [QueueLayout; 3], limits: InstanceLimits) -> Self {
+        let [rx, tx, blk] = layouts.map(Virtqueue::new);
+        Backend {
+            rx,
+            tx,
+            blk,
+            limits,
+        }
+    }
+
+    /// Moves to fresh rings at `layouts`, cursors at zero, keeping the
+    /// limits: a backend restarted after a board power loss.
+    pub(crate) fn rebind(&mut self, layouts: [QueueLayout; 3]) {
+        [self.rx, self.tx, self.blk] = layouts.map(Virtqueue::new);
+    }
+
+    /// When a `bytes`-long frame ready at `at` clears the rate limits.
+    pub(crate) fn admit_packet(&mut self, bytes: u32, at: SimTime) -> SimTime {
+        self.limits.admit_packet(bytes, at)
+    }
+
+    /// Serves the next tx chain: its payload after the virtio-net
+    /// header goes into `out` (cleared first).
+    pub(crate) fn serve_tx(
+        &mut self,
+        ram: &mut GuestRam,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SessionError> {
+        let chain = self
+            .tx
+            .pop_avail(ram)?
+            .ok_or(SessionError::BadRequest("tx chain missing"))?;
+        tx_payload(ram, &chain, out)?;
+        self.tx.push_used(ram, chain.head, 0)?;
+        Ok(())
+    }
+
+    /// Fills the next posted rx buffer with virtio-net header +
+    /// `payload`; `NoBuffers` if the guest has none posted.
+    pub(crate) fn serve_rx(
+        &mut self,
+        ram: &mut GuestRam,
+        payload: &[u8],
+    ) -> Result<(), SessionError> {
+        let chain = self.rx.pop_avail(ram)?.ok_or(SessionError::NoBuffers)?;
+        let written = fill_rx(ram, &chain, payload)?;
+        self.rx.push_used(ram, chain.head, written)?;
+        Ok(())
+    }
+
+    /// Serves the next blk chain, which reached the backend at `at`:
+    /// parse, admit, execute on `store`, and write the response.
+    /// `host_copy` prices the backend CPU's copy of the request's data,
+    /// before admission for a write and after the store for a read.
+    /// Returns when the backend finished it.
+    pub(crate) fn serve_blk(
+        &mut self,
+        ram: &mut GuestRam,
+        store: &mut BlockStore,
+        at: SimTime,
+        host_copy: fn(u64) -> SimDuration,
+    ) -> Result<SimTime, SessionError> {
+        let chain = self
+            .blk
+            .pop_avail(ram)?
+            .ok_or(SessionError::BadRequest("blk chain missing"))?;
+        let req = parse_blk(ram, &chain)?;
+        let done = match req.header.req_type {
+            BlkRequestType::In => {
+                let admitted = self.limits.admit_io(req.data_out_len, at);
+                let io = store.submit(IoKind::Read, req.data_out_len, admitted);
+                io.complete_at + host_copy(req.data_out_len)
+            }
+            BlkRequestType::Out => {
+                let copied = at + host_copy(req.data_in_len);
+                let admitted = self.limits.admit_io(req.data_in_len, copied);
+                store
+                    .submit(IoKind::Write, req.data_in_len, admitted)
+                    .complete_at
+            }
+            BlkRequestType::Flush => at + FLUSH_SERVICE,
+            BlkRequestType::Unsupported(_) => at,
+        };
+        let written = complete_blk(ram, &chain, &req)?;
+        self.blk.push_used(ram, chain.head, written)?;
+        Ok(done)
+    }
+
+    /// The rx, tx and blk consumers' layouts and cursors: what a live
+    /// upgrade hands to the new backend.
+    pub(crate) fn snapshot(&self) -> [BackendState; 3] {
+        [&self.rx, &self.tx, &self.blk].map(|vq| BackendState {
+            layout: *vq.layout(),
+            last_avail_idx: vq.last_avail_idx(),
+            used_idx: vq.used_idx(),
+        })
+    }
+
+    /// Rebuilds the ring consumers from `state`, so they continue
+    /// exactly where the snapshot's left off; the limits stay.
+    pub(crate) fn resume(&mut self, state: [BackendState; 3]) {
+        [self.rx, self.tx, self.blk] = state.map(|s| {
+            let mut vq = Virtqueue::new(s.layout);
+            vq.restore_cursors(s.last_avail_idx, s.used_idx);
+            vq
+        });
+    }
+}
+
+#[cfg(test)]
+impl Backend {
+    /// The rx ring's consumer.
+    pub(crate) fn rx_mut(&mut self) -> &mut Virtqueue {
+        &mut self.rx
+    }
+}
+
 /// A virtio-blk request as the backend parsed it from a popped chain.
 #[derive(Debug)]
-pub(crate) struct BlkRequest {
+struct BlkRequest {
     /// The request header.
-    pub(crate) header: BlkRequestHeader,
+    header: BlkRequestHeader,
     /// Payload bytes after the header (what a write carries).
-    pub(crate) data_in_len: u64,
+    data_in_len: u64,
     /// Writable bytes before the status byte (what a read fills).
-    pub(crate) data_out_len: u64,
+    data_out_len: u64,
 }
 
 /// Writes a virtio-net header and then `payload` across `buf`,
@@ -446,11 +581,7 @@ fn scatter_frame(ram: &mut GuestRam, buf: &SgList, payload: &[u8]) -> Result<u64
 
 /// Reads a tx chain's frame and copies the payload after the
 /// virtio-net header into `out` (cleared first).
-pub(crate) fn tx_payload(
-    ram: &GuestRam,
-    chain: &DescChain,
-    out: &mut Vec<u8>,
-) -> Result<(), SessionError> {
+fn tx_payload(ram: &GuestRam, chain: &DescChain, out: &mut Vec<u8>) -> Result<(), SessionError> {
     chain.readable.gather_into(ram, out)?;
     if out.len() < VIRTIO_NET_HDR_LEN as usize {
         return Err(SessionError::BadRequest(
@@ -463,18 +594,14 @@ pub(crate) fn tx_payload(
 
 /// Writes virtio-net header + `payload` into an rx chain and returns
 /// the bytes written (the used length).
-pub(crate) fn fill_rx(
-    ram: &mut GuestRam,
-    chain: &DescChain,
-    payload: &[u8],
-) -> Result<u32, SessionError> {
+fn fill_rx(ram: &mut GuestRam, chain: &DescChain, payload: &[u8]) -> Result<u32, SessionError> {
     Ok(scatter_frame(ram, &chain.writable, payload)? as u32)
 }
 
 /// Parses a blk chain's header. Only the header is read: the store
 /// models a write's timing, not its contents, so the payload is never
 /// gathered.
-pub(crate) fn parse_blk(ram: &GuestRam, chain: &DescChain) -> Result<BlkRequest, SessionError> {
+fn parse_blk(ram: &GuestRam, chain: &DescChain) -> Result<BlkRequest, SessionError> {
     let mut hdr_bytes = [0u8; BLK_HDR_LEN as usize];
     if chain.readable.gather_prefix(ram, &mut hdr_bytes)? < hdr_bytes.len() {
         return Err(SessionError::BadRequest("blk header too short"));
@@ -494,7 +621,7 @@ pub(crate) fn parse_blk(ram: &GuestRam, chain: &DescChain) -> Result<BlkRequest,
 /// a read gets the synthetic volume's bytes, filled in place, plus an
 /// OK status; a write or flush gets an OK status byte; an unsupported
 /// type gets an UNSUPP status byte.
-pub(crate) fn complete_blk(
+fn complete_blk(
     ram: &mut GuestRam,
     chain: &DescChain,
     req: &BlkRequest,

@@ -5,20 +5,23 @@
 //! the full VMM software stack." The bm-hypervisor is a per-guest
 //! user-space process whose only shared state with the guest is the
 //! shadow vrings and the head/tail registers in IO-Bond — all of which
-//! survive a process restart. Upgrading is therefore:
+//! survive a process restart. [`BmGuestSession::live_upgrade`] runs it
+//! on the session's own backend:
 //!
 //! 1. **Quiesce**: stop polling; let in-flight backend operations drain.
-//! 2. **Snapshot**: capture the backend's ring cursors and limiter
-//!    state ([`BackendState`]).
-//! 3. **Exec** the new binary (here: construct the new-version backend).
-//! 4. **Restore** the cursors; resume polling.
+//! 2. **Snapshot**: capture the backend's ring cursors
+//!    ([`BackendState`], one per ring).
+//! 3. **Exec** the new binary: rebuild the backend from the snapshot.
+//! 4. **Resume** polling where the old process stopped.
 //!
 //! The guest never notices: its virtqueues live in board RAM and
 //! IO-Bond's hardware keeps accepting descriptors; the pause only delays
 //! completion of requests that arrive during the window.
+//!
+//! [`BmGuestSession::live_upgrade`]: crate::BmGuestSession::live_upgrade
 
 use bmhive_sim::{SimDuration, SimTime};
-use bmhive_virtio::{QueueLayout, Virtqueue};
+use bmhive_virtio::QueueLayout;
 
 /// The serialisable state of one backend virtqueue consumer — what
 /// Orthus-style upgrade hands from the old process to the new one.
@@ -32,15 +35,6 @@ pub struct BackendState {
     pub used_idx: u16,
 }
 
-/// A versioned poll-mode backend process serving one shadow ring.
-#[derive(Debug)]
-pub struct BackendProcess {
-    /// Software version string (what gets upgraded).
-    version: &'static str,
-    vq: Virtqueue,
-    served: u64,
-}
-
 /// Report of one live upgrade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpgradeReport {
@@ -50,6 +44,8 @@ pub struct UpgradeReport {
     pub resumed_at: SimTime,
     /// The service pause the guest's I/O could observe.
     pub pause: SimDuration,
+    /// The net rx, net tx and blk ring state handed to the new process.
+    pub state: [BackendState; 3],
 }
 
 /// Time to drain in-flight operations and snapshot state.
@@ -58,186 +54,16 @@ const QUIESCE_COST: SimDuration = SimDuration::from_micros(200);
 /// millisecond-scale VMM live-upgrade pauses).
 const EXEC_COST: SimDuration = SimDuration::from_millis(3);
 
-impl BackendProcess {
-    /// Starts a backend of `version` as a *fresh* consumer of a shadow
-    /// ring (cursors at zero).
-    pub fn start(version: &'static str, layout: QueueLayout) -> Self {
-        BackendProcess {
-            version,
-            vq: Virtqueue::new(layout),
-            served: 0,
-        }
-    }
-
-    /// Resumes a backend of `version` from a snapshot — the upgrade
-    /// path. The restored process continues exactly where the old one
-    /// stopped.
-    pub fn resume(version: &'static str, state: BackendState) -> Self {
-        let mut vq = Virtqueue::new(state.layout);
-        vq.restore_cursors(state.last_avail_idx, state.used_idx);
-        BackendProcess {
-            version,
-            vq,
-            served: 0,
-        }
-    }
-
-    /// The running software version.
-    pub fn version(&self) -> &'static str {
-        self.version
-    }
-
-    /// Chains this process instance has served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// The backend's ring consumer.
-    pub fn vq_mut(&mut self) -> &mut Virtqueue {
-        &mut self.vq
-    }
-
-    /// Counts a served chain (callers pop/push through
-    /// [`vq_mut`](Self::vq_mut)).
-    pub fn note_served(&mut self) {
-        self.served += 1;
-    }
-
-    /// Quiesces and snapshots this process for handoff.
-    pub fn snapshot(&self) -> BackendState {
-        BackendState {
-            layout: *self.vq.layout(),
-            last_avail_idx: self.vq.last_avail_idx(),
-            used_idx: self.vq.used_idx(),
-        }
-    }
-
-    /// Performs the full Orthus-style live upgrade: quiesce `self`,
-    /// hand its state to a new `next_version` process, and report the
-    /// pause window. Consumes the old process (it has exec'd away).
-    pub fn live_upgrade(
-        self,
-        next_version: &'static str,
-        now: SimTime,
-    ) -> (BackendProcess, UpgradeReport) {
-        let state = self.snapshot();
+impl UpgradeReport {
+    /// An upgrade that starts at `now` and hands over `state`.
+    pub(crate) fn new(now: SimTime, state: [BackendState; 3]) -> Self {
         let quiesced_at = now + QUIESCE_COST;
         let resumed_at = quiesced_at + EXEC_COST;
-        (
-            BackendProcess::resume(next_version, state),
-            UpgradeReport {
-                quiesced_at,
-                resumed_at,
-                pause: resumed_at.saturating_duration_since(now),
-            },
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
-    use bmhive_virtio::VirtqueueDriver;
-
-    fn ring() -> (GuestRam, VirtqueueDriver, QueueLayout) {
-        let mut ram = GuestRam::new(1 << 20);
-        let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 16);
-        let driver = VirtqueueDriver::new(&mut ram, layout).unwrap();
-        (ram, driver, layout)
-    }
-
-    #[test]
-    fn upgrade_preserves_ring_position_exactly() {
-        let (mut ram, mut driver, layout) = ring();
-        let mut old = BackendProcess::start("v1.0", layout);
-
-        // Serve three chains on v1.0.
-        for i in 0..3u64 {
-            ram.write(GuestAddr::new(0x8000 + i * 64), b"pre").unwrap();
-            driver
-                .add_buf(
-                    &mut ram,
-                    &[SgSegment::new(GuestAddr::new(0x8000 + i * 64), 3)],
-                    &[],
-                )
-                .unwrap();
-            let chain = old.vq_mut().pop_avail(&ram).unwrap().unwrap();
-            old.vq_mut().push_used(&mut ram, chain.head, 0).unwrap();
-            old.note_served();
-            driver.poll_used(&ram).unwrap().unwrap();
+        UpgradeReport {
+            quiesced_at,
+            resumed_at,
+            pause: resumed_at.saturating_duration_since(now),
+            state,
         }
-        assert_eq!(old.served(), 3);
-
-        // A chain arrives DURING the upgrade window.
-        driver
-            .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x9000), 3)], &[])
-            .unwrap();
-        ram.write(GuestAddr::new(0x9000), b"mid").unwrap();
-
-        let (mut new, report) = old.live_upgrade("v2.0", SimTime::from_secs(1));
-        assert_eq!(new.version(), "v2.0");
-        assert!(report.pause >= SimDuration::from_millis(3));
-        assert!(
-            report.pause < SimDuration::from_millis(10),
-            "Orthus-scale pause"
-        );
-
-        // v2.0 picks up the mid-upgrade chain — no loss, no replay of the
-        // three already-completed chains.
-        let chain = new.vq_mut().pop_avail(&ram).unwrap().unwrap();
-        assert_eq!(chain.readable.gather(&ram).unwrap(), b"mid");
-        new.vq_mut().push_used(&mut ram, chain.head, 0).unwrap();
-        assert_eq!(driver.poll_used(&ram).unwrap().map(|(_, l)| l), Some(0));
-        assert_eq!(
-            new.vq_mut().pop_avail(&ram).unwrap(),
-            None,
-            "nothing replayed"
-        );
-    }
-
-    #[test]
-    fn repeated_upgrades_compose() {
-        let (mut ram, mut driver, layout) = ring();
-        let mut backend = BackendProcess::start("v1", layout);
-        for (round, version) in ["v2", "v3", "v4"].iter().enumerate() {
-            // One chain per epoch.
-            driver
-                .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x8000), 4)], &[])
-                .unwrap();
-            let chain = backend.vq_mut().pop_avail(&ram).unwrap().unwrap();
-            backend
-                .vq_mut()
-                .push_used(&mut ram, chain.head, round as u32)
-                .unwrap();
-            driver.poll_used(&ram).unwrap().unwrap();
-            let (next, _) = backend.live_upgrade(version, SimTime::from_secs(round as u64));
-            backend = next;
-        }
-        assert_eq!(backend.version(), "v4");
-        // Ring still fully functional after three upgrades.
-        driver
-            .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x8000), 4)], &[])
-            .unwrap();
-        assert!(backend.vq_mut().pop_avail(&ram).unwrap().is_some());
-    }
-
-    #[test]
-    fn snapshot_round_trips_cursors() {
-        let (mut ram, mut driver, layout) = ring();
-        let mut backend = BackendProcess::start("v1", layout);
-        for _ in 0..5 {
-            driver
-                .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x8000), 4)], &[])
-                .unwrap();
-            let chain = backend.vq_mut().pop_avail(&ram).unwrap().unwrap();
-            backend.vq_mut().push_used(&mut ram, chain.head, 0).unwrap();
-            driver.poll_used(&ram).unwrap().unwrap();
-        }
-        let snap = backend.snapshot();
-        assert_eq!(snap.last_avail_idx, 5);
-        assert_eq!(snap.used_idx, 5);
-        let restored = BackendProcess::resume("v1", snap);
-        assert_eq!(restored.snapshot(), snap);
     }
 }

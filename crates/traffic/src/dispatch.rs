@@ -13,10 +13,6 @@ pub const STREAM_DISPATCH: u64 = 0xD15A;
 
 /// A load-dispatch policy over a fixed pool of guests.
 pub trait Dispatch {
-    /// Stable policy name used in report rows and telemetry metric
-    /// names.
-    fn name(&self) -> &'static str;
-
     /// Picks the guest index (into `depths`) for the next request.
     fn pick(&mut self, depths: &[u64], rng: &mut SimRng) -> usize;
 
@@ -45,10 +41,6 @@ pub struct RoundRobin {
 }
 
 impl Dispatch for RoundRobin {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
     fn pick(&mut self, depths: &[u64], _rng: &mut SimRng) -> usize {
         let i = self.next % depths.len();
         self.next = (self.next + 1) % depths.len();
@@ -62,10 +54,6 @@ impl Dispatch for RoundRobin {
 pub struct LeastLoaded;
 
 impl Dispatch for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
     fn pick(&mut self, depths: &[u64], _rng: &mut SimRng) -> usize {
         let mut best = 0;
         for (i, &d) in depths.iter().enumerate() {
@@ -84,10 +72,6 @@ impl Dispatch for LeastLoaded {
 pub struct PowerOfTwo;
 
 impl Dispatch for PowerOfTwo {
-    fn name(&self) -> &'static str {
-        "po2"
-    }
-
     fn pick(&mut self, depths: &[u64], rng: &mut SimRng) -> usize {
         let n = depths.len() as u64;
         if n == 1 {
@@ -170,9 +154,6 @@ mod tests {
     fn default_clone_pick_avoids_the_primary() {
         struct Probe;
         impl Dispatch for Probe {
-            fn name(&self) -> &'static str {
-                "probe"
-            }
             fn pick(&mut self, _d: &[u64], _r: &mut SimRng) -> usize {
                 0
             }

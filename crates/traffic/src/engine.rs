@@ -47,15 +47,6 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// The policy's stable report/metric name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::RoundRobin => "rr",
-            Policy::LeastLoaded => "least-loaded",
-            Policy::PowerOfTwo => "po2",
-        }
-    }
-
     fn build(&self) -> Box<dyn Dispatch> {
         match self {
             Policy::RoundRobin => Box::new(RoundRobin::default()),
@@ -981,34 +972,26 @@ mod tests {
 
     #[test]
     fn policy_labels_are_stable() {
-        assert_eq!(
-            DispatchMode::Single(Policy::LeastLoaded).label(),
-            "least-loaded"
-        );
         assert_eq!(DispatchMode::Clone.label(), "clone");
-        assert_eq!(
-            DispatchMode::Hedge {
-                policy: Policy::PowerOfTwo,
-                delay: SimDuration::from_micros(1)
-            }
-            .label(),
-            "hedge-po2"
-        );
         // Each timer name is `traffic.<label>.latency`, policy names
         // included.
-        for policy in [Policy::RoundRobin, Policy::LeastLoaded, Policy::PowerOfTwo] {
+        for (policy, single, hedged) in [
+            (Policy::RoundRobin, "rr", "hedge-rr"),
+            (Policy::LeastLoaded, "least-loaded", "hedge-least-loaded"),
+            (Policy::PowerOfTwo, "po2", "hedge-po2"),
+        ] {
             let hedge = DispatchMode::Hedge {
                 policy,
                 delay: SimDuration::from_micros(1),
             };
+            assert_eq!(DispatchMode::Single(policy).label(), single);
+            assert_eq!(hedge.label(), hedged);
             for mode in [DispatchMode::Single(policy), DispatchMode::Clone, hedge] {
                 assert_eq!(
                     mode.latency_timer(),
                     format!("traffic.{}.latency", mode.label())
                 );
             }
-            assert_eq!(DispatchMode::Single(policy).label(), policy.name());
-            assert_eq!(hedge.label(), format!("hedge-{}", policy.name()));
         }
     }
 

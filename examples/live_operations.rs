@@ -6,52 +6,69 @@
 
 use bmhive_core::prelude::*;
 use bmhive_hypervisor::migrate::{convert_to_bm, convert_to_vm, GuestOs, MigrationPolicy};
-use bmhive_hypervisor::upgrade::BackendProcess;
 use bmhive_hypervisor::ConsoleServer;
-use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
 
 fn main() {
     // --- 1. Live bm-hypervisor upgrade -------------------------------
     println!("--- live bm-hypervisor upgrade (Orthus-style, §6) ---");
-    let mut ram = GuestRam::new(1 << 20);
-    let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 64);
-    let mut driver = VirtqueueDriver::new(&mut ram, layout).expect("ring");
-    let mut backend = BackendProcess::start("bm-hypervisor v2019.11", layout);
-
-    // Traffic flows on the old version...
-    for i in 0..3u64 {
-        ram.write(GuestAddr::new(0x8000), format!("req-{i}").as_bytes())
-            .unwrap();
-        driver
-            .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x8000), 5)], &[])
-            .unwrap();
-        let chain = backend.vq_mut().pop_avail(&ram).unwrap().unwrap();
-        backend.vq_mut().push_used(&mut ram, chain.head, 0).unwrap();
-        backend.note_served();
-        driver.poll_used(&ram).unwrap();
-    }
-    println!("{} served {} requests", backend.version(), backend.served());
-
-    // A request lands during the upgrade window...
-    driver
-        .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x8000), 5)], &[])
-        .unwrap();
-    let (mut backend, report) =
-        backend.live_upgrade("bm-hypervisor v2020.03", SimTime::from_secs(1));
-    println!(
-        "upgraded to {} with a {} pause; the in-window request now completes:",
-        backend.version(),
-        report.pause
+    let mut upgraded = BmGuestSession::new(
+        IoBondProfile::fpga(),
+        MacAddr::for_guest(6),
+        64,
+        InstanceLimits::production(),
     );
-    let chain = backend
-        .vq_mut()
-        .pop_avail(&ram)
-        .unwrap()
-        .expect("picked up");
-    backend.vq_mut().push_used(&mut ram, chain.head, 0).unwrap();
+    let mut store = BlockStore::new(StorageClass::CloudSsd, 1);
+    let mut out = Vec::new();
+    let mut now = SimTime::ZERO;
+
+    // Traffic flows through the old backend process...
+    for i in 0..3u64 {
+        let msg = format!("req-{i}");
+        let (_, t) = upgraded
+            .net_send(
+                MacAddr::for_guest(8),
+                PacketKind::Udp,
+                msg.as_bytes(),
+                now,
+                &mut out,
+            )
+            .expect("send");
+        let t = upgraded
+            .net_receive(b"ack", t.completed, &mut out)
+            .expect("receive");
+        let header = BlkRequestHeader::new(BlkRequestType::In, i * 8);
+        let (_, t) = upgraded
+            .blk_request(&mut store, header, &[], 4096, t.completed, &mut out)
+            .expect("read");
+        now = t.completed;
+    }
+    let (sent, received, reads) = upgraded.counters();
+    println!("old backend served {sent} sends, {received} receives and {reads} reads");
+
+    // ...the process is replaced, handing its ring cursors over...
+    let report = upgraded.live_upgrade(now);
+    println!("upgraded with a {} pause; handed over:", report.pause);
+    for (ring, state) in ["net rx", "net tx", "blk"].iter().zip(report.state) {
+        println!(
+            "  {ring:<6} avail cursor {:>2}, used index {:>2}",
+            state.last_avail_idx, state.used_idx
+        );
+    }
+
+    // ...and the guest's next request completes on the new one.
+    let (_, t) = upgraded
+        .net_send(
+            MacAddr::for_guest(8),
+            PacketKind::Udp,
+            b"req-3",
+            report.resumed_at,
+            &mut out,
+        )
+        .expect("send");
     println!(
-        "  head {} completed on the new version — zero loss",
-        chain.head
+        "  {:?} completed on the new backend in {} — zero loss",
+        String::from_utf8_lossy(&out),
+        t.latency()
     );
 
     // --- 2. Live migration prototype ---------------------------------

@@ -94,7 +94,9 @@ pub fn host_stream(base: u64, host: usize) -> u64 {
 struct HostRun<T> {
     value: T,
     telemetry: Option<telemetry::Snapshot>,
-    fault_stats: Option<faults::FaultStats>,
+    /// Boxed: the counters are inline arrays, and every host's slot
+    /// is allocated up front, armed or not.
+    fault_stats: Option<Box<faults::FaultStats>>,
 }
 
 /// Runs `f(host)` for every `host in 0..hosts` across this thread's
@@ -132,7 +134,7 @@ where
         }
         let value = f(host);
         let fault_stats = if plan.is_some() {
-            faults::disarm()
+            faults::disarm().map(Box::new)
         } else {
             None
         };

@@ -280,7 +280,7 @@ mod tests {
         let stats = bmhive_faults::disarm().expect("stats");
         assert_eq!(degraded.service, baseline.service.mul_f64(4.0));
         assert!(stats.injected_total() > 0);
-        assert!(stats.degraded_ns.contains_key("blockstore"));
+        assert!(stats.site(FaultSite::BlockStore).degraded_ns > 0);
     }
 
     #[test]

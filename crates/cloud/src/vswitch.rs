@@ -332,7 +332,7 @@ mod tests {
         assert!(shed >= 1, "expected shedding under brownout backlog");
         assert_eq!(sw.dropped_count(), shed);
         let stats = faults::disarm().expect("stats");
-        assert!(stats.shed.get("vswitch").copied().unwrap_or(0) >= shed);
+        assert!(stats.site(FaultSite::VSwitch).shed >= shed);
         assert!(stats.injected_total() > 0);
     }
 

@@ -28,8 +28,7 @@
 //! `"faults"`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use bmhive_sim::{SimDuration, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
@@ -78,7 +77,10 @@ impl FaultContext {
     /// `seed`.
     fn new(plan: FaultPlan, seed: u64) -> Self {
         let consumed = vec![false; plan.events().len()];
-        let stats = FaultStats::new(&plan.name);
+        let stats = FaultStats {
+            plan: plan.name.clone(),
+            ..FaultStats::default()
+        };
         FaultContext {
             plan,
             // A dedicated stream: arming must not disturb the streams
@@ -87,11 +89,6 @@ impl FaultContext {
             consumed,
             stats,
         }
-    }
-
-    /// Consumes the context, yielding its statistics.
-    fn into_stats(self) -> FaultStats {
-        self.stats
     }
 
     /// Latest end time over blocking windows at `site` covering
@@ -145,94 +142,120 @@ impl Recovery {
     };
 }
 
+/// What a plan did at one site: the recovery side of [`FaultStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SiteStats {
+    /// Backoff retries spent.
+    pub retries: u64,
+    /// Retry loops that cleared.
+    pub recovered: u64,
+    /// Retry budgets exhausted → escalated to reset.
+    pub escalated: u64,
+    /// Escalations resolved by reset + re-handshake.
+    pub resets: u64,
+    /// Inflight chains replayed after a reset.
+    pub replayed: u64,
+    /// Operations shed under brownout (graceful degradation).
+    pub shed: u64,
+    /// Extra latency absorbed without retries (ns).
+    pub degraded_ns: u64,
+}
+
+impl SiteStats {
+    fn add(&mut self, other: &SiteStats) {
+        self.retries += other.retries;
+        self.recovered += other.recovered;
+        self.escalated += other.escalated;
+        self.resets += other.resets;
+        self.replayed += other.replayed;
+        self.shed += other.shed;
+        self.degraded_ns += other.degraded_ns;
+    }
+}
+
 /// Deterministic counters describing what a plan did to a run.
 ///
-/// All maps are `BTreeMap` so [`FaultStats::to_text`] renders in a
-/// stable order — the fault-matrix CI job compares this text byte for
-/// byte across runs.
+/// Each counter is a slot indexed by [`FaultSite`], [`FaultKind`] or
+/// [`RetryOp`] and bumped in place, so recording never allocates. Names
+/// appear only in [`FaultStats::to_text`] and [`FaultStats::to_json`],
+/// which walk them in name order and skip zeros: the fault-matrix CI
+/// job compares both byte for byte across runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultStats {
-    /// Name of the armed plan.
-    pub plan: String,
-    /// Operations affected, keyed by `"site/kind"`.
-    pub injected: BTreeMap<String, u64>,
-    /// Backoff retries spent, keyed by site.
-    pub retries: BTreeMap<String, u64>,
-    /// Retry loops that cleared, keyed by site.
-    pub recovered: BTreeMap<String, u64>,
-    /// Retry budgets exhausted → escalated to reset, keyed by site.
-    pub escalated: BTreeMap<String, u64>,
-    /// Escalation attribution: which operation observed the exhausted
-    /// budget, keyed by `"site/op"`.
-    pub escalated_ops: BTreeMap<String, u64>,
-    /// Escalations resolved by reset + re-handshake, keyed by site.
-    pub resets: BTreeMap<String, u64>,
-    /// Inflight chains replayed after a reset, keyed by site.
-    pub replayed: BTreeMap<String, u64>,
-    /// Operations shed under brownout (graceful degradation), keyed by
-    /// site.
-    pub shed: BTreeMap<String, u64>,
-    /// Extra latency absorbed without retries, keyed by site (ns).
-    pub degraded_ns: BTreeMap<String, u64>,
+    plan: String,
+    injected: [[u64; FaultKind::ALL.len()]; FaultSite::ALL.len()],
+    sites: [SiteStats; FaultSite::ALL.len()],
+    escalated_ops: [u64; RetryOp::ALL.len()],
+}
+
+/// A rendered counter's name: `site`, `site/kind` or `site/op`.
+struct Key(FaultSite, Option<&'static str>);
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0.name())?;
+        self.1.map_or(Ok(()), |detail| write!(f, "/{detail}"))
+    }
+}
+
+/// One rendered section: text title, JSON key, and each nonzero count
+/// with its name, in name order.
+type Section = (&'static str, &'static str, Vec<(Key, u64)>);
+
+/// `items` sorted by `name`: the order every rendering walks.
+fn by_name<T: Copy, const N: usize>(mut items: [T; N], name: fn(T) -> &'static str) -> [T; N] {
+    items.sort_by_key(|&item| name(item));
+    items
 }
 
 impl FaultStats {
-    fn new(plan: &str) -> Self {
-        FaultStats {
-            plan: plan.to_string(),
-            ..FaultStats::default()
-        }
-    }
-
-    fn bump(map: &mut BTreeMap<String, u64>, key: impl Into<String>, delta: u64) {
-        *map.entry(key.into()).or_insert(0) += delta;
+    /// Operations a `kind` fault affected at `site`.
+    pub fn injected(&self, site: FaultSite, kind: FaultKind) -> u64 {
+        self.injected[site as usize][kind as usize]
     }
 
     /// Total operations affected by any fault.
     pub fn injected_total(&self) -> u64 {
-        self.injected.values().sum()
+        self.injected.iter().flatten().sum()
     }
 
-    /// Folds `other` into this record, adding every per-site counter.
-    /// All maps are `BTreeMap`s so merging is order-independent; the
-    /// host-sharded executor still folds worker stats in host-index
-    /// order for uniformity with the (order-sensitive) telemetry fold.
+    /// The recovery counters at `site`.
+    pub fn site(&self, site: FaultSite) -> SiteStats {
+        self.sites[site as usize]
+    }
+
+    /// Escalations attributed to `op`: its retry budget ran out.
+    pub fn escalated_at(&self, op: RetryOp) -> u64 {
+        self.escalated_ops[op as usize]
+    }
+
+    /// Folds `other` into this record, adding every counter. Addition
+    /// is order-independent; the host-sharded executor still folds
+    /// worker stats in host-index order, as it folds telemetry.
     pub fn merge_from(&mut self, other: &FaultStats) {
-        let fold = |dst: &mut BTreeMap<String, u64>, src: &BTreeMap<String, u64>| {
-            for (k, &v) in src {
-                *dst.entry(k.clone()).or_insert(0) += v;
-            }
-        };
-        fold(&mut self.injected, &other.injected);
-        fold(&mut self.retries, &other.retries);
-        fold(&mut self.recovered, &other.recovered);
-        fold(&mut self.escalated, &other.escalated);
-        fold(&mut self.escalated_ops, &other.escalated_ops);
-        fold(&mut self.resets, &other.resets);
-        fold(&mut self.replayed, &other.replayed);
-        fold(&mut self.shed, &other.shed);
-        fold(&mut self.degraded_ns, &other.degraded_ns);
+        let dst = self
+            .injected
+            .iter_mut()
+            .flatten()
+            .chain(&mut self.escalated_ops);
+        for (dst, src) in dst.zip(other.injected.iter().flatten().chain(&other.escalated_ops)) {
+            *dst += src;
+        }
+        for (dst, src) in self.sites.iter_mut().zip(&other.sites) {
+            dst.add(src);
+        }
     }
 
-    /// Per-site recovery outcome as `(recovered, unrecovered)` counts.
+    /// Recovery outcome at `site` as `(recovered, unrecovered)` counts.
     ///
     /// A site's recovered count is its retry-loop recoveries plus its
     /// completed resets; its unrecovered count is the escalations no
     /// reset at that site resolved. Unlike a global escalated-vs-resets
     /// total, this cannot be masked by a reset at a *different* site.
-    pub fn site_recovery(&self) -> BTreeMap<String, (u64, u64)> {
-        let mut sites: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for (site, &n) in &self.recovered {
-            sites.entry(site.clone()).or_default().0 += n;
-        }
-        for (site, &n) in &self.resets {
-            sites.entry(site.clone()).or_default().0 += n;
-        }
-        for (site, &n) in &self.escalated {
-            let resets = self.resets.get(site).copied().unwrap_or(0);
-            sites.entry(site.clone()).or_default().1 += n.saturating_sub(resets);
-        }
-        sites
+    pub fn site_recovery(&self, site: FaultSite) -> (u64, u64) {
+        let at = self.site(site);
+        let unrecovered = at.escalated.saturating_sub(at.resets);
+        (at.recovered + at.resets, unrecovered)
     }
 
     /// `true` when every site's escalations were resolved by completed
@@ -240,50 +263,75 @@ impl FaultStats {
     /// Retry-recovered and shed operations count as recovered by
     /// definition (shedding *is* the brownout policy).
     pub fn all_recovered(&self) -> bool {
-        self.site_recovery().values().all(|&(_, unrec)| unrec == 0)
+        !self.recovery_rows().any(|(_, (_, unrec))| unrec > 0)
+    }
+
+    /// The ops at `site` that escalated, with their counts, by name.
+    fn ops_at(&self, site: FaultSite) -> impl Iterator<Item = (Key, u64)> + '_ {
+        let ops = by_name(RetryOp::ALL, RetryOp::name).into_iter();
+        ops.filter(move |op| op.site() == site)
+            .map(move |op| (Key(site, Some(op.name())), self.escalated_at(op)))
+            .filter(|&(_, n)| n > 0)
+    }
+
+    /// The counter sections, in render order.
+    fn sections(&self) -> [Section; 9] {
+        let sites = by_name(FaultSite::ALL, FaultSite::name);
+        let per_site = |field: fn(&SiteStats) -> u64| {
+            let counts = sites.map(|site| (Key(site, None), field(&self.site(site))));
+            counts.into_iter().filter(|&(_, n)| n > 0).collect()
+        };
+        let kinds = by_name(FaultKind::ALL, FaultKind::name);
+        let injected = sites.iter().flat_map(|&site| {
+            kinds.map(|kind| (Key(site, Some(kind.name())), self.injected(site, kind)))
+        });
+        let injected = injected.filter(|&(_, n)| n > 0).collect();
+        let ops = sites.iter().flat_map(|&site| self.ops_at(site)).collect();
+        [
+            ("injected", "injected", injected),
+            ("retries", "retries", per_site(|at| at.retries)),
+            ("recovered", "recovered", per_site(|at| at.recovered)),
+            ("escalated", "escalated", per_site(|at| at.escalated)),
+            ("escalated-ops", "escalated_ops", ops),
+            ("resets", "resets", per_site(|at| at.resets)),
+            ("replayed", "replayed", per_site(|at| at.replayed)),
+            ("shed", "shed", per_site(|at| at.shed)),
+            ("degraded-ns", "degraded_ns", per_site(|at| at.degraded_ns)),
+        ]
+    }
+
+    /// [`Self::site_recovery`] of each site that has any, by name.
+    fn recovery_rows(&self) -> impl Iterator<Item = (FaultSite, (u64, u64))> {
+        let sites = by_name(FaultSite::ALL, FaultSite::name);
+        let rows = sites.map(|site| (site, self.site_recovery(site)));
+        rows.into_iter()
+            .filter(|&(_, (rec, unrec))| rec + unrec > 0)
     }
 
     /// Stable multi-line rendering for logs and CI comparison.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "fault stats (plan \"{}\"):", self.plan);
-        let section = |out: &mut String, title: &str, map: &BTreeMap<String, u64>| {
-            if map.is_empty() {
-                return;
+        for (title, _, rows) in self.sections() {
+            if !rows.is_empty() {
+                let _ = writeln!(out, "  {title}:");
             }
-            let _ = writeln!(out, "  {title}:");
-            for (key, value) in map {
-                let _ = writeln!(out, "    {key}: {value}");
+            for (key, n) in rows {
+                let _ = writeln!(out, "    {key}: {n}");
             }
-        };
-        section(&mut out, "injected", &self.injected);
-        section(&mut out, "retries", &self.retries);
-        section(&mut out, "recovered", &self.recovered);
-        section(&mut out, "escalated", &self.escalated);
-        section(&mut out, "escalated-ops", &self.escalated_ops);
-        section(&mut out, "resets", &self.resets);
-        section(&mut out, "replayed", &self.replayed);
-        section(&mut out, "shed", &self.shed);
-        section(&mut out, "degraded-ns", &self.degraded_ns);
-        let sites = self.site_recovery();
-        if !sites.is_empty() {
+        }
+        let mut rows = self.recovery_rows().peekable();
+        if rows.peek().is_some() {
             let _ = writeln!(out, "  recovery:");
-            for (site, (rec, unrec)) in &sites {
-                let mut line = format!("    {site}: recovered {rec}, unrecovered {unrec}");
-                if *unrec > 0 {
-                    let prefix = format!("{site}/");
-                    let ops: Vec<&str> = self
-                        .escalated_ops
-                        .keys()
-                        .filter(|k| k.starts_with(&prefix))
-                        .map(String::as_str)
-                        .collect();
-                    if !ops.is_empty() {
-                        line.push_str(&format!(" (ops: {})", ops.join(", ")));
-                    }
-                }
-                let _ = writeln!(out, "{line}");
+        }
+        for (site, (rec, unrec)) in rows {
+            let _ = write!(out, "    {site}: recovered {rec}, unrecovered {unrec}");
+            let mut sep = " (ops: ";
+            for (key, _) in self.ops_at(site).filter(|_| unrec > 0) {
+                let _ = write!(out, "{sep}{key}");
+                sep = ", ";
             }
+            out.push_str(if sep == ", " { ")\n" } else { "\n" });
         }
         let _ = writeln!(
             out,
@@ -296,36 +344,26 @@ impl FaultStats {
     /// Serialises the stats as JSON (the `fault_stats.json` the repro
     /// binary writes under `--out` when a plan is armed).
     pub fn to_json(&self) -> String {
-        fn map_obj(out: &mut String, key: &str, map: &BTreeMap<String, u64>, comma: bool) {
-            out.push_str(&format!("  \"{key}\": {{"));
-            for (i, (k, v)) in map.iter().enumerate() {
-                let sep = if i + 1 < map.len() { ", " } else { "" };
-                out.push_str(&format!("\"{}\": {v}{sep}", json_escape(k)));
-            }
-            out.push_str(if comma { "},\n" } else { "}\n" });
-        }
         let mut out = format!(
             "{{\n  \"plan\": \"{}\",\n  \"all_recovered\": {},\n",
             json_escape(&self.plan),
             self.all_recovered()
         );
-        map_obj(&mut out, "injected", &self.injected, true);
-        map_obj(&mut out, "retries", &self.retries, true);
-        map_obj(&mut out, "recovered", &self.recovered, true);
-        map_obj(&mut out, "escalated", &self.escalated, true);
-        map_obj(&mut out, "escalated_ops", &self.escalated_ops, true);
-        map_obj(&mut out, "resets", &self.resets, true);
-        map_obj(&mut out, "replayed", &self.replayed, true);
-        map_obj(&mut out, "shed", &self.shed, true);
-        map_obj(&mut out, "degraded_ns", &self.degraded_ns, true);
+        for (_, key, rows) in self.sections() {
+            let _ = write!(out, "  \"{key}\": {{");
+            for (i, (name, n)) in rows.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}\"{name}\": {n}");
+            }
+            out.push_str("},\n");
+        }
         out.push_str("  \"recovery\": {");
-        let sites = self.site_recovery();
-        for (i, (site, (rec, unrec))) in sites.iter().enumerate() {
-            let sep = if i + 1 < sites.len() { ", " } else { "" };
-            out.push_str(&format!(
-                "\"{}\": {{\"recovered\": {rec}, \"unrecovered\": {unrec}}}{sep}",
-                json_escape(site)
-            ));
+        for (i, (site, (rec, unrec))) in self.recovery_rows().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(
+                out,
+                "{sep}\"{site}\": {{\"recovered\": {rec}, \"unrecovered\": {unrec}}}"
+            );
         }
         out.push_str("}\n}\n");
         out
@@ -349,7 +387,7 @@ fn install(context: FaultContext) {
 /// Disarms this thread's injector and returns the accumulated
 /// statistics, or `None` if nothing was armed.
 pub fn disarm() -> Option<FaultStats> {
-    take().map(FaultContext::into_stats)
+    take().map(|ctx| ctx.stats)
 }
 
 /// Removes and returns this thread's context without discarding it, or
@@ -424,8 +462,7 @@ pub fn blocking_until(site: FaultSite, now: SimTime) -> Option<SimTime> {
             .max_by_key(|ev| ev.until())
             .map(|ev| ev.kind)
             .unwrap_or(FaultKind::LinkFlap);
-        let key = format!("{}/{}", site.name(), kind.name());
-        FaultStats::bump(&mut ctx.stats.injected, key, 1);
+        ctx.stats.injected[site as usize][kind as usize] += 1;
         Some(until)
     })
 }
@@ -439,15 +476,11 @@ pub fn latency_factor(site: FaultSite, now: SimTime) -> f64 {
     }
     with_context(1.0, |ctx| {
         let mut factor = 1.0;
-        let mut hits = Vec::new();
         for ev in ctx.plan.events() {
             if ev.site == site && ev.covers(now) && ev.kind.uses_factor() {
                 factor *= ev.factor;
-                hits.push(format!("{}/{}", site.name(), ev.kind.name()));
+                ctx.stats.injected[site as usize][ev.kind as usize] += 1;
             }
-        }
-        for key in hits {
-            FaultStats::bump(&mut ctx.stats.injected, key, 1);
         }
         factor
     })
@@ -465,8 +498,7 @@ pub fn corrupted(site: FaultSite, now: SimTime) -> bool {
                 ev.site == site && ev.covers(now) && ev.kind == FaultKind::DescriptorCorrupt
             });
         if hit {
-            let key = format!("{}/{}", site.name(), FaultKind::DescriptorCorrupt.name());
-            FaultStats::bump(&mut ctx.stats.injected, key, 1);
+            ctx.stats.injected[site as usize][FaultKind::DescriptorCorrupt as usize] += 1;
         }
         hit
     })
@@ -483,16 +515,12 @@ pub fn take_oneshot(site: FaultSite, kind: FaultKind, now: SimTime) -> Option<Si
     }
     with_context(None, |ctx| {
         let mut outage = None;
-        let mut keys = Vec::new();
         for (idx, ev) in ctx.plan.events().iter().enumerate() {
             if ev.site == site && ev.kind == kind && !ctx.consumed[idx] && now >= ev.at {
                 ctx.consumed[idx] = true;
                 outage = Some(outage.unwrap_or(SimDuration::ZERO).max(ev.duration));
-                keys.push(format!("{}/{}", site.name(), kind.name()));
+                ctx.stats.injected[site as usize][kind as usize] += 1;
             }
-        }
-        for key in keys {
-            FaultStats::bump(&mut ctx.stats.injected, key, 1);
         }
         outage
     })
@@ -514,6 +542,14 @@ pub enum RetryOp {
 }
 
 impl RetryOp {
+    /// Every operation, in a fixed order.
+    pub const ALL: [RetryOp; 4] = [
+        RetryOp::PcieRegister,
+        RetryOp::MailboxHeadTail,
+        RetryOp::DmaStageChain,
+        RetryOp::DmaCopyBack,
+    ];
+
     /// The site whose blocking windows this operation waits out.
     pub fn site(self) -> FaultSite {
         match self {
@@ -571,27 +607,18 @@ pub fn retry_until_clear(op: RetryOp, now: SimTime, attempt_cost: SimDuration) -
                 break;
             }
         }
-        let waited = t - now;
-        let site_key = site.name().to_string();
-        FaultStats::bump(
-            &mut ctx.stats.retries,
-            site_key.clone(),
-            u64::from(attempts),
-        );
+        let at = &mut ctx.stats.sites[site as usize];
+        at.retries += u64::from(attempts);
         if recovered {
-            FaultStats::bump(&mut ctx.stats.recovered, site_key, 1);
+            at.recovered += 1;
         } else {
-            FaultStats::bump(&mut ctx.stats.escalated, site_key, 1);
-            FaultStats::bump(
-                &mut ctx.stats.escalated_ops,
-                format!("{}/{}", site.name(), op.name()),
-                1,
-            );
+            at.escalated += 1;
+            ctx.stats.escalated_ops[op as usize] += 1;
         }
         Some(Recovery {
             recovered,
             attempts,
-            waited,
+            waited: t - now,
         })
     });
     let Some(recovery) = recovery else {
@@ -604,33 +631,13 @@ pub fn retry_until_clear(op: RetryOp, now: SimTime, attempt_cost: SimDuration) -
     recovery
 }
 
-/// Records an escalation raised outside the retry loop (e.g. a power
-/// loss that wedges a device without any retryable operation),
-/// attributed to the operation `op` that observed it.
-pub fn note_escalated(site: FaultSite, op: &str) {
-    if !is_armed() {
-        return;
-    }
-    with_context((), |ctx| {
-        FaultStats::bump(&mut ctx.stats.escalated, site.name().to_string(), 1);
-        FaultStats::bump(
-            &mut ctx.stats.escalated_ops,
-            format!("{}/{op}", site.name()),
-            1,
-        );
-    });
-    telemetry::counter("faults_escalated", 1);
-}
-
 /// Records a completed reset + re-handshake that resolved an
 /// escalation at `site`.
 pub fn note_reset(site: FaultSite) {
     if !is_armed() {
         return;
     }
-    with_context((), |ctx| {
-        FaultStats::bump(&mut ctx.stats.resets, site.name().to_string(), 1);
-    });
+    with_context((), |ctx| ctx.stats.sites[site as usize].resets += 1);
     telemetry::counter("faults_resets", 1);
 }
 
@@ -639,9 +646,7 @@ pub fn note_replayed(site: FaultSite, chains: u64) {
     if !is_armed() || chains == 0 {
         return;
     }
-    with_context((), |ctx| {
-        FaultStats::bump(&mut ctx.stats.replayed, site.name().to_string(), chains);
-    });
+    with_context((), |ctx| ctx.stats.sites[site as usize].replayed += chains);
     telemetry::counter("faults_replayed", chains);
 }
 
@@ -650,9 +655,7 @@ pub fn note_shed(site: FaultSite) {
     if !is_armed() {
         return;
     }
-    with_context((), |ctx| {
-        FaultStats::bump(&mut ctx.stats.shed, site.name().to_string(), 1);
-    });
+    with_context((), |ctx| ctx.stats.sites[site as usize].shed += 1);
     telemetry::counter("faults_shed", 1);
 }
 
@@ -663,11 +666,7 @@ pub fn note_degraded(site: FaultSite, extra: SimDuration) {
         return;
     }
     with_context((), |ctx| {
-        FaultStats::bump(
-            &mut ctx.stats.degraded_ns,
-            site.name().to_string(),
-            extra.as_nanos(),
-        );
+        ctx.stats.sites[site as usize].degraded_ns += extra.as_nanos();
     });
     telemetry::timer("faults_degraded", extra);
 }
@@ -722,7 +721,7 @@ mod tests {
         // Wrong site never matches.
         assert_eq!(blocking_until(FaultSite::Dma, us(120)), None);
         let stats = disarm().unwrap();
-        assert_eq!(stats.injected.get("pcie/link-flap"), Some(&2));
+        assert_eq!(stats.injected(FaultSite::Pcie, FaultKind::LinkFlap), 2);
     }
 
     #[test]
@@ -754,7 +753,10 @@ mod tests {
         assert_eq!(blocking_until(FaultSite::Mailbox, us(99)), None);
         assert_eq!(blocking_until(FaultSite::Mailbox, us(200)), None);
         let stats = disarm().unwrap();
-        assert_eq!(stats.injected.get("mailbox/mailbox-stall"), Some(&3));
+        assert_eq!(
+            stats.injected(FaultSite::Mailbox, FaultKind::MailboxStall),
+            3
+        );
     }
 
     #[test]
@@ -789,8 +791,8 @@ mod tests {
         assert!(r.attempts >= 1);
         assert!(r.waited >= SimDuration::from_micros(60));
         let stats = disarm().unwrap();
-        assert_eq!(stats.recovered.get("dma"), Some(&1));
-        assert!(stats.escalated.is_empty());
+        assert_eq!(stats.site(FaultSite::Dma).recovered, 1);
+        assert_eq!(stats.site(FaultSite::Dma).escalated, 0);
         assert!(stats.all_recovered());
     }
 
@@ -807,22 +809,23 @@ mod tests {
         let r = retry_until_clear(RetryOp::MailboxHeadTail, us(0), SimDuration::ZERO);
         assert!(!r.recovered);
         assert_eq!(r.attempts, retry::MAX_ATTEMPTS);
-        let mut stats = disarm().unwrap();
-        assert_eq!(stats.escalated.get("mailbox"), Some(&1));
+        let stats = super::stats().unwrap();
+        assert_eq!(stats.site(FaultSite::Mailbox).escalated, 1);
         // The escalation is attributed to the op that observed it.
-        assert_eq!(stats.escalated_ops.get("mailbox/head_tail"), Some(&1));
+        assert_eq!(stats.escalated_at(RetryOp::MailboxHeadTail), 1);
         assert!(!stats.all_recovered());
-        assert_eq!(stats.site_recovery().get("mailbox"), Some(&(0, 1)));
+        assert_eq!(stats.site_recovery(FaultSite::Mailbox), (0, 1));
         let text = stats.to_text();
         assert!(text.contains("mailbox: recovered 0, unrecovered 1 (ops: mailbox/head_tail)"));
         assert!(text.contains("recovered: NO"));
         // A reset at a *different* site must not mask the wedge.
-        FaultStats::bump(&mut stats.resets, "board".to_string(), 1);
-        assert!(!stats.all_recovered());
+        note_reset(FaultSite::Board);
+        assert!(!super::stats().unwrap().all_recovered());
         // A completed reset at the site resolves the escalation.
-        FaultStats::bump(&mut stats.resets, "mailbox".to_string(), 1);
+        note_reset(FaultSite::Mailbox);
+        let stats = disarm().unwrap();
         assert!(stats.all_recovered());
-        assert_eq!(stats.site_recovery().get("mailbox"), Some(&(1, 0)));
+        assert_eq!(stats.site_recovery(FaultSite::Mailbox), (1, 0));
     }
 
     #[test]
@@ -845,13 +848,7 @@ mod tests {
 
     #[test]
     fn retry_span_labels_name_site_and_op() {
-        let ops = [
-            RetryOp::PcieRegister,
-            RetryOp::MailboxHeadTail,
-            RetryOp::DmaStageChain,
-            RetryOp::DmaCopyBack,
-        ];
-        for op in ops {
+        for op in RetryOp::ALL {
             let label = format!("retry:{}:{}", op.site().name(), op.name());
             assert_eq!(op.span_label(), label);
         }
@@ -916,6 +913,134 @@ mod tests {
     }
 
     #[test]
+    fn one_record_renders_every_section_in_name_order() {
+        // Built through the public hooks alone, so the pinned bytes hold
+        // whatever the record looks like inside. Sites, kinds and ops
+        // are chosen so name order differs from declaration order:
+        // `blockstore` before `board`, `latency-spike` before
+        // `link-flap`, `copy_back` before `stage_chain`. Walking sites,
+        // then kinds or ops, by name gives the order of the joined
+        // `site/kind` strings because no site name is a prefix of
+        // another.
+        let wedge = SimDuration::from_millis(10);
+        let plan = plan_with(vec![
+            FaultEvent::window(
+                us(0),
+                FaultSite::Pcie,
+                FaultKind::LinkFlap,
+                SimDuration::from_micros(20),
+            ),
+            FaultEvent::factor(us(0), FaultSite::Pcie, FaultKind::LatencySpike, wedge, 2.0),
+            FaultEvent::window(us(0), FaultSite::Dma, FaultKind::DmaTimeout, wedge),
+            FaultEvent::window(us(0), FaultSite::Mailbox, FaultKind::MailboxStall, wedge),
+            FaultEvent::window(us(0), FaultSite::Vring, FaultKind::DescriptorCorrupt, wedge),
+            FaultEvent::window(
+                us(0),
+                FaultSite::Doorbell,
+                FaultKind::DroppedDoorbell,
+                wedge,
+            ),
+            FaultEvent::window(us(0), FaultSite::Board, FaultKind::PowerLoss, wedge),
+            FaultEvent::factor(us(0), FaultSite::VSwitch, FaultKind::Brownout, wedge, 4.0),
+            FaultEvent::factor(
+                us(0),
+                FaultSite::BlockStore,
+                FaultKind::Brownout,
+                wedge,
+                3.0,
+            ),
+        ]);
+        arm(plan, 5);
+        for site in [FaultSite::Pcie, FaultSite::Dma, FaultSite::Mailbox] {
+            assert!(blocking_until(site, us(1)).is_some());
+        }
+        assert_eq!(latency_factor(FaultSite::Pcie, us(1)), 2.0);
+        assert_eq!(latency_factor(FaultSite::VSwitch, us(1)), 4.0);
+        assert_eq!(latency_factor(FaultSite::BlockStore, us(1)), 3.0);
+        assert!(corrupted(FaultSite::Vring, us(1)));
+        assert!(take_oneshot(FaultSite::Doorbell, FaultKind::DroppedDoorbell, us(1)).is_some());
+        assert!(take_oneshot(FaultSite::Board, FaultKind::PowerLoss, us(1)).is_some());
+        assert!(retry_until_clear(RetryOp::PcieRegister, us(1), SimDuration::ZERO).recovered);
+        for op in [
+            RetryOp::MailboxHeadTail,
+            RetryOp::DmaStageChain,
+            RetryOp::DmaCopyBack,
+        ] {
+            assert!(!retry_until_clear(op, us(1), SimDuration::ZERO).recovered);
+        }
+        note_reset(FaultSite::Board);
+        note_reset(FaultSite::Dma);
+        note_replayed(FaultSite::Board, 3);
+        note_shed(FaultSite::VSwitch);
+        note_degraded(FaultSite::VSwitch, SimDuration::from_nanos(1500));
+        note_degraded(FaultSite::BlockStore, SimDuration::from_micros(2));
+        let stats = disarm().unwrap();
+        assert_eq!(
+            stats.to_text(),
+            "\
+fault stats (plan \"test\"):
+  injected:
+    blockstore/brownout: 1
+    board/power-loss: 1
+    dma/dma-timeout: 1
+    doorbell/dropped-doorbell: 1
+    mailbox/mailbox-stall: 1
+    pcie/latency-spike: 1
+    pcie/link-flap: 1
+    vring/descriptor-corrupt: 1
+    vswitch/brownout: 1
+  retries:
+    dma: 32
+    mailbox: 16
+    pcie: 3
+  recovered:
+    pcie: 1
+  escalated:
+    dma: 2
+    mailbox: 1
+  escalated-ops:
+    dma/copy_back: 1
+    dma/stage_chain: 1
+    mailbox/head_tail: 1
+  resets:
+    board: 1
+    dma: 1
+  replayed:
+    board: 3
+  shed:
+    vswitch: 1
+  degraded-ns:
+    blockstore: 2000
+    vswitch: 1500
+  recovery:
+    board: recovered 1, unrecovered 0
+    dma: recovered 1, unrecovered 1 (ops: dma/copy_back, dma/stage_chain)
+    mailbox: recovered 0, unrecovered 1 (ops: mailbox/head_tail)
+    pcie: recovered 1, unrecovered 0
+  recovered: NO
+"
+        );
+        assert_eq!(
+            stats.to_json(),
+            r#"{
+  "plan": "test",
+  "all_recovered": false,
+  "injected": {"blockstore/brownout": 1, "board/power-loss": 1, "dma/dma-timeout": 1, "doorbell/dropped-doorbell": 1, "mailbox/mailbox-stall": 1, "pcie/latency-spike": 1, "pcie/link-flap": 1, "vring/descriptor-corrupt": 1, "vswitch/brownout": 1},
+  "retries": {"dma": 32, "mailbox": 16, "pcie": 3},
+  "recovered": {"pcie": 1},
+  "escalated": {"dma": 2, "mailbox": 1},
+  "escalated_ops": {"dma/copy_back": 1, "dma/stage_chain": 1, "mailbox/head_tail": 1},
+  "resets": {"board": 1, "dma": 1},
+  "replayed": {"board": 3},
+  "shed": {"vswitch": 1},
+  "degraded_ns": {"blockstore": 2000, "vswitch": 1500},
+  "recovery": {"board": {"recovered": 1, "unrecovered": 0}, "dma": {"recovered": 1, "unrecovered": 1}, "mailbox": {"recovered": 0, "unrecovered": 1}, "pcie": {"recovered": 1, "unrecovered": 0}}
+}
+"#
+        );
+    }
+
+    #[test]
     fn contexts_are_thread_local() {
         let plan = plan_with(vec![FaultEvent::window(
             us(0),
@@ -957,6 +1082,6 @@ mod tests {
         install(ctx);
         assert!(is_armed());
         let stats = disarm().unwrap();
-        assert_eq!(stats.injected.get("dma/dma-timeout"), Some(&1));
+        assert_eq!(stats.injected(FaultSite::Dma, FaultKind::DmaTimeout), 1);
     }
 }

@@ -47,8 +47,8 @@ pub mod retry;
 
 pub use inject::{
     absorb_stats, arm, armed_plan, armed_plan_name, blocking_until, corrupted, disarm, is_armed,
-    latency_factor, note_degraded, note_escalated, note_replayed, note_reset, note_shed,
-    retry_until_clear, stats, take_oneshot, FaultStats, Recovery, RetryOp, COMPONENT,
+    latency_factor, note_degraded, note_replayed, note_reset, note_shed, retry_until_clear, stats,
+    take_oneshot, FaultStats, Recovery, RetryOp, SiteStats, COMPONENT,
 };
 pub use plan::{
     backend_brownout, board_loss, canned, dma_timeout, link_flap, FaultEvent, FaultKind, FaultPlan,

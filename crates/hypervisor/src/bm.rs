@@ -884,8 +884,8 @@ mod tests {
         assert_eq!(out, b"post");
 
         let stats = faults::disarm().expect("stats");
-        assert_eq!(stats.resets.get("board").copied().unwrap_or(0), 2);
-        assert!(stats.replayed.get("board").copied().unwrap_or(0) >= 60);
+        assert_eq!(stats.site(FaultSite::Board).resets, 2);
+        assert!(stats.site(FaultSite::Board).replayed >= 60);
         assert!(stats.all_recovered());
     }
 
@@ -921,7 +921,7 @@ mod tests {
         }
         let stats = faults::disarm().expect("stats");
         assert!(!stats.all_recovered());
-        assert!(stats.escalated_ops.contains_key("mailbox/head_tail"));
+        assert!(stats.escalated_at(faults::RetryOp::MailboxHeadTail) > 0);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! packets per second for simulated seconds. [`IoPath`] is the analytic
 //! form of the *same* costs. The vm path reads the KVM costs and the
 //! completion sampler that [`crate::vm::VmGuestSession`] uses; the bm
-//! path reads [`IoBondProfile`], and the test
-//! `bm_path_equals_the_session_plus_named_gaps` pins it to
-//! [`crate::bm::BmGuestSession`] with exact equality. Every other
-//! constant below names the figure it is calibrated to.
+//! path reads [`IoBondProfile`]. Two tests pin each path to its session
+//! with exact equality: `bm_path_equals_the_session_plus_named_gaps`
+//! to [`crate::bm::BmGuestSession`], and
+//! `vm_path_equals_the_session_plus_named_gaps` to the vm session, on
+//! the session's own RNG stream. Each names the gaps it finds and the
+//! figure behind them. Every other constant below names the figure it
+//! is calibrated to.
 //!
 //! Key asymmetries it encodes:
 //!
@@ -417,6 +420,102 @@ mod tests {
                     let fetch = dma.transfer_time(16).as_nanos();
                     assert!(split.as_nanos().abs_diff(fetch) <= 1, "{kind:?} {n} B");
                 }
+            }
+        }
+    }
+
+    /// The analytic vm path against the functional session, with exact
+    /// equality. The path draws from the session's RNG stream, so each
+    /// completion's halt-poll, wakeup and preemption draws line up.
+    #[test]
+    fn vm_path_equals_the_session_plus_named_gaps() {
+        use crate::vm::{VmGuestSession, RNG_STREAM};
+        use bmhive_cloud::blockstore::{BlockStore, IoKind, StorageClass};
+        use bmhive_cloud::limits::InstanceLimits;
+        use bmhive_net::{MacAddr, PacketKind};
+        use bmhive_sim::SimTime;
+        use bmhive_virtio::{BlkRequestHeader, BlkRequestType};
+
+        // Fig. 10's DPDK round trip: the model's kick finds the vhost
+        // thread busy-polling, the session's kick wakes it from a halt.
+        const POLLED_KICK_SAVING: SimDuration = SimDuration::from_nanos(
+            EXIT_KICK.as_nanos() - VHOST_POLL_KICK.as_nanos() - VHOST_HANDOFF.as_nanos(),
+        );
+        let seed = 3;
+        let session = || {
+            VmGuestSession::new(
+                MacAddr::for_guest(1),
+                64,
+                InstanceLimits::unrestricted(),
+                seed,
+            )
+        };
+        let mut path = IoPath::vm(seed);
+        let mut out = Vec::new();
+        for n in [0u32, 64, 96, 128, 512, 1400, 2000] {
+            let payload = vec![0x5a; n as usize];
+            let (_, t) = session()
+                .net_send(
+                    MacAddr::for_guest(2),
+                    PacketKind::Udp,
+                    &payload,
+                    SimTime::ZERO,
+                    &mut out,
+                )
+                .unwrap();
+            // Fig. 10's one-way model copies the payload alone; the
+            // session also copies the 12 B virtio-net header.
+            let header = copy_cost(VIRTIO_NET_HDR_LEN + u64::from(n)) - copy_cost(u64::from(n));
+            let model = path.net_oneway(n) + path.completion_busy();
+            assert_eq!(
+                t.latency() - model,
+                POLLED_KICK_SAVING + header,
+                "net {n} B"
+            );
+            let header_alone = copy_cost(VIRTIO_NET_HDR_LEN).as_nanos();
+            assert!(header.as_nanos().abs_diff(header_alone) <= 1, "net {n} B");
+        }
+        for n in [512u64, 1024, 4096, 8192, 16384] {
+            for (req, kind) in [
+                (BlkRequestType::In, IoKind::Read),
+                (BlkRequestType::Out, IoKind::Write),
+            ] {
+                // A twin store with the same seed samples the same
+                // service time for the same first request.
+                let service = BlockStore::new(StorageClass::LocalSsd, 9)
+                    .submit(kind, n, SimTime::ZERO)
+                    .service;
+                let mut store = BlockStore::new(StorageClass::LocalSsd, 9);
+                let (data, read_len) = match kind {
+                    IoKind::Read => (Vec::new(), n),
+                    IoKind::Write => (vec![0xa5; n as usize], 0),
+                };
+                let (_, t) = session()
+                    .blk_request(
+                        &mut store,
+                        BlkRequestHeader::new(req, 0),
+                        &data,
+                        read_len,
+                        SimTime::ZERO,
+                        &mut out,
+                    )
+                    .unwrap();
+                // Each op runs on a fresh session: restart the path's
+                // stream with it.
+                path.rng = SimRng::with_stream(seed, RNG_STREAM);
+                // Fig. 11's vm bandwidth: the model charges vhost's two
+                // host copies, the session the one its backend makes.
+                let second_copy = copy_cost(2 * n) - copy_cost(n);
+                assert_eq!(
+                    path.storage_overhead(n) - (t.latency() - service),
+                    second_copy,
+                    "{kind:?} {n} B"
+                );
+                let one_copy = copy_cost(n).as_nanos();
+                assert!(
+                    second_copy.as_nanos().abs_diff(one_copy) <= 1,
+                    "{kind:?} {n} B"
+                );
             }
         }
     }

@@ -10,6 +10,7 @@
 //! and the tap-device test path, and prices both — the test here *is*
 //! the paper's deployment argument.
 
+use bmhive_cloud::vswitch::VSwitch;
 use bmhive_sim::SimDuration;
 
 /// Which backend path carries a guest's packets.
@@ -23,12 +24,13 @@ pub enum NetBackendPath {
 }
 
 impl NetBackendPath {
-    /// Per-packet backend cost. The tap path pays a syscall, a kernel
-    /// bridge traversal, a context switch and an skb copy per packet —
-    /// roughly 20× the PMD's burst-amortised cost.
+    /// Per-packet backend cost. The fast path is the vSwitch's own PMD
+    /// forwarding cost. The tap path pays a syscall, a kernel bridge
+    /// traversal, a context switch and an skb copy per packet — roughly
+    /// 20× the PMD's burst-amortised cost.
     pub fn per_packet(self) -> SimDuration {
         match self {
-            NetBackendPath::DpdkFast => SimDuration::from_nanos(300),
+            NetBackendPath::DpdkFast => VSwitch::PER_PACKET,
             NetBackendPath::LinuxTap => SimDuration::from_micros_f64(6.5),
         }
     }

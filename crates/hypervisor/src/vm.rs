@@ -45,6 +45,11 @@ const HALT_WAKEUP_MEAN: SimDuration = SimDuration::from_micros(38);
 /// `halt_polling` feature).
 const HALT_POLL_HIT: f64 = 0.3;
 
+/// The [`SimRng`] stream a session draws its completion deliveries
+/// from. Twins that replay those draws, such as [`crate::path::IoPath`]
+/// in its pinning test, fork the same stream.
+pub(crate) const RNG_STREAM: u64 = 0x6b76;
+
 /// Host memcpy rate for the vhost copies, bytes per second (10 GB/s):
 /// the CPU copy §4.3 names as the vm-guest's storage handicap.
 const COPY_BYTES_PER_SEC: f64 = 10e9;
@@ -126,7 +131,7 @@ impl VmGuestSession {
         VmGuestSession {
             mac,
             ram,
-            rng: SimRng::with_stream(seed, 0x6b76),
+            rng: SimRng::with_stream(seed, RNG_STREAM),
             // vhost reads the guest's rings in place: no shadow copies.
             backend: Backend::new(guest.layouts(), limits),
             guest,
@@ -468,7 +473,7 @@ mod tests {
         }
         let seed = 7;
         let mut s = session();
-        let mut rng = SimRng::with_stream(seed, 0x6b76);
+        let mut rng = SimRng::with_stream(seed, RNG_STREAM);
         let mut store = BlockStore::new(StorageClass::CloudSsd, 13);
         let mut twin = BlockStore::new(StorageClass::CloudSsd, 13);
         let mut deliver = |idle| Delivery::sample(&mut rng, idle).total();

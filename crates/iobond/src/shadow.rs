@@ -1004,8 +1004,8 @@ mod tests {
             "stalled poll was only {stalled}"
         );
         let stats = faults::disarm().unwrap();
-        assert!(stats.injected.contains_key("mailbox/mailbox-stall"));
-        assert_eq!(stats.recovered.get("mailbox"), Some(&1));
+        assert!(stats.injected(FaultSite::Mailbox, faults::FaultKind::MailboxStall) > 0);
+        assert_eq!(stats.site(FaultSite::Mailbox).recovered, 1);
     }
 
     #[test]

@@ -264,8 +264,8 @@ mod tests {
         let spiked = link.register_access_at(SimTime::from_micros(520));
         assert_eq!(spiked, link.register_access().mul_f64(4.0));
         let stats = bmhive_faults::disarm().unwrap();
-        assert!(stats.injected.contains_key("pcie/link-flap"));
-        assert!(stats.injected.contains_key("pcie/latency-spike"));
+        assert!(stats.injected(FaultSite::Pcie, faults::FaultKind::LinkFlap) > 0);
+        assert!(stats.injected(FaultSite::Pcie, faults::FaultKind::LatencySpike) > 0);
         assert!(stats.all_recovered());
     }
 }

@@ -1077,10 +1077,11 @@ mod tests {
         faults::arm(faults::canned("backend-brownout").expect("canned plan"), 1);
         let report = run(&cfg, 1);
         let stats = faults::disarm().expect("armed");
-        let injected = stats.injected["vswitch/brownout"];
+        let injected = stats.injected(faults::FaultSite::VSwitch, faults::FaultKind::Brownout);
         let extra_per_frame = VSwitch::PER_PACKET.mul_f64(6.0) - VSwitch::PER_PACKET;
-        let degraded_frames = stats.degraded_ns["vswitch"] / extra_per_frame.as_nanos();
-        assert_eq!(stats.degraded_ns["vswitch"] % extra_per_frame.as_nanos(), 0);
+        let degraded_ns = stats.site(faults::FaultSite::VSwitch).degraded_ns;
+        let degraded_frames = degraded_ns / extra_per_frame.as_nanos();
+        assert_eq!(degraded_ns % extra_per_frame.as_nanos(), 0);
         assert!(injected > 2, "the run must cross the brownout window");
         assert_eq!(injected, degraded_frames);
         assert_eq!(report.clones_sent, report.offered);

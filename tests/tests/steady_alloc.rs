@@ -18,6 +18,7 @@ use bmhive_cloud::catalog::{ServerConstraints, INSTANCE_CATALOG};
 use bmhive_cloud::image::MachineImage;
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_core::server::BmHiveServer;
+use bmhive_faults as faults;
 use bmhive_hypervisor::bm::{IoTiming, SessionError};
 use bmhive_hypervisor::{BmGuestSession, VmGuestSession};
 use bmhive_iobond::IoBondProfile;
@@ -35,9 +36,14 @@ static ALLOC: CountingAlloc = CountingAlloc::system();
 /// Allocations of one re-render of experiment `id` at seed 1 into a
 /// report the first render warmed, as `repro bench` meters it.
 fn warmed_allocs(id: &str) -> u64 {
+    warmed_allocs_at(id, 1)
+}
+
+/// [`warmed_allocs`] at `seed`.
+fn warmed_allocs_at(id: &str, seed: u64) -> u64 {
     let exp = bmhive_bench::experiment(id).expect("known id");
-    let mut report = exp.render(1);
-    let ((), allocs) = alloc::measure_allocs(|| exp.render_into(1, &mut report));
+    let mut report = exp.render(seed);
+    let ((), allocs) = alloc::measure_allocs(|| exp.render_into(seed, &mut report));
     assert!(!report.text.is_empty());
     allocs
 }
@@ -173,6 +179,26 @@ fn warmed_faults_run_stays_under_the_alloc_gate() {
         allocs <= 1_400,
         "warmed faults run allocated {allocs} times (gate: 1,400, well under half the pre-PR 3,422)"
     );
+}
+
+#[test]
+fn armed_runs_allocate_nothing_per_fault() {
+    // Fault accounting bumps typed per-site slots in place, so a warmed
+    // run under an armed plan meters exactly the clean run's
+    // allocations, however many faults it records. The plan stays armed
+    // across the warm-up render and the metered one, as `repro
+    // --faults` arms it for a whole run.
+    for id in ["fig11", "traffic_isolation"] {
+        let clean = warmed_allocs_at(id, 7);
+        faults::arm(faults::canned("backend-brownout").expect("canned"), 7);
+        let armed = warmed_allocs_at(id, 7);
+        let stats = faults::disarm().expect("armed");
+        assert!(stats.injected_total() > 0, "{id}: the brownout must fire");
+        assert_eq!(
+            armed, clean,
+            "{id}: an armed run allocated {armed} times, the clean run {clean}"
+        );
+    }
 }
 
 /// A bm-guest and a vm-guest with production limits, 256-entry queues,

@@ -117,11 +117,12 @@ impl BmGuestSession {
         let guest = GuestDriver::new(&mut board, queue_size);
         let [rx_layout, tx_layout, blk_layout] = guest.layouts();
 
-        // IO-Bond devices with their frontends.
+        // IO-Bond devices. Both offer EVENT_IDX, which the window below needs.
+        let ring = Feature::RingIndirectDesc as u64 | Feature::RingEventIdx as u64;
         let mut net_dev = IoBondDevice::new(
             profile,
             DeviceType::Net,
-            Feature::NetMac as u64 | Feature::RingIndirectDesc as u64,
+            Feature::NetMac as u64 | ring,
             queue_size,
             bmhive_virtio::NetConfig::with_mac(mac.0)
                 .to_bytes()
@@ -130,7 +131,7 @@ impl BmGuestSession {
         let mut blk_dev = IoBondDevice::new(
             profile,
             DeviceType::Block,
-            Feature::BlkFlush as u64 | Feature::RingIndirectDesc as u64,
+            Feature::BlkFlush as u64 | ring,
             queue_size,
             bmhive_virtio::BlkConfig::with_capacity_bytes(40 << 30)
                 .to_bytes()
@@ -148,9 +149,8 @@ impl BmGuestSession {
             .state_mut()
             .driver_handshake(&[blk_layout]);
 
-        // The deployed backend discipline is poll-mode (§3.4.2): its
-        // shadow queues publish a ring-wide EVENT_IDX window, so guest
-        // kicks that land mid-scan are suppressed at the source.
+        // The deployed poll-mode backend (§3.4.2) publishes a ring-wide
+        // EVENT_IDX window, so guest kicks landing mid-scan are suppressed.
         let window = crate::pmd::BackendMode::PollMode.event_idx_window(queue_size);
         net_dev.set_event_idx_window(window);
         blk_dev.set_event_idx_window(window);
@@ -524,6 +524,15 @@ mod tests {
             64,
             InstanceLimits::unrestricted(),
         )
+    }
+
+    #[test]
+    fn both_devices_negotiate_event_idx() {
+        let s = session();
+        for dev in [&s.net_dev, &s.blk_dev] {
+            let features = dev.function().state().negotiated_features();
+            assert_ne!(features & Feature::RingEventIdx as u64, 0);
+        }
     }
 
     #[test]

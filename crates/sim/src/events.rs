@@ -21,23 +21,26 @@
 //! # Storage: slab + intrusive free list
 //!
 //! Every pending event lives in one slot of a single slab
-//! (`Vec<Node<E>>`); buckets, the front buffer, the overflow spill and
-//! the past list hold `u32` slot ids, and each bucket is an intrusive
-//! singly-linked chain through the nodes' `next` field. Popped slots
-//! are pushed onto a free list threaded through the same `next` field
-//! and recycled by the next schedule, so steady state — schedule, pop,
-//! cascade — performs **zero heap allocations**: a cascade relinks
-//! chain nodes instead of moving entries between `Vec`s, and the slab
-//! only grows while the pending population exceeds every previous
-//! peak. [`EventQueue::pop_batch`] drains a whole tick into a caller
-//! scratch buffer so hot loops don't interleave peeks and pops.
+//! (`Vec<Node<E>>`); the buckets and the overflow spill hold `u32` slot
+//! ids, and each bucket is an intrusive singly-linked chain through the
+//! nodes' `next` field. Every schedule, whatever the population, goes
+//! to one of those two places. Popped slots are pushed onto a free list
+//! threaded through the same `next` field and recycled by the next
+//! schedule, so steady state — schedule, pop, cascade — performs
+//! **zero heap allocations**: a cascade relinks chain nodes instead of
+//! moving entries between `Vec`s, and the slab only grows while the
+//! pending population exceeds every previous peak.
+//! [`EventQueue::pop_batch`] drains a whole tick into a caller scratch
+//! buffer so hot loops don't interleave peeks and pops.
 //!
 //! Determinism: every pop selects the strict minimum `(time, seq)`
 //! pair, exactly like the binary-heap implementation this replaced
 //! (kept in the test-only `heap` module as the model for the randomized
 //! equivalence test). Chains are scanned for the minimum rather than
 //! trusting link order, because a cascaded batch can link older-`seq`
-//! entries behind newer direct inserts.
+//! entries behind newer direct inserts. A schedule before the last
+//! popped time panics in [`EventQueue::schedule`], so no pending event
+//! ever precedes the clock.
 
 use crate::time::SimTime;
 
@@ -78,13 +81,6 @@ struct Node<E> {
 /// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
-/// Population at which a small queue spills from the unsorted front
-/// buffer into the wheel. Discrete-event hot loops (a handful of
-/// closed-loop workers, a small server pool) stay in the front buffer,
-/// where schedule is a branchless push and pop is a short min-scan;
-/// big populations (fleets, deep queues) amortize over the wheel.
-const FRONT_CAP: usize = 32;
-
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Every pending (and recycled) event slot; all other containers
@@ -96,28 +92,15 @@ pub struct EventQueue<E> {
     /// `LEVELS * SLOTS` bucket chain heads, level-major (`NIL` =
     /// empty). Chains are unordered; pops min-scan them.
     heads: Vec<u32>,
-    /// Small-population fast path: an unsorted scratchpad of at most
-    /// [`FRONT_CAP`] slot ids. Schedule pushes, pop scans for the
-    /// `(time, seq)` minimum — at this size a predictable linear scan
-    /// beats both the heap's sifts and the wheel's bucket hashing.
-    /// Invariant: the front buffer and the wheel (buckets + overflow)
-    /// are never simultaneously non-empty — schedules go to the front
-    /// buffer only while the wheel is empty, and spill the whole
-    /// buffer into the wheel when it outgrows [`FRONT_CAP`].
-    front: Vec<u32>,
     /// One occupancy bitmap per level (bit `s` = bucket `s` non-empty).
     occupied: [u64; LEVELS],
     /// Slot ids beyond the wheel span, ascending by `(time, seq)`.
     overflow: Vec<u32>,
-    /// Slot ids scheduled before `last_popped`: kept so the next pop
-    /// can report the causality violation exactly like the heap did.
-    past: Vec<u32>,
     /// Placement origin: entries hash into the wheel relative to this.
     /// Advances to the base of the bucket being cascaded; always
     /// `<= last_popped` and `<=` every pending wheel time.
     cursor: u64,
     len: usize,
-    cap: usize,
     seq: u64,
     last_popped: SimTime,
 }
@@ -125,70 +108,24 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with room for `capacity` pending events
-    /// before the backing storage reallocates. Callers that know their
-    /// steady-state event population (one slot per inflight operation)
-    /// use this to keep the schedule/pop hot path allocation-free.
-    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slab: Vec::with_capacity(capacity),
+            slab: Vec::new(),
             free: NIL,
             heads: vec![NIL; LEVELS * SLOTS],
-            front: Vec::new(),
             occupied: [0; LEVELS],
             overflow: Vec::new(),
-            past: Vec::new(),
             cursor: 0,
             len: 0,
-            cap: capacity,
             seq: 0,
             last_popped: SimTime::ZERO,
         }
     }
 
-    /// Reserves room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.cap = self.cap.max(self.len + additional);
-        self.slab.reserve(self.cap.saturating_sub(self.slab.len()));
-    }
-
-    /// Drops all pending events and rewinds the clock to
-    /// [`SimTime::ZERO`], retaining the slab's allocation so the
-    /// queue can be reused for a fresh run without reallocating.
-    pub fn clear(&mut self) {
-        for (level, occ) in self.occupied.iter_mut().enumerate() {
-            let mut bits = *occ;
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.heads[level * SLOTS + slot] = NIL;
-            }
-            *occ = 0;
-        }
-        self.slab.clear();
-        self.free = NIL;
-        self.front.clear();
-        self.overflow.clear();
-        self.past.clear();
-        self.cursor = 0;
-        self.len = 0;
-        self.seq = 0;
-        self.last_popped = SimTime::ZERO;
-    }
-
-    /// Pending event slots available without reallocating (the high
-    ///-water mark of requested capacity and current population).
-    pub fn capacity(&self) -> usize {
-        self.cap.max(self.len)
-    }
-
     /// Slab slots ever allocated: the peak concurrent population, not
     /// the total event count. Recycling keeps this bounded under
     /// churn; the slab-reuse test pins that contract.
-    pub fn slab_len(&self) -> usize {
+    #[cfg(test)]
+    fn slab_len(&self) -> usize {
         self.slab.len()
     }
 
@@ -238,35 +175,23 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at `time`.
     ///
-    /// Scheduling in the past (before the last popped event) is allowed at
-    /// insertion but will panic on [`pop`](Self::pop); catching it there
-    /// keeps insertion cheap.
+    /// # Panics
+    ///
+    /// Panics if `time` is before the last popped event — scheduling
+    /// into the past would silently corrupt causality in a
+    /// discrete-event simulation.
     pub fn schedule(&mut self, time: SimTime, event: E) {
+        assert!(
+            time >= self.last_popped,
+            "event scheduled in the past: {} < {}",
+            time,
+            self.last_popped
+        );
         let seq = self.seq;
         self.seq += 1;
         self.len += 1;
         let id = self.alloc_node(time.as_nanos(), seq, event);
-        if time < self.last_popped {
-            self.past.push(id);
-        } else if self.len - self.front.len() - self.past.len() > 1 {
-            // The wheel already holds entries (`> 1` because `len`
-            // includes the one being scheduled): keep feeding it.
-            self.place(id);
-        } else if self.front.len() < FRONT_CAP {
-            // Wheel empty: stay on the small-queue fast path.
-            self.front.push(id);
-        } else {
-            // The small queue outgrew its buffer: spill everything
-            // into the wheel and continue there. Ids are `Copy`, so
-            // the buffer is walked in place and truncated — no
-            // temporary.
-            for i in 0..self.front.len() {
-                let fid = self.front[i];
-                self.place(fid);
-            }
-            self.front.clear();
-            self.place(id);
-        }
+        self.place(id);
     }
 
     /// Hashes slot `id` into the wheel relative to `self.cursor` by
@@ -295,46 +220,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, with its scheduled time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the earliest event is scheduled before a previously
-    /// popped event — i.e. someone scheduled into the past, which would
-    /// silently corrupt causality in a discrete-event simulation.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.past.is_empty() {
-            // A past entry is strictly earlier than anything in the
-            // wheel, so it is the global minimum the heap would pop.
-            let at = (0..self.past.len())
-                .min_by_key(|&i| self.key(self.past[i]))
-                .expect("non-empty");
-            let id = self.past.swap_remove(at);
-            self.len -= 1;
-            let (time_ns, _event) = self.free_node(id);
-            let time = SimTime::from_nanos(time_ns);
-            assert!(
-                time >= self.last_popped,
-                "event scheduled in the past: {} < {}",
-                time,
-                self.last_popped
-            );
-            unreachable!("past entries precede last_popped by construction");
-        }
-        if !self.front.is_empty() {
-            // Front buffer active ⇒ the wheel is empty, so the buffer's
-            // `(time, seq)` minimum is the global minimum.
-            let at = (0..self.front.len())
-                .min_by_key(|&i| self.key(self.front[i]))
-                .expect("non-empty");
-            let id = self.front.swap_remove(at);
-            self.len -= 1;
-            let (time_ns, event) = self.free_node(id);
-            self.cursor = time_ns;
-            let time = SimTime::from_nanos(time_ns);
-            debug_assert!(time >= self.last_popped);
-            self.last_popped = time;
-            return Some((time, event));
-        }
         loop {
             let Some(level) = self.occupied.iter().position(|&occ| occ != 0) else {
                 if self.overflow.is_empty() {
@@ -374,12 +260,7 @@ impl<E> EventQueue<E> {
                 self.len -= 1;
                 let (time_ns, event) = self.free_node(min_id);
                 let time = SimTime::from_nanos(time_ns);
-                assert!(
-                    time >= self.last_popped,
-                    "event scheduled in the past: {} < {}",
-                    time,
-                    self.last_popped
-                );
+                debug_assert!(time >= self.last_popped);
                 self.last_popped = time;
                 return Some((time, event));
             }
@@ -420,12 +301,7 @@ impl<E> EventQueue<E> {
             let (time_ns, event) = self.free_node(min_id);
             self.cursor = time_ns;
             let time = SimTime::from_nanos(time_ns);
-            assert!(
-                time >= self.last_popped,
-                "event scheduled in the past: {} < {}",
-                time,
-                self.last_popped
-            );
+            debug_assert!(time >= self.last_popped);
             self.last_popped = time;
             return Some((time, event));
         }
@@ -476,25 +352,9 @@ impl<E> EventQueue<E> {
 
     /// The scheduled time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let mut min: Option<u64> = self
-            .past
-            .iter()
-            .map(|&id| self.slab[id as usize].time)
-            .min();
-        if min.is_none() {
-            min = self
-                .front
-                .iter()
-                .map(|&id| self.slab[id as usize].time)
-                .min();
-        }
-        if min.is_none() {
-            min = self.wheel_min_time();
-        }
-        if min.is_none() {
-            min = self.overflow.first().map(|&id| self.slab[id as usize].time);
-        }
-        min.map(SimTime::from_nanos)
+        self.wheel_min_time()
+            .or_else(|| self.overflow.first().map(|&id| self.slab[id as usize].time))
+            .map(SimTime::from_nanos)
     }
 
     /// Minimum time across the wheel levels, without cascading: the
@@ -624,15 +484,6 @@ impl<E> BatchRunner<E> {
     /// Events dispatched so far.
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// Mean events per drained tick (0 before the first tick).
-    pub fn mean_batch_len(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.events as f64 / self.ticks as f64
-        }
     }
 }
 
@@ -794,12 +645,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "event scheduled in the past")]
-    fn scheduling_into_the_past_panics_on_pop() {
+    fn scheduling_into_the_past_panics_at_schedule() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(10), ());
         q.pop();
         q.schedule(SimTime::from_nanos(5), ());
-        q.pop();
     }
 
     #[test]
@@ -809,24 +659,6 @@ mod tests {
         q.schedule(SimTime::from_nanos(9), ());
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(9));
-    }
-
-    #[test]
-    fn clear_rewinds_and_keeps_capacity() {
-        let mut q = EventQueue::with_capacity(64);
-        let cap = q.capacity();
-        assert!(cap >= 64);
-        for i in 0..50u64 {
-            q.schedule(SimTime::from_nanos(i), i);
-        }
-        q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.capacity(), cap);
-        // After clear, scheduling "before" the old clock is legal again.
-        q.schedule(SimTime::from_nanos(1), 99);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 99)));
     }
 
     #[test]
@@ -862,24 +694,6 @@ mod tests {
         // The queue keeps working past the overflow horizon.
         q.schedule(SimTime::from_nanos((1 << 51) + 7), "w");
         assert_eq!(q.pop().unwrap().1, "w");
-    }
-
-    #[test]
-    fn clear_immediately_after_overflow_resets_cleanly() {
-        let mut q = EventQueue::with_capacity(16);
-        let cap = q.capacity();
-        q.schedule(SimTime::from_nanos(1 << 52), 1);
-        q.schedule(SimTime::from_nanos(3), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.capacity(), cap);
-        // Near-past times are schedulable again and nothing lingers
-        // from the spilled entry.
-        q.schedule(SimTime::from_nanos(2), 9);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(2), 9)));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -923,7 +737,7 @@ mod tests {
         // A steady population cycled through schedule/pop thousands of
         // times must never grow the slab past its warm-up size: every
         // pop recycles a slot the next schedule reuses.
-        const POP: u64 = 100; // > FRONT_CAP, so the wheel is exercised
+        const POP: u64 = 100; // deep enough to occupy several levels
         let mut q = EventQueue::new();
         let mut rng = SimRng::with_stream(9, 0x51ab);
         for i in 0..POP {
@@ -947,9 +761,43 @@ mod tests {
     /// The tentpole proof: the wheel and the retired heap must agree on
     /// every operation's result over millions of randomized
     /// interleavings — mixed schedule bursts and pop runs, clustered
-    /// ties, level-crossing jumps, and overflow-distance times.
+    /// ties, level-crossing jumps, and overflow-distance times — and
+    /// over small closed loops.
     #[test]
     fn randomized_equivalence_with_heap_model() {
+        // Small populations: closed loops of k = 1..=32 outstanding
+        // events, each pop scheduling its successor at `now + d` with
+        // d = 0 included, so ties occur. Fio's eight threads and the
+        // preemption study's two ticks run in this regime.
+        for seed in 0..4u64 {
+            let mut rng = SimRng::with_stream(seed, 0x5a11);
+            for k in 1..=32u64 {
+                let mut wheel: EventQueue<u64> = EventQueue::new();
+                let mut model: HeapEventQueue<u64> = HeapEventQueue::new();
+                for i in 0..k {
+                    let t = SimTime::from_nanos(rng.below(4));
+                    wheel.schedule(t, i);
+                    model.schedule(t, i);
+                }
+                for _ in 0..2_000 {
+                    assert_eq!(wheel.peek_time(), model.peek_time(), "seed {seed} k {k}");
+                    let got = wheel.pop();
+                    assert_eq!(got, model.pop(), "seed {seed} k {k}");
+                    let (now, ev) = got.expect("a closed loop never drains");
+                    let d = match rng.below(4) {
+                        0 => 0,
+                        1 => rng.below(64),
+                        2 => rng.below(1 << 14),
+                        _ => rng.below(1 << 30),
+                    };
+                    let t = SimTime::from_nanos(now.as_nanos() + d);
+                    wheel.schedule(t, ev);
+                    model.schedule(t, ev);
+                    assert_eq!(wheel.len(), k as usize, "seed {seed} k {k}");
+                    assert_eq!(wheel.now(), model.now(), "seed {seed} k {k}");
+                }
+            }
+        }
         for seed in 0..4u64 {
             let mut rng = SimRng::with_stream(seed, 0xe0e1);
             let mut wheel: EventQueue<u64> = EventQueue::new();
@@ -1080,13 +928,13 @@ mod tests {
         }
         q.schedule(SimTime::from_nanos(9), 99);
         let mut runner = BatchRunner::new();
-        assert_eq!(runner.mean_batch_len(), 0.0);
+        assert_eq!((runner.ticks(), runner.events()), (0, 0));
         let mut seen = 0u64;
         runner.run(&mut q, |q| q, |_, _, _| seen += 1);
         assert_eq!(seen, 7);
+        // Two ticks carry seven events: a mean batch of 3.5.
         assert_eq!(runner.ticks(), 2);
         assert_eq!(runner.events(), 7);
-        assert_eq!(runner.mean_batch_len(), 3.5);
     }
 
     /// The batched path against the same model: draining via

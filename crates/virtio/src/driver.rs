@@ -13,10 +13,7 @@
 //! never re-read from the shared rings: a misbehaving device must not be
 //! able to corrupt the driver's allocator.
 
-use crate::queue::{
-    QueueLayout, VirtioError, AVAIL_F_NO_INTERRUPT, DESC_F_INDIRECT, DESC_F_NEXT, DESC_F_WRITE,
-    USED_F_NO_NOTIFY,
-};
+use crate::queue::{QueueLayout, VirtioError, DESC_F_INDIRECT, DESC_F_NEXT, DESC_F_WRITE};
 use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
 use bmhive_telemetry as telemetry;
 
@@ -252,53 +249,9 @@ impl VirtqueueDriver {
         Ok(Some((id, len)))
     }
 
-    /// Whether the device currently wants kicks (i.e. `USED_F_NO_NOTIFY`
-    /// is clear).
-    ///
-    /// # Errors
-    ///
-    /// Fails on guest memory faults.
-    pub fn kick_needed(&self, ram: &GuestRam) -> Result<bool, VirtioError> {
-        Ok(ram.read_u16(self.layout.used)? & USED_F_NO_NOTIFY == 0)
-    }
-
-    /// Sets or clears the driver's `AVAIL_F_NO_INTERRUPT` hint.
-    ///
-    /// # Errors
-    ///
-    /// Fails on guest memory faults.
-    pub fn set_no_interrupt(
-        &mut self,
-        ram: &mut GuestRam,
-        no_interrupt: bool,
-    ) -> Result<(), VirtioError> {
-        ram.write_u16(
-            self.layout.avail,
-            if no_interrupt {
-                AVAIL_F_NO_INTERRUPT
-            } else {
-                0
-            },
-        )?;
-        Ok(())
-    }
-
     /// The driver's avail index (next publish position).
     pub fn avail_idx(&self) -> u16 {
         self.avail_idx
-    }
-
-    /// With EVENT_IDX negotiated: sets the driver's `used_event`
-    /// threshold — "interrupt me once the used index passes `value`".
-    /// Setting it to `last_used + N - 1` coalesces N completions into
-    /// one interrupt.
-    ///
-    /// # Errors
-    ///
-    /// Fails on guest memory faults.
-    pub fn set_used_event(&mut self, ram: &mut GuestRam, value: u16) -> Result<(), VirtioError> {
-        ram.write_u16(self.layout.used_event_addr(), value)?;
-        Ok(())
     }
 
     /// With EVENT_IDX negotiated: whether publishing entries up to the
@@ -320,12 +273,6 @@ impl VirtqueueDriver {
             self.avail_idx,
             old_avail_idx,
         ))
-    }
-
-    /// The driver's last-seen used index (for interrupt-coalescing
-    /// thresholds).
-    pub fn last_used_idx(&self) -> u16 {
-        self.last_used_idx
     }
 }
 

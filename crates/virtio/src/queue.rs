@@ -22,11 +22,6 @@ pub const DESC_F_WRITE: u16 = 2;
 /// Descriptor flag: the descriptor points to an indirect table.
 pub const DESC_F_INDIRECT: u16 = 4;
 
-/// Used-ring flag: the device asks the driver not to kick.
-pub const USED_F_NO_NOTIFY: u16 = 1;
-/// Avail-ring flag: the driver asks the device not to interrupt.
-pub const AVAIL_F_NO_INTERRUPT: u16 = 1;
-
 const DESC_ENTRY: u64 = 16;
 
 /// The `vring_need_event` predicate of virtio 1.1 §2.6.7.2: whether
@@ -172,22 +167,12 @@ impl QueueLayout {
         self.avail + 4 + 2 * u64::from(slot)
     }
 
-    fn used_flags_addr(&self) -> GuestAddr {
-        self.used
-    }
-
     fn used_idx_addr(&self) -> GuestAddr {
         self.used + 2
     }
 
     fn used_ring_addr(&self, slot: u16) -> GuestAddr {
         self.used + 4 + 8 * u64::from(slot)
-    }
-
-    /// Address of the driver's `used_event` field (tail of the avail
-    /// ring; meaningful only with EVENT_IDX negotiated).
-    pub fn used_event_addr(&self) -> GuestAddr {
-        self.avail + 4 + 2 * u64::from(self.size)
     }
 
     /// Address of the device's `avail_event` field (tail of the used
@@ -427,33 +412,6 @@ impl Virtqueue {
         Ok(())
     }
 
-    /// Whether the driver suppressed completion interrupts
-    /// (`AVAIL_F_NO_INTERRUPT`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on guest memory faults.
-    pub fn interrupts_suppressed(&self, ram: &GuestRam) -> Result<bool, VirtioError> {
-        Ok(ram.read_u16(self.layout.avail)? & AVAIL_F_NO_INTERRUPT != 0)
-    }
-
-    /// With EVENT_IDX negotiated: whether completing entries up to the
-    /// current used index (having previously published `old_used_idx`)
-    /// must interrupt the driver, per its `used_event` threshold
-    /// (virtio 1.1 §2.6.8.2).
-    ///
-    /// # Errors
-    ///
-    /// Fails on guest memory faults.
-    pub fn needs_interrupt_event_idx(
-        &self,
-        ram: &GuestRam,
-        old_used_idx: u16,
-    ) -> Result<bool, VirtioError> {
-        let used_event = ram.read_u16(self.layout.used_event_addr())?;
-        Ok(need_event(used_event, self.used_idx, old_used_idx))
-    }
-
     /// With EVENT_IDX negotiated: publishes the device's `avail_event`,
     /// telling the driver "kick me once the avail index passes this".
     /// Poll-mode backends set it far ahead to suppress all kicks.
@@ -463,26 +421,6 @@ impl Virtqueue {
     /// Fails on guest memory faults.
     pub fn set_avail_event(&mut self, ram: &mut GuestRam, value: u16) -> Result<(), VirtioError> {
         ram.write_u16(self.layout.avail_event_addr(), value)?;
-        Ok(())
-    }
-
-    /// Sets or clears `USED_F_NO_NOTIFY`, telling the driver whether
-    /// kicks are needed. Poll-mode backends set this (§3.4.2: "PMD polls
-    /// the virtio devices for I/O requests instead of relying on
-    /// interrupts").
-    ///
-    /// # Errors
-    ///
-    /// Fails on guest memory faults.
-    pub fn set_no_notify(
-        &mut self,
-        ram: &mut GuestRam,
-        no_notify: bool,
-    ) -> Result<(), VirtioError> {
-        ram.write_u16(
-            self.layout.used_flags_addr(),
-            if no_notify { USED_F_NO_NOTIFY } else { 0 },
-        )?;
         Ok(())
     }
 
@@ -852,44 +790,6 @@ mod tests {
             device.pop_avail(&ram),
             Err(VirtioError::BadIndirect(_))
         ));
-    }
-
-    #[test]
-    fn notification_suppression_flags() {
-        let (mut ram, mut driver, mut device) = setup(8);
-        assert!(driver.kick_needed(&ram).unwrap());
-        device.set_no_notify(&mut ram, true).unwrap();
-        assert!(!driver.kick_needed(&ram).unwrap());
-        device.set_no_notify(&mut ram, false).unwrap();
-        assert!(driver.kick_needed(&ram).unwrap());
-
-        assert!(!device.interrupts_suppressed(&ram).unwrap());
-        driver.set_no_interrupt(&mut ram, true).unwrap();
-        assert!(device.interrupts_suppressed(&ram).unwrap());
-    }
-
-    #[test]
-    fn event_idx_coalesces_interrupts() {
-        let (mut ram, mut driver, mut device) = setup(8);
-        // Driver asks: interrupt me only after 3 completions (used idx
-        // passes last_used + 2).
-        driver
-            .set_used_event(&mut ram, driver.last_used_idx().wrapping_add(2))
-            .unwrap();
-        let mut interrupts = 0;
-        for i in 0..3u32 {
-            driver
-                .add_buf(&mut ram, &[SgSegment::new(GuestAddr::new(0x5000), 4)], &[])
-                .unwrap();
-            let chain = device.pop_avail(&ram).unwrap().unwrap();
-            let old_used = device.used_idx();
-            device.push_used(&mut ram, chain.head, i).unwrap();
-            if device.needs_interrupt_event_idx(&ram, old_used).unwrap() {
-                interrupts += 1;
-            }
-        }
-        // Only the third completion (crossing the threshold) interrupts.
-        assert_eq!(interrupts, 1);
     }
 
     #[test]

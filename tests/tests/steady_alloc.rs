@@ -76,8 +76,8 @@ fn warmed_timer_wheel_churns_with_zero_allocations() {
     let mut rng = SimRng::with_stream(7, 0xA110C);
     let mut base = 0u64;
     let mut scratch = Vec::new();
-    // Warm-up: grow the slab, the front buffer, and the batch scratch
-    // to their steady-state footprint.
+    // Warm-up: grow the slab and the batch scratch to their
+    // steady-state footprint.
     let mut drained = 0u64;
     for _ in 0..200 {
         drained += churn_cycle(&mut q, &mut rng, &mut base, &mut scratch);

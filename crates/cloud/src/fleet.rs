@@ -118,11 +118,17 @@ impl ExitCensus {
     /// Runs a census of `vms` VMs against `thresholds`, piping the
     /// seeded production stream through [`Self::observe`].
     pub fn run(vms: u64, thresholds: &[f64], seed: u64) -> Self {
-        ExitCensus::run_on(vms, thresholds, seed, ExitRateStream::CENSUS_STREAM)
+        let census = ExitCensus::run_on(vms, thresholds, seed, ExitRateStream::CENSUS_STREAM);
+        telemetry::add_events(vms);
+        telemetry::counter("fleet.guests_censused", vms);
+        census
     }
 
     /// Runs a census over the production stream on an explicit RNG
     /// stream selector — one host's shard of a host-sharded fleet.
+    /// Records no telemetry, so a caller can meter its heap peak with
+    /// [`telemetry::alloc::measure_peak`] (a registry key's first write
+    /// allocates).
     pub fn run_on(vms: u64, thresholds: &[f64], seed: u64, stream: u64) -> Self {
         let mut census = ExitCensus::new(thresholds);
         let mut stream = ExitRateStream::production_on(seed, stream);
@@ -138,8 +144,6 @@ impl ExitCensus {
             }
             left -= take;
         }
-        telemetry::add_events(vms);
-        telemetry::counter("fleet.guests_censused", vms);
         census
     }
 

@@ -85,11 +85,6 @@ impl Scheduler {
         self.servers.len()
     }
 
-    /// Boards currently allocated on `server`.
-    pub fn boards_on(&self, server: ServerId) -> usize {
-        self.servers.get(&server).map_or(0, |s| s.boards.len())
-    }
-
     /// Places one instance, first-fit in server-id order.
     ///
     /// # Errors
@@ -149,12 +144,12 @@ mod tests {
         let server = sched.add_server(constraints);
         let expected = constraints.max_boards(e5());
         let mut placed = 0;
-        while sched.place(e5()).is_ok() {
+        while let Ok(placement) = sched.place(e5()) {
+            assert_eq!(placement.server, server);
             placed += 1;
             assert!(placed <= expected, "overfilled past {expected}");
         }
         assert_eq!(placed, expected);
-        assert_eq!(sched.boards_on(server), expected as usize);
     }
 
     #[test]

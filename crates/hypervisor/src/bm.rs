@@ -339,9 +339,7 @@ impl BmGuestSession {
         )?;
         check_escalation(&mut self.net_dev, "net_send")?;
         let done = self.completed_at(admitted);
-        // Guest interrupt handler: acknowledge the MSI, reap, and free
-        // the buffer.
-        self.net_dev.msi_mut().drain().for_each(drop);
+        // Guest interrupt handler: reap and free the buffer.
         self.guest.reap_tx(&self.board)?;
         // The phase spans are recorded after the fact (every boundary
         // is only known once the exchange is priced), so error paths
@@ -400,8 +398,7 @@ impl BmGuestSession {
         check_escalation(&mut self.net_dev, "net_receive")?;
         let done = self.completed_at(now);
 
-        // Guest interrupt handler acknowledges the MSI and reaps.
-        self.net_dev.msi_mut().drain().for_each(drop);
+        // Guest interrupt handler reaps.
         self.guest.reap_rx(&mut self.board, out)?;
         if telemetry::is_enabled() {
             phase("bm", "net_receive", now, done);
@@ -467,9 +464,7 @@ impl BmGuestSession {
         check_escalation(&mut self.blk_dev, "blk_request")?;
         let done = self.completed_at(io_done);
 
-        // Guest interrupt handler acknowledges the MSI and reaps: read
-        // status byte and data.
-        self.blk_dev.msi_mut().drain().for_each(drop);
+        // Guest interrupt handler reaps: read status byte and data.
         let status = self.guest.reap_blk(&self.board, header.req_type, out)?;
         if telemetry::is_enabled() {
             let op = telemetry::begin("bm", "blk_request", now);
@@ -648,36 +643,6 @@ mod tests {
             assert_eq!(out, expect, "sector {sector}");
             t = timing.completed;
         }
-    }
-
-    #[test]
-    fn reaping_acknowledges_every_msi() {
-        let mut s = session();
-        let mut out = Vec::new();
-        let mut store = BlockStore::new(StorageClass::LocalSsd, 2);
-        let mut t = SimTime::ZERO;
-        for i in 0..20u64 {
-            let (_, timing) = s
-                .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"ping", t, &mut out)
-                .unwrap();
-            let timing = s.net_receive(b"pong", timing.completed, &mut out).unwrap();
-            let (_, timing) = s
-                .blk_request(
-                    &mut store,
-                    BlkRequestHeader::new(BlkRequestType::Out, i),
-                    &[9; 512],
-                    0,
-                    timing.completed,
-                    &mut out,
-                )
-                .unwrap();
-            t = timing.completed;
-        }
-        // Each completion raised an MSI, and the guest took every one.
-        assert!(!s.net_dev.msi().has_pending());
-        assert!(!s.blk_dev.msi().has_pending());
-        assert_eq!(s.net_dev.msi().delivered_count(), 40);
-        assert_eq!(s.blk_dev.msi().delivered_count(), 20);
     }
 
     #[test]

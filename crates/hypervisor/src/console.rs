@@ -143,12 +143,6 @@ impl ConsoleServer {
         self.consoles.entry(guest).or_default();
     }
 
-    /// Removes a guest's console at power-off.
-    pub fn unregister(&mut self, guest: MacAddr) {
-        self.consoles.remove(&guest);
-        self.attached.remove(&guest);
-    }
-
     /// Guest-side output (forwarded by IO-Bond's VGA function).
     ///
     /// # Panics
@@ -245,10 +239,8 @@ mod tests {
         assert_eq!(server.viewers(g1), 1);
         server.detach(g1);
         assert_eq!(server.viewers(g1), 0);
-        server.unregister(g1);
-        assert!(server.attach(g1).is_none());
-        // g2 unaffected.
-        assert!(server.attach(g2).is_some());
+        // An unregistered guest has no console to attach to.
+        assert!(server.attach(MacAddr::for_guest(3)).is_none());
     }
 
     #[test]

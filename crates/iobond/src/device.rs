@@ -4,14 +4,14 @@
 //! bus for each emulated virtio function. It delegates register accesses
 //! to the [`VirtioPciFunction`] (charging the FPGA's PCI latency), builds
 //! one [`ShadowQueue`] per virtqueue when the guest driver completes the
-//! handshake, and delivers MSIs on completions.
+//! handshake, and latches the used-ring interrupt on completions.
 
 use crate::pool::StagingPool;
 use crate::profile::IoBondProfile;
 use crate::shadow::{GuestCompletion, ShadowQueue, SyncReport};
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
 use bmhive_mem::{GuestAddr, GuestRam};
-use bmhive_pcie::{ConfigSpace, MsiQueue, PciDevice};
+use bmhive_pcie::{ConfigSpace, PciDevice};
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_virtio::{status, DeviceType, QueueLayout, VirtioError, VirtioPciFunction};
 
@@ -20,7 +20,7 @@ use bmhive_virtio::{status, DeviceType, QueueLayout, VirtioError, VirtioPciFunct
 pub struct ServiceReport {
     /// Per-queue board→base sync results.
     pub tx: Vec<SyncReport>,
-    /// Completions delivered to the guest (MSIs raised).
+    /// Completions delivered to the guest, each timed with its MSI.
     pub completions: Vec<GuestCompletion>,
 }
 
@@ -48,7 +48,6 @@ pub struct IoBondDevice {
     profile: IoBondProfile,
     function: VirtioPciFunction,
     shadows: Vec<Option<ShadowQueue>>,
-    msi: MsiQueue,
     pci_time: SimDuration,
     /// Staging configuration used when queues activate.
     staging_slots_per_queue: u32,
@@ -105,12 +104,10 @@ impl IoBondDevice {
             queue_count,
             device_config,
         );
-        let queues = usize::from(queue_count);
         IoBondDevice {
             profile,
             function,
-            shadows: (0..queues).map(|_| None).collect(),
-            msi: MsiQueue::new(u16::try_from(queues + 1).expect("small queue count")),
+            shadows: (0..queue_count).map(|_| None).collect(),
             pci_time: SimDuration::ZERO,
             staging_slots_per_queue: 4 * u32::from(max_queue_size),
             staging_slot_size: Self::DEFAULT_SLOT_SIZE,
@@ -149,16 +146,6 @@ impl IoBondDevice {
     /// the FPGA).
     pub fn pci_time(&self) -> SimDuration {
         self.pci_time
-    }
-
-    /// The MSI delivery queue into the guest.
-    pub fn msi(&self) -> &MsiQueue {
-        &self.msi
-    }
-
-    /// Mutable MSI queue (the guest's interrupt handler drains it).
-    pub fn msi_mut(&mut self) -> &mut MsiQueue {
-        &mut self.msi
     }
 
     /// Whether the guest driver has completed the handshake and the
@@ -322,9 +309,10 @@ impl IoBondDevice {
 
     /// One full service pass, as IO-Bond's logic runs it continuously:
     /// drain doorbells, sync every queue board → base, then base → board,
-    /// raising an MSI per completion. The caller owns `report` (cleared
-    /// first) and reuses it across passes, so a steady-state service
-    /// loop never allocates.
+    /// latching the used-ring interrupt if anything completed (each
+    /// [`GuestCompletion::at`] already includes the MSI's cost). The
+    /// caller owns `report` (cleared first) and reuses it across passes,
+    /// so a steady-state service loop never allocates.
     ///
     /// # Errors
     ///
@@ -350,16 +338,11 @@ impl IoBondDevice {
             None => now,
         };
         let mut completions = std::mem::take(&mut self.completion_scratch);
-        for (i, slot) in self.shadows.iter_mut().enumerate() {
-            let Some(shadow) = slot.as_mut() else {
-                continue;
-            };
+        for shadow in self.shadows.iter_mut().flatten() {
             report.tx.push(shadow.sync_to_shadow(board, base, now)?);
             shadow.sync_from_shadow(board, base, now, &mut completions)?;
-            for c in &completions {
+            if !completions.is_empty() {
                 self.function.raise_isr();
-                let vector = self.function.state().queue(i as u16).msix_vector;
-                self.msi.post(vector.min(self.msi.vectors() - 1), c.at);
             }
             report.completions.extend_from_slice(&completions);
         }
@@ -462,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn tx_flows_to_shadow_and_completion_raises_msi() {
+    fn tx_flows_to_shadow_and_completes_to_the_guest() {
         let mut r = rig();
         // Guest posts a Tx packet.
         r.board.write(GuestAddr::new(0x8000), b"frame").unwrap();
@@ -481,11 +464,12 @@ mod tests {
         let chain = backend.pop_avail(&r.base).unwrap().unwrap();
         assert_eq!(chain.readable.gather(&r.base).unwrap(), b"frame");
         backend.push_used(&mut r.base, chain.head, 0).unwrap();
-        // Next service pass returns the completion + MSI.
+        // Next service pass returns the completion.
         let report = r.service(SimTime::from_micros(5));
         assert_eq!(report.completions.len(), 1);
         assert_eq!(report.completions[0].guest_head, head);
-        assert!(r.dev.msi().has_pending());
+        // The pass latched the used-ring bit in the ISR window.
+        assert_eq!(r.dev.bar_read(0, 0x1000, 1, SimTime::from_micros(5)), 1);
         assert_eq!(r.tx_driver.poll_used(&r.board).unwrap(), Some((head, 0)));
     }
 

@@ -16,7 +16,7 @@
 //! * [`ShadowQueue`] — one guest virtqueue paired with its shadow vring:
 //!   [`ShadowQueue::sync_to_shadow`] moves posted chains board → base,
 //!   [`ShadowQueue::sync_from_shadow`] moves completions base → board
-//!   and raises the guest MSI. Head/tail registers expose progress to
+//!   and charges the guest MSI. Head/tail registers expose progress to
 //!   the polling bm-hypervisor.
 //! * [`IoBondDevice`] — a full device: the virtio-pci frontend function
 //!   plus one shadow queue per virtqueue and a staging-buffer pool in

@@ -72,7 +72,8 @@ impl IoBondProfile {
         &self.base_link
     }
 
-    /// The internal DMA engine model (≈50 Gbit/s).
+    /// The internal DMA engine model, which caps each guest's bandwidth
+    /// (the paper: "the maximum bandwidth for each bm-guest is 50 Gbps").
     pub fn dma(&self) -> &DmaModel {
         &self.dma
     }
@@ -93,12 +94,6 @@ impl IoBondProfile {
     pub fn emulated_pci_access(&self) -> SimDuration {
         self.guest_register_access() + self.base_register_access()
     }
-
-    /// Per-guest bandwidth ceiling in Gbit/s: the internal DMA engine
-    /// (the paper: "the maximum bandwidth for each bm-guest is 50 Gbps").
-    pub fn max_guest_bandwidth_gbps(&self) -> f64 {
-        self.dma.bandwidth_gbps()
-    }
 }
 
 impl Default for IoBondProfile {
@@ -117,7 +112,7 @@ mod tests {
         assert_eq!(p.guest_register_access(), SimDuration::from_nanos(800));
         assert_eq!(p.base_register_access(), SimDuration::from_nanos(800));
         assert_eq!(p.emulated_pci_access(), SimDuration::from_nanos(1600));
-        assert_eq!(p.max_guest_bandwidth_gbps(), 50.0);
+        assert_eq!(p.dma().bandwidth_gbps(), 50.0);
         assert_eq!(p.name(), "fpga");
     }
 

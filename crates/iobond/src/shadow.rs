@@ -200,14 +200,10 @@ impl ShadowQueue {
     /// window covering `now` blocks the read until the bounded-backoff
     /// retry loop outwaits it, and an active mailbox latency factor
     /// stretches the access itself.
-    pub fn register_poll_at(&self, now: SimTime) -> SimDuration {
-        self.register_poll_recovery_at(now).0
-    }
-
-    /// Like [`register_poll_at`](Self::register_poll_at), also
-    /// reporting whether the bounded-backoff loop exhausted its budget
-    /// without the stall clearing (`true` = escalated: the poll never
-    /// went through and the device path must reset).
+    ///
+    /// Also reports whether the bounded-backoff loop exhausted its
+    /// budget without the stall clearing (`true` = escalated: the poll
+    /// never went through and the device path must reset).
     pub fn register_poll_recovery_at(&self, now: SimTime) -> (SimDuration, bool) {
         let base = self.profile.base_register_access();
         if !faults::is_armed() {
@@ -429,9 +425,9 @@ impl ShadowQueue {
     /// buffers, completes the guest ring, and bumps the tail register.
     /// Completions are written into `out` (cleared first — a poll-style
     /// buffer the caller reuses across passes so the steady state never
-    /// allocates); the count is returned. Each completion should be
-    /// followed by an MSI into the guest (the caller owns interrupt
-    /// delivery).
+    /// allocates); the count is returned. Each completion's
+    /// [`GuestCompletion::at`] includes its MSI into the guest; the
+    /// caller latches the interrupt bit.
     ///
     /// # Errors
     ///
@@ -977,7 +973,9 @@ mod tests {
         let r = rig(8, 16);
         faults::disarm();
         assert_eq!(
-            r.shadow.register_poll_at(SimTime::from_micros(3)),
+            r.shadow
+                .register_poll_recovery_at(SimTime::from_micros(3))
+                .0,
             IoBondProfile::fpga().base_register_access()
         );
     }
@@ -995,10 +993,18 @@ mod tests {
         faults::arm(plan, 11);
         let base = IoBondProfile::fpga().base_register_access();
         // Before the window: untouched.
-        assert_eq!(r.shadow.register_poll_at(SimTime::from_micros(50)), base);
+        assert_eq!(
+            r.shadow
+                .register_poll_recovery_at(SimTime::from_micros(50))
+                .0,
+            base
+        );
         // During the stall: the poll waits out the window (plus the
         // access itself).
-        let stalled = r.shadow.register_poll_at(SimTime::from_micros(110));
+        let stalled = r
+            .shadow
+            .register_poll_recovery_at(SimTime::from_micros(110))
+            .0;
         assert!(
             stalled >= SimDuration::from_micros(30) + base,
             "stalled poll was only {stalled}"

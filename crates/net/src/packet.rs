@@ -87,12 +87,6 @@ impl Packet {
         (self.payload + headers).max(MIN_FRAME)
     }
 
-    /// The netperf small-UDP probe: "headers + one byte of data"
-    /// (§4.3).
-    pub fn netperf_small_udp(src: MacAddr, dst: MacAddr, seq: u64) -> Self {
-        Packet::new(src, dst, PacketKind::Udp, 1, seq)
-    }
-
     /// The throughput test's segment: "each TCP packet was 1400Bytes".
     pub fn netperf_tcp_1400(src: MacAddr, dst: MacAddr, seq: u64) -> Self {
         Packet::new(src, dst, PacketKind::Tcp, 1400, seq)
@@ -114,8 +108,14 @@ mod tests {
 
     #[test]
     fn small_udp_is_minimum_frame() {
-        let p = Packet::netperf_small_udp(MacAddr::for_guest(1), MacAddr::for_guest(2), 0);
-        assert_eq!(p.payload, 1);
+        // netperf's small-UDP probe (§4.3): "headers + one byte of data".
+        let p = Packet::new(
+            MacAddr::for_guest(1),
+            MacAddr::for_guest(2),
+            PacketKind::Udp,
+            1,
+            0,
+        );
         assert_eq!(p.wire_bytes(), 64); // 43 bytes padded to minimum
     }
 

@@ -11,8 +11,6 @@
 //! * [`PciBus`] — a root-complex bus that enumerates devices by
 //!   bus/device/function, maps their BARs into an MMIO window, and routes
 //!   memory reads/writes to the owning device.
-//! * [`MsiQueue`] — message-signalled interrupt delivery (the MSI the
-//!   bm-guest receives "once Rx data arrived", Fig. 6).
 //! * [`PcieLink`] — the timing model of a link: the paper's 0.8 µs
 //!   FPGA-era posted-write latency and per-lane bandwidth (x4 = 32 Gbit/s,
 //!   x8 backing the pair).
@@ -32,9 +30,7 @@
 pub mod bus;
 pub mod config;
 pub mod link;
-pub mod msi;
 
 pub use bus::{Bdf, MappedBar, PciBus, PciDevice};
 pub use config::{Capability, ConfigSpace, ConfigSpaceBuilder};
 pub use link::{LinkGen, PcieLink};
-pub use msi::{MsiMessage, MsiQueue};

@@ -378,19 +378,6 @@ impl Series {
     }
 }
 
-impl Series {
-    /// Renders the series as CSV (`x,y` per line) with a header naming
-    /// the y column after the series label — the format the plotting
-    /// scripts downstream of `repro --out` consume.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("x,{}\n", self.label);
-        for (x, y) in &self.points {
-            out.push_str(&format!("{x},{y}\n"));
-        }
-        out
-    }
-}
-
 /// Ratio of two series' mean y values (`a / b`), used for "X % faster"
 /// statements. Returns 0 if `b`'s mean is 0.
 pub fn mean_ratio(a: &Series, b: &Series) -> f64 {
@@ -603,14 +590,6 @@ mod tests {
         assert_eq!(s.label(), "bm-guest");
         assert_eq!(s.points(), &[(1.0, 10.0), (2.0, 20.0)]);
         assert_eq!(s.mean_y(), 15.0);
-    }
-
-    #[test]
-    fn series_to_csv_renders_header_and_rows() {
-        let mut s = Series::new("bm-guest");
-        s.push(1.0, 2.5);
-        s.push(2.0, 3.5);
-        assert_eq!(s.to_csv(), "x,bm-guest\n1,2.5\n2,3.5\n");
     }
 
     #[test]

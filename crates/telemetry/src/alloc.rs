@@ -32,14 +32,13 @@
 //! [`measure_peak`] window's start point and the subsequent peak is
 //! what the gate reads, and that is non-negative by construction.
 //!
-//! Alongside the byte counters, the same hooks keep thread-local
-//! allocation/deallocation *call counts* ([`alloc_count`] /
-//! [`dealloc_count`], windowed by [`measure_allocs`]). Bytes answer
-//! "does memory grow with scale?" (the `fleet_scale` O(1) gate);
-//! counts answer "does steady state touch the allocator at all?" (the
-//! `allocs_per_event` bench gate). The two are deliberately
-//! independent so neither gate's contract moves when the other's
-//! instrumentation changes.
+//! Alongside the byte counters, the same hooks keep a thread-local
+//! allocation *call count* ([`alloc_count`], windowed by
+//! [`measure_allocs`]). Bytes answer "does memory grow with scale?"
+//! (the `fleet_scale` O(1) gate); counts answer "does steady state
+//! touch the allocator at all?" (the `allocs_per_event` bench gate).
+//! The two are deliberately independent so neither gate's contract
+//! moves when the other's instrumentation changes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -50,7 +49,6 @@ thread_local! {
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
     static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
-    static DEALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A [`System`]-backed allocator that maintains the thread-local
@@ -82,7 +80,6 @@ fn on_alloc(bytes: usize) {
 
 #[inline]
 fn on_dealloc(bytes: usize) {
-    DEALLOC_COUNT.with(|n| n.set(n.get().wrapping_add(1)));
     LIVE_BYTES.with(|live| live.set(live.get().saturating_sub(bytes as i64)));
 }
 
@@ -169,15 +166,10 @@ pub fn measure_peak<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// Heap allocations performed by this thread since it started. A
-/// `realloc` counts as one allocation (and one deallocation); byte
-/// sizes are tracked separately by [`live_bytes`]/[`peak_bytes`].
+/// `realloc` counts as one allocation; byte sizes are tracked
+/// separately by [`live_bytes`]/[`peak_bytes`].
 pub fn alloc_count() -> u64 {
     ALLOC_COUNT.with(|n| n.get())
-}
-
-/// Heap deallocations performed by this thread since it started.
-pub fn dealloc_count() -> u64 {
-    DEALLOC_COUNT.with(|n| n.get())
 }
 
 /// Measures how many allocations `f` performs on this thread: the
@@ -217,6 +209,5 @@ mod tests {
         assert_eq!(value, 1 << 16);
         assert_eq!(allocs, 0);
         assert_eq!(alloc_count(), 0);
-        assert_eq!(dealloc_count(), 0);
     }
 }

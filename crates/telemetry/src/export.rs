@@ -1,5 +1,5 @@
-//! Trace and metrics exporters: Chrome `trace_event` JSON, JSONL, and
-//! JSON metrics.
+//! The Chrome `trace_event` JSON exporter and the JSON string helpers
+//! report writers share.
 //!
 //! All rendering is hand-rolled (no serde — the workspace builds with
 //! no registry access) and strictly deterministic: timestamps come from
@@ -7,7 +7,6 @@
 //! sorted order, and events are emitted in `seq` order. Two same-seed
 //! runs therefore produce byte-identical files.
 
-use crate::registry::Registry;
 use crate::span::{AttrValue, SpanEvent};
 
 /// Escapes a string for inclusion in a JSON string literal (without the
@@ -91,77 +90,6 @@ pub fn chrome_trace<'a>(events: impl IntoIterator<Item = &'a SpanEvent>) -> Stri
     out
 }
 
-/// Renders spans as JSON Lines: one self-contained object per line with
-/// full nanosecond fidelity, for external tooling (jq, pandas, …).
-pub fn jsonl<'a>(events: impl IntoIterator<Item = &'a SpanEvent>) -> String {
-    let mut sorted: Vec<&SpanEvent> = events.into_iter().collect();
-    sorted.sort_by_key(|e| e.seq);
-    let mut out = String::new();
-    for e in sorted {
-        out.push_str(&format!(
-            "{{\"seq\":{},\"component\":\"{}\",\"label\":\"{}\",\"start_ns\":{},\"duration_ns\":{},\"depth\":{}",
-            e.seq,
-            json_escape(e.component),
-            json_escape(e.label),
-            e.start.as_nanos(),
-            e.duration.as_nanos(),
-            e.depth
-        ));
-        if let Some(p) = e.parent {
-            out.push_str(&format!(",\"parent\":{p}"));
-        }
-        if !e.attrs.is_empty() {
-            out.push_str(",\"attrs\":{");
-            for (i, (k, v)) in e.attrs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", json_escape(k), attr_json(v)));
-            }
-            out.push('}');
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
-/// Renders the metrics registry as a JSON object with `counters`,
-/// `gauges`, and `timers` sections (timers carry count / mean /
-/// p50 / p99 / p99.9 in microseconds).
-pub fn registry_json(registry: &Registry) -> String {
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in registry.counters().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{v}", json_escape(name)));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, v)) in registry.gauges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", json_escape(name), json_f64(v)));
-    }
-    out.push_str("},\"timers\":{");
-    for (i, (name, h)) in registry.timers().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{}}}",
-            json_escape(name),
-            h.count(),
-            json_f64(h.mean()),
-            json_f64(h.percentile(50.0)),
-            json_f64(h.percentile(99.0)),
-            json_f64(h.percentile(99.9))
-        ));
-    }
-    out.push_str("}}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,32 +136,5 @@ mod tests {
         let a = sample_events();
         let b = sample_events();
         assert_eq!(chrome_trace(&a), chrome_trace(&b));
-        assert_eq!(jsonl(&a), jsonl(&b));
-    }
-
-    #[test]
-    fn jsonl_one_line_per_event_with_ns() {
-        let events = sample_events();
-        let doc = jsonl(&events);
-        assert_eq!(doc.lines().count(), events.len());
-        assert!(doc.contains("\"duration_ns\":812"));
-        assert!(doc.contains("\"attrs\":{\"actor\":\"Guest\",\"bytes\":64}"));
-    }
-
-    #[test]
-    fn registry_json_renders_all_sections() {
-        let mut r = Registry::new();
-        r.counter_add("c", 3);
-        r.gauge_set("g", 0.5);
-        r.timer_record("t", SimDuration::from_micros(10));
-        let doc = registry_json(&r);
-        assert!(doc.contains("\"c\":3"));
-        assert!(doc.contains("\"g\":0.5"));
-        assert!(doc.contains("\"count\":1"));
-        // Empty registry is still a valid shell.
-        assert_eq!(
-            registry_json(&Registry::new()),
-            "{\"counters\":{},\"gauges\":{},\"timers\":{}}\n"
-        );
     }
 }

@@ -15,7 +15,7 @@
 //! * [`Attribution`] — rolls a trace up per `(component, label)` with
 //!   double-count-free self times.
 //! * [`export`] — Chrome `trace_event` JSON (loadable in
-//!   `chrome://tracing`), JSONL, and plain-text reports.
+//!   `chrome://tracing`) and the JSON helpers reports are built from.
 //! * [`alloc`] — an opt-in counting global allocator with thread-local
 //!   live/peak byte counters, the peak-RSS proxy behind the streaming
 //!   fleet census's O(1)-memory gate.
@@ -334,11 +334,7 @@ mod tests {
             }
             let snap = snapshot();
             set_enabled(false);
-            (
-                export::chrome_trace(&snap.events),
-                export::jsonl(&snap.events),
-                export::registry_json(&snap.registry),
-            )
+            (export::chrome_trace(&snap.events), snap.registry.to_text())
         };
         assert_eq!(run(), run());
     }

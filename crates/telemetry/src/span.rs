@@ -64,8 +64,6 @@ pub struct SpanEvent {
     pub duration: SimDuration,
     /// Sequence number of the enclosing span, if any.
     pub parent: Option<u64>,
-    /// Nesting depth at open (0 = root).
-    pub depth: u32,
     /// Key/value attributes, in insertion order.
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
@@ -210,10 +208,7 @@ impl Collector {
     ) -> SpanEvent {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (parent, depth) = match self.stack.last() {
-            Some(open) => (Some(open.seq), open.depth + 1),
-            None => (None, 0),
-        };
+        let parent = self.stack.last().map(|open| open.seq);
         SpanEvent {
             seq,
             component,
@@ -221,7 +216,6 @@ impl Collector {
             start,
             duration,
             parent,
-            depth,
             attrs,
         }
     }
@@ -313,12 +307,11 @@ mod tests {
         c.end(outer, ns(9));
         let by_seq = c.events_by_seq();
         assert_eq!(by_seq[0].label, "outer");
-        assert_eq!(by_seq[0].depth, 0);
+        assert_eq!(by_seq[0].parent, None);
         assert_eq!(by_seq[1].label, "inner");
         assert_eq!(by_seq[1].parent, Some(by_seq[0].seq));
         assert_eq!(by_seq[2].label, "leaf");
         assert_eq!(by_seq[2].parent, Some(by_seq[1].seq));
-        assert_eq!(by_seq[2].depth, 2);
         assert_eq!(by_seq[0].duration, dur(9));
     }
 

@@ -1030,7 +1030,7 @@ mod tests {
             .join("\n");
         Observed {
             report: format!("{report:?}"),
-            spans: telemetry::export::jsonl(&snap.events),
+            spans: telemetry::export::chrome_trace(&snap.events),
             registry,
         }
     }

@@ -10,7 +10,7 @@
 use crate::env::GuestEnv;
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_net::{MacAddr, NetLink, Packet};
-use bmhive_sim::{BatchRunner, EventQueue, Series, SimTime, Summary};
+use bmhive_sim::{Series, SimTime, Summary};
 use bmhive_telemetry as telemetry;
 
 /// Result of a PPS run: per-second achieved rates.
@@ -28,64 +28,26 @@ pub struct PpsRun {
 /// samples of achieved small-UDP receive rate under the production PPS
 /// cap.
 pub fn udp_pps(env: &mut GuestEnv, seconds: u32) -> PpsRun {
-    /// PMD poll granularity: arrivals are quantized into 10 µs poll
-    /// slots, so one [`BatchRunner`] tick drains one slot's worth of
-    /// packets (tens per slot at the 4 M cap) instead of paying the
-    /// queue bookkeeping per packet.
-    const POLL_SLOT_NS: u64 = 10_000;
-    struct PollLoop {
-        queue: EventQueue<()>,
-        limits: InstanceLimits,
-        admitted: u32,
-    }
-    let limits = InstanceLimits::production();
-    let cap = limits.pps_limit().expect("production cap");
+    let cap = InstanceLimits::production()
+        .pps_limit()
+        .expect("production cap");
     // Pipeline rate: the kernel-stack sender is the bottleneck; the
     // limiter would cut in at 4 M.
     let pipeline = env.path.max_pps_kernel();
     let mut series = Series::new(env.label);
     let mut stats = Summary::new();
-    let mut packets = 0u64;
-    let mut poll = PollLoop {
-        queue: EventQueue::new(),
-        limits,
-        admitted: 0,
-    };
-    let mut runner = BatchRunner::with_capacity(64);
+    let mut events = 0u64;
     for s in 0..seconds {
         let offered = env.path.sample_pps(pipeline).min(cap);
-        // Push a representative sample of the second through the limiter
-        // to honour burst accounting (scaled down 1000:1 for speed).
-        let n = (offered / 1000.0) as u32;
-        let base = SimTime::from_secs(u64::from(s));
-        for i in 0..n {
-            let offset = u64::from(i) * 1_000_000 / n.max(1) as u64;
-            poll.queue.schedule(
-                base + bmhive_sim::SimDuration::from_nanos(offset / POLL_SLOT_NS * POLL_SLOT_NS),
-                (),
-            );
-        }
-        poll.admitted = 0;
-        runner.run(
-            &mut poll,
-            |p| &mut p.queue,
-            |p, now, ()| {
-                // Scaled limiter: 1/1000 of the real rate. The admit
-                // verdict is burst accounting only — the achieved rate
-                // below is offered-rate-capped — so slot quantization
-                // of the timestamp changes no observable output.
-                let _ = p.limits.admit_packet(64, now);
-                p.admitted += 1;
-            },
-        );
-        packets += u64::from(poll.admitted);
-        let achieved = (f64::from(poll.admitted) * 1000.0).min(offered);
+        // The receiver counts in thousands of packets, one simulated
+        // event per thousand.
+        let thousands = (offered / 1000.0) as u32;
+        events += u64::from(thousands);
+        let achieved = (f64::from(thousands) * 1000.0).min(offered);
         series.push(f64::from(s), achieved);
         stats.record(achieved);
     }
-    telemetry::counter("sim.batch_ticks", runner.ticks());
-    telemetry::counter("sim.batch_events", runner.events());
-    telemetry::add_events(packets);
+    telemetry::add_events(events);
     PpsRun {
         label: env.label,
         series,

@@ -81,15 +81,15 @@ fn worker_registries_fold_bit_exactly_across_widths() {
         telemetry::set_enabled(false);
         telemetry::reset();
         assert_eq!(values, (0..hosts).collect::<Vec<usize>>());
-        (telemetry::export::registry_json(&snap.registry), snap)
+        (snap.registry.to_text(), snap)
     };
     for seed in [2u64, 11] {
         for hosts in [1usize, 5, 12] {
-            let (serial_json, serial_snap) = registry_at(1, hosts, seed);
+            let (serial_text, serial_snap) = registry_at(1, hosts, seed);
             for width in WIDTHS {
-                let (json, snap) = registry_at(width, hosts, seed);
+                let (text, snap) = registry_at(width, hosts, seed);
                 assert_eq!(
-                    serial_json, json,
+                    serial_text, text,
                     "registry fold diverged at {hosts} hosts, width {width}, seed {seed}"
                 );
                 assert_eq!(serial_snap.sim_events, snap.sim_events);

@@ -27,7 +27,6 @@ use bmhive_bench::harness::BenchReport;
 use bmhive_bench::merge;
 use bmhive_bench::sweep::{self, Shard, SweepSpec};
 use bmhive_bench::{Report, EXPERIMENTS};
-use bmhive_faults as faults;
 use bmhive_telemetry as telemetry;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -146,45 +145,45 @@ fn repro_main(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // Arm the fault plan (if any) before the first experiment, so the
-    // whole run is injected and recovered deterministically in `seed`.
-    if let Some(arg) = &fault_plan {
-        faults::arm(sweep::resolve_plan(arg).map_err(|e| e.to_string())?, seed);
-    }
+    // Arm the fault plan (if any) for the whole run, so every
+    // experiment is injected and recovered deterministically in `seed`.
+    let armed = match &fault_plan {
+        Some(arg) => Some((sweep::resolve_plan(arg).map_err(|e| e.to_string())?, seed)),
+        None => None,
+    };
 
     // Host-sharded experiments fan their per-host work across this
     // many workers; output is byte-identical for any width.
     bmhive_bench::par::set_jobs(jobs);
 
     let telemetry_on = trace_path.is_some() || metrics;
-    if telemetry_on {
-        telemetry::set_enabled(true);
-        telemetry::reset();
-    }
+    let (rendered, fault_stats, snapshot) =
+        bmhive_bench::par::isolated(armed, telemetry_on, || -> Result<_, String> {
+            let mut failures = Vec::new();
+            let mut printed = 0;
+            for exp in &EXPERIMENTS {
+                let id = exp.id;
+                if !requested.is_empty() && !requested.iter().any(|r| r == id) {
+                    continue;
+                }
+                let report = exp.render(seed);
+                println!("======== {id} ========");
+                println!("{}", report.text);
+                if let Some(dir) = &out_dir {
+                    write(&dir.join(format!("{id}.txt")), &report.text)?;
+                    write(
+                        &dir.join(format!("{id}.json")),
+                        experiment_json(id, seed, &report),
+                    )?;
+                }
+                failures.extend(report.failures(id));
+                printed += 1;
+            }
+            Ok((failures, printed))
+        });
+    let (mut failures, printed) = rendered?;
 
-    let mut failures = Vec::new();
-    let mut printed = 0;
-    for exp in &EXPERIMENTS {
-        let id = exp.id;
-        if !requested.is_empty() && !requested.iter().any(|r| r == id) {
-            continue;
-        }
-        let report = exp.render(seed);
-        println!("======== {id} ========");
-        println!("{}", report.text);
-        if let Some(dir) = &out_dir {
-            write(&dir.join(format!("{id}.txt")), &report.text)?;
-            write(
-                &dir.join(format!("{id}.json")),
-                experiment_json(id, seed, &report),
-            )?;
-        }
-        failures.extend(report.failures(id));
-        printed += 1;
-    }
-
-    if let Some(plan) = &fault_plan {
-        let stats = faults::disarm().expect("armed above");
+    if let (Some(plan), Some(stats)) = (&fault_plan, fault_stats) {
         println!("======== fault stats ========");
         print!("{}", stats.to_text());
         if let Some(dir) = &out_dir {
@@ -197,8 +196,7 @@ fn repro_main(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if telemetry_on {
-        let snap = telemetry::snapshot();
+    if let Some(snap) = snapshot {
         if let Some(path) = &trace_path {
             let doc = telemetry::export::chrome_trace(&snap.events);
             std::fs::write(path, doc)
@@ -219,7 +217,6 @@ fn repro_main(args: &[String]) -> Result<(), String> {
             println!("======== metrics ========");
             print!("{}", snap.registry.to_text());
         }
-        telemetry::set_enabled(false);
     }
 
     if let Some(dir) = &out_dir {
@@ -377,11 +374,10 @@ fn merge_main(args: &[String]) -> Result<(), String> {
     }
     let splits: Vec<String> = plan.manifests.iter().map(|m| m.shard.to_string()).collect();
     eprintln!(
-        "[merge] {} shard(s) [{}] -> {} cell(s), spec {}",
+        "[merge] {} shard(s) [{}] -> {} cell(s)",
         plan.manifests.len(),
         splits.join(", "),
         plan.cells.len(),
-        plan.manifests[0].spec_hash,
     );
     Ok(())
 }
@@ -588,10 +584,10 @@ fn print_merge_help() {
     println!("                 directory a whole-matrix `sweep --out` would have written)");
     println!();
     println!("Validates the shard.json manifests first: every shard must come from the");
-    println!("same spec (hash + field check), no cell may appear twice, and the shards");
-    println!("together must cover the whole matrix. The concatenated cell reports are");
-    println!("printed to stdout in canonical order — byte-identical to `repro sweep");
-    println!("--jobs 1` stdout for the same spec.");
+    println!("same spec (experiments, seeds, plans, trace), no cell may appear twice, and");
+    println!("the shards together must cover the whole matrix. The concatenated cell");
+    println!("reports are printed to stdout in canonical order — byte-identical to");
+    println!("`repro sweep --jobs 1` stdout for the same spec.");
 }
 
 fn print_bench_help() {

@@ -63,12 +63,8 @@ pub fn run_bench(experiments: &[String], seed: u64) -> Result<BenchReport, Strin
         if metered {
             counts.insert("heap.allocs".to_string(), allocs);
         }
-        telemetry::set_enabled(true);
-        telemetry::reset();
-        exp.render_into(seed, &mut report);
-        let snap = telemetry::snapshot();
-        telemetry::set_enabled(false);
-        telemetry::reset();
+        let ((), _, snap) = crate::par::isolated(None, true, || exp.render_into(seed, &mut report));
+        let snap = snap.expect("traced run");
         for (name, value) in snap.registry.counters() {
             counts.insert(name.to_string(), value);
         }

@@ -4,27 +4,27 @@
 //! A sharded sweep (`repro sweep --shard I/N --out DIR`) writes the
 //! same per-cell artifacts a whole-matrix `--out` run writes — one
 //! `<stem>.txt` report per cell, plus `<stem>.trace.json` when traced
-//! — and adds a self-describing manifest, [`MANIFEST_FILE`], recording
-//! *which* cells of *which* spec the directory holds. `repro merge
-//! DIR...` then reassembles the original run from any set of shard
-//! directories, validating three things before touching a single cell
-//! file:
+//! — and adds a manifest, [`MANIFEST_FILE`], holding the shard's
+//! coordinates and the four spec fields that define the cells
+//! (experiments, seeds, plans, trace). `repro merge DIR...` then
+//! reassembles the original run from any set of shard directories,
+//! validating three things before touching a single cell file:
 //!
-//! 1. **Spec identity** — every manifest's [`spec_hash`] (an FNV-1a of
-//!    the canonical spec: experiments, seeds, plans, trace flag) must
-//!    match, and the spec fields are cross-checked structurally so a
-//!    hash collision cannot slip through.
-//! 2. **Disjointness** — no cell index may appear in two shards.
-//! 3. **Completeness** — the union of shard cells must be exactly
-//!    `0..total_cells`.
+//! 1. **Spec identity** — every manifest's spec fields must equal the
+//!    first's; a refusal names the first field that differs.
+//! 2. **Disjointness** — no cell may be covered by two shards.
+//! 3. **Completeness** — every cell must be covered by some shard.
 //!
-//! Because cells are byte-deterministic and the canonical cell order
-//! is a pure function of the spec (experiment-major, then seed, then
-//! plan — see [`SweepSpec::cells`]), concatenating the per-cell
-//! reports in canonical index order reproduces the serial
-//! `repro sweep --jobs 1` stdout byte for byte, and copying the cell
-//! files into a combined directory reproduces its `--out` directory.
-//! CI's shard matrix proves merge == serial with `cmp` on every PR.
+//! The cells themselves are not listed anywhere: [`SweepSpec::cells`]
+//! derives them (and their file stems) from the spec, and
+//! [`Shard::covers`] says which directory owns each one. Because cells
+//! are byte-deterministic and the canonical cell order is a pure
+//! function of the spec (experiment-major, then seed, then plan),
+//! concatenating the per-cell reports in canonical order reproduces the
+//! serial `repro sweep --jobs 1` stdout byte for byte, and copying the
+//! cell files into a combined directory reproduces its `--out`
+//! directory. CI's shard matrix proves merge == serial with `cmp` on
+//! every PR.
 
 use crate::sweep::{CellOutput, Shard, SweepSpec, CLEAN};
 use bmhive_telemetry::export::json_escape;
@@ -38,25 +38,15 @@ use std::path::{Path, PathBuf};
 pub const MANIFEST_FILE: &str = "shard.json";
 
 /// The manifest format version this build reads and writes.
-pub const MANIFEST_FORMAT: u64 = 1;
+pub const MANIFEST_FORMAT: u64 = 2;
 
-/// One cell a shard ran: its canonical index and the artifact stem its
-/// files are named with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestCell {
-    /// Canonical index in the spec's cell order.
-    pub index: usize,
-    /// Filename stem (`<stem>.txt`, `<stem>.trace.json`).
-    pub stem: String,
-}
-
-/// The self-describing record of one shard's run.
+/// The self-describing record of one shard's run: where it sits in the
+/// split, and the spec fields that define the sweep's cells (`jobs` is
+/// left out, since the worker count never changes the bytes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardManifest {
     /// Which stripe of the split this directory holds.
     pub shard: Shard,
-    /// FNV-1a hash of the canonical spec (see [`spec_hash`]).
-    pub spec_hash: String,
     /// Experiment ids, in spec order.
     pub experiments: Vec<String>,
     /// Seeds, in spec order.
@@ -65,10 +55,6 @@ pub struct ShardManifest {
     pub plans: Vec<Option<String>>,
     /// Whether per-cell chrome traces were recorded.
     pub trace: bool,
-    /// Cells in the *whole* matrix (all shards together).
-    pub total_cells: usize,
-    /// The cells this shard owns, in canonical order.
-    pub cells: Vec<ManifestCell>,
 }
 
 /// Why a merge (or a manifest read) failed.
@@ -80,7 +66,7 @@ pub enum MergeError {
     Manifest(String),
     /// Two manifests describe different sweeps.
     SpecMismatch(String),
-    /// A cell index owned by more than one shard directory.
+    /// A cell covered by more than one shard directory.
     Overlap {
         /// The doubly-owned canonical cell index.
         index: usize,
@@ -118,57 +104,42 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// FNV-1a 64 over a canonical rendering of the spec's output-relevant
-/// fields (experiments, seeds, plans, trace — `jobs` is excluded since
-/// worker count never changes the bytes), rendered as 16 hex digits.
-pub fn spec_hash(spec: &SweepSpec) -> String {
-    let mut canon = String::new();
-    canon.push_str("experiments=");
-    for e in &spec.experiments {
-        canon.push_str(e);
-        canon.push('\x1f');
-    }
-    canon.push_str("\x1eseeds=");
-    for s in &spec.seeds {
-        write!(canon, "{s}\x1f").unwrap();
-    }
-    canon.push_str("\x1eplans=");
-    for p in &spec.plans {
-        canon.push_str(p.as_deref().unwrap_or(CLEAN));
-        canon.push('\x1f');
-    }
-    write!(canon, "\x1etrace={}", spec.trace).unwrap();
-
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canon.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
-}
-
 impl ShardManifest {
-    /// Builds the manifest for `shard` of `spec` (validating the spec
-    /// and shard exactly as the run itself would).
-    pub fn for_shard(spec: &SweepSpec, shard: Shard) -> Result<Self, crate::sweep::SweepError> {
-        let cells = spec
-            .shard_cells(shard)?
-            .into_iter()
-            .map(|(index, cell)| ManifestCell {
-                index,
-                stem: cell.file_stem(),
-            })
-            .collect();
-        Ok(ShardManifest {
+    /// The manifest for `shard` of `spec`.
+    pub fn for_shard(spec: &SweepSpec, shard: Shard) -> Self {
+        ShardManifest {
             shard,
-            spec_hash: spec_hash(spec),
             experiments: spec.experiments.clone(),
             seeds: spec.seeds.clone(),
             plans: spec.plans.clone(),
             trace: spec.trace,
-            total_cells: spec.cells()?.len(),
-            cells,
-        })
+        }
+    }
+
+    /// The first spec field on which `self` and `other` differ, if any.
+    fn differing_field(&self, other: &ShardManifest) -> Option<&'static str> {
+        if self.experiments != other.experiments {
+            Some("experiments")
+        } else if self.seeds != other.seeds {
+            Some("seeds")
+        } else if self.plans != other.plans {
+            Some("plans")
+        } else if self.trace != other.trace {
+            Some("trace")
+        } else {
+            None
+        }
+    }
+
+    /// The sweep this manifest's shard was cut from.
+    fn spec(&self) -> SweepSpec {
+        SweepSpec {
+            experiments: self.experiments.clone(),
+            seeds: self.seeds.clone(),
+            plans: self.plans.clone(),
+            trace: self.trace,
+            jobs: 1,
+        }
     }
 
     /// Serializes the manifest as stable, diff-friendly JSON.
@@ -183,7 +154,6 @@ impl ShardManifest {
             self.shard.count()
         )
         .unwrap();
-        writeln!(out, "  \"spec_hash\": \"{}\",", self.spec_hash).unwrap();
         let str_list = |items: &[String]| {
             items
                 .iter()
@@ -208,20 +178,7 @@ impl ShardManifest {
             .map(|p| p.clone().unwrap_or_else(|| CLEAN.to_string()))
             .collect();
         writeln!(out, "  \"plans\": [{}],", str_list(&plans)).unwrap();
-        writeln!(out, "  \"trace\": {},", self.trace).unwrap();
-        writeln!(out, "  \"total_cells\": {},", self.total_cells).unwrap();
-        writeln!(out, "  \"cells\": [").unwrap();
-        for (i, cell) in self.cells.iter().enumerate() {
-            let comma = if i + 1 < self.cells.len() { "," } else { "" };
-            writeln!(
-                out,
-                "    {{\"index\": {}, \"stem\": \"{}\"}}{comma}",
-                cell.index,
-                json_escape(&cell.stem)
-            )
-            .unwrap();
-        }
-        writeln!(out, "  ]").unwrap();
+        writeln!(out, "  \"trace\": {}", self.trace).unwrap();
         writeln!(out, "}}").unwrap();
         out
     }
@@ -276,29 +233,8 @@ impl ShardManifest {
             Some(Json::Bool(b)) => *b,
             _ => return Err(MergeError::Manifest("missing bool 'trace'".into())),
         };
-        let cells = json
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| MergeError::Manifest("missing array 'cells'".into()))?
-            .iter()
-            .map(|j| {
-                Ok(ManifestCell {
-                    index: num(j, "index")? as usize,
-                    stem: j
-                        .get("stem")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| MergeError::Manifest("cell missing 'stem'".into()))?
-                        .to_string(),
-                })
-            })
-            .collect::<Result<Vec<_>, MergeError>>()?;
         Ok(ShardManifest {
             shard,
-            spec_hash: json
-                .get("spec_hash")
-                .and_then(Json::as_str)
-                .ok_or_else(|| MergeError::Manifest("missing 'spec_hash'".into()))?
-                .to_string(),
             experiments: str_list("experiments")?,
             seeds,
             plans: str_list("plans")?
@@ -306,8 +242,6 @@ impl ShardManifest {
                 .map(|p| if p == CLEAN { None } else { Some(p) })
                 .collect(),
             trace,
-            total_cells: num(&json, "total_cells")? as usize,
-            cells,
         })
     }
 }
@@ -336,10 +270,9 @@ pub fn write_shard_dir(
             std::fs::write(&path, trace).map_err(|e| io_err(&path, e))?;
         }
     }
-    let manifest =
-        ShardManifest::for_shard(spec, shard).map_err(|e| MergeError::Manifest(e.to_string()))?;
     let path = dir.join(MANIFEST_FILE);
-    std::fs::write(&path, manifest.to_json()).map_err(|e| io_err(&path, e))?;
+    std::fs::write(&path, ShardManifest::for_shard(spec, shard).to_json())
+        .map_err(|e| io_err(&path, e))?;
     Ok(())
 }
 
@@ -385,77 +318,52 @@ pub fn plan_merge(dirs: &[PathBuf]) -> Result<MergePlan, MergeError> {
 
     let first = &manifests[0];
     for (dir, m) in dirs.iter().zip(&manifests).skip(1) {
-        let mismatch = |field: &str| {
-            MergeError::SpecMismatch(format!(
+        if let Some(field) = m.differing_field(first) {
+            return Err(MergeError::SpecMismatch(format!(
                 "{} and {} disagree on {field}",
                 dirs[0].display(),
                 dir.display()
-            ))
-        };
-        if m.spec_hash != first.spec_hash {
-            return Err(mismatch("spec_hash"));
-        }
-        // The hash should already catch all of these; the structural
-        // checks keep a collision (or a hand-edited manifest) honest.
-        if m.experiments != first.experiments {
-            return Err(mismatch("experiments"));
-        }
-        if m.seeds != first.seeds {
-            return Err(mismatch("seeds"));
-        }
-        if m.plans != first.plans {
-            return Err(mismatch("plans"));
-        }
-        if m.trace != first.trace {
-            return Err(mismatch("trace"));
-        }
-        if m.total_cells != first.total_cells {
-            return Err(mismatch("total_cells"));
+            )));
         }
     }
 
-    let total = first.total_cells;
-    let mut owner: Vec<Option<usize>> = vec![None; total];
-    let mut cells: Vec<Option<MergedCell>> = vec![None; total];
-    for (d, (dir, m)) in dirs.iter().zip(&manifests).enumerate() {
-        for cell in &m.cells {
-            if cell.index >= total {
-                return Err(MergeError::Manifest(format!(
-                    "{}: cell index {} out of range (total_cells {total})",
-                    dir.display(),
-                    cell.index
-                )));
-            }
-            if let Some(prev) = owner[cell.index] {
+    let spec_cells = first
+        .spec()
+        .cells()
+        .map_err(|e| MergeError::Manifest(format!("{}: {e}", dirs[0].display())))?;
+    let mut cells = Vec::with_capacity(spec_cells.len());
+    let mut missing: Vec<usize> = Vec::new();
+    for (index, cell) in spec_cells.iter().enumerate() {
+        let mut owners = dirs
+            .iter()
+            .zip(&manifests)
+            .filter(|(_, m)| m.shard.covers(index))
+            .map(|(dir, _)| dir);
+        match (owners.next(), owners.next()) {
+            (Some(a), Some(b)) => {
                 return Err(MergeError::Overlap {
-                    index: cell.index,
-                    dirs: (dirs[prev].display().to_string(), dir.display().to_string()),
-                });
+                    index,
+                    dirs: (a.display().to_string(), b.display().to_string()),
+                })
             }
-            owner[cell.index] = Some(d);
-            cells[cell.index] = Some(MergedCell {
-                index: cell.index,
-                stem: cell.stem.clone(),
+            (Some(dir), None) => cells.push(MergedCell {
+                index,
+                stem: cell.file_stem(),
                 dir: dir.clone(),
-            });
+            }),
+            (None, _) => missing.push(index),
         }
     }
-    let missing: Vec<usize> = cells
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    if let Some(&firstmiss) = missing.first() {
+    if let Some(&first_missing) = missing.first() {
         return Err(MergeError::Missing {
             count: missing.len(),
-            first: firstmiss,
+            first: first_missing,
         });
     }
     Ok(MergePlan {
         trace: first.trace,
         manifests,
-        cells: cells.into_iter().map(|c| c.expect("checked")).collect(),
+        cells,
     })
 }
 
@@ -515,39 +423,18 @@ mod tests {
     }
 
     #[test]
-    fn spec_hash_is_stable_and_field_sensitive() {
-        let a = spec_hash(&spec());
-        assert_eq!(a, spec_hash(&spec()), "hash must be deterministic");
-        assert_eq!(a.len(), 16);
-        let mut jobs = spec();
-        jobs.jobs = 8;
-        assert_eq!(a, spec_hash(&jobs), "jobs must not affect the hash");
-        let mut seeds = spec();
-        seeds.seeds = vec![1, 3];
-        assert_ne!(a, spec_hash(&seeds));
-        let mut trace = spec();
-        trace.trace = true;
-        assert_ne!(a, spec_hash(&trace));
-        let mut plans = spec();
-        plans.plans = vec![None];
-        assert_ne!(a, spec_hash(&plans));
-    }
-
-    #[test]
     fn manifest_json_round_trips() {
-        let manifest = ShardManifest::for_shard(&spec(), Shard::new(1, 3).unwrap()).unwrap();
+        let manifest = ShardManifest::for_shard(&spec(), Shard::new(1, 3).unwrap());
         let parsed = ShardManifest::from_json(&manifest.to_json()).unwrap();
         assert_eq!(parsed, manifest);
-        assert_eq!(parsed.total_cells, 8);
-        assert!(parsed.cells.iter().all(|c| c.index % 3 == 1));
+        assert_eq!(parsed.spec().cells().unwrap(), spec().cells().unwrap());
     }
 
     #[test]
     fn unsupported_format_is_rejected() {
-        let manifest = ShardManifest::for_shard(&spec(), Shard::WHOLE).unwrap();
-        let doc = manifest
-            .to_json()
-            .replace("\"format\": 1", "\"format\": 99");
+        let current = ShardManifest::for_shard(&spec(), Shard::WHOLE).to_json();
+        let doc = current.replace("\"format\": 2", "\"format\": 1");
+        assert_ne!(doc, current);
         assert!(matches!(
             ShardManifest::from_json(&doc),
             Err(MergeError::Manifest(_))

@@ -14,7 +14,8 @@
 //!
 //! # Worker ownership
 //!
-//! Each per-host closure invocation runs on a pool thread and owns:
+//! Each per-host closure invocation runs on a pool thread, wrapped in
+//! [`isolated`], and owns:
 //!
 //! * its RNG streams — the closure derives them from the host index
 //!   via [`host_stream`], never from worker identity;
@@ -88,15 +89,36 @@ pub fn host_stream(base: u64, host: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What a pool worker hands back for one host: the closure's value
-/// plus the thread-local state the orchestrator must fold in host
-/// order.
-struct HostRun<T> {
-    value: T,
-    telemetry: Option<telemetry::Snapshot>,
-    /// Boxed: the counters are inline arrays, and every host's slot
-    /// is allocated up front, armed or not.
-    fault_stats: Option<Box<faults::FaultStats>>,
+/// Runs `f` once on the calling thread in thread-local isolation, the
+/// one lifecycle behind a sweep cell, a pool worker's host, the traced
+/// pass of the work ledger and a single-pass `repro` run.
+///
+/// With `trace`, telemetry is enabled and reset before `f` and, after
+/// it, snapshotted, disabled and reset. With a `(plan, seed)`, the plan
+/// is armed under that seed before `f` and disarmed after it, handing
+/// back its [`faults::FaultStats`]. Without either, `f` just runs.
+pub fn isolated<T>(
+    plan: Option<(faults::FaultPlan, u64)>,
+    trace: bool,
+    f: impl FnOnce() -> T,
+) -> (T, Option<faults::FaultStats>, Option<telemetry::Snapshot>) {
+    if trace {
+        telemetry::set_enabled(true);
+        telemetry::reset();
+    }
+    let armed = plan.is_some();
+    if let Some((plan, seed)) = plan {
+        faults::arm(plan, seed);
+    }
+    let value = f();
+    let fault_stats = if armed { faults::disarm() } else { None };
+    let snapshot = trace.then(|| {
+        let snap = telemetry::snapshot();
+        telemetry::set_enabled(false);
+        telemetry::reset();
+        snap
+    });
+    (value, fault_stats, snapshot)
 }
 
 /// Runs `f(host)` for every `host in 0..hosts` across this thread's
@@ -125,43 +147,23 @@ where
     let plan = faults::armed_plan();
 
     let run_host = |host| {
-        telemetry::set_enabled(telemetry_on);
-        if telemetry_on {
-            telemetry::reset();
-        }
-        if let Some(plan) = &plan {
-            faults::arm(plan.clone(), host_stream(seed, host));
-        }
-        let value = f(host);
-        let fault_stats = if plan.is_some() {
-            faults::disarm().map(Box::new)
-        } else {
-            None
-        };
-        let telemetry = if telemetry_on {
-            let snap = telemetry::snapshot();
-            telemetry::reset();
-            Some(snap)
-        } else {
-            None
-        };
-        HostRun {
-            value,
-            telemetry,
-            fault_stats,
-        }
+        let armed = plan.clone().map(|p| (p, host_stream(seed, host)));
+        let (value, fault_stats, snapshot) = isolated(armed, telemetry_on, || f(host));
+        // Boxed: the counters are inline arrays, and every host's slot
+        // is allocated up front, armed or not.
+        (value, fault_stats.map(Box::new), snapshot)
     };
     // Host-index-ordered fold on the orchestrating thread: the one
     // place float accumulation happens, pinned to a canonical order.
     let mut values = Vec::with_capacity(hosts);
-    work_share(hosts, workers, run_host, |run| {
-        if let Some(snap) = &run.telemetry {
+    work_share(hosts, workers, run_host, |(value, stats, snap)| {
+        if let Some(snap) = &snap {
             telemetry::absorb(snap);
         }
-        if let Some(stats) = &run.fault_stats {
+        if let Some(stats) = &stats {
             faults::absorb_stats(stats);
         }
-        values.push(run.value);
+        values.push(value);
     });
     values
 }

@@ -5,9 +5,9 @@
 //! plan and enables telemetry on the worker thread that picks it up,
 //! runs the experiment, and collects the report, fault stats, and
 //! (optionally) a chrome-trace document. Because fault injection and
-//! telemetry are thread-local ([`bmhive_faults::arm`] /
-//! per-thread collectors), a cell produces byte-identical output
-//! whether the sweep runs on one thread or sixteen.
+//! telemetry are thread-local (see [`crate::par::isolated`]), a cell
+//! produces byte-identical output whether the sweep runs on one thread
+//! or sixteen.
 //!
 //! Parallelism is a work-sharing pool: workers pull the next cell
 //! index from a shared atomic counter and write the finished output
@@ -18,7 +18,6 @@ use bmhive_faults as faults;
 use bmhive_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// The plan column for a cell that injects nothing.
 pub const CLEAN: &str = "clean";
@@ -215,9 +214,6 @@ pub struct CellOutput {
     pub fault_stats: Option<faults::FaultStats>,
     /// Chrome trace_event JSON when the sweep traced.
     pub trace_json: Option<String>,
-    /// Host wall time of the experiment body (excluded from the
-    /// rendered output so it never breaks byte-equivalence).
-    pub wall: Duration,
 }
 
 /// Why a sweep could not run.
@@ -275,44 +271,21 @@ pub fn resolve_plan(arg: &str) -> Result<faults::FaultPlan, SweepError> {
         .map_err(|e| SweepError::UnknownPlan(format!("cannot parse fault plan {arg}: {e}")))
 }
 
-/// Runs one cell on the calling thread.
-///
-/// The calling thread's fault context and telemetry state are
-/// consumed/reset by the run: workers own their thread-local slots,
+/// Runs one cell on the calling thread, isolated by
+/// [`crate::par::isolated`]: workers own their thread-local slots,
 /// which is exactly what makes parallel cells independent.
 pub fn run_cell(cell: &SweepCell, plan: Option<&faults::FaultPlan>, trace: bool) -> CellOutput {
     debug_assert_eq!(cell.plan.is_some(), plan.is_some());
-    if trace {
-        telemetry::set_enabled(true);
-        telemetry::reset();
-    }
-    if let Some(plan) = plan {
-        faults::arm(plan.clone(), cell.seed);
-    }
     let exp = crate::experiment(&cell.experiment)
         .expect("cell experiment ids are validated by SweepSpec::cells");
-    let start = Instant::now();
-    let report = exp.render(cell.seed);
-    let wall = start.elapsed();
-    let fault_stats = if plan.is_some() {
-        faults::disarm()
-    } else {
-        None
-    };
-    let trace_json = if trace {
-        let snap = telemetry::snapshot();
-        telemetry::set_enabled(false);
-        telemetry::reset();
-        Some(telemetry::export::chrome_trace(&snap.events))
-    } else {
-        None
-    };
+    let armed = plan.map(|p| (p.clone(), cell.seed));
+    let (report, fault_stats, snapshot) =
+        crate::par::isolated(armed, trace, || exp.render(cell.seed));
     CellOutput {
         cell: cell.clone(),
         report,
         fault_stats,
-        trace_json,
-        wall,
+        trace_json: snapshot.map(|snap| telemetry::export::chrome_trace(&snap.events)),
     }
 }
 

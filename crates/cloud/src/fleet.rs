@@ -19,7 +19,7 @@
 
 use bmhive_cpu::virt::{diurnal_load, fill_exit_rates, sample_exit_rate, PreemptionModel};
 use bmhive_sim::stats::exact_percentile_into;
-use bmhive_sim::{BatchRunner, EventQueue, Histogram, SimRng, SimTime};
+use bmhive_sim::{Histogram, SimRng};
 use bmhive_telemetry as telemetry;
 
 /// A deterministic stream of per-VM exit rates (exits/s/vCPU), drawn
@@ -223,30 +223,15 @@ impl PreemptionStudy {
     /// Records `vms` shared and `vms` exclusive VMs for 24 hours and
     /// reports the Fig. 1 percentiles per hour.
     ///
-    /// The day runs as an event simulation: each hour is one tick with
-    /// two class-sample events (shared, then exclusive — FIFO within
-    /// the tick), drained through a [`BatchRunner`] so the batch
-    /// bookkeeping is metered (`sim.batch_ticks`/`sim.batch_events`,
-    /// mean batch length 2). The RNG draw order and every float
-    /// operation match the plain hour loop exactly, so the percentiles
-    /// are bit-identical to it — and to [`Self::stream`]'s draws.
+    /// Each hour samples the shared population, then the exclusive
+    /// one, from a single RNG stream: the draw order [`Self::stream`]
+    /// uses, so the two studies see identical samples.
     pub fn run(vms: usize, seed: u64) -> Self {
-        /// One population's sample pass for one hour.
-        enum ClassTick {
-            Shared(u32),
-            Exclusive(u32),
-        }
-        struct DayState {
-            queue: EventQueue<ClassTick>,
-            rng: SimRng,
-            s: Vec<f64>,
-            e: Vec<f64>,
-            scratch: Vec<f64>,
-        }
         // One ln() per model (at construction) and one cos() per hour,
         // not one of each per VM-sample.
         let shared = PreemptionModel::shared();
         let exclusive = PreemptionModel::exclusive();
+        let mut rng = SimRng::with_stream(seed, 0xf161);
         let mut out = PreemptionStudy {
             hours: (0..24).collect(),
             shared_p99: Vec::with_capacity(24),
@@ -254,55 +239,27 @@ impl PreemptionStudy {
             exclusive_p99: Vec::with_capacity(24),
             exclusive_p999: Vec::with_capacity(24),
         };
-        // One pair of sample buffers and one quickselect scratch for
-        // the whole day: each hour refills them in place, so the 24
-        // hours cost three allocations total instead of six per hour.
-        // The values entering `exact_percentile_into` are unchanged,
-        // so the reported percentiles stay bit-identical.
-        let mut day = DayState {
-            queue: EventQueue::new(),
-            rng: SimRng::with_stream(seed, 0xf161),
-            s: vec![0.0; vms],
-            e: vec![0.0; vms],
-            scratch: Vec::with_capacity(vms),
-        };
+        // One sample buffer and one quickselect scratch for the whole
+        // day: each class-hour refills them in place.
+        let mut samples = vec![0.0; vms];
+        let mut scratch = Vec::with_capacity(vms);
         for hour in 0..24 {
-            let at = SimTime::from_secs(u64::from(hour) * 3600);
-            day.queue.schedule(at, ClassTick::Shared(hour));
-            day.queue.schedule(at, ClassTick::Exclusive(hour));
-        }
-        let mut runner = BatchRunner::with_capacity(2);
-        runner.run(
-            &mut day,
-            |d| &mut d.queue,
-            |d, _now, ev| match ev {
+            let load = diurnal_load(hour);
+            for (model, p99, p999) in [
+                (&shared, &mut out.shared_p99, &mut out.shared_p999),
+                (&exclusive, &mut out.exclusive_p99, &mut out.exclusive_p999),
+            ] {
                 // Bulk draws: bit-identical to the per-VM sampling
                 // loop (the `* 100.0` percent scaling applied after,
                 // exactly as the single-sample expression ordered it).
-                ClassTick::Shared(hour) => {
-                    shared.fill_at_load(&mut d.rng, diurnal_load(hour), &mut d.s);
-                    for v in d.s.iter_mut() {
-                        *v *= 100.0;
-                    }
-                    out.shared_p99
-                        .push(exact_percentile_into(&d.s, 99.0, &mut d.scratch));
-                    out.shared_p999
-                        .push(exact_percentile_into(&d.s, 99.9, &mut d.scratch));
+                model.fill_at_load(&mut rng, load, &mut samples);
+                for v in samples.iter_mut() {
+                    *v *= 100.0;
                 }
-                ClassTick::Exclusive(hour) => {
-                    exclusive.fill_at_load(&mut d.rng, diurnal_load(hour), &mut d.e);
-                    for v in d.e.iter_mut() {
-                        *v *= 100.0;
-                    }
-                    out.exclusive_p99
-                        .push(exact_percentile_into(&d.e, 99.0, &mut d.scratch));
-                    out.exclusive_p999
-                        .push(exact_percentile_into(&d.e, 99.9, &mut d.scratch));
-                }
-            },
-        );
-        telemetry::counter("sim.batch_ticks", runner.ticks());
-        telemetry::counter("sim.batch_events", runner.events());
+                p99.push(exact_percentile_into(&samples, 99.0, &mut scratch));
+                p999.push(exact_percentile_into(&samples, 99.9, &mut scratch));
+            }
+        }
         telemetry::add_events(2 * vms as u64 * 24);
         out
     }

@@ -301,6 +301,25 @@ impl ShadowQueue {
         })
     }
 
+    /// How long a DMA of `bytes` starting at `at` stalls: inside a
+    /// DMA-timeout window the per-step timeout fires and `op` retries
+    /// with backoff until the window clears; outside one, zero. A retry
+    /// that never recovers escalates the DMA site.
+    fn dma_timeout_stall(&mut self, op: RetryOp, at: SimTime, bytes: u64) -> SimDuration {
+        if faults::blocking_until(FaultSite::Dma, at).is_none() {
+            return SimDuration::ZERO;
+        }
+        let recovery = faults::retry_until_clear(
+            op,
+            at + DMA_STEP_TIMEOUT,
+            self.profile.dma().transfer_time(bytes),
+        );
+        if !recovery.recovered {
+            self.escalated = Some(FaultSite::Dma);
+        }
+        DMA_STEP_TIMEOUT + recovery.waited
+    }
+
     /// Takes the chain by value so the guest-writable list moves into
     /// the inflight table instead of being cloned per chain; a
     /// backpressured chain is handed back inside
@@ -370,20 +389,7 @@ impl ShadowQueue {
         let mut moved = 0u64;
         let mut finish = now;
         if r_len > 0 {
-            // A DMA-timeout window stalls the engine: the per-step
-            // timeout fires and the transfer retries with backoff.
-            if faults::blocking_until(FaultSite::Dma, now).is_some() {
-                let timeout = DMA_STEP_TIMEOUT;
-                let recovery = faults::retry_until_clear(
-                    RetryOp::DmaStageChain,
-                    now + timeout,
-                    self.profile.dma().transfer_time(r_len),
-                );
-                if !recovery.recovered {
-                    self.escalated = Some(FaultSite::Dma);
-                }
-                now += timeout + recovery.waited;
-            }
+            now += self.dma_timeout_stall(RetryOp::DmaStageChain, now, r_len);
             let (n, cost) = self
                 .profile
                 .dma()
@@ -452,20 +458,9 @@ impl ShadowQueue {
             let mut finish = dma_free;
             let written = written.min(inflight.staging_writable.total_len() as u32);
             if written > 0 {
-                // Copy-back rides the same DMA engine: a timeout window
-                // stalls it and the transfer retries with backoff.
-                if faults::blocking_until(FaultSite::Dma, dma_free).is_some() {
-                    let timeout = DMA_STEP_TIMEOUT;
-                    let recovery = faults::retry_until_clear(
-                        RetryOp::DmaCopyBack,
-                        dma_free + timeout,
-                        self.profile.dma().transfer_time(u64::from(written)),
-                    );
-                    if !recovery.recovered {
-                        self.escalated = Some(FaultSite::Dma);
-                    }
-                    dma_free += timeout + recovery.waited;
-                }
+                // Copy-back rides the same DMA engine and its timeouts.
+                dma_free +=
+                    self.dma_timeout_stall(RetryOp::DmaCopyBack, dma_free, u64::from(written));
                 // Copy only the bytes the backend produced. When the
                 // backend filled the buffers completely (the common
                 // case for sized requests), the inflight lists are used

@@ -126,17 +126,13 @@ impl SimRng {
         -mean * (1.0 - self.f64()).ln()
     }
 
-    /// A standard normal sample (Box–Muller).
+    /// A standard normal sample (Box–Muller): a one-sample
+    /// [`fill_normal`](Self::fill_normal), so the cached spare is shared
+    /// with bulk fills.
     pub fn normal(&mut self) -> f64 {
-        if let Some(z) = self.spare_normal.take() {
-            return z;
-        }
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
-        self.spare_normal = Some(r * sin);
-        r * cos
+        let mut z = [0.0];
+        self.fill_normal(&mut z);
+        z[0]
     }
 
     /// Fills `out` with standard normal samples — exactly the values

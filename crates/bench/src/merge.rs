@@ -311,8 +311,11 @@ pub fn plan_merge(dirs: &[PathBuf]) -> Result<MergePlan, MergeError> {
         let path = dir.join(MANIFEST_FILE);
         let doc = std::fs::read_to_string(&path)
             .map_err(|e| MergeError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let manifest = ShardManifest::from_json(&doc)
-            .map_err(|e| MergeError::Manifest(format!("{}: {e}", path.display())))?;
+        // Name the file inside the error, keeping its one prefix.
+        let manifest = ShardManifest::from_json(&doc).map_err(|e| match e {
+            MergeError::Manifest(msg) => MergeError::Manifest(format!("{}: {msg}", path.display())),
+            other => other,
+        })?;
         manifests.push(manifest);
     }
 
@@ -439,5 +442,24 @@ mod tests {
             ShardManifest::from_json(&doc),
             Err(MergeError::Manifest(_))
         ));
+    }
+
+    #[test]
+    fn refused_manifest_names_its_file_under_one_prefix() {
+        let dir = std::env::temp_dir().join(format!("bmhive-merge-format-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = ShardManifest::for_shard(&spec(), Shard::WHOLE).to_json();
+        let old = current.replace("\"format\": 2", "\"format\": 1");
+        std::fs::write(dir.join(MANIFEST_FILE), old).unwrap();
+        let err = plan_merge(std::slice::from_ref(&dir)).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "merge: bad manifest: {}: unsupported manifest format 1 (this build reads 2)",
+                path.display()
+            )
+        );
     }
 }

@@ -336,10 +336,18 @@ impl ShadowQueue {
     ) -> Result<(u64, SimTime), StageError> {
         let r_len = chain.readable.total_len();
         let w_len = chain.writable.total_len();
-        let seg_estimate = (r_len.div_ceil(u64::from(self.pool.slot_size()))
-            + w_len.div_ceil(u64::from(self.pool.slot_size()))
-            + 1)
-            * 16;
+        let slot_size = u64::from(self.pool.slot_size());
+        let (r_slots, w_slots) = (r_len.div_ceil(slot_size), w_len.div_ceil(slot_size));
+        let table_len = (r_slots + w_slots + 1) * 16;
+        // A chain bigger than the whole pool would wait forever at the
+        // front of `deferred`: refuse it like any other malformed chain.
+        let needed = r_slots + w_slots + table_len.div_ceil(slot_size);
+        if needed > u64::from(self.pool.total_slots()) {
+            return Err(StageError::Virtio(VirtioError::ChainTooLarge {
+                needed,
+                capacity: self.pool.total_slots(),
+            }));
+        }
 
         let staging_readable = if r_len > 0 {
             match self.pool.alloc(r_len) {
@@ -353,9 +361,7 @@ impl ShadowQueue {
             match self.pool.alloc(w_len) {
                 Some(sg) => sg,
                 None => {
-                    if !staging_readable.is_empty() {
-                        self.pool.free(&staging_readable);
-                    }
+                    self.pool.free(&staging_readable);
                     return Err(StageError::NoStaging(chain));
                 }
             }
@@ -363,19 +369,54 @@ impl ShadowQueue {
             SgList::new()
         };
         // One more slot for the indirect table.
-        let table = match self.pool.alloc(seg_estimate.max(16)) {
+        let table = match self.pool.alloc(table_len) {
             Some(sg) => sg,
             None => {
-                if !staging_readable.is_empty() {
-                    self.pool.free(&staging_readable);
-                }
-                if !staging_writable.is_empty() {
-                    self.pool.free(&staging_writable);
-                }
+                self.pool.free(&staging_readable);
+                self.pool.free(&staging_writable);
                 return Err(StageError::NoStaging(chain));
             }
         };
+        // From here on every error hands the three lists back first.
+        let staged = [staging_readable, staging_writable, table];
+        match self.post_staged(board, base, &chain, &staged, now) {
+            Ok((shadow_head, moved, finish)) => {
+                let [staging_readable, staging_writable, table] = staged;
+                let slot = &mut self.inflight[usize::from(shadow_head)];
+                debug_assert!(slot.is_none(), "shadow head reused while in flight");
+                *slot = Some(Inflight {
+                    guest_head: chain.head,
+                    guest_writable: chain.writable,
+                    staging_readable,
+                    staging_writable,
+                    table,
+                });
+                self.inflight_len += 1;
+                self.head_reg += 1;
+                Ok((moved, finish))
+            }
+            Err(e) => {
+                for list in &staged {
+                    self.pool.free(list);
+                }
+                Err(StageError::Virtio(e))
+            }
+        }
+    }
 
+    /// Stages `chain` into the slots of [`stage_chain`](Self::stage_chain)
+    /// (`[readable, writable, table]`): DMAs its readable payload board →
+    /// base and posts the shadow chain. Returns the shadow head, the
+    /// bytes moved and when the DMA finishes.
+    fn post_staged(
+        &mut self,
+        board: &GuestRam,
+        base: &mut GuestRam,
+        chain: &DescChain,
+        [staging_readable, staging_writable, table]: &[SgList; 3],
+        now: SimTime,
+    ) -> Result<(u16, u64, SimTime), VirtioError> {
+        let r_len = chain.readable.total_len();
         // Descriptor fetch: a corruption window makes the fetched
         // table fail its check, forcing one refetch.
         let mut now = now;
@@ -390,40 +431,23 @@ impl ShadowQueue {
         let mut finish = now;
         if r_len > 0 {
             now += self.dma_timeout_stall(RetryOp::DmaStageChain, now, r_len);
-            let (n, cost) = self
-                .profile
-                .dma()
-                .transfer(board, &chain.readable, base, &staging_readable)
-                .map_err(|e| StageError::Virtio(e.into()))?;
+            let (n, cost) =
+                self.profile
+                    .dma()
+                    .transfer(board, &chain.readable, base, staging_readable)?;
             moved = n;
             finish = now + cost;
             self.dma_busy += cost;
         }
 
         // Post the shadow chain through a single indirect descriptor.
-        let table_addr = table.segments()[0].addr;
-        let shadow_head = self
-            .shadow_driver
-            .add_buf_indirect(
-                base,
-                table_addr,
-                staging_readable.segments(),
-                staging_writable.segments(),
-            )
-            .map_err(StageError::Virtio)?;
-
-        let slot = &mut self.inflight[usize::from(shadow_head)];
-        debug_assert!(slot.is_none(), "shadow head reused while in flight");
-        *slot = Some(Inflight {
-            guest_head: chain.head,
-            guest_writable: chain.writable,
-            staging_readable,
-            staging_writable,
-            table,
-        });
-        self.inflight_len += 1;
-        self.head_reg += 1;
-        Ok((moved, finish))
+        let shadow_head = self.shadow_driver.add_buf_indirect(
+            base,
+            table.segments()[0].addr,
+            staging_readable.segments(),
+            staging_writable.segments(),
+        )?;
+        Ok((shadow_head, moved, finish))
     }
 
     /// Synchronises base → board: reaps completions from the shadow
@@ -1046,6 +1070,82 @@ mod tests {
         let old = r.guest_driver.avail_idx();
         r.post(GuestAddr::new(0x9000), b"irq");
         assert!(r.guest_driver.kick_needed_event_idx(&r.board, old).unwrap());
+    }
+
+    /// Publishes guest descriptor `index`, one readable segment `seg`, as
+    /// the next avail entry, behind the guest driver's back, so one chain
+    /// can be published any number of times.
+    fn forge(board: &mut GuestRam, index: u16, seg: SgSegment) {
+        let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 8);
+        let desc = layout.desc + u64::from(index) * 16;
+        board.write_u64(desc, seg.addr.value()).unwrap();
+        board.write_u32(desc + 8, seg.len).unwrap();
+        board.write_u16(desc + 12, 0).unwrap();
+        let idx = board.read_u16(layout.avail + 2).unwrap();
+        let slot = layout.avail + 4 + 2 * u64::from(idx % layout.size);
+        board.write_u16(slot, index).unwrap();
+        board
+            .write_u16(layout.avail + 2, idx.wrapping_add(1))
+            .unwrap();
+    }
+
+    /// An honest chain published after a bad one is staged and reaches
+    /// the backend intact.
+    fn assert_honest_chain_flows(r: &mut Rig) {
+        r.board.write(GuestAddr::new(0x8000), b"honest").unwrap();
+        forge(&mut r.board, 1, SgSegment::new(GuestAddr::new(0x8000), 6));
+        let report = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        assert_eq!((report.chains, r.shadow.deferred_count()), (1, 0));
+        assert_eq!(r.complete_all(), vec![b"honest".to_vec()]);
+    }
+
+    #[test]
+    fn failed_chains_hand_their_staging_back() {
+        let mut r = rig(8, 64);
+        // The segment lies past the end of the 1 MiB board: the DMA
+        // fails after all three staging lists were taken.
+        let outside = SgSegment::new(GuestAddr::new(2 << 20), 64);
+        for _ in 0..1000 {
+            forge(&mut r.board, 0, outside);
+            let err = r
+                .shadow
+                .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+                .unwrap_err();
+            assert!(matches!(err, VirtioError::Mem(_)), "{err}");
+            assert_eq!(r.shadow.pool.free_count(), 64);
+        }
+        assert_eq!(r.shadow.inflight_count(), 0);
+        assert_honest_chain_flows(&mut r);
+    }
+
+    #[test]
+    fn chain_larger_than_the_pool_is_refused() {
+        let mut r = rig(8, 16);
+        // One forged 4 GiB descriptor needs a million 4 KiB slots; a
+        // deferral would park it at the head of the queue for good.
+        forge(
+            &mut r.board,
+            0,
+            SgSegment::new(GuestAddr::new(0x8000), u32::MAX),
+        );
+        let err = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap_err();
+        let needed = u64::from(u32::MAX).div_ceil(4096) + 4097;
+        assert_eq!(
+            err,
+            VirtioError::ChainTooLarge {
+                needed,
+                capacity: 16
+            }
+        );
+        assert_eq!(r.shadow.deferred_count(), 0);
+        assert_eq!(r.shadow.pool.free_count(), 16);
+        assert_honest_chain_flows(&mut r);
     }
 
     #[test]

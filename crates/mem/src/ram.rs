@@ -2,8 +2,12 @@
 //!
 //! [`GuestRam`] is a two-level page table indexed directly by address: a
 //! directory of 2 MiB leaves, each holding 512 slots for 4 KiB pages.
-//! Both levels are allocated on first write, so an access costs two array
-//! indexes and a 64 GiB board costs only what the guest touches.
+//! Both levels are allocated on first write, so a 64 GiB board costs only
+//! what the guest touches. A fixed-size access inside one page
+//! ([`GuestRam::read_array`], [`GuestRam::write_array`] and the integer
+//! accessors over them) is one bounds check, one page lookup (two array
+//! indexes) and one fixed-length copy; a variable-length access, or a
+//! fixed-size one that straddles a page, pays a lookup per page piece.
 
 use crate::addr::GuestAddr;
 use std::error::Error;
@@ -181,6 +185,60 @@ impl GuestRam {
         })
     }
 
+    /// Reads the `N` bytes at `addr` as one record. Inside one page this
+    /// is one page lookup and one fixed-length copy; a record that
+    /// straddles a page is read piece by piece, as [`GuestRam::read`]
+    /// reads it. A never-written page reads as zeros and stays
+    /// unallocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
+    /// size.
+    #[inline]
+    pub fn read_array<const N: usize>(&self, addr: GuestAddr) -> Result<[u8; N], MemError> {
+        self.check(addr, N as u64)?;
+        let at = addr.value();
+        let in_page = (at & (PAGE_SIZE - 1)) as usize;
+        let mut buf = [0u8; N];
+        if in_page + N <= PAGE_SIZE as usize {
+            if let Some(data) = self.page(at >> PAGE_SHIFT) {
+                buf.copy_from_slice(&data[in_page..in_page + N]);
+            }
+        } else {
+            self.read_unchecked(at, &mut buf);
+        }
+        Ok(buf)
+    }
+
+    /// Writes the `N`-byte record `data` at `addr`: one page lookup and
+    /// one fixed-length copy inside a page, piece by piece across a page
+    /// boundary. Pages are allocated exactly as [`GuestRam::write`]
+    /// would allocate them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
+    /// size; no bytes are written in that case.
+    #[inline]
+    pub fn write_array<const N: usize>(
+        &mut self,
+        addr: GuestAddr,
+        data: [u8; N],
+    ) -> Result<(), MemError> {
+        // An empty write must not make its page resident.
+        const { assert!(N > 0, "write_array: empty record") };
+        self.check(addr, N as u64)?;
+        let at = addr.value();
+        let in_page = (at & (PAGE_SIZE - 1)) as usize;
+        if in_page + N <= PAGE_SIZE as usize {
+            self.page_mut(at >> PAGE_SHIFT)[in_page..in_page + N].copy_from_slice(&data);
+            Ok(())
+        } else {
+            self.write(addr, &data)
+        }
+    }
+
     /// Fills `[addr, addr + len)` in place: calls `f(done, piece)` once
     /// per in-page piece, in order, with `piece` the destination bytes
     /// and `done` the bytes of the range before it. Every touched page
@@ -291,10 +349,9 @@ macro_rules! int_access {
             ///
             /// Returns [`MemError::OutOfBounds`] if the access exceeds the
             /// memory size.
+            #[inline]
             pub fn $read(&self, addr: GuestAddr) -> Result<$ty, MemError> {
-                let mut buf = [0u8; std::mem::size_of::<$ty>()];
-                self.read(addr, &mut buf)?;
-                Ok(<$ty>::from_le_bytes(buf))
+                self.read_array(addr).map(<$ty>::from_le_bytes)
             }
 
             /// Writes a little-endian integer at `addr`.
@@ -303,8 +360,9 @@ macro_rules! int_access {
             ///
             /// Returns [`MemError::OutOfBounds`] if the access exceeds the
             /// memory size.
+            #[inline]
             pub fn $write(&mut self, addr: GuestAddr, value: $ty) -> Result<(), MemError> {
-                self.write(addr, &value.to_le_bytes())
+                self.write_array(addr, value.to_le_bytes())
             }
         }
     };
@@ -404,6 +462,41 @@ mod tests {
         touched.iter().filter(|&&t| t).count()
     }
 
+    /// Byte lengths of the fixed-size accesses, by kind: the four
+    /// integer widths, then an 8-byte and a 16-byte record (a used
+    /// element and a descriptor).
+    const RECORD_LEN: [u64; 6] = [1, 2, 4, 8, 8, 16];
+
+    /// Writes `data` through the fixed-size accessor of `kind`.
+    fn write_record(
+        ram: &mut GuestRam,
+        kind: u64,
+        addr: GuestAddr,
+        data: &[u8],
+    ) -> Result<(), MemError> {
+        match kind {
+            0 => ram.write_u8(addr, data[0]),
+            1 => ram.write_u16(addr, u16::from_le_bytes(data.try_into().unwrap())),
+            2 => ram.write_u32(addr, u32::from_le_bytes(data.try_into().unwrap())),
+            3 => ram.write_u64(addr, u64::from_le_bytes(data.try_into().unwrap())),
+            4 => ram.write_array::<8>(addr, data.try_into().unwrap()),
+            _ => ram.write_array::<16>(addr, data.try_into().unwrap()),
+        }
+    }
+
+    /// Reads `RECORD_LEN[kind]` bytes through the fixed-size accessor of
+    /// `kind`.
+    fn read_record(ram: &GuestRam, kind: u64, addr: GuestAddr) -> Result<Vec<u8>, MemError> {
+        Ok(match kind {
+            0 => ram.read_u8(addr)?.to_le_bytes().to_vec(),
+            1 => ram.read_u16(addr)?.to_le_bytes().to_vec(),
+            2 => ram.read_u32(addr)?.to_le_bytes().to_vec(),
+            3 => ram.read_u64(addr)?.to_le_bytes().to_vec(),
+            4 => ram.read_array::<8>(addr)?.to_vec(),
+            _ => ram.read_array::<16>(addr)?.to_vec(),
+        })
+    }
+
     #[test]
     fn page_table_matches_a_flat_byte_model() {
         use bmhive_sim::SimRng;
@@ -422,24 +515,30 @@ mod tests {
                 }
             }
         };
-        for step in 0..4000 {
-            let len = match rng.below(5) {
-                0 => rng.below(9),
-                1 => rng.below(PAGE_SIZE + 1),
-                2 => 3 * PAGE_SIZE + rng.below(PAGE_SIZE),
-                3 => rng.range(1, 4 * PAGE_SIZE),
+        for step in 0..6000 {
+            let op = rng.below(8);
+            // Ops 6 and 7 go through the fixed-size accessors.
+            let kind = rng.below(RECORD_LEN.len() as u64);
+            let len = match (op, rng.below(5)) {
+                (6 | 7, _) => RECORD_LEN[kind as usize],
+                (_, 0) => rng.below(9),
+                (_, 1) => rng.below(PAGE_SIZE + 1),
+                (_, 2) => 3 * PAGE_SIZE + rng.below(PAGE_SIZE),
+                (_, 3) => rng.range(1, 4 * PAGE_SIZE),
                 _ => 8,
             };
-            let addr = match rng.below(4) {
+            let addr = match rng.below(5) {
                 // Straddle a page boundary.
                 0 => (rng.below(SIZE / PAGE_SIZE) * PAGE_SIZE).saturating_sub(rng.below(len + 1)),
+                // Straddle a leaf boundary.
+                1 => (rng.range(1, 4) << (LEAF_SHIFT + PAGE_SHIFT)) - rng.below(len + 1),
                 // End exactly at (or just past) the last byte.
-                1 => (SIZE - len.min(SIZE)) + rng.below(2),
+                2 => (SIZE - len.min(SIZE)) + rng.below(2),
                 // Anywhere, including out of bounds.
                 _ => rng.below(SIZE + 64),
             };
             let in_bounds = addr + len <= SIZE;
-            match rng.below(6) {
+            match op {
                 0 | 1 => {
                     let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
                     let result = ram.write(GuestAddr::new(addr), &data);
@@ -497,7 +596,7 @@ mod tests {
                         assert_eq!(out.len(), before.len(), "failed read_append appended");
                     }
                 }
-                _ => {
+                5 => {
                     let mut buf = vec![0x5au8; len as usize];
                     let result = ram.read(GuestAddr::new(addr), &mut buf);
                     assert_eq!(result.is_ok(), in_bounds, "step {step}");
@@ -505,6 +604,28 @@ mod tests {
                         assert_eq!(buf, flat[addr as usize..(addr + len) as usize]);
                     } else {
                         assert!(buf.iter().all(|&b| b == 0x5a), "failed read wrote");
+                    }
+                }
+                6 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                    let result = write_record(&mut ram, kind, GuestAddr::new(addr), &data);
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    if in_bounds {
+                        flat[addr as usize..(addr + len) as usize].copy_from_slice(&data);
+                        touch(&mut touched, addr, len);
+                    }
+                }
+                _ => {
+                    // Never-written pages read as zeros without becoming
+                    // resident (the check after the match).
+                    let result = read_record(&ram, kind, GuestAddr::new(addr));
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    if let Ok(bytes) = result {
+                        assert_eq!(
+                            bytes,
+                            flat[addr as usize..(addr + len) as usize],
+                            "step {step}"
+                        );
                     }
                 }
             }

@@ -13,7 +13,9 @@
 //! never re-read from the shared rings: a misbehaving device must not be
 //! able to corrupt the driver's allocator.
 
-use crate::queue::{QueueLayout, VirtioError, DESC_F_INDIRECT, DESC_F_NEXT, DESC_F_WRITE};
+use crate::queue::{
+    Descriptor, QueueLayout, UsedElem, VirtioError, DESC_F_INDIRECT, DESC_F_NEXT, DESC_F_WRITE,
+};
 use bmhive_mem::{GuestAddr, GuestRam, SgSegment};
 use bmhive_telemetry as telemetry;
 
@@ -74,22 +76,6 @@ impl VirtqueueDriver {
         self.outstanding_len
     }
 
-    fn write_desc(
-        &self,
-        ram: &mut GuestRam,
-        index: u16,
-        seg: SgSegment,
-        flags: u16,
-        next: u16,
-    ) -> Result<(), VirtioError> {
-        let at = self.layout.desc + u64::from(index) * 16;
-        ram.write_u64(at, seg.addr.value())?;
-        ram.write_u32(at + 8, seg.len)?;
-        ram.write_u16(at + 12, flags)?;
-        ram.write_u16(at + 14, next)?;
-        Ok(())
-    }
-
     /// Posts a buffer chain: `readable` segments (device reads) followed
     /// by `writable` segments (device writes). Returns the head index,
     /// which identifies the completion in [`poll_used`](Self::poll_used).
@@ -123,23 +109,13 @@ impl VirtqueueDriver {
             indices.push(self.free.pop().expect("checked length"));
         }
         for (pos, idx) in indices.iter().enumerate() {
-            let (seg, mut flags) = if pos < readable.len() {
-                (readable[pos], 0)
-            } else {
-                (writable[pos - readable.len()], DESC_F_WRITE)
-            };
-            let next = if pos + 1 < total {
-                flags |= DESC_F_NEXT;
-                indices[pos + 1]
-            } else {
-                0
-            };
-            if let Err(e) = self.write_desc(ram, *idx, seg, flags, next) {
+            let desc = chain_entry(readable, writable, pos, indices.get(pos + 1).copied());
+            if let Err(e) = desc.write(ram, self.layout.desc_addr(*idx)) {
                 // Ring memory is unmapped: hand the slot Vec back empty
                 // so a later epoch can still reuse its capacity.
                 indices.clear();
                 self.outstanding[usize::from(head)] = indices;
-                return Err(e);
+                return Err(e.into());
             }
         }
         self.outstanding[usize::from(head)] = indices;
@@ -170,37 +146,23 @@ impl VirtqueueDriver {
     ) -> Result<u16, VirtioError> {
         let total = readable.len() + writable.len();
         assert!(total > 0, "add_buf_indirect: empty chain");
-        let Some(head) = self.free.pop() else {
+        // The head leaves the free list only once the table and its
+        // descriptor are written, so a fault leaks nothing.
+        let Some(&head) = self.free.last() else {
             return Err(VirtioError::ChainTooLong);
         };
         for pos in 0..total {
-            let (seg, mut flags) = if pos < readable.len() {
-                (readable[pos], 0)
-            } else {
-                (writable[pos - readable.len()], DESC_F_WRITE)
-            };
-            let next = if pos + 1 < total {
-                flags |= DESC_F_NEXT;
-                (pos + 1) as u16
-            } else {
-                0
-            };
-            let at = table_addr + (pos as u64) * 16;
-            ram.write_u64(at, seg.addr.value())?;
-            ram.write_u32(at + 8, seg.len)?;
-            ram.write_u16(at + 12, flags)?;
-            ram.write_u16(at + 14, next)?;
+            let next = (pos + 1 < total).then_some((pos + 1) as u16);
+            chain_entry(readable, writable, pos, next).write(ram, table_addr + pos as u64 * 16)?;
         }
-        if let Err(e) = self.write_desc(
-            ram,
-            head,
-            SgSegment::new(table_addr, (total * 16) as u32),
-            DESC_F_INDIRECT,
-            0,
-        ) {
-            self.free.push(head);
-            return Err(e);
-        }
+        let table = Descriptor {
+            addr: table_addr.value(),
+            len: (total * 16) as u32,
+            flags: DESC_F_INDIRECT,
+            next: 0,
+        };
+        table.write(ram, self.layout.desc_addr(head))?;
+        self.free.pop();
         let slot = &mut self.outstanding[usize::from(head)];
         debug_assert!(slot.is_empty(), "slab slot reused while outstanding");
         slot.push(head);
@@ -211,9 +173,9 @@ impl VirtqueueDriver {
 
     fn publish(&mut self, ram: &mut GuestRam, head: u16) -> Result<(), VirtioError> {
         let slot = self.avail_idx % self.layout.size;
-        ram.write_u16(self.layout.avail + 4 + 2 * u64::from(slot), head)?;
+        ram.write_u16(self.layout.avail_ring_addr(slot), head)?;
         self.avail_idx = self.avail_idx.wrapping_add(1);
-        ram.write_u16(self.layout.avail + 2, self.avail_idx)?;
+        ram.write_u16(self.layout.avail_idx_addr(), self.avail_idx)?;
         telemetry::counter("virtio.chains_published", 1);
         Ok(())
     }
@@ -228,14 +190,13 @@ impl VirtqueueDriver {
     /// [`VirtioError::BadHeadIndex`] if the device returned an id the
     /// driver never posted (a misbehaving device).
     pub fn poll_used(&mut self, ram: &GuestRam) -> Result<Option<(u16, u32)>, VirtioError> {
-        let used_idx = ram.read_u16(self.layout.used + 2)?;
+        let used_idx = ram.read_u16(self.layout.used_idx_addr())?;
         if used_idx == self.last_used_idx {
             return Ok(None);
         }
         let slot = self.last_used_idx % self.layout.size;
-        let at = self.layout.used + 4 + 8 * u64::from(slot);
-        let id = ram.read_u32(at)? as u16;
-        let len = ram.read_u32(at + 4)?;
+        let UsedElem { id, len } = UsedElem::read(ram, self.layout.used_ring_addr(slot))?;
+        let id = id as u16;
         self.last_used_idx = self.last_used_idx.wrapping_add(1);
         let Self {
             free, outstanding, ..
@@ -273,6 +234,30 @@ impl VirtqueueDriver {
             self.avail_idx,
             old_avail_idx,
         ))
+    }
+}
+
+/// The descriptor at position `pos` of a chain of `readable` then
+/// `writable` segments, linked to `next` unless it is the last.
+fn chain_entry(
+    readable: &[SgSegment],
+    writable: &[SgSegment],
+    pos: usize,
+    next: Option<u16>,
+) -> Descriptor {
+    let (seg, flags) = match readable.get(pos) {
+        Some(&seg) => (seg, 0),
+        None => (writable[pos - readable.len()], DESC_F_WRITE),
+    };
+    let (flags, next) = match next {
+        Some(next) => (flags | DESC_F_NEXT, next),
+        None => (flags, 0),
+    };
+    Descriptor {
+        addr: seg.addr.value(),
+        len: seg.len,
+        flags,
+        next,
     }
 }
 
@@ -450,6 +435,19 @@ mod tests {
             .unwrap();
         // 4 segments but only 1 queue descriptor consumed.
         assert_eq!(driver.num_free(), 3);
+    }
+
+    #[test]
+    fn unmapped_indirect_table_leaks_no_descriptor() {
+        let (mut ram, mut driver, _) = setup(4);
+        let seg = SgSegment::new(GuestAddr::new(0x5000), 4);
+        // The second table entry runs past the end of the 1 MiB RAM.
+        let table = GuestAddr::new((1 << 20) - 24);
+        for _ in 0..8 {
+            let err = driver.add_buf_indirect(&mut ram, table, &[seg, seg], &[]);
+            assert!(matches!(err, Err(VirtioError::Mem(_))), "{err:?}");
+        }
+        assert_eq!((driver.num_free(), driver.outstanding()), (4, 0));
     }
 
     #[test]

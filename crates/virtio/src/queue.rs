@@ -62,6 +62,14 @@ pub enum VirtioError {
     ReadableAfterWritable,
     /// An indirect descriptor had disallowed flags or a malformed table.
     BadIndirect(&'static str),
+    /// A chain needs more staging slots than the device has in total,
+    /// so it could never be staged however long it waited.
+    ChainTooLarge {
+        /// Staging slots the chain needs.
+        needed: u64,
+        /// Staging slots the device has.
+        capacity: u32,
+    },
     /// The driver moved the avail index more entries past the device's
     /// cursor than the ring holds (Linux vhost: "Guest moved avail
     /// index").
@@ -84,6 +92,10 @@ impl fmt::Display for VirtioError {
                 write!(f, "readable descriptor after writable descriptor")
             }
             VirtioError::BadIndirect(why) => write!(f, "bad indirect descriptor: {why}"),
+            VirtioError::ChainTooLarge { needed, capacity } => write!(
+                f,
+                "descriptor chain needs {needed} staging slots, more than the {capacity} there are"
+            ),
             VirtioError::AvailIdxJump { pending, size } => write!(
                 f,
                 "guest moved avail index {pending} entries ahead of a {size}-entry queue"
@@ -155,23 +167,23 @@ impl QueueLayout {
         (self.used + used_bytes) - self.desc
     }
 
-    fn desc_addr(&self, index: u16) -> GuestAddr {
+    pub(crate) fn desc_addr(&self, index: u16) -> GuestAddr {
         self.desc + u64::from(index) * DESC_ENTRY
     }
 
-    fn avail_idx_addr(&self) -> GuestAddr {
+    pub(crate) fn avail_idx_addr(&self) -> GuestAddr {
         self.avail + 2
     }
 
-    fn avail_ring_addr(&self, slot: u16) -> GuestAddr {
+    pub(crate) fn avail_ring_addr(&self, slot: u16) -> GuestAddr {
         self.avail + 4 + 2 * u64::from(slot)
     }
 
-    fn used_idx_addr(&self) -> GuestAddr {
+    pub(crate) fn used_idx_addr(&self) -> GuestAddr {
         self.used + 2
     }
 
-    fn used_ring_addr(&self, slot: u16) -> GuestAddr {
+    pub(crate) fn used_ring_addr(&self, slot: u16) -> GuestAddr {
         self.used + 4 + 8 * u64::from(slot)
     }
 
@@ -182,22 +194,84 @@ impl QueueLayout {
     }
 }
 
-/// One descriptor, as read from the table.
+/// One descriptor-table entry: the 16-byte `struct virtq_desc` of
+/// virtio 1.1 §2.6.5, little-endian `addr`, `len`, `flags`, `next`.
+/// The device side ([`Virtqueue`]) and the driver side
+/// ([`VirtqueueDriver`](crate::VirtqueueDriver)) both move it as one
+/// record: one bounds check and one page lookup per descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Descriptor {
-    addr: u64,
-    len: u32,
-    flags: u16,
-    next: u16,
+pub(crate) struct Descriptor {
+    pub(crate) addr: u64,
+    pub(crate) len: u32,
+    pub(crate) flags: u16,
+    pub(crate) next: u16,
 }
 
-fn read_descriptor(ram: &GuestRam, at: GuestAddr) -> Result<Descriptor, VirtioError> {
-    Ok(Descriptor {
-        addr: ram.read_u64(at)?,
-        len: ram.read_u32(at + 8)?,
-        flags: ram.read_u16(at + 12)?,
-        next: ram.read_u16(at + 14)?,
-    })
+impl Descriptor {
+    /// Reads the entry at `at`.
+    pub(crate) fn read(ram: &GuestRam, at: GuestAddr) -> Result<Self, MemError> {
+        let [a0, a1, a2, a3, a4, a5, a6, a7, l0, l1, l2, l3, f0, f1, n0, n1] =
+            ram.read_array(at)?;
+        Ok(Descriptor {
+            addr: u64::from_le_bytes([a0, a1, a2, a3, a4, a5, a6, a7]),
+            len: u32::from_le_bytes([l0, l1, l2, l3]),
+            flags: u16::from_le_bytes([f0, f1]),
+            next: u16::from_le_bytes([n0, n1]),
+        })
+    }
+
+    /// Writes the entry at `at`.
+    pub(crate) fn write(self, ram: &mut GuestRam, at: GuestAddr) -> Result<(), MemError> {
+        let mut record = [0u8; DESC_ENTRY as usize];
+        record[..8].copy_from_slice(&self.addr.to_le_bytes());
+        record[8..12].copy_from_slice(&self.len.to_le_bytes());
+        record[12..14].copy_from_slice(&self.flags.to_le_bytes());
+        record[14..].copy_from_slice(&self.next.to_le_bytes());
+        ram.write_array(at, record)
+    }
+
+    /// Files the buffer this entry names under the chain's readable or
+    /// writable list.
+    fn push_segment(self, readable: &mut SgList, writable: &mut SgList) -> Result<(), VirtioError> {
+        let seg = SgSegment::new(GuestAddr::new(self.addr), self.len);
+        if self.flags & DESC_F_WRITE != 0 {
+            writable.push(seg);
+        } else {
+            if !writable.is_empty() {
+                return Err(VirtioError::ReadableAfterWritable);
+            }
+            readable.push(seg);
+        }
+        Ok(())
+    }
+}
+
+/// One used-ring element: the 8-byte `struct virtq_used_elem` of virtio
+/// 1.1 §2.6.8, the completed chain's head `id` and the bytes the device
+/// wrote, moved as one record like [`Descriptor`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UsedElem {
+    pub(crate) id: u32,
+    pub(crate) len: u32,
+}
+
+impl UsedElem {
+    /// Reads the element at `at`.
+    pub(crate) fn read(ram: &GuestRam, at: GuestAddr) -> Result<Self, MemError> {
+        let [i0, i1, i2, i3, l0, l1, l2, l3] = ram.read_array(at)?;
+        Ok(UsedElem {
+            id: u32::from_le_bytes([i0, i1, i2, i3]),
+            len: u32::from_le_bytes([l0, l1, l2, l3]),
+        })
+    }
+
+    /// Writes the element at `at`.
+    pub(crate) fn write(self, ram: &mut GuestRam, at: GuestAddr) -> Result<(), MemError> {
+        let mut record = [0u8; 8];
+        record[..4].copy_from_slice(&self.id.to_le_bytes());
+        record[4..].copy_from_slice(&self.len.to_le_bytes());
+        ram.write_array(at, record)
+    }
 }
 
 /// A popped descriptor chain: the head index to return through the used
@@ -310,7 +384,7 @@ impl Virtqueue {
                 return Err(VirtioError::ChainTooLong);
             }
             hops += 1;
-            let desc = read_descriptor(ram, self.layout.desc_addr(index))?;
+            let desc = Descriptor::read(ram, self.layout.desc_addr(index))?;
             if desc.flags & DESC_F_INDIRECT != 0 {
                 if desc.flags & DESC_F_NEXT != 0 {
                     return Err(VirtioError::BadIndirect("INDIRECT combined with NEXT"));
@@ -323,15 +397,7 @@ impl Virtqueue {
                 self.walk_indirect(ram, desc, &mut readable, &mut writable)?;
                 break;
             }
-            let seg = SgSegment::new(GuestAddr::new(desc.addr), desc.len);
-            if desc.flags & DESC_F_WRITE != 0 {
-                writable.push(seg);
-            } else {
-                if !writable.is_empty() {
-                    return Err(VirtioError::ReadableAfterWritable);
-                }
-                readable.push(seg);
-            }
+            desc.push_segment(&mut readable, &mut writable)?;
             if desc.flags & DESC_F_NEXT == 0 {
                 break;
             }
@@ -366,19 +432,11 @@ impl Virtqueue {
                 return Err(VirtioError::BadIndirect("chain loops inside table"));
             }
             hops += 1;
-            let desc = read_descriptor(ram, base + u64::from(index) * DESC_ENTRY)?;
+            let desc = Descriptor::read(ram, base + u64::from(index) * DESC_ENTRY)?;
             if desc.flags & DESC_F_INDIRECT != 0 {
                 return Err(VirtioError::BadIndirect("nested indirect descriptor"));
             }
-            let seg = SgSegment::new(GuestAddr::new(desc.addr), desc.len);
-            if desc.flags & DESC_F_WRITE != 0 {
-                writable.push(seg);
-            } else {
-                if !writable.is_empty() {
-                    return Err(VirtioError::ReadableAfterWritable);
-                }
-                readable.push(seg);
-            }
+            desc.push_segment(readable, writable)?;
             if desc.flags & DESC_F_NEXT == 0 {
                 return Ok(());
             }
@@ -402,9 +460,11 @@ impl Virtqueue {
         written: u32,
     ) -> Result<(), VirtioError> {
         let slot = self.used_idx % self.layout.size;
-        let at = self.layout.used_ring_addr(slot);
-        ram.write_u32(at, u32::from(head))?;
-        ram.write_u32(at + 4, written)?;
+        let elem = UsedElem {
+            id: u32::from(head),
+            len: written,
+        };
+        elem.write(ram, self.layout.used_ring_addr(slot))?;
         self.used_idx = self.used_idx.wrapping_add(1);
         ram.write_u16(self.layout.used_idx_addr(), self.used_idx)?;
         self.completed += 1;
@@ -671,6 +731,68 @@ mod tests {
     }
 
     #[test]
+    fn page_straddling_indirect_table_parses_like_an_aligned_one() {
+        for seed in 0..64 {
+            let mut rng = SimRng::with_stream(seed, 0x57d1);
+            let (mut ram, mut driver, mut device) = setup(16);
+            let seg = |rng: &mut SimRng| {
+                let addr = GuestAddr::new(rng.range(0x40_000, 0x80_000));
+                SgSegment::new(addr, rng.range(1, 1 << 16) as u32)
+            };
+            let readable: Vec<_> = (0..rng.range(1, 5)).map(|_| seg(&mut rng)).collect();
+            let writable: Vec<_> = (0..rng.below(4)).map(|_| seg(&mut rng)).collect();
+            // Entry `k` of the guest-placed table starts 8 bytes before a
+            // page boundary, so its two halves sit on different pages.
+            let k = rng.below((readable.len() + writable.len()) as u64);
+            let straddling = GuestAddr::new(0x21_000 - 8 - 16 * k);
+            driver
+                .add_buf_indirect(&mut ram, GuestAddr::new(0x30_000), &readable, &writable)
+                .unwrap();
+            driver
+                .add_buf_indirect(&mut ram, straddling, &readable, &writable)
+                .unwrap();
+            let aligned = device.pop_avail(&ram).unwrap().unwrap();
+            let split = device.pop_avail(&ram).unwrap().unwrap();
+            assert_eq!(aligned.readable.segments(), readable, "seed {seed}");
+            assert_eq!(aligned.writable.segments(), writable, "seed {seed}");
+            assert_eq!(
+                (split.readable, split.writable),
+                (aligned.readable, aligned.writable),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn descriptor_read_past_the_end_of_ram_is_a_memory_fault() {
+        let end = 1 << 20;
+        // An indirect table whose first entry, or whose second entry,
+        // runs 8 bytes past the end of guest RAM.
+        for (table, len) in [(end - 8, 16), (end - 24, 32)] {
+            let (mut ram, _driver, mut device) = setup(8);
+            let layout = *device.layout();
+            ram.write_u64(layout.desc_addr(0), table).unwrap();
+            ram.write_u32(layout.desc_addr(0) + 8, len).unwrap();
+            ram.write_u16(layout.desc_addr(0) + 12, DESC_F_INDIRECT)
+                .unwrap();
+            if len == 32 {
+                ram.write_u16(GuestAddr::new(table + 12), DESC_F_NEXT)
+                    .unwrap();
+                ram.write_u16(GuestAddr::new(table + 14), 1).unwrap();
+            }
+            ram.write_u16(layout.avail_ring_addr(0), 0).unwrap();
+            ram.write_u16(layout.avail_idx_addr(), 1).unwrap();
+            let err = device.pop_avail(&ram).unwrap_err();
+            assert!(
+                matches!(err, VirtioError::Mem(MemError::OutOfBounds { .. })),
+                "table at {table:#x}: {err}"
+            );
+            // The queue moved past the bad chain.
+            assert_eq!(device.pop_avail(&ram).unwrap(), None);
+        }
+    }
+
+    #[test]
     fn malicious_head_index_is_an_error_not_a_panic() {
         let (mut ram, _driver, mut device) = setup(8);
         let layout = *device.layout();
@@ -853,6 +975,11 @@ mod tests {
             size: 8,
         };
         assert!(jump.to_string().contains("avail index 1000"));
+        let too_large = VirtioError::ChainTooLarge {
+            needed: 70,
+            capacity: 64,
+        };
+        assert!(too_large.to_string().contains("70 staging slots"));
         let mem_err: VirtioError = MemError::OutOfBounds {
             addr: GuestAddr::new(0),
             len: 1,

@@ -98,10 +98,10 @@ pub struct BmHiveServer {
     store: BlockStore,
     next_board: u32,
     next_guest: u32,
-    /// `guest_send`'s reused frames: the payload the sender's backend
-    /// hands the vSwitch, and the receiver's copy of it.
+    /// `guest_send`'s reused frame: the payload the sender's backend
+    /// hands the vSwitch. A local receiver's guest reaps it where it
+    /// landed, in board RAM, so no host copy of it comes back.
     egress_frame: Vec<u8>,
-    ingress_frame: Vec<u8>,
 }
 
 impl BmHiveServer {
@@ -122,7 +122,6 @@ impl BmHiveServer {
             next_board: 0,
             next_guest: 0,
             egress_frame: Vec::new(),
-            ingress_frame: Vec::new(),
         }
     }
 
@@ -354,19 +353,18 @@ impl BmHiveServer {
                     .guests
                     .get_mut(&GuestId(port.0))
                     .filter(|g| g.port == port);
-                if let Some(receiver) = receiver {
-                    let rx_timing = receiver
-                        .session
-                        .net_receive(&self.egress_frame, at, &mut self.ingress_frame)
-                        .map_err(ServerError::Io)?;
-                    // The receiver reaped the frame: its port queue drains.
-                    self.vswitch.complete(port);
-                    return Ok(IoTiming {
+                let delivered =
+                    receiver.map(|r| r.session.net_receive_into(&self.egress_frame, at, None));
+                // The frame leaves its port queue once, whether the
+                // receiver reaped it, failed to, or no receiver exists.
+                self.vswitch.complete(port);
+                match delivered {
+                    Some(rx) => Ok(IoTiming {
                         submitted: timing.submitted,
-                        completed: rx_timing.completed,
-                    });
+                        completed: rx.map_err(ServerError::Io)?.completed,
+                    }),
+                    None => Ok(timing),
                 }
-                Ok(timing)
             }
             Forwarded::Uplink(_) | Forwarded::Dropped => Ok(timing),
         }
@@ -416,6 +414,7 @@ impl BmHiveServer {
 mod tests {
     use super::*;
     use bmhive_cloud::catalog::INSTANCE_CATALOG;
+    use bmhive_hypervisor::bm::SessionError;
     use bmhive_sim::SimDuration;
 
     fn e5() -> &'static InstanceType {
@@ -497,14 +496,20 @@ mod tests {
         ));
     }
 
+    /// A server with two booted guests on two boards.
+    fn two_guests(seed: u64) -> (BmHiveServer, GuestId, GuestId) {
+        let mut server = BmHiveServer::new(ServerConstraints::production(), seed);
+        let image = MachineImage::centos_evaluation(1);
+        let [g1, g2] = [0; 2].map(|_| {
+            let board = server.install_board(e5()).unwrap();
+            server.power_on(board, &image, SimTime::ZERO).unwrap()
+        });
+        (server, g1, g2)
+    }
+
     #[test]
     fn local_guest_to_guest_delivery() {
-        let mut server = BmHiveServer::new(ServerConstraints::production(), 5);
-        let image = MachineImage::centos_evaluation(1);
-        let b1 = server.install_board(e5()).unwrap();
-        let b2 = server.install_board(e5()).unwrap();
-        let g1 = server.power_on(b1, &image, SimTime::ZERO).unwrap();
-        let g2 = server.power_on(b2, &image, SimTime::ZERO).unwrap();
+        let (mut server, g1, g2) = two_guests(5);
         let dst = server.guest_mac(g2).unwrap();
         let start = SimTime::from_secs(1);
         let timing = server.guest_send(g1, dst, b"cross-board", start).unwrap();
@@ -517,12 +522,7 @@ mod tests {
 
     #[test]
     fn delivered_local_frames_leave_no_port_backlog() {
-        let mut server = BmHiveServer::new(ServerConstraints::production(), 5);
-        let image = MachineImage::centos_evaluation(1);
-        let b1 = server.install_board(e5()).unwrap();
-        let b2 = server.install_board(e5()).unwrap();
-        let g1 = server.power_on(b1, &image, SimTime::ZERO).unwrap();
-        let g2 = server.power_on(b2, &image, SimTime::ZERO).unwrap();
+        let (mut server, g1, g2) = two_guests(5);
         let dst = server.guest_mac(g2).unwrap();
         let mut t = SimTime::from_secs(1);
         for _ in 0..10 {
@@ -532,6 +532,56 @@ mod tests {
         assert_eq!(server.vswitch.queue_depth(PortId(g2.0)), 0);
         assert_eq!(server.vswitch.peak_port_depth(), 1);
         assert_eq!(server.guest_mut(g2).unwrap().counters().1, 10);
+    }
+
+    #[test]
+    fn failed_local_delivery_releases_its_port_slot() {
+        // A twin server, built alike, shows when the frame reaches the
+        // switch port: the sender's I/O is all done by then.
+        let start = SimTime::from_secs(1);
+        let (mut twin, g1, g2) = two_guests(5);
+        let dst = twin.guest_mac(g2).unwrap();
+        let sender = &mut twin.guests.get_mut(&g1).unwrap().session;
+        let (egress, _) = sender
+            .net_send(dst, PacketKind::Udp, b"wedged", start, &mut Vec::new())
+            .unwrap();
+        let Forwarded::Local(port, at) = twin.vswitch.forward(&egress.packet, egress.at) else {
+            panic!("a co-resident guest is a local port");
+        };
+
+        // DMA wedges from then on, for longer than the retry budget: the
+        // receiver's copy-back escalates and the send fails.
+        let (mut server, g1, _) = two_guests(5);
+        let mut plan = bmhive_faults::FaultPlan::new("dma-wedge-at-receiver");
+        plan.push(bmhive_faults::FaultEvent::window(
+            at,
+            bmhive_faults::FaultSite::Dma,
+            bmhive_faults::FaultKind::DmaTimeout,
+            SimDuration::from_millis(8),
+        ));
+        bmhive_faults::arm(plan, 9);
+        let err = server.guest_send(g1, dst, b"wedged", start).unwrap_err();
+        bmhive_faults::disarm();
+        assert!(matches!(
+            err,
+            ServerError::Io(SessionError::Escalated {
+                op: "net_receive",
+                ..
+            })
+        ));
+        // The frame left the port queue all the same.
+        assert_eq!(server.vswitch.queue_depth(port), 0);
+    }
+
+    #[test]
+    fn frame_to_a_port_without_a_session_releases_its_slot() {
+        let (mut server, g1, _) = two_guests(5);
+        let stray = MacAddr::for_guest(77);
+        server.vswitch.attach(stray, PortId(7));
+        server
+            .guest_send(g1, stray, b"nobody home", SimTime::from_secs(1))
+            .unwrap();
+        assert_eq!(server.vswitch.queue_depth(PortId(7)), 0);
     }
 
     #[test]

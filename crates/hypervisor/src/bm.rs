@@ -384,6 +384,23 @@ impl BmGuestSession {
         now: SimTime,
         out: &mut Vec<u8>,
     ) -> Result<IoTiming, SessionError> {
+        self.net_receive_into(payload, now, Some(out))
+    }
+
+    /// [`Self::net_receive`] with an optional destination: with `None`
+    /// the frame lands in the guest's rx buffer and is reaped, timed and
+    /// counted the same, but no byte of it is copied back out of board
+    /// RAM (a caller that never reads the payload).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::net_receive`].
+    pub fn net_receive_into(
+        &mut self,
+        payload: &[u8],
+        now: SimTime,
+        out: Option<&mut Vec<u8>>,
+    ) -> Result<IoTiming, SessionError> {
         // Make sure freshly-posted buffers have propagated to the shadow
         // ring.
         self.net_dev
@@ -430,6 +447,21 @@ impl BmGuestSession {
         read_len: u64,
         now: SimTime,
         out: &mut Vec<u8>,
+    ) -> Result<(BlkStatus, IoTiming), SessionError> {
+        self.blk_request_into(store, header, data, read_len, now, Some(out))
+    }
+
+    /// [`Self::blk_request`] with an optional destination: with `None`
+    /// a read's data stays in board RAM, where the device put it, and
+    /// the reap copies none of it (the firmware's boot reads).
+    pub(crate) fn blk_request_into(
+        &mut self,
+        store: &mut BlockStore,
+        header: BlkRequestHeader,
+        data: &[u8],
+        read_len: u64,
+        now: SimTime,
+        out: Option<&mut Vec<u8>>,
     ) -> Result<(BlkStatus, IoTiming), SessionError> {
         // Guest: header buffer (16 B) + data + status byte. Kick + sync
         // to shadow (kick and PMD poll both take the fault-aware

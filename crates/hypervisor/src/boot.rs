@@ -12,6 +12,12 @@
 //! then the kernel sectors, in 128 KiB virtio-blk requests, over either
 //! platform — which is exactly what makes *cold migration* work: the
 //! same [`MachineImage`] boots as a vm-guest or a bm-guest.
+//!
+//! Each chunk lands in a guest buffer (board RAM for a bm-guest, guest
+//! RAM for a vm-guest), which is where a real firmware executes it. The
+//! reap reads only the status byte: no chunk is copied back out into
+//! host memory, so a chunk costs the backend's fill and the transport's
+//! copy into guest memory, and nothing more.
 
 use bmhive_cloud::blockstore::BlockStore;
 use bmhive_cloud::image::MachineImage;
@@ -39,8 +45,9 @@ pub struct BootReport {
 
 /// Either guest platform, for boot purposes.
 pub trait BootTarget {
-    /// Issues one firmware read of `sectors` sectors at `sector` into
-    /// `buf`.
+    /// Issues one firmware read of `sectors` sectors at `sector`. The
+    /// data lands in a guest buffer, where the firmware runs it; none of
+    /// it is copied back out to the host.
     ///
     /// # Errors
     ///
@@ -51,7 +58,6 @@ pub trait BootTarget {
         sector: u64,
         sectors: u64,
         now: SimTime,
-        buf: &mut Vec<u8>,
     ) -> Result<(BlkStatus, IoTiming), SessionError>;
 }
 
@@ -62,10 +68,9 @@ impl BootTarget for BmGuestSession {
         sector: u64,
         sectors: u64,
         now: SimTime,
-        buf: &mut Vec<u8>,
     ) -> Result<(BlkStatus, IoTiming), SessionError> {
         let header = BlkRequestHeader::new(BlkRequestType::In, sector);
-        self.blk_request(store, header, &[], sectors * SECTOR_SIZE, now, buf)
+        self.blk_request_into(store, header, &[], sectors * SECTOR_SIZE, now, None)
     }
 }
 
@@ -76,10 +81,9 @@ impl BootTarget for VmGuestSession {
         sector: u64,
         sectors: u64,
         now: SimTime,
-        buf: &mut Vec<u8>,
     ) -> Result<(BlkStatus, IoTiming), SessionError> {
         let header = BlkRequestHeader::new(BlkRequestType::In, sector);
-        self.blk_request(store, header, &[], sectors * SECTOR_SIZE, now, buf)
+        self.blk_request_into(store, header, &[], sectors * SECTOR_SIZE, now, None)
     }
 }
 
@@ -102,8 +106,6 @@ pub fn boot_guest<T: BootTarget>(
     let mut now = power_on;
     let mut sectors_read = 0;
     let mut requests = 0;
-    // Every chunk lands in the same buffer.
-    let mut buf = Vec::new();
     for (start, len) in [
         (image.bootloader_sector, image.bootloader_sectors),
         (image.kernel_sector, image.kernel_sectors),
@@ -112,7 +114,7 @@ pub fn boot_guest<T: BootTarget>(
         let end = start + len;
         while at < end {
             let chunk = (end - at).min(BOOT_CHUNK_SECTORS);
-            let (status, timing) = target.firmware_read(store, at, chunk, now, &mut buf)?;
+            let (status, timing) = target.firmware_read(store, at, chunk, now)?;
             if status != BlkStatus::Ok {
                 return Err(SessionError::BadRequest("boot read failed"));
             }
@@ -133,25 +135,47 @@ pub fn boot_guest<T: BootTarget>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{volume_byte, GuestDriver};
     use bmhive_cloud::blockstore::StorageClass;
     use bmhive_cloud::limits::InstanceLimits;
     use bmhive_iobond::IoBondProfile;
+    use bmhive_mem::GuestRam;
     use bmhive_net::MacAddr;
+    use bmhive_virtio::Virtqueue;
 
     fn image() -> MachineImage {
         MachineImage::centos_evaluation(1)
     }
 
-    #[test]
-    fn bm_guest_boots_from_cloud_storage() {
-        let mut guest = BmGuestSession::new(
+    fn bm() -> BmGuestSession {
+        BmGuestSession::new(
             IoBondProfile::fpga(),
             MacAddr::for_guest(1),
             64,
             InstanceLimits::production(),
-        );
+        )
+    }
+
+    /// The evaluation image booted on a bm-guest.
+    fn booted_bm() -> (BmGuestSession, BootReport) {
+        let mut guest = bm();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 33);
         let report = boot_guest(&mut guest, &mut store, &image(), SimTime::ZERO).unwrap();
+        (guest, report)
+    }
+
+    /// The evaluation image booted on a vm-guest.
+    fn booted_vm() -> (VmGuestSession, BootReport) {
+        let mut vm =
+            VmGuestSession::new(MacAddr::for_guest(2), 64, InstanceLimits::production(), 3);
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 34);
+        let report = boot_guest(&mut vm, &mut store, &image(), SimTime::ZERO).unwrap();
+        (vm, report)
+    }
+
+    #[test]
+    fn bm_guest_boots_from_cloud_storage() {
+        let (_, report) = booted_bm();
         assert_eq!(report.sectors_read, image().boot_sectors());
         assert!(report.requests >= image().boot_sectors() / 256);
         // Loading ~8 MiB over rate-limited cloud storage takes tens of
@@ -164,24 +188,65 @@ mod tests {
     fn same_image_cold_migrates_to_a_vm() {
         // Interoperability (§3.1): the identical image boots on the
         // vm-guest platform.
+        let (_, report) = booted_vm();
+        assert_eq!(report.sectors_read, image().boot_sectors());
+    }
+
+    #[test]
+    fn evaluation_image_boot_reports_are_pinned_on_both_platforms() {
+        // The firmware's reads reap without copying their data out, which
+        // moves no simulated time: the reports keep these exact values.
+        for (report, finished_ns) in [(booted_bm().1, 18_840_298), (booted_vm().1, 20_822_191)] {
+            let finished_at = SimTime::from_nanos(finished_ns);
+            assert_eq!(
+                report,
+                BootReport {
+                    sectors_read: 16384,
+                    requests: 64,
+                    finished_at,
+                    duration: finished_at.saturating_duration_since(SimTime::ZERO),
+                }
+            );
+        }
+    }
+
+    /// The data bytes of the last blk chain the guest posted, read back
+    /// from the descriptors still in its ring: the buffer the firmware's
+    /// last chunk landed in.
+    fn last_blk_read(guest: &GuestDriver, ram: &GuestRam) -> Vec<u8> {
+        let layout = guest.layouts()[2];
+        let avail_idx = u16::from_le_bytes(ram.read_array::<2>(layout.avail + 2).unwrap());
+        let mut ring = Virtqueue::new(layout);
+        ring.restore_cursors(avail_idx.wrapping_sub(1), 0);
+        let chain = ring.pop_avail(ram).unwrap().expect("the last chain");
+        // The writable part is the data, then the status byte.
+        let (data, _) = chain.writable.split_at(chain.writable.total_len() - 1);
+        data.gather(ram).unwrap()
+    }
+
+    #[test]
+    fn the_image_really_lands_in_guest_memory() {
         let img = image();
-        let mut vm =
-            VmGuestSession::new(MacAddr::for_guest(2), 64, InstanceLimits::production(), 3);
-        let mut store = BlockStore::new(StorageClass::CloudSsd, 34);
-        let report = boot_guest(&mut vm, &mut store, &img, SimTime::ZERO).unwrap();
-        assert_eq!(report.sectors_read, img.boot_sectors());
+        let end = img.kernel_sector + img.kernel_sectors;
+        let last_chunk = (img.kernel_sectors - 1) % BOOT_CHUNK_SECTORS + 1;
+        let sector = end - last_chunk;
+        let expect: Vec<u8> = (0..last_chunk * SECTOR_SIZE)
+            .map(|i| volume_byte(sector, i))
+            .collect();
+
+        let (mut guest, _) = booted_bm();
+        let (driver, board) = guest.guest_mut();
+        assert!(last_blk_read(driver, board) == expect, "bm-guest board RAM");
+        let (mut vm, _) = booted_vm();
+        let (driver, ram) = vm.guest_mut();
+        assert!(last_blk_read(driver, ram) == expect, "vm-guest RAM");
     }
 
     #[test]
     fn image_without_virtio_drivers_cannot_boot() {
         let mut img = image();
         img.has_virtio_drivers = false;
-        let mut guest = BmGuestSession::new(
-            IoBondProfile::fpga(),
-            MacAddr::for_guest(1),
-            64,
-            InstanceLimits::production(),
-        );
+        let mut guest = bm();
         let mut store = BlockStore::new(StorageClass::CloudSsd, 35);
         assert!(boot_guest(&mut guest, &mut store, &img, SimTime::ZERO).is_err());
     }
@@ -189,12 +254,7 @@ mod tests {
     #[test]
     fn boot_is_deterministic() {
         let run = || {
-            let mut guest = BmGuestSession::new(
-                IoBondProfile::fpga(),
-                MacAddr::for_guest(1),
-                64,
-                InstanceLimits::production(),
-            );
+            let mut guest = bm();
             let mut store = BlockStore::new(StorageClass::CloudSsd, 36);
             boot_guest(&mut guest, &mut store, &image(), SimTime::ZERO).unwrap()
         };

@@ -139,8 +139,9 @@ const BLK_HDR_LEN: u64 = 16;
 /// The guest's virtio-net (rx + tx) and virtio-blk driver, identical on
 /// both platforms: rings and buffer arenas in the guest's RAM, and the
 /// posted-buffer slabs that map each completed head back to its
-/// buffers. Reaps copy what they hand back into a caller-owned buffer,
-/// so steady-state posts and reaps allocate nothing.
+/// buffers. A reap copies what it hands back into a caller-owned
+/// buffer, or copies nothing when the caller passes none, so
+/// steady-state posts and reaps allocate nothing.
 #[derive(Debug)]
 pub(crate) struct GuestDriver {
     net_rx: VirtqueueDriver,
@@ -266,15 +267,17 @@ impl GuestDriver {
     }
 
     /// Reaps rx completions, restocks the ring, counts the receive, and
-    /// copies the last delivered payload into `out` (cleared first).
-    /// The ring is restocked even when a completion is malformed, so a
-    /// misbehaving device cannot drain it.
+    /// copies the last delivered payload into `out` (cleared first), if
+    /// given. The ring is restocked even when a completion is malformed,
+    /// so a misbehaving device cannot drain it.
     pub(crate) fn reap_rx(
         &mut self,
         ram: &mut GuestRam,
-        out: &mut Vec<u8>,
+        mut out: Option<&mut Vec<u8>>,
     ) -> Result<(), SessionError> {
-        out.clear();
+        if let Some(out) = out.as_deref_mut() {
+            out.clear();
+        }
         let reaped = self.take_rx_completions(ram, out);
         self.replenish_rx(ram)?;
         if !reaped? {
@@ -285,12 +288,12 @@ impl GuestDriver {
     }
 
     /// Drains the rx used ring, returning each buffer to its pool, and
-    /// copies the last frame's payload into `out`. Only the used length
-    /// is read. Returns whether any completion was reaped.
+    /// copies the last frame's payload into `out`, if given. Only the
+    /// used length is read. Returns whether any completion was reaped.
     fn take_rx_completions(
         &mut self,
         ram: &GuestRam,
-        out: &mut Vec<u8>,
+        mut out: Option<&mut Vec<u8>>,
     ) -> Result<bool, SessionError> {
         let mut delivered = false;
         while let Some((head, len)) = self.net_rx.poll_used(ram)? {
@@ -304,10 +307,12 @@ impl GuestDriver {
                 Err(SessionError::BadRequest("rx frame shorter than header"))
             } else if used > buf.total_len() {
                 Err(SessionError::BadRequest("rx frame longer than its buffer"))
-            } else {
+            } else if let Some(out) = out.as_deref_mut() {
                 let (frame, _) = buf.split_at(used);
                 let (_, payload) = frame.split_at(VIRTIO_NET_HDR_LEN);
                 payload.gather_into(ram, out).map_err(SessionError::from)
+            } else {
+                Ok(())
             };
             self.rx_pool.free(&buf);
             gathered?;
@@ -373,17 +378,21 @@ impl GuestDriver {
     }
 
     /// Reaps blk completions, returning each chain's buffers to their
-    /// pool, counts the op, and returns the last one's status. For a
-    /// read (`req` is `In`) its data goes into `out` (cleared first).
+    /// pool, counts the op, and returns the last one's status. With an
+    /// `out`, a read's data (`req` is `In`) goes into it (cleared
+    /// first); with none, the data stays where the device put it, in
+    /// guest memory, and nothing is copied.
     pub(crate) fn reap_blk(
         &mut self,
         ram: &GuestRam,
         req: BlkRequestType,
-        out: &mut Vec<u8>,
+        mut out: Option<&mut Vec<u8>>,
     ) -> Result<BlkStatus, SessionError> {
         let is_read = matches!(req, BlkRequestType::In);
         let mut status = BlkStatus::IoErr;
-        out.clear();
+        if let Some(out) = out.as_deref_mut() {
+            out.clear();
+        }
         while let Some((head, _len)) = self.blk.poll_used(ram)? {
             let posted = self
                 .blk_posted
@@ -394,7 +403,7 @@ impl GuestDriver {
             std::mem::swap(posted, &mut slots);
             // Last slot is the status byte; for reads the middle slot is
             // the data.
-            let read = read_blk_completion(ram, &slots, is_read, out);
+            let read = read_blk_completion(ram, &slots, is_read, out.as_deref_mut());
             for slot in &slots {
                 self.blk_pool.free(slot);
             }
@@ -407,23 +416,26 @@ impl GuestDriver {
     }
 }
 
-/// Reads a reaped blk chain's status byte from its last buffer and, for
-/// a read with a data buffer, the data into `out`.
+/// Reads a reaped blk chain's status byte from its last buffer and, if
+/// there is an `out`, a read's data into it (cleared for any other
+/// chain).
 fn read_blk_completion(
     ram: &GuestRam,
     slots: &[SgList],
     is_read: bool,
-    out: &mut Vec<u8>,
+    out: Option<&mut Vec<u8>>,
 ) -> Result<BlkStatus, SessionError> {
     let mut status = [0u8; 1];
     slots
         .last()
         .expect("a posted blk chain has a status slot")
         .gather_prefix(ram, &mut status)?;
-    if is_read && slots.len() == 3 {
-        slots[1].gather_into(ram, out)?;
-    } else {
-        out.clear();
+    if let Some(out) = out {
+        if is_read && slots.len() == 3 {
+            slots[1].gather_into(ram, out)?;
+        } else {
+            out.clear();
+        }
     }
     Ok(BlkStatus::from_wire(status[0]))
 }
@@ -579,16 +591,16 @@ fn scatter_frame(ram: &mut GuestRam, buf: &SgList, payload: &[u8]) -> Result<u64
     Ok(written + body.scatter(ram, payload)?)
 }
 
-/// Reads a tx chain's frame and copies the payload after the
-/// virtio-net header into `out` (cleared first).
+/// Copies a tx chain's payload, the bytes after the virtio-net header,
+/// into `out` (cleared first). The header itself is never read.
 fn tx_payload(ram: &GuestRam, chain: &DescChain, out: &mut Vec<u8>) -> Result<(), SessionError> {
-    chain.readable.gather_into(ram, out)?;
-    if out.len() < VIRTIO_NET_HDR_LEN as usize {
+    if chain.readable.total_len() < VIRTIO_NET_HDR_LEN {
         return Err(SessionError::BadRequest(
             "frame shorter than virtio-net header",
         ));
     }
-    out.drain(..VIRTIO_NET_HDR_LEN as usize);
+    let (_, payload) = chain.readable.split_at(VIRTIO_NET_HDR_LEN);
+    payload.gather_into(ram, out)?;
     Ok(())
 }
 

@@ -14,8 +14,7 @@ use bmhive_cloud::catalog::{InstanceType, ServerConstraints};
 use bmhive_cloud::firmware::{FirmwareError, FirmwareImage, FirmwareStore, SigningKey};
 use bmhive_cloud::image::MachineImage;
 use bmhive_cloud::vswitch::{Forwarded, PortId, VSwitch};
-use bmhive_hypervisor::bm::IoTiming;
-use bmhive_hypervisor::{boot_guest, BmGuestSession, BootReport};
+use bmhive_hypervisor::{boot_guest, BmGuestSession, BootReport, IoTiming, SessionError};
 use bmhive_iobond::IoBondProfile;
 use bmhive_net::{MacAddr, PacketKind};
 use bmhive_sim::SimTime;
@@ -41,9 +40,9 @@ pub enum ServerError {
     /// The board / guest id is unknown or in the wrong state.
     BadHandle(&'static str),
     /// The guest failed to boot.
-    BootFailed(bmhive_hypervisor::bm::SessionError),
+    BootFailed(SessionError),
     /// A guest I/O operation failed.
-    Io(bmhive_hypervisor::bm::SessionError),
+    Io(SessionError),
     /// A firmware update was refused.
     Firmware(FirmwareError),
 }
@@ -414,7 +413,6 @@ impl BmHiveServer {
 mod tests {
     use super::*;
     use bmhive_cloud::catalog::INSTANCE_CATALOG;
-    use bmhive_hypervisor::bm::SessionError;
     use bmhive_sim::SimDuration;
 
     fn e5() -> &'static InstanceType {

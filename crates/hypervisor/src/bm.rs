@@ -1,30 +1,34 @@
 //! One bm-guest and its bm-hypervisor backend process.
 //!
-//! [`BmGuestSession`] wires together everything §3.3 describes for one
-//! guest: the compute board's RAM with the guest's virtio driver rings,
-//! two IO-Bond devices (net + blk) bridging to shadow vrings in the
-//! bm-hypervisor process's base RAM, poll-mode backends consuming the
-//! shadow rings, the instance rate limits, and the cloud services. Every
-//! packet and block request really crosses both memory domains through
-//! the rings — no shortcut paths.
+//! [`BmGuestSession`] is a [`GuestSession`] over [`IoBond`], and wires
+//! together everything §3.3 describes for one guest: the compute
+//! board's RAM with the guest's virtio driver rings, two IO-Bond
+//! devices (net + blk) bridging to shadow vrings in the bm-hypervisor
+//! process's base RAM, poll-mode backends consuming the shadow rings,
+//! the instance rate limits, and the cloud services. Every packet and
+//! block request really crosses both memory domains through the rings —
+//! no shortcut paths. Only IO-Bond is here: the EVENT_IDX kick, the
+//! shadow-ring sync and PMD poll, the MSI completion, and board
+//! power-loss recovery; the op sequence is the session's.
 
-use crate::session::{phase, Backend, GuestDriver};
+use crate::session::{phase, Backend, GuestDriver, GuestSession, Marks, Queue, Transport};
 use crate::upgrade::UpgradeReport;
-use bmhive_cloud::blockstore::BlockStore;
+use crate::SessionError;
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::{self as faults, FaultKind, FaultSite};
 use bmhive_iobond::{IoBondDevice, IoBondProfile, ServiceReport};
 use bmhive_mem::{GuestAddr, GuestRam};
-use bmhive_net::{MacAddr, Packet, PacketKind};
-use bmhive_sim::{SimDuration, SimTime};
+use bmhive_net::MacAddr;
+use bmhive_sim::SimTime;
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{BlkRequestHeader, BlkStatus, DeviceType, Feature, QueueLayout};
-
-pub use crate::session::{EgressPacket, IoTiming, SessionError};
+use bmhive_virtio::{DeviceType, Feature, QueueLayout};
 
 /// Queue indices on the net device.
 const RX_Q: usize = 0;
 const TX_Q: usize = 1;
+
+/// One bm-guest with its dedicated bm-hypervisor process.
+pub type BmGuestSession = GuestSession<IoBond>;
 
 /// Outcome of one board power-loss recovery (see
 /// [`BmGuestSession::poll_faults`]).
@@ -36,19 +40,17 @@ pub struct BoardOutage {
     pub replayed_chains: u64,
 }
 
-/// One bm-guest with its dedicated bm-hypervisor process.
+/// The IO-Bond transport: two IO-Bond devices (net + blk) bridging the
+/// guest's rings in board RAM to shadow rings in the bm-hypervisor
+/// process's base RAM, where the poll-mode backend consumes them. Its
+/// DMA engine moves the data, so the backend CPU copies none.
 #[derive(Debug)]
-pub struct BmGuestSession {
+pub struct IoBond {
     profile: IoBondProfile,
-    mac: MacAddr,
-    board: GuestRam,
+    /// The backend process's RAM, with the shadow rings.
     base: GuestRam,
     net_dev: IoBondDevice,
     blk_dev: IoBondDevice,
-    /// The guest's virtio driver, in board RAM.
-    guest: GuestDriver,
-    /// The poll-mode backend over the shadow rings in base RAM.
-    backend: Backend,
     /// Where the next recovery epoch's shadow rings go in base RAM
     /// (each reset rebuilds at a fresh region, like a fresh mmap in a
     /// restarted backend process).
@@ -61,44 +63,140 @@ pub struct BmGuestSession {
     svc_report: ServiceReport,
 }
 
-/// The devices' current shadow ring layouts: net rx, net tx, blk.
-fn shadow_layouts(net_dev: &IoBondDevice, blk_dev: &IoBondDevice) -> [QueueLayout; 3] {
-    [(net_dev, RX_Q), (net_dev, TX_Q), (blk_dev, 0)]
-        .map(|(dev, q)| dev.shadow(q).expect("active").shadow_layout())
-}
-
-/// When the PMD sees queue `q`'s head register move at `at`: one
-/// base-side register read through the mailbox, so a mailbox stall
-/// blocks the poll (and escalates `op` once its retries run out).
-fn pmd_poll(
-    dev: &IoBondDevice,
-    q: usize,
-    at: SimTime,
-    op: &'static str,
-) -> Result<SimTime, SessionError> {
-    let (cost, escalated) = dev
-        .shadow(q)
-        .expect("activated")
-        .register_poll_recovery_at(at);
-    if escalated {
-        return Err(SessionError::Escalated {
-            site: FaultSite::Mailbox,
-            op,
-        });
+impl IoBond {
+    /// The device serving `queue`, and the queue's index on it.
+    fn device(&self, queue: Queue) -> (&IoBondDevice, usize) {
+        match queue {
+            Queue::Rx => (&self.net_dev, RX_Q),
+            Queue::Tx => (&self.net_dev, TX_Q),
+            Queue::Blk => (&self.blk_dev, 0),
+        }
     }
-    Ok(at + cost)
-}
 
-/// Surfaces a latched escalation from a device's last service pass as a
-/// per-op error.
-fn check_escalation(dev: &mut IoBondDevice, op: &'static str) -> Result<(), SessionError> {
-    match dev.take_escalation() {
-        Some(site) => Err(SessionError::Escalated { site, op }),
-        None => Ok(()),
+    /// Runs one service pass of `queue`'s device at `at`: syncs guest
+    /// chains into the shadow rings and completions back, and surfaces
+    /// a latched escalation as a per-op error.
+    fn service(
+        &mut self,
+        board: &mut GuestRam,
+        queue: Queue,
+        at: SimTime,
+    ) -> Result<(), SessionError> {
+        let dev = match queue {
+            Queue::Rx | Queue::Tx => &mut self.net_dev,
+            Queue::Blk => &mut self.blk_dev,
+        };
+        dev.service_into(board, &mut self.base, at, &mut self.svc_report)?;
+        match dev.take_escalation() {
+            Some(site) => Err(SessionError::Escalated {
+                site,
+                op: queue.op(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The devices' current shadow ring layouts: net rx, net tx, blk.
+    fn shadow_layouts(&self) -> [QueueLayout; 3] {
+        [Queue::Rx, Queue::Tx, Queue::Blk].map(|queue| {
+            let (dev, q) = self.device(queue);
+            dev.shadow(q).expect("active").shadow_layout()
+        })
     }
 }
 
-impl BmGuestSession {
+impl Transport for IoBond {
+    /// One PCI write across the guest link if the post `needed` a kick
+    /// (fault-aware: a link flap stalls the kick, a spike stretches it).
+    /// A post inside the PMD's published EVENT_IDX window suppresses the
+    /// doorbell and costs nothing.
+    fn kick(&mut self, needed: bool, now: SimTime) -> SimTime {
+        if needed {
+            return now + self.profile.guest_link().register_access_at(now);
+        }
+        self.doorbells_suppressed += 1;
+        if telemetry::is_enabled() {
+            telemetry::counter("bm.doorbells_suppressed", 1);
+        }
+        now
+    }
+
+    /// IO-Bond syncs the guest's chains into the shadow ring.
+    fn sync(
+        &mut self,
+        board: &mut GuestRam,
+        queue: Queue,
+        at: SimTime,
+    ) -> Result<SimTime, SessionError> {
+        self.service(board, queue, at)?;
+        Ok(self.svc_report.tx[self.device(queue).1].done_at)
+    }
+
+    /// The PMD sees the queue's head register move: one base-side
+    /// register read through the mailbox, so a mailbox stall blocks the
+    /// poll (and escalates the op once its retries run out).
+    fn poll(&self, queue: Queue, at: SimTime) -> Result<SimTime, SessionError> {
+        let (dev, q) = self.device(queue);
+        let (cost, escalated) = dev
+            .shadow(q)
+            .expect("activated")
+            .register_poll_recovery_at(at);
+        if escalated {
+            return Err(SessionError::Escalated {
+                site: FaultSite::Mailbox,
+                op: queue.op(),
+            });
+        }
+        Ok(at + cost)
+    }
+
+    fn backend_ram<'a>(&'a mut self, _board: &'a mut GuestRam) -> &'a mut GuestRam {
+        &mut self.base
+    }
+
+    /// IO-Bond returns the completion to the guest with an MSI; the
+    /// guest sees the pass's first completion, or `at` if it completed
+    /// nothing.
+    fn complete(
+        &mut self,
+        board: &mut GuestRam,
+        queue: Queue,
+        at: SimTime,
+        _vcpu_idle: bool,
+    ) -> Result<SimTime, SessionError> {
+        self.service(board, queue, at)?;
+        Ok(self.svc_report.completions.first().map_or(at, |c| c.at))
+    }
+
+    /// A receive is one `bm` span; a send or blk request is an op with
+    /// a phase per step.
+    fn trace(queue: Queue, m: &Marks) {
+        let (counter, timer) = match queue {
+            Queue::Rx => ("bm.net_rx_packets", "bm.net_receive"),
+            Queue::Tx => ("bm.net_tx_packets", "bm.net_send"),
+            Queue::Blk => ("bm.blk_ops", "bm.blk_request"),
+        };
+        if queue == Queue::Rx {
+            phase("bm", "net_receive", m.now, m.done);
+        } else {
+            let op = telemetry::begin("bm", queue.op(), m.now);
+            phase("bm", "kick", m.now, m.kicked);
+            phase("bm", "shadow_sync", m.kicked, m.synced);
+            phase("bm", "pmd_poll", m.synced, m.seen);
+            let serve = match queue {
+                Queue::Tx => "throttle",
+                _ => "backend_execute",
+            };
+            phase("bm", serve, m.seen, m.ready);
+            phase("bm", "complete", m.ready, m.done);
+            telemetry::end(op, m.done);
+        }
+        telemetry::counter(counter, 1);
+        telemetry::timer(timer, m.done.saturating_duration_since(m.now));
+    }
+}
+
+impl GuestSession<IoBond> {
     /// Builds a powered-on, handshaken guest: queues of `queue_size`
     /// entries, a 64 MiB board arena for I/O buffers, production or
     /// unrestricted `limits`.
@@ -117,84 +215,70 @@ impl BmGuestSession {
         let guest = GuestDriver::new(&mut board, queue_size);
         let [rx_layout, tx_layout, blk_layout] = guest.layouts();
 
-        // IO-Bond devices. Both offer EVENT_IDX, which the window below needs.
+        // IO-Bond devices. Both offer EVENT_IDX, which the window below
+        // needs, and take the driver's handshake (the full
+        // register-level handshake is exercised in the virtio/pcie
+        // tests; sessions use the shortcut). The deployed poll-mode
+        // backend (§3.4.2) publishes a ring-wide EVENT_IDX window, so
+        // guest kicks landing mid-scan are suppressed.
         let ring = Feature::RingIndirectDesc as u64 | Feature::RingEventIdx as u64;
-        let mut net_dev = IoBondDevice::new(
-            profile,
-            DeviceType::Net,
-            Feature::NetMac as u64 | ring,
-            queue_size,
-            bmhive_virtio::NetConfig::with_mac(mac.0)
-                .to_bytes()
-                .to_vec(),
-        );
-        let mut blk_dev = IoBondDevice::new(
-            profile,
-            DeviceType::Block,
-            Feature::BlkFlush as u64 | ring,
-            queue_size,
-            bmhive_virtio::BlkConfig::with_capacity_bytes(40 << 30)
-                .to_bytes()
-                .to_vec(),
-        );
-
-        // Driver handshakes (the full register-level handshake is
-        // exercised in the virtio/pcie tests; sessions use the shortcut).
-        net_dev
-            .function_mut()
-            .state_mut()
-            .driver_handshake(&[rx_layout, tx_layout]);
-        blk_dev
-            .function_mut()
-            .state_mut()
-            .driver_handshake(&[blk_layout]);
-
-        // The deployed poll-mode backend (§3.4.2) publishes a ring-wide
-        // EVENT_IDX window, so guest kicks landing mid-scan are suppressed.
         let window = crate::pmd::BackendMode::PollMode.event_idx_window(queue_size);
-        net_dev.set_event_idx_window(window);
-        blk_dev.set_event_idx_window(window);
+        let device = |kind, feature: Feature, config: &[u8], layouts: &[QueueLayout]| {
+            let features = feature as u64 | ring;
+            let mut dev = IoBondDevice::new(profile, kind, features, queue_size, config.to_vec());
+            dev.function_mut().state_mut().driver_handshake(layouts);
+            dev.set_event_idx_window(window);
+            dev
+        };
+        let net_config = bmhive_virtio::NetConfig::with_mac(mac.0).to_bytes();
+        let blk_config = bmhive_virtio::BlkConfig::with_capacity_bytes(40 << 30).to_bytes();
+        let mut net_dev = device(
+            DeviceType::Net,
+            Feature::NetMac,
+            &net_config,
+            &[rx_layout, tx_layout],
+        );
+        let mut blk_dev = device(
+            DeviceType::Block,
+            Feature::BlkFlush,
+            &blk_config,
+            &[blk_layout],
+        );
 
         // Shadow rings + staging pools in the backend's base RAM.
-        let net_base = GuestAddr::new(0x100_000);
-        let used = net_dev.activate(&mut base, net_base).expect("net activate");
-        let blk_base = (net_base + used).align_up(4096);
-        let blk_used = blk_dev.activate(&mut base, blk_base).expect("blk activate");
-        let next_base_region = (blk_base + blk_used).align_up(4096);
-
-        BmGuestSession {
+        let mut region = GuestAddr::new(0x100_000);
+        for dev in [&mut net_dev, &mut blk_dev] {
+            let used = dev.activate(&mut base, region).expect("activate");
+            region = (region + used).align_up(4096);
+        }
+        let transport = IoBond {
             profile,
-            mac,
-            board,
             base,
-            backend: Backend::new(shadow_layouts(&net_dev, &blk_dev), limits),
             net_dev,
             blk_dev,
-            guest,
-            next_base_region,
+            next_base_region: region,
             doorbells_suppressed: 0,
             svc_report: ServiceReport::default(),
-        }
-    }
+        };
 
-    /// The guest's MAC address.
-    pub fn mac(&self) -> MacAddr {
-        self.mac
+        GuestSession {
+            mac,
+            ram: board,
+            guest,
+            // The poll-mode backend consumes the shadow rings.
+            backend: Backend::new(transport.shadow_layouts(), limits),
+            transport,
+        }
     }
 
     /// The IO-Bond hardware profile in use.
     pub fn profile(&self) -> &IoBondProfile {
-        &self.profile
-    }
-
-    /// Packets sent / received / block ops completed so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        self.guest.counters()
+        &self.transport.profile
     }
 
     /// Guest kicks suppressed by the PMD's EVENT_IDX window so far.
     pub fn doorbells_suppressed(&self) -> u64 {
-        self.doorbells_suppressed
+        self.transport.doorbells_suppressed
     }
 
     /// Register accesses a full virtio re-handshake costs per device:
@@ -219,29 +303,27 @@ impl BmGuestSession {
         let Some(outage) = faults::take_oneshot(FaultSite::Board, FaultKind::PowerLoss, now) else {
             return Ok(None);
         };
+        let io = &mut self.transport;
 
         // The board browned out: both functions lose their backend
         // epoch and latch DEVICE_NEEDS_RESET.
-        self.net_dev.mark_backend_failed();
-        self.blk_dev.mark_backend_failed();
-        debug_assert!(self.net_dev.needs_reset() && self.blk_dev.needs_reset());
+        io.net_dev.mark_backend_failed();
+        io.blk_dev.mark_backend_failed();
+        debug_assert!(io.net_dev.needs_reset() && io.blk_dev.needs_reset());
 
-        // Recovery can only start once power is back.
+        // Recovery can only start once power is back. Each device
+        // rebuilds its shadow rings at the next fresh base region.
         let restart = now + outage;
-        let net_base = self.next_base_region;
-        let net_report = self
-            .net_dev
-            .recover_from_backend_failure(&mut self.base, net_base)?;
-        let blk_base = (net_base + net_report.base_bytes).align_up(4096);
-        let blk_report = self
-            .blk_dev
-            .recover_from_backend_failure(&mut self.base, blk_base)?;
-        self.next_base_region = (blk_base + blk_report.base_bytes).align_up(4096);
+        let mut replayed_chains = 0;
+        for dev in [&mut io.net_dev, &mut io.blk_dev] {
+            let report = dev.recover_from_backend_failure(&mut io.base, io.next_base_region)?;
+            io.next_base_region = (io.next_base_region + report.base_bytes).align_up(4096);
+            replayed_chains += report.replayed_chains;
+        }
 
         // The old backend process is gone with its ring cursors; the
         // new one consumes the new shadow rings from the start.
-        self.backend
-            .rebind(shadow_layouts(&self.net_dev, &self.blk_dev));
+        self.backend.rebind(io.shadow_layouts());
 
         faults::note_reset(FaultSite::Board);
         faults::note_reset(FaultSite::Board);
@@ -251,10 +333,9 @@ impl BmGuestSession {
         // the guest link before it is live again. Each hop takes the
         // fault-aware path: a latency spike active at restart stretches
         // the whole handshake.
-        let hop = self.profile.guest_link().register_access_at(restart);
+        let hop = io.profile.guest_link().register_access_at(restart);
         let handshake = hop * 2 * Self::HANDSHAKE_REGISTER_HOPS;
         let recovered_at = restart + handshake;
-        let replayed_chains = net_report.replayed_chains + blk_report.replayed_chains;
         if telemetry::is_enabled() {
             phase("bm", "board_recovery", now, recovered_at);
             telemetry::counter("bm.board_resets", 1);
@@ -264,258 +345,6 @@ impl BmGuestSession {
             recovered_at,
             replayed_chains,
         }))
-    }
-
-    /// When a guest post reaches IO-Bond: one PCI write across the guest
-    /// link if the post `needed` a kick (fault-aware: a link flap stalls
-    /// the kick, a spike stretches it). A post inside the PMD's published
-    /// EVENT_IDX window suppresses the doorbell and costs nothing.
-    fn kick(&mut self, needed: bool, now: SimTime) -> SimTime {
-        if needed {
-            return now + self.profile.guest_link().register_access_at(now);
-        }
-        self.doorbells_suppressed += 1;
-        if telemetry::is_enabled() {
-            telemetry::counter("bm.doorbells_suppressed", 1);
-        }
-        now
-    }
-
-    /// When the last service pass's first completion reached the guest,
-    /// or `fallback` if the pass completed nothing.
-    fn completed_at(&self, fallback: SimTime) -> SimTime {
-        self.svc_report
-            .completions
-            .first()
-            .map_or(fallback, |c| c.at)
-    }
-
-    /// Sends one packet: writes it into board RAM, posts it on the tx
-    /// ring, kicks IO-Bond, lets the PMD backend consume the shadow ring
-    /// and produce the egress frame, then completes the guest ring.
-    ///
-    /// Returns the egress packet (for the caller to hand to the vSwitch)
-    /// and the guest-observed timing; the frame's payload, as the
-    /// backend read it, goes into `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Fails on ring errors or buffer exhaustion.
-    pub fn net_send(
-        &mut self,
-        dst: MacAddr,
-        kind: PacketKind,
-        payload: &[u8],
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Result<(EgressPacket, IoTiming), SessionError> {
-        // Guest: build hdr + payload in board RAM, post it, and kick.
-        let needed = self.guest.post_tx(&mut self.board, payload)?;
-        let kicked = self.kick(needed, now);
-
-        // IO-Bond syncs the chain into the shadow ring.
-        self.net_dev.service_into(
-            &mut self.board,
-            &mut self.base,
-            kicked,
-            &mut self.svc_report,
-        )?;
-        check_escalation(&mut self.net_dev, "net_send")?;
-        let synced_at = self.svc_report.tx[TX_Q].done_at;
-
-        // Backend PMD sees the head register move and consumes the
-        // shadow chain.
-        let seen = pmd_poll(&self.net_dev, TX_Q, synced_at, "net_send")?;
-        self.backend.serve_tx(&mut self.base, out)?;
-        let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
-        let admitted = self.backend.admit_packet(packet.wire_bytes(), seen);
-
-        // IO-Bond returns the completion to the guest with an MSI.
-        self.net_dev.service_into(
-            &mut self.board,
-            &mut self.base,
-            admitted,
-            &mut self.svc_report,
-        )?;
-        check_escalation(&mut self.net_dev, "net_send")?;
-        let done = self.completed_at(admitted);
-        // Guest interrupt handler: reap and free the buffer.
-        self.guest.reap_tx(&self.board)?;
-        // The phase spans are recorded after the fact (every boundary
-        // is only known once the exchange is priced), so error paths
-        // above can never leave a span open.
-        if telemetry::is_enabled() {
-            let op = telemetry::begin("bm", "net_send", now);
-            phase("bm", "kick", now, kicked);
-            phase("bm", "shadow_sync", kicked, synced_at);
-            phase("bm", "pmd_poll", synced_at, seen);
-            phase("bm", "throttle", seen, admitted);
-            phase("bm", "complete", admitted, done);
-            telemetry::end(op, done);
-            telemetry::counter("bm.net_tx_packets", 1);
-            telemetry::timer("bm.net_send", done.saturating_duration_since(now));
-        }
-        Ok((
-            EgressPacket {
-                packet,
-                at: admitted,
-            },
-            IoTiming {
-                submitted: now,
-                completed: done,
-            },
-        ))
-    }
-
-    /// Delivers one ingress packet to the guest: the backend fills a
-    /// posted rx buffer in the shadow ring; IO-Bond DMA-copies it into
-    /// the guest's buffer and raises the MSI; the guest reaps it.
-    ///
-    /// Returns the timing (from backend receipt to guest reap); the
-    /// payload as the guest read it goes into `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Fails on ring errors; returns `NoBuffers` if the guest has no rx
-    /// buffer posted (the frame would be dropped).
-    pub fn net_receive(
-        &mut self,
-        payload: &[u8],
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Result<IoTiming, SessionError> {
-        self.net_receive_into(payload, now, Some(out))
-    }
-
-    /// [`Self::net_receive`] with an optional destination: with `None`
-    /// the frame lands in the guest's rx buffer and is reaped, timed and
-    /// counted the same, but no byte of it is copied back out of board
-    /// RAM (a caller that never reads the payload).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::net_receive`].
-    pub fn net_receive_into(
-        &mut self,
-        payload: &[u8],
-        now: SimTime,
-        out: Option<&mut Vec<u8>>,
-    ) -> Result<IoTiming, SessionError> {
-        // Make sure freshly-posted buffers have propagated to the shadow
-        // ring.
-        self.net_dev
-            .service_into(&mut self.board, &mut self.base, now, &mut self.svc_report)?;
-        check_escalation(&mut self.net_dev, "net_receive")?;
-        // Backend writes hdr + payload into the staging buffer.
-        self.backend.serve_rx(&mut self.base, payload)?;
-
-        // IO-Bond copies back and interrupts the guest.
-        self.net_dev
-            .service_into(&mut self.board, &mut self.base, now, &mut self.svc_report)?;
-        check_escalation(&mut self.net_dev, "net_receive")?;
-        let done = self.completed_at(now);
-
-        // Guest interrupt handler reaps.
-        self.guest.reap_rx(&mut self.board, out)?;
-        if telemetry::is_enabled() {
-            phase("bm", "net_receive", now, done);
-            telemetry::counter("bm.net_rx_packets", 1);
-            telemetry::timer("bm.net_receive", done.saturating_duration_since(now));
-        }
-        Ok(IoTiming {
-            submitted: now,
-            completed: done,
-        })
-    }
-
-    /// Issues one block request against `store` and runs it to
-    /// completion: header + data + status cross to the shadow ring, the
-    /// backend executes it on the store (after the IOPS/bandwidth caps),
-    /// and the completion flows back with the data.
-    ///
-    /// A read's bytes go into `out`, which is cleared for every other
-    /// request.
-    ///
-    /// # Errors
-    ///
-    /// Fails on ring errors or buffer exhaustion.
-    pub fn blk_request(
-        &mut self,
-        store: &mut BlockStore,
-        header: BlkRequestHeader,
-        data: &[u8],
-        read_len: u64,
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        self.blk_request_into(store, header, data, read_len, now, Some(out))
-    }
-
-    /// [`Self::blk_request`] with an optional destination: with `None`
-    /// a read's data stays in board RAM, where the device put it, and
-    /// the reap copies none of it (the firmware's boot reads).
-    pub(crate) fn blk_request_into(
-        &mut self,
-        store: &mut BlockStore,
-        header: BlkRequestHeader,
-        data: &[u8],
-        read_len: u64,
-        now: SimTime,
-        out: Option<&mut Vec<u8>>,
-    ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        // Guest: header buffer (16 B) + data + status byte. Kick + sync
-        // to shadow (kick and PMD poll both take the fault-aware
-        // register paths).
-        let needed = self
-            .guest
-            .post_blk(&mut self.board, header, data, read_len)?;
-        let kicked = self.kick(needed, now);
-        self.blk_dev.service_into(
-            &mut self.board,
-            &mut self.base,
-            kicked,
-            &mut self.svc_report,
-        )?;
-        check_escalation(&mut self.blk_dev, "blk_request")?;
-        let synced_at = self.svc_report.tx[0].done_at;
-        let synced = pmd_poll(&self.blk_dev, 0, synced_at, "blk_request")?;
-
-        // Backend: parse, rate-limit, execute on the store. IO-Bond's
-        // DMA engine moved the data, so the backend CPU copies none.
-        let io_done = self
-            .backend
-            .serve_blk(&mut self.base, store, synced, |_| SimDuration::ZERO)?;
-
-        // Completion back to the guest.
-        self.blk_dev.service_into(
-            &mut self.board,
-            &mut self.base,
-            io_done,
-            &mut self.svc_report,
-        )?;
-        check_escalation(&mut self.blk_dev, "blk_request")?;
-        let done = self.completed_at(io_done);
-
-        // Guest interrupt handler reaps: read status byte and data.
-        let status = self.guest.reap_blk(&self.board, header.req_type, out)?;
-        if telemetry::is_enabled() {
-            let op = telemetry::begin("bm", "blk_request", now);
-            phase("bm", "kick", now, kicked);
-            phase("bm", "shadow_sync", kicked, synced_at);
-            phase("bm", "pmd_poll", synced_at, synced);
-            phase("bm", "backend_execute", synced, io_done);
-            phase("bm", "complete", io_done, done);
-            telemetry::end(op, done);
-            telemetry::counter("bm.blk_ops", 1);
-            telemetry::timer("bm.blk_request", done.saturating_duration_since(now));
-        }
-        Ok((
-            status,
-            IoTiming {
-                submitted: now,
-                completed: done,
-            },
-        ))
     }
 
     /// Upgrades the backend process in place, Orthus-style (§6):
@@ -530,19 +359,13 @@ impl BmGuestSession {
 }
 
 #[cfg(test)]
-impl BmGuestSession {
-    /// The guest driver and the RAM its rings live in.
-    pub(crate) fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam) {
-        (&mut self.guest, &mut self.board)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::volume_byte;
-    use bmhive_cloud::blockstore::StorageClass;
-    use bmhive_virtio::BlkRequestType;
+    use bmhive_cloud::blockstore::{BlockStore, StorageClass};
+    use bmhive_net::PacketKind;
+    use bmhive_sim::SimDuration;
+    use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus};
 
     fn session() -> BmGuestSession {
         BmGuestSession::new(
@@ -556,7 +379,7 @@ mod tests {
     #[test]
     fn both_devices_negotiate_event_idx() {
         let s = session();
-        for dev in [&s.net_dev, &s.blk_dev] {
+        for dev in [&s.transport.net_dev, &s.transport.blk_dev] {
             let features = dev.function().state().negotiated_features();
             assert_ne!(features & Feature::RingEventIdx as u64, 0);
         }
@@ -1066,12 +889,13 @@ mod tests {
         // Each cursor is the shadow ring's own: the used index in base
         // RAM and, where every posted chain was served (tx, blk), the
         // avail index; rx served five of its posted buffers.
-        let rings = [(&s.net_dev, RX_Q), (&s.net_dev, TX_Q), (&s.blk_dev, 0)];
+        let io = &s.transport;
+        let rings = [(&io.net_dev, RX_Q), (&io.net_dev, TX_Q), (&io.blk_dev, 0)];
         for (i, (state, (dev, q))) in report.state.iter().zip(rings).enumerate() {
             let layout = dev.shadow(q).unwrap().shadow_layout();
             assert_eq!(state.layout, layout, "ring {i}");
-            assert_eq!(state.used_idx, s.base.read_u16(layout.used + 2).unwrap());
-            let avail = s.base.read_u16(layout.avail + 2).unwrap();
+            assert_eq!(state.used_idx, io.base.read_u16(layout.used + 2).unwrap());
+            let avail = io.base.read_u16(layout.avail + 2).unwrap();
             let served = if i == 0 { 5 } else { avail };
             assert_eq!(
                 (state.last_avail_idx, state.used_idx),
@@ -1100,27 +924,29 @@ mod tests {
         let (guest, board) = s.guest_mut();
         guest.post_tx(board, b"in-window").unwrap();
         let now = SimTime::from_micros(100);
-        s.net_dev
-            .service_into(&mut s.board, &mut s.base, now, &mut s.svc_report)
+        let io = &mut s.transport;
+        io.net_dev
+            .service_into(&mut s.ram, &mut io.base, now, &mut io.svc_report)
             .unwrap();
         let report = s.live_upgrade(now);
 
         // The new backend serves it exactly once, and nothing before it.
-        s.backend.serve_tx(&mut s.base, &mut out).unwrap();
+        let io = &mut s.transport;
+        s.backend.serve_tx(&mut io.base, &mut out).unwrap();
         assert_eq!(out, b"in-window");
-        match s.backend.serve_tx(&mut s.base, &mut out) {
+        match s.backend.serve_tx(&mut io.base, &mut out) {
             Err(SessionError::BadRequest("tx chain missing")) => {}
             other => panic!("expected an empty ring, got {other:?}"),
         }
-        s.net_dev
+        io.net_dev
             .service_into(
-                &mut s.board,
-                &mut s.base,
+                &mut s.ram,
+                &mut io.base,
                 report.resumed_at,
-                &mut s.svc_report,
+                &mut io.svc_report,
             )
             .unwrap();
-        s.guest.reap_tx(&s.board).unwrap();
+        s.guest.reap_tx(&s.ram).unwrap();
 
         // And the ring carries on.
         s.net_send(

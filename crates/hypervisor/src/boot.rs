@@ -24,8 +24,7 @@ use bmhive_cloud::image::MachineImage;
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus, SECTOR_SIZE};
 
-use crate::bm::{BmGuestSession, IoTiming, SessionError};
-use crate::vm::VmGuestSession;
+use crate::{GuestSession, SessionError, Transport};
 
 /// Largest read the firmware issues at once.
 const BOOT_CHUNK_SECTORS: u64 = 256; // 128 KiB
@@ -43,50 +42,6 @@ pub struct BootReport {
     pub duration: SimDuration,
 }
 
-/// Either guest platform, for boot purposes.
-pub trait BootTarget {
-    /// Issues one firmware read of `sectors` sectors at `sector`. The
-    /// data lands in a guest buffer, where the firmware runs it; none of
-    /// it is copied back out to the host.
-    ///
-    /// # Errors
-    ///
-    /// Propagates session failures.
-    fn firmware_read(
-        &mut self,
-        store: &mut BlockStore,
-        sector: u64,
-        sectors: u64,
-        now: SimTime,
-    ) -> Result<(BlkStatus, IoTiming), SessionError>;
-}
-
-impl BootTarget for BmGuestSession {
-    fn firmware_read(
-        &mut self,
-        store: &mut BlockStore,
-        sector: u64,
-        sectors: u64,
-        now: SimTime,
-    ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        let header = BlkRequestHeader::new(BlkRequestType::In, sector);
-        self.blk_request_into(store, header, &[], sectors * SECTOR_SIZE, now, None)
-    }
-}
-
-impl BootTarget for VmGuestSession {
-    fn firmware_read(
-        &mut self,
-        store: &mut BlockStore,
-        sector: u64,
-        sectors: u64,
-        now: SimTime,
-    ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        let header = BlkRequestHeader::new(BlkRequestType::In, sector);
-        self.blk_request_into(store, header, &[], sectors * SECTOR_SIZE, now, None)
-    }
-}
-
 /// Boots `image` on `target`: firmware reads the bootloader, the
 /// bootloader reads the kernel, all over virtio-blk from `store`.
 ///
@@ -94,8 +49,8 @@ impl BootTarget for VmGuestSession {
 ///
 /// Fails if the image lacks virtio drivers (it cannot boot on either
 /// platform) or a read fails.
-pub fn boot_guest<T: BootTarget>(
-    target: &mut T,
+pub fn boot_guest<T: Transport>(
+    target: &mut GuestSession<T>,
     store: &mut BlockStore,
     image: &MachineImage,
     power_on: SimTime,
@@ -114,7 +69,11 @@ pub fn boot_guest<T: BootTarget>(
         let end = start + len;
         while at < end {
             let chunk = (end - at).min(BOOT_CHUNK_SECTORS);
-            let (status, timing) = target.firmware_read(store, at, chunk, now)?;
+            // The chunk lands in a guest buffer, where the firmware runs
+            // it; none of it is copied back out to the host.
+            let header = BlkRequestHeader::new(BlkRequestType::In, at);
+            let (status, timing) =
+                target.blk_request_into(store, header, &[], chunk * SECTOR_SIZE, now, None)?;
             if status != BlkStatus::Ok {
                 return Err(SessionError::BadRequest("boot read failed"));
             }
@@ -136,6 +95,7 @@ pub fn boot_guest<T: BootTarget>(
 mod tests {
     use super::*;
     use crate::session::{volume_byte, GuestDriver};
+    use crate::{BmGuestSession, VmGuestSession};
     use bmhive_cloud::blockstore::StorageClass;
     use bmhive_cloud::limits::InstanceLimits;
     use bmhive_iobond::IoBondProfile;

@@ -6,18 +6,18 @@
 //! interfacing with the cloud infrastructure. ... Every bm-hypervisor
 //! process provides service to one bm-guest only."
 //!
-//! * [`bm`] — [`BmGuestSession`]: one bm-guest's full functional stack —
-//!   compute-board RAM, IO-Bond net/blk devices with shadow vrings in
-//!   the backend process's base RAM, poll-mode backends, and rate
-//!   limits. Packets and block requests really traverse the rings and
-//!   both memory domains.
-//! * [`vm`] — [`VmGuestSession`]: the baseline — the same virtio rings
-//!   in one shared memory, a vhost-style backend, and the KVM cost
-//!   model (kick exits, interrupt injection, halt wakeups).
-//!
-//!   Both sessions run one guest virtio driver and one virtio backend
-//!   (`session::Backend`); only the transport and its costs differ per
-//!   platform.
+//! * [`GuestSession`] — one guest over a [`Transport`]: its MAC, RAM,
+//!   virtio driver and virtio backend, and each guest op (`net_send`,
+//!   `net_receive`, `blk_request`) written once. The transport holds
+//!   only what differs per platform.
+//! * [`bm`] — [`BmGuestSession`], a session over IO-Bond: one
+//!   bm-guest's full functional stack — compute-board RAM, IO-Bond
+//!   net/blk devices with shadow vrings in the backend process's base
+//!   RAM, poll-mode backends, and rate limits. Packets and block
+//!   requests really traverse the rings and both memory domains.
+//! * [`vm`] — [`VmGuestSession`], a session over vhost: the baseline —
+//!   the same virtio rings in one shared memory, and the KVM cost model
+//!   (kick exits, host copies, interrupt injection, halt wakeups).
 //! * [`boot`] — the §3.2 boot flow: EFI firmware loading the bootloader
 //!   and kernel over virtio-blk from cloud storage; the same image boots
 //!   on either platform (cold migration).
@@ -52,6 +52,7 @@ pub use console::{ConsoleServer, VgaConsole};
 pub use migrate::{convert_to_bm, convert_to_vm, GuestOs, MigrationError, MigrationPolicy};
 pub use path::IoPath;
 pub use pmd::BackendMode;
+pub use session::{EgressPacket, GuestSession, IoTiming, SessionError, Transport};
 pub use slowpath::NetBackendPath;
 pub use upgrade::{BackendState, UpgradeReport};
 pub use vm::VmGuestSession;

@@ -17,13 +17,11 @@
 
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_iobond::IoBondProfile;
-use bmhive_net::MacAddr;
 use bmhive_sim::{SimDuration, SimTime};
 use std::error::Error;
 use std::fmt;
 
-use crate::bm::BmGuestSession;
-use crate::vm::VmGuestSession;
+use crate::{BmGuestSession, VmGuestSession};
 
 /// Guest operating systems the injected layer knows how to virtualise.
 /// The shim must para-virtualise around each OS's idle loop, timekeeping
@@ -75,13 +73,11 @@ impl fmt::Display for MigrationError {
 impl Error for MigrationError {}
 
 /// A bm-guest converted into a migratable vm-guest, with its identity
-/// carried over.
+/// (the vm-guest's MAC) carried over.
 #[derive(Debug)]
 pub struct ConvertedGuest {
     /// The special vm-guest now hosting the tenant's system.
     pub vm: VmGuestSession,
-    /// The identity to preserve on the destination board.
-    pub mac: MacAddr,
     /// When the conversion finished (the brownout window).
     pub converted_at: SimTime,
 }
@@ -112,14 +108,12 @@ pub fn convert_to_vm(
     if os == GuestOs::UnknownOrNestedHypervisor {
         return Err(MigrationError::UnsupportedGuestOs);
     }
-    let mac = guest.mac();
     // The bm-guest's board is released; its cloud-side state (volume,
     // MAC, limits) moves with the identity. The new vm-guest uses the
     // production limits its instance had.
-    let vm = VmGuestSession::new(mac, 256, InstanceLimits::production(), seed);
+    let vm = VmGuestSession::new(guest.mac(), 256, InstanceLimits::production(), seed);
     Ok(ConvertedGuest {
         vm,
-        mac,
         converted_at: now + INJECTION_COST,
     })
 }
@@ -132,7 +126,12 @@ pub fn convert_to_bm(
     profile: IoBondProfile,
     now: SimTime,
 ) -> (BmGuestSession, SimTime) {
-    let session = BmGuestSession::new(profile, converted.mac, 256, InstanceLimits::production());
+    let session = BmGuestSession::new(
+        profile,
+        converted.vm.mac(),
+        256,
+        InstanceLimits::production(),
+    );
     (session, now + LANDING_COST)
 }
 
@@ -140,6 +139,7 @@ pub fn convert_to_bm(
 mod tests {
     use super::*;
     use bmhive_cloud::blockstore::{BlockStore, StorageClass};
+    use bmhive_net::MacAddr;
     use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus};
 
     fn running_bm_guest() -> BmGuestSession {
@@ -159,7 +159,7 @@ mod tests {
             tenant_consents_to_injection: true,
         };
         let converted = convert_to_vm(bm, GuestOs::KnownLinux, policy, SimTime::ZERO, 1).unwrap();
-        assert_eq!(converted.mac, mac, "identity preserved");
+        assert_eq!(converted.vm.mac(), mac, "identity preserved");
         assert!(
             converted.converted_at >= SimTime::from_millis(100),
             "injection brownout"

@@ -1,11 +1,19 @@
-//! What the bm- and vm-guest sessions share.
+//! One guest session over two transports.
 //!
 //! A tenant's unmodified virtio front-end runs on both platforms
 //! (§3.2, which is what makes cold migration work), behind the same
 //! virtio backend: only the transport differs — IO-Bond shadow vrings
-//! for a bm-guest, vhost shared memory for a vm-guest. So both halves
-//! live here, once:
+//! for a bm-guest, vhost shared memory for a vm-guest. So everything
+//! else lives here, once:
 //!
+//! * [`GuestSession`] — one guest: its MAC, its RAM, its driver, its
+//!   backend and its [`Transport`]. Each guest op (`net_send`,
+//!   `net_receive`, `blk_request`) is written once, as one sequence of
+//!   steps: post, kick, sync, PMD poll, `serve_*`, host copy, admit,
+//!   complete, reap, telemetry.
+//! * [`Transport`] — what differs between the platforms: the price of
+//!   each step, and the spans, counters and timers each op records. A
+//!   step a transport does not take is the identity.
 //! * [`GuestDriver`] — the guest's virtio-net/blk driver: ring
 //!   layouts, buffer arenas, posted-buffer slabs, rx replenish, tx
 //!   post/reap, rx reap, and blk chain assembly/reap.
@@ -13,11 +21,8 @@
 //!   and the instance limits. It pops, reads or fills, admits, executes
 //!   and completes each chain, and hands its ring cursors to a live
 //!   upgrade.
-//! * The result types both sessions return, and the one backend cost
+//! * The result types every session returns, and the one backend cost
 //!   both transports share ([`FLUSH_SERVICE`]).
-//!
-//! Each session keeps its transport (how a chain reaches the backend
-//! and the completion reaches the guest) and its cost model.
 
 use crate::upgrade::BackendState;
 use bmhive_cloud::blockstore::{BlockStore, IoKind};
@@ -25,7 +30,7 @@ use bmhive_cloud::limits::InstanceLimits;
 use bmhive_faults::FaultSite;
 use bmhive_iobond::StagingPool;
 use bmhive_mem::{GuestAddr, GuestRam, SgList, SgSegment};
-use bmhive_net::Packet;
+use bmhive_net::{MacAddr, Packet, PacketKind};
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
 use bmhive_virtio::{
@@ -136,6 +141,310 @@ pub(crate) const RX_BUF: u32 = 2048;
 /// Bytes in a virtio-blk request header.
 const BLK_HDR_LEN: u64 = 16;
 
+/// A guest virtio queue, and so the session op served on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Queue {
+    /// net rx: `net_receive`.
+    Rx,
+    /// net tx: `net_send`.
+    Tx,
+    /// blk: `blk_request`.
+    Blk,
+}
+
+impl Queue {
+    /// The op's name: its span, and the op an escalation names.
+    pub(crate) fn op(self) -> &'static str {
+        match self {
+            Queue::Rx => "net_receive",
+            Queue::Tx => "net_send",
+            Queue::Blk => "blk_request",
+        }
+    }
+}
+
+/// When one op passed each step of the session's sequence. A mark the
+/// op does not pass stays at `now`.
+#[derive(Debug, Clone, Copy)]
+pub struct Marks {
+    /// The guest issued the op.
+    pub(crate) now: SimTime,
+    /// The kick reached the device.
+    pub(crate) kicked: SimTime,
+    /// The device's view of the ring caught up with the guest's.
+    pub(crate) synced: SimTime,
+    /// The backend saw the chain.
+    pub(crate) seen: SimTime,
+    /// The host CPU copied the frame.
+    pub(crate) copied: SimTime,
+    /// The completion was ready: a frame admitted or copied, a blk
+    /// request executed.
+    pub(crate) ready: SimTime,
+    /// The completion reached the guest.
+    pub(crate) done: SimTime,
+}
+
+impl Marks {
+    /// An op issued at `now` that has passed no step yet.
+    fn start(now: SimTime) -> Self {
+        Marks {
+            now,
+            kicked: now,
+            synced: now,
+            seen: now,
+            copied: now,
+            ready: now,
+            done: now,
+        }
+    }
+
+    /// The guest-observed timing.
+    fn timing(&self) -> IoTiming {
+        IoTiming {
+            submitted: self.now,
+            completed: self.done,
+        }
+    }
+}
+
+/// What a [`GuestSession`] prices differently per platform: how a
+/// guest's chain reaches the virtio backend and how its completion comes
+/// back. A default method is the identity, for a step the transport
+/// does not take. Each method that can fail fails on a ring error or an
+/// escalated fault.
+pub trait Transport {
+    /// When a post at `now` reaches the device; the post `needed` a
+    /// kick under EVENT_IDX.
+    fn kick(&mut self, needed: bool, now: SimTime) -> SimTime;
+
+    /// Syncs the device's view of `queue` with the guest's ring in
+    /// `ram` at `at`, and returns when it caught up.
+    fn sync(
+        &mut self,
+        _ram: &mut GuestRam,
+        _queue: Queue,
+        at: SimTime,
+    ) -> Result<SimTime, SessionError> {
+        Ok(at)
+    }
+
+    /// When the backend sees a chain synced onto `queue` at `at`.
+    fn poll(&self, _queue: Queue, at: SimTime) -> Result<SimTime, SessionError> {
+        Ok(at)
+    }
+
+    /// Host CPU time to copy `bytes` of a request's data.
+    fn host_copy(_bytes: u64) -> SimDuration {
+        SimDuration::ZERO
+    }
+
+    /// The RAM the backend's rings live in, given the guest's.
+    fn backend_ram<'a>(&'a mut self, ram: &'a mut GuestRam) -> &'a mut GuestRam {
+        ram
+    }
+
+    /// Returns a completion ready on `queue` at `at` to the guest's ring
+    /// in `ram`, and returns when the guest sees it; `vcpu_idle` says
+    /// whether the guest's vCPU is halted waiting for it.
+    fn complete(
+        &mut self,
+        ram: &mut GuestRam,
+        queue: Queue,
+        at: SimTime,
+        vcpu_idle: bool,
+    ) -> Result<SimTime, SessionError>;
+
+    /// Records one op's spans, counters and timers from its `marks`.
+    /// Called only with telemetry on.
+    fn trace(queue: Queue, marks: &Marks);
+}
+
+/// One guest: its virtio driver in its RAM, the virtio backend, and the
+/// transport between them. Each op runs one sequence of steps on every
+/// transport: post, kick, sync, PMD poll, `serve_*`, host copy, admit,
+/// complete, reap, telemetry.
+#[derive(Debug)]
+pub struct GuestSession<T> {
+    pub(crate) mac: MacAddr,
+    /// The guest's RAM: the compute board's on a bm-guest.
+    pub(crate) ram: GuestRam,
+    /// The guest's virtio driver, in `ram`.
+    pub(crate) guest: GuestDriver,
+    pub(crate) backend: Backend,
+    pub(crate) transport: T,
+}
+
+impl<T: Transport> GuestSession<T> {
+    /// The guest's MAC address.
+    pub fn mac(&self) -> MacAddr {
+        self.mac
+    }
+
+    /// Packets sent / received / block ops completed so far.
+    pub fn counters(&self) -> (u64, u64, u64) {
+        let guest = &self.guest;
+        (guest.total_tx, guest.total_rx, guest.total_io)
+    }
+
+    /// Sends one packet: the guest posts it on the tx ring and kicks,
+    /// the backend consumes it and produces the egress frame, and the
+    /// guest reaps the completion.
+    ///
+    /// Returns the egress packet (for the caller to hand to the vSwitch)
+    /// and the guest-observed timing; the frame's payload, as the
+    /// backend read it, goes into `out` (cleared first).
+    ///
+    /// # Errors
+    ///
+    /// Fails on ring errors, buffer exhaustion or an escalated fault.
+    pub fn net_send(
+        &mut self,
+        dst: MacAddr,
+        kind: PacketKind,
+        payload: &[u8],
+        now: SimTime,
+        out: &mut Vec<u8>,
+    ) -> Result<(EgressPacket, IoTiming), SessionError> {
+        let mut m = Marks::start(now);
+        let needed = self.guest.post_tx(&mut self.ram, payload)?;
+        m.kicked = self.transport.kick(needed, now);
+        m.synced = self.transport.sync(&mut self.ram, Queue::Tx, m.kicked)?;
+        m.seen = self.transport.poll(Queue::Tx, m.synced)?;
+        let backend_ram = self.transport.backend_ram(&mut self.ram);
+        self.backend.serve_tx(backend_ram, out)?;
+        m.copied = m.seen + T::host_copy(VIRTIO_NET_HDR_LEN + out.len() as u64);
+        let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
+        m.ready = self.backend.admit_packet(packet.wire_bytes(), m.copied);
+        // The sender is running, not idle.
+        m.done = self
+            .transport
+            .complete(&mut self.ram, Queue::Tx, m.ready, false)?;
+        self.guest.reap_tx(&self.ram)?;
+        // The spans are recorded after the fact (every boundary is only
+        // known once the op is priced), so the error paths above can
+        // never leave a span open.
+        if telemetry::is_enabled() {
+            T::trace(Queue::Tx, &m);
+        }
+        Ok((
+            EgressPacket {
+                packet,
+                at: m.ready,
+            },
+            m.timing(),
+        ))
+    }
+
+    /// Delivers one ingress packet: the backend fills a posted rx
+    /// buffer, and the guest reaps the completion.
+    ///
+    /// Returns the timing (from backend receipt to guest reap); the
+    /// payload as the guest read it goes into `out` (cleared first).
+    ///
+    /// # Errors
+    ///
+    /// Fails on ring errors or an escalated fault; returns `NoBuffers`
+    /// if the guest has no rx buffer posted (the frame would be
+    /// dropped).
+    pub fn net_receive(
+        &mut self,
+        payload: &[u8],
+        now: SimTime,
+        out: &mut Vec<u8>,
+    ) -> Result<IoTiming, SessionError> {
+        self.net_receive_into(payload, now, Some(out))
+    }
+
+    /// [`Self::net_receive`] with an optional destination: with `None`
+    /// the frame lands in the guest's rx buffer and is reaped, timed and
+    /// counted the same, but no byte of it is copied back out of guest
+    /// RAM (a caller that never reads the payload).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::net_receive`].
+    pub fn net_receive_into(
+        &mut self,
+        payload: &[u8],
+        now: SimTime,
+        out: Option<&mut Vec<u8>>,
+    ) -> Result<IoTiming, SessionError> {
+        let mut m = Marks::start(now);
+        // No post and no kick: the rx ring is kept stocked, and the
+        // freshly posted buffers only have to reach the device.
+        self.transport.sync(&mut self.ram, Queue::Rx, now)?;
+        let backend_ram = self.transport.backend_ram(&mut self.ram);
+        self.backend.serve_rx(backend_ram, payload)?;
+        m.copied = now + T::host_copy(VIRTIO_NET_HDR_LEN + payload.len() as u64);
+        m.ready = m.copied;
+        // The receiver may be idle.
+        m.done = self
+            .transport
+            .complete(&mut self.ram, Queue::Rx, m.ready, true)?;
+        self.guest.reap_rx(&mut self.ram, out)?;
+        if telemetry::is_enabled() {
+            T::trace(Queue::Rx, &m);
+        }
+        Ok(m.timing())
+    }
+
+    /// Issues one block request against `store` and runs it to
+    /// completion: the guest posts header, data and status byte and
+    /// kicks, the backend executes it on the store (after the
+    /// IOPS/bandwidth caps), and the guest reaps the completion.
+    ///
+    /// A read's bytes go into `out`, which is cleared for every other
+    /// request.
+    ///
+    /// # Errors
+    ///
+    /// Fails on ring errors, buffer exhaustion or an escalated fault.
+    pub fn blk_request(
+        &mut self,
+        store: &mut BlockStore,
+        header: BlkRequestHeader,
+        data: &[u8],
+        read_len: u64,
+        now: SimTime,
+        out: &mut Vec<u8>,
+    ) -> Result<(BlkStatus, IoTiming), SessionError> {
+        self.blk_request_into(store, header, data, read_len, now, Some(out))
+    }
+
+    /// [`Self::blk_request`] with an optional destination: with `None`
+    /// a read's data stays in guest RAM, where it landed, and the reap
+    /// copies none of it (the firmware's boot reads).
+    pub(crate) fn blk_request_into(
+        &mut self,
+        store: &mut BlockStore,
+        header: BlkRequestHeader,
+        data: &[u8],
+        read_len: u64,
+        now: SimTime,
+        out: Option<&mut Vec<u8>>,
+    ) -> Result<(BlkStatus, IoTiming), SessionError> {
+        let mut m = Marks::start(now);
+        let needed = self.guest.post_blk(&mut self.ram, header, data, read_len)?;
+        m.kicked = self.transport.kick(needed, now);
+        m.synced = self.transport.sync(&mut self.ram, Queue::Blk, m.kicked)?;
+        m.seen = self.transport.poll(Queue::Blk, m.synced)?;
+        // The backend copies, admits and executes the request.
+        let backend_ram = self.transport.backend_ram(&mut self.ram);
+        m.ready = self
+            .backend
+            .serve_blk(backend_ram, store, m.seen, T::host_copy)?;
+        // Storage completions usually find the vCPU halted in io_wait.
+        m.done = self
+            .transport
+            .complete(&mut self.ram, Queue::Blk, m.ready, true)?;
+        let status = self.guest.reap_blk(&self.ram, header.req_type, out)?;
+        if telemetry::is_enabled() {
+            T::trace(Queue::Blk, &m);
+        }
+        Ok((status, m.timing()))
+    }
+}
+
 /// The guest's virtio-net (rx + tx) and virtio-blk driver, identical on
 /// both platforms: rings and buffer arenas in the guest's RAM, and the
 /// posted-buffer slabs that map each completed head back to its
@@ -217,11 +526,6 @@ impl GuestDriver {
             *self.net_tx.layout(),
             *self.blk.layout(),
         ]
-    }
-
-    /// Packets sent / received / block ops completed so far.
-    pub(crate) fn counters(&self) -> (u64, u64, u64) {
-        (self.total_tx, self.total_rx, self.total_io)
     }
 
     /// Keeps the rx ring stocked with buffers, as a net driver's NAPI
@@ -564,14 +868,6 @@ impl Backend {
     }
 }
 
-#[cfg(test)]
-impl Backend {
-    /// The rx ring's consumer.
-    pub(crate) fn rx_mut(&mut self) -> &mut Virtqueue {
-        &mut self.rx
-    }
-}
-
 /// A virtio-blk request as the backend parsed it from a popped chain.
 #[derive(Debug)]
 struct BlkRequest {
@@ -695,6 +991,22 @@ fn fill_volume(sector: u64, offset: u64, piece: &mut [u8]) {
     }
 }
 
+#[cfg(test)]
+impl<T> GuestSession<T> {
+    /// The guest driver and the RAM its rings live in.
+    pub(crate) fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam) {
+        (&mut self.guest, &mut self.ram)
+    }
+}
+
+#[cfg(test)]
+impl Backend {
+    /// The rx ring's consumer.
+    pub(crate) fn rx_mut(&mut self) -> &mut Virtqueue {
+        &mut self.rx
+    }
+}
+
 /// The synthetic volume, one byte at a time.
 #[cfg(test)]
 pub(crate) fn volume_byte(sector: u64, i: u64) -> u8 {
@@ -704,12 +1016,9 @@ pub(crate) fn volume_byte(sector: u64, i: u64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bm::BmGuestSession;
-    use crate::vm::VmGuestSession;
-    use bmhive_cloud::blockstore::{BlockStore, StorageClass};
-    use bmhive_cloud::limits::InstanceLimits;
+    use crate::{BmGuestSession, VmGuestSession};
+    use bmhive_cloud::blockstore::StorageClass;
     use bmhive_iobond::IoBondProfile;
-    use bmhive_net::{MacAddr, PacketKind};
 
     #[test]
     fn period_copy_matches_the_per_byte_formula() {
@@ -786,103 +1095,37 @@ mod tests {
         assert_eq!((req.data_in_len, req.data_out_len), (512, 0));
     }
 
-    /// The guest I/O both sessions offer, so one test body drives
-    /// either platform.
-    trait Platform {
-        fn new_session() -> Self;
-        fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam);
-        fn send(
-            &mut self,
-            p: &[u8],
-            now: SimTime,
-            out: &mut Vec<u8>,
-        ) -> Result<(EgressPacket, IoTiming), SessionError>;
-        fn receive(
-            &mut self,
-            p: &[u8],
-            now: SimTime,
-            out: &mut Vec<u8>,
-        ) -> Result<IoTiming, SessionError>;
-        fn blk(
-            &mut self,
-            store: &mut BlockStore,
-            header: BlkRequestHeader,
-            data: &[u8],
-            read_len: u64,
-            now: SimTime,
-            out: &mut Vec<u8>,
-        ) -> Result<(BlkStatus, IoTiming), SessionError>;
-    }
-
-    /// Implements [`Platform`] for a session type by forwarding to its
-    /// own methods; `$new` builds a fresh session.
-    macro_rules! forward_platform {
-        ($session:ty, $new:expr) => {
-            impl Platform for $session {
-                fn new_session() -> Self {
-                    $new
-                }
-                fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam) {
-                    self.guest_mut()
-                }
-                fn send(
-                    &mut self,
-                    p: &[u8],
-                    now: SimTime,
-                    out: &mut Vec<u8>,
-                ) -> Result<(EgressPacket, IoTiming), SessionError> {
-                    self.net_send(PEER, PacketKind::Udp, p, now, out)
-                }
-                fn receive(
-                    &mut self,
-                    p: &[u8],
-                    now: SimTime,
-                    out: &mut Vec<u8>,
-                ) -> Result<IoTiming, SessionError> {
-                    self.net_receive(p, now, out)
-                }
-                fn blk(
-                    &mut self,
-                    store: &mut BlockStore,
-                    header: BlkRequestHeader,
-                    data: &[u8],
-                    read_len: u64,
-                    now: SimTime,
-                    out: &mut Vec<u8>,
-                ) -> Result<(BlkStatus, IoTiming), SessionError> {
-                    self.blk_request(store, header, data, read_len, now, out)
-                }
-            }
-        };
-    }
-
-    forward_platform!(
-        BmGuestSession,
+    /// A fresh bm-guest session.
+    fn bm() -> BmGuestSession {
         BmGuestSession::new(
             IoBondProfile::fpga(),
             MAC,
             64,
-            InstanceLimits::unrestricted()
+            InstanceLimits::unrestricted(),
         )
-    );
-    forward_platform!(
-        VmGuestSession,
-        VmGuestSession::new(MAC, 64, InstanceLimits::unrestricted(), 5)
-    );
-
-    /// One guest operation, run identically on both platforms.
-    enum Op {
-        Send(Vec<u8>),
-        Receive(Vec<u8>),
-        Blk(BlkRequestType, u64, Vec<u8>, u64),
     }
 
-    /// What the guest got back from one op, without its timing.
+    /// A fresh vm-guest session.
+    fn vm() -> VmGuestSession {
+        VmGuestSession::new(MAC, 64, InstanceLimits::unrestricted(), 5)
+    }
+
+    /// One guest operation, run identically on both platforms. A
+    /// receive or blk request whose last field is `false` reaps with no
+    /// destination.
+    enum Op {
+        Send(Vec<u8>),
+        Receive(Vec<u8>, bool),
+        Blk(BlkRequestType, u64, Vec<u8>, u64, bool),
+    }
+
+    /// What the guest got back from one op, without its timing; `None`
+    /// bytes for an op reaped with no destination.
     #[derive(Debug, PartialEq)]
     enum Outcome {
         Sent(Packet, Vec<u8>),
-        Received(Vec<u8>),
-        Blk(BlkStatus, Vec<u8>),
+        Received(Option<Vec<u8>>),
+        Blk(BlkStatus, Option<Vec<u8>>),
     }
 
     const MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 7]);
@@ -893,22 +1136,37 @@ mod tests {
         let mut ops = vec![
             Op::Send(Vec::new()),
             Op::Send(vec![0x3c; largest_rx]),
-            Op::Receive(Vec::new()),
-            Op::Receive(vec![0xc3; largest_rx]),
+            Op::Receive(Vec::new(), true),
+            Op::Receive(vec![0xa1; 100], false),
+            Op::Receive(vec![0xc3; largest_rx], true),
         ];
         for sector in [0, 250, u64::MAX - 3] {
-            ops.push(Op::Blk(BlkRequestType::Out, sector, vec![0x5a; 4096], 0));
-            ops.push(Op::Blk(BlkRequestType::In, sector, Vec::new(), 4096));
+            ops.push(Op::Blk(
+                BlkRequestType::Out,
+                sector,
+                vec![0x5a; 4096],
+                0,
+                true,
+            ));
+            let near = sector.wrapping_add(1);
+            ops.push(Op::Blk(BlkRequestType::In, near, Vec::new(), 1000, false));
+            ops.push(Op::Blk(BlkRequestType::In, sector, Vec::new(), 4096, true));
         }
-        ops.push(Op::Blk(BlkRequestType::Flush, 0, Vec::new(), 0));
-        ops.push(Op::Blk(BlkRequestType::Unsupported(9), 0, Vec::new(), 0));
+        ops.push(Op::Blk(BlkRequestType::Flush, 0, Vec::new(), 0, true));
+        ops.push(Op::Blk(
+            BlkRequestType::Unsupported(9),
+            0,
+            Vec::new(),
+            0,
+            true,
+        ));
         ops
     }
 
-    /// Runs `ops` back to back on a fresh `P` session, every op reusing
-    /// one caller buffer.
-    fn run<P: Platform>(ops: &[Op]) -> Vec<Outcome> {
-        let mut s = P::new_session();
+    /// Runs `ops` back to back on `s`, every op with a destination
+    /// reusing one caller buffer. Returns each op's outcome and the
+    /// session's counters after it.
+    fn run<T: Transport>(mut s: GuestSession<T>, ops: &[Op]) -> Vec<(Outcome, (u64, u64, u64))> {
         let mut store = BlockStore::new(StorageClass::CloudSsd, 5);
         let mut now = SimTime::ZERO;
         let mut buf = Vec::new();
@@ -916,22 +1174,24 @@ mod tests {
         for op in ops {
             let (outcome, timing) = match op {
                 Op::Send(p) => {
-                    let (e, t) = s.send(p, now, &mut buf).unwrap();
+                    let (e, t) = s.net_send(PEER, PacketKind::Udp, p, now, &mut buf).unwrap();
                     (Outcome::Sent(e.packet, buf.clone()), t)
                 }
-                Op::Receive(p) => {
-                    let t = s.receive(p, now, &mut buf).unwrap();
-                    (Outcome::Received(buf.clone()), t)
+                Op::Receive(p, dest) => {
+                    let out = dest.then_some(&mut buf);
+                    let t = s.net_receive_into(p, now, out).unwrap();
+                    (Outcome::Received(dest.then(|| buf.clone())), t)
                 }
-                Op::Blk(req, sector, data, read_len) => {
+                Op::Blk(req, sector, data, read_len, dest) => {
                     let header = BlkRequestHeader::new(*req, *sector);
+                    let out = dest.then_some(&mut buf);
                     let (status, t) = s
-                        .blk(&mut store, header, data, *read_len, now, &mut buf)
+                        .blk_request_into(&mut store, header, data, *read_len, now, out)
                         .unwrap();
-                    (Outcome::Blk(status, buf.clone()), t)
+                    (Outcome::Blk(status, dest.then(|| buf.clone())), t)
                 }
             };
-            outcomes.push(outcome);
+            outcomes.push((outcome, s.counters()));
             now = timing.completed;
         }
         outcomes
@@ -940,20 +1200,27 @@ mod tests {
     #[test]
     fn bm_and_vm_guests_see_the_same_bytes_and_statuses() {
         // Cold migration (§3.2) moves one image between platforms: the
-        // guest must get the same answers from either backend.
+        // guest must get the same answers, and count the same ops, on
+        // either backend.
         let ops = ops();
-        let bm = run::<BmGuestSession>(&ops);
-        assert_eq!(bm, run::<VmGuestSession>(&ops));
-        // And the answers are the right ones.
-        for (op, outcome) in ops.iter().zip(&bm) {
+        let bm = run(bm(), &ops);
+        assert_eq!(bm, run(vm(), &ops));
+        // And the answers are the right ones: an op with no destination
+        // still counts, and the next op with one gets its own bytes.
+        let mut counted = (0, 0, 0);
+        for (op, (outcome, counters)) in ops.iter().zip(&bm) {
             match (op, outcome) {
                 (Op::Send(p), Outcome::Sent(packet, payload)) => {
                     assert_eq!(payload, p);
                     assert_eq!((packet.src, packet.dst), (MAC, PEER));
                     assert_eq!(packet.payload as usize, p.len());
+                    counted.0 += 1;
                 }
-                (Op::Receive(p), Outcome::Received(got)) => assert_eq!(got, p),
-                (Op::Blk(req, sector, _, read_len), Outcome::Blk(status, got)) => {
+                (Op::Receive(p, dest), Outcome::Received(got)) => {
+                    assert_eq!(got, &dest.then(|| p.clone()));
+                    counted.1 += 1;
+                }
+                (Op::Blk(req, sector, _, read_len, dest), Outcome::Blk(status, got)) => {
                     let expect_status = match req {
                         BlkRequestType::Unsupported(_) => BlkStatus::Unsupported,
                         _ => BlkStatus::Ok,
@@ -965,10 +1232,12 @@ mod tests {
                         }
                         _ => Vec::new(),
                     };
-                    assert_eq!(got, &expect, "{req:?} at sector {sector}");
+                    assert_eq!(got, &dest.then_some(expect), "{req:?} at sector {sector}");
+                    counted.2 += 1;
                 }
                 _ => unreachable!("outcomes follow their ops"),
             }
+            assert_eq!(*counters, counted);
         }
     }
 
@@ -976,10 +1245,9 @@ mod tests {
     /// never builds: `readable` bytes and then, unless `writable` is 0,
     /// a `writable`-byte device-writable buffer, on the blk ring if
     /// `blk`, else the tx ring. The buffers sit above every pool.
-    fn post_forged<P: Platform>(s: &mut P, blk: bool, readable: &[u8], writable: u32) {
-        let (guest, ram) = s.guest_mut();
+    fn post_forged<T>(s: &mut GuestSession<T>, blk: bool, readable: &[u8], writable: u32) {
         let at = GuestAddr::new(0xc00_0000);
-        ram.write(at, readable).unwrap();
+        s.ram.write(at, readable).unwrap();
         let readable = [SgSegment::new(at, readable.len() as u32)];
         let writable_seg = [SgSegment::new(at + 0x1000, writable)];
         let writable = if writable == 0 {
@@ -988,15 +1256,16 @@ mod tests {
             &writable_seg[..]
         };
         let ring = if blk {
-            &mut guest.blk
+            &mut s.guest.blk
         } else {
-            &mut guest.net_tx
+            &mut s.guest.net_tx
         };
-        ring.add_buf(ram, &readable, writable).unwrap();
+        ring.add_buf(&mut s.ram, &readable, writable).unwrap();
     }
 
-    /// The error the backend returns for each guest-forged chain.
-    fn forged_rejections<P: Platform>() -> Vec<SessionError> {
+    /// The error the backend returns for each guest-forged chain, each
+    /// on a `fresh` session.
+    fn forged_rejections<T: Transport>(fresh: fn() -> GuestSession<T>) -> Vec<SessionError> {
         let read_hdr = BlkRequestHeader::new(BlkRequestType::In, 0);
         let forged: [(bool, &[u8], u32); 3] = [
             // A tx frame one byte short of the virtio-net header.
@@ -1011,14 +1280,15 @@ mod tests {
         forged
             .into_iter()
             .map(|(blk, readable, writable)| {
-                let mut s = P::new_session();
+                let mut s = fresh();
                 post_forged(&mut s, blk, readable, writable);
                 let now = SimTime::ZERO;
                 if blk {
-                    s.blk(&mut store, read_hdr, &[], 512, now, &mut out)
+                    s.blk_request(&mut store, read_hdr, &[], 512, now, &mut out)
                         .unwrap_err()
                 } else {
-                    s.send(b"honest", now, &mut out).unwrap_err()
+                    s.net_send(PEER, PacketKind::Udp, b"honest", now, &mut out)
+                        .unwrap_err()
                 }
             })
             .collect()
@@ -1026,10 +1296,7 @@ mod tests {
 
     #[test]
     fn forged_guest_chains_are_typed_rejections_on_both_platforms() {
-        for errors in [
-            forged_rejections::<BmGuestSession>(),
-            forged_rejections::<VmGuestSession>(),
-        ] {
+        for errors in [forged_rejections(bm), forged_rejections(vm)] {
             let whys: Vec<&str> = errors
                 .iter()
                 .map(|e| match e {

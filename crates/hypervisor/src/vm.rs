@@ -11,17 +11,17 @@
 //!   the vCPU was idle (the `halt_polling` discussion of §5);
 //! * data is copied by host CPUs rather than a DMA engine;
 //! * host tasks occasionally preempt the vCPU (Fig. 1).
+//!
+//! [`VmGuestSession`] is a [`GuestSession`] over [`Vhost`], which holds
+//! exactly those costs; the op sequence is the session's.
 
-use crate::session::{phase, Backend, GuestDriver};
-use bmhive_cloud::blockstore::BlockStore;
+use crate::session::{phase, Backend, GuestDriver, GuestSession, Marks, Queue, Transport};
+use crate::SessionError;
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_mem::GuestRam;
-use bmhive_net::{MacAddr, Packet, PacketKind};
+use bmhive_net::MacAddr;
 use bmhive_sim::{SimDuration, SimRng, SimTime};
 use bmhive_telemetry as telemetry;
-use bmhive_virtio::{BlkRequestHeader, BlkStatus, VIRTIO_NET_HDR_LEN};
-
-pub use crate::session::{EgressPacket, IoTiming, SessionError};
 
 /// An ioeventfd kick: a lightweight VM exit plus the wakeup of the
 /// vhost thread (§2.1). Every vm submission pays it; Fig. 11's
@@ -108,51 +108,40 @@ impl Delivery {
 }
 
 /// One vm-guest with its vhost backend, sharing memory.
+pub type VmGuestSession = GuestSession<Vhost>;
+
+/// The vhost transport: the backend reads the guest's rings in place,
+/// in the memory both share, so there is no shadow ring and no sync.
+/// Each kick is an ioeventfd VM exit, the host CPU copies the data, and
+/// each completion is delivered into the vCPU.
 #[derive(Debug)]
-pub struct VmGuestSession {
-    mac: MacAddr,
-    ram: GuestRam,
+pub struct Vhost {
+    /// The stream each completion's [`Delivery`] is drawn from.
     rng: SimRng,
-    /// The guest's virtio driver, in the shared RAM.
-    guest: GuestDriver,
-    /// The vhost backend, reading the guest's rings in place.
-    backend: Backend,
 }
 
-impl VmGuestSession {
-    /// Builds a running vm-guest with `queue_size`-entry queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_size` is not a power of two.
-    pub fn new(mac: MacAddr, queue_size: u16, limits: InstanceLimits, seed: u64) -> Self {
-        let mut ram = GuestRam::new(256 << 20);
-        let guest = GuestDriver::new(&mut ram, queue_size);
-        VmGuestSession {
-            mac,
-            ram,
-            rng: SimRng::with_stream(seed, RNG_STREAM),
-            // vhost reads the guest's rings in place: no shadow copies.
-            backend: Backend::new(guest.layouts(), limits),
-            guest,
-        }
+impl Transport for Vhost {
+    /// An ioeventfd VM exit: vhost publishes no EVENT_IDX window, so
+    /// every post exits.
+    fn kick(&mut self, _needed: bool, now: SimTime) -> SimTime {
+        now + EXIT_KICK
     }
 
-    /// The guest's MAC address.
-    pub fn mac(&self) -> MacAddr {
-        self.mac
+    fn host_copy(bytes: u64) -> SimDuration {
+        copy_cost(bytes)
     }
 
-    /// Packets sent / received / block ops completed.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        self.guest.counters()
-    }
-
-    fn completion_delivery(&mut self, now: SimTime, vcpu_idle: bool) -> SimTime {
-        // VM-exit class accounting (the Table 2 taxonomy): every
-        // completion is an interrupt injection; a halted vCPU adds a
-        // wakeup unless halt-polling absorbs it; some I/Os land in a
-        // host-preemption burst.
+    /// VM-exit class accounting (the Table 2 taxonomy): every
+    /// completion is an interrupt injection; a halted vCPU adds a
+    /// wakeup unless halt-polling absorbs it; some I/Os land in a
+    /// host-preemption burst.
+    fn complete(
+        &mut self,
+        _ram: &mut GuestRam,
+        _queue: Queue,
+        at: SimTime,
+        vcpu_idle: bool,
+    ) -> Result<SimTime, SessionError> {
         let delivery = Delivery::sample(&mut self.rng, vcpu_idle);
         telemetry::counter("vm.exit.irq_inject", 1);
         if let Some(wakeup) = delivery.halt_wakeup {
@@ -165,165 +154,60 @@ impl VmGuestSession {
             telemetry::counter("vm.exit.preempt_burst", 1);
         }
         telemetry::timer("vm.completion_delivery", delivery.total());
-        now + delivery.total()
+        Ok(at + delivery.total())
     }
 
-    /// Sends one packet through the tx ring and the vhost backend. The
-    /// frame's payload, as vhost read it, goes into `out` (cleared
-    /// first).
-    ///
-    /// # Errors
-    ///
-    /// Fails on ring errors or buffer exhaustion.
-    pub fn net_send(
-        &mut self,
-        dst: MacAddr,
-        kind: PacketKind,
-        payload: &[u8],
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Result<(EgressPacket, IoTiming), SessionError> {
-        self.guest.post_tx(&mut self.ram, payload)?;
-
-        // Kick: ioeventfd VM exit (vhost publishes no EVENT_IDX window,
-        // so every post exits).
-        let kicked = now + EXIT_KICK;
-
-        // vhost: pop directly from the shared ring, one memcpy into the
-        // switch's mbuf.
-        self.backend.serve_tx(&mut self.ram, out)?;
-        let copied = kicked + copy_cost(VIRTIO_NET_HDR_LEN + out.len() as u64);
-        let packet = Packet::new(self.mac, dst, kind, out.len() as u32, self.counters().0);
-        let admitted = self.backend.admit_packet(packet.wire_bytes(), copied);
-
-        // Tx completion interrupt (the sender is running, not idle).
-        let done = self.completion_delivery(admitted, false);
-        self.guest.reap_tx(&self.ram)?;
-        if telemetry::is_enabled() {
-            let op = telemetry::begin("vm", "net_send", now);
-            phase("vm", "vm_exit_kick", now, kicked);
-            phase("vm", "vhost_copy", kicked, copied);
-            phase("vm", "throttle", copied, admitted);
-            phase("vm", "complete", admitted, done);
-            telemetry::end(op, done);
+    /// Every op is a `vm` span with a phase per step it takes; a
+    /// receive has no kick.
+    fn trace(queue: Queue, m: &Marks) {
+        let op = telemetry::begin("vm", queue.op(), m.now);
+        match queue {
+            Queue::Rx => phase("vm", "vhost_copy", m.now, m.copied),
+            Queue::Tx => {
+                phase("vm", "vm_exit_kick", m.now, m.kicked);
+                phase("vm", "vhost_copy", m.kicked, m.copied);
+                phase("vm", "throttle", m.copied, m.ready);
+            }
+            Queue::Blk => {
+                phase("vm", "vm_exit_kick", m.now, m.kicked);
+                phase("vm", "backend_execute", m.kicked, m.ready);
+            }
+        }
+        phase("vm", "complete", m.ready, m.done);
+        telemetry::end(op, m.done);
+        let (counter, timer) = match queue {
+            Queue::Rx => ("vm.net_rx_packets", "vm.net_receive"),
+            Queue::Tx => ("vm.net_tx_packets", "vm.net_send"),
+            Queue::Blk => ("vm.blk_ops", "vm.blk_request"),
+        };
+        if queue != Queue::Rx {
             telemetry::counter("vm.exit.ioeventfd_kick", 1);
-            telemetry::counter("vm.net_tx_packets", 1);
-            telemetry::timer("vm.net_send", done.saturating_duration_since(now));
         }
-        Ok((
-            EgressPacket {
-                packet,
-                at: admitted,
-            },
-            IoTiming {
-                submitted: now,
-                completed: done,
-            },
-        ))
-    }
-
-    /// Delivers one ingress packet through the rx ring. The payload as
-    /// the guest read it goes into `out` (cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Fails on ring errors; `NoBuffers` if no rx buffer is posted.
-    pub fn net_receive(
-        &mut self,
-        payload: &[u8],
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Result<IoTiming, SessionError> {
-        self.backend.serve_rx(&mut self.ram, payload)?;
-        let copied = now + copy_cost(VIRTIO_NET_HDR_LEN + payload.len() as u64);
-        // Rx interrupt; receiver may be idle.
-        let done = self.completion_delivery(copied, true);
-
-        self.guest.reap_rx(&mut self.ram, Some(out))?;
-        if telemetry::is_enabled() {
-            let op = telemetry::begin("vm", "net_receive", now);
-            phase("vm", "vhost_copy", now, copied);
-            phase("vm", "complete", copied, done);
-            telemetry::end(op, done);
-            telemetry::counter("vm.net_rx_packets", 1);
-            telemetry::timer("vm.net_receive", done.saturating_duration_since(now));
-        }
-        Ok(IoTiming {
-            submitted: now,
-            completed: done,
-        })
-    }
-
-    /// Issues one block request via the vhost-user storage backend.
-    ///
-    /// A read's bytes go into `out`, which is cleared for every other
-    /// request.
-    ///
-    /// # Errors
-    ///
-    /// Fails on ring errors or buffer exhaustion.
-    pub fn blk_request(
-        &mut self,
-        store: &mut BlockStore,
-        header: BlkRequestHeader,
-        data: &[u8],
-        read_len: u64,
-        now: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        self.blk_request_into(store, header, data, read_len, now, Some(out))
-    }
-
-    /// [`Self::blk_request`] with an optional destination: with `None`
-    /// a read's data stays in guest RAM, where vhost copied it, and the
-    /// reap copies none of it (the firmware's boot reads).
-    pub(crate) fn blk_request_into(
-        &mut self,
-        store: &mut BlockStore,
-        header: BlkRequestHeader,
-        data: &[u8],
-        read_len: u64,
-        now: SimTime,
-        out: Option<&mut Vec<u8>>,
-    ) -> Result<(BlkStatus, IoTiming), SessionError> {
-        self.guest.post_blk(&mut self.ram, header, data, read_len)?;
-
-        // Kick: ioeventfd VM exit.
-        let kicked = now + EXIT_KICK;
-        // The vm path pays an extra host CPU copy of the data: guest →
-        // host buffer before a write, host buffer → guest after a read.
-        let io_done = self
-            .backend
-            .serve_blk(&mut self.ram, store, kicked, copy_cost)?;
-        // Storage completions usually find the vCPU halted in io_wait.
-        let done = self.completion_delivery(io_done, true);
-
-        let status = self.guest.reap_blk(&self.ram, header.req_type, out)?;
-        if telemetry::is_enabled() {
-            let op = telemetry::begin("vm", "blk_request", now);
-            phase("vm", "vm_exit_kick", now, kicked);
-            phase("vm", "backend_execute", kicked, io_done);
-            phase("vm", "complete", io_done, done);
-            telemetry::end(op, done);
-            telemetry::counter("vm.exit.ioeventfd_kick", 1);
-            telemetry::counter("vm.blk_ops", 1);
-            telemetry::timer("vm.blk_request", done.saturating_duration_since(now));
-        }
-        Ok((
-            status,
-            IoTiming {
-                submitted: now,
-                completed: done,
-            },
-        ))
+        telemetry::counter(counter, 1);
+        telemetry::timer(timer, m.done.saturating_duration_since(m.now));
     }
 }
 
-#[cfg(test)]
-impl VmGuestSession {
-    /// The guest driver and the RAM its rings live in.
-    pub(crate) fn guest_mut(&mut self) -> (&mut GuestDriver, &mut GuestRam) {
-        (&mut self.guest, &mut self.ram)
+impl GuestSession<Vhost> {
+    /// Builds a running vm-guest with `queue_size`-entry queues, drawing
+    /// its completion deliveries from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queue_size` is not a power of two.
+    pub fn new(mac: MacAddr, queue_size: u16, limits: InstanceLimits, seed: u64) -> Self {
+        let mut ram = GuestRam::new(256 << 20);
+        let guest = GuestDriver::new(&mut ram, queue_size);
+        GuestSession {
+            mac,
+            ram,
+            // vhost reads the guest's rings in place: no shadow copies.
+            backend: Backend::new(guest.layouts(), limits),
+            guest,
+            transport: Vhost {
+                rng: SimRng::with_stream(seed, RNG_STREAM),
+            },
+        }
     }
 }
 
@@ -331,9 +215,10 @@ impl VmGuestSession {
 mod tests {
     use super::*;
     use crate::session::{FLUSH_SERVICE, RX_BUF};
-    use bmhive_cloud::blockstore::{IoKind, StorageClass};
+    use bmhive_cloud::blockstore::{BlockStore, IoKind, StorageClass};
     use bmhive_iobond::IoBondProfile;
-    use bmhive_virtio::BlkRequestType;
+    use bmhive_net::PacketKind;
+    use bmhive_virtio::{BlkRequestHeader, BlkRequestType, BlkStatus, VIRTIO_NET_HDR_LEN};
 
     fn session() -> VmGuestSession {
         VmGuestSession::new(MacAddr::for_guest(9), 64, InstanceLimits::unrestricted(), 7)

@@ -671,17 +671,6 @@ pub fn run(cfg: &TrafficConfig, seed: u64) -> RunReport {
     run_impl(cfg, seed, true)
 }
 
-/// The one-pop-at-a-time twin of [`run`]: identical configuration,
-/// RNG streams, and event order, but driven by `queue.pop()` instead
-/// of the [`BatchRunner`]. The reference arm of the batch-vs-single
-/// equivalence test below — reports and traces must come out
-/// byte-identical (minus the `sim.batch_*` meters only the batched
-/// driver emits).
-#[cfg(test)]
-fn run_single_pop(cfg: &TrafficConfig, seed: u64) -> RunReport {
-    run_impl(cfg, seed, false)
-}
-
 fn run_impl(cfg: &TrafficConfig, seed: u64, batched: bool) -> RunReport {
     assert!(cfg.guests > 0, "traffic: empty guest pool");
     assert!(cfg.requests > 0, "traffic: zero requests");
@@ -807,6 +796,16 @@ mod tests {
     use super::*;
     use bmhive_faults as faults;
     use bmhive_workloads::openloop::{ps_cloned_mean_response, ps_mean_response};
+
+    /// The one-pop-at-a-time twin of [`run`]: identical configuration,
+    /// RNG streams, and event order, but driven by `queue.pop()` instead
+    /// of the [`BatchRunner`]. The reference arm of the batch-vs-single
+    /// equivalence test below — reports and traces must come out
+    /// byte-identical (minus the `sim.batch_*` meters only the batched
+    /// driver emits).
+    fn run_single_pop(cfg: &TrafficConfig, seed: u64) -> RunReport {
+        run_impl(cfg, seed, false)
+    }
 
     fn base(mode: DispatchMode, guests: usize, rate_rps: f64, requests: u64) -> TrafficConfig {
         TrafficConfig {

@@ -26,25 +26,32 @@ fn op_work(value_bytes: u32) -> CpuWork {
     }
 }
 
+/// Requests per second at `clients` clients and `value_bytes`-byte
+/// values: one core's per-op service rate. Each point is one simulated
+/// event.
+fn rps(env: &GuestEnv, clients: u32, value_bytes: u32) -> f64 {
+    // More clients ⇒ deeper pipelining ⇒ better interrupt coalescing on
+    // both platforms (approaching the batched cost), but also more
+    // epoll/event overhead per op.
+    let batching = (f64::from(clients) / 800.0).min(1.0);
+    let pkt_cost = {
+        let un = env.pkt_virt_cpu.as_secs_f64();
+        let ba = env.pkt_virt_cpu_batched.as_secs_f64();
+        SimDuration::from_secs_f64(un + (ba - un) * batching)
+    };
+    let epoll = SimDuration::from_nanos(250 + u64::from(clients) / 20);
+    let stack = SimDuration::from_micros_f64(1.4); // recv+send, pipelined
+    let per_op = env.cpu.execute(&op_work(value_bytes)) + pkt_cost * 2 + stack + epoll;
+    telemetry::add_events(1);
+    1.0 / per_op.as_secs_f64()
+}
+
 /// One Fig. 15 run: RPS versus client count.
 pub fn run_redis_clients(env: &mut GuestEnv, client_counts: &[u32], value_bytes: u32) -> Series {
     let mut series = Series::new(env.label);
     for &clients in client_counts {
-        // More clients ⇒ deeper pipelining ⇒ better interrupt
-        // coalescing on both platforms (approaching the batched cost),
-        // but also more epoll/event overhead per op.
-        let batching = (f64::from(clients) / 800.0).min(1.0);
-        let pkt_cost = {
-            let un = env.pkt_virt_cpu.as_secs_f64();
-            let ba = env.pkt_virt_cpu_batched.as_secs_f64();
-            SimDuration::from_secs_f64(un + (ba - un) * batching)
-        };
-        let epoll = SimDuration::from_nanos(250 + u64::from(clients) / 20);
-        let stack = SimDuration::from_micros_f64(1.4); // recv+send, pipelined
-        let per_op = env.cpu.execute(&op_work(value_bytes)) + pkt_cost * 2 + stack + epoll;
-        series.push(f64::from(clients), 1.0 / per_op.as_secs_f64());
+        series.push(f64::from(clients), rps(env, clients, value_bytes));
     }
-    telemetry::add_events(client_counts.len() as u64);
     series
 }
 
@@ -59,7 +66,7 @@ pub fn run_redis_sizes(
     for &size in sizes {
         let mut series = Series::new(env.label);
         for s in 0..samples_per_size {
-            let base = run_redis_clients(env, &[4_000], size).points()[0].1;
+            let base = rps(env, 4_000, size);
             // Per-sample wobble: the vm-guest's throughput fluctuates
             // with host cache/preemption state; the bm-guest is steady.
             let per_op = SimDuration::from_secs_f64(1.0 / base);

@@ -109,7 +109,8 @@ fn main() {
     .expect("converted");
     println!(
         "converted bm-guest {} to a migratable vm-guest at {}",
-        converted.mac, converted.converted_at
+        converted.vm.mac(),
+        converted.converted_at
     );
     let (landed, at) = convert_to_bm(converted, IoBondProfile::fpga(), SimTime::from_secs(5));
     println!(

@@ -155,7 +155,7 @@ fn migration_prototype_composes_with_the_server() {
         5,
     )
     .unwrap();
-    assert_eq!(converted.mac, MacAddr::for_guest(42));
+    assert_eq!(converted.vm.mac(), MacAddr::for_guest(42));
 
     // The board is already reusable.
     assert!(server

@@ -19,8 +19,7 @@ use bmhive_cloud::image::MachineImage;
 use bmhive_cloud::limits::InstanceLimits;
 use bmhive_core::server::BmHiveServer;
 use bmhive_faults as faults;
-use bmhive_hypervisor::bm::{IoTiming, SessionError};
-use bmhive_hypervisor::{BmGuestSession, VmGuestSession};
+use bmhive_hypervisor::{BmGuestSession, IoTiming, SessionError, VmGuestSession};
 use bmhive_iobond::IoBondProfile;
 use bmhive_net::{MacAddr, PacketKind};
 use bmhive_sim::{EventQueue, SimDuration, SimRng, SimTime};

@@ -202,10 +202,17 @@ fn repro_main(args: &[String]) -> Result<(), String> {
             std::fs::write(path, doc)
                 .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
             eprintln!(
-                "[repro] wrote {} span(s) to {} ({} dropped by the ring buffer)",
+                "[repro] wrote {} span(s) to {}",
                 snap.events.len(),
-                path.display(),
-                snap.dropped
+                path.display()
+            );
+        }
+        if snap.dropped > 0 {
+            eprintln!(
+                "[repro] {} span(s) dropped by the ring buffer: the spans \
+                 kept are only the last {} recorded",
+                snap.dropped,
+                snap.events.len()
             );
         }
         if metrics {

@@ -267,7 +267,7 @@ impl PreemptionStudy {
     /// The streaming twin of [`Self::run`]: identical RNG draws, but
     /// each hour's population flows through a float-bit [`Histogram`]
     /// instead of being materialized for quickselect, so the memory
-    /// footprint is one histogram (16 KiB) regardless of `vms`.
+    /// footprint is one histogram (4 KiB) regardless of `vms`.
     /// Percentiles come back at bucket-midpoint resolution (~±3%);
     /// [`Self::run`] remains the exact reference for cross-checks at
     /// materializable scales.

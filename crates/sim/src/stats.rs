@@ -2,20 +2,27 @@
 //!
 //! The paper reports means, tail percentiles (99th / 99.9th) and series
 //! (requests-per-second versus client count, etc.). [`Histogram`] gives
-//! memory-bounded percentile queries over latency samples, [`Summary`]
-//! tracks running moments, and [`Series`] records (x, y) points for the
-//! figure reproductions.
+//! percentile queries over latency samples in one fixed 4,100-byte
+//! bucket array that covers values below 2^64, [`Summary`] tracks
+//! running moments, and [`Series`] records (x, y) points for the figure
+//! reproductions.
 
 use crate::time::SimDuration;
 
 /// A log-bucketed histogram of non-negative values.
 ///
 /// Each octave is split into 16 linear sub-buckets (HdrHistogram's
-/// scheme), bounding relative quantile error below ~3.2 % while using a
-/// few kilobytes regardless of sample count. Bucket indexing reads the
-/// exponent and top mantissa bits straight out of the IEEE-754
-/// representation, so the record path is pure integer math — no `log2`
-/// per sample.
+/// scheme), bounding relative quantile error below ~3.2 %. The counts
+/// are one fixed 4,100-byte allocation made by [`Histogram::new`],
+/// whatever the sample count or spread: 1,025 `u32` buckets, one for
+/// everything below 1.0 and 16 for each octave `[2^e, 2^(e+1))`,
+/// `e = 0..=63`. Values of 2^64 or more share the top bucket, so their
+/// percentiles read as its midpoint clamped to the observed min/max.
+/// A bucket counts at most `u32::MAX` samples — `record` and `merge`
+/// panic past that — while [`Histogram::count`] is a `u64`.
+/// Bucket indexing reads the exponent and top mantissa bits straight
+/// out of the IEEE-754 representation, so the record path is pure
+/// integer math — no `log2` per sample.
 ///
 /// # Example
 ///
@@ -31,7 +38,7 @@ use crate::time::SimDuration;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: Vec<u64>,
+    counts: Vec<u32>,
     total: u64,
     min: f64,
     max: f64,
@@ -42,7 +49,10 @@ pub struct Histogram {
 const SUB_BITS: u32 = 4;
 /// Linear sub-buckets per octave.
 const SUB_BUCKETS: usize = 1 << SUB_BITS;
-const NUM_BUCKETS: usize = 2048;
+/// Octaves with buckets of their own: `[2^e, 2^(e+1))` for `e < 64`.
+const OCTAVES: usize = 64;
+/// The sub-1.0 bucket plus 16 per octave.
+const NUM_BUCKETS: usize = 1 + OCTAVES * SUB_BUCKETS;
 
 /// Arithmetic midpoint of each bucket, precomputed as raw IEEE-754 bits
 /// so the table is a compile-time constant: bucket `1 + 16e + k` spans
@@ -80,7 +90,7 @@ impl Histogram {
         }
         // For finite v >= 1 the exponent field is floor(log2 v) + 1023
         // and the top 4 mantissa bits pick the linear sub-bucket within
-        // the octave.
+        // the octave; values of 2^64 or more clamp into the top bucket.
         let bits = value.to_bits();
         let exp = ((bits >> 52) as usize) - 1023;
         let sub = ((bits >> (52 - SUB_BITS)) as usize) & (SUB_BUCKETS - 1);
@@ -96,13 +106,17 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `value` is negative or not finite; latencies and counts
-    /// are never either, so this indicates a caller bug.
+    /// are never either, so this indicates a caller bug. Also panics if
+    /// the value's bucket already holds `u32::MAX` samples.
     pub fn record(&mut self, value: f64) {
         assert!(
             value.is_finite() && value >= 0.0,
             "record: invalid value {value}"
         );
-        self.counts[Self::bucket_of(value)] += 1;
+        let count = &mut self.counts[Self::bucket_of(value)];
+        *count = count
+            .checked_add(1)
+            .expect("record: histogram bucket count overflows u32");
         self.total += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -167,9 +181,9 @@ impl Histogram {
             return 0.0;
         }
         let rank = ((p / 100.0) * self.total as f64 - 1e-9).ceil().max(1.0) as u64;
-        let mut seen = 0;
+        let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen += u64::from(c);
             if seen >= rank {
                 return Self::bucket_midpoint(i).clamp(self.min, self.max);
             }
@@ -178,9 +192,16 @@ impl Histogram {
     }
 
     /// Merges another histogram into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a merged bucket would hold more than `u32::MAX`
+    /// samples.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
+            *a = a
+                .checked_add(b)
+                .expect("merge: histogram bucket count overflows u32");
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -528,6 +549,64 @@ mod tests {
         }
         // The top bucket absorbs everything beyond the table.
         assert_eq!(Histogram::bucket_of(f64::MAX), NUM_BUCKETS - 1);
+    }
+
+    #[test]
+    fn bucket_layout_is_1025_u32s_covering_values_below_2_pow_64() {
+        let h = Histogram::new();
+        assert_eq!(std::mem::size_of_val(&h.counts[..]), 4_100);
+        assert_eq!(h.counts.capacity(), h.counts.len(), "one exact allocation");
+        // The largest f64 below 2^64 is the last value with a bucket of
+        // its own — the top one — and everything larger shares it.
+        let below = f64::from_bits(2f64.powi(64).to_bits() - 1);
+        assert_eq!(Histogram::bucket_of(below), 1_024);
+        assert_eq!(Histogram::bucket_of(2f64.powi(63) * 1.9375), 1_024);
+        assert_eq!(Histogram::bucket_of(2f64.powi(63) * 1.875), 1_023);
+        assert_eq!(Histogram::bucket_of(2f64.powi(64)), 1_024);
+        assert_eq!(Histogram::bucket_of(f64::MAX), 1_024);
+    }
+
+    /// A histogram whose bucket for `value` is full.
+    fn full_bucket_at(value: f64) -> Histogram {
+        let mut h = Histogram::new();
+        h.counts[Histogram::bucket_of(value)] = u32::MAX;
+        h
+    }
+
+    #[test]
+    #[should_panic(expected = "record: histogram bucket count overflows u32")]
+    fn record_into_a_full_bucket_panics() {
+        full_bucket_at(5.0).record(5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "merge: histogram bucket count overflows u32")]
+    fn merge_into_a_full_bucket_panics() {
+        let mut other = Histogram::new();
+        other.record(5.0);
+        full_bucket_at(5.0).merge(&other);
+    }
+
+    #[test]
+    fn percentiles_match_the_2048_u64_bucket_layout_bit_for_bit() {
+        // Samples spread over 2^-3 .. 2^61; the expected bits were read
+        // from the former 2,048 x u64 layout, which bucketed every value
+        // below 2^64 exactly as this one does.
+        let mut rng = SimRng::with_stream(32, 0x601d);
+        let mut h = Histogram::new();
+        for _ in 0..10_000 {
+            let exp = rng.range(0, 64) as i32 - 3;
+            h.record(rng.range_f64(1.0, 2.0) * 2f64.powi(exp));
+        }
+        for (p, bits) in [
+            (0.0, 0x3fe0_0000_0000_0000),
+            (50.0, 0x41bc_8000_0000_0000),
+            (99.0, 0x43b6_8000_0000_0000),
+            (99.9, 0x43be_8000_0000_0000),
+            (100.0, 0x43bf_8000_0000_0000),
+        ] {
+            assert_eq!(h.percentile(p).to_bits(), bits, "p{p}");
+        }
     }
 
     #[test]

@@ -40,6 +40,12 @@ fn census_memory_is_constant_in_guest_count() {
     assert_eq!(small.total(), 10_000);
     assert_eq!(large.total(), 1_000_000);
     assert!(small_peak > 0, "the census allocates its accumulators");
+    // One 4 KiB histogram plus the two threshold vectors: a return to
+    // 16 KiB of buckets fails here.
+    assert!(
+        small_peak <= 8 * 1024,
+        "10k-guest census peak {small_peak} B exceeds 8 KiB"
+    );
     // O(1): the 100x bigger fleet allocates exactly the same
     // accumulators; allow slack only for allocator jitter.
     assert!(

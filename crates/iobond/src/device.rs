@@ -60,8 +60,13 @@ pub struct IoBondDevice {
 }
 
 impl IoBondDevice {
-    /// Default staging slot size: large enough for any jumbo frame or
-    /// 256 KiB storage request to span few slots.
+    /// Default staging slot size. A chain is staged as one run of slots,
+    /// its indirect table first: a jumbo frame or a 16 KiB block request
+    /// takes one slot, table included, and a 256 KiB storage request
+    /// five. The table must fit the run's first slot; with
+    /// `4 × max_queue_size` slots, a 256-entry queue's largest table is
+    /// 1,027 entries (16,432 bytes). A chain whose table would not fit
+    /// is refused with a typed error.
     pub const DEFAULT_SLOT_SIZE: u32 = 64 * 1024;
 
     /// Creates the device with its frontend function.

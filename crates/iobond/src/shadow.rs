@@ -28,7 +28,7 @@
 use crate::pool::StagingPool;
 use crate::profile::IoBondProfile;
 use bmhive_faults::{self as faults, FaultSite, RetryOp};
-use bmhive_mem::{GuestRam, SgList};
+use bmhive_mem::{GuestAddr, GuestRam, SgList};
 use bmhive_sim::{SimDuration, SimTime};
 use bmhive_telemetry as telemetry;
 use bmhive_virtio::{DescChain, QueueLayout, VirtioError, Virtqueue, VirtqueueDriver};
@@ -60,13 +60,17 @@ pub struct GuestCompletion {
     pub at: SimTime,
 }
 
+/// A chain posted to the shadow ring and not yet completed.
 #[derive(Debug)]
 struct Inflight {
     guest_head: u16,
     guest_writable: SgList,
-    staging_readable: SgList,
+    /// The chain's whole staging run (`[table | readable | writable]`),
+    /// handed back to the pool in one free on completion.
+    staging: SgList,
+    /// The writable view inside `staging`: where the backend's bytes
+    /// wait for the copy-back.
     staging_writable: SgList,
-    table: SgList,
 }
 
 /// One guest virtqueue paired with its shadow vring.
@@ -320,6 +324,20 @@ impl ShadowQueue {
         DMA_STEP_TIMEOUT + recovery.waited
     }
 
+    /// Stages `chain` in one run of pool slots, laid out as its shadow
+    /// indirect table, then its readable bytes, then its writable bytes:
+    /// one [`StagingPool::alloc`] carved with [`SgList::split_at`], so a
+    /// 64 B tx frame, a 2 KiB rx buffer or a 16 KiB block request takes
+    /// one slot and one base page, table included.
+    ///
+    /// Each view can start mid-slot, so it can cross one more slot
+    /// boundary than its own length needs: the table reserves
+    /// `r_slots + w_slots + 2` entries. The table is written
+    /// contiguously from the run's first byte, so it must fit the first
+    /// slot. An empty chain, one bigger than the whole pool and one
+    /// whose table would overflow its slot are refused before the pool
+    /// is touched.
+    ///
     /// Takes the chain by value so the guest-writable list moves into
     /// the inflight table instead of being cloned per chain; a
     /// backpressured chain is handed back inside
@@ -336,84 +354,67 @@ impl ShadowQueue {
     ) -> Result<(u64, SimTime), StageError> {
         let r_len = chain.readable.total_len();
         let w_len = chain.writable.total_len();
+        // Nothing to carry, and no descriptor to post it with.
+        if r_len + w_len == 0 {
+            return Err(StageError::Virtio(VirtioError::EmptyChain));
+        }
         let slot_size = u64::from(self.pool.slot_size());
-        let (r_slots, w_slots) = (r_len.div_ceil(slot_size), w_len.div_ceil(slot_size));
-        let table_len = (r_slots + w_slots + 1) * 16;
+        let table_len = (r_len.div_ceil(slot_size) + w_len.div_ceil(slot_size) + 2) * 16;
+        let run_len = table_len + r_len + w_len;
         // A chain bigger than the whole pool would wait forever at the
         // front of `deferred`: refuse it like any other malformed chain.
-        let needed = r_slots + w_slots + table_len.div_ceil(slot_size);
+        let needed = run_len.div_ceil(slot_size);
         if needed > u64::from(self.pool.total_slots()) {
             return Err(StageError::Virtio(VirtioError::ChainTooLarge {
                 needed,
                 capacity: self.pool.total_slots(),
             }));
         }
-
-        let staging_readable = if r_len > 0 {
-            match self.pool.alloc(r_len) {
-                Some(sg) => sg,
-                None => return Err(StageError::NoStaging(chain)),
-            }
-        } else {
-            SgList::new()
+        if table_len > slot_size {
+            return Err(StageError::Virtio(VirtioError::BadIndirect(
+                "shadow table larger than a staging slot",
+            )));
+        }
+        let Some(staging) = self.pool.alloc(run_len) else {
+            return Err(StageError::NoStaging(chain));
         };
-        let staging_writable = if w_len > 0 {
-            match self.pool.alloc(w_len) {
-                Some(sg) => sg,
-                None => {
-                    self.pool.free(&staging_readable);
-                    return Err(StageError::NoStaging(chain));
-                }
-            }
-        } else {
-            SgList::new()
-        };
-        // One more slot for the indirect table.
-        let table = match self.pool.alloc(table_len) {
-            Some(sg) => sg,
-            None => {
-                self.pool.free(&staging_readable);
-                self.pool.free(&staging_writable);
-                return Err(StageError::NoStaging(chain));
-            }
-        };
-        // From here on every error hands the three lists back first.
-        let staged = [staging_readable, staging_writable, table];
-        match self.post_staged(board, base, &chain, &staged, now) {
+        let table_addr = staging.segments()[0].addr;
+        let (_, payload) = staging.split_at(table_len);
+        let views = payload.split_at(r_len);
+        // From here on every error hands the run back first.
+        match self.post_staged(board, base, &chain, table_addr, &views, now) {
             Ok((shadow_head, moved, finish)) => {
-                let [staging_readable, staging_writable, table] = staged;
                 let slot = &mut self.inflight[usize::from(shadow_head)];
                 debug_assert!(slot.is_none(), "shadow head reused while in flight");
                 *slot = Some(Inflight {
                     guest_head: chain.head,
                     guest_writable: chain.writable,
-                    staging_readable,
-                    staging_writable,
-                    table,
+                    staging,
+                    staging_writable: views.1,
                 });
                 self.inflight_len += 1;
                 self.head_reg += 1;
                 Ok((moved, finish))
             }
             Err(e) => {
-                for list in &staged {
-                    self.pool.free(list);
-                }
+                self.pool.free(&staging);
                 Err(StageError::Virtio(e))
             }
         }
     }
 
-    /// Stages `chain` into the slots of [`stage_chain`](Self::stage_chain)
-    /// (`[readable, writable, table]`): DMAs its readable payload board →
-    /// base and posts the shadow chain. Returns the shadow head, the
-    /// bytes moved and when the DMA finishes.
+    /// Stages `chain` into the `(readable, writable)` views that
+    /// [`stage_chain`](Self::stage_chain) carved: DMAs its readable
+    /// payload board → base and posts the shadow chain, its indirect
+    /// table at `table_addr`. Returns the shadow head, the bytes moved
+    /// and when the DMA finishes.
     fn post_staged(
         &mut self,
         board: &GuestRam,
         base: &mut GuestRam,
         chain: &DescChain,
-        [staging_readable, staging_writable, table]: &[SgList; 3],
+        table_addr: GuestAddr,
+        (staging_readable, staging_writable): &(SgList, SgList),
         now: SimTime,
     ) -> Result<(u16, u64, SimTime), VirtioError> {
         let r_len = chain.readable.total_len();
@@ -443,7 +444,7 @@ impl ShadowQueue {
         // Post the shadow chain through a single indirect descriptor.
         let shadow_head = self.shadow_driver.add_buf_indirect(
             base,
-            table.segments()[0].addr,
+            table_addr,
             staging_readable.segments(),
             staging_writable.segments(),
         )?;
@@ -525,13 +526,7 @@ impl ShadowQueue {
             self.guest_vq
                 .push_used(board, inflight.guest_head, written)?;
             self.tail_reg += 1;
-            if !inflight.staging_readable.is_empty() {
-                self.pool.free(&inflight.staging_readable);
-            }
-            if !inflight.staging_writable.is_empty() {
-                self.pool.free(&inflight.staging_writable);
-            }
-            self.pool.free(&inflight.table);
+            self.pool.free(&inflight.staging);
             out.push(GuestCompletion {
                 guest_head: inflight.guest_head,
                 written,
@@ -604,7 +599,7 @@ enum StageError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmhive_mem::{GuestAddr, SgSegment};
+    use bmhive_mem::SgSegment;
     use bmhive_sim::SimRng;
 
     struct Rig {
@@ -848,8 +843,8 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_defers_without_loss() {
-        // Pool with room for exactly one chain (2 slots: payload+table).
-        let mut r = rig(8, 2);
+        // Pool with room for exactly one chain (1 slot: table+payload).
+        let mut r = rig(8, 1);
         for i in 0..3 {
             r.post(GuestAddr::new(0x8000 + i * 0x100), b"xxxx");
         }
@@ -872,6 +867,16 @@ mod tests {
             .unwrap();
         assert_eq!(report.chains, 1);
         assert_eq!(r.shadow.deferred_count(), 1);
+        // Two slots stage two such chains in one pass.
+        let mut r = rig(8, 2);
+        for i in 0..3 {
+            r.post(GuestAddr::new(0x8000 + i * 0x100), b"xxxx");
+        }
+        let report = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        assert_eq!((report.chains, r.shadow.deferred_count()), (2, 1));
         // Under any starved pool nothing is lost or duplicated: chains
         // only arrive later.
         for seed in 0..64 {
@@ -1106,7 +1111,7 @@ mod tests {
     fn failed_chains_hand_their_staging_back() {
         let mut r = rig(8, 64);
         // The segment lies past the end of the 1 MiB board: the DMA
-        // fails after all three staging lists were taken.
+        // fails after the chain's staging run was taken.
         let outside = SgSegment::new(GuestAddr::new(2 << 20), 64);
         for _ in 0..1000 {
             forge(&mut r.board, 0, outside);
@@ -1146,6 +1151,162 @@ mod tests {
         assert_eq!(r.shadow.deferred_count(), 0);
         assert_eq!(r.shadow.pool.free_count(), 16);
         assert_honest_chain_flows(&mut r);
+    }
+
+    #[test]
+    fn zero_length_chain_is_refused() {
+        let mut r = rig(8, 16);
+        // One forged zero-length descriptor: no bytes to stage, and no
+        // segment to build a shadow chain from.
+        forge(&mut r.board, 0, SgSegment::new(GuestAddr::new(0x8000), 0));
+        let err = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(err, VirtioError::EmptyChain);
+        assert_eq!(r.shadow.pool.free_count(), 16);
+        assert_eq!(
+            (r.shadow.deferred_count(), r.shadow.inflight_count()),
+            (0, 0)
+        );
+        assert_honest_chain_flows(&mut r);
+    }
+
+    #[test]
+    fn table_larger_than_its_slot_is_refused() {
+        // 255 slots of readable bytes need a 257-entry table: 4,112
+        // bytes, one entry more than a 4 KiB slot holds.
+        let mut r = rig(8, 300);
+        forge(
+            &mut r.board,
+            0,
+            SgSegment::new(GuestAddr::new(0), 255 * 4096),
+        );
+        let err = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, VirtioError::BadIndirect(_)), "{err}");
+        assert_eq!(r.shadow.pool.free_count(), 300);
+        assert_eq!(r.shadow.deferred_count(), 0);
+        assert_honest_chain_flows(&mut r);
+        // One slot less fills the first slot exactly and is staged.
+        let mut r = rig(8, 300);
+        forge(
+            &mut r.board,
+            0,
+            SgSegment::new(GuestAddr::new(0), 254 * 4096),
+        );
+        let report = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        assert_eq!((report.chains, report.bytes), (1, 254 * 4096));
+        assert_eq!(r.shadow.pool.free_count(), 300 - 255);
+    }
+
+    #[test]
+    fn a_small_chain_takes_one_slot_and_one_page() {
+        let mut r = rig(8, 16);
+        // A 64 B readable chain: table and payload share one page.
+        let (slots, pages) = (r.shadow.pool.free_count(), r.base.resident_pages());
+        r.post(GuestAddr::new(0x8000), &[0x64; 64]);
+        r.shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(r.shadow.pool.free_count(), slots - 1);
+        assert_eq!(r.base.resident_pages(), pages + 1);
+        assert_eq!(r.complete_all(), vec![vec![0x64; 64]]);
+        r.finish(SimTime::ZERO);
+        assert_eq!(r.shadow.pool.free_count(), slots);
+        // A 2 KiB writable chain on a fresh pool: the backend's bytes
+        // land on the page the table already made resident.
+        let mut r = rig(8, 16);
+        let pages = r.base.resident_pages();
+        let buf = GuestAddr::new(0x9000);
+        let head = r
+            .guest_driver
+            .add_buf(&mut r.board, &[], &[SgSegment::new(buf, 2048)])
+            .unwrap();
+        r.shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(r.shadow.pool.free_count(), slots - 1);
+        let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        chain.writable.scatter(&mut r.base, &[0x2b; 2048]).unwrap();
+        assert_eq!(r.base.resident_pages(), pages + 1);
+        r.backend_vq
+            .push_used(&mut r.base, chain.head, 2048)
+            .unwrap();
+        r.shadow
+            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut Vec::new())
+            .unwrap();
+        assert_eq!(
+            r.guest_driver.poll_used(&r.board).unwrap(),
+            Some((head, 2048))
+        );
+        assert_eq!(r.board.read_vec(buf, 2048).unwrap(), vec![0x2b; 2048]);
+        assert_eq!(r.shadow.pool.free_count(), slots);
+    }
+
+    #[test]
+    fn views_straddling_slots_keep_their_bytes() {
+        let mut r = rig(8, 16);
+        // A neighbour staged first stays in flight throughout.
+        let neighbour: Vec<u8> = (0..64).map(|i| 0xa0 ^ i).collect();
+        r.post(GuestAddr::new(0x8000), &neighbour);
+        // 4,096 readable and 4,097 writable bytes behind an 80-byte
+        // table: both views cross a 4 KiB slot boundary.
+        let (src, dst) = (GuestAddr::new(0x1_0000), GuestAddr::new(0x2_0000));
+        let sent: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        r.board.write(src, &sent).unwrap();
+        let head = r
+            .guest_driver
+            .add_buf(
+                &mut r.board,
+                &[SgSegment::new(src, 4096)],
+                &[SgSegment::new(dst, 4097)],
+            )
+            .unwrap();
+        let report = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(report.chains, 2);
+        let first = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        assert_eq!((chain.readable.len(), chain.writable.len()), (2, 2));
+        // The backend gathers the exact readable bytes.
+        assert_eq!(chain.readable.gather(&r.base).unwrap(), sent);
+        // The shadow table holds its four entries and ends before the
+        // readable view begins.
+        let desc = r.shadow.shadow_layout().desc + u64::from(chain.head) * 16;
+        let table_addr = r.base.read_u64(desc).unwrap();
+        let table_len = r.base.read_u32(desc + 8).unwrap();
+        assert_eq!(table_len, 4 * 16);
+        assert!(table_addr + u64::from(table_len) <= chain.readable.segments()[0].addr.value());
+        // The copy-back lands the exact writable bytes.
+        let reply: Vec<u8> = (0..4097u32).map(|i| (i % 241) as u8 ^ 0x5a).collect();
+        chain.writable.scatter(&mut r.base, &reply).unwrap();
+        r.backend_vq
+            .push_used(&mut r.base, chain.head, 4097)
+            .unwrap();
+        let mut completions = Vec::new();
+        r.shadow
+            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut completions)
+            .unwrap();
+        assert_eq!(completions.len(), 1);
+        assert_eq!(
+            r.guest_driver.poll_used(&r.board).unwrap(),
+            Some((head, 4097))
+        );
+        assert_eq!(r.board.read_vec(dst, 4097).unwrap(), reply);
+        // The neighbour's staging bytes are untouched.
+        assert_eq!(r.shadow.inflight_count(), 1);
+        assert_eq!(first.readable.gather(&r.base).unwrap(), neighbour);
+        r.backend_vq.push_used(&mut r.base, first.head, 0).unwrap();
+        r.finish(SimTime::ZERO);
+        assert_eq!(r.shadow.pool.free_count(), 16);
     }
 
     #[test]

@@ -70,6 +70,9 @@ pub enum VirtioError {
         /// Staging slots the device has.
         capacity: u32,
     },
+    /// A chain's descriptors hold no bytes at all, so there is nothing
+    /// to stage or carry.
+    EmptyChain,
     /// The driver moved the avail index more entries past the device's
     /// cursor than the ring holds (Linux vhost: "Guest moved avail
     /// index").
@@ -96,6 +99,7 @@ impl fmt::Display for VirtioError {
                 f,
                 "descriptor chain needs {needed} staging slots, more than the {capacity} there are"
             ),
+            VirtioError::EmptyChain => write!(f, "descriptor chain holds no bytes"),
             VirtioError::AvailIdxJump { pending, size } => write!(
                 f,
                 "guest moved avail index {pending} entries ahead of a {size}-entry queue"
@@ -980,6 +984,7 @@ mod tests {
             capacity: 64,
         };
         assert!(too_large.to_string().contains("70 staging slots"));
+        assert!(VirtioError::EmptyChain.to_string().contains("no bytes"));
         let mem_err: VirtioError = MemError::OutOfBounds {
             addr: GuestAddr::new(0),
             len: 1,

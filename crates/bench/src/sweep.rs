@@ -289,15 +289,6 @@ pub fn run_cell(cell: &SweepCell, plan: Option<&faults::FaultPlan>, trace: bool)
     }
 }
 
-/// Runs the whole sweep, returning one output per cell in the
-/// deterministic cell order regardless of `spec.jobs`.
-pub fn run_sweep(spec: &SweepSpec) -> Result<Vec<CellOutput>, SweepError> {
-    Ok(run_sweep_shard(spec, Shard::WHOLE)?
-        .into_iter()
-        .map(|(_, out)| out)
-        .collect())
-}
-
 /// Runs one shard of the sweep: only the cells the shard owns, each
 /// returned with its canonical index, in canonical order regardless of
 /// `spec.jobs`. Each cell's bytes are identical to what the same cell
@@ -402,15 +393,18 @@ mod tests {
     fn unknown_plan_is_rejected_before_any_cell_runs() {
         let mut spec = tiny_spec(1, false);
         spec.plans = vec![Some("no-such-plan-or-file".into())];
-        assert!(matches!(run_sweep(&spec), Err(SweepError::UnknownPlan(_))));
+        assert!(matches!(
+            run_sweep_shard(&spec, Shard::WHOLE),
+            Err(SweepError::UnknownPlan(_))
+        ));
     }
 
     #[test]
     fn parallel_sweep_matches_serial_byte_for_byte() {
-        let serial = run_sweep(&tiny_spec(1, true)).unwrap();
-        let parallel = run_sweep(&tiny_spec(4, true)).unwrap();
+        let serial = run_sweep_shard(&tiny_spec(1, true), Shard::WHOLE).unwrap();
+        let parallel = run_sweep_shard(&tiny_spec(4, true), Shard::WHOLE).unwrap();
         assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
+        for ((_, s), (_, p)) in serial.iter().zip(&parallel) {
             assert_eq!(s.cell, p.cell);
             assert_eq!(s.report, p.report, "report differs for {}", s.cell.label());
             assert_eq!(
@@ -430,8 +424,8 @@ mod tests {
 
     #[test]
     fn clean_cells_have_no_fault_stats_and_injected_cells_do() {
-        let outs = run_sweep(&tiny_spec(2, false)).unwrap();
-        for out in &outs {
+        let outs = run_sweep_shard(&tiny_spec(2, false), Shard::WHOLE).unwrap();
+        for (_, out) in &outs {
             assert_eq!(out.cell.plan.is_some(), out.fault_stats.is_some());
             assert!(out.trace_json.is_none());
         }
@@ -439,8 +433,8 @@ mod tests {
 
     #[test]
     fn render_is_banner_report_then_stats() {
-        let outs = run_sweep(&tiny_spec(1, false)).unwrap();
-        let injected = outs.iter().find(|o| o.cell.plan.is_some()).unwrap();
+        let outs = run_sweep_shard(&tiny_spec(1, false), Shard::WHOLE).unwrap();
+        let (_, injected) = outs.iter().find(|(_, o)| o.cell.plan.is_some()).unwrap();
         let text = render_cell(injected);
         assert!(text.starts_with(&format!("======== {} ========\n", injected.cell.label())));
         assert!(text.contains("-------- fault stats --------\n"));
@@ -478,10 +472,10 @@ mod tests {
     #[test]
     fn sharded_cells_are_byte_identical_to_their_whole_run_twins() {
         let spec = tiny_spec(2, true);
-        let whole = run_sweep(&spec).unwrap();
+        let whole = run_sweep_shard(&spec, Shard::WHOLE).unwrap();
         for i in 0..3 {
             for (idx, out) in run_sweep_shard(&spec, Shard::new(i, 3).unwrap()).unwrap() {
-                let twin = &whole[idx];
+                let (_, twin) = &whole[idx];
                 assert_eq!(out.cell, twin.cell);
                 assert_eq!(out.report, twin.report, "{}", out.cell.label());
                 assert_eq!(out.fault_stats, twin.fault_stats);

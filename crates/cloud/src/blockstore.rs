@@ -164,24 +164,26 @@ impl BlockStore {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// Peak random 4 KiB IOPS of the device itself (service-time bound).
-    pub fn device_iops_4k(&mut self) -> f64 {
-        // Estimate from the mean service time across channels.
-        let mut total = SimDuration::ZERO;
-        let n = 200;
-        for _ in 0..n {
-            total += self.base_latency(IoKind::Read) + self.transfer_time(4096);
-        }
-        let mean = total.as_secs_f64() / f64::from(n);
-        self.channels.servers() as f64 / mean
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bmhive_sim::Histogram;
+
+    impl BlockStore {
+        /// Peak random 4 KiB IOPS of the device itself (service-time bound).
+        fn device_iops_4k(&mut self) -> f64 {
+            // Estimate from the mean service time across channels.
+            let mut total = SimDuration::ZERO;
+            let n = 200;
+            for _ in 0..n {
+                total += self.base_latency(IoKind::Read) + self.transfer_time(4096);
+            }
+            let mean = total.as_secs_f64() / f64::from(n);
+            self.channels.servers() as f64 / mean
+        }
+    }
 
     #[test]
     fn cloud_read_latency_is_network_plus_flash() {

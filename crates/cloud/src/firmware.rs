@@ -148,11 +148,6 @@ impl FirmwareStore {
         &self.installed.version
     }
 
-    /// The installed anti-rollback counter.
-    pub fn installed_svn(&self) -> u32 {
-        self.installed.security_version
-    }
-
     /// Attempted / rejected update counters (audit trail).
     pub fn audit(&self) -> (u64, u64) {
         (self.update_attempts, self.rejected)
@@ -199,7 +194,7 @@ mod tests {
         let next = FirmwareImage::signed(&key, "efi-1.1", 2, b"new efi with virtio boot".to_vec());
         store.update(next).unwrap();
         assert_eq!(store.installed_version(), "efi-1.1");
-        assert_eq!(store.installed_svn(), 2);
+        assert_eq!(store.installed.security_version, 2);
         assert_eq!(store.audit(), (1, 0));
     }
 

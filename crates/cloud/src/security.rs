@@ -50,7 +50,8 @@ pub struct ServiceProfile {
     /// Tenants per physical server (the density column).
     pub max_tenants_per_server: u32,
     /// The provider retains control of the guest's I/O path after
-    /// handing over the machine.
+    /// handing over the machine, so the guest can be cold-migrated and
+    /// managed through the standard cloud control plane.
     pub provider_controls_io: bool,
 }
 
@@ -101,12 +102,6 @@ impl ServiceProfile {
     /// (firmware implants persisting across tenants).
     pub fn provider_exposed_to_tenant(&self) -> bool {
         self.tenant_controls_firmware
-    }
-
-    /// Whether the guest can be cold-migrated / managed through the
-    /// standard cloud control plane.
-    pub fn cloud_integrated(&self) -> bool {
-        self.provider_controls_io
     }
 
     /// One Table 1 row: (service, security, isolation, performance) as
@@ -171,9 +166,9 @@ mod tests {
         let bm = ServiceProfile::of(ServiceKind::BmHive);
         assert!(bm.hardware_isolated);
         assert!(bm.max_tenants_per_server > 1);
-        assert!(bm.cloud_integrated());
+        assert!(bm.provider_controls_io);
         let st = ServiceProfile::of(ServiceKind::SingleTenantBareMetal);
-        assert!(!(st.max_tenants_per_server > 1 && st.cloud_integrated()));
+        assert!(!(st.max_tenants_per_server > 1 && st.provider_controls_io));
         let vm = ServiceProfile::of(ServiceKind::VmBased);
         assert!(!vm.hardware_isolated);
     }

@@ -34,8 +34,6 @@ pub enum Forwarded {
 pub struct VSwitch {
     macs: HashMap<MacAddr, PortId>,
     pmd: MultiResource,
-    forwarded: u64,
-    dropped: u64,
     /// Frames delivered to each local port and not yet acknowledged by
     /// [`Self::complete`] — the per-port queue depth the dispatch
     /// policies read. Dense, indexed by `PortId.0`: ports are small
@@ -66,8 +64,6 @@ impl VSwitch {
         VSwitch {
             macs: HashMap::new(),
             pmd: MultiResource::new(pmd_cores),
-            forwarded: 0,
-            dropped: 0,
             depths: Vec::new(),
             peak_depth: 0,
             doorbells_rung: 0,
@@ -108,7 +104,6 @@ impl VSwitch {
             faults::note_degraded(FaultSite::VSwitch, per_packet - Self::PER_PACKET);
             let backlog = self.pmd.next_free().saturating_duration_since(now);
             if backlog > Self::SHED_THRESHOLD {
-                self.dropped += 1;
                 faults::note_shed(FaultSite::VSwitch);
                 if telemetry::is_enabled() {
                     telemetry::counter("vswitch.shed", 1);
@@ -134,7 +129,6 @@ impl VSwitch {
         }
         match self.macs.get(&packet.dst) {
             Some(&port) => {
-                self.forwarded += 1;
                 let idx = port.0 as usize;
                 if idx >= self.depths.len() {
                     self.depths.resize(idx + 1, 0);
@@ -168,12 +162,9 @@ impl VSwitch {
                 }
                 Forwarded::Local(port, served.end)
             }
-            None => {
-                // Broadcast and unknown unicast go to the uplink toward
-                // the overlay.
-                self.forwarded += 1;
-                Forwarded::Uplink(served.end)
-            }
+            // Broadcast and unknown unicast go to the uplink toward the
+            // overlay.
+            None => Forwarded::Uplink(served.end),
         }
     }
 
@@ -211,21 +202,6 @@ impl VSwitch {
     pub fn doorbells_suppressed(&self) -> u64 {
         self.doorbells_suppressed
     }
-
-    /// Total frames forwarded.
-    pub fn forwarded_count(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Total frames dropped.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The aggregate forwarding capacity in packets/second.
-    pub fn capacity_pps(&self) -> f64 {
-        self.pmd.servers() as f64 / Self::PER_PACKET.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +231,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(sw.forwarded_count(), 1);
     }
 
     #[test]
@@ -286,12 +261,8 @@ mod tests {
 
     #[test]
     fn pmd_cores_bound_throughput() {
-        // 4 cores at 300 ns/packet ≈ 13.3 M PPS aggregate.
-        let sw = VSwitch::new(4);
-        let cap = sw.capacity_pps();
-        assert!((12e6..15e6).contains(&cap), "capacity {cap}");
-        // Saturation: sending 2× capacity worth of frames in 1 ms ends
-        // ~2 ms later.
+        // Saturation: 10 000 frames arriving within 1 ms on one core
+        // wait behind each other.
         let mut sw = VSwitch::new(1);
         let n = 10_000u64;
         let mut last = SimTime::ZERO;
@@ -330,7 +301,6 @@ mod tests {
             }
         }
         assert!(shed >= 1, "expected shedding under brownout backlog");
-        assert_eq!(sw.dropped_count(), shed);
         let stats = faults::disarm().expect("stats");
         assert!(stats.site(FaultSite::VSwitch).shed >= shed);
         assert!(stats.injected_total() > 0);
@@ -407,7 +377,7 @@ mod tests {
         let mut sw = VSwitch::new(1);
         let p = Packet::new(
             MacAddr::for_guest(1),
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             PacketKind::Udp,
             64,
             0,

@@ -129,16 +129,6 @@ impl BmHiveServer {
         &self.constraints
     }
 
-    /// Installed board count.
-    pub fn board_count(&self) -> usize {
-        self.boards.len()
-    }
-
-    /// Powered-on guest count.
-    pub fn guest_count(&self) -> usize {
-        self.guests.len()
-    }
-
     /// Installs a compute board, enforcing slot / power / uplink
     /// constraints (§4.1's Table 3 column) through
     /// [`ServerConstraints::admit`].
@@ -437,7 +427,7 @@ mod tests {
             server.install_board(e5()),
             Err(ServerError::ConstraintViolation(_))
         ));
-        assert_eq!(server.board_count(), expected as usize);
+        assert_eq!(server.boards.len(), expected as usize);
     }
 
     #[test]
@@ -446,7 +436,7 @@ mod tests {
         for _ in 0..16 {
             server.install_board(atom()).unwrap();
         }
-        assert_eq!(server.board_count(), 16);
+        assert_eq!(server.boards.len(), 16);
         assert!(server.install_board(atom()).is_err());
     }
 
@@ -456,7 +446,7 @@ mod tests {
         let board = server.install_board(e5()).unwrap();
         let image = MachineImage::centos_evaluation(1);
         let guest = server.power_on(board, &image, SimTime::ZERO).unwrap();
-        assert_eq!(server.guest_count(), 1);
+        assert_eq!(server.guests.len(), 1);
 
         let boot = server.boot_report(guest).unwrap();
         assert_eq!(boot.sectors_read, image.boot_sectors());
@@ -475,7 +465,7 @@ mod tests {
         assert!(timing.latency() > SimDuration::ZERO);
 
         server.power_off(guest).unwrap();
-        assert_eq!(server.guest_count(), 0);
+        assert_eq!(server.guests.len(), 0);
         // The board is reusable.
         assert!(server
             .power_on(board, &image, SimTime::from_secs(10))

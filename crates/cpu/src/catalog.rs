@@ -54,11 +54,6 @@ impl Processor {
     pub fn peak_memory_bandwidth_gbs(&self) -> f64 {
         f64::from(self.memory_channels) * self.channel_bandwidth_gbs
     }
-
-    /// TDP per hardware thread, watts — the §3.5 cost metric.
-    pub fn tdp_per_thread(&self) -> f64 {
-        self.tdp_watts / f64::from(self.threads)
-    }
 }
 
 /// Xeon E5-2682 v4: the evaluation CPU of §4 (16C/32T, 2.5 GHz).
@@ -72,20 +67,6 @@ pub const XEON_E5_2682_V4: Processor = Processor {
     memory_channels: 4,
     channel_bandwidth_gbs: 19.2,
     tdp_watts: 120.0,
-};
-
-/// Xeon E5-2699 v4: the §1 comparison point (22C/44T, 2.2 GHz).
-pub const XEON_E5_2699_V4: Processor = Processor {
-    name: "Xeon E5-2699 v4",
-    kind: ProcessorKind::ServerXeon,
-    cores: 22,
-    threads: 44,
-    base_clock_ghz: 2.2,
-    // Same microarchitecture as the 2682, scaled by clock.
-    single_thread_index: 0.88,
-    memory_channels: 4,
-    channel_bandwidth_gbs: 19.2,
-    tdp_watts: 145.0,
 };
 
 /// Xeon E3-1240 v6: "31% faster in single-core performance than Xeon
@@ -158,20 +139,34 @@ pub const XEON_PLATINUM_8160T: Processor = Processor {
     tdp_watts: 150.0,
 };
 
-/// All catalog processors.
-pub const ALL_PROCESSORS: &[Processor] = &[
-    XEON_E5_2682_V4,
-    XEON_E5_2699_V4,
-    XEON_E3_1240_V6,
-    CORE_I7_8086K,
-    ATOM_C3958,
-    BASE_XEON_E5,
-    XEON_PLATINUM_8160T,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Xeon E5-2699 v4: the §1 comparison point (22C/44T, 2.2 GHz).
+    const XEON_E5_2699_V4: Processor = Processor {
+        name: "Xeon E5-2699 v4",
+        kind: ProcessorKind::ServerXeon,
+        cores: 22,
+        threads: 44,
+        base_clock_ghz: 2.2,
+        // Same microarchitecture as the 2682, scaled by clock.
+        single_thread_index: 0.88,
+        memory_channels: 4,
+        channel_bandwidth_gbs: 19.2,
+        tdp_watts: 145.0,
+    };
+
+    /// All catalog processors.
+    const ALL_PROCESSORS: &[Processor] = &[
+        XEON_E5_2682_V4,
+        XEON_E5_2699_V4,
+        XEON_E3_1240_V6,
+        CORE_I7_8086K,
+        ATOM_C3958,
+        BASE_XEON_E5,
+        XEON_PLATINUM_8160T,
+    ];
 
     #[test]
     fn i7_is_1_6x_of_e5_2699_single_thread() {
@@ -217,8 +212,9 @@ mod tests {
 
     #[test]
     fn tdp_per_thread_is_watts_scale() {
+        // TDP per hardware thread, watts — the §3.5 cost metric.
         for p in ALL_PROCESSORS {
-            let w = p.tdp_per_thread();
+            let w = p.tdp_watts / f64::from(p.threads);
             assert!((1.0..=10.0).contains(&w), "{}: {w}", p.name);
         }
     }

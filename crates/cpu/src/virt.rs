@@ -33,26 +33,6 @@ pub fn fill_exit_rates(rng: &mut SimRng, out: &mut [f64]) {
     rng.fill_lognormal(EXIT_RATE_MU, EXIT_RATE_SIGMA, out);
 }
 
-/// Analytic tail probability P(rate > threshold) of the production
-/// exit-rate population.
-pub fn exit_rate_tail_probability(threshold: f64) -> f64 {
-    let z = (threshold.ln() - EXIT_RATE_MU) / EXIT_RATE_SIGMA;
-    0.5 * erfc_approx(z / std::f64::consts::SQRT_2)
-}
-
-/// Abramowitz–Stegun style complementary error function approximation
-/// (max error ≈ 1.5e-7), enough for population tails.
-fn erfc_approx(x: f64) -> f64 {
-    if x < 0.0 {
-        return 2.0 - erfc_approx(-x);
-    }
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let poly = t
-        * (0.254829592
-            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
-    poly * (-x * x).exp()
-}
-
 /// The host-task preemption process behind Fig. 1, for one scheduling
 /// class.
 ///
@@ -132,6 +112,26 @@ pub fn diurnal_load(hour: u32) -> f64 {
 mod tests {
     use super::*;
     use bmhive_sim::stats::exact_percentile;
+
+    /// Analytic tail probability P(rate > threshold) of the production
+    /// exit-rate population.
+    fn exit_rate_tail_probability(threshold: f64) -> f64 {
+        let z = (threshold.ln() - EXIT_RATE_MU) / EXIT_RATE_SIGMA;
+        0.5 * erfc_approx(z / std::f64::consts::SQRT_2)
+    }
+
+    /// Abramowitz–Stegun style complementary error function approximation
+    /// (max error ≈ 1.5e-7), enough for population tails.
+    fn erfc_approx(x: f64) -> f64 {
+        if x < 0.0 {
+            return 2.0 - erfc_approx(-x);
+        }
+        let t = 1.0 / (1.0 + 0.3275911 * x);
+        let poly = t
+            * (0.254829592
+                + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
+        poly * (-x * x).exp()
+    }
 
     #[test]
     fn bulk_fills_match_single_sample_streams_bit_for_bit() {

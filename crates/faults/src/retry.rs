@@ -49,15 +49,15 @@ pub fn jittered(attempt: u32, rng: &mut SimRng) -> SimDuration {
     SimDuration::from_nanos(half + rng.below(env - half + 1))
 }
 
-/// Worst-case total delay over all attempts (sum of envelopes) — the
-/// longest a retrier can wait before escalating.
-pub fn worst_case_total() -> SimDuration {
-    (1..=MAX_ATTEMPTS).map(envelope).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Worst-case total delay over all attempts (sum of envelopes) — the
+    /// longest a retrier can wait before escalating.
+    fn worst_case_total() -> SimDuration {
+        (1..=MAX_ATTEMPTS).map(envelope).sum()
+    }
 
     #[test]
     fn envelope_is_monotone_and_bounded() {

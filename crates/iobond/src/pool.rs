@@ -59,11 +59,6 @@ impl StagingPool {
         self.slot_size
     }
 
-    /// Free slots remaining.
-    pub fn free_count(&self) -> u32 {
-        self.free_slots.len() as u32
-    }
-
     /// Total slots in the pool.
     pub fn total_slots(&self) -> u32 {
         self.total_slots
@@ -133,6 +128,13 @@ impl StagingPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StagingPool {
+        /// Free slots remaining.
+        pub(crate) fn free_count(&self) -> u32 {
+            self.free_slots.len() as u32
+        }
+    }
 
     fn pool() -> StagingPool {
         StagingPool::new(GuestAddr::new(0x10_0000), 4, 1024)

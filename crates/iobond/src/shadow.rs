@@ -564,16 +564,6 @@ impl ShadowQueue {
         &self.guest_vq
     }
 
-    /// Guest heads of the chains currently in flight, sorted — the
-    /// chains a backend failure would strand, and the ones a recovery
-    /// must replay. Written into `out` (cleared first) so a recovery
-    /// loop can reuse one buffer across snapshots.
-    pub fn inflight_guest_heads_into(&self, out: &mut Vec<u16>) {
-        out.clear();
-        out.extend(self.inflight.iter().flatten().map(|i| i.guest_head));
-        out.sort_unstable();
-    }
-
     /// Restores the guest-side virtqueue cursors after a device reset.
     ///
     /// Setting both cursors to the pre-failure *used* index makes the
@@ -636,6 +626,13 @@ mod tests {
     }
 
     impl Rig {
+        /// The `len` bytes of board RAM at `addr`.
+        fn board_bytes(&self, addr: GuestAddr, len: u64) -> Vec<u8> {
+            let mut out = Vec::new();
+            self.board.read_append(addr, len, &mut out).unwrap();
+            out
+        }
+
         /// Posts one readable buffer holding `payload` at `addr`;
         /// returns the guest head.
         fn post(&mut self, addr: GuestAddr, payload: &[u8]) -> u16 {
@@ -754,10 +751,7 @@ mod tests {
             r.guest_driver.poll_used(&r.board).unwrap(),
             Some((guest_head, 9))
         );
-        assert_eq!(
-            r.board.read_vec(GuestAddr::new(0x9000), 9).unwrap(),
-            b"rx-packet"
-        );
+        assert_eq!(r.board_bytes(GuestAddr::new(0x9000), 9), b"rx-packet");
         // Random buffer sizes and response lengths: the guest sees
         // exactly the bytes the backend produced, in its own buffer.
         for seed in 0..64 {
@@ -785,7 +779,7 @@ mod tests {
                 assert_eq!(completions[0].written, produce, "seed {seed}");
                 let reaped = r.guest_driver.poll_used(&r.board).unwrap();
                 assert_eq!(reaped, Some((head, produce)), "seed {seed}");
-                let got = r.board.read_vec(addr, u64::from(produce)).unwrap();
+                let got = r.board_bytes(addr, u64::from(produce));
                 assert_eq!(got, data, "seed {seed}");
             }
         }
@@ -986,10 +980,7 @@ mod tests {
             r.guest_driver.poll_used(&r.board).unwrap(),
             Some((guest_head, 8))
         );
-        assert_eq!(
-            r.board.read_vec(GuestAddr::new(0x9000), 8).unwrap(),
-            b"12345678"
-        );
+        assert_eq!(r.board_bytes(GuestAddr::new(0x9000), 8), b"12345678");
     }
 
     #[test]
@@ -1245,7 +1236,7 @@ mod tests {
             r.guest_driver.poll_used(&r.board).unwrap(),
             Some((head, 2048))
         );
-        assert_eq!(r.board.read_vec(buf, 2048).unwrap(), vec![0x2b; 2048]);
+        assert_eq!(r.board_bytes(buf, 2048), vec![0x2b; 2048]);
         assert_eq!(r.shadow.pool.free_count(), slots);
     }
 
@@ -1300,7 +1291,7 @@ mod tests {
             r.guest_driver.poll_used(&r.board).unwrap(),
             Some((head, 4097))
         );
-        assert_eq!(r.board.read_vec(dst, 4097).unwrap(), reply);
+        assert_eq!(r.board_bytes(dst, 4097), reply);
         // The neighbour's staging bytes are untouched.
         assert_eq!(r.shadow.inflight_count(), 1);
         assert_eq!(first.readable.gather(&r.base).unwrap(), neighbour);

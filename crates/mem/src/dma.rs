@@ -142,7 +142,7 @@ mod tests {
         for seed in 0..256 {
             let mut rng = SimRng::with_stream(seed, 0xd1a7);
             let setup = rng.below(10_000);
-            let dma = DmaModel::new(rng.range_f64(1.0, 200.0), SimDuration::from_nanos(setup));
+            let dma = DmaModel::new(1.0 + rng.f64() * 199.0, SimDuration::from_nanos(setup));
             let t = |bytes| i128::from(dma.transfer_time(bytes).as_nanos());
             let (small, delta) = (rng.below(1_000_000), rng.below(1_000_000));
             assert!(t(small + delta) >= t(small), "seed {seed}");

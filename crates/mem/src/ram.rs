@@ -290,18 +290,6 @@ impl GuestRam {
         Ok(())
     }
 
-    /// Reads a vector of `len` bytes starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
-    /// size.
-    pub fn read_vec(&self, addr: GuestAddr, len: u64) -> Result<Vec<u8>, MemError> {
-        let mut buf = Vec::new();
-        self.read_append(addr, len, &mut buf)?;
-        Ok(buf)
-    }
-
     /// Appends the `len` bytes at `addr` to `out`, one copy per in-page
     /// piece and no zero-fill ahead of it. A never-written page appends
     /// zeros and stays unallocated.
@@ -376,6 +364,20 @@ int_access!(read_u64, write_u64, u64);
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GuestRam {
+        /// Reads a vector of `len` bytes starting at `addr`.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
+        /// size.
+        pub(crate) fn read_vec(&self, addr: GuestAddr, len: u64) -> Result<Vec<u8>, MemError> {
+            let mut buf = Vec::new();
+            self.read_append(addr, len, &mut buf)?;
+            Ok(buf)
+        }
+    }
 
     #[test]
     fn unwritten_memory_reads_zero() {

@@ -151,11 +151,6 @@ impl SgList {
         self.segments().is_empty()
     }
 
-    /// Whether the segments are stored inline (no heap allocation).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.repr, Repr::Inline { .. })
-    }
-
     /// Total byte length across all segments.
     pub fn total_len(&self) -> u64 {
         self.segments().iter().map(|s| u64::from(s.len)).sum()
@@ -366,6 +361,13 @@ impl Extend<SgSegment> for SgList {
 mod tests {
     use super::*;
     use bmhive_sim::SimRng;
+
+    impl SgList {
+        /// Whether the segments are stored inline (no heap allocation).
+        fn is_inline(&self) -> bool {
+            matches!(self.repr, Repr::Inline { .. })
+        }
+    }
 
     fn ram_with(pairs: &[(u64, &[u8])]) -> GuestRam {
         let mut ram = GuestRam::new(1 << 20);

@@ -70,11 +70,6 @@ impl NetLink {
         served.end + self.propagation
     }
 
-    /// The maximum packet rate for `wire_bytes` frames, packets/second.
-    pub fn max_pps(&self, wire_bytes: u32) -> f64 {
-        1.0 / self.serialization(wire_bytes).as_secs_f64()
-    }
-
     /// Total bytes-per-second capacity.
     pub fn bytes_per_sec(&self) -> f64 {
         self.bandwidth_gbps * 1e9 / 8.0
@@ -85,6 +80,11 @@ impl NetLink {
 mod tests {
     use super::*;
     use crate::packet::{MacAddr, PacketKind};
+
+    /// The maximum packet rate for `wire_bytes` frames, packets/second.
+    fn max_pps(link: &NetLink, wire_bytes: u32) -> f64 {
+        1.0 / link.serialization(wire_bytes).as_secs_f64()
+    }
 
     fn pkt(payload: u32) -> Packet {
         Packet::new(
@@ -117,7 +117,7 @@ mod tests {
     fn datacenter_link_saturates_at_100g() {
         let link = NetLink::datacenter_100g();
         // 1454-byte frames: 100 Gbit/s / (1454 × 8) ≈ 8.6 M PPS.
-        let pps = link.max_pps(1454);
+        let pps = max_pps(&link, 1454);
         assert!((8.0e6..9.2e6).contains(&pps), "pps {pps}");
         assert!((link.bytes_per_sec() - 12.5e9).abs() < 1.0);
     }
@@ -127,7 +127,7 @@ mod tests {
         // The fabric itself is never the PPS bottleneck in Fig. 9 — the
         // guest path is.
         let link = NetLink::datacenter_100g();
-        assert!(link.max_pps(64) > 100e6);
+        assert!(max_pps(&link, 64) > 100e6);
     }
 
     #[test]

@@ -12,9 +12,6 @@ impl MacAddr {
         let b = n.to_be_bytes();
         MacAddr([0x52, 0x54, b[0], b[1], b[2], b[3]])
     }
-
-    /// The broadcast address.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 }
 
 impl fmt::Display for MacAddr {

@@ -135,14 +135,6 @@ impl PciBus {
         }
     }
 
-    /// Writes the configuration space of the device at `bdf`. Writes to
-    /// empty slots are dropped.
-    pub fn config_write(&mut self, bdf: Bdf, offset: u16, width: u8, value: u32) {
-        if let Some(dev) = self.devices.get_mut(&bdf) {
-            dev.config_mut().write(offset, width, value);
-        }
-    }
-
     /// Firmware-style enumeration: scans all plugged devices, sizes each
     /// implemented BAR, assigns base addresses upward from `mmio_base`
     /// (naturally aligned), and enables memory decode + bus mastering.
@@ -231,6 +223,16 @@ impl Default for PciBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PciBus {
+        /// Writes the configuration space of the device at `bdf`. Writes to
+        /// empty slots are dropped.
+        fn config_write(&mut self, bdf: Bdf, offset: u16, width: u8, value: u32) {
+            if let Some(dev) = self.devices.get_mut(&bdf) {
+                dev.config_mut().write(offset, width, value);
+            }
+        }
+    }
 
     /// A test endpoint with one 4 KiB BAR of scratch registers.
     struct ScratchDevice {

@@ -23,8 +23,6 @@ pub mod offsets {
     pub const REVISION: u16 = 0x08;
     /// Class code: prog-if, subclass, base class (3 × u8).
     pub const CLASS: u16 = 0x09;
-    /// Header type (u8).
-    pub const HEADER_TYPE: u16 = 0x0e;
     /// First base address register (u32); BAR n is at `BAR0 + 4 n`.
     pub const BAR0: u16 = 0x10;
     /// Subsystem vendor ID (u16).
@@ -182,27 +180,6 @@ impl ConfigSpace {
         self.read(offsets::COMMAND, 2) as u16 & command::MEMORY_SPACE != 0
     }
 
-    /// Whether bus mastering (DMA) is enabled in the command register.
-    pub fn bus_master_enabled(&self) -> bool {
-        self.read(offsets::COMMAND, 2) as u16 & command::BUS_MASTER != 0
-    }
-
-    /// Walks the capability list for the first capability with `id`,
-    /// returning its config-space offset (of the id byte).
-    pub fn find_capability(&self, id: u8) -> Option<u16> {
-        let mut ptr = self.bytes[offsets::CAP_PTR as usize];
-        let mut hops = 0;
-        while ptr != 0 && hops < 48 {
-            let at = ptr as usize;
-            if self.bytes[at] == id {
-                return Some(u16::from(ptr));
-            }
-            ptr = self.bytes[at + 1];
-            hops += 1;
-        }
-        None
-    }
-
     /// Iterates over `(offset, id)` pairs of the capability list.
     pub fn capabilities(&self) -> Vec<(u16, u8)> {
         let mut out = Vec::new();
@@ -307,15 +284,6 @@ impl ConfigSpaceBuilder {
         self
     }
 
-    /// Marks `[offset, offset + len)` as guest-writable (used for
-    /// capability fields like the MSI-X enable bit).
-    pub fn writable_range(mut self, offset: u16, len: u16) -> Self {
-        for i in offset..offset + len {
-            self.write_mask[i as usize] = 0xff;
-        }
-        self
-    }
-
     /// Finalises the configuration space.
     ///
     /// # Panics
@@ -360,6 +328,29 @@ impl ConfigSpaceBuilder {
 mod tests {
     use super::*;
     use bmhive_sim::SimRng;
+
+    impl ConfigSpace {
+        /// Whether bus mastering (DMA) is enabled in the command register.
+        fn bus_master_enabled(&self) -> bool {
+            self.read(offsets::COMMAND, 2) as u16 & command::BUS_MASTER != 0
+        }
+
+        /// Walks the capability list for the first capability with `id`,
+        /// returning its config-space offset (of the id byte).
+        fn find_capability(&self, id: u8) -> Option<u16> {
+            let mut ptr = self.bytes[offsets::CAP_PTR as usize];
+            let mut hops = 0;
+            while ptr != 0 && hops < 48 {
+                let at = ptr as usize;
+                if self.bytes[at] == id {
+                    return Some(u16::from(ptr));
+                }
+                ptr = self.bytes[at + 1];
+                hops += 1;
+            }
+            None
+        }
+    }
 
     fn sample() -> ConfigSpace {
         ConfigSpace::builder(0x1af4, 0x1041)
@@ -541,15 +532,5 @@ mod tests {
     #[should_panic(expected = "width")]
     fn bad_width_panics() {
         sample().read(0x00, 3);
-    }
-
-    #[test]
-    fn writable_range_opt_in() {
-        let mut cfg = ConfigSpace::builder(1, 2)
-            .capability(Capability::new(0x11, vec![0; 2]))
-            .writable_range(0x42, 2)
-            .build();
-        cfg.write(0x42, 2, 0x8000);
-        assert_eq!(cfg.read(0x42, 2), 0x8000);
     }
 }

@@ -55,12 +55,6 @@ pub struct PcieLink {
     register_latency: SimDuration,
 }
 
-/// Maximum TLP payload we model, in bytes. Payloads larger than this are
-/// split into multiple TLPs, each paying header overhead.
-const MAX_TLP_PAYLOAD: u64 = 256;
-/// TLP + DLLP + framing overhead per packet, in bytes.
-const TLP_OVERHEAD: u64 = 26;
-
 impl PcieLink {
     /// Creates a link of the given generation and lane count, with a
     /// fixed register (non-posted read / small posted write) latency.
@@ -141,31 +135,31 @@ impl PcieLink {
         }
         total + access
     }
-
-    /// Time to move `bytes` of bulk payload across the link, including
-    /// TLP packetisation overhead. Zero-byte transfers cost nothing.
-    pub fn payload_time(&self, bytes: u64) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        let tlps = bytes.div_ceil(MAX_TLP_PAYLOAD);
-        let wire_bytes = bytes + tlps * TLP_OVERHEAD;
-        let secs = (wire_bytes as f64 * 8.0) / (self.bandwidth_gbps() * 1e9);
-        SimDuration::from_secs_f64(secs)
-    }
-
-    /// Sustainable packet rate for `payload` byte messages, in
-    /// packets/second — the hardware ceiling behind the unrestricted
-    /// 16 M PPS measurement of §4.3.
-    pub fn packets_per_sec(&self, payload: u64) -> f64 {
-        let per_packet = self.payload_time(payload.max(1));
-        1.0 / per_packet.as_secs_f64()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Maximum TLP payload we model, in bytes. Payloads larger than this are
+    /// split into multiple TLPs, each paying header overhead.
+    const MAX_TLP_PAYLOAD: u64 = 256;
+    /// TLP + DLLP + framing overhead per packet, in bytes.
+    const TLP_OVERHEAD: u64 = 26;
+
+    impl PcieLink {
+        /// Time to move `bytes` of bulk payload across the link, including
+        /// TLP packetisation overhead. Zero-byte transfers cost nothing.
+        fn payload_time(&self, bytes: u64) -> SimDuration {
+            if bytes == 0 {
+                return SimDuration::ZERO;
+            }
+            let tlps = bytes.div_ceil(MAX_TLP_PAYLOAD);
+            let wire_bytes = bytes + tlps * TLP_OVERHEAD;
+            let secs = (wire_bytes as f64 * 8.0) / (self.bandwidth_gbps() * 1e9);
+            SimDuration::from_secs_f64(secs)
+        }
+    }
 
     #[test]
     fn x4_link_matches_paper_bandwidth() {
@@ -205,8 +199,10 @@ mod tests {
     #[test]
     fn small_packet_rate_is_overhead_bound() {
         let link = PcieLink::new(LinkGen::Gen3, 4, SimDuration::ZERO);
-        // 64-byte packets: 90 wire bytes at ~31.5 Gbit/s ≈ 43.7 M/s.
-        let pps = link.packets_per_sec(64);
+        // 64-byte packets: 90 wire bytes at ~31.5 Gbit/s ≈ 43.7 M/s,
+        // the hardware ceiling behind the unrestricted 16 M PPS
+        // measurement of §4.3.
+        let pps = 1.0 / link.payload_time(64).as_secs_f64();
         assert!(pps > 30e6 && pps < 60e6, "pps {pps}");
     }
 

@@ -107,11 +107,6 @@ impl SimRng {
         lo + self.below(hi - lo)
     }
 
-    /// A uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f64() * (hi - lo)
-    }
-
     /// `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
@@ -235,6 +230,13 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimRng {
+        /// A uniform float in `[lo, hi)`.
+        pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + self.f64() * (hi - lo)
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -399,17 +399,6 @@ impl Series {
     }
 }
 
-/// Ratio of two series' mean y values (`a / b`), used for "X % faster"
-/// statements. Returns 0 if `b`'s mean is 0.
-pub fn mean_ratio(a: &Series, b: &Series) -> f64 {
-    let denom = b.mean_y();
-    if denom == 0.0 {
-        0.0
-    } else {
-        a.mean_y() / denom
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,16 +658,5 @@ mod tests {
         assert_eq!(s.label(), "bm-guest");
         assert_eq!(s.points(), &[(1.0, 10.0), (2.0, 20.0)]);
         assert_eq!(s.mean_y(), 15.0);
-    }
-
-    #[test]
-    fn mean_ratio_of_series() {
-        let mut a = Series::new("a");
-        let mut b = Series::new("b");
-        a.push(0.0, 30.0);
-        b.push(0.0, 20.0);
-        assert!((mean_ratio(&a, &b) - 1.5).abs() < 1e-12);
-        let empty = Series::new("e");
-        assert_eq!(mean_ratio(&a, &empty), 0.0);
     }
 }

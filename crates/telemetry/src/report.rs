@@ -121,25 +121,6 @@ impl Attribution {
         totals.into_iter().collect()
     }
 
-    /// Sum of totals over every row of one component.
-    pub fn component_total(&self, component: &str) -> SimDuration {
-        self.rows
-            .iter()
-            .filter(|r| r.component == component)
-            .map(|r| r.total)
-            .sum()
-    }
-
-    /// Sum of *self* time over every row of one component — the
-    /// double-count-free cost of that subsystem.
-    pub fn component_self_time(&self, component: &str) -> SimDuration {
-        self.rows
-            .iter()
-            .filter(|r| r.component == component)
-            .map(|r| r.self_time)
-            .sum()
-    }
-
     /// Renders the attribution as a plain-text table, grouped by
     /// component, each component's rows sharing a percentage column
     /// against that component's total.
@@ -203,7 +184,7 @@ mod tests {
         assert_eq!(ax.mean(), dur(20));
         assert_eq!(ax.min, dur(10));
         assert_eq!(ax.max, dur(30));
-        assert_eq!(attr.component_total("b"), dur(5));
+        assert_eq!(attr.component_totals(), [("a", dur(40)), ("b", dur(5))]);
     }
 
     #[test]
@@ -220,7 +201,8 @@ mod tests {
         // Leaf self time equals its total.
         assert_eq!(attr.row("op", "child").unwrap().self_time, dur(50));
         // Component self time never double-counts: equals the root total.
-        assert_eq!(attr.component_self_time("op"), dur(100));
+        let self_time: SimDuration = attr.rows().iter().map(|r| r.self_time).sum();
+        assert_eq!(self_time, dur(100));
     }
 
     #[test]

@@ -45,22 +45,6 @@ pub enum ArrivalModel {
     },
 }
 
-impl ArrivalModel {
-    /// The long-run mean arrival rate in requests/second.
-    pub fn mean_rps(&self) -> f64 {
-        match *self {
-            ArrivalModel::Poisson { rate_rps } | ArrivalModel::Deterministic { rate_rps } => {
-                rate_rps
-            }
-            // Equal mean dwells => the chain spends half its time in
-            // each state.
-            ArrivalModel::Mmpp {
-                on_rps, off_rps, ..
-            } => (on_rps + off_rps) / 2.0,
-        }
-    }
-}
-
 /// A stateful arrival-time generator over one run.
 #[derive(Debug, Clone)]
 pub struct ArrivalProcess {
@@ -192,7 +176,6 @@ mod tests {
             off_rps: 8_000.0,
             mean_dwell: SimDuration::from_millis(2),
         };
-        assert_eq!(model.mean_rps(), 44_000.0);
         let rate = mean_rate_of(model, 60_000);
         assert!(
             (20_000.0..70_000.0).contains(&rate),

@@ -202,11 +202,6 @@ impl DeviceState {
         self.device_features & self.driver_features
     }
 
-    /// Whether a feature was offered and accepted.
-    pub fn has_feature(&self, feature: Feature) -> bool {
-        self.negotiated_features() & feature as u64 != 0
-    }
-
     /// Records the driver's accepted features. Bits the device did not
     /// offer are ignored (masked), as transports do.
     pub fn set_driver_features(&mut self, features: u64) {
@@ -316,6 +311,13 @@ impl DeviceState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DeviceState {
+        /// Whether a feature was offered and accepted.
+        fn has_feature(&self, feature: Feature) -> bool {
+            self.negotiated_features() & feature as u64 != 0
+        }
+    }
 
     #[test]
     fn device_ids_match_spec() {

@@ -224,17 +224,6 @@ impl VirtioPciFunction {
         self.isr |= 2;
     }
 
-    /// Updates the device-specific config window contents and raises the
-    /// config-change interrupt.
-    pub fn update_device_config(&mut self, bytes: Vec<u8>) {
-        assert!(
-            bytes.len() as u64 <= DEVICE_LEN,
-            "device config exceeds window"
-        );
-        self.device_config = bytes;
-        self.raise_config_isr();
-    }
-
     /// Total BAR register reads (used to charge the paper's 0.8 µs/access
     /// FPGA cost in the IO-Bond model).
     pub fn register_reads(&self) -> u64 {
@@ -593,15 +582,5 @@ mod tests {
     fn num_queues_register() {
         let mut f = net_function();
         assert_eq!(f.bar_read(0, common::NUM_QUEUES, 2, SimTime::ZERO), 2);
-    }
-
-    #[test]
-    fn config_update_raises_config_isr() {
-        let mut f = net_function();
-        let mut cfg = NetConfig::with_mac([2, 0, 0, 0, 0, 1]);
-        cfg.status = 0; // link down event
-        f.update_device_config(cfg.to_bytes().to_vec());
-        assert_eq!(f.bar_read(0, ISR_OFFSET, 1, SimTime::ZERO), 2);
-        assert_eq!(f.bar_read(0, DEVICE_OFFSET + 6, 2, SimTime::ZERO), 0);
     }
 }

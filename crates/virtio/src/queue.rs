@@ -488,16 +488,6 @@ impl Virtqueue {
         Ok(())
     }
 
-    /// Total chains popped so far.
-    pub fn popped_count(&self) -> u64 {
-        self.popped
-    }
-
-    /// Total chains completed so far.
-    pub fn completed_count(&self) -> u64 {
-        self.completed
-    }
-
     /// The device's current used index (for shadow-ring synchronisation).
     pub fn used_idx(&self) -> u16 {
         self.used_idx
@@ -522,6 +512,18 @@ mod tests {
     use super::*;
     use crate::driver::VirtqueueDriver;
     use bmhive_sim::SimRng;
+
+    impl Virtqueue {
+        /// Total chains popped so far.
+        pub(crate) fn popped_count(&self) -> u64 {
+            self.popped
+        }
+
+        /// Total chains completed so far.
+        pub(crate) fn completed_count(&self) -> u64 {
+            self.completed
+        }
+    }
 
     fn setup(size: u16) -> (GuestRam, VirtqueueDriver, Virtqueue) {
         let mut ram = GuestRam::new(1 << 20);
@@ -616,10 +618,9 @@ mod tests {
         device.push_used(&mut ram, chain.head, 8).unwrap();
         let (id, len) = driver.poll_used(&ram).unwrap().unwrap();
         assert_eq!((id, len), (head, 8));
-        assert_eq!(
-            ram.read_vec(GuestAddr::new(0x6000), 8).unwrap(),
-            b"response"
-        );
+        let mut got = [0; 8];
+        ram.read(GuestAddr::new(0x6000), &mut got).unwrap();
+        assert_eq!(&got, b"response");
     }
 
     #[test]

@@ -81,7 +81,6 @@ pub const CLIENT_SWEEP: [u32; 6] = [50, 100, 200, 400, 700, 1000];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmhive_sim::stats::mean_ratio;
 
     fn both() -> (NginxRun, NginxRun) {
         let mut bm = GuestEnv::bm(1);
@@ -105,7 +104,7 @@ mod tests {
     #[test]
     fn response_time_is_about_30_percent_shorter() {
         let (bm, vm) = both();
-        let ratio = 1.0 - mean_ratio(&bm.response_ms, &vm.response_ms);
+        let ratio = 1.0 - bm.response_ms.mean_y() / vm.response_ms.mean_y();
         assert!(
             (0.18..=0.42).contains(&ratio),
             "response-time reduction {ratio}"

@@ -22,7 +22,7 @@ fn device_reset_clears_and_reactivates() {
     let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), 32);
     dev.function_mut().state_mut().driver_handshake(&[layout]);
     dev.activate(&mut base, GuestAddr::new(0x10_0000)).unwrap();
-    assert!(dev.is_active());
+    assert!(dev.shadow(0).is_some());
 
     // Guest posts a chain, IO-Bond stages it...
     let mut driver = VirtqueueDriver::new(&mut board, layout).unwrap();
@@ -42,12 +42,11 @@ fn device_reset_clears_and_reactivates() {
     // ...then the guest resets the device (status write 0).
     dev.function_mut().state_mut().set_device_status(0);
     dev.deactivate();
-    assert!(!dev.is_active());
+    assert!(dev.shadow(0).is_none());
 
     // Re-handshake and re-activate: a clean new epoch.
     dev.function_mut().state_mut().driver_handshake(&[layout]);
     dev.activate(&mut base, GuestAddr::new(0x200_0000)).unwrap();
-    assert!(dev.is_active());
     assert_eq!(dev.shadow(0).unwrap().inflight_count(), 0);
 }
 
@@ -79,9 +78,7 @@ fn backend_failure_marks_device_needs_reset() {
     let mut pass = ServiceReport::default();
     dev.service_into(&mut board, &mut base, SimTime::ZERO, &mut pass)
         .unwrap();
-    let mut heads = Vec::new();
-    dev.shadow(0).unwrap().inflight_guest_heads_into(&mut heads);
-    assert_eq!(heads, vec![head]);
+    assert_eq!(dev.shadow(0).unwrap().inflight_count(), 1);
 
     // The backend process dies: the control plane latches needs-reset
     // and raises the config-change interrupt.
@@ -96,7 +93,7 @@ fn backend_failure_marks_device_needs_reset() {
         .unwrap();
     assert_eq!(report.replayed_chains, 1);
     assert!(!dev.needs_reset());
-    assert!(dev.is_active());
+    assert!(dev.shadow(0).is_some() && dev.shadow(1).is_some());
 
     // The replacement backend drains the fresh shadow ring: it sees
     // the replayed chain exactly once, and the guest reaps exactly one

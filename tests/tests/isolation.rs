@@ -105,9 +105,7 @@ fn forged_avail_index_jump_stages_no_head_twice() {
         .sync_to_shadow(&board, &mut base, SimTime::ZERO)
         .unwrap();
     assert_eq!(report.chains, 1);
-    let mut heads = Vec::new();
-    shadow.inflight_guest_heads_into(&mut heads);
-    assert_eq!(heads, vec![0]);
+    assert_eq!(shadow.inflight_count(), 1);
 }
 
 #[test]
@@ -201,8 +199,8 @@ fn service_profiles_encode_the_table1_claims() {
     assert!(st.provider_exposed_to_tenant());
     assert!(!bm.provider_exposed_to_tenant());
     // Cloud integration: the single-tenant box is the odd one out.
-    assert!(vm.cloud_integrated() && bm.cloud_integrated());
-    assert!(!st.cloud_integrated());
+    assert!(vm.provider_controls_io && bm.provider_controls_io);
+    assert!(!st.provider_controls_io);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! additionally byte-compares the *full* matrix through the release
 //! `repro sweep` binary.
 
-use bmhive_bench::sweep::{render_cell, run_sweep, SweepSpec};
+use bmhive_bench::sweep::{render_cell, run_sweep_shard, Shard, SweepSpec};
 use bmhive_faults::CANNED_PLAN_NAMES;
 
 /// Two experiments x two seeds x (clean + every canned plan), traced.
@@ -26,11 +26,11 @@ fn reduced_matrix(jobs: usize) -> SweepSpec {
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    let serial = run_sweep(&reduced_matrix(1)).expect("serial sweep");
-    let parallel = run_sweep(&reduced_matrix(4)).expect("parallel sweep");
+    let serial = run_sweep_shard(&reduced_matrix(1), Shard::WHOLE).expect("serial sweep");
+    let parallel = run_sweep_shard(&reduced_matrix(4), Shard::WHOLE).expect("parallel sweep");
     assert_eq!(serial.len(), parallel.len());
     assert_eq!(serial.len(), 2 * 2 * (1 + CANNED_PLAN_NAMES.len()));
-    for (s, p) in serial.iter().zip(&parallel) {
+    for ((_, s), (_, p)) in serial.iter().zip(&parallel) {
         assert_eq!(s.cell, p.cell, "cell order must not depend on --jobs");
         let label = s.cell.label();
         assert_eq!(s.report, p.report, "{label}: report differs");
@@ -44,11 +44,11 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 
 #[test]
 fn every_canned_plan_injects_and_recovers_in_the_sweep() {
-    let outputs = run_sweep(&reduced_matrix(2)).expect("sweep");
+    let outputs = run_sweep_shard(&reduced_matrix(2), Shard::WHOLE).expect("sweep");
     for plan in CANNED_PLAN_NAMES {
-        let cell = outputs
+        let (_, cell) = outputs
             .iter()
-            .find(|o| o.cell.experiment == "faults" && o.cell.plan.as_deref() == Some(plan))
+            .find(|(_, o)| o.cell.experiment == "faults" && o.cell.plan.as_deref() == Some(plan))
             .expect("faults cell for every canned plan");
         let stats = cell.fault_stats.as_ref().expect("armed cell has stats");
         assert!(
@@ -69,8 +69,8 @@ fn every_canned_plan_injects_and_recovers_in_the_sweep() {
 fn clean_cells_are_identical_across_plans_axis_only_when_unarmed() {
     // A clean cell must render exactly what a plain `repro` run of the
     // same experiment/seed renders — the sweep adds no side channel.
-    let outputs = run_sweep(&reduced_matrix(2)).expect("sweep");
-    for out in outputs.iter().filter(|o| o.cell.plan.is_none()) {
+    let outputs = run_sweep_shard(&reduced_matrix(2), Shard::WHOLE).expect("sweep");
+    for (_, out) in outputs.iter().filter(|(_, o)| o.cell.plan.is_none()) {
         let direct = bmhive_bench::experiment(&out.cell.experiment)
             .expect("known experiment")
             .render(out.cell.seed);

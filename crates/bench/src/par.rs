@@ -29,7 +29,18 @@
 //!   accumulated [`FaultStats`] back for the host-ordered fold;
 //! * thread-local allocation counters — `telemetry::alloc` metering
 //!   inside the closure sees only this host's allocations, which is
-//!   what makes a *per-worker* O(1)-memory gate meaningful.
+//!   what makes a *per-worker* O(1)-memory gate meaningful. The
+//!   counters follow the thread, not the value: a host value a worker
+//!   allocates stays charged to that worker's live count after the
+//!   orchestrator frees it (the free lowers the orchestrator's count
+//!   instead). So a caller that sums worker peaks, as `hivebench`'s
+//!   `region_day` does over 400 held `HostRun`s, meters every host
+//!   value a worker returned however early the orchestrator folds and
+//!   drops it: a streaming fold cannot lower that figure. Shrinking
+//!   the value (a histogram windowed to its data) is the other route,
+//!   and DESIGN §9 rules that out: a window that grows with the values
+//!   makes allocation counts depend on them, which `steady_alloc`
+//!   forbids.
 //!
 //! # Merge semantics
 //!

@@ -118,8 +118,6 @@ impl Error for FirmwareError {}
 pub struct FirmwareStore {
     key: SigningKey,
     installed: FirmwareImage,
-    update_attempts: u64,
-    rejected: u64,
 }
 
 impl FirmwareStore {
@@ -138,19 +136,12 @@ impl FirmwareStore {
         FirmwareStore {
             key,
             installed: factory,
-            update_attempts: 0,
-            rejected: 0,
         }
     }
 
     /// The installed firmware version.
     pub fn installed_version(&self) -> &str {
         &self.installed.version
-    }
-
-    /// Attempted / rejected update counters (audit trail).
-    pub fn audit(&self) -> (u64, u64) {
-        (self.update_attempts, self.rejected)
     }
 
     /// Attempts a firmware update — callable by anyone, including the
@@ -161,13 +152,10 @@ impl FirmwareStore {
     /// [`FirmwareError::BadSignature`] for tampered or foreign images;
     /// [`FirmwareError::Rollback`] for stale security versions.
     pub fn update(&mut self, image: FirmwareImage) -> Result<(), FirmwareError> {
-        self.update_attempts += 1;
         if self.key.sign(&image.payload, image.security_version) != image.signature {
-            self.rejected += 1;
             return Err(FirmwareError::BadSignature);
         }
         if image.security_version < self.installed.security_version {
-            self.rejected += 1;
             return Err(FirmwareError::Rollback {
                 installed: self.installed.security_version,
                 offered: image.security_version,
@@ -195,7 +183,6 @@ mod tests {
         store.update(next).unwrap();
         assert_eq!(store.installed_version(), "efi-1.1");
         assert_eq!(store.installed.security_version, 2);
-        assert_eq!(store.audit(), (1, 0));
     }
 
     #[test]
@@ -210,7 +197,6 @@ mod tests {
         let foreign = FirmwareImage::signed(&tenant_key, "efi-1.1", 2, b"EVIL!".to_vec());
         assert_eq!(store.update(foreign), Err(FirmwareError::BadSignature));
         assert_eq!(store.installed_version(), "efi-1.0");
-        assert_eq!(store.audit(), (2, 2));
     }
 
     #[test]

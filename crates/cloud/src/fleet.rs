@@ -131,20 +131,25 @@ impl ExitCensus {
     /// allocates).
     pub fn run_on(vms: u64, thresholds: &[f64], seed: u64, stream: u64) -> Self {
         let mut census = ExitCensus::new(thresholds);
-        let mut stream = ExitRateStream::production_on(seed, stream);
-        // Chunked bulk draws: same rates in the same order as the
-        // iterator, one fixed scratch instead of a call per guest.
+        census.observe_drawn(&mut ExitRateStream::production_on(seed, stream), vms);
+        census
+    }
+
+    /// Draws the next `guests` rates from `exits` and folds each into
+    /// the census: chunked bulk fills, so the same rates in the same
+    /// order as the iterator, through one fixed stack scratch instead
+    /// of a call per guest.
+    fn observe_drawn(&mut self, exits: &mut ExitRateStream, guests: u64) {
         let mut chunk = [0.0f64; FILL_CHUNK];
-        let mut left = vms as usize;
+        let mut left = guests as usize;
         while left > 0 {
             let take = left.min(FILL_CHUNK);
-            stream.fill(&mut chunk[..take]);
+            exits.fill(&mut chunk[..take]);
             for &rate in &chunk[..take] {
-                census.observe(rate);
+                self.observe(rate);
             }
             left -= take;
         }
-        census
     }
 
     /// Folds another census (over the same thresholds) into this one:
@@ -286,11 +291,10 @@ impl PreemptionStudy {
             exclusive_p99: Vec::with_capacity(24),
             exclusive_p999: Vec::with_capacity(24),
         };
-        let series = |model: &PreemptionModel, rng: &mut SimRng, load: f64| {
+        let mut chunk = [0.0f64; FILL_CHUNK];
+        let mut series = |model: &PreemptionModel, rng: &mut SimRng, load: f64| {
             let mut hist = Histogram::new();
-            for _ in 0..vms {
-                hist.record(model.sample_at_load(rng, load) * 100.0 * STREAM_PCT_SCALE);
-            }
+            record_preemption(model, rng, load, vms, &mut chunk, &mut hist);
             (
                 hist.percentile(99.0) / STREAM_PCT_SCALE,
                 hist.percentile(99.9) / STREAM_PCT_SCALE,
@@ -314,6 +318,30 @@ impl PreemptionStudy {
 /// [`RegionHostDay`] — a bounded pressure sample, not a full-fleet
 /// sweep, so a host's day costs O(1) memory and O(guests) time.
 const PREEMPT_PROBES: usize = 128;
+
+/// Draws `n` load-scaled preemption fractions from `model` in
+/// `chunk`-sized bulk fills and records each in `hist` as a percent
+/// scaled by [`STREAM_PCT_SCALE`]. The fills are bit-identical to `n`
+/// single draws on `rng`, and `* 100.0 * STREAM_PCT_SCALE` keeps the
+/// single-sample expression's rounding order.
+fn record_preemption(
+    model: &PreemptionModel,
+    rng: &mut SimRng,
+    load: f64,
+    n: usize,
+    chunk: &mut [f64],
+    hist: &mut Histogram,
+) {
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(chunk.len());
+        model.fill_at_load(rng, load, &mut chunk[..take]);
+        for &v in &chunk[..take] {
+            hist.record(v * 100.0 * STREAM_PCT_SCALE);
+        }
+        left -= take;
+    }
+}
 
 /// One host's day of live region operations: an exit-rate census over
 /// every guest that ran on the host, diurnal replacement churn
@@ -377,21 +405,10 @@ impl RegionHostDay {
             shared_preempt: Histogram::new(),
             exclusive_preempt: Histogram::new(),
         };
-        let mut chunk = [0.0f64; FILL_CHUNK];
-        let mut admit = |day: &mut RegionHostDay, n: u64| {
-            let mut left = n as usize;
-            while left > 0 {
-                let take = left.min(FILL_CHUNK);
-                exits.fill(&mut chunk[..take]);
-                for &rate in &chunk[..take] {
-                    day.census.observe(rate);
-                }
-                left -= take;
-            }
-            day.arrivals += n;
-        };
+        let mut probes = [0.0f64; PREEMPT_PROBES];
         let mut occupancy = guests;
-        admit(&mut day, guests);
+        day.census.observe_drawn(&mut exits, guests);
+        day.arrivals = guests;
         day.peak_guests = occupancy;
         for hour in 0..24 {
             let load = diurnal_load(hour);
@@ -408,19 +425,18 @@ impl RegionHostDay {
             let departures = (churn + shrink).min(occupancy);
             occupancy -= departures;
             day.departures += departures;
-            admit(&mut day, churn + growth);
+            day.census.observe_drawn(&mut exits, churn + growth);
+            day.arrivals += churn + growth;
             occupancy += churn + growth;
             day.peak_guests = day.peak_guests.max(occupancy);
             day.guest_hours += occupancy;
-            // Hourly preemption pressure probe, both classes.
-            for _ in 0..PREEMPT_PROBES {
-                day.shared_preempt
-                    .record(shared.sample_at_load(&mut ops_rng, load) * 100.0 * STREAM_PCT_SCALE);
-            }
-            for _ in 0..PREEMPT_PROBES {
-                day.exclusive_preempt.record(
-                    exclusive.sample_at_load(&mut ops_rng, load) * 100.0 * STREAM_PCT_SCALE,
-                );
+            // Hourly preemption pressure probe: shared, then exclusive,
+            // on the one ops stream.
+            for (model, hist) in [
+                (&shared, &mut day.shared_preempt),
+                (&exclusive, &mut day.exclusive_preempt),
+            ] {
+                record_preemption(model, &mut ops_rng, load, PREEMPT_PROBES, &mut probes, hist);
             }
         }
         telemetry::add_events(day.arrivals + (2 * PREEMPT_PROBES * 24) as u64);
@@ -685,6 +701,107 @@ mod tests {
             merged.preempt_samples(),
             a.preempt_samples() + b.preempt_samples()
         );
+    }
+
+    /// Asserts `got` equals `want` bit for bit, naming the first
+    /// position that differs.
+    fn assert_bits(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}[{i}]: got {g:?}, want {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn merged_region_day_is_pinned_bit_for_bit() {
+        // Four 500-guest hosts at seed 1, folded in host order. The
+        // values were recorded from the per-call probe sampler; the
+        // chunked fills must reproduce them exactly. The histogram
+        // means are sums over every draw, so any drifted bit shows.
+        let thresholds = [10_000.0, 50_000.0, 100_000.0];
+        let mut merged = RegionHostDay::run(500, &thresholds, 1, 0x5e10, 0x0b50);
+        for host in 1..4 {
+            merged.merge(&RegionHostDay::run(
+                500,
+                &thresholds,
+                1,
+                0x5e10 + host,
+                0x0b50 + host,
+            ));
+        }
+        let m = &merged;
+        assert_eq!(
+            (m.census.total(), m.arrivals, m.departures),
+            (3688, 3688, 1496)
+        );
+        assert_eq!((m.peak_guests, m.guest_hours), (650, 56640));
+        assert_eq!(m.preempt_samples(), 4 * 24 * PREEMPT_PROBES as u64);
+        let rows: Vec<f64> = m.census.rows().iter().map(|&(_, pct)| pct).collect();
+        assert_bits(
+            "census rows",
+            &rows,
+            &[3.660520607375271, 0.2440347071583514, 0.08134490238611713],
+        );
+        assert_bits(
+            "census rate mean, p50, p99",
+            &[
+                m.census.rate_mean(),
+                m.census.rate_percentile(50.0),
+                m.census.rate_percentile(99.0),
+            ],
+            &[1982.9894040031513, 456.0, 27136.0],
+        );
+        assert_bits(
+            "preempt p99 shared, exclusive",
+            &[
+                m.shared_preempt_percentile(99.0),
+                m.exclusive_preempt_percentile(99.0),
+            ],
+            &[3.1875, 0.24609375],
+        );
+        assert_bits(
+            "preempt histogram means shared, exclusive",
+            &[m.shared_preempt.mean(), m.exclusive_preempt.mean()],
+            &[642.4962534947671, 57.59299739909148],
+        );
+    }
+
+    #[test]
+    fn streaming_study_is_pinned_bit_for_bit() {
+        // An odd population carries a Box–Muller spare from each hour's
+        // shared class into its exclusive class, and from there into
+        // the next hour. Recorded from the per-call sampler.
+        let s = PreemptionStudy::stream(1001, 7);
+        #[rustfmt::skip]
+        assert_bits("shared p99", &s.shared_p99, &[
+            2.1875, 1.90625, 1.96875, 1.84375, 2.4375, 2.0625, 2.8125, 2.6875,
+            2.8125, 3.9375, 3.4375, 4.875, 4.625, 4.125, 4.375, 4.125,
+            4.375, 3.8125, 3.9375, 3.1875, 2.8125, 3.4375, 2.6875, 2.4375,
+        ]);
+        #[rustfmt::skip]
+        assert_bits("shared p99.9", &s.shared_p999, &[
+            3.8125, 3.5625, 3.0625, 3.6875, 5.375, 3.4375, 5.875, 4.625,
+            5.875, 5.625, 4.375, 6.875, 7.875, 5.375, 9.75, 8.25,
+            7.625, 5.125, 8.25, 6.125, 6.375, 7.875, 4.625, 4.875,
+        ]);
+        #[rustfmt::skip]
+        assert_bits("exclusive p99", &s.exclusive_p99, &[
+            0.15234375, 0.16015625, 0.13671875, 0.15234375, 0.14453125, 0.22265625,
+            0.16015625, 0.18359375, 0.19140625, 0.23828125, 0.2578125, 0.2734375,
+            0.2890625, 0.3203125, 0.2734375, 0.2578125, 0.3046875, 0.2890625,
+            0.23046875, 0.23046875, 0.23046875, 0.21484375, 0.17578125, 0.19921875,
+        ]);
+        #[rustfmt::skip]
+        assert_bits("exclusive p99.9", &s.exclusive_p999, &[
+            0.4140625, 0.23046875, 0.20703125, 0.19921875, 0.2578125, 0.3007786143794017,
+            0.21484375, 0.3046875, 0.3671875, 0.4453125, 0.3671875, 0.578125,
+            0.36580427579566255, 0.4296875, 0.4296875, 0.3359375, 0.578125, 0.515625,
+            0.3515625, 0.546875, 0.4765625, 0.3359375, 0.22265625, 0.3828125,
+        ]);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl VSwitch {
         self.macs.remove(&mac);
     }
 
-    /// Number of attached ports.
-    pub fn ports(&self) -> usize {
-        self.macs.len()
-    }
-
     /// Forwards one frame arriving at the switch at `now`.
     ///
     /// Under an armed [`bmhive_faults`] plan a vSwitch brownout
@@ -256,7 +251,7 @@ mod tests {
             sw.forward(&pkt(1, 2), SimTime::ZERO),
             Forwarded::Uplink(_)
         ));
-        assert_eq!(sw.ports(), 0);
+        assert!(sw.macs.is_empty());
     }
 
     #[test]

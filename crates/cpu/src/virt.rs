@@ -78,19 +78,11 @@ impl PreemptionModel {
         }
     }
 
-    /// Samples one VM's long-run preemption fraction.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.lognormal(self.ln_median, self.sigma).min(self.cap)
-    }
-
-    /// Samples the fraction scaled by a [`diurnal_load`] factor, still
-    /// capped.
-    pub fn sample_at_load(&self, rng: &mut SimRng, load: f64) -> f64 {
-        (self.sample(rng) * load).min(self.cap)
-    }
-
-    /// Fills `out` with one load-scaled fraction per VM — bit-identical
-    /// to the same number of [`Self::sample_at_load`] calls.
+    /// Fills `out` with one VM's long-run preemption fraction per slot,
+    /// each scaled by a [`diurnal_load`] factor and capped. Every fleet
+    /// sampler draws through here; the values are bit-identical to the
+    /// same number of single draws (the per-call reference in this
+    /// module's tests), and a Box–Muller spare carries across calls.
     pub fn fill_at_load(&self, rng: &mut SimRng, load: f64, out: &mut [f64]) {
         rng.fill_lognormal(self.ln_median, self.sigma, out);
         for v in out {
@@ -112,6 +104,21 @@ pub fn diurnal_load(hour: u32) -> f64 {
 mod tests {
     use super::*;
     use bmhive_sim::stats::exact_percentile;
+
+    /// The per-call samplers: the reference [`PreemptionModel::fill_at_load`]
+    /// is checked against, one draw at a time.
+    impl PreemptionModel {
+        /// Samples one VM's long-run preemption fraction.
+        fn sample(&self, rng: &mut SimRng) -> f64 {
+            rng.lognormal(self.ln_median, self.sigma).min(self.cap)
+        }
+
+        /// Samples the fraction scaled by a [`diurnal_load`] factor,
+        /// still capped.
+        fn sample_at_load(&self, rng: &mut SimRng, load: f64) -> f64 {
+            (self.sample(rng) * load).min(self.cap)
+        }
+    }
 
     /// Analytic tail probability P(rate > threshold) of the production
     /// exit-rate population.
@@ -135,25 +142,40 @@ mod tests {
 
     #[test]
     fn bulk_fills_match_single_sample_streams_bit_for_bit() {
-        let mut single = SimRng::with_stream(3, 0xce15);
-        let mut bulk = SimRng::with_stream(3, 0xce15);
-        let expect: Vec<f64> = (0..501).map(|_| sample_exit_rate(&mut single)).collect();
-        let mut got = vec![0.0; 501];
-        fill_exit_rates(&mut bulk, &mut got);
-        for (e, g) in expect.iter().zip(&got) {
-            assert_eq!(e.to_bits(), g.to_bits());
+        // Fleet samplers alternate fills on one RNG, so an odd fill
+        // leaves a Box–Muller spare that the next fill starts from. Run
+        // the preemption fills once from fresh RNGs and once after an
+        // odd exit-rate fill has cached a spare; either way every fill
+        // must match single draws bit for bit and leave both RNGs in
+        // lockstep.
+        for exit_draws in [0usize, 501] {
+            let mut single = SimRng::with_stream(3, 0xce15);
+            let mut bulk = SimRng::with_stream(3, 0xce15);
+            let mut got = [0.0; 1025];
+            fill_exit_rates(&mut bulk, &mut got[..exit_draws]);
+            for g in &got[..exit_draws] {
+                assert_eq!(sample_exit_rate(&mut single).to_bits(), g.to_bits());
+            }
+            // Shared then exclusive at every length a sampler uses: one
+            // probe, the 128-probe hour and its neighbours, the
+            // 1024-draw chunk and one past it.
+            let classes = [PreemptionModel::shared(), PreemptionModel::exclusive()];
+            for (i, len) in [1usize, 127, 128, 129, 1024, 1025].into_iter().enumerate() {
+                for (c, model) in classes.iter().enumerate() {
+                    let load = diurnal_load((3 * i + c) as u32);
+                    model.fill_at_load(&mut bulk, load, &mut got[..len]);
+                    for (k, g) in got[..len].iter().enumerate() {
+                        assert_eq!(
+                            model.sample_at_load(&mut single, load).to_bits(),
+                            g.to_bits(),
+                            "after {exit_draws} exit draws: len {len} class {c} draw {k}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(single.normal().to_bits(), bulk.normal().to_bits());
+            assert_eq!(single.next_u64(), bulk.next_u64());
         }
-
-        let shared = PreemptionModel::shared();
-        let load = diurnal_load(14);
-        let expect: Vec<f64> = (0..501)
-            .map(|_| shared.sample_at_load(&mut single, load))
-            .collect();
-        shared.fill_at_load(&mut bulk, load, &mut got);
-        for (e, g) in expect.iter().zip(&got) {
-            assert_eq!(e.to_bits(), g.to_bits());
-        }
-        assert_eq!(single.next_u64(), bulk.next_u64());
     }
 
     #[test]

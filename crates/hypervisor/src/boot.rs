@@ -181,7 +181,9 @@ mod tests {
         let chain = ring.pop_avail(ram).unwrap().expect("the last chain");
         // The writable part is the data, then the status byte.
         let (data, _) = chain.writable.split_at(chain.writable.total_len() - 1);
-        data.gather(ram).unwrap()
+        let mut bytes = Vec::new();
+        data.gather_into(ram, &mut bytes).unwrap();
+        bytes
     }
 
     #[test]

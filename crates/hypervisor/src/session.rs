@@ -1053,7 +1053,8 @@ mod tests {
             let mut ram = GuestRam::new(1 << 20);
             let used = complete_blk(&mut ram, &chain, &req).unwrap();
             assert_eq!(u64::from(used), data_out_len + 1, "case {case}");
-            let got = chain.writable.gather(&ram).unwrap();
+            let mut got = Vec::new();
+            chain.writable.gather_into(&ram, &mut got).unwrap();
             for (i, &byte) in got[..data_out_len as usize].iter().enumerate() {
                 let expect = volume_byte(sector, i as u64);
                 assert_eq!(byte, expect, "case {case}: sector {sector}, byte {i}");

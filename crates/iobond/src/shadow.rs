@@ -633,6 +633,13 @@ mod tests {
             out
         }
 
+        /// The bytes `sg` covers in base RAM, in order.
+        fn base_bytes(&self, sg: &SgList) -> Vec<u8> {
+            let mut out = Vec::new();
+            sg.gather_into(&self.base, &mut out).unwrap();
+            out
+        }
+
         /// Posts one readable buffer holding `payload` at `addr`;
         /// returns the guest head.
         fn post(&mut self, addr: GuestAddr, payload: &[u8]) -> u16 {
@@ -648,7 +655,7 @@ mod tests {
         fn complete_all(&mut self) -> Vec<Vec<u8>> {
             let mut payloads = Vec::new();
             while let Some(chain) = self.backend_vq.pop_avail(&self.base).unwrap() {
-                payloads.push(chain.readable.gather(&self.base).unwrap());
+                payloads.push(self.base_bytes(&chain.readable));
                 self.backend_vq
                     .push_used(&mut self.base, chain.head, 0)
                     .unwrap();
@@ -680,7 +687,7 @@ mod tests {
         assert_eq!(r.shadow.head_reg(), 1);
         // Backend sees the payload in BASE memory.
         let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
-        assert_eq!(chain.readable.gather(&r.base).unwrap(), b"tx-data");
+        assert_eq!(r.base_bytes(&chain.readable), b"tx-data");
         // Random batch patterns: every payload reaches the backend
         // bit-exact, in order, exactly once.
         for seed in 0..64 {
@@ -1268,7 +1275,7 @@ mod tests {
         let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
         assert_eq!((chain.readable.len(), chain.writable.len()), (2, 2));
         // The backend gathers the exact readable bytes.
-        assert_eq!(chain.readable.gather(&r.base).unwrap(), sent);
+        assert_eq!(r.base_bytes(&chain.readable), sent);
         // The shadow table holds its four entries and ends before the
         // readable view begins.
         let desc = r.shadow.shadow_layout().desc + u64::from(chain.head) * 16;
@@ -1294,7 +1301,7 @@ mod tests {
         assert_eq!(r.board_bytes(dst, 4097), reply);
         // The neighbour's staging bytes are untouched.
         assert_eq!(r.shadow.inflight_count(), 1);
-        assert_eq!(first.readable.gather(&r.base).unwrap(), neighbour);
+        assert_eq!(r.base_bytes(&first.readable), neighbour);
         r.backend_vq.push_used(&mut r.base, first.head, 0).unwrap();
         r.finish(SimTime::ZERO);
         assert_eq!(r.shadow.pool.free_count(), 16);

@@ -72,7 +72,7 @@ impl DmaModel {
     /// dst_sg.total_len())` bytes.
     ///
     /// Bytes move segment to segment, page to page, with no intermediate
-    /// buffer: the same result as [`SgList::gather`] followed by
+    /// buffer: the same result as [`SgList::gather_into`] followed by
     /// [`SgList::scatter`], copied once.
     ///
     /// # Errors
@@ -216,13 +216,13 @@ mod tests {
         }
         let mut copied = GuestRam::new(SIZE);
         let mut reference = GuestRam::new(SIZE);
+        let mut gathered = Vec::new();
         for round in 0..200 {
             let src_sg = random_sg(&mut rng, SIZE);
             let dst_sg = random_sg(&mut rng, SIZE);
             let (moved, time) = dma.transfer(&src, &src_sg, &mut copied, &dst_sg).unwrap();
-            let expect = dst_sg
-                .scatter(&mut reference, &src_sg.gather(&src).unwrap())
-                .unwrap();
+            src_sg.gather_into(&src, &mut gathered).unwrap();
+            let expect = dst_sg.scatter(&mut reference, &gathered).unwrap();
             assert_eq!(moved, expect, "round {round}");
             assert_eq!(moved, src_sg.total_len().min(dst_sg.total_len()));
             assert_eq!(time, dma.transfer_time(moved));

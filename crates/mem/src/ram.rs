@@ -73,7 +73,6 @@ pub struct GuestRam {
     /// Leaf `i` maps pages `[i * 512, (i + 1) * 512)`. The directory
     /// grows to the highest leaf written; absent entries read as zero.
     dir: Vec<Option<Box<Leaf>>>,
-    resident: usize,
 }
 
 impl GuestRam {
@@ -87,7 +86,6 @@ impl GuestRam {
         GuestRam {
             size,
             dir: Vec::new(),
-            resident: 0,
         }
     }
 
@@ -96,9 +94,14 @@ impl GuestRam {
         self.size
     }
 
-    /// Number of 4 KiB pages actually allocated so far.
+    /// Number of 4 KiB pages actually allocated so far, counted from
+    /// the page directory on each call.
     pub fn resident_pages(&self) -> usize {
-        self.resident
+        self.dir
+            .iter()
+            .flatten()
+            .map(|leaf| leaf.iter().filter(|page| page.is_some()).count())
+            .sum()
     }
 
     pub(crate) fn check(&self, addr: GuestAddr, len: u64) -> Result<(), MemError> {
@@ -127,11 +130,8 @@ impl GuestRam {
             self.dir.resize_with(l + 1, || None);
         }
         let leaf = self.dir[l].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
-        let slot = &mut leaf[page as usize & (LEAF_PAGES - 1)];
-        if slot.is_none() {
-            self.resident += 1;
-        }
-        slot.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
+        leaf[page as usize & (LEAF_PAGES - 1)]
+            .get_or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
     }
 
     /// Applies `f` to each in-page piece of `[offset, offset + len)`, in

@@ -54,11 +54,15 @@ impl SgSegment {
 /// ram.write(GuestAddr::new(0x100), b"bare").unwrap();
 /// ram.write(GuestAddr::new(0x900), b"metal").unwrap();
 ///
-/// let sg = SgList::from_segments(vec![
+/// let sg: SgList = [
 ///     SgSegment::new(GuestAddr::new(0x100), 4),
 ///     SgSegment::new(GuestAddr::new(0x900), 5),
-/// ]);
-/// assert_eq!(sg.gather(&ram).unwrap(), b"baremetal");
+/// ]
+/// .into_iter()
+/// .collect();
+/// let mut bytes = Vec::new();
+/// sg.gather_into(&ram, &mut bytes).unwrap();
+/// assert_eq!(bytes, b"baremetal");
 /// ```
 #[derive(Clone)]
 pub struct SgList {
@@ -87,21 +91,6 @@ impl SgList {
                 len: 0,
                 buf: [SgSegment::EMPTY; Self::INLINE_SEGMENTS],
             },
-        }
-    }
-
-    /// Creates a list from segments, in order.
-    pub fn from_segments(segments: Vec<SgSegment>) -> Self {
-        if segments.len() <= Self::INLINE_SEGMENTS {
-            let mut list = SgList::new();
-            for seg in segments {
-                list.push(seg);
-            }
-            list
-        } else {
-            SgList {
-                repr: Repr::Heap(segments),
-            }
         }
     }
 
@@ -156,22 +145,9 @@ impl SgList {
         self.segments().iter().map(|s| u64::from(s.len)).sum()
     }
 
-    /// Reads all segments from `ram` into one contiguous buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfBounds`] if any segment exceeds the
-    /// memory size.
-    pub fn gather(&self, ram: &GuestRam) -> Result<Vec<u8>, MemError> {
-        let mut out = Vec::new();
-        self.gather_into(ram, &mut out)?;
-        Ok(out)
-    }
-
-    /// Reads all segments from `ram` into `out` (cleared first) — the
-    /// reusable-buffer variant of [`SgList::gather`]: a warmed caller
-    /// gathers without touching the allocator, and each byte is copied
-    /// once, with no zero-fill ahead of it.
+    /// Reads all segments from `ram` into `out` (cleared first), in
+    /// order: a warmed caller gathers without touching the allocator,
+    /// and each byte is copied once, with no zero-fill ahead of it.
     ///
     /// # Errors
     ///
@@ -363,6 +339,21 @@ mod tests {
     use bmhive_sim::SimRng;
 
     impl SgList {
+        /// Creates a list from segments, in order.
+        pub(crate) fn from_segments(segments: Vec<SgSegment>) -> Self {
+            if segments.len() <= Self::INLINE_SEGMENTS {
+                let mut list = SgList::new();
+                for seg in segments {
+                    list.push(seg);
+                }
+                list
+            } else {
+                SgList {
+                    repr: Repr::Heap(segments),
+                }
+            }
+        }
+
         /// Whether the segments are stored inline (no heap allocation).
         fn is_inline(&self) -> bool {
             matches!(self.repr, Repr::Inline { .. })
@@ -384,7 +375,9 @@ mod tests {
             SgSegment::new(GuestAddr::new(0x40), 3),
             SgSegment::new(GuestAddr::new(0x10), 3),
         ]);
-        assert_eq!(sg.gather(&ram).unwrap(), b"defabc");
+        let mut out = b"stale".to_vec();
+        sg.gather_into(&ram, &mut out).unwrap();
+        assert_eq!(out, b"defabc");
         assert_eq!(sg.total_len(), 6);
         assert_eq!(sg.len(), 2);
     }
@@ -429,7 +422,9 @@ mod tests {
         ]);
         let payload: Vec<u8> = (0..12).collect();
         sg.scatter(&mut ram, &payload).unwrap();
-        assert_eq!(sg.gather(&ram).unwrap(), payload);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        sg.gather_into(&ram, &mut got).unwrap();
+        assert_eq!(got, payload);
         // Random disjoint lists, some segments straddling a page:
         // scatter writes min(data, capacity) bytes and gather reads
         // exactly those back.
@@ -452,7 +447,8 @@ mod tests {
                 "seed {seed}"
             );
             let n = written as usize;
-            assert_eq!(sg.gather(&ram).unwrap()[..n], data[..n], "seed {seed}");
+            sg.gather_into(&ram, &mut want).unwrap();
+            assert_eq!(want[..n], data[..n], "seed {seed}");
             // An in-place fill writes the same bytes to the same places:
             // its pieces tile the list in order, none crossing a page.
             let mut filled = GuestRam::new(1 << 20);
@@ -467,11 +463,8 @@ mod tests {
                 .unwrap();
             assert_eq!((in_place, next), (written, n), "seed {seed}");
             assert_eq!(filled.resident_pages(), ram.resident_pages(), "seed {seed}");
-            assert_eq!(
-                sg.gather(&filled).unwrap(),
-                sg.gather(&ram).unwrap(),
-                "seed {seed}"
-            );
+            sg.gather_into(&filled, &mut got).unwrap();
+            assert_eq!(got, want, "seed {seed}");
         }
     }
 
@@ -533,8 +526,10 @@ mod tests {
             let mut ram = GuestRam::new(1 << 20);
             let data: Vec<u8> = (0..sg.total_len()).map(|i| (i % 251) as u8).collect();
             sg.scatter(&mut ram, &data).unwrap();
-            let mut joined = head.gather(&ram).unwrap();
-            joined.extend(tail.gather(&ram).unwrap());
+            let (mut joined, mut rest) = (Vec::new(), Vec::new());
+            head.gather_into(&ram, &mut joined).unwrap();
+            tail.gather_into(&ram, &mut rest).unwrap();
+            joined.extend(rest);
             assert_eq!(joined, data, "seed {seed}");
         }
     }
@@ -622,6 +617,6 @@ mod tests {
     fn gather_out_of_bounds_propagates() {
         let ram = GuestRam::new(64);
         let sg = SgList::single(GuestAddr::new(60), 8);
-        assert!(sg.gather(&ram).is_err());
+        assert!(sg.gather_into(&ram, &mut Vec::new()).is_err());
     }
 }

@@ -180,19 +180,6 @@ impl ConfigSpace {
         self.read(offsets::COMMAND, 2) as u16 & command::MEMORY_SPACE != 0
     }
 
-    /// Iterates over `(offset, id)` pairs of the capability list.
-    pub fn capabilities(&self) -> Vec<(u16, u8)> {
-        let mut out = Vec::new();
-        let mut ptr = self.bytes[offsets::CAP_PTR as usize];
-        let mut hops = 0;
-        while ptr != 0 && hops < 48 {
-            out.push((u16::from(ptr), self.bytes[ptr as usize]));
-            ptr = self.bytes[ptr as usize + 1];
-            hops += 1;
-        }
-        out
-    }
-
     /// The device's vendor ID.
     pub fn vendor_id(&self) -> u16 {
         self.read(offsets::VENDOR_ID, 2) as u16
@@ -330,6 +317,19 @@ mod tests {
     use bmhive_sim::SimRng;
 
     impl ConfigSpace {
+        /// The `(offset, id)` pairs of the capability list, in order.
+        fn capabilities(&self) -> Vec<(u16, u8)> {
+            let mut out = Vec::new();
+            let mut ptr = self.bytes[offsets::CAP_PTR as usize];
+            let mut hops = 0;
+            while ptr != 0 && hops < 48 {
+                out.push((u16::from(ptr), self.bytes[ptr as usize]));
+                ptr = self.bytes[ptr as usize + 1];
+                hops += 1;
+            }
+            out
+        }
+
         /// Whether bus mastering (DMA) is enabled in the command register.
         fn bus_master_enabled(&self) -> bool {
             self.read(offsets::COMMAND, 2) as u16 & command::BUS_MASTER != 0

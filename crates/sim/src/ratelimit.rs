@@ -132,12 +132,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Tokens currently available at `now` (after refilling).
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -187,11 +181,14 @@ mod tests {
     #[test]
     fn refill_caps_at_burst() {
         let mut b = TokenBucket::new(1_000.0, 5.0);
-        // Drain, then wait a long time: tokens must cap at burst.
+        // Drain, then wait a long time: tokens must cap at burst, so
+        // exactly the burst is there to take, and nothing more.
         for _ in 0..5 {
             b.acquire(SimTime::ZERO, 1.0);
         }
-        assert_eq!(b.available(SimTime::from_secs(100)), 5.0);
+        let later = SimTime::from_secs(100);
+        assert!(b.try_acquire(later, 5.0));
+        assert!(!b.try_acquire(later, 1e-9));
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl SimRng {
         rng
     }
 
-    /// Derives a child generator; children with different `stream` values
-    /// are statistically independent.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        SimRng::with_stream(self.next_u64(), stream.wrapping_mul(0x9e3779b97f4a7c15) | 1)
-    }
-
     /// The next 32 random bits.
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
@@ -262,15 +256,6 @@ mod tests {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut root = SimRng::new(99);
-        let mut c1 = root.fork(1);
-        let mut c2 = root.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert_eq!(same, 0);
     }
 

@@ -361,11 +361,7 @@ mod tests {
                 (32, 0),
                 "seed {seed}"
             );
-            assert_eq!(
-                device.popped_count(),
-                device.completed_count(),
-                "seed {seed}"
-            );
+            assert_eq!(device.last_avail_idx(), device.used_idx(), "seed {seed}");
         }
     }
 

@@ -41,7 +41,9 @@
 //!
 //! // Device pops it, reads the payload, completes it.
 //! let chain = device.pop_avail(&ram).unwrap().unwrap();
-//! assert_eq!(chain.readable.gather(&ram).unwrap(), b"ping");
+//! let mut payload = Vec::new();
+//! chain.readable.gather_into(&ram, &mut payload).unwrap();
+//! assert_eq!(payload, b"ping");
 //! device.push_used(&mut ram, chain.head, 0).unwrap();
 //!
 //! // Driver reaps the completion.

@@ -426,6 +426,7 @@ mod tests {
     use super::*;
     use crate::devtypes::{status, Feature};
     use crate::net::NetConfig;
+    use bmhive_pcie::config::offsets;
 
     fn net_function() -> VirtioPciFunction {
         VirtioPciFunction::new(
@@ -439,15 +440,26 @@ mod tests {
     #[test]
     fn config_space_advertises_virtio_caps() {
         let f = net_function();
-        let caps = f.config().capabilities();
-        let vendor_caps: Vec<_> = caps.iter().filter(|(_, id)| *id == 0x09).collect();
+        // Walk the capability list through config reads, as a driver
+        // does: the header's pointer, then each capability's next byte.
+        let mut vendor_caps = Vec::new();
+        let mut ptr = f.config().read(offsets::CAP_PTR, 1) as u16;
+        let mut hops = 0;
+        while ptr != 0 {
+            hops += 1;
+            assert!(hops <= 48, "capability list does not terminate");
+            if f.config().read(ptr, 1) == 0x09 {
+                vendor_caps.push(ptr);
+            }
+            ptr = f.config().read(ptr + 1, 1) as u16;
+        }
         assert_eq!(vendor_caps.len(), 4);
         assert_eq!(f.config().vendor_id(), VIRTIO_VENDOR_ID);
         assert_eq!(f.config().device_id(), 0x1041);
         // The cfg_type byte of each cap (offset + 3) covers all four types.
         let mut types: Vec<u8> = vendor_caps
             .iter()
-            .map(|(off, _)| f.config().read(off + 3, 1) as u8)
+            .map(|&off| f.config().read(off + 3, 1) as u8)
             .collect();
         types.sort_unstable();
         assert_eq!(

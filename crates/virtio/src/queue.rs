@@ -306,8 +306,6 @@ pub struct Virtqueue {
     layout: QueueLayout,
     last_avail_idx: u16,
     used_idx: u16,
-    popped: u64,
-    completed: u64,
 }
 
 impl Virtqueue {
@@ -317,8 +315,6 @@ impl Virtqueue {
             layout,
             last_avail_idx: 0,
             used_idx: 0,
-            popped: 0,
-            completed: 0,
         }
     }
 
@@ -373,7 +369,6 @@ impl Virtqueue {
             return Err(VirtioError::BadHeadIndex(head));
         }
         let chain = self.walk_chain(ram, head)?;
-        self.popped += 1;
         telemetry::counter("virtio.chains_popped", 1);
         Ok(Some(chain))
     }
@@ -471,7 +466,6 @@ impl Virtqueue {
         elem.write(ram, self.layout.used_ring_addr(slot))?;
         self.used_idx = self.used_idx.wrapping_add(1);
         ram.write_u16(self.layout.used_idx_addr(), self.used_idx)?;
-        self.completed += 1;
         telemetry::counter("virtio.used_completions", 1);
         Ok(())
     }
@@ -513,24 +507,19 @@ mod tests {
     use crate::driver::VirtqueueDriver;
     use bmhive_sim::SimRng;
 
-    impl Virtqueue {
-        /// Total chains popped so far.
-        pub(crate) fn popped_count(&self) -> u64 {
-            self.popped
-        }
-
-        /// Total chains completed so far.
-        pub(crate) fn completed_count(&self) -> u64 {
-            self.completed
-        }
-    }
-
     fn setup(size: u16) -> (GuestRam, VirtqueueDriver, Virtqueue) {
         let mut ram = GuestRam::new(1 << 20);
         let layout = QueueLayout::contiguous(GuestAddr::new(0x1000), size);
         let driver = VirtqueueDriver::new(&mut ram, layout).unwrap();
         let device = Virtqueue::new(layout);
         (ram, driver, device)
+    }
+
+    /// The bytes `sg` covers in `ram`, in order.
+    fn bytes_of(sg: &SgList, ram: &GuestRam) -> Vec<u8> {
+        let mut out = Vec::new();
+        sg.gather_into(ram, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -565,7 +554,7 @@ mod tests {
         assert_eq!(device.pending(&ram).unwrap(), 1);
         let chain = device.pop_avail(&ram).unwrap().unwrap();
         assert_eq!(chain.head, head);
-        assert_eq!(chain.readable.gather(&ram).unwrap(), b"hello");
+        assert_eq!(bytes_of(&chain.readable, &ram), b"hello");
         assert!(chain.writable.is_empty());
         device.push_used(&mut ram, chain.head, 0).unwrap();
         assert_eq!(driver.poll_used(&ram).unwrap(), Some((head, 0)));
@@ -592,7 +581,7 @@ mod tests {
             }
             driver.add_buf(&mut ram, &segs, &[]).unwrap();
             let chain = device.pop_avail(&ram).unwrap().unwrap();
-            assert_eq!(chain.readable.gather(&ram).unwrap(), payload, "seed {seed}");
+            assert_eq!(bytes_of(&chain.readable, &ram), payload, "seed {seed}");
         }
     }
 
@@ -635,8 +624,7 @@ mod tests {
             device.push_used(&mut ram, chain.head, round).unwrap();
             assert_eq!(driver.poll_used(&ram).unwrap(), Some((head, round)));
         }
-        assert_eq!(device.popped_count(), 12);
-        assert_eq!(device.completed_count(), 12);
+        assert_eq!((device.last_avail_idx(), device.used_idx()), (12, 12));
         // Random batches: the device sees chains in posting order, and
         // every completion carries its written length to the right head.
         for seed in 0..256 {
@@ -701,7 +689,7 @@ mod tests {
             .unwrap();
         let chain = device.pop_avail(&ram).unwrap().unwrap();
         assert_eq!(chain.head, head);
-        assert_eq!(chain.readable.gather(&ram).unwrap(), b"abcd");
+        assert_eq!(bytes_of(&chain.readable, &ram), b"abcd");
         assert_eq!(chain.writable.total_len(), 8);
         device.push_used(&mut ram, chain.head, 4).unwrap();
         assert_eq!(driver.poll_used(&ram).unwrap(), Some((head, 4)));
@@ -726,11 +714,7 @@ mod tests {
                 .unwrap();
             let direct = device.pop_avail(&ram).unwrap().unwrap();
             let indirect = device.pop_avail(&ram).unwrap().unwrap();
-            assert_eq!(
-                direct.readable.gather(&ram).unwrap(),
-                payload,
-                "seed {seed}"
-            );
+            assert_eq!(bytes_of(&direct.readable, &ram), payload, "seed {seed}");
             assert_eq!(indirect.readable, direct.readable, "seed {seed}");
         }
     }

@@ -3,12 +3,28 @@
 //! BAR sizing, capability walk, feature negotiation, queue programming —
 //! across the `bmhive-pcie` and `bmhive-virtio` crates together.
 
+use bmhive_pcie::config::offsets;
 use bmhive_pcie::{Bdf, PciBus};
 use bmhive_sim::SimTime;
 use bmhive_virtio::{
     status, DeviceType, Feature, VirtioPciFunction, CAP_COMMON_CFG, CAP_DEVICE_CFG, CAP_ISR_CFG,
     CAP_NOTIFY_CFG,
 };
+
+/// Walks `bdf`'s capability list through config reads, from the
+/// header's capability pointer along each capability's next byte, and
+/// returns each capability's `(offset, id)`.
+fn capability_list(bus: &PciBus, bdf: Bdf) -> Vec<(u16, u8)> {
+    let mut caps = Vec::new();
+    let mut ptr = bus.config_read(bdf, offsets::CAP_PTR, 1) as u16;
+    while ptr != 0 {
+        // 48 four-byte capabilities fill the 192 bytes past the header.
+        assert!(caps.len() < 48, "capability list does not terminate");
+        caps.push((ptr, bus.config_read(bdf, ptr, 1) as u8));
+        ptr = bus.config_read(bdf, ptr + 1, 1) as u16;
+    }
+    caps
+}
 
 /// Reads a capability's little-endian u32 body field.
 fn cap_u32(bus: &PciBus, bdf: Bdf, cap_offset: u16, field: u16) -> u32 {
@@ -56,8 +72,7 @@ fn firmware_discovers_and_drives_a_virtio_net_function() {
     let net_bar = mapped.iter().find(|m| m.bdf == net_bdf).unwrap();
 
     // 3. Walk the capability list for the four virtio windows.
-    let device = bus.device(net_bdf).unwrap();
-    let caps = device.config().capabilities();
+    let caps = capability_list(&bus, net_bdf);
     let vendor_caps: Vec<u16> = caps
         .iter()
         .filter(|(_, id)| *id == 0x09)

@@ -102,7 +102,9 @@ fn backend_failure_marks_device_needs_reset() {
         .unwrap();
     let mut backend = Virtqueue::new(dev.shadow(0).unwrap().shadow_layout());
     let chain = backend.pop_avail(&base).unwrap().expect("replayed chain");
-    assert_eq!(chain.readable.gather(&base).unwrap(), b"inflight");
+    let mut msg = Vec::new();
+    chain.readable.gather_into(&base, &mut msg).unwrap();
+    assert_eq!(msg, b"inflight");
     backend.push_used(&mut base, chain.head, 0).unwrap();
     assert!(backend.pop_avail(&base).unwrap().is_none(), "exactly once");
     dev.service_into(&mut board, &mut base, SimTime::from_micros(20), &mut pass)
@@ -153,7 +155,8 @@ fn staging_exhaustion_backpressures_and_recovers() {
             .unwrap();
         // Backend drains whatever made it through.
         while let Some(chain) = backend.pop_avail(&base).unwrap() {
-            let msg = chain.readable.gather(&base).unwrap();
+            let mut msg = Vec::new();
+            chain.readable.gather_into(&base, &mut msg).unwrap();
             completed.push(String::from_utf8(msg).unwrap());
             backend.push_used(&mut base, chain.head, 0).unwrap();
         }
@@ -168,7 +171,8 @@ fn staging_exhaustion_backpressures_and_recovers() {
             .sync_to_shadow(&board, &mut base, SimTime::from_micros(10 + extra))
             .unwrap();
         while let Some(chain) = backend.pop_avail(&base).unwrap() {
-            let msg = chain.readable.gather(&base).unwrap();
+            let mut msg = Vec::new();
+            chain.readable.gather_into(&base, &mut msg).unwrap();
             completed.push(String::from_utf8(msg).unwrap());
             backend.push_used(&mut base, chain.head, 0).unwrap();
         }

@@ -1,5 +1,5 @@
 //! Regenerates every table and figure of the paper's evaluation, runs
-//! and merges sweeps of them, and keeps the `repro bench` ledger of
+//! sweeps of them, and keeps the `repro bench` ledger of
 //! each experiment's deterministic work counts (host time is measured
 //! by the `hivebench` benchmark, not here).
 //!
@@ -13,8 +13,6 @@
 //! cargo run -p bmhive-bench --release --bin repro -- --metrics fig11
 //! cargo run -p bmhive-bench --release --bin repro -- --faults link-flap faults
 //! cargo run -p bmhive-bench --release --bin repro -- sweep --jobs 8
-//! cargo run -p bmhive-bench --release --bin repro -- sweep --jobs 8 --shard 0/3 --out shard-0
-//! cargo run -p bmhive-bench --release --bin repro -- merge shard-0 shard-1 shard-2
 //! cargo run -p bmhive-bench --release --bin repro -- bench --out BENCH_results.json
 //! cargo run -p bmhive-bench --release --bin repro -- bench --check BENCH_results.json
 //! ```
@@ -24,8 +22,7 @@
 //! or a `bench --check` count that differs from the baseline.
 
 use bmhive_bench::harness::BenchReport;
-use bmhive_bench::merge;
-use bmhive_bench::sweep::{self, Shard, SweepSpec};
+use bmhive_bench::sweep::{self, SweepSpec};
 use bmhive_bench::{Report, EXPERIMENTS};
 use bmhive_telemetry as telemetry;
 use std::path::{Path, PathBuf};
@@ -44,7 +41,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("sweep") => sweep_main(&args[1..]),
-        Some("merge") => merge_main(&args[1..]),
         Some("bench") => bench_main(&args[1..]),
         _ => repro_main(&args),
     };
@@ -241,19 +237,11 @@ fn repro_main(args: &[String]) -> Result<(), String> {
 fn sweep_main(args: &[String]) -> Result<(), String> {
     let mut spec = SweepSpec::full_matrix();
     let mut out_dir: Option<PathBuf> = None;
-    let mut shard: Option<Shard> = None;
     let mut experiments: Vec<String> = Vec::new();
     let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--jobs" => spec.jobs = jobs_value(&mut args)?,
-            "--shard" => {
-                let s: String = value(
-                    &mut args,
-                    "--shard requires I/N (e.g. 0/3); I counts from 0 and must be < N",
-                )?;
-                shard = Some(Shard::parse(&s).map_err(|e| e.to_string())?);
-            }
             "--seeds" => {
                 spec.seeds = args
                     .next()
@@ -289,45 +277,25 @@ fn sweep_main(args: &[String]) -> Result<(), String> {
     if spec.trace && out_dir.is_none() {
         return Err("sweep --trace needs --out DIR to write the per-cell trace files".into());
     }
-    if shard.is_some() && out_dir.is_none() {
-        return Err("sweep --shard needs --out DIR to hold the shard's cells and manifest".into());
-    }
     if let Some(dir) = &out_dir {
         create_out_dir(dir)?;
     }
 
     let start = Instant::now();
-    let outputs =
-        sweep::run_sweep_shard(&spec, shard.unwrap_or(Shard::WHOLE)).map_err(|e| e.to_string())?;
+    let outputs = sweep::run_sweep(&spec).map_err(|e| e.to_string())?;
     let wall = start.elapsed();
 
-    for (_, out) in &outputs {
+    for out in &outputs {
         print!("{}", sweep::render_cell(out));
     }
     if let Some(dir) = &out_dir {
-        match shard {
-            // Sharded runs write the manifest alongside the cells so
-            // `repro merge` can validate and reassemble the split.
-            Some(shard) => {
-                merge::write_shard_dir(dir, &spec, shard, &outputs).map_err(|e| e.to_string())?
-            }
-            None => {
-                for (_, out) in &outputs {
-                    let stem = out.cell.file_stem();
-                    write(&dir.join(format!("{stem}.txt")), sweep::render_cell(out))?;
-                    if let Some(trace) = &out.trace_json {
-                        write(&dir.join(format!("{stem}.trace.json")), trace)?;
-                    }
-                }
-            }
-        }
+        sweep::write_cells(dir, &outputs)?;
     }
-    let shard_note = match shard {
-        Some(s) => format!(" [shard {s}]"),
-        None => String::new(),
-    };
+    for note in outputs.iter().filter_map(|out| out.dropped_spans_note()) {
+        eprintln!("[sweep] {note}");
+    }
     eprintln!(
-        "[sweep] {} cell(s){shard_note} ({} experiment(s) x {} seed(s) x {} plan(s)) with --jobs {} in {:.3}s",
+        "[sweep] {} cell(s) ({} experiment(s) x {} seed(s) x {} plan(s)) with --jobs {} in {:.3}s",
         outputs.len(),
         spec.experiments.len(),
         spec.seeds.len(),
@@ -337,56 +305,8 @@ fn sweep_main(args: &[String]) -> Result<(), String> {
     );
     verdict(
         "sweep",
-        outputs.iter().flat_map(|(_, out)| out.failures()).collect(),
+        outputs.iter().flat_map(|out| out.failures()).collect(),
     )
-}
-
-/// `repro merge`: validate shard directories and reassemble the serial
-/// sweep output from them.
-fn merge_main(args: &[String]) -> Result<(), String> {
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut out_dir: Option<PathBuf> = None;
-    let mut args = args.iter().cloned();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_dir = Some(value(&mut args, "--out requires a directory")?),
-            "--help" | "-h" => {
-                print_merge_help();
-                return Ok(());
-            }
-            other if other.starts_with('-') => {
-                return Err(format!(
-                    "unknown merge flag '{other}' (see repro merge --help)"
-                ))
-            }
-            other => dirs.push(other.into()),
-        }
-    }
-    if dirs.is_empty() {
-        return Err(
-            "repro merge needs at least one shard directory (see repro merge --help)".into(),
-        );
-    }
-
-    let plan = merge::plan_merge(&dirs).map_err(|e| e.to_string())?;
-    let combined = plan.concat_reports().map_err(|e| e.to_string())?;
-    print!("{combined}");
-    if let Some(dir) = &out_dir {
-        plan.write_combined(dir).map_err(|e| e.to_string())?;
-        eprintln!(
-            "[merge] wrote {} cell(s) under {}",
-            plan.cells.len(),
-            dir.display()
-        );
-    }
-    let splits: Vec<String> = plan.manifests.iter().map(|m| m.shard.to_string()).collect();
-    eprintln!(
-        "[merge] {} shard(s) [{}] -> {} cell(s)",
-        plan.manifests.len(),
-        splits.join(", "),
-        plan.cells.len(),
-    );
-    Ok(())
 }
 
 /// `repro bench`: count each experiment's work and emit/check the ledger.
@@ -531,7 +451,6 @@ fn print_help() {
         "USAGE: repro [--seed N] [--jobs N] [--out DIR] [--trace FILE] [--metrics] [--faults PLAN] [experiment ...]"
     );
     println!("       repro sweep [...]   parallel (experiment x seed x plan) sweep (see repro sweep --help)");
-    println!("       repro merge [...]   reassemble sharded sweep output (see repro merge --help)");
     println!("       repro bench [...]   exact-count work ledger (see repro bench --help)");
     println!();
     println!("  --seed N       seed for every stochastic experiment (default 1)");
@@ -544,7 +463,11 @@ fn print_help() {
     println!("  --out DIR      write each experiment as DIR/<id>.txt + DIR/<id>.json");
     println!("                 (the JSON carries every gate's value, bound and verdict)");
     println!("  --trace FILE   record a virtual-time telemetry trace of the run and");
-    println!("                 write it as Chrome trace_event JSON (chrome://tracing)");
+    println!("                 write it as Chrome trace_event JSON (chrome://tracing);");
+    println!(
+        "                 the ring keeps only the last {} spans",
+        telemetry::DEFAULT_CAPACITY
+    );
     println!("  --metrics      print the latency attribution and metrics registry");
     println!("  --faults PLAN  arm a fault plan for the whole run: a canned name");
     println!("                 (link-flap, dma-timeout, backend-brownout, board-loss)");
@@ -565,36 +488,22 @@ fn print_help() {
 fn print_sweep_help() {
     println!("repro sweep — run the (experiment x seed x fault-plan) cross product in parallel");
     println!();
-    println!("USAGE: repro sweep [--jobs N] [--seeds LIST] [--plans LIST] [--shard I/N] [--trace] [--out DIR] [experiment ...]");
+    println!("USAGE: repro sweep [--jobs N] [--seeds LIST] [--plans LIST] [--trace] [--out DIR] [experiment ...]");
     println!();
     println!("  --jobs N       worker threads, at least 1 (output is byte-identical for any N)");
     println!("  --seeds LIST   comma-separated seeds (default 1,2,3,4)");
     println!("  --plans LIST   comma-separated plan names/files; 'clean' = no faults,");
     println!("                 'all' = clean + every canned plan (the default)");
-    println!("  --shard I/N    run only the cells whose canonical index is congruent to I");
-    println!("                 mod N (0 <= I < N); requires --out, where a shard.json");
-    println!("                 manifest is written for `repro merge`. Run every shard of");
-    println!("                 the same spec (anywhere), then merge the directories.");
-    println!("  --trace        record a chrome trace per cell (requires --out)");
+    println!("  --trace        record a chrome trace per cell (requires --out); each");
+    println!(
+        "                 cell's ring keeps only its last {} spans, and stderr names",
+        telemetry::DEFAULT_CAPACITY
+    );
+    println!("                 every cell that dropped some");
     println!("  --out DIR      write DIR/<exp>-s<seed>-<plan>.txt (+ .trace.json with --trace)");
     println!();
     println!("Cells print in deterministic (experiment, seed, plan) order regardless of --jobs.");
     println!("Exits non-zero when any cell has a failing or skipped gate or an unrecovered fault.");
-}
-
-fn print_merge_help() {
-    println!("repro merge — reassemble a sharded sweep, byte-identical to the serial run");
-    println!();
-    println!("USAGE: repro merge [--out DIR] SHARD_DIR...");
-    println!();
-    println!("  --out DIR      also copy every cell's files into DIR (the combined");
-    println!("                 directory a whole-matrix `sweep --out` would have written)");
-    println!();
-    println!("Validates the shard.json manifests first: every shard must come from the");
-    println!("same spec (experiments, seeds, plans, trace), no cell may appear twice, and");
-    println!("the shards together must cover the whole matrix. The concatenated cell");
-    println!("reports are printed to stdout in canonical order — byte-identical to");
-    println!("`repro sweep --jobs 1` stdout for the same spec.");
 }
 
 fn print_bench_help() {

@@ -8,7 +8,6 @@
 //! evaluation. All experiments are deterministic in their seed.
 
 pub mod harness;
-pub mod merge;
 pub mod par;
 pub mod sweep;
 

@@ -18,6 +18,7 @@ use bmhive_faults as faults;
 use bmhive_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// The plan column for a cell that injects nothing.
 pub const CLEAN: &str = "clean";
@@ -64,20 +65,6 @@ impl SweepSpec {
         }
     }
 
-    /// Expands the spec into the cells a shard owns, each paired with
-    /// its canonical (global) index, in deterministic order.
-    pub fn shard_cells(&self, shard: Shard) -> Result<Vec<(usize, SweepCell)>, SweepError> {
-        // Re-validate even pre-built Shard values so a hand-rolled
-        // struct update cannot smuggle in an empty split.
-        let shard = Shard::new(shard.index, shard.count)?;
-        Ok(self
-            .cells()?
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| shard.covers(*i))
-            .collect())
-    }
-
     /// Expands the spec into its cells, in deterministic order
     /// (experiment-major, then seed, then plan), validating every
     /// experiment id up front.
@@ -101,65 +88,6 @@ impl SweepSpec {
             }
         }
         Ok(cells)
-    }
-}
-
-/// A shard selector over the canonical cell order: shard `index` of
-/// `count` owns exactly the cells whose canonical index is congruent
-/// to `index` modulo `count`.
-///
-/// Striding (rather than contiguous ranges) keeps every shard's load
-/// balanced across the experiment axis — cell cost varies by orders of
-/// magnitude between `table1` and `fig1` — and makes coverage checks
-/// trivial: any set of shards merges completely iff the union of their
-/// cell indices is exactly `0..total`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    index: usize,
-    count: usize,
-}
-
-impl Shard {
-    /// The degenerate single-shard split covering every cell.
-    pub const WHOLE: Shard = Shard { index: 0, count: 1 };
-
-    /// Shard `index` of `count`. Requires `count > 0` and
-    /// `index < count`.
-    pub fn new(index: usize, count: usize) -> Result<Shard, SweepError> {
-        if count == 0 || index >= count {
-            return Err(SweepError::InvalidShard { index, count });
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// Parses the CLI form `I/N`, e.g. `0/3`.
-    pub fn parse(s: &str) -> Result<Shard, SweepError> {
-        let invalid = || SweepError::InvalidShardSyntax(s.to_string());
-        let (index, count) = s.split_once('/').ok_or_else(invalid)?;
-        let index: usize = index.trim().parse().map_err(|_| invalid())?;
-        let count: usize = count.trim().parse().map_err(|_| invalid())?;
-        Shard::new(index, count)
-    }
-
-    /// This shard's position.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total shards in the split.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Whether this shard owns the cell at canonical index `i`.
-    pub fn covers(&self, i: usize) -> bool {
-        i % self.count == self.index
-    }
-}
-
-impl fmt::Display for Shard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
     }
 }
 
@@ -214,6 +142,9 @@ pub struct CellOutput {
     pub fault_stats: Option<faults::FaultStats>,
     /// Chrome trace_event JSON when the sweep traced.
     pub trace_json: Option<String>,
+    /// Spans the telemetry ring buffer evicted, so missing from
+    /// `trace_json`; 0 when untraced.
+    pub dropped_spans: u64,
 }
 
 /// Why a sweep could not run.
@@ -223,15 +154,6 @@ pub enum SweepError {
     UnknownExperiment(String),
     /// A plan that is neither canned nor a parseable JSON file.
     UnknownPlan(String),
-    /// A shard selector with `count == 0` or `index >= count`.
-    InvalidShard {
-        /// The requested shard index.
-        index: usize,
-        /// The requested shard count.
-        count: usize,
-    },
-    /// A shard argument that is not of the form `I/N`.
-    InvalidShardSyntax(String),
 }
 
 impl fmt::Display for SweepError {
@@ -239,16 +161,6 @@ impl fmt::Display for SweepError {
         match self {
             SweepError::UnknownExperiment(id) => f.write_str(&crate::unknown_experiment(id)),
             SweepError::UnknownPlan(msg) => write!(f, "{msg}"),
-            SweepError::InvalidShard { index, count } => write!(
-                f,
-                "invalid shard {index}/{count}: need count > 0 and index < count"
-            ),
-            SweepError::InvalidShardSyntax(arg) => {
-                write!(
-                    f,
-                    "invalid shard '{arg}': expected I/N with I < N, e.g. 0/3"
-                )
-            }
         }
     }
 }
@@ -274,35 +186,24 @@ pub fn resolve_plan(arg: &str) -> Result<faults::FaultPlan, SweepError> {
 /// Runs one cell on the calling thread, isolated by
 /// [`crate::par::isolated`]: workers own their thread-local slots,
 /// which is exactly what makes parallel cells independent.
-pub fn run_cell(cell: &SweepCell, plan: Option<&faults::FaultPlan>, trace: bool) -> CellOutput {
+fn run_cell(cell: &SweepCell, plan: Option<&faults::FaultPlan>, trace: bool) -> CellOutput {
     debug_assert_eq!(cell.plan.is_some(), plan.is_some());
     let exp = crate::experiment(&cell.experiment)
         .expect("cell experiment ids are validated by SweepSpec::cells");
     let armed = plan.map(|p| (p.clone(), cell.seed));
     let (report, fault_stats, snapshot) =
         crate::par::isolated(armed, trace, || exp.render(cell.seed));
-    CellOutput {
-        cell: cell.clone(),
-        report,
-        fault_stats,
-        trace_json: snapshot.map(|snap| telemetry::export::chrome_trace(&snap.events)),
-    }
+    CellOutput::new(cell.clone(), report, fault_stats, snapshot)
 }
 
-/// Runs one shard of the sweep: only the cells the shard owns, each
-/// returned with its canonical index, in canonical order regardless of
-/// `spec.jobs`. Each cell's bytes are identical to what the same cell
-/// produces in a whole-matrix run — cells are self-contained, so the
-/// partition axis is invisible to them.
-pub fn run_sweep_shard(
-    spec: &SweepSpec,
-    shard: Shard,
-) -> Result<Vec<(usize, CellOutput)>, SweepError> {
-    let cells = spec.shard_cells(shard)?;
+/// Runs every cell of the sweep and returns the outputs in canonical
+/// cell order, regardless of `spec.jobs`.
+pub fn run_sweep(spec: &SweepSpec) -> Result<Vec<CellOutput>, SweepError> {
+    let cells = spec.cells()?;
     // Resolve each distinct plan once (a JSON-file plan would
     // otherwise be re-read and re-parsed per cell).
     let mut plans: BTreeMap<String, faults::FaultPlan> = BTreeMap::new();
-    for (_, cell) in &cells {
+    for cell in &cells {
         if let Some(name) = cell.plan.as_deref() {
             if !plans.contains_key(name) {
                 plans.insert(name.to_string(), resolve_plan(name)?);
@@ -316,13 +217,27 @@ pub fn run_sweep_shard(
     crate::par::work_share(
         cells.len(),
         jobs,
-        |i| {
-            let (index, cell) = &cells[i];
-            (*index, run_cell(cell, plan_for(cell), spec.trace))
-        },
+        |i| run_cell(&cells[i], plan_for(&cells[i]), spec.trace),
         |out| outs.push(out),
     );
     Ok(outs)
+}
+
+/// Writes each cell's artifacts into the existing directory `dir`:
+/// `<stem>.txt` holding the exact [`render_cell`] bytes, and
+/// `<stem>.trace.json` when the cell was traced.
+pub fn write_cells(dir: &Path, outputs: &[CellOutput]) -> Result<(), String> {
+    let write = |path: PathBuf, contents: &str| {
+        std::fs::write(&path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    };
+    for out in outputs {
+        let stem = out.cell.file_stem();
+        write(dir.join(format!("{stem}.txt")), &render_cell(out))?;
+        if let Some(trace) = &out.trace_json {
+            write(dir.join(format!("{stem}.trace.json")), trace)?;
+        }
+    }
+    Ok(())
 }
 
 /// Renders a cell for stdout — the banner, the report, and the fault
@@ -338,6 +253,38 @@ pub fn render_cell(out: &CellOutput) -> String {
 }
 
 impl CellOutput {
+    fn new(
+        cell: SweepCell,
+        report: crate::Report,
+        fault_stats: Option<faults::FaultStats>,
+        snapshot: Option<telemetry::Snapshot>,
+    ) -> Self {
+        CellOutput {
+            cell,
+            report,
+            fault_stats,
+            trace_json: snapshot
+                .as_ref()
+                .map(|snap| telemetry::export::chrome_trace(&snap.events)),
+            dropped_spans: snapshot.map_or(0, |snap| snap.dropped),
+        }
+    }
+
+    /// The warning for a cell whose trace overflowed the ring buffer,
+    /// naming the cell and how many spans it lost; `None` when its
+    /// trace is whole.
+    pub fn dropped_spans_note(&self) -> Option<String> {
+        (self.dropped_spans > 0).then(|| {
+            format!(
+                "{}: {} span(s) dropped by the ring buffer: its trace keeps \
+                 only the last {} recorded",
+                self.cell.label(),
+                self.dropped_spans,
+                telemetry::DEFAULT_CAPACITY
+            )
+        })
+    }
+
     /// Why this cell fails the sweep: `label/gate -> VERDICT` for every
     /// gate that did not pass, and one line when the armed plan left a
     /// fault unrecovered. Empty for a passing cell.
@@ -393,19 +340,17 @@ mod tests {
     fn unknown_plan_is_rejected_before_any_cell_runs() {
         let mut spec = tiny_spec(1, false);
         spec.plans = vec![Some("no-such-plan-or-file".into())];
-        assert!(matches!(
-            run_sweep_shard(&spec, Shard::WHOLE),
-            Err(SweepError::UnknownPlan(_))
-        ));
+        assert!(matches!(run_sweep(&spec), Err(SweepError::UnknownPlan(_))));
     }
 
     #[test]
     fn parallel_sweep_matches_serial_byte_for_byte() {
-        let serial = run_sweep_shard(&tiny_spec(1, true), Shard::WHOLE).unwrap();
-        let parallel = run_sweep_shard(&tiny_spec(4, true), Shard::WHOLE).unwrap();
+        let serial = run_sweep(&tiny_spec(1, true)).unwrap();
+        let parallel = run_sweep(&tiny_spec(4, true)).unwrap();
         assert_eq!(serial.len(), parallel.len());
-        for ((_, s), (_, p)) in serial.iter().zip(&parallel) {
+        for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.cell, p.cell);
+            assert_eq!(s.dropped_spans, p.dropped_spans);
             assert_eq!(s.report, p.report, "report differs for {}", s.cell.label());
             assert_eq!(
                 s.fault_stats,
@@ -424,73 +369,48 @@ mod tests {
 
     #[test]
     fn clean_cells_have_no_fault_stats_and_injected_cells_do() {
-        let outs = run_sweep_shard(&tiny_spec(2, false), Shard::WHOLE).unwrap();
-        for (_, out) in &outs {
+        let outs = run_sweep(&tiny_spec(2, false)).unwrap();
+        for out in &outs {
             assert_eq!(out.cell.plan.is_some(), out.fault_stats.is_some());
             assert!(out.trace_json.is_none());
+            assert_eq!(out.dropped_spans, 0);
+            assert_eq!(out.dropped_spans_note(), None);
         }
+    }
+
+    #[test]
+    fn a_traced_cell_carries_and_names_its_dropped_spans() {
+        // A snapshot whose ring overflowed by three spans, built by hand
+        // so no span-heavy experiment has to run.
+        let cell = tiny_spec(1, true).cells().unwrap().swap_remove(1);
+        let snapshot = telemetry::Snapshot {
+            events: Vec::new(),
+            registry: telemetry::Registry::new(),
+            dropped: 3,
+            sim_events: 0,
+        };
+        let out = CellOutput::new(cell, crate::Report::default(), None, Some(snapshot));
+        assert_eq!(
+            out.trace_json.as_deref(),
+            Some(telemetry::export::chrome_trace(&[]).as_str())
+        );
+        assert_eq!(out.dropped_spans, 3);
+        assert_eq!(
+            out.dropped_spans_note().as_deref(),
+            Some(
+                "table1/seed1/link-flap: 3 span(s) dropped by the ring buffer: \
+                 its trace keeps only the last 262144 recorded"
+            )
+        );
     }
 
     #[test]
     fn render_is_banner_report_then_stats() {
-        let outs = run_sweep_shard(&tiny_spec(1, false), Shard::WHOLE).unwrap();
-        let (_, injected) = outs.iter().find(|(_, o)| o.cell.plan.is_some()).unwrap();
+        let outs = run_sweep(&tiny_spec(1, false)).unwrap();
+        let injected = outs.iter().find(|o| o.cell.plan.is_some()).unwrap();
         let text = render_cell(injected);
         assert!(text.starts_with(&format!("======== {} ========\n", injected.cell.label())));
         assert!(text.contains("-------- fault stats --------\n"));
-    }
-
-    #[test]
-    fn shard_parse_accepts_valid_and_rejects_invalid() {
-        assert_eq!(Shard::parse("0/3").unwrap(), Shard::new(0, 3).unwrap());
-        assert_eq!(Shard::parse("2/3").unwrap().to_string(), "2/3");
-        for bad in ["3/3", "4/3", "0/0", "1", "a/b", "-1/3", "1/", "/3"] {
-            assert!(Shard::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn shards_partition_cells_disjointly_and_completely() {
-        let spec = tiny_spec(1, false);
-        let all = spec.cells().unwrap();
-        for n in [1usize, 2, 3, 5] {
-            let mut seen = vec![0u32; all.len()];
-            for i in 0..n {
-                for (idx, cell) in spec.shard_cells(Shard::new(i, n).unwrap()).unwrap() {
-                    assert_eq!(idx % n, i, "cell {idx} in wrong shard {i}/{n}");
-                    assert_eq!(cell, all[idx], "cell {idx} out of canonical order");
-                    seen[idx] += 1;
-                }
-            }
-            assert!(
-                seen.iter().all(|&c| c == 1),
-                "split {n}: coverage {seen:?} is not a partition"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_cells_are_byte_identical_to_their_whole_run_twins() {
-        let spec = tiny_spec(2, true);
-        let whole = run_sweep_shard(&spec, Shard::WHOLE).unwrap();
-        for i in 0..3 {
-            for (idx, out) in run_sweep_shard(&spec, Shard::new(i, 3).unwrap()).unwrap() {
-                let (_, twin) = &whole[idx];
-                assert_eq!(out.cell, twin.cell);
-                assert_eq!(out.report, twin.report, "{}", out.cell.label());
-                assert_eq!(out.fault_stats, twin.fault_stats);
-                assert_eq!(out.trace_json, twin.trace_json);
-            }
-        }
-    }
-
-    #[test]
-    fn invalid_shard_is_rejected() {
-        let spec = tiny_spec(1, false);
-        assert!(matches!(
-            spec.shard_cells(Shard { index: 5, count: 3 }),
-            Err(SweepError::InvalidShard { index: 5, count: 3 })
-        ));
     }
 
     #[test]

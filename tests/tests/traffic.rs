@@ -6,7 +6,7 @@
 //! gates — the cloning closed-form check and the neighbour-isolation /
 //! hedge-tail checks.
 
-use bmhive_bench::sweep::{render_cell, run_sweep_shard, Shard, SweepSpec};
+use bmhive_bench::sweep::{render_cell, run_sweep, SweepSpec};
 use bmhive_traffic::{run, ArrivalModel, DispatchMode, Policy, TrafficConfig};
 use bmhive_workloads::openloop::ServiceTime;
 
@@ -22,11 +22,11 @@ fn traffic_matrix(jobs: usize) -> SweepSpec {
 
 #[test]
 fn traffic_policies_sweep_is_byte_identical_across_jobs() {
-    let serial = run_sweep_shard(&traffic_matrix(1), Shard::WHOLE).expect("serial sweep");
-    let parallel = run_sweep_shard(&traffic_matrix(4), Shard::WHOLE).expect("parallel sweep");
+    let serial = run_sweep(&traffic_matrix(1)).expect("serial sweep");
+    let parallel = run_sweep(&traffic_matrix(4)).expect("parallel sweep");
     assert_eq!(serial.len(), parallel.len());
     assert_eq!(serial.len(), 2 * 2);
-    for ((_, s), (_, p)) in serial.iter().zip(&parallel) {
+    for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.cell, p.cell, "cell order must not depend on --jobs");
         let label = s.cell.label();
         assert_eq!(s.report, p.report, "{label}: report differs");

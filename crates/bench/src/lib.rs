@@ -1450,9 +1450,9 @@ fn fleet_scale(seed: u64, out: &mut Report) {
 
     // Gate 2: histogram percentiles track exact quickselect on the
     // materialized reference within the bucket-midpoint resolution.
-    let mut worst_pct_err = 0.0f64;
+    let (mut worst_pct_err, mut scratch) = (0.0f64, Vec::new());
     for p in [50.0, 99.0, 99.9] {
-        let exact = bmhive_sim::stats::exact_percentile(&rates, p);
+        let exact = bmhive_sim::stats::exact_percentile_into(&rates, p, &mut scratch);
         let streamed = base_census.rate_percentile(p);
         worst_pct_err = worst_pct_err.max((streamed - exact).abs() / exact);
     }

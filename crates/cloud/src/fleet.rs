@@ -482,7 +482,7 @@ impl RegionHostDay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmhive_sim::stats::exact_percentile;
+    use bmhive_sim::stats::exact_percentile_into;
 
     #[test]
     fn census_reproduces_table2_within_tolerance() {
@@ -558,8 +558,9 @@ mod tests {
     fn census_rate_percentiles_track_quickselect() {
         let rates: Vec<f64> = ExitRateStream::production(1).take(20_000).collect();
         let census = ExitCensus::run(20_000, &[10_000.0], 1);
+        let mut scratch = Vec::new();
         for p in [50.0, 99.0, 99.9] {
-            let exact = exact_percentile(&rates, p);
+            let exact = exact_percentile_into(&rates, p, &mut scratch);
             let streamed = census.rate_percentile(p);
             let err = (streamed - exact).abs() / exact;
             assert!(

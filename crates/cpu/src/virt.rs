@@ -103,7 +103,7 @@ pub fn diurnal_load(hour: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bmhive_sim::stats::exact_percentile;
+    use bmhive_sim::stats::exact_percentile_into;
 
     /// The per-call samplers: the reference [`PreemptionModel::fill_at_load`]
     /// is checked against, one draw at a time.
@@ -209,12 +209,13 @@ mod tests {
     #[test]
     fn preemption_percentiles_match_fig1() {
         let mut rng = SimRng::new(7);
+        let mut scratch = Vec::new();
         let shared = PreemptionModel::shared();
         let samples: Vec<f64> = (0..20_000)
             .map(|_| shared.sample(&mut rng) * 100.0)
             .collect();
-        let p99 = exact_percentile(&samples, 99.0);
-        let p999 = exact_percentile(&samples, 99.9);
+        let p99 = exact_percentile_into(&samples, 99.0, &mut scratch);
+        let p999 = exact_percentile_into(&samples, 99.9, &mut scratch);
         assert!((1.5..=5.0).contains(&p99), "shared p99 {p99}%");
         assert!((2.0..=12.0).contains(&p999), "shared p99.9 {p999}%");
         assert!(p999 > p99);
@@ -223,8 +224,8 @@ mod tests {
         let samples: Vec<f64> = (0..20_000)
             .map(|_| exclusive.sample(&mut rng) * 100.0)
             .collect();
-        let p99 = exact_percentile(&samples, 99.0);
-        let p999 = exact_percentile(&samples, 99.9);
+        let p99 = exact_percentile_into(&samples, 99.0, &mut scratch);
+        let p999 = exact_percentile_into(&samples, 99.9, &mut scratch);
         assert!((0.05..=0.5).contains(&p99), "exclusive p99 {p99}%");
         assert!((0.1..=1.0).contains(&p999), "exclusive p99.9 {p999}%");
     }

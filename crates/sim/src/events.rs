@@ -11,8 +11,8 @@
 //! `SLOTS` power-of-two buckets over the raw `SimTime` nanoseconds.
 //! Level `l` buckets are `2^(6l)` ns wide, so the wheel spans `2^48` ns
 //! (~3.2 simulated days) before falling back to a sorted overflow spill
-//! list. Schedule and pop are amortized O(1): an entry is linked into
-//! the bucket its time hashes to; a pop pulls the minimum straight out
+//! list. Schedule and pop are amortized O(1): an entry is appended to
+//! the bucket its time hashes to; a pop takes the minimum straight out
 //! of the lowest occupied bucket, advancing the cursor to it and
 //! re-hashing only that bucket's survivors (each lands at a strictly
 //! lower level, because they share the level digit with the new
@@ -22,25 +22,40 @@
 //!
 //! Every pending event lives in one slot of a single slab
 //! (`Vec<Node<E>>`); the buckets and the overflow spill hold `u32` slot
-//! ids, and each bucket is an intrusive singly-linked chain through the
-//! nodes' `next` field. Every schedule, whatever the population, goes
-//! to one of those two places. Popped slots are pushed onto a free list
-//! threaded through the same `next` field and recycled by the next
-//! schedule, so steady state — schedule, pop, cascade — performs
-//! **zero heap allocations**: a cascade relinks chain nodes instead of
-//! moving entries between `Vec`s, and the slab only grows while the
-//! pending population exceeds every previous peak.
-//! [`EventQueue::pop_batch`] drains a whole tick into a caller scratch
-//! buffer so hot loops don't interleave peeks and pops.
+//! ids, and each bucket is an intrusive FIFO ring through the nodes'
+//! `next` field: the bucket holds the ring's tail, and the tail's
+//! `next` is its head, so appending and taking the head are both O(1).
+//! Every schedule, whatever the population, goes to one of those two
+//! places. Popped slots are pushed onto a free list threaded through
+//! the same `next` field and recycled by the next schedule, so steady
+//! state — schedule, pop, cascade — performs **zero heap
+//! allocations**: a cascade relinks ring nodes instead of moving
+//! entries between `Vec`s, and the slab only grows while the pending
+//! population exceeds every previous peak. [`EventQueue::pop_batch`]
+//! drains a whole tick into a caller scratch buffer in one ring walk.
 //!
-//! Determinism: every pop selects the strict minimum `(time, seq)`
-//! pair, exactly like the binary-heap implementation this replaced
-//! (kept in the test-only `heap` module as the model for the randomized
-//! equivalence test). Chains are scanned for the minimum rather than
-//! trusting link order, because a cascaded batch can link older-`seq`
-//! entries behind newer direct inserts. A schedule before the last
-//! popped time panics in [`EventQueue::schedule`], so no pending event
-//! ever precedes the clock.
+//! Determinism: every pop yields the strict minimum `(time, seq)` pair,
+//! exactly like the binary-heap implementation this replaced (kept in
+//! the test-only `heap` module as the model for the randomized
+//! equivalence tests). One invariant makes the ring order do that
+//! work: **in every ring, entries with the same time run in ascending
+//! `seq`**. It holds by construction, because every append keeps it:
+//!
+//! - a direct schedule carries a `seq` above every pending one;
+//! - a cascade re-places its survivors in ring order, and every bucket
+//!   they land in was empty (all levels below the cascaded one are);
+//! - the overflow spill drains in `(time, seq)` order into an empty
+//!   wheel.
+//!
+//! A level-0 bucket covers one nanosecond, so its ring is entirely in
+//! `seq` order and a pop takes its head; a cascade's minimum is the
+//! *first* minimum-time entry of its ring, found by comparing times
+//! alone. Every pending event of the tick just popped sits in one
+//! level-0 ring (the tick agrees with the cursor above its low `BITS`
+//! bits, and overflow only holds later `2^48` ns blocks), which is why
+//! `pop_batch` can take that ring whole. A schedule before the
+//! last popped time panics in [`EventQueue::schedule`], so no pending
+//! event ever precedes the clock.
 
 use crate::time::SimTime;
 
@@ -51,12 +66,11 @@ const SLOTS: usize = 1 << BITS;
 /// Wheel levels; times more than `2^(BITS*LEVELS)` ns past the cursor
 /// spill to the sorted overflow list.
 const LEVELS: usize = 8;
-/// Null slot id for intrusive links (chain ends, empty buckets, empty
-/// free list).
+/// Null slot id for intrusive links (empty buckets, free-list end).
 const NIL: u32 = u32::MAX;
 
 /// One slab slot: an event with its key and the intrusive link used
-/// both for bucket chains (while pending) and the free list (while
+/// both for bucket rings (while pending) and the free list (while
 /// recycled). `event` is `None` only on the free list.
 #[derive(Debug, Clone)]
 struct Node<E> {
@@ -89,16 +103,17 @@ pub struct EventQueue<E> {
     /// Head of the free list threaded through `Node::next` (`NIL` when
     /// every slot is live).
     free: u32,
-    /// `LEVELS * SLOTS` bucket chain heads, level-major (`NIL` =
-    /// empty). Chains are unordered; pops min-scan them.
-    heads: Vec<u32>,
+    /// `LEVELS * SLOTS` bucket ring tails, level-major (`NIL` =
+    /// empty); a tail's `next` is its ring's head.
+    tails: Vec<u32>,
     /// One occupancy bitmap per level (bit `s` = bucket `s` non-empty).
     occupied: [u64; LEVELS],
     /// Slot ids beyond the wheel span, ascending by `(time, seq)`.
     overflow: Vec<u32>,
     /// Placement origin: entries hash into the wheel relative to this.
-    /// Advances to the base of the bucket being cascaded; always
-    /// `<= last_popped` and `<=` every pending wheel time.
+    /// Advances to the time a cascade pops, or to the earliest overflow
+    /// entry on a drain; always `<= last_popped` and `<=` every pending
+    /// wheel time.
     cursor: u64,
     len: usize,
     seq: u64,
@@ -111,7 +126,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             slab: Vec::new(),
             free: NIL,
-            heads: vec![NIL; LEVELS * SLOTS],
+            tails: vec![NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
             overflow: Vec::new(),
             cursor: 0,
@@ -119,14 +134,6 @@ impl<E> EventQueue<E> {
             seq: 0,
             last_popped: SimTime::ZERO,
         }
-    }
-
-    /// Slab slots ever allocated: the peak concurrent population, not
-    /// the total event count. Recycling keeps this bounded under
-    /// churn; the slab-reuse test pins that contract.
-    #[cfg(test)]
-    fn slab_len(&self) -> usize {
-        self.slab.len()
     }
 
     /// `(time, seq)` key of a live slot.
@@ -195,9 +202,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Hashes slot `id` into the wheel relative to `self.cursor` by
-    /// linking it at the head of its bucket chain, or into the sorted
-    /// overflow spill if it lies beyond the wheel span. Requires the
-    /// slot's time `>= self.cursor`.
+    /// appending it to its bucket's ring, or into the sorted overflow
+    /// spill if it lies beyond the wheel span. Requires the slot's time
+    /// `>= self.cursor`.
     fn place(&mut self, id: u32) {
         let time = self.slab[id as usize].time;
         let distance = time ^ self.cursor;
@@ -214,9 +221,12 @@ impl<E> EventQueue<E> {
         }
         let slot = ((time >> (BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         self.occupied[level] |= 1 << slot;
-        let head = &mut self.heads[level * SLOTS + slot];
-        self.slab[id as usize].next = *head;
-        *head = id;
+        let tail = std::mem::replace(&mut self.tails[level * SLOTS + slot], id);
+        self.slab[id as usize].next = if tail == NIL {
+            id
+        } else {
+            std::mem::replace(&mut self.slab[tail as usize].next, id)
+        };
     }
 
     /// Removes and returns the earliest event, with its scheduled time.
@@ -231,75 +241,52 @@ impl<E> EventQueue<E> {
             };
             let slot = self.occupied[level].trailing_zeros() as usize;
             let idx = level * SLOTS + slot;
-            if level == 0 {
-                // A 1 ns bucket: every entry shares `time`, so the
-                // minimum is the smallest seq (FIFO). Unlink it from
-                // the chain in place — no moves, no allocation.
-                let head = self.heads[idx];
-                let mut min_id = head;
-                let mut min_prev = NIL;
-                let mut prev = head;
-                let mut cur = self.slab[head as usize].next;
-                while cur != NIL {
-                    if self.slab[cur as usize].seq < self.slab[min_id as usize].seq {
-                        min_id = cur;
-                        min_prev = prev;
-                    }
-                    prev = cur;
-                    cur = self.slab[cur as usize].next;
-                }
-                let after = self.slab[min_id as usize].next;
-                if min_prev == NIL {
-                    self.heads[idx] = after;
-                } else {
-                    self.slab[min_prev as usize].next = after;
-                }
-                if self.heads[idx] == NIL {
+            let tail = self.tails[idx];
+            let head = self.slab[tail as usize].next;
+            let id = if level == 0 {
+                // A 1 ns ring runs in seq (FIFO) order: take its head.
+                if head == tail {
+                    self.tails[idx] = NIL;
                     self.occupied[0] &= !(1u64 << slot);
+                } else {
+                    self.slab[tail as usize].next = self.slab[head as usize].next;
                 }
-                self.len -= 1;
-                let (time_ns, event) = self.free_node(min_id);
-                let time = SimTime::from_nanos(time_ns);
-                debug_assert!(time >= self.last_popped);
-                self.last_popped = time;
-                return Some((time, event));
-            }
-            // Single-pass cascade: this bucket holds the wheel's
-            // minimum, so advance the cursor straight to that minimum
-            // (every other wheel entry is strictly later) and pop it.
-            // The bucket's survivors share the level digit with the
-            // new cursor, so re-placing them always lands strictly
-            // lower — one pass over one chain per pop, relinking nodes
-            // instead of moving entries between vectors.
-            self.occupied[level] &= !(1u64 << slot);
-            let head = std::mem::replace(&mut self.heads[idx], NIL);
-            let min_id = if self.slab[head as usize].next == NIL {
                 head
             } else {
+                // Single-pass cascade: this bucket holds the wheel's
+                // minimum, so advance the cursor straight to that
+                // minimum (every other wheel entry is strictly later)
+                // and pop it. Equal times run in seq order, so the
+                // first minimum-time entry is the `(time, seq)` minimum.
+                self.tails[idx] = NIL;
+                self.occupied[level] &= !(1u64 << slot);
                 let mut min_id = head;
-                let mut cur = self.slab[head as usize].next;
-                while cur != NIL {
-                    if self.key(cur) < self.key(min_id) {
+                let mut cur = head;
+                while cur != tail {
+                    cur = self.slab[cur as usize].next;
+                    if self.slab[cur as usize].time < self.slab[min_id as usize].time {
                         min_id = cur;
                     }
-                    cur = self.slab[cur as usize].next;
                 }
-                // Advance the cursor before re-placing the survivors so
-                // they hash relative to the new minimum.
+                // The survivors share the level digit with the new
+                // cursor, so re-placing them in ring order lands each
+                // strictly lower, in buckets that were empty.
                 self.cursor = self.slab[min_id as usize].time;
                 let mut cur = head;
-                while cur != NIL {
+                loop {
                     let next = self.slab[cur as usize].next;
                     if cur != min_id {
                         self.place(cur);
+                    }
+                    if cur == tail {
+                        break;
                     }
                     cur = next;
                 }
                 min_id
             };
             self.len -= 1;
-            let (time_ns, event) = self.free_node(min_id);
-            self.cursor = time_ns;
+            let (time_ns, event) = self.free_node(id);
             let time = SimTime::from_nanos(time_ns);
             debug_assert!(time >= self.last_popped);
             self.last_popped = time;
@@ -326,9 +313,24 @@ impl<E> EventQueue<E> {
         };
         let tick = first.0;
         out.push(first);
-        while self.peek_time() == Some(tick) {
-            let next = self.pop().expect("peeked a pending event");
-            out.push(next);
+        // Every other pending event at `tick` is in this one level-0
+        // ring, already in seq order: unlink it whole and drain it.
+        let slot = (tick.as_nanos() & (SLOTS as u64 - 1)) as usize;
+        let tail = std::mem::replace(&mut self.tails[slot], NIL);
+        if tail != NIL {
+            self.occupied[0] &= !(1u64 << slot);
+            let mut cur = self.slab[tail as usize].next;
+            loop {
+                let next = self.slab[cur as usize].next;
+                let (time_ns, event) = self.free_node(cur);
+                debug_assert_eq!(time_ns, tick.as_nanos());
+                self.len -= 1;
+                out.push((tick, event));
+                if cur == tail {
+                    break;
+                }
+                cur = next;
+            }
         }
         out.len()
     }
@@ -348,29 +350,6 @@ impl<E> EventQueue<E> {
             self.place(id);
         }
         self.overflow.drain(..fits);
-    }
-
-    /// The scheduled time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel_min_time()
-            .or_else(|| self.overflow.first().map(|&id| self.slab[id as usize].time))
-            .map(SimTime::from_nanos)
-    }
-
-    /// Minimum time across the wheel levels, without cascading: the
-    /// earliest entry always lives in the lowest occupied slot of the
-    /// lowest occupied level.
-    fn wheel_min_time(&self) -> Option<u64> {
-        let level = self.occupied.iter().position(|&occ| occ != 0)?;
-        let slot = self.occupied[level].trailing_zeros() as usize;
-        let mut cur = self.heads[level * SLOTS + slot];
-        let mut min: Option<u64> = None;
-        while cur != NIL {
-            let node = &self.slab[cur as usize];
-            min = Some(min.map_or(node.time, |m| m.min(node.time)));
-            cur = node.next;
-        }
-        min
     }
 
     /// Number of pending events.
@@ -401,7 +380,7 @@ impl<E> Default for EventQueue<E> {
 /// metering batch efficiency.
 ///
 /// A long-running experiment loop written as `while let Some(..) =
-/// queue.pop()` pays the wheel's peek/pop bookkeeping once per event; a
+/// queue.pop()` pays the wheel's pop bookkeeping once per event; a
 /// `BatchRunner` pays it once per *tick* and then walks the drained
 /// batch linearly, dispatching each event through the caller's handler
 /// (whose per-variant arms are compiled once, outside the drain loop).
@@ -612,8 +591,8 @@ mod tests {
     #[test]
     fn ties_break_fifo_across_bucket_boundaries() {
         // Same-time events interleaved with events that hash to other
-        // levels and slots: cascades link older-seq entries behind
-        // newer ones, and the min-scan must still pop strict FIFO.
+        // levels and slots: a cascade re-places older-seq entries ahead
+        // of newer direct inserts, and pops must still be strict FIFO.
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(100); // level > 0 from cursor 0
         q.schedule(t, 0);
@@ -630,6 +609,75 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 3)));
         assert_eq!(q.pop().unwrap().1, 200);
         assert_eq!(q.pop(), None);
+    }
+
+    /// The ordering invariant, checked structurally after every
+    /// operation: same-tick bursts of over a thousand, level-crossing
+    /// jumps and overflow leaps, drained through both `pop` and
+    /// `pop_batch`.
+    #[test]
+    fn rings_keep_equal_times_in_seq_order() {
+        for seed in 0..4u64 {
+            let mut rng = SimRng::with_stream(seed, 0x7a11);
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut batch = Vec::new();
+            // Each event carries the op count at its schedule, so
+            // payloads rise with seq. Two same-tick bursts per seed.
+            let mut ops = 0u64;
+            let mut next_burst = rng.range(1_000, 4_000);
+            while ops < 20_000 {
+                if ops >= next_burst {
+                    next_burst = ops + rng.range(9_000, 12_000);
+                    // One shared tick: now, in level 0, or a level or two up.
+                    let offset = match rng.below(3) {
+                        0 => 0,
+                        1 => rng.below(64),
+                        _ => rng.below(1 << 14),
+                    };
+                    let t = SimTime::from_nanos(q.now().as_nanos() + offset);
+                    for _ in 0..rng.range(1_000, 1_100) {
+                        q.schedule(t, ops);
+                        ops += 1;
+                        q.check_rings();
+                    }
+                } else if q.len() < 64 && rng.chance(0.5) {
+                    for _ in 0..rng.range(1, 24) {
+                        let offset = match rng.below(10) {
+                            0..=5 => rng.below(64),
+                            6 | 7 => rng.below(1 << 14),
+                            8 => rng.below(1 << 30),
+                            _ => (1 << 47) + rng.below(1 << 49),
+                        };
+                        q.schedule(SimTime::from_nanos(q.now().as_nanos() + offset), ops);
+                        ops += 1;
+                        q.check_rings();
+                    }
+                } else if rng.chance(0.5) {
+                    for _ in 0..rng.range(1, 64) {
+                        let before = q.now();
+                        let Some((time, _)) = q.pop() else { break };
+                        assert!(time >= before, "seed {seed}: pop went back in time");
+                        ops += 1;
+                        q.check_rings();
+                    }
+                } else {
+                    for _ in 0..rng.range(1, 8) {
+                        let n = q.pop_batch(&mut batch);
+                        assert!(batch.iter().all(|&(time, _)| time == batch[0].0));
+                        assert!(batch.windows(2).all(|w| w[0].1 < w[1].1));
+                        ops += n as u64;
+                        q.check_rings();
+                        if n == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            while q.pop_batch(&mut batch) > 0 {
+                q.check_rings();
+            }
+            assert!(q.is_empty(), "seed {seed}");
+        }
     }
 
     #[test]
@@ -1005,5 +1053,110 @@ mod tests {
             }
             assert_eq!(model.pop(), None, "seed {seed} drain end");
         }
+    }
+}
+
+/// Test-only views of the wheel's internals.
+#[cfg(test)]
+impl<E> EventQueue<E> {
+    /// Slab slots ever allocated: the peak concurrent population, not
+    /// the total event count. Recycling keeps this bounded under
+    /// churn; the slab-reuse test pins that contract.
+    fn slab_len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// The scheduled time of the earliest pending event, without
+    /// cascading: it lives in the lowest occupied bucket of the lowest
+    /// occupied level. A level-0 bucket's time is its slot within the
+    /// cursor's 64 ns block.
+    fn peek_time(&self) -> Option<SimTime> {
+        let time = match self.occupied.iter().position(|&occ| occ != 0) {
+            Some(0) => {
+                (self.cursor & !(SLOTS as u64 - 1)) | u64::from(self.occupied[0].trailing_zeros())
+            }
+            Some(level) => {
+                let slot = self.occupied[level].trailing_zeros() as usize;
+                let tail = self.tails[level * SLOTS + slot];
+                let (mut cur, mut min) = (tail, u64::MAX);
+                loop {
+                    cur = self.slab[cur as usize].next;
+                    min = min.min(self.slab[cur as usize].time);
+                    if cur == tail {
+                        break min;
+                    }
+                }
+            }
+            None => self.slab[*self.overflow.first()? as usize].time,
+        };
+        Some(SimTime::from_nanos(time))
+    }
+
+    /// The `(time, seq)` keys of bucket `idx`'s ring, head to tail,
+    /// into `keys` (cleared first).
+    fn ring_into(&self, idx: usize, keys: &mut Vec<(u64, u64)>) {
+        keys.clear();
+        let tail = self.tails[idx];
+        if tail == NIL {
+            return;
+        }
+        let mut cur = tail;
+        for _ in 0..self.slab.len() {
+            cur = self.slab[cur as usize].next;
+            keys.push(self.key(cur));
+            if cur == tail {
+                return;
+            }
+        }
+        panic!("ring {idx} never returns to its tail");
+    }
+
+    /// Walks every ring and checks the ordering invariant the pops rely
+    /// on, plus the bookkeeping around it.
+    fn check_rings(&self) {
+        let mut pending = self.overflow.len();
+        let mut keys = Vec::new();
+        for (level, tails) in self.tails.chunks_exact(SLOTS).enumerate() {
+            // Every occupied bit names a non-empty ring, and with those
+            // blanked out no ring is left.
+            let mut unnamed: [u32; SLOTS] = tails.try_into().expect("one level");
+            let mut bits = self.occupied[level];
+            while bits != 0 {
+                let slot = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                assert_ne!(
+                    tails[slot], NIL,
+                    "level {level} slot {slot}: bit set, ring empty"
+                );
+                unnamed[slot] = NIL;
+                self.ring_into(level * SLOTS + slot, &mut keys);
+                pending += keys.len();
+                if level == 0 {
+                    // A 1 ns bucket holds one time, so the check below
+                    // makes its whole ring run in seq order.
+                    let time = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
+                    assert!(
+                        keys.iter().all(|&(t, _)| t == time),
+                        "level-0 slot {slot} holds a time other than {time}"
+                    );
+                }
+                // A stable sort by time keeps ring order within a time.
+                keys.sort_by_key(|&(time, _)| time);
+                for w in keys.windows(2) {
+                    assert!(
+                        w[0].0 != w[1].0 || w[0].1 < w[1].1,
+                        "level {level} slot {slot}: time {} runs seq {} before {}",
+                        w[0].0,
+                        w[0].1,
+                        w[1].1
+                    );
+                }
+            }
+            assert_eq!(
+                unnamed, [NIL; SLOTS],
+                "level {level}: a non-empty ring has no occupied bit"
+            );
+        }
+        assert_eq!(self.len, pending, "len disagrees with rings plus overflow");
     }
 }

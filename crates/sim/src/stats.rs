@@ -319,24 +319,19 @@ impl Summary {
     }
 }
 
-/// Exact percentile over a slice of samples (sorts a copy).
+/// Exact percentile over a slice of samples, with a caller-owned
+/// scratch buffer.
 ///
 /// Used when the sample population is small enough to keep (e.g. 20 000
 /// per-VM preemption rates in Fig. 1) and exact order statistics matter.
+/// `samples` is copied into `scratch` (reusing its capacity) and
+/// quickselected in place, so repeated percentile queries over
+/// same-sized sample sets — the fig1 study asks four per hour —
+/// allocate at most once across all of them.
 ///
 /// # Panics
 ///
 /// Panics if `samples` is empty or `p` is outside `[0, 100]`.
-pub fn exact_percentile(samples: &[f64], p: f64) -> f64 {
-    let mut scratch = Vec::new();
-    exact_percentile_into(samples, p, &mut scratch)
-}
-
-/// [`exact_percentile`] with a caller-owned scratch buffer: `samples`
-/// is copied into `scratch` (reusing its capacity) and quickselected
-/// in place, so repeated percentile queries over same-sized sample
-/// sets — the fig1 study asks four per hour — allocate at most once
-/// across all of them instead of cloning per call.
 pub fn exact_percentile_into(samples: &[f64], p: f64, scratch: &mut Vec<f64>) -> f64 {
     assert!(!samples.is_empty(), "exact_percentile: empty sample set");
     assert!(
@@ -419,8 +414,9 @@ mod tests {
         for &s in &samples {
             h.record(s);
         }
+        let mut scratch = Vec::new();
         for p in [50.0, 90.0, 99.0, 99.9] {
-            let exact = exact_percentile(&samples, p);
+            let exact = exact_percentile_into(&samples, p, &mut scratch);
             let approx = h.percentile(p);
             let rel_err = (approx - exact).abs() / exact;
             assert!(rel_err < 0.05, "p{p}: approx {approx} vs exact {exact}");
@@ -634,17 +630,18 @@ mod tests {
     #[test]
     fn exact_percentile_order_statistics() {
         let samples: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        assert_eq!(exact_percentile(&samples, 99.0), 990.0);
-        assert_eq!(exact_percentile(&samples, 99.9), 999.0);
-        assert_eq!(exact_percentile(&samples, 100.0), 1000.0);
-        assert_eq!(exact_percentile(&samples, 0.0), 1.0);
+        let mut scratch = Vec::new();
+        assert_eq!(exact_percentile_into(&samples, 99.0, &mut scratch), 990.0);
+        assert_eq!(exact_percentile_into(&samples, 99.9, &mut scratch), 999.0);
+        assert_eq!(exact_percentile_into(&samples, 100.0, &mut scratch), 1000.0);
+        assert_eq!(exact_percentile_into(&samples, 0.0, &mut scratch), 1.0);
         // Any percentile of any sample set is one of the samples.
         for seed in 0..256 {
             let mut rng = SimRng::with_stream(seed, 0xe8ac);
             let values = random_samples(&mut rng, 1..200, 0.0, 1e6);
             let p = rng.range_f64(0.0, 100.0);
             assert!(
-                values.contains(&exact_percentile(&values, p)),
+                values.contains(&exact_percentile_into(&values, p, &mut scratch)),
                 "seed {seed}: p{p}"
             );
         }

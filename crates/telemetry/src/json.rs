@@ -3,9 +3,8 @@
 //!
 //! The workspace builds with no registry access, so `serde_json` is not
 //! available; this module implements just enough of RFC 8259 to read
-//! back what the workspace writes — fault plans, fault stats, bench
-//! reports and sweep manifests (objects, arrays, strings, numbers,
-//! booleans, null). Strings are written with
+//! back what the workspace writes — fault plans, fault stats and bench
+//! reports (objects, arrays, strings, numbers, booleans, null). Strings are written with
 //! [`json_escape`](crate::export::json_escape).
 
 use std::collections::BTreeMap;

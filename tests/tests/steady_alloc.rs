@@ -48,16 +48,28 @@ fn warmed_allocs_at(id: &str, seed: u64) -> u64 {
 }
 
 /// One schedule/drain cycle against the wheel: a burst of randomly
-/// spread timers, drained in whole-tick batches through a reused
-/// scratch buffer.
+/// spread timers plus a tie-heavy burst of `ties` more, half of them on
+/// one shared tick, drained in whole-tick batches through a reused
+/// scratch buffer. The shared tick makes `pop_batch` take a long
+/// level-0 ring in one drain.
 fn churn_cycle(
     q: &mut EventQueue<u64>,
     rng: &mut SimRng,
     base: &mut u64,
     scratch: &mut Vec<(SimTime, u64)>,
+    ties: u64,
 ) -> u64 {
     for i in 0..64u64 {
         let at = *base + 1 + rng.below(1 << 20);
+        q.schedule(SimTime::from_nanos(at), i);
+    }
+    let shared = *base + 1 + rng.below(1 << 20);
+    for i in 0..ties {
+        let at = if i % 2 == 0 {
+            shared
+        } else {
+            *base + 1 + rng.below(1 << 20)
+        };
         q.schedule(SimTime::from_nanos(at), i);
     }
     let mut drained = 0u64;
@@ -70,6 +82,8 @@ fn churn_cycle(
 
 #[test]
 fn warmed_timer_wheel_churns_with_zero_allocations() {
+    const TIES: u64 = 128;
+    const PER_CYCLE: u64 = 64 + TIES;
     assert!(alloc::installed(), "the test binary installs CountingAlloc");
     let mut q = EventQueue::new();
     let mut rng = SimRng::with_stream(7, 0xA110C);
@@ -79,22 +93,23 @@ fn warmed_timer_wheel_churns_with_zero_allocations() {
     // steady-state footprint.
     let mut drained = 0u64;
     for _ in 0..200 {
-        drained += churn_cycle(&mut q, &mut rng, &mut base, &mut scratch);
+        drained += churn_cycle(&mut q, &mut rng, &mut base, &mut scratch, TIES);
     }
-    assert_eq!(drained, 200 * 64, "warm-up must drain everything");
+    assert_eq!(drained, 200 * PER_CYCLE, "warm-up must drain everything");
     // Steady state: the slab free-list recycles every node, batches
-    // reuse the scratch, cascades relink in place. Not one allocation.
+    // reuse the scratch, cascades relink in place, and a shared tick's
+    // ring drains straight into the scratch. Not one allocation.
     let (drained, allocs) = alloc::measure_allocs(|| {
         let mut n = 0u64;
         for _ in 0..5_000 {
-            n += churn_cycle(&mut q, &mut rng, &mut base, &mut scratch);
+            n += churn_cycle(&mut q, &mut rng, &mut base, &mut scratch, TIES);
         }
         n
     });
-    assert_eq!(drained, 5_000 * 64);
+    assert_eq!(drained, 5_000 * PER_CYCLE);
     assert_eq!(
         allocs, 0,
-        "a warmed wheel must not allocate: {allocs} allocations over 320k events"
+        "a warmed wheel must not allocate: {allocs} allocations over {drained} events"
     );
 }
 

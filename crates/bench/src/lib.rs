@@ -1901,8 +1901,8 @@ kernel-stack PPS ceiling: fpga 3.46M -> asic 3.58M
         const FIG9: &str = "\
 Fig. 9. UDP packet receive rate (small packets, 4M PPS cap)
 guest      |   mean PPS |    max PPS |   jitter
-bm-guest   |    3.488e6 |    3.603e6 |    2.33%
-vm-guest   |    3.631e6 |    3.695e6 |    1.07%
+bm-guest   |    3.436e6 |    3.604e6 |    3.11%
+vm-guest   |    3.636e6 |    3.725e6 |    1.04%
 (paper: both >3.2M PPS; vm slightly better with less jitter)
 unrestricted bm-guest (DPDK, no cap): 15.7M PPS  (paper: 16M PPS)
 TCP throughput, 64 conns x 1400B: bm 10.13 Gbit/s, vm 10.13 Gbit/s (paper: 9.6 / 9.59)
@@ -1946,26 +1946,26 @@ fault engine: disarmed (clean run)
 Fault injection: bm-guest I/O under plan 'dma-timeout'
 ops completed  |   net tx |   net rx |      blk
                |      150 |      150 |       30
-net send latency: mean 2.04 us, p99 2.69 us
-virtual horizon t+2.168ms; vswitch shed 0; board resets 0; chains replayed 0
+net send latency: mean 2.07 us, p99 2.69 us
+virtual horizon t+2.169ms; vswitch shed 0; board resets 0; chains replayed 0
 -- fault engine --
 fault stats (plan \"dma-timeout\"):
   injected:
-    dma/dma-timeout: 1
+    dma/dma-timeout: 2
     doorbell/dropped-doorbell: 1
     mailbox/mailbox-stall: 1
     vring/descriptor-corrupt: 4
   retries:
-    dma: 4
+    dma: 8
     mailbox: 3
   recovered:
-    dma: 1
+    dma: 2
     mailbox: 1
   degraded-ns:
     doorbell: 10000
     vring: 1012
   recovery:
-    dma: recovered 1, unrecovered 0
+    dma: recovered 2, unrecovered 0
     mailbox: recovered 1, unrecovered 0
   recovered: yes
 ";

@@ -82,7 +82,7 @@ impl PreemptionModel {
     /// each scaled by a [`diurnal_load`] factor and capped. Every fleet
     /// sampler draws through here; the values are bit-identical to the
     /// same number of single draws (the per-call reference in this
-    /// module's tests), and a Box–Muller spare carries across calls.
+    /// module's tests).
     pub fn fill_at_load(&self, rng: &mut SimRng, load: f64, out: &mut [f64]) {
         rng.fill_lognormal(self.ln_median, self.sigma, out);
         for v in out {
@@ -142,12 +142,10 @@ mod tests {
 
     #[test]
     fn bulk_fills_match_single_sample_streams_bit_for_bit() {
-        // Fleet samplers alternate fills on one RNG, so an odd fill
-        // leaves a Box–Muller spare that the next fill starts from. Run
-        // the preemption fills once from fresh RNGs and once after an
-        // odd exit-rate fill has cached a spare; either way every fill
-        // must match single draws bit for bit and leave both RNGs in
-        // lockstep.
+        // Fleet samplers alternate fills on one RNG. Run the preemption
+        // fills once from fresh RNGs and once after an odd exit-rate
+        // fill; either way every fill must match single draws bit for
+        // bit and leave both RNGs in lockstep.
         for exit_draws in [0usize, 501] {
             let mut single = SimRng::with_stream(3, 0xce15);
             let mut bulk = SimRng::with_stream(3, 0xce15);

@@ -156,7 +156,7 @@ mod tests {
     fn evaluation_image_boot_reports_are_pinned_on_both_platforms() {
         // The firmware's reads reap without copying their data out, which
         // moves no simulated time: the reports keep these exact values.
-        for (report, finished_ns) in [(booted_bm().1, 18_840_298), (booted_vm().1, 20_822_191)] {
+        for (report, finished_ns) in [(booted_bm().1, 18_737_651), (booted_vm().1, 20_248_234)] {
             let finished_at = SimTime::from_nanos(finished_ns);
             assert_eq!(
                 report,

@@ -12,6 +12,8 @@
 //! * [`SimRng`] — a seedable PCG-family random number generator with the
 //!   distribution helpers the workload generators need. The same seed
 //!   always produces the same experiment output, on every platform.
+//! * [`math`] — `exp` and `ln` from IEEE basic operations and checked-in
+//!   tables, so the normal family's draws carry no libm bits.
 //! * [`stats`] — histograms, summaries and percentile math used by the
 //!   benchmark harness to report the paper's tables and figures.
 //! * [`ratelimit`] — token buckets that model the cloud's per-instance
@@ -33,6 +35,7 @@
 //! ```
 
 pub mod events;
+pub mod math;
 pub mod ratelimit;
 pub mod resource;
 pub mod rng;

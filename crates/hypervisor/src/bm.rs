@@ -51,10 +51,12 @@ pub struct IoBond {
     base: GuestRam,
     net_dev: IoBondDevice,
     blk_dev: IoBondDevice,
-    /// Where the next recovery epoch's shadow rings go in base RAM
-    /// (each reset rebuilds at a fresh region, like a fresh mmap in a
-    /// restarted backend process).
-    next_base_region: GuestAddr,
+    /// The base-RAM window holding both devices' shadow rings, table
+    /// areas and staging pools: its start and length. A recovery
+    /// releases it with the dead epoch and rebuilds the new one in
+    /// place, as a restarted backend process's fresh mapping reads zero.
+    region: GuestAddr,
+    region_len: u64,
     /// Guest kicks skipped because the post landed inside the PMD's
     /// published EVENT_IDX poll window (the poller was going to see the
     /// descriptors anyway — §3.4.2's polling discipline).
@@ -73,15 +75,28 @@ impl IoBond {
         }
     }
 
+    /// [`device`](Self::device), or [`SessionError::DeviceDown`] if it
+    /// is not live: its backend failed and no recovery rebuilt every
+    /// queue.
+    fn live_device(&self, queue: Queue) -> Result<(&IoBondDevice, usize), SessionError> {
+        let (dev, q) = self.device(queue);
+        if !dev.is_live() {
+            return Err(SessionError::DeviceDown { op: queue.op() });
+        }
+        Ok((dev, q))
+    }
+
     /// Runs one service pass of `queue`'s device at `at`: syncs guest
     /// chains into the shadow rings and completions back, and surfaces
-    /// a latched escalation as a per-op error.
+    /// a latched escalation as a per-op error. A device that is not
+    /// live is not serviced.
     fn service(
         &mut self,
         board: &mut GuestRam,
         queue: Queue,
         at: SimTime,
     ) -> Result<(), SessionError> {
+        self.live_device(queue)?;
         let dev = match queue {
             Queue::Rx | Queue::Tx => &mut self.net_dev,
             Queue::Blk => &mut self.blk_dev,
@@ -129,6 +144,7 @@ impl Transport for IoBond {
         at: SimTime,
     ) -> Result<SimTime, SessionError> {
         self.service(board, queue, at)?;
+        // A live device's pass reports every queue, in queue order.
         Ok(self.svc_report.tx[self.device(queue).1].done_at)
     }
 
@@ -136,10 +152,10 @@ impl Transport for IoBond {
     /// register read through the mailbox, so a mailbox stall blocks the
     /// poll (and escalates the op once its retries run out).
     fn poll(&self, queue: Queue, at: SimTime) -> Result<SimTime, SessionError> {
-        let (dev, q) = self.device(queue);
+        let (dev, q) = self.live_device(queue)?;
         let (cost, escalated) = dev
             .shadow(q)
-            .expect("activated")
+            .expect("a live device has every queue")
             .register_poll_recovery_at(at);
         if escalated {
             return Err(SessionError::Escalated {
@@ -245,18 +261,21 @@ impl GuestSession<IoBond> {
             &[blk_layout],
         );
 
-        // Shadow rings + staging pools in the backend's base RAM.
-        let mut region = GuestAddr::new(0x100_000);
+        // Shadow rings, table areas and staging pools in the backend's
+        // base RAM.
+        let region = GuestAddr::new(0x100_000);
+        let mut end = region;
         for dev in [&mut net_dev, &mut blk_dev] {
-            let used = dev.activate(&mut base, region).expect("activate");
-            region = (region + used).align_up(4096);
+            let used = dev.activate(&mut base, end).expect("activate");
+            end = (end + used).align_up(4096);
         }
         let transport = IoBond {
             profile,
             base,
             net_dev,
             blk_dev,
-            next_base_region: region,
+            region,
+            region_len: end - region,
             doorbells_suppressed: 0,
             svc_report: ServiceReport::default(),
         };
@@ -287,15 +306,20 @@ impl GuestSession<IoBond> {
 
     /// Checks the armed fault plan for a compute-board power loss and,
     /// if one fires at `now`, runs the full recovery path: both IO-Bond
-    /// functions are flagged needs-reset, re-handshaken at a fresh base
-    /// region once power returns, the poll-mode backends are rebuilt
-    /// from the new shadow rings, and every inflight chain is replayed.
+    /// functions are flagged needs-reset, the dead epoch's base region
+    /// is released, both are re-handshaken and rebuilt in that region
+    /// once power returns, the poll-mode backends are rebuilt from the
+    /// new shadow rings, and every inflight chain is replayed. Recovery
+    /// reuses the same base memory every time, so a session survives
+    /// any number of power losses.
     ///
     /// Returns `None` when no plan is armed or no power loss fires.
     ///
     /// # Errors
     ///
-    /// Fails if a device cannot complete its recovery handshake.
+    /// Fails if a device cannot complete its recovery handshake. A
+    /// device left without a live shadow queue then fails every op on it
+    /// with [`SessionError::DeviceDown`].
     pub fn poll_faults(&mut self, now: SimTime) -> Result<Option<BoardOutage>, SessionError> {
         if !faults::is_armed() {
             return Ok(None);
@@ -311,15 +335,23 @@ impl GuestSession<IoBond> {
         io.blk_dev.mark_backend_failed();
         debug_assert!(io.net_dev.needs_reset() && io.blk_dev.needs_reset());
 
-        // Recovery can only start once power is back. Each device
-        // rebuilds its shadow rings at the next fresh base region.
+        // Recovery can only start once power is back. The dead epoch's
+        // rings, tables and staging die with its backend process, and
+        // each device rebuilds in the region they held.
         let restart = now + outage;
+        io.base.release(io.region, io.region_len)?;
+        let mut end = io.region;
         let mut replayed_chains = 0;
         for dev in [&mut io.net_dev, &mut io.blk_dev] {
-            let report = dev.recover_from_backend_failure(&mut io.base, io.next_base_region)?;
-            io.next_base_region = (io.next_base_region + report.base_bytes).align_up(4096);
+            let report = dev.recover_from_backend_failure(&mut io.base, end)?;
+            end = (end + report.base_bytes).align_up(4096);
             replayed_chains += report.replayed_chains;
         }
+        debug_assert_eq!(
+            end - io.region,
+            io.region_len,
+            "an epoch outgrew its region"
+        );
 
         // The old backend process is gone with its ring cursors; the
         // new one consumes the new shadow rings from the start.
@@ -716,6 +748,129 @@ mod tests {
         assert_eq!(stats.site(FaultSite::Board).resets, 2);
         assert!(stats.site(FaultSite::Board).replayed >= 60);
         assert!(stats.all_recovered());
+    }
+
+    /// The production queue size `BmHiveServer::power_on` uses.
+    fn production_session() -> BmGuestSession {
+        BmGuestSession::new(
+            IoBondProfile::fpga(),
+            MacAddr::for_guest(1),
+            256,
+            InstanceLimits::unrestricted(),
+        )
+    }
+
+    /// One send, one receive and one 16 KiB read from `t`, each checked
+    /// byte for byte; returns when the last completed.
+    fn send_receive_read(s: &mut BmGuestSession, store: &mut BlockStore, t: SimTime) -> SimTime {
+        let mut out = Vec::new();
+        let (_, timing) = s
+            .net_send(MacAddr::for_guest(2), PacketKind::Udp, b"tx", t, &mut out)
+            .unwrap();
+        assert_eq!(out, b"tx");
+        let timing = s.net_receive(b"rx", timing.completed, &mut out).unwrap();
+        assert_eq!(out, b"rx");
+        let header = BlkRequestHeader::new(BlkRequestType::In, 40);
+        let (status, timing) = s
+            .blk_request(store, header, &[], 16 << 10, timing.completed, &mut out)
+            .unwrap();
+        assert_eq!(status, BlkStatus::Ok);
+        let expect: Vec<u8> = (0..16 << 10).map(|i| volume_byte(40, i)).collect();
+        assert_eq!(out, expect);
+        timing.completed
+    }
+
+    #[test]
+    fn a_production_session_survives_repeated_board_losses() {
+        let mut s = production_session();
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 12);
+        let mut t = send_receive_read(&mut s, &mut store, SimTime::ZERO);
+        let mut pages = Vec::new();
+        for loss in 0..2 {
+            // The canned loss fires at 400 µs; re-armed, it fires again
+            // at the next poll.
+            faults::arm(faults::canned("board-loss").unwrap(), 5 + loss);
+            let outage = s
+                .poll_faults(t.max(SimTime::from_micros(405)))
+                .unwrap()
+                .expect("power loss fires");
+            assert!(outage.replayed_chains >= 255, "loss {loss}");
+            t = send_receive_read(&mut s, &mut store, outage.recovered_at);
+            let stats = faults::disarm().expect("stats");
+            assert_eq!(stats.site(FaultSite::Board).resets, 2, "loss {loss}");
+            assert!(stats.all_recovered(), "loss {loss}");
+            pages.push(s.transport.base.resident_pages());
+        }
+        // Each epoch is rebuilt in the region the last one held.
+        assert_eq!(pages[0], pages[1]);
+    }
+
+    #[test]
+    fn a_failed_recovery_fails_each_op_with_a_typed_error() {
+        let mut s = session();
+        let mut out = Vec::new();
+        s.net_send(
+            MacAddr::for_guest(2),
+            PacketKind::Udp,
+            b"pre",
+            SimTime::ZERO,
+            &mut out,
+        )
+        .unwrap();
+        // Move the epoch's region near the top of base RAM: the rebuild
+        // places the net rx queue, then runs out of memory for tx.
+        s.transport.region = GuestAddr::new((256 << 20) - (8 << 20));
+        s.transport.region_len = 0;
+        faults::arm(faults::canned("board-loss").unwrap(), 3);
+        let err = s.poll_faults(SimTime::from_micros(405)).unwrap_err();
+        assert!(matches!(err, SessionError::Virtio(_)), "{err}");
+        faults::disarm();
+        assert!(s.transport.net_dev.shadow(RX_Q).is_some());
+        assert!(s.transport.net_dev.shadow(TX_Q).is_none());
+        // Every op on either device is refused, none panics.
+        let now = SimTime::from_micros(600);
+        let mut store = BlockStore::new(StorageClass::CloudSsd, 4);
+        let header = BlkRequestHeader::new(BlkRequestType::In, 0);
+        let errors = [
+            s.net_send(MacAddr::for_guest(2), PacketKind::Udp, b"x", now, &mut out)
+                .map(|_| ())
+                .unwrap_err(),
+            s.net_receive(b"y", now, &mut out).map(|_| ()).unwrap_err(),
+            s.blk_request(&mut store, header, &[], 512, now, &mut out)
+                .map(|_| ())
+                .unwrap_err(),
+        ];
+        let ops = errors.map(|e| match e {
+            SessionError::DeviceDown { op } => op,
+            other => panic!("expected DeviceDown, got {other:?}"),
+        });
+        assert_eq!(ops, ["net_send", "net_receive", "blk_request"]);
+    }
+
+    #[test]
+    fn the_rx_cycle_holds_its_resident_pages_flat() {
+        let mut s = production_session();
+        let (mut out, mut t) = (Vec::new(), SimTime::ZERO);
+        let mut pages = Vec::new();
+        for pair in 1..=1000 {
+            let (_, timing) = s
+                .net_send(
+                    MacAddr::for_guest(2),
+                    PacketKind::Udp,
+                    &[7; 64],
+                    t,
+                    &mut out,
+                )
+                .unwrap();
+            let timing = s.net_receive_into(&out, timing.completed, None).unwrap();
+            t = timing.completed;
+            if matches!(pair, 1 | 300 | 1000) {
+                pages.push((s.ram.resident_pages(), s.transport.base.resident_pages()));
+            }
+        }
+        // The first pair already touched every page the cycle holds:
+        // the 256 posted rx buffers and their staging runs hold none.
+        assert_eq!(pages, [pages[0]; 3]);
     }
 
     #[test]

@@ -54,6 +54,12 @@ pub enum SessionError {
     NoBuffers,
     /// The backend received a malformed request.
     BadRequest(&'static str),
+    /// The device serving `op` has no live shadow queue: its backend
+    /// failed and no recovery has rebuilt it.
+    DeviceDown {
+        /// The session operation that found the device down.
+        op: &'static str,
+    },
     /// A fault at `site` exhausted its retry budget during `op` without
     /// clearing: the operation never went through and the device path
     /// needs a reset. Surfaced per-op (the second half of the
@@ -72,6 +78,7 @@ impl fmt::Display for SessionError {
             SessionError::Virtio(e) => write!(f, "virtio failure: {e}"),
             SessionError::NoBuffers => write!(f, "guest buffer pool exhausted"),
             SessionError::BadRequest(why) => write!(f, "malformed request: {why}"),
+            SessionError::DeviceDown { op } => write!(f, "device down during {op}"),
             SessionError::Escalated { site, op } => {
                 write!(
                     f,
@@ -135,7 +142,9 @@ pub(crate) fn phase(cat: &'static str, name: &'static str, from: SimTime, to: Si
     telemetry::span(cat, name, from, to.saturating_duration_since(from));
 }
 
-/// Size of one posted rx buffer (hdr + MTU frame).
+/// Size of one posted rx buffer (hdr + MTU frame). Each sits alone at
+/// the start of a 4 KiB page, so releasing a reaped buffer frees its
+/// page.
 pub(crate) const RX_BUF: u32 = 2048;
 
 /// Bytes in a virtio-blk request header.
@@ -450,7 +459,9 @@ impl<T: Transport> GuestSession<T> {
 /// posted-buffer slabs that map each completed head back to its
 /// buffers. A reap copies what it hands back into a caller-owned
 /// buffer, or copies nothing when the caller passes none, so
-/// steady-state posts and reaps allocate nothing.
+/// steady-state posts and reaps allocate nothing. A reaped rx buffer's
+/// page is released: a posted buffer holds no resident page until a
+/// frame lands in it.
 #[derive(Debug)]
 pub(crate) struct GuestDriver {
     net_rx: VirtqueueDriver,
@@ -503,7 +514,7 @@ impl GuestDriver {
             net_tx: VirtqueueDriver::new(ram, tx_layout).expect("tx ring"),
             blk: VirtqueueDriver::new(ram, blk_layout).expect("blk ring"),
             tx_pool: StagingPool::new(GuestAddr::new(0x100_0000), 2 * slots, 4096),
-            rx_pool: StagingPool::new(GuestAddr::new(0x200_0000), 2 * slots, RX_BUF),
+            rx_pool: StagingPool::new(GuestAddr::new(0x200_0000), 2 * slots, 4096),
             blk_pool: StagingPool::new(GuestAddr::new(0x400_0000), 4 * slots, 64 * 1024),
             rx_posted: (0..queue_size).map(|_| None).collect(),
             tx_posted: (0..queue_size).map(|_| None).collect(),
@@ -591,12 +602,13 @@ impl GuestDriver {
         Ok(())
     }
 
-    /// Drains the rx used ring, returning each buffer to its pool, and
-    /// copies the last frame's payload into `out`, if given. Only the
-    /// used length is read. Returns whether any completion was reaped.
+    /// Drains the rx used ring, returning each buffer to its pool with
+    /// its page released once any payload is copied out, and copies the
+    /// last frame's payload into `out`, if given. Only the used length
+    /// is read. Returns whether any completion was reaped.
     fn take_rx_completions(
         &mut self,
-        ram: &GuestRam,
+        ram: &mut GuestRam,
         mut out: Option<&mut Vec<u8>>,
     ) -> Result<bool, SessionError> {
         let mut delivered = false;
@@ -618,7 +630,8 @@ impl GuestDriver {
             } else {
                 Ok(())
             };
-            self.rx_pool.free(&buf);
+            // The frame's bytes are dead once reaped.
+            self.rx_pool.release(&buf, ram)?;
             gathered?;
             delivered = true;
         }

@@ -60,13 +60,12 @@ pub struct IoBondDevice {
 }
 
 impl IoBondDevice {
-    /// Default staging slot size. A chain is staged as one run of slots,
-    /// its indirect table first: a jumbo frame or a 16 KiB block request
-    /// takes one slot, table included, and a 256 KiB storage request
-    /// five. The table must fit the run's first slot; with
-    /// `4 × max_queue_size` slots, a 256-entry queue's largest table is
-    /// 1,027 entries (16,432 bytes). A chain whose table would not fit
-    /// is refused with a typed error.
+    /// Default staging slot size. A chain's payload is staged as one run
+    /// of slots, readable bytes then writable: a jumbo frame or a 16 KiB
+    /// block request takes one slot, and a 256 KiB storage request five.
+    /// Its indirect table lives outside the run, in its shadow head's
+    /// 16-entry record, so a chain may touch at most 16 slots (1 MiB at
+    /// this size); a larger one is refused with a typed error.
     pub const DEFAULT_SLOT_SIZE: u32 = 64 * 1024;
 
     /// Creates the device with its frontend function.
@@ -155,8 +154,9 @@ impl IoBondDevice {
 
     /// Builds the shadow queues in base RAM once the guest driver has
     /// reached DRIVER_OK. `base_region` is the start of this device's
-    /// reserved base-memory window (shadow rings first, staging pools
-    /// after).
+    /// reserved base-memory window: per queue, its shadow ring, then
+    /// its indirect-table area (one record per shadow head), then its
+    /// staging pool.
     ///
     /// Returns the total base memory consumed.
     ///
@@ -186,7 +186,8 @@ impl IoBondDevice {
                 ));
             };
             let shadow_layout = QueueLayout::contiguous(cursor.align_up(16), guest_layout.size);
-            cursor = shadow_layout.desc + shadow_layout.footprint();
+            let tables = (shadow_layout.desc + shadow_layout.footprint()).align_up(16);
+            cursor = tables + u64::from(guest_layout.size) * ShadowQueue::TABLE_RECORD;
             let pool_base = cursor.align_up(4096);
             let pool = StagingPool::new(
                 pool_base,
@@ -194,8 +195,14 @@ impl IoBondDevice {
                 self.staging_slot_size,
             );
             cursor = pool_base + pool.footprint();
-            let mut shadow =
-                ShadowQueue::new(self.profile, guest_layout, shadow_layout, pool, base)?;
+            let mut shadow = ShadowQueue::new(
+                self.profile,
+                guest_layout,
+                shadow_layout,
+                tables,
+                pool,
+                base,
+            )?;
             if let Some(window) = self.event_window {
                 shadow.set_event_window(window);
             }
@@ -225,6 +232,13 @@ impl IoBondDevice {
     /// Whether the device is flagged as needing a reset.
     pub fn needs_reset(&self) -> bool {
         self.function.state().device_status() & status::DEVICE_NEEDS_RESET != 0
+    }
+
+    /// Whether every queue has a shadow pairing and no reset is
+    /// pending: false before activation, after a backend failure, and
+    /// after a recovery that failed part-way.
+    pub fn is_live(&self) -> bool {
+        !self.needs_reset() && self.shadows.iter().all(Option::is_some)
     }
 
     /// The full needs-reset recovery path: capture the guest rings'
@@ -431,6 +445,7 @@ mod tests {
         assert!(r.dev.shadow(0).is_some());
         assert!(r.dev.shadow(1).is_some());
         assert!(r.dev.shadow(2).is_none());
+        assert!(r.dev.is_live());
     }
 
     #[test]
@@ -489,6 +504,7 @@ mod tests {
         r.dev.deactivate();
         assert!(r.dev.shadow(0).is_none());
         assert!(r.dev.shadow(1).is_none());
+        assert!(!r.dev.is_live());
     }
 
     #[test]
@@ -509,15 +525,14 @@ mod tests {
         assert_eq!(r.dev.shadow(1).unwrap().inflight_count(), 1);
 
         r.dev.mark_backend_failed();
-        assert!(r.dev.needs_reset());
+        assert!(r.dev.needs_reset() && !r.dev.is_live());
 
         let report = r
             .dev
             .recover_from_backend_failure(&mut r.base, GuestAddr::new(0x300_0000))
             .unwrap();
         assert_eq!(report.replayed_chains, 1);
-        assert!(!r.dev.needs_reset());
-        assert!(r.dev.shadow(0).is_some() && r.dev.shadow(1).is_some());
+        assert!(r.dev.is_live());
 
         // The next service pass re-stages the chain; a fresh backend
         // completes it and the guest sees exactly one completion.

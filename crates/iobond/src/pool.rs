@@ -5,7 +5,7 @@
 //! bm-hypervisor", §3.4.3). [`StagingPool`] hands out fixed-size slots
 //! from a base-RAM arena for the in-flight copies of guest data.
 
-use bmhive_mem::{GuestAddr, SgList};
+use bmhive_mem::{GuestAddr, GuestRam, MemError, SgList};
 
 /// A fixed-slot allocator over a region of base memory.
 ///
@@ -123,6 +123,28 @@ impl StagingPool {
             self.free_slots.push(slot);
         }
     }
+
+    /// Frees the slots backing `sg`, as [`free`](Self::free) does, and
+    /// releases their pages in `ram` (see [`GuestRam::release`]): the
+    /// run's bytes are dead, so each slot reads as zero until it is
+    /// next written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if a slot lies outside `ram`;
+    /// the slots are freed either way.
+    ///
+    /// # Panics
+    ///
+    /// As [`free`](Self::free).
+    pub fn release(&mut self, sg: &SgList, ram: &mut GuestRam) -> Result<(), MemError> {
+        self.free(sg);
+        for seg in sg.segments() {
+            let slot = self.slot_addr(self.slot_of(seg.addr));
+            ram.release(slot, u64::from(self.slot_size))?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -226,6 +248,23 @@ mod tests {
         let c = p.alloc(16).unwrap();
         assert_eq!(c.segments()[0].addr, a.segments()[64].addr);
         assert_eq!(p.free_count(), 69);
+    }
+
+    #[test]
+    fn release_frees_the_slots_and_zeroes_their_pages() {
+        let mut ram = GuestRam::new(1 << 20);
+        let mut p = StagingPool::new(GuestAddr::new(0x1_0000), 4, 8192);
+        let run = p.alloc(10_000).unwrap();
+        run.scatter(&mut ram, &[0xee; 10_000]).unwrap();
+        // A neighbour page just past the pool keeps its bytes.
+        ram.write_u8(GuestAddr::new(0x1_8000), 7).unwrap();
+        assert_eq!(ram.resident_pages(), 4);
+        p.release(&run, &mut ram).unwrap();
+        assert_eq!((p.free_count(), ram.resident_pages()), (4, 1));
+        let mut out = Vec::new();
+        run.gather_into(&ram, &mut out).unwrap();
+        assert_eq!(out, vec![0; 10_000]);
+        assert_eq!(ram.read_u8(GuestAddr::new(0x1_8000)).unwrap(), 7);
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //! Progress is exposed to the polling bm-hypervisor through the
 //! head/tail register pair (§3.4.3): `head` counts chains posted into
 //! the shadow ring, `tail` counts completions returned to the guest.
+//!
+//! Base memory follows live bytes. Each shadow head owns one record of
+//! [`ShadowQueue::TABLE_RECORD`] bytes in a table area beside the
+//! shadow ring, where its chain's indirect table is written. A chain's
+//! staging run holds payload only, so a writable-only rx run touches no
+//! base page until the backend writes a frame into it, and completion
+//! releases the run's pages with its slots ([`StagingPool::release`]).
 
 use crate::pool::StagingPool;
 use crate::profile::IoBondProfile;
@@ -37,6 +44,11 @@ use std::collections::VecDeque;
 /// How long the DMA engine waits before declaring a transfer timed out
 /// and re-arming it (the per-transfer timeout of the recovery policy).
 const DMA_STEP_TIMEOUT: SimDuration = SimDuration::from_micros(20);
+
+/// Entries in one shadow head's indirect-table record. Every chain the
+/// experiments post needs at most 4: the firmware's 128 KiB read (one
+/// header segment, then data and status across three 64 KiB slots).
+const TABLE_ENTRIES: u64 = 16;
 
 /// What one board→base synchronisation pass accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +77,8 @@ pub struct GuestCompletion {
 struct Inflight {
     guest_head: u16,
     guest_writable: SgList,
-    /// The chain's whole staging run (`[table | readable | writable]`),
-    /// handed back to the pool in one free on completion.
+    /// The chain's whole staging run (`[readable | writable]`), handed
+    /// back to the pool, its pages released, on completion.
     staging: SgList,
     /// The writable view inside `staging`: where the backend's bytes
     /// wait for the copy-back.
@@ -80,6 +92,9 @@ pub struct ShadowQueue {
     guest_vq: Virtqueue,
     shadow_driver: VirtqueueDriver,
     shadow_layout: QueueLayout,
+    /// The table area: shadow head `h`'s indirect table is written at
+    /// `tables + h * TABLE_RECORD`.
+    tables: GuestAddr,
     pool: StagingPool,
     /// In-flight chains, slab-indexed by shadow head. A shadow head is
     /// a descriptor index in a fixed-size ring, so the table never
@@ -110,13 +125,20 @@ pub struct ShadowQueue {
 }
 
 impl ShadowQueue {
+    /// Bytes of one shadow head's indirect-table record, 16 descriptors:
+    /// a queue of `n` entries needs a table area of `n × TABLE_RECORD`
+    /// bytes.
+    pub const TABLE_RECORD: u64 = TABLE_ENTRIES * 16;
+
     /// Creates a shadow pairing.
     ///
     /// * `guest_layout` — the queue the bm-guest programmed through the
     ///   virtio-pci frontend (in compute-board RAM).
     /// * `shadow_layout` — where the shadow ring lives in base RAM; must
     ///   have the same queue size.
-    /// * `pool` — staging arena in base RAM for in-flight copies.
+    /// * `tables` — the table area in base RAM: one record of
+    ///   [`TABLE_RECORD`](Self::TABLE_RECORD) bytes per shadow head.
+    /// * `pool` — staging arena in base RAM for in-flight payload.
     /// * `base` — base RAM, to initialise the shadow ring.
     ///
     /// # Errors
@@ -130,6 +152,7 @@ impl ShadowQueue {
         profile: IoBondProfile,
         guest_layout: QueueLayout,
         shadow_layout: QueueLayout,
+        tables: GuestAddr,
         pool: StagingPool,
         base: &mut GuestRam,
     ) -> Result<Self, VirtioError> {
@@ -143,6 +166,7 @@ impl ShadowQueue {
             guest_vq: Virtqueue::new(guest_layout),
             shadow_driver,
             shadow_layout,
+            tables,
             pool,
             inflight: (0..shadow_layout.size).map(|_| None).collect(),
             inflight_len: 0,
@@ -324,19 +348,19 @@ impl ShadowQueue {
         DMA_STEP_TIMEOUT + recovery.waited
     }
 
-    /// Stages `chain` in one run of pool slots, laid out as its shadow
-    /// indirect table, then its readable bytes, then its writable bytes:
-    /// one [`StagingPool::alloc`] carved with [`SgList::split_at`], so a
-    /// 64 B tx frame, a 2 KiB rx buffer or a 16 KiB block request takes
-    /// one slot and one base page, table included.
+    /// Stages `chain` in one run of pool slots, its readable bytes then
+    /// its writable bytes: one [`StagingPool::alloc`] carved with
+    /// [`SgList::split_at`], so a 64 B tx frame, a 2 KiB rx buffer or a
+    /// 16 KiB block request takes one slot. The run holds payload only:
+    /// the shadow indirect table goes to the record of the shadow head
+    /// the chain takes, so a page of the run is touched only by the
+    /// bytes that land on it.
     ///
-    /// Each view can start mid-slot, so it can cross one more slot
-    /// boundary than its own length needs: the table reserves
-    /// `r_slots + w_slots + 2` entries. The table is written
-    /// contiguously from the run's first byte, so it must fit the first
-    /// slot. An empty chain, one bigger than the whole pool and one
-    /// whose table would overflow its slot are refused before the pool
-    /// is touched.
+    /// The readable view starts on a slot boundary and the writable view
+    /// where it ends, so the table has one entry per slot each view
+    /// touches. An empty chain, one bigger than the whole pool and one
+    /// whose table would overflow its record are refused before the
+    /// pool is touched.
     ///
     /// Takes the chain by value so the guest-writable list moves into
     /// the inflight table instead of being cloned per chain; a
@@ -359,8 +383,7 @@ impl ShadowQueue {
             return Err(StageError::Virtio(VirtioError::EmptyChain));
         }
         let slot_size = u64::from(self.pool.slot_size());
-        let table_len = (r_len.div_ceil(slot_size) + w_len.div_ceil(slot_size) + 2) * 16;
-        let run_len = table_len + r_len + w_len;
+        let run_len = r_len + w_len;
         // A chain bigger than the whole pool would wait forever at the
         // front of `deferred`: refuse it like any other malformed chain.
         let needed = run_len.div_ceil(slot_size);
@@ -370,19 +393,22 @@ impl ShadowQueue {
                 capacity: self.pool.total_slots(),
             }));
         }
-        if table_len > slot_size {
+        let w_slots = if w_len == 0 {
+            0
+        } else {
+            needed - r_len / slot_size
+        };
+        if r_len.div_ceil(slot_size) + w_slots > TABLE_ENTRIES {
             return Err(StageError::Virtio(VirtioError::BadIndirect(
-                "shadow table larger than a staging slot",
+                "shadow table larger than its record",
             )));
         }
         let Some(staging) = self.pool.alloc(run_len) else {
             return Err(StageError::NoStaging(chain));
         };
-        let table_addr = staging.segments()[0].addr;
-        let (_, payload) = staging.split_at(table_len);
-        let views = payload.split_at(r_len);
+        let views = staging.split_at(r_len);
         // From here on every error hands the run back first.
-        match self.post_staged(board, base, &chain, table_addr, &views, now) {
+        match self.post_staged(board, base, &chain, &views, now) {
             Ok((shadow_head, moved, finish)) => {
                 let slot = &mut self.inflight[usize::from(shadow_head)];
                 debug_assert!(slot.is_none(), "shadow head reused while in flight");
@@ -397,7 +423,9 @@ impl ShadowQueue {
                 Ok((moved, finish))
             }
             Err(e) => {
-                self.pool.free(&staging);
+                // `e` is the error to report; the slots are freed even
+                // if releasing their pages fails too.
+                let _ = self.pool.release(&staging, base);
                 Err(StageError::Virtio(e))
             }
         }
@@ -406,14 +434,13 @@ impl ShadowQueue {
     /// Stages `chain` into the `(readable, writable)` views that
     /// [`stage_chain`](Self::stage_chain) carved: DMAs its readable
     /// payload board → base and posts the shadow chain, its indirect
-    /// table at `table_addr`. Returns the shadow head, the bytes moved
-    /// and when the DMA finishes.
+    /// table in the record of the head it takes. Returns the shadow
+    /// head, the bytes moved and when the DMA finishes.
     fn post_staged(
         &mut self,
         board: &GuestRam,
         base: &mut GuestRam,
         chain: &DescChain,
-        table_addr: GuestAddr,
         (staging_readable, staging_writable): &(SgList, SgList),
         now: SimTime,
     ) -> Result<(u16, u64, SimTime), VirtioError> {
@@ -441,19 +468,27 @@ impl ShadowQueue {
             self.dma_busy += cost;
         }
 
-        // Post the shadow chain through a single indirect descriptor.
+        // Post the shadow chain through a single indirect descriptor,
+        // its table in the record of the head it takes.
+        let head = self
+            .shadow_driver
+            .next_head()
+            .ok_or(VirtioError::ChainTooLong)?;
         let shadow_head = self.shadow_driver.add_buf_indirect(
             base,
-            table_addr,
+            self.tables + u64::from(head) * Self::TABLE_RECORD,
             staging_readable.segments(),
             staging_writable.segments(),
         )?;
+        debug_assert_eq!(shadow_head, head, "the table went to another head");
         Ok((shadow_head, moved, finish))
     }
 
     /// Synchronises base → board: reaps completions from the shadow
     /// ring, DMA-copies device-written payloads back into the guest's
     /// buffers, completes the guest ring, and bumps the tail register.
+    /// Each completed chain's staging run goes back to the pool with its
+    /// base pages released: its bytes are dead once copied back.
     /// Completions are written into `out` (cleared first — a poll-style
     /// buffer the caller reuses across passes so the steady state never
     /// allocates); the count is returned. Each completion's
@@ -466,7 +501,7 @@ impl ShadowQueue {
     pub fn sync_from_shadow(
         &mut self,
         board: &mut GuestRam,
-        base: &GuestRam,
+        base: &mut GuestRam,
         now: SimTime,
         out: &mut Vec<GuestCompletion>,
     ) -> Result<usize, VirtioError> {
@@ -526,7 +561,7 @@ impl ShadowQueue {
             self.guest_vq
                 .push_used(board, inflight.guest_head, written)?;
             self.tail_reg += 1;
-            self.pool.free(&inflight.staging);
+            self.pool.release(&inflight.staging, base)?;
             out.push(GuestCompletion {
                 guest_head: inflight.guest_head,
                 written,
@@ -600,6 +635,10 @@ mod tests {
         backend_vq: Virtqueue,
     }
 
+    /// The rig's table area in base RAM, between the shadow ring and
+    /// the staging pool.
+    const TABLES: GuestAddr = GuestAddr::new(0x8_0000);
+
     fn rig(queue_size: u16, pool_slots: u32) -> Rig {
         let mut board = GuestRam::new(1 << 20);
         let mut base = GuestRam::new(1 << 22);
@@ -611,6 +650,7 @@ mod tests {
             IoBondProfile::fpga(),
             guest_layout,
             shadow_layout,
+            TABLES,
             pool,
             &mut base,
         )
@@ -665,7 +705,7 @@ mod tests {
 
         /// Copies completions back to the guest, which reaps them.
         fn finish(&mut self, now: SimTime) {
-            let (board, base) = (&mut self.board, &self.base);
+            let (board, base) = (&mut self.board, &mut self.base);
             self.shadow
                 .sync_from_shadow(board, base, now, &mut Vec::new())
                 .unwrap();
@@ -742,7 +782,7 @@ mod tests {
             .shadow
             .sync_from_shadow(
                 &mut r.board,
-                &r.base,
+                &mut r.base,
                 SimTime::from_micros(10),
                 &mut completions,
             )
@@ -780,7 +820,7 @@ mod tests {
                     .unwrap();
                 let mut completions = Vec::new();
                 r.shadow
-                    .sync_from_shadow(&mut r.board, &r.base, now, &mut completions)
+                    .sync_from_shadow(&mut r.board, &mut r.base, now, &mut completions)
                     .unwrap();
                 assert_eq!(completions.len(), 1, "seed {seed}");
                 assert_eq!(completions[0].written, produce, "seed {seed}");
@@ -806,7 +846,7 @@ mod tests {
             r.shadow
                 .sync_from_shadow(
                     &mut r.board,
-                    &r.base,
+                    &mut r.base,
                     SimTime::from_micros(round),
                     &mut completions,
                 )
@@ -844,7 +884,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_defers_without_loss() {
-        // Pool with room for exactly one chain (1 slot: table+payload).
+        // Pool with room for exactly one chain (1 slot of payload).
         let mut r = rig(8, 1);
         for i in 0..3 {
             r.post(GuestAddr::new(0x8000 + i * 0x100), b"xxxx");
@@ -860,7 +900,7 @@ mod tests {
         let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
         r.backend_vq.push_used(&mut r.base, chain.head, 0).unwrap();
         r.shadow
-            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut Vec::new())
+            .sync_from_shadow(&mut r.board, &mut r.base, SimTime::ZERO, &mut Vec::new())
             .unwrap();
         let report = r
             .shadow
@@ -947,7 +987,7 @@ mod tests {
         }];
         let n = r
             .shadow
-            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut completions)
+            .sync_from_shadow(&mut r.board, &mut r.base, SimTime::ZERO, &mut completions)
             .unwrap();
         assert_eq!(n, 0);
         assert!(completions.is_empty(), "stale entries are cleared");
@@ -976,7 +1016,7 @@ mod tests {
         r.shadow
             .sync_from_shadow(
                 &mut r.board,
-                &r.base,
+                &mut r.base,
                 SimTime::from_micros(5),
                 &mut completions,
             )
@@ -1049,7 +1089,7 @@ mod tests {
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
             .unwrap();
         r.shadow
-            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut Vec::new())
+            .sync_from_shadow(&mut r.board, &mut r.base, SimTime::ZERO, &mut Vec::new())
             .unwrap();
         // Every post that lands inside the poll window is now
         // kick-free: the PMD was going to see the descriptors anyway.
@@ -1068,7 +1108,7 @@ mod tests {
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
             .unwrap();
         r.shadow
-            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut Vec::new())
+            .sync_from_shadow(&mut r.board, &mut r.base, SimTime::ZERO, &mut Vec::new())
             .unwrap();
         let old = r.guest_driver.avail_idx();
         r.post(GuestAddr::new(0x9000), b"irq");
@@ -1129,6 +1169,7 @@ mod tests {
         let mut r = rig(8, 16);
         // One forged 4 GiB descriptor needs a million 4 KiB slots; a
         // deferral would park it at the head of the queue for good.
+        // The run is payload only, so that is all it counts.
         forge(
             &mut r.board,
             0,
@@ -1138,7 +1179,7 @@ mod tests {
             .shadow
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
             .unwrap_err();
-        let needed = u64::from(u32::MAX).div_ceil(4096) + 4097;
+        let needed = u64::from(u32::MAX).div_ceil(4096);
         assert_eq!(
             err,
             VirtioError::ChainTooLarge {
@@ -1171,14 +1212,14 @@ mod tests {
     }
 
     #[test]
-    fn table_larger_than_its_slot_is_refused() {
-        // 255 slots of readable bytes need a 257-entry table: 4,112
-        // bytes, one entry more than a 4 KiB slot holds.
+    fn table_larger_than_its_record_is_refused() {
+        // 17 slots of readable bytes need 17 table entries, one more
+        // than a record holds.
         let mut r = rig(8, 300);
         forge(
             &mut r.board,
             0,
-            SgSegment::new(GuestAddr::new(0), 255 * 4096),
+            SgSegment::new(GuestAddr::new(0), 17 * 4096),
         );
         let err = r
             .shadow
@@ -1188,37 +1229,67 @@ mod tests {
         assert_eq!(r.shadow.pool.free_count(), 300);
         assert_eq!(r.shadow.deferred_count(), 0);
         assert_honest_chain_flows(&mut r);
-        // One slot less fills the first slot exactly and is staged.
+        // One slot less fills the record exactly and is staged.
         let mut r = rig(8, 300);
         forge(
             &mut r.board,
             0,
-            SgSegment::new(GuestAddr::new(0), 254 * 4096),
+            SgSegment::new(GuestAddr::new(0), 16 * 4096),
         );
         let report = r
             .shadow
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
             .unwrap();
-        assert_eq!((report.chains, report.bytes), (1, 254 * 4096));
-        assert_eq!(r.shadow.pool.free_count(), 300 - 255);
+        assert_eq!((report.chains, report.bytes), (1, 16 * 4096));
+        assert_eq!(r.shadow.pool.free_count(), 300 - 16);
+        // A writable view that starts mid-slot counts each slot it
+        // touches: 1 readable byte and 15 slots of writable bytes touch
+        // 16 slots, but the table has 17 entries.
+        let mut r = rig(8, 300);
+        r.board.write(GuestAddr::new(0x8000), b"x").unwrap();
+        let readable = [SgSegment::new(GuestAddr::new(0x8000), 1)];
+        let writable = [SgSegment::new(GuestAddr::new(0x1_0000), 15 * 4096)];
+        r.guest_driver
+            .add_buf(&mut r.board, &readable, &writable)
+            .unwrap();
+        let err = r
+            .shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, VirtioError::BadIndirect(_)), "{err}");
+        assert_eq!(r.shadow.pool.free_count(), 300);
+    }
+
+    /// The shadow indirect table of the chain at shadow `head`: its
+    /// address and length, as the shadow descriptor holds them.
+    fn table_of(r: &Rig, head: u16) -> (u64, u32) {
+        let desc = r.shadow.shadow_layout().desc + u64::from(head) * 16;
+        (
+            r.base.read_u64(desc).unwrap(),
+            r.base.read_u32(desc + 8).unwrap(),
+        )
     }
 
     #[test]
     fn a_small_chain_takes_one_slot_and_one_page() {
         let mut r = rig(8, 16);
-        // A 64 B readable chain: table and payload share one page.
+        // A 64 B readable chain: one staging slot and one staging page,
+        // plus the page of its head's table record.
         let (slots, pages) = (r.shadow.pool.free_count(), r.base.resident_pages());
         r.post(GuestAddr::new(0x8000), &[0x64; 64]);
         r.shadow
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
             .unwrap();
         assert_eq!(r.shadow.pool.free_count(), slots - 1);
-        assert_eq!(r.base.resident_pages(), pages + 1);
+        assert_eq!(r.base.resident_pages(), pages + 2);
         assert_eq!(r.complete_all(), vec![vec![0x64; 64]]);
         r.finish(SimTime::ZERO);
+        // Completion hands back the slot and releases its page; the
+        // record stays.
         assert_eq!(r.shadow.pool.free_count(), slots);
-        // A 2 KiB writable chain on a fresh pool: the backend's bytes
-        // land on the page the table already made resident.
+        assert_eq!(r.base.resident_pages(), pages + 1);
+        // A 2 KiB writable chain on a fresh pool touches only its table
+        // record until the backend's bytes land.
         let mut r = rig(8, 16);
         let pages = r.base.resident_pages();
         let buf = GuestAddr::new(0x9000);
@@ -1230,14 +1301,21 @@ mod tests {
             .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
             .unwrap();
         assert_eq!(r.shadow.pool.free_count(), slots - 1);
-        let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
-        chain.writable.scatter(&mut r.base, &[0x2b; 2048]).unwrap();
         assert_eq!(r.base.resident_pages(), pages + 1);
+        let chain = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        let (table, len) = table_of(&r, chain.head);
+        assert_eq!(
+            table,
+            TABLES.value() + u64::from(chain.head) * ShadowQueue::TABLE_RECORD
+        );
+        assert_eq!(len, 16);
+        chain.writable.scatter(&mut r.base, &[0x2b; 2048]).unwrap();
+        assert_eq!(r.base.resident_pages(), pages + 2);
         r.backend_vq
             .push_used(&mut r.base, chain.head, 2048)
             .unwrap();
         r.shadow
-            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut Vec::new())
+            .sync_from_shadow(&mut r.board, &mut r.base, SimTime::ZERO, &mut Vec::new())
             .unwrap();
         assert_eq!(
             r.guest_driver.poll_used(&r.board).unwrap(),
@@ -1245,6 +1323,58 @@ mod tests {
         );
         assert_eq!(r.board_bytes(buf, 2048), vec![0x2b; 2048]);
         assert_eq!(r.shadow.pool.free_count(), slots);
+        assert_eq!(r.base.resident_pages(), pages + 1);
+    }
+
+    #[test]
+    fn completed_staging_reads_zero_and_leaks_nothing_to_the_next_chain() {
+        let mut r = rig(8, 16);
+        // A 3,000-byte readable chain completes; its staging bytes are
+        // dead and read as zero.
+        let secret: Vec<u8> = (0..3000u32).map(|i| (i % 255) as u8 + 1).collect();
+        r.post(GuestAddr::new(0x8000), &secret);
+        r.shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        let first = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        assert_eq!(r.base_bytes(&first.readable), secret);
+        r.backend_vq.push_used(&mut r.base, first.head, 0).unwrap();
+        r.finish(SimTime::ZERO);
+        assert_eq!(r.base_bytes(&first.readable), vec![0; 3000]);
+        // A 10-byte chain staged into the same slot sees its own bytes
+        // through the backend, and nothing of the earlier payload lies
+        // behind them.
+        r.post(GuestAddr::new(0x9000), b"0123456789");
+        r.shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        let second = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        let slot = second.readable.segments()[0].addr;
+        assert_eq!(slot, first.readable.segments()[0].addr);
+        assert_eq!(r.base_bytes(&second.readable), b"0123456789");
+        let mut behind = vec![0; 4096];
+        r.base.read(slot, &mut behind).unwrap();
+        assert_eq!(&behind[..10], b"0123456789");
+        assert!(behind[10..].iter().all(|&b| b == 0));
+        r.backend_vq.push_used(&mut r.base, second.head, 0).unwrap();
+        r.finish(SimTime::ZERO);
+        // An rx buffer staged into that slot next is all zeros before
+        // the backend writes it, read as the backend sees it or directly.
+        r.guest_driver
+            .add_buf(
+                &mut r.board,
+                &[],
+                &[SgSegment::new(GuestAddr::new(0xa000), 3000)],
+            )
+            .unwrap();
+        r.shadow
+            .sync_to_shadow(&r.board, &mut r.base, SimTime::ZERO)
+            .unwrap();
+        let rx = r.backend_vq.pop_avail(&r.base).unwrap().unwrap();
+        assert_eq!(rx.writable.segments()[0].addr, slot);
+        assert_eq!(r.base_bytes(&rx.writable), vec![0; 3000]);
+        r.base.read(slot, &mut behind).unwrap();
+        assert!(behind.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -1253,16 +1383,16 @@ mod tests {
         // A neighbour staged first stays in flight throughout.
         let neighbour: Vec<u8> = (0..64).map(|i| 0xa0 ^ i).collect();
         r.post(GuestAddr::new(0x8000), &neighbour);
-        // 4,096 readable and 4,097 writable bytes behind an 80-byte
-        // table: both views cross a 4 KiB slot boundary.
+        // 4,097 readable and 4,097 writable bytes: both views cross a
+        // 4 KiB slot boundary.
         let (src, dst) = (GuestAddr::new(0x1_0000), GuestAddr::new(0x2_0000));
-        let sent: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        let sent: Vec<u8> = (0..4097u32).map(|i| (i % 251) as u8).collect();
         r.board.write(src, &sent).unwrap();
         let head = r
             .guest_driver
             .add_buf(
                 &mut r.board,
-                &[SgSegment::new(src, 4096)],
+                &[SgSegment::new(src, 4097)],
                 &[SgSegment::new(dst, 4097)],
             )
             .unwrap();
@@ -1276,13 +1406,15 @@ mod tests {
         assert_eq!((chain.readable.len(), chain.writable.len()), (2, 2));
         // The backend gathers the exact readable bytes.
         assert_eq!(r.base_bytes(&chain.readable), sent);
-        // The shadow table holds its four entries and ends before the
-        // readable view begins.
-        let desc = r.shadow.shadow_layout().desc + u64::from(chain.head) * 16;
-        let table_addr = r.base.read_u64(desc).unwrap();
-        let table_len = r.base.read_u32(desc + 8).unwrap();
-        assert_eq!(table_len, 4 * 16);
-        assert!(table_addr + u64::from(table_len) <= chain.readable.segments()[0].addr.value());
+        // The shadow table holds its four entries in its head's record,
+        // outside every staging slot.
+        let (table, len) = table_of(&r, chain.head);
+        assert_eq!(
+            table,
+            TABLES.value() + u64::from(chain.head) * ShadowQueue::TABLE_RECORD
+        );
+        assert_eq!(len, 4 * 16);
+        assert!(table + ShadowQueue::TABLE_RECORD * 8 <= 0x10_0000);
         // The copy-back lands the exact writable bytes.
         let reply: Vec<u8> = (0..4097u32).map(|i| (i % 241) as u8 ^ 0x5a).collect();
         chain.writable.scatter(&mut r.base, &reply).unwrap();
@@ -1291,7 +1423,7 @@ mod tests {
             .unwrap();
         let mut completions = Vec::new();
         r.shadow
-            .sync_from_shadow(&mut r.board, &r.base, SimTime::ZERO, &mut completions)
+            .sync_from_shadow(&mut r.board, &mut r.base, SimTime::ZERO, &mut completions)
             .unwrap();
         assert_eq!(completions.len(), 1);
         assert_eq!(

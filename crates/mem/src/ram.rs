@@ -8,6 +8,17 @@
 //! accessors over them) is one bounds check, one page lookup (two array
 //! indexes) and one fixed-length copy; a variable-length access, or a
 //! fixed-size one that straddles a page, pays a lookup per page piece.
+//!
+//! Host pages follow live bytes: [`GuestRam::release`] drops the whole
+//! pages of a range whose data is dead (a completed staging run, a
+//! reaped rx buffer), so they read as zero again, and keeps their
+//! storage on a spare list. The next first touch of any page takes the
+//! most recently released one, still warm in cache, so a steady
+//! release/touch cycle never calls the allocator. Each resident page
+//! keeps a dirty mark, the end of its furthest write, and every byte at
+//! or past it is zero; a reused page has only its stale bytes below the
+//! mark zeroed, and none that the write making it resident covers, so a
+//! 64-byte frame clears 64 bytes and a whole-page write clears none.
 
 use crate::addr::GuestAddr;
 use std::error::Error;
@@ -20,7 +31,14 @@ const LEAF_SHIFT: u64 = 9;
 const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
 
 type Page = [u8; PAGE_SIZE as usize];
-type Leaf = [Option<Box<Page>>; LEAF_PAGES];
+
+/// 512 page slots, and each resident page's dirty mark: every byte of
+/// the page at or past its mark is zero.
+#[derive(Debug, Clone)]
+struct Leaf {
+    pages: [Option<Box<Page>>; LEAF_PAGES],
+    dirty: [u16; LEAF_PAGES],
+}
 
 /// Errors returned by [`GuestRam`] accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +91,10 @@ pub struct GuestRam {
     /// Leaf `i` maps pages `[i * 512, (i + 1) * 512)`. The directory
     /// grows to the highest leaf written; absent entries read as zero.
     dir: Vec<Option<Box<Leaf>>>,
+    /// Storage of released pages with their dirty marks, most recently
+    /// released last: the next first touch takes it instead of
+    /// allocating.
+    spare: Vec<(Box<Page>, u16)>,
 }
 
 impl GuestRam {
@@ -86,6 +108,7 @@ impl GuestRam {
         GuestRam {
             size,
             dir: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -94,13 +117,14 @@ impl GuestRam {
         self.size
     }
 
-    /// Number of 4 KiB pages actually allocated so far, counted from
-    /// the page directory on each call.
+    /// Number of 4 KiB pages resident now (written and not released
+    /// since), counted from the page directory on each call. Spare
+    /// storage is not counted.
     pub fn resident_pages(&self) -> usize {
         self.dir
             .iter()
             .flatten()
-            .map(|leaf| leaf.iter().filter(|page| page.is_some()).count())
+            .map(|leaf| leaf.pages.iter().filter(|page| page.is_some()).count())
             .sum()
     }
 
@@ -119,19 +143,71 @@ impl GuestRam {
     /// The page holding page number `page`, if it was ever written.
     fn page(&self, page: u64) -> Option<&Page> {
         let leaf = self.dir.get((page >> LEAF_SHIFT) as usize)?.as_deref()?;
-        leaf[page as usize & (LEAF_PAGES - 1)].as_deref()
+        leaf.pages[page as usize & (LEAF_PAGES - 1)].as_deref()
     }
 
-    /// The page holding page number `page`, allocating it (and its leaf)
-    /// zero-filled on first touch.
-    fn page_mut(&mut self, page: u64) -> &mut Page {
+    /// The page holding page number `page`, for a write of its bytes
+    /// `[start, end)`, which the caller makes next. On first touch the
+    /// page (and its leaf) becomes resident: the most recently released
+    /// page if there is one, its stale bytes outside the write zeroed,
+    /// else a fresh zeroed page. Raises the page's dirty mark to `end`.
+    fn page_mut(&mut self, page: u64, start: usize, end: usize) -> &mut Page {
+        let Self { dir, spare, .. } = self;
         let l = (page >> LEAF_SHIFT) as usize;
-        if l >= self.dir.len() {
-            self.dir.resize_with(l + 1, || None);
+        if l >= dir.len() {
+            dir.resize_with(l + 1, || None);
         }
-        let leaf = self.dir[l].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
-        leaf[page as usize & (LEAF_PAGES - 1)]
-            .get_or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
+        let leaf = dir[l].get_or_insert_with(|| {
+            Box::new(Leaf {
+                pages: [const { None }; LEAF_PAGES],
+                dirty: [0; LEAF_PAGES],
+            })
+        });
+        let i = page as usize & (LEAF_PAGES - 1);
+        let dirty = &mut leaf.dirty[i];
+        let data = leaf.pages[i].get_or_insert_with(|| match spare.pop() {
+            Some((mut reused, stale)) => {
+                // Bytes at and past the stale mark are zero already.
+                let stale = usize::from(stale);
+                reused[..start.min(stale)].fill(0);
+                if stale > end {
+                    reused[end..stale].fill(0);
+                }
+                reused
+            }
+            None => Box::new([0u8; PAGE_SIZE as usize]),
+        });
+        *dirty = (*dirty).max(end as u16);
+        data
+    }
+
+    /// Drops every whole page inside `[addr, addr + len)`: each reads
+    /// as zero again, stops counting in
+    /// [`resident_pages`](Self::resident_pages), and its storage goes to
+    /// the spare list for the next first touch. The partial pages at the
+    /// range's edges are kept, with their bytes. Call it when the
+    /// range's data is dead, so host memory follows live bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::OutOfBounds`] if the range exceeds the memory
+    /// size; nothing is released in that case.
+    pub fn release(&mut self, addr: GuestAddr, len: u64) -> Result<(), MemError> {
+        self.check(addr, len)?;
+        let Self { dir, spare, .. } = self;
+        let first = addr.value().div_ceil(PAGE_SIZE);
+        let end = (addr.value() + len) >> PAGE_SHIFT;
+        for page in first..end {
+            let leaf = dir
+                .get_mut((page >> LEAF_SHIFT) as usize)
+                .and_then(Option::as_deref_mut);
+            let Some(leaf) = leaf else { continue };
+            let i = page as usize & (LEAF_PAGES - 1);
+            if let Some(freed) = leaf.pages[i].take() {
+                spare.push((freed, std::mem::take(&mut leaf.dirty[i])));
+            }
+        }
+        Ok(())
     }
 
     /// Applies `f` to each in-page piece of `[offset, offset + len)`, in
@@ -213,8 +289,8 @@ impl GuestRam {
 
     /// Writes the `N`-byte record `data` at `addr`: one page lookup and
     /// one fixed-length copy inside a page, piece by piece across a page
-    /// boundary. Pages are allocated exactly as [`GuestRam::write`]
-    /// would allocate them.
+    /// boundary. Pages are made resident exactly as [`GuestRam::write`]
+    /// would make them.
     ///
     /// # Errors
     ///
@@ -232,7 +308,8 @@ impl GuestRam {
         let at = addr.value();
         let in_page = (at & (PAGE_SIZE - 1)) as usize;
         if in_page + N <= PAGE_SIZE as usize {
-            self.page_mut(at >> PAGE_SHIFT)[in_page..in_page + N].copy_from_slice(&data);
+            self.page_mut(at >> PAGE_SHIFT, in_page, in_page + N)[in_page..in_page + N]
+                .copy_from_slice(&data);
             Ok(())
         } else {
             self.write(addr, &data)
@@ -242,8 +319,9 @@ impl GuestRam {
     /// Fills `[addr, addr + len)` in place: calls `f(done, piece)` once
     /// per in-page piece, in order, with `piece` the destination bytes
     /// and `done` the bytes of the range before it. Every touched page
-    /// becomes resident, as a write would make it; `piece` holds the
-    /// old contents (zeros on a new page) until `f` overwrites them.
+    /// becomes resident, as a write would make it. `f` must overwrite
+    /// all of `piece`: on a page that was not resident, `piece` may hold
+    /// the stale bytes of a released page until it does.
     ///
     /// # Errors
     ///
@@ -257,15 +335,16 @@ impl GuestRam {
     ) -> Result<(), MemError> {
         self.check(addr, len)?;
         Self::for_each_piece(addr.value(), len as usize, |page, in_page, done, take| {
-            f(done, &mut self.page_mut(page)[in_page..in_page + take]);
+            let end = in_page + take;
+            f(done, &mut self.page_mut(page, in_page, end)[in_page..end]);
         });
         Ok(())
     }
 
     /// Copies `len` bytes at `src_addr` in `src` to `addr` in this
     /// memory, reading straight into the destination pages (no
-    /// intermediate buffer). Destination pages are allocated exactly as
-    /// [`GuestRam::write`] would allocate them.
+    /// intermediate buffer). Destination pages are made resident
+    /// exactly as [`GuestRam::write`] would make them.
     ///
     /// # Errors
     ///
@@ -282,9 +361,10 @@ impl GuestRam {
         self.check(addr, len)?;
         let from = src_addr.value();
         Self::for_each_piece(addr.value(), len as usize, |page, in_page, done, take| {
+            let end = in_page + take;
             src.read_unchecked(
                 from + done as u64,
-                &mut self.page_mut(page)[in_page..in_page + take],
+                &mut self.page_mut(page, in_page, end)[in_page..end],
             );
         });
         Ok(())
@@ -459,7 +539,7 @@ mod tests {
         assert_eq!(ram.resident_pages(), 2);
     }
 
-    /// Pages of the flat model holding a nonzero byte or ever written.
+    /// Pages of the flat model written since they were last released.
     fn touched_pages(touched: &[bool]) -> usize {
         touched.iter().filter(|&&t| t).count()
     }
@@ -517,8 +597,8 @@ mod tests {
                 }
             }
         };
-        for step in 0..6000 {
-            let op = rng.below(8);
+        for step in 0..8000 {
+            let op = rng.below(9);
             // Ops 6 and 7 go through the fixed-size accessors.
             let kind = rng.below(RECORD_LEN.len() as u64);
             let len = match (op, rng.below(5)) {
@@ -617,7 +697,7 @@ mod tests {
                         touch(&mut touched, addr, len);
                     }
                 }
-                _ => {
+                7 => {
                     // Never-written pages read as zeros without becoming
                     // resident (the check after the match).
                     let result = read_record(&ram, kind, GuestAddr::new(addr));
@@ -630,6 +710,19 @@ mod tests {
                         );
                     }
                 }
+                _ => {
+                    // Whole pages inside the range read as zero and stop
+                    // being resident; the edge pages keep their bytes.
+                    let result = ram.release(GuestAddr::new(addr), len);
+                    assert_eq!(result.is_ok(), in_bounds, "step {step}");
+                    if in_bounds {
+                        for p in addr.div_ceil(PAGE_SIZE)..(addr + len) / PAGE_SIZE {
+                            let at = (p * PAGE_SIZE) as usize;
+                            flat[at..at + PAGE_SIZE as usize].fill(0);
+                            touched[p as usize] = false;
+                        }
+                    }
+                }
             }
             assert_eq!(ram.resident_pages(), touched_pages(&touched), "step {step}");
         }
@@ -640,6 +733,51 @@ mod tests {
         let clone = ram.clone();
         assert_eq!(clone.resident_pages(), ram.resident_pages());
         assert_eq!(clone.read_vec(GuestAddr::new(0), SIZE).unwrap(), flat);
+    }
+
+    #[test]
+    fn released_pages_read_zero_and_are_reused_warm() {
+        let page = |n: u64| GuestAddr::new(n * PAGE_SIZE);
+        let mut ram = GuestRam::new(16 * PAGE_SIZE);
+        ram.fill(page(1), 3 * PAGE_SIZE, 0xaa).unwrap();
+        assert_eq!(ram.resident_pages(), 3);
+        // Only the whole page inside the range goes; both edge pages
+        // keep every byte.
+        ram.release(page(1) + 1, 2 * PAGE_SIZE).unwrap();
+        assert_eq!((ram.resident_pages(), ram.spare.len()), (2, 1));
+        assert_eq!(ram.read_vec(page(2), PAGE_SIZE).unwrap(), vec![0; 4096]);
+        assert_eq!(ram.read_vec(page(1), PAGE_SIZE).unwrap(), vec![0xaa; 4096]);
+        assert_eq!(ram.read_vec(page(3), PAGE_SIZE).unwrap(), vec![0xaa; 4096]);
+        // A range holding no whole page releases nothing, and one past
+        // the end is rejected whole.
+        ram.release(page(1) + 1, PAGE_SIZE - 2).unwrap();
+        assert!(ram.release(page(15), PAGE_SIZE + 1).is_err());
+        assert!(ram.release(page(3), u64::MAX).is_err());
+        assert_eq!((ram.resident_pages(), ram.spare.len()), (2, 1));
+        // A different page takes the released storage: read before a
+        // partial write it is zeros, after it the write and zeros.
+        ram.release(page(3), PAGE_SIZE).unwrap();
+        assert_eq!(ram.spare.len(), 2);
+        assert_eq!(ram.read_vec(page(9), PAGE_SIZE).unwrap(), vec![0; 4096]);
+        ram.write(page(9) + 100, b"abc").unwrap();
+        assert_eq!(ram.spare.len(), 1);
+        let mut expect = vec![0u8; 4096];
+        expect[100..103].copy_from_slice(b"abc");
+        assert_eq!(ram.read_vec(page(9), PAGE_SIZE).unwrap(), expect);
+        // A page whose stale bytes all lie before the write is cleared
+        // up to its dirty mark.
+        ram.write(page(5) + 10, b"xy").unwrap();
+        ram.release(page(5), PAGE_SIZE).unwrap();
+        ram.write(page(6) + 2000, b"z").unwrap();
+        let mut expect = vec![0u8; 4096];
+        expect[2000] = b'z';
+        assert_eq!(ram.read_vec(page(6), PAGE_SIZE).unwrap(), expect);
+        ram.release(page(6), PAGE_SIZE).unwrap();
+        // A whole-page write reuses the last spare and reads back exactly.
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 253) as u8).collect();
+        ram.write(page(12), &data).unwrap();
+        assert_eq!(ram.read_vec(page(12), PAGE_SIZE).unwrap(), data);
+        assert_eq!((ram.resident_pages(), ram.spare.len()), (3, 0));
     }
 
     #[test]

@@ -199,9 +199,9 @@ impl SgList {
     /// Fills the list's first `min(len, total_len())` bytes in place,
     /// returning that count: calls `f(done, piece)` once per in-page
     /// piece of each segment, in order, with `done` the bytes of the
-    /// list before `piece` (see [`GuestRam::write_with`]). A producer
-    /// writes straight into the destination pages, with no staging
-    /// buffer.
+    /// list before `piece` (see [`GuestRam::write_with`]); `f` must
+    /// overwrite all of `piece`. A producer writes straight into the
+    /// destination pages, with no staging buffer.
     ///
     /// # Errors
     ///

@@ -76,6 +76,13 @@ impl VirtqueueDriver {
         self.outstanding_len
     }
 
+    /// The head the next post takes, `None` when no descriptor is free:
+    /// a caller that keeps per-head state (an indirect table's home) can
+    /// place it before posting.
+    pub fn next_head(&self) -> Option<u16> {
+        self.free.last().copied()
+    }
+
     /// Posts a buffer chain: `readable` segments (device reads) followed
     /// by `writable` segments (device writes). Returns the head index,
     /// which identifies the completion in [`poll_used`](Self::poll_used).
@@ -417,7 +424,8 @@ mod tests {
     #[test]
     fn indirect_uses_one_descriptor() {
         let (mut ram, mut driver, _) = setup(4);
-        driver
+        let next = driver.next_head();
+        let head = driver
             .add_buf_indirect(
                 &mut ram,
                 GuestAddr::new(0x9000),
@@ -429,8 +437,15 @@ mod tests {
                 &[SgSegment::new(GuestAddr::new(0x6000), 4)],
             )
             .unwrap();
-        // 4 segments but only 1 queue descriptor consumed.
-        assert_eq!(driver.num_free(), 3);
+        // 4 segments but only 1 queue descriptor consumed, the head
+        // `next_head` announced.
+        assert_eq!((driver.num_free(), Some(head)), (3, next));
+        let seg = [SgSegment::new(GuestAddr::new(0x5000), 4)];
+        while driver.num_free() > 0 {
+            let next = driver.next_head();
+            assert_eq!(Some(driver.add_buf(&mut ram, &seg, &[]).unwrap()), next);
+        }
+        assert_eq!(driver.next_head(), None);
     }
 
     #[test]

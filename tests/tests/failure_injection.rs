@@ -127,6 +127,7 @@ fn staging_exhaustion_backpressures_and_recovers() {
         IoBondProfile::fpga(),
         guest_layout,
         shadow_layout,
+        GuestAddr::new(0x8_0000),
         pool,
         &mut base,
     )
@@ -161,7 +162,12 @@ fn staging_exhaustion_backpressures_and_recovers() {
             backend.push_used(&mut base, chain.head, 0).unwrap();
         }
         shadow
-            .sync_from_shadow(&mut board, &base, SimTime::from_micros(round), &mut scratch)
+            .sync_from_shadow(
+                &mut board,
+                &mut base,
+                SimTime::from_micros(round),
+                &mut scratch,
+            )
             .unwrap();
         while driver.poll_used(&board).unwrap().is_some() {}
     }
@@ -179,7 +185,7 @@ fn staging_exhaustion_backpressures_and_recovers() {
         shadow
             .sync_from_shadow(
                 &mut board,
-                &base,
+                &mut base,
                 SimTime::from_micros(10 + extra),
                 &mut scratch,
             )

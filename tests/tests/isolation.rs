@@ -23,6 +23,7 @@ fn forged_ring_state_yields_errors_not_panics() {
         IoBondProfile::fpga(),
         layout,
         shadow_layout,
+        GuestAddr::new(0x8_0000),
         pool,
         &mut base,
     )
@@ -74,6 +75,7 @@ fn forged_avail_index_jump_stages_no_head_twice() {
         IoBondProfile::fpga(),
         layout,
         shadow_layout,
+        GuestAddr::new(0x8_0000),
         pool,
         &mut base,
     )

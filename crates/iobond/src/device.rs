@@ -64,8 +64,10 @@ impl IoBondDevice {
     /// of slots, readable bytes then writable: a jumbo frame or a 16 KiB
     /// block request takes one slot, and a 256 KiB storage request five.
     /// Its indirect table lives outside the run, in its shadow head's
-    /// 16-entry record, so a chain may touch at most 16 slots (1 MiB at
-    /// this size); a larger one is refused with a typed error.
+    /// 16-entry record, one entry per slot each view touches: a chain
+    /// whose views touch more than 16 slots between them (over 1 MiB at
+    /// this size, less when the writable view starts mid-slot) is
+    /// refused with a typed error.
     pub const DEFAULT_SLOT_SIZE: u32 = 64 * 1024;
 
     /// Creates the device with its frontend function.

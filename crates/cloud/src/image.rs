@@ -7,10 +7,8 @@
 //! kernel live, so the EFI firmware's virtio-blk boot path (§3.2) can
 //! fetch them.
 
-use std::collections::HashMap;
-
 /// An image identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageId(pub u64);
 
 /// A bootable machine image.
@@ -57,46 +55,6 @@ impl MachineImage {
     }
 }
 
-/// The image registry backing volume provisioning.
-#[derive(Debug, Default)]
-pub struct ImageService {
-    images: HashMap<ImageId, MachineImage>,
-}
-
-impl ImageService {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers an image, returning its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is already registered.
-    pub fn register(&mut self, image: MachineImage) -> ImageId {
-        let id = image.id;
-        let prev = self.images.insert(id, image);
-        assert!(prev.is_none(), "image id already registered");
-        id
-    }
-
-    /// Looks up an image.
-    pub fn get(&self, id: ImageId) -> Option<&MachineImage> {
-        self.images.get(&id)
-    }
-
-    /// Number of registered images.
-    pub fn len(&self) -> usize {
-        self.images.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,23 +66,5 @@ mod tests {
         assert!(img.boot_sectors() > 0);
         assert!(img.kernel_sector > img.bootloader_sector);
         assert!(img.name.contains("3.10.0-514.26.2.el7"));
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let mut svc = ImageService::new();
-        assert!(svc.is_empty());
-        let id = svc.register(MachineImage::centos_evaluation(7));
-        assert_eq!(svc.len(), 1);
-        assert_eq!(svc.get(id).unwrap().id, id);
-        assert!(svc.get(ImageId(99)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn duplicate_id_panics() {
-        let mut svc = ImageService::new();
-        svc.register(MachineImage::centos_evaluation(1));
-        svc.register(MachineImage::centos_evaluation(1));
     }
 }

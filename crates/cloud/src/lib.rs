@@ -20,7 +20,6 @@
 //!   percentiles).
 //! * [`image`] — machine images: the same image boots as a vm-guest or a
 //!   bm-guest (cold migration, §3.1).
-//! * [`scheduler`] — board/VM placement across a server pool.
 //! * [`security`] — the structural security/isolation comparison behind
 //!   Table 1.
 //! * [`cost`] — the §3.5 density, TDP and price analysis.
@@ -32,7 +31,6 @@ pub mod firmware;
 pub mod fleet;
 pub mod image;
 pub mod limits;
-pub mod scheduler;
 pub mod security;
 pub mod vswitch;
 
@@ -41,9 +39,8 @@ pub use catalog::{InstanceType, ServerConstraints, INSTANCE_CATALOG};
 pub use cost::DensityReport;
 pub use firmware::{FirmwareError, FirmwareImage, FirmwareStore, SigningKey};
 pub use fleet::{ExitCensus, PreemptionStudy};
-pub use image::{ImageService, MachineImage};
+pub use image::MachineImage;
 pub use limits::InstanceLimits;
-pub use scheduler::{PlacementError, Scheduler};
 pub use security::{ServiceKind, ServiceProfile};
 pub use vswitch::{PortId, VSwitch};
 

@@ -47,22 +47,18 @@
 //! | hypervisors (bm + KVM baseline) | `bmhive-hypervisor` |
 //! | paper workloads | `bmhive-workloads` |
 
-pub mod control;
 pub mod server;
 
-pub use control::{ControlPlane, ControlRequest, ControlResponse};
 pub use server::{BmHiveServer, BoardId, GuestId, ServerError};
 
 /// Everything a downstream user typically needs, in one import.
 pub mod prelude {
-    pub use crate::control::{ControlPlane, ControlRequest, ControlResponse};
     pub use crate::server::{BmHiveServer, BoardId, GuestId, ServerError};
     pub use bmhive_cloud::blockstore::{BlockStore, IoKind, StorageClass};
     pub use bmhive_cloud::catalog::{InstanceType, ServerConstraints, INSTANCE_CATALOG};
     pub use bmhive_cloud::cost;
-    pub use bmhive_cloud::image::{ImageService, MachineImage};
+    pub use bmhive_cloud::image::MachineImage;
     pub use bmhive_cloud::limits::InstanceLimits;
-    pub use bmhive_cloud::scheduler::Scheduler;
     pub use bmhive_cloud::security::{ServiceKind, ServiceProfile};
     pub use bmhive_cpu::{CpuWork, Platform};
     pub use bmhive_hypervisor::{boot_guest, BmGuestSession, BootReport, IoPath, VmGuestSession};

@@ -31,13 +31,11 @@
 //! `upgrade` (Orthus-style live upgrade of a [`BmGuestSession`]'s
 //! backend), `migrate` (the on-demand-virtualization live-migration
 //! prototype, with its two documented drawbacks as first-class errors),
-//! `console` (the VGA console of §3.4.2), and `slowpath` (the
-//! undeployed tap-device test path, priced to show why it stayed
-//! undeployed).
+//! and `slowpath` (the undeployed tap-device test path, priced to show
+//! why it stayed undeployed).
 
 pub mod bm;
 pub mod boot;
-pub mod console;
 pub mod migrate;
 pub mod path;
 pub mod pmd;
@@ -48,7 +46,6 @@ pub mod vm;
 
 pub use bm::{BmGuestSession, BoardOutage};
 pub use boot::{boot_guest, BootReport};
-pub use console::{ConsoleServer, VgaConsole};
 pub use migrate::{convert_to_bm, convert_to_vm, GuestOs, MigrationError, MigrationPolicy};
 pub use path::IoPath;
 pub use pmd::BackendMode;

@@ -1,12 +1,11 @@
 //! Live operations: the §6 toolbox — live bm-hypervisor upgrade
-//! (Orthus-style), the live-migration prototype with its documented
-//! drawbacks, and the tenant console of §3.4.2.
+//! (Orthus-style) and the live-migration prototype with its documented
+//! drawbacks.
 //!
 //! Run with: `cargo run --example live_operations`
 
 use bmhive_core::prelude::*;
 use bmhive_hypervisor::migrate::{convert_to_bm, convert_to_vm, GuestOs, MigrationPolicy};
-use bmhive_hypervisor::ConsoleServer;
 
 fn main() {
     // --- 1. Live bm-hypervisor upgrade -------------------------------
@@ -131,19 +130,4 @@ fn main() {
         "tenant running their own hypervisor: {}",
         nested.expect_err("unsupported")
     );
-
-    // --- 3. The tenant console (§3.4.2) ------------------------------
-    println!("\n--- VGA console ---");
-    let mut consoles = ConsoleServer::new();
-    let mac = MacAddr::for_guest(7);
-    consoles.register(mac);
-    consoles.guest_output(
-        mac,
-        b"CentOS Linux 7 (Core)\nKernel 3.10.0-514.26.2.el7 on x86_64\n\nbm-guest login: ",
-    );
-    let screen = consoles.attach(mac).expect("registered");
-    for line in screen.iter().take(4) {
-        println!("  | {line}");
-    }
-    println!("({} viewer attached)", consoles.viewers(mac));
 }

@@ -125,7 +125,7 @@ fn rate_limits_bind_identically_for_all_tenants() {
 }
 
 #[test]
-fn server_scheduler_and_max_boards_share_one_admission_check() {
+fn server_and_max_boards_share_one_admission_check() {
     let constraints = ServerConstraints::production();
     for instance in INSTANCE_CATALOG {
         let max = constraints.max_boards(instance);
@@ -146,13 +146,5 @@ fn server_scheduler_and_max_boards_share_one_admission_check() {
             "{}: the server refuses for the chassis's reason",
             instance.name
         );
-
-        let mut sched = Scheduler::new();
-        sched.add_server(constraints);
-        let mut placed = 0;
-        while sched.place(instance).is_ok() {
-            placed += 1;
-        }
-        assert_eq!(placed, max, "{} on a one-server pool", instance.name);
     }
 }
